@@ -7,10 +7,10 @@ GO ?= go
 check:
 	./scripts/check.sh
 
-## lint: the static-analysis suite (wallclock, maporder, singledef,
-## serverscan, lockedcallback, and the flow-sensitive lockorder,
-## atomicsnapshot, poolcontract, hotalloc, errflow, goroutinelife,
-## chanlife, ctxflow — see internal/analysis). Analyzers run in
+## lint: the static-analysis suite, 11 analyzers (wallclock, maporder,
+## singledef, serverscan, lockedcallback, and the flow-sensitive
+## lockorder, hotalloc, errflow, goroutinelife, chanlife, ctxflow — see
+## internal/analysis). Analyzers run in
 ## parallel with input-ordered output. Prints its own wall time;
 ## check.sh enforces a 60s budget on the same run.
 lint:
@@ -35,9 +35,10 @@ test:
 ## race: the packages exercised concurrently (wall-clock gateway, the
 ## runtime policies it shares with the simulator, the telemetry
 ## collector both planes feed from many goroutines, the loadgen worker
-## pool, and the COW function registry).
+## pool, the COW function registry, and the cow / pool / simclock types
+## the planes build on).
 race:
-	$(GO) test -race ./internal/gateway/... ./internal/runtime/... ./internal/telemetry/... ./internal/loadgen/... ./internal/core/...
+	$(GO) test -race ./internal/gateway/... ./internal/runtime/... ./internal/telemetry/... ./internal/loadgen/... ./internal/core/... ./internal/cow/... ./internal/pool/... ./internal/simclock/...
 
 bench:
 	$(GO) test -bench=. -benchmem -run=NONE ./...

@@ -5,24 +5,18 @@ package analysis
 // variable may refer to — across plain assignments, field loads, index
 // loads, and range heads. It is deliberately conservative and flow-
 // INsensitive (a may-analysis over all assignments in the body, no heap
-// modeling, no kill on reassignment): the flow-sensitive analyzers
-// built on top (atomicsnapshot, poolcontract, hotalloc) combine it with
-// their own CFG facts when path sensitivity matters. Function literals
+// modeling, no kill on reassignment): hotalloc, the analyzer built on
+// top, asks it where an append base may come from. Function literals
 // are separate roots, exactly as in the CFG: a closure's assignments
 // never feed the enclosing body's alias map.
 //
-// The pass answers two questions:
-//
-//   - Sources(obj): the terminal expressions obj may alias, reached by
-//     chasing ident-to-ident copies and unwrapping parens, derefs and
-//     slice expressions (which share backing storage). A source drawn
-//     out of a container by a range head or an index load is marked
-//     Elem; a `var x T` declaration with no value is marked Zero; a
-//     variable with no recorded definition (parameter, receiver,
-//     closure capture) is marked Unknown.
-//   - Root(obj): the canonical object for pure `y := x` ident-copy
-//     chains, so a state machine keyed by object (poolcontract) sees
-//     `y` and `x` as the same pooled value.
+// The pass answers one question, Sources(obj): the terminal expressions
+// obj may alias, reached by chasing ident-to-ident copies and
+// unwrapping parens, derefs and slice expressions (which share backing
+// storage). A source drawn out of a container by a range head or an
+// index load is marked Elem; a `var x T` declaration with no value is
+// marked Zero; a variable with no recorded definition (parameter,
+// receiver, closure capture) is marked Unknown.
 
 import (
 	"go/ast"
@@ -206,37 +200,6 @@ func (a *aliasMap) sources(obj types.Object, elem bool, visited map[types.Object
 		}
 		*out = append(*out, aliasSource{Expr: e, Elem: elem || d.elem})
 	}
-}
-
-// Root resolves pure ident-copy chains (`y := x` and nothing else) to
-// their canonical object: if every definition of obj is a plain copy of
-// one other local, Root follows the chain; any other definition shape
-// makes obj its own root. State machines keyed by object use this so an
-// alias of a tracked value shares the original's state.
-func (a *aliasMap) Root(obj types.Object) types.Object {
-	visited := map[types.Object]bool{}
-	for obj != nil && !visited[obj] {
-		visited[obj] = true
-		defs := a.defs[obj]
-		if len(defs) != 1 || defs[0].expr == nil || defs[0].elem {
-			return obj
-		}
-		id, ok := unwrapAlias(defs[0].expr).(*ast.Ident)
-		if !ok {
-			return obj
-		}
-		next := a.info.Uses[id]
-		if next == nil {
-			return obj
-		}
-		if _, isLocal := a.defs[next]; !isLocal {
-			// The chain ends at a parameter/receiver: that object is
-			// still the canonical identity of the value.
-			return next
-		}
-		obj = next
-	}
-	return obj
 }
 
 // identObj resolves an identifier expression to its object, or nil.

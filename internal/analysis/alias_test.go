@@ -105,29 +105,3 @@ func TestAliasSourcesRangeTargets(t *testing.T) {
 		t.Fatalf("range source should be the h.events selector, got %v", srcs[0].Expr)
 	}
 }
-
-func TestAliasRoot(t *testing.T) {
-	// A pure copy chain resolves to the parameter at its head.
-	am, local := aliasFixture(t, "chainCopy")
-	if root := am.Root(local("z")); root != local("a") {
-		t.Errorf("Root(z) = %v, want parameter a", root)
-	}
-
-	// Two competing definitions make the variable its own root.
-	am, local = aliasFixture(t, "reassign")
-	if root := am.Root(local("x")); root != local("x") {
-		t.Errorf("Root(x) = %v, want x itself", root)
-	}
-
-	// A field-load definition is not an ident copy: own root.
-	am, local = aliasFixture(t, "fieldLoad")
-	if root := am.Root(local("ev")); root != local("ev") {
-		t.Errorf("Root(ev) = %v, want ev itself", root)
-	}
-
-	// Self-assignment cycles terminate without recursing forever.
-	am, local = aliasFixture(t, "selfAssign")
-	if root := am.Root(local("x")); root != local("x") {
-		t.Errorf("Root(x) = %v, want x itself", root)
-	}
-}

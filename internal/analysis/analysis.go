@@ -5,7 +5,8 @@
 // packages and the single-sourcing of runtime policies extracted in the
 // shared internal/runtime layer.
 //
-// Ten analyzers run over the whole module:
+// Eleven analyzers run over the whole module. Five are syntactic or
+// type-based:
 //
 //   - wallclock:      no wall-clock time or global math/rand in the
 //     deterministic packages; time flows through simclock, randomness
@@ -16,29 +17,23 @@
 //   - singledef:      the lifecycle policies, the latency histogram and
 //     the placement index are each defined exactly once, in their home
 //     file (the AST-level replacement for check.sh's old grep guards),
-//     driven by the declarative tables in invariants.go.
+//     and the HomeTypes (sync/atomic's Pointer, sync's Pool) are named
+//     only inside internal/cow / internal/pool, whose APIs carry the
+//     copy-on-write and pool ownership contracts by type; driven by the
+//     declarative tables in invariants.go.
 //   - serverscan:     the scheduler never scans Cluster.Servers();
 //     placement goes through the free-capacity index (BestFit/FirstFit).
 //   - lockedcallback: runtime.Observer callbacks and telemetry
 //     Collector entry points are never invoked between a mutex Lock and
 //     its Unlock in the gateway or telemetry packages.
 //
-// Five further analyzers are flow-sensitive, built on the package's
-// CFG + dataflow layer (cfg.go, dataflow.go, callgraph.go) and the
-// intraprocedural alias pass (alias.go):
+// Three are flow-sensitive, built on the package's CFG + dataflow layer
+// (cfg.go, dataflow.go, callgraph.go) and the intraprocedural alias
+// pass (alias.go):
 //
 //   - lockorder:      mutex acquisition order is globally consistent; a
 //     cycle in the lock graph (including one through a call chain) is a
 //     latent deadlock, and re-acquiring a held mutex a certain one.
-//   - atomicsnapshot: copy-on-write discipline for the atomic.Pointer-
-//     published maps/slices in SnapshotContracts — loaded snapshots are
-//     read-only (directly or via an alias or mutating callee), Store
-//     arguments are fresh copies built on that path, and Store sites
-//     hold the declared writer mutex.
-//   - poolcontract:   pooled objects obey the declarative ownership
-//     table in PoolContracts — no use-after-recycle, no double-recycle,
-//     no escape via channel send or field store without a declared
-//     ownership transfer (subsumes the old simclock-only pooledref).
 //   - hotalloc:       functions marked //lint:hotpath and everything
 //     they reach in the call graph contain no allocating constructs
 //     (composite literals, make/new, closures, fmt, string
@@ -114,13 +109,11 @@ type Unit struct {
 	Fset *token.FileSet
 	Pkgs []*Package
 
-	// Invariants, Forbidden, Snapshots, Pools and Channels override the
-	// production tables from invariants.go; nil means production.
-	// Tests point them at testdata.
+	// Invariants, Forbidden and Channels override the production tables
+	// from invariants.go; nil means production. Tests point them at
+	// testdata.
 	Invariants []SingleDef
 	Forbidden  []ForbiddenDecl
-	Snapshots  []SnapshotContract
-	Pools      []PoolContract
 	Channels   []ChannelContract
 }
 
@@ -341,8 +334,6 @@ func Analyzers() []*Analyzer {
 		ServerScanAnalyzer,
 		LockedCallbackAnalyzer,
 		LockOrderAnalyzer,
-		AtomicSnapshotAnalyzer,
-		PoolContractAnalyzer,
 		HotAllocAnalyzer,
 		ErrFlowAnalyzer,
 		GoroutineLifeAnalyzer,

@@ -66,6 +66,48 @@ func seededViolation() time.Duration { return time.Since(time.Unix(0, 0)) }
 	}
 }
 
+// TestDriverSeededHomeTypes: the raw types whose discipline lives in
+// internal/cow and internal/pool are diagnosed anywhere else, whatever
+// the import is called.
+func TestDriverSeededHomeTypes(t *testing.T) {
+	tmp := t.TempDir()
+	copyGoTree(t, repoRootT(t), tmp)
+	seeds := map[string]string{
+		filepath.Join(tmp, "internal", "gateway", "zz_seeded_pointer.go"): `package gateway
+
+import a "sync/atomic"
+
+type zzTable struct {
+	v a.Pointer[map[string]int]
+}
+`,
+		filepath.Join(tmp, "internal", "loadgen", "zz_seeded_pool.go"): `package loadgen
+
+import "sync"
+
+var zzPool sync.Pool
+`,
+	}
+	for path, src := range seeds {
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var out bytes.Buffer
+	if code := Main(&out, tmp, []string{"./..."}); code != ExitDiags {
+		t.Fatalf("seeded home-type violations: exit %d, want %d\n%s", code, ExitDiags, out.String())
+	}
+	for _, want := range []string{
+		"zz_seeded_pointer.go:6:6: [singledef] atomic.Pointer may be named only in internal/cow",
+		"zz_seeded_pool.go:5:17: [singledef] sync.Pool may be named only in internal/pool",
+		"infless-lint: 2 issue(s)", // and nothing else: cow and pool themselves are clean
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("missing %q in:\n%s", want, out.String())
+		}
+	}
+}
+
 // TestDriverSeededFlowViolations seeds one violation per flow-sensitive
 // analyzer into a copy of the tree and checks both output formats: text
 // mode names every seeded analyzer and exits non-zero; JSON mode carries
@@ -102,19 +144,6 @@ func (p *zzPair) zzInverted() {
 	p.b.mu.Unlock()
 }
 `,
-		filepath.Join(tmp, "internal", "sim", "zz_seeded_poolcontract.go"): `package sim
-
-import "github.com/tanklab/infless/internal/simclock"
-
-type zzHolder struct {
-	clock *simclock.Clock
-	ev    *simclock.Event
-}
-
-func (h *zzHolder) zzArm(at simclock.Time) {
-	h.ev = h.clock.ScheduleAt(at, func() {})
-}
-`,
 		filepath.Join(tmp, "internal", "cluster", "zz_seeded_errflow.go"): `package cluster
 
 import "errors"
@@ -123,25 +152,6 @@ func zzWork() error { return errors.New("x") }
 
 func zzDrop() {
 	zzWork()
-}
-`,
-		filepath.Join(tmp, "internal", "gateway", "zz_seeded_atomicsnapshot.go"): `package gateway
-
-import (
-	"sync"
-	"sync/atomic"
-)
-
-type zzTable struct {
-	mu sync.Mutex
-	v  atomic.Pointer[map[string]int]
-}
-
-func (t *zzTable) zzSwap() {
-	m := map[string]int{}
-	t.mu.Lock()
-	t.v.Store(&m)
-	t.mu.Unlock()
 }
 `,
 		filepath.Join(tmp, "internal", "gateway", "zz_seeded_hotalloc.go"): `package gateway
@@ -192,8 +202,7 @@ func zzDetached() context.Context {
 	if code := Main(&out, tmp, []string{"./..."}); code != ExitDiags {
 		t.Fatalf("seeded violations: exit %d, want %d\n%s", code, ExitDiags, out.String())
 	}
-	for _, name := range []string{"lockorder", "poolcontract", "errflow", "atomicsnapshot",
-		"hotalloc", "goroutinelife", "chanlife", "ctxflow"} {
+	for _, name := range []string{"lockorder", "errflow", "hotalloc", "goroutinelife", "chanlife", "ctxflow"} {
 		if !strings.Contains(out.String(), "["+name+"]") {
 			t.Errorf("text output should carry a %s finding:\n%s", name, out.String())
 		}
@@ -219,8 +228,7 @@ func zzDetached() context.Context {
 		}
 		active[d.Analyzer] = true
 	}
-	for _, name := range []string{"lockorder", "poolcontract", "errflow", "atomicsnapshot",
-		"hotalloc", "goroutinelife", "chanlife", "ctxflow"} {
+	for _, name := range []string{"lockorder", "errflow", "hotalloc", "goroutinelife", "chanlife", "ctxflow"} {
 		if !active[name] {
 			t.Errorf("json output should carry an unsuppressed %s finding", name)
 		}

@@ -1,8 +1,8 @@
 package analysis
 
-// Corpus tests for the flow-sensitive analyzers (lockorder,
-// atomicsnapshot, poolcontract, hotalloc, errflow) plus the suppression
-// and unused-directive behavior built on RunAllDetail.
+// Corpus tests for the flow-sensitive analyzers (lockorder, hotalloc,
+// errflow) plus the suppression and unused-directive behavior built on
+// RunAllDetail.
 
 import (
 	"strings"
@@ -32,88 +32,6 @@ func TestLockOrderSuppression(t *testing.T) {
 	}
 	if len(suppressed) != 1 || suppressed[0].Analyzer != "lockorder" {
 		t.Fatalf("want one suppressed lockorder finding, got %v", suppressed)
-	}
-}
-
-func TestPoolContractFlagsBadCorpus(t *testing.T) {
-	u := loadCorpus(t, "poolcontract/bad", "github.com/tanklab/infless/internal/sim/prbad")
-	checkWants(t, u, []*Analyzer{PoolContractAnalyzer})
-}
-
-func TestPoolContractAcceptsGoodCorpus(t *testing.T) {
-	u := loadCorpus(t, "poolcontract/good", "github.com/tanklab/infless/internal/sim/prgood")
-	checkWants(t, u, []*Analyzer{PoolContractAnalyzer})
-}
-
-func TestPoolContractSuppression(t *testing.T) {
-	u := loadCorpus(t, "poolcontract/suppress", "github.com/tanklab/infless/internal/sim/prsupp")
-	active, suppressed := RunAllDetail(u, []*Analyzer{PoolContractAnalyzer})
-	if len(active) != 0 {
-		t.Fatalf("want no active diagnostics, got %v", active)
-	}
-	if len(suppressed) != 1 || suppressed[0].Analyzer != "poolcontract" {
-		t.Fatalf("want one suppressed poolcontract finding, got %v", suppressed)
-	}
-}
-
-// syncPoolContracts is the corpus override for the sync.Pool shape:
-// zzPool is a plain pool, zzXferPool declares channel sends as
-// ownership transfers.
-var syncPoolContracts = []PoolContract{
-	{Kind: PoolScheduled,
-		TypePkg: "internal/simclock", TypeName: "Event",
-		AcquireFuncs: []string{"Clock.ScheduleAt", "Clock.ScheduleAfter"},
-		Why:          "corpus"},
-	{Kind: PoolSync, PoolVar: "zzPool", Why: "corpus"},
-	{Kind: PoolSync, PoolVar: "zzXferPool", TransferViaSend: true, Why: "corpus"},
-}
-
-func TestPoolContractSyncFlagsBadCorpus(t *testing.T) {
-	u := loadCorpus(t, "poolcontract/syncbad", "github.com/tanklab/infless/internal/gateway/pcsbad")
-	u.Pools = syncPoolContracts
-	checkWants(t, u, []*Analyzer{PoolContractAnalyzer})
-}
-
-func TestPoolContractSyncAcceptsGoodCorpus(t *testing.T) {
-	u := loadCorpus(t, "poolcontract/syncgood", "github.com/tanklab/infless/internal/gateway/pcsgood")
-	u.Pools = syncPoolContracts
-	checkWants(t, u, []*Analyzer{PoolContractAnalyzer})
-}
-
-// snapshotContractsCorpus declares the corpus types' COW contracts; the
-// corpus also contains an uncontracted rogue type the analyzer must
-// flag on its own.
-var snapshotContractsCorpus = []SnapshotContract{
-	{Pkg: "internal/gateway", Type: "table", Field: "v", Mutex: "mu", Why: "corpus"},
-	{Pkg: "internal/gateway", Type: "list", Field: "v", Mutex: "mu", Why: "corpus"},
-}
-
-func TestAtomicSnapshotFlagsBadCorpus(t *testing.T) {
-	u := loadCorpus(t, "atomicsnapshot/bad", "github.com/tanklab/infless/internal/gateway/asbad")
-	u.Snapshots = snapshotContractsCorpus
-	checkWants(t, u, []*Analyzer{AtomicSnapshotAnalyzer})
-}
-
-func TestAtomicSnapshotAcceptsGoodCorpus(t *testing.T) {
-	u := loadCorpus(t, "atomicsnapshot/good", "github.com/tanklab/infless/internal/gateway/asgood")
-	u.Snapshots = snapshotContractsCorpus
-	checkWants(t, u, []*Analyzer{AtomicSnapshotAnalyzer})
-}
-
-// TestAtomicSnapshotSuppression: the justified in-place patch is
-// silenced; the stale directive on a clean read is reported.
-func TestAtomicSnapshotSuppression(t *testing.T) {
-	u := loadCorpus(t, "atomicsnapshot/suppress", "github.com/tanklab/infless/internal/gateway/assupp")
-	u.Snapshots = snapshotContractsCorpus
-	active, suppressed := RunAllDetail(u, []*Analyzer{AtomicSnapshotAnalyzer})
-	if len(active) != 1 {
-		t.Fatalf("want exactly the stale-directive diagnostic, got %v", active)
-	}
-	if active[0].Analyzer != "directive" || !strings.Contains(active[0].Message, "suppresses nothing") {
-		t.Errorf("expected unused-directive diagnostic, got %s", active[0])
-	}
-	if len(suppressed) != 1 || suppressed[0].Analyzer != "atomicsnapshot" {
-		t.Fatalf("want one suppressed atomicsnapshot finding, got %v", suppressed)
 	}
 }
 
@@ -154,8 +72,8 @@ func TestHotAllocDirectiveMisuse(t *testing.T) {
 // must be added here deliberately, and none may silently drop out.
 func TestAnalyzerRoster(t *testing.T) {
 	want := []string{"wallclock", "maporder", "singledef", "serverscan",
-		"lockedcallback", "lockorder", "atomicsnapshot", "poolcontract",
-		"hotalloc", "errflow", "goroutinelife", "chanlife", "ctxflow"}
+		"lockedcallback", "lockorder", "hotalloc", "errflow",
+		"goroutinelife", "chanlife", "ctxflow"}
 	got := Analyzers()
 	if len(got) != len(want) {
 		t.Fatalf("Analyzers() returned %d analyzers, want %d", len(got), len(want))

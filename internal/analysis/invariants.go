@@ -99,18 +99,8 @@ var SingleDefs = []SingleDef{
 		"the startup-aware placement view is defined once, next to the shard merge it extends"},
 	{KindMethod, "Cluster", "BestFitShardsArtifact", "internal/cluster/shard.go",
 		"the startup-tie-break shard merge has one implementation, mirroring BestFitShards"},
-	{KindType, "", "funcTable", "internal/gateway/table.go",
-		"the gateway's copy-on-write dispatch table has one home, next to its publish discipline"},
 	{KindType, "", "aliasMap", "internal/analysis/alias.go",
 		"the intraprocedural alias pass has one implementation; every flow analyzer shares it"},
-	{KindType, "", "SnapshotContract", "internal/analysis/invariants.go",
-		"copy-on-write publication contracts are declared in one table, next to the other invariants"},
-	{KindType, "", "PoolContract", "internal/analysis/invariants.go",
-		"pool ownership contracts are declared in one table, next to the other invariants"},
-	{KindFunc, "", "runAtomicSnapshot", "internal/analysis/atomicsnapshot.go",
-		"the COW-publication analyzer has one home"},
-	{KindFunc, "", "runPoolContract", "internal/analysis/poolcontract.go",
-		"the pool-ownership analyzer has one home"},
 	{KindFunc, "", "runHotAlloc", "internal/analysis/hotalloc.go",
 		"the zero-alloc hot-path gate has one home"},
 	{KindType, "", "ChannelContract", "internal/analysis/invariants.go",
@@ -123,90 +113,23 @@ var SingleDefs = []SingleDef{
 		"the context-hygiene analyzer has one home"},
 }
 
-// SnapshotContract declares one copy-on-write publication point: a
-// struct field of type atomic.Pointer[T] (T a map or slice) whose Load
-// side must be treated as immutable and whose Store side must publish a
-// fresh copy while holding the declared writer mutex. The atomicsnapshot
-// analyzer enforces both sides; an atomic.Pointer-published container
-// with no entry here is itself a diagnostic — every publication point
-// must declare its discipline.
-type SnapshotContract struct {
-	Pkg   string // module-relative package scope, e.g. "internal/gateway"
-	Type  string // named struct type holding the pointer
-	Field string // the atomic.Pointer field
-	Mutex string // sibling writer-mutex field that must be held at Store
-	Why   string
+// HomeType declares a standard-library type that only one package of
+// the module may name. The discipline such a type needs (copy before
+// publish, one owner per pooled object) lives in that package's API,
+// where the compiler and the tests hold it; everywhere else the raw type
+// is a diagnostic pointing at the wrapper.
+type HomeType struct {
+	Pkg, Name string // the type, e.g. "sync/atomic", "Pointer"
+	Home      string // module-relative package scope allowed to name it
+	Why       string
 }
 
-// SnapshotContracts is the production COW-publication table.
-var SnapshotContracts = []SnapshotContract{
-	{"internal/gateway", "funcTable", "v", "mu",
-		"the dispatch table is read lock-free on every request; writers copy under mu and swap"},
-	{"internal/gateway", "function", "insts", "mu",
-		"the instance snapshot is walked lock-free by offer(); scale events copy under f.mu"},
-	{"internal/core", "Registry", "v", "mu",
-		"registry lookups are lock-free; Register/Delete copy the map under mu and swap"},
-}
-
-// PoolKind classifies how a pool's recycle point is reached.
-type PoolKind int
-
-const (
-	// PoolScheduled is the simclock shape: objects are acquired by a
-	// schedule call and recycled implicitly when their callback fires
-	// or when a Cancel drains them — the contract is about stored
-	// references outliving the recycle, checked through the callback.
-	PoolScheduled PoolKind = iota
-	// PoolSync is the sync.Pool shape: objects are acquired by
-	// Pool.Get and recycled by an explicit Pool.Put — the contract is
-	// use-after-Put, double-Put, and escapes without ownership
-	// transfer.
-	PoolSync
-)
-
-// PoolContract declares one pooled-object discipline for the
-// poolcontract analyzer. Exactly one of the two shapes is filled in:
-// PoolScheduled uses TypePkg/TypeName + AcquireFuncs; PoolSync uses
-// PoolVar (the package-level sync.Pool variable whose Get/Put calls are
-// the acquire/recycle points).
-type PoolContract struct {
-	Kind  PoolKind
-	Scope []string // module-relative package scopes the contract applies in
-
-	// PoolScheduled shape.
-	TypePkg      string   // package-path suffix of the pooled type, e.g. "internal/simclock"
-	TypeName     string   // pooled type name, e.g. "Event"
-	AcquireFuncs []string // recv.method names whose result is a pooled object
-
-	// PoolSync shape.
-	PoolVar string // package-level sync.Pool variable name, e.g. "invocationPool"
-
-	// TransferViaSend marks a channel send of the pooled object as a
-	// visible ownership transfer (the receiver recycles it) instead of
-	// an escape.
-	TransferViaSend bool
-
-	Why string
-}
-
-// PoolContracts is the production pool-ownership table.
-var PoolContracts = []PoolContract{
-	{Kind: PoolScheduled, Scope: nil, // module-wide, like the retired pooledref
-		TypePkg: "internal/simclock", TypeName: "Event",
-		AcquireFuncs: []string{"Clock.ScheduleAt", "Clock.ScheduleAfter"},
-		Why:          "simclock events are recycled after firing; stored references must be cleared"},
-	{Kind: PoolSync, Scope: []string{"internal/gateway"},
-		PoolVar: "invocationPool", TransferViaSend: true,
-		Why: "invocations are recycled only after the reply; the reqCh send transfers ownership to the instance"},
-	{Kind: PoolSync, Scope: []string{"internal/gateway"},
-		PoolVar: "deadlinePool",
-		Why:     "pooled timers are reused across requests; a timer used after putDeadline fires for a stranger"},
-	{Kind: PoolSync, Scope: []string{"internal/gateway"},
-		PoolVar: "invokeBufPool",
-		Why:     "response buffers are reused across requests; bytes written after Put corrupt another reply"},
-	{Kind: PoolSync, Scope: []string{"internal/loadgen"},
-		PoolVar: "recorderPool",
-		Why:     "saturation ramps replay Run per step; recorders are pooled and reset between steps"},
+// HomeTypes is the production home-type table.
+var HomeTypes = []HomeType{
+	{"sync/atomic", "Pointer", "internal/cow",
+		"publish shared containers through cow.Map / cow.List, which copy on write"},
+	{"sync", "Pool", "internal/pool",
+		"pool objects through pool.Of, whose handle is cleared by Put"},
 }
 
 // ChannelContract declares the lifecycle discipline of one channel
@@ -301,8 +224,4 @@ var ForbiddenDecls = []ForbiddenDecl{
 		"artifact residency tracking has one implementation; planes hold an artifact.Cache"},
 	{KindType, "tierSpec", "internal/artifact",
 		"per-tier bandwidth/latency tables live in internal/artifact only"},
-	{KindType, "funcTable", "internal/gateway",
-		"lock-free function-table snapshotting is the gateway's concern; one implementation"},
-	{KindType, "functionTable", "internal/gateway",
-		"lock-free function-table snapshotting is the gateway's concern; one implementation"},
 }

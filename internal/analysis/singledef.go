@@ -1,14 +1,16 @@
 package analysis
 
 // singledef enforces the invariants.go tables: each listed declaration
-// exists exactly once in the module, in its home file, and the
-// forbidden private policy names never reappear outside their allowed
-// package. This is the compiler-grade replacement for check.sh's grep
-// guards.
+// exists exactly once in the module, in its home file, the forbidden
+// private policy names never reappear outside their allowed package,
+// and the HomeTypes (sync/atomic's Pointer, sync's Pool) are named only
+// inside the package that wraps them. This is the compiler-grade replacement
+// for check.sh's grep guards.
 
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 )
 
 // SingleDefAnalyzer implements the singledef check.
@@ -120,6 +122,32 @@ func runSingleDef(u *Unit) []Diagnostic {
 				Message: "forbidden " + fd.Kind.String() + " " + fd.Name + " outside " + fd.AllowedPkg +
 					": " + fd.Why,
 			})
+		}
+	}
+	return append(diags, homeTypeDiags(u)...)
+}
+
+// homeTypeDiags flags every mention of a HomeTypes type outside its
+// home package. Resolution is by go/types object, so an import alias
+// does not hide a use and a local type that happens to be called Pool
+// is not one.
+func homeTypeDiags(u *Unit) []Diagnostic {
+	var diags []Diagnostic
+	for _, pkg := range u.Pkgs {
+		for id, obj := range pkg.Info.Uses {
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.Pkg() == nil {
+				continue
+			}
+			for _, ht := range HomeTypes {
+				if tn.Name() == ht.Name && tn.Pkg().Path() == ht.Pkg && !inScope(pkg.Path, []string{ht.Home}) {
+					diags = append(diags, Diagnostic{
+						Analyzer: "singledef",
+						Pos:      u.Fset.Position(id.Pos()),
+						Message:  tn.Pkg().Name() + "." + ht.Name + " may be named only in " + ht.Home + ": " + ht.Why,
+					})
+				}
+			}
 		}
 	}
 	return diags

@@ -10,9 +10,9 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
+
+	"github.com/tanklab/infless/internal/cow"
 )
 
 // RegistryEntry is one deployed function's durable record.
@@ -26,23 +26,16 @@ type RegistryEntry struct {
 	DeployedAt   time.Duration `json:"deployedAtNs"` // virtual time
 }
 
-// Registry is a concurrency-safe function metadata store. Reads are
-// lock-free: the entry map is copy-on-write behind one atomic pointer
-// (the gateway consults the registry on its dispatch path, which must
-// not serialize on deployment-rate writes), and writers serialize on a
-// mutex, copy, and publish.
+// Registry is a concurrency-safe function metadata store: a
+// copy-on-write map, so Lookup, List and Len never lock and never see a
+// half-applied write. The gateway calls it from deploy, delete and list
+// only — dispatch resolves names in the gateway's own function table.
 type Registry struct {
-	mu sync.Mutex // writers only
-	v  atomic.Pointer[map[string]RegistryEntry]
+	entries cow.Map[RegistryEntry]
 }
 
 // NewRegistry creates an empty registry.
-func NewRegistry() *Registry {
-	r := &Registry{}
-	m := map[string]RegistryEntry{}
-	r.v.Store(&m)
-	return r
-}
+func NewRegistry() *Registry { return &Registry{} }
 
 // Register adds or replaces a function record. The entry must validate
 // against the model zoo.
@@ -58,48 +51,27 @@ func (r *Registry) Register(e RegistryEntry) error {
 	if err := t.Validate(); err != nil {
 		return err
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	cur := *r.v.Load()
-	next := make(map[string]RegistryEntry, len(cur)+1)
-	for k, v := range cur {
-		next[k] = v
-	}
-	next[e.Name] = e
-	r.v.Store(&next)
+	r.entries.Update(func(next map[string]RegistryEntry) { next[e.Name] = e })
 	return nil
 }
 
 // Lookup returns the record for name (lock-free).
-func (r *Registry) Lookup(name string) (RegistryEntry, bool) {
-	e, ok := (*r.v.Load())[name]
-	return e, ok
-}
+func (r *Registry) Lookup(name string) (RegistryEntry, bool) { return r.entries.Get(name) }
 
 // Delete removes a function record; it reports whether one existed.
-func (r *Registry) Delete(name string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	cur := *r.v.Load()
-	if _, ok := cur[name]; !ok {
-		return false
-	}
-	next := make(map[string]RegistryEntry, len(cur)-1)
-	for k, v := range cur {
-		if k != name {
-			next[k] = v
-		}
-	}
-	r.v.Store(&next)
-	return true
+func (r *Registry) Delete(name string) (existed bool) {
+	r.entries.Update(func(next map[string]RegistryEntry) {
+		_, existed = next[name]
+		delete(next, name)
+	})
+	return existed
 }
 
 // List returns all records sorted by name (faasdev-cli list). The
 // snapshot is consistent: concurrent writes publish whole new maps.
 func (r *Registry) List() []RegistryEntry {
-	cur := *r.v.Load()
-	out := make([]RegistryEntry, 0, len(cur))
-	for _, e := range cur {
+	out := make([]RegistryEntry, 0, r.entries.Len())
+	for _, e := range r.entries.All {
 		out = append(out, e)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
@@ -107,9 +79,7 @@ func (r *Registry) List() []RegistryEntry {
 }
 
 // Len returns the number of registered functions (lock-free).
-func (r *Registry) Len() int {
-	return len(*r.v.Load())
-}
+func (r *Registry) Len() int { return r.entries.Len() }
 
 // Save serializes the registry as JSON.
 func (r *Registry) Save(w io.Writer) error {

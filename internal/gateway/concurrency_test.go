@@ -8,12 +8,14 @@ package gateway
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -152,7 +154,7 @@ func TestInvokeDuringDeleteReturns404(t *testing.T) {
 	}
 	// Resolve the function first (the racing invoke's lookup), then
 	// delete, then dispatch through the stale pointer.
-	f, ok := gw.tbl.lookup("gone")
+	f, ok := gw.tbl.Get("gone")
 	if !ok {
 		t.Fatal("lookup failed")
 	}
@@ -179,7 +181,7 @@ func TestInvokeShedsWhenQueueFull(t *testing.T) {
 	if err := gw.deploy(core.RegistryEntry{Name: "busy", ModelName: "MNIST", SLO: 200 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
-	f, _ := gw.tbl.lookup("busy")
+	f, _ := gw.tbl.Get("busy")
 	f.waiting.Add(1) // occupy the single queue slot
 	defer f.waiting.Add(-1)
 
@@ -316,4 +318,49 @@ func TestRegistryConcurrentReadsWrites(t *testing.T) {
 	time.Sleep(200 * time.Millisecond)
 	close(stop)
 	wg.Wait()
+}
+
+// TestRetireStrandsNoRequest: an instance leaving the pool (here by
+// idling out, over and over) unpublishes itself before it drains its
+// queue, so an offer() racing the exit either lands before the drain and
+// is failed at once, or no longer finds the instance. Draining first
+// left a window in which an invocation was parked in a queue nobody
+// reads and surfaced as errInvokeTimeout a full deadline (>1s) later.
+func TestRetireStrandsNoRequest(t *testing.T) {
+	const idle = 150 * time.Microsecond
+	gw := New(Config{SpeedFactor: 1e5, IdleTimeout: idle, Seed: 1})
+	defer gw.Close()
+	if err := gw.deploy(core.RegistryEntry{Name: "flappy", ModelName: "MNIST", SLO: 200 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	f, _ := gw.tbl.Get("flappy")
+
+	var wg sync.WaitGroup
+	var timeouts, served atomic.Int64
+	stop := time.Now().Add(1500 * time.Millisecond)
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			// Pauses straddle the idle timeout so offers keep arriving
+			// just as the instance decides to leave.
+			pause := idle - 40*time.Microsecond + time.Duration(i)*10*time.Microsecond
+			for time.Now().Before(stop) {
+				switch _, err := f.invoke(context.Background()); err {
+				case nil:
+					served.Add(1)
+				case errInvokeTimeout:
+					timeouts.Add(1)
+				}
+				time.Sleep(pause)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if n := timeouts.Load(); n != 0 {
+		t.Fatalf("%d invocations stranded in a retired instance's queue (errInvokeTimeout)", n)
+	}
+	if served.Load() == 0 {
+		t.Fatal("no invocation was served; the test exercised nothing")
+	}
 }

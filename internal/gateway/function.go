@@ -21,8 +21,10 @@ import (
 	"time"
 
 	"github.com/tanklab/infless/internal/artifact"
+	"github.com/tanklab/infless/internal/cow"
 	"github.com/tanklab/infless/internal/metrics"
 	"github.com/tanklab/infless/internal/model"
+	"github.com/tanklab/infless/internal/pool"
 	"github.com/tanklab/infless/internal/runtime"
 	"github.com/tanklab/infless/internal/scheduler"
 )
@@ -48,7 +50,7 @@ type function struct {
 	// insts is the dispatch snapshot: the pool's members pre-sorted by
 	// r_up descending, republished under f.mu on every membership change
 	// so offer() walks it with no lock and no per-request sort.
-	insts atomic.Pointer[[]*instance]
+	insts cow.List[*instance]
 
 	mu        sync.Mutex
 	pool      runtime.Pool[*instance]
@@ -59,14 +61,13 @@ type function struct {
 // publishInstances rebuilds the lock-free dispatch snapshot from the
 // pool, ordered by saturation rate r_up descending — the non-uniform
 // dispatch preference, applied once per membership change instead of
-// once per request. Callers hold f.mu (or, at construction time, have
-// exclusive ownership).
+// once per request. Callers hold f.mu.
 func (f *function) publishInstances() {
 	insts := f.pool.Snapshot()
 	sort.Slice(insts, func(i, j int) bool {
 		return insts[i].cand.Bounds.RUp > insts[j].cand.Bounds.RUp
 	})
-	f.insts.Store(&insts)
+	f.insts.Set(insts)
 }
 
 // launchDebounce is how long (in model time) an overflow must persist
@@ -122,6 +123,11 @@ type instance struct {
 	once   sync.Once
 	warmAt time.Time
 	rng    *rand.Rand
+
+	// retired is set (after retireErr) when the loop is on its way out:
+	// from then on whoever puts an invocation in reqCh fails it too.
+	retired   atomic.Bool
+	retireErr error
 }
 
 // Sentinel errors for the invoke path. Sentinels instead of fmt.Errorf
@@ -154,32 +160,26 @@ var (
 )
 
 // invocationPool recycles invocation headers and their reply channels.
-// An invocation returns to the pool only when its owner is certain no
-// instance still holds a reference: after receiving the (single) reply,
-// or when it was never enqueued. Timeout/cancel paths abandon the
+// invoke Puts its handle only when no instance can still hold the
+// invocation: after receiving the (single) reply, or when it was never
+// enqueued. Timeout/cancel paths drop the handle and leave the
 // invocation to the garbage collector instead — the buffered reply
 // channel lets a late instance send complete without contaminating a
 // reused invocation.
-var invocationPool = sync.Pool{
-	New: func() any { return &invocation{respCh: make(chan invokeResult, 1)} },
+var invocationPool = pool.Of[invocation]{
+	New: func() *invocation { return &invocation{respCh: make(chan invokeResult, 1)} },
 }
 
-// deadlinePool recycles the per-request deadline timers. Safe because
-// the module requires Go >= 1.23 timer semantics: Stop guarantees no
-// late send, so a recycled timer can be Reset without draining races.
-var deadlinePool = sync.Pool{}
-
-func getDeadline(d time.Duration) *time.Timer {
-	if t, ok := deadlinePool.Get().(*time.Timer); ok {
-		t.Reset(d)
+// deadlinePool recycles the per-request deadline timers, stopped. Safe
+// because the module requires Go >= 1.23 timer semantics: Stop
+// guarantees no late send, so a recycled timer can be Reset without
+// draining races.
+var deadlinePool = pool.Of[time.Timer]{
+	New: func() *time.Timer {
+		t := time.NewTimer(time.Hour)
+		t.Stop()
 		return t
-	}
-	return time.NewTimer(d)
-}
-
-func putDeadline(t *time.Timer) {
-	t.Stop()
-	deadlinePool.Put(t)
+	},
 }
 
 // invoke routes one request: admission check, try existing instances,
@@ -200,18 +200,18 @@ func (f *function) invoke(ctx context.Context) (InvokeResponse, error) {
 		f.shed()
 		return InvokeResponse{}, errShedQueueFull
 	}
-	inv := invocationPool.Get().(*invocation)
-	inv.arrived = time.Now()
+	inv := invocationPool.Get()
+	inv.V().arrived = time.Now()
 	f.noteArrival()
 	slo := f.slo
 	speed := f.srv.cfg.SpeedFactor
 
-	holdUntil := inv.arrived.Add(scale(4*slo, speed) + time.Second)
+	holdUntil := inv.V().arrived.Add(scale(4*slo, speed) + time.Second)
 	poll := scale(slo, speed) / 16
 	if poll < 200*time.Microsecond {
 		poll = 200 * time.Microsecond
 	}
-	for !f.offer(inv) {
+	for !f.offer(inv.V()) {
 		err := f.scaleOut()
 		if err == nil {
 			continue // instance launched; its queue has room
@@ -222,7 +222,7 @@ func (f *function) invoke(ctx context.Context) (InvokeResponse, error) {
 		}
 		// Never enqueued: the invocation is exclusively ours to recycle.
 		f.waiting.Add(-1)
-		invocationPool.Put(inv)
+		inv.Put()
 		switch err {
 		case errWaitWarm:
 			f.shed()
@@ -235,25 +235,24 @@ func (f *function) invoke(ctx context.Context) (InvokeResponse, error) {
 			return InvokeResponse{}, err
 		}
 	}
-	deadline := getDeadline(scale(4*slo, speed) + time.Second)
+	deadline := deadlinePool.Get()
+	deadline.V().Reset(scale(4*slo, speed) + time.Second)
+	var r invokeResult
 	select {
-	case r := <-inv.respCh:
-		f.waiting.Add(-1)
-		putDeadline(deadline)
+	case r = <-inv.V().respCh:
 		// The single reply has been received; no instance holds inv.
-		invocationPool.Put(inv)
-		return r.res, r.err
+		inv.Put()
 	case <-ctx.Done():
 		// inv stays with its instance; abandon it to the GC (its
 		// buffered channel absorbs the eventual reply).
-		f.waiting.Add(-1)
-		putDeadline(deadline)
-		return InvokeResponse{}, ctx.Err()
-	case <-deadline.C:
-		f.waiting.Add(-1)
-		putDeadline(deadline)
-		return InvokeResponse{}, errInvokeTimeout
+		r.err = ctx.Err()
+	case <-deadline.V().C:
+		r.err = errInvokeTimeout
 	}
+	f.waiting.Add(-1)
+	deadline.V().Stop()
+	deadline.Put()
+	return r.res, r.err
 }
 
 // offer attempts a non-blocking enqueue, preferring instances with the
@@ -264,13 +263,14 @@ func (f *function) invoke(ctx context.Context) (InvokeResponse, error) {
 // is lock-free and allocation-free: the r_up order was applied when the
 // membership snapshot was published, not per request.
 func (f *function) offer(inv *invocation) bool {
-	p := f.insts.Load()
-	if p == nil {
-		return false
-	}
-	for _, inst := range *p {
+	for inst := range f.insts.All {
 		select {
 		case inst.reqCh <- inv:
+			if inst.retired.Load() {
+				// The walk started on a snapshot that still listed inst and
+				// the send landed after the loop's own last drain.
+				inst.drain()
+			}
 			return true
 		default:
 		}
@@ -460,8 +460,7 @@ func (inst *instance) loop() {
 		select {
 		case <-time.After(d):
 		case <-inst.quit:
-			inst.failAll(errInstanceStopped)
-			f.remove(inst)
+			inst.retire(nil, errInstanceStopped)
 			return
 		}
 	}
@@ -480,9 +479,7 @@ func (inst *instance) loop() {
 				case <-flush.C:
 					break collect
 				case <-inst.quit:
-					flush.Stop()
-					inst.respond(batch, errInstanceStopped)
-					f.remove(inst)
+					inst.retire(batch, errInstanceStopped)
 					return
 				}
 			}
@@ -494,12 +491,10 @@ func (inst *instance) loop() {
 			time.Sleep(scale(exec, speed))
 			inst.finish(batch, exec, coldUntil)
 		case <-idle.C:
-			inst.failAll(nil)
-			f.remove(inst)
+			inst.retire(nil, errInstanceReclaimed)
 			return
 		case <-inst.quit:
-			inst.failAll(errInstanceStopped)
-			f.remove(inst)
+			inst.retire(nil, errInstanceStopped)
 			return
 		}
 	}
@@ -546,23 +541,32 @@ func (inst *instance) finish(batch []*invocation, exec time.Duration, coldUntil 
 	}
 }
 
-// respond fails a batch with err (shutdown paths).
-func (inst *instance) respond(batch []*invocation, err error) {
+// retire ends the instance: it marks itself retired and leaves the
+// dispatch snapshot, so no new offer() finds its queue, and only then
+// fails the batch in hand and everything still queued with err.
+// Draining before unpublishing stranded every invocation offered in
+// between in a queue nobody reads, to surface as errInvokeTimeout a
+// whole deadline later. An offer() already walking the old snapshot can
+// still send after the drain; it sees retired (set before the drain's
+// last look at the queue) and drains again itself.
+func (inst *instance) retire(batch []*invocation, err error) {
+	inst.retireErr = err
+	inst.retired.Store(true)
+	inst.f.remove(inst)
 	for _, inv := range batch {
 		inv.respCh <- invokeResult{err: err}
 	}
+	inst.drain()
 }
 
-// failAll drains and fails everything still queued.
-func (inst *instance) failAll(err error) {
+// drain fails everything queued on a retired instance. Any number of
+// goroutines may run it at once: each queued invocation is received, and
+// so answered, exactly once.
+func (inst *instance) drain() {
 	for {
 		select {
 		case inv := <-inst.reqCh:
-			if err != nil {
-				inv.respCh <- invokeResult{err: err}
-			} else {
-				inv.respCh <- invokeResult{err: errInstanceReclaimed}
-			}
+			inv.respCh <- invokeResult{err: inst.retireErr}
 		default:
 			return
 		}

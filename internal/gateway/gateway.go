@@ -37,7 +37,9 @@ import (
 	"github.com/tanklab/infless/internal/artifact"
 	"github.com/tanklab/infless/internal/cluster"
 	"github.com/tanklab/infless/internal/core"
+	"github.com/tanklab/infless/internal/cow"
 	"github.com/tanklab/infless/internal/model"
+	"github.com/tanklab/infless/internal/pool"
 	"github.com/tanklab/infless/internal/profiler"
 	"github.com/tanklab/infless/internal/runtime"
 	"github.com/tanklab/infless/internal/scheduler"
@@ -97,10 +99,17 @@ type Server struct {
 	obs   runtime.Observers
 	col   *telemetry.Collector
 
-	// tbl is the copy-on-write function table: handleInvoke resolves
-	// names against an atomic snapshot with no lock; deploy/undeploy
-	// serialize on tbl.mu and publish new snapshots (see table.go).
-	tbl *funcTable
+	// tbl is the copy-on-write function table, read once per request:
+	// handleInvoke resolves names against its current snapshot with no
+	// lock, deploy/undeploy publish new snapshots.
+	tbl cow.Map[*function]
+
+	// deployMu makes each deploy, undeploy and Close one step against
+	// tbl and reg together: two racing deploys of one name can never both
+	// pass the duplicate check (the loser used to return 409 after
+	// registering, leaking its registry entry). It is taken outside the
+	// containers' own writer locks and never on the invoke path.
+	deployMu sync.Mutex
 
 	// rates holds every function's arrival-rate estimator, striped by
 	// function name so concurrent invocations of different functions
@@ -161,7 +170,6 @@ func New(cfg Config) *Server {
 		reg:   core.NewRegistry(),
 		epoch: time.Now(),
 		col:   cfg.Collector,
-		tbl:   newFuncTable(),
 		rates: runtime.NewRateStripes(cfg.RateWindow),
 	}
 	s.obs = runtime.Observers{s.col}
@@ -214,9 +222,15 @@ const closeJoinTimeout = 5 * time.Second
 // Close invisibly, which is exactly the leak the goroutinelife analyzer
 // and the NumGoroutine harness guard against.
 func (s *Server) Close() {
-	s.tbl.mu.Lock()
-	fns := s.tbl.clearLocked()
-	s.tbl.mu.Unlock()
+	var fns []*function
+	s.deployMu.Lock()
+	s.tbl.Update(func(next map[string]*function) {
+		for _, f := range next {
+			fns = append(fns, f)
+		}
+		clear(next)
+	})
+	s.deployMu.Unlock()
 	for _, f := range fns {
 		f.shutdown()
 	}
@@ -313,20 +327,17 @@ func (e *statusError) Error() string { return e.msg }
 
 func (s *Server) deploy(e core.RegistryEntry) error {
 	// The whole deploy sequence — duplicate check, registry write, plan
-	// construction, table publish — runs under the table's writer lock,
-	// so two racing deploys of one name serialize: exactly one passes
-	// the check and the loser cannot register first and then lose the
-	// publish (the rollback leak where its registry entry survived a
-	// 409). Deploys are human-rate; holding the writer lock across plan
-	// construction never touches the lock-free invoke path.
-	s.tbl.mu.Lock()
-	if _, exists := s.tbl.lookup(e.Name); exists {
-		s.tbl.mu.Unlock()
+	// construction, table publish — is one deployMu critical section.
+	// Deploys are human-rate; holding it across plan construction never
+	// touches the lock-free invoke path.
+	s.deployMu.Lock()
+	if _, exists := s.tbl.Get(e.Name); exists {
+		s.deployMu.Unlock()
 		return &statusError{http.StatusConflict,
 			fmt.Sprintf("gateway: function %s already deployed", e.Name)}
 	}
 	if err := s.reg.Register(e); err != nil {
-		s.tbl.mu.Unlock()
+		s.deployMu.Unlock()
 		return err
 	}
 	m := model.MustGet(e.ModelName)
@@ -334,7 +345,7 @@ func (s *Server) deploy(e core.RegistryEntry) error {
 		s.pred, scheduler.Options{MaxInstancesPerCall: 1})
 	if !plan.Feasible() {
 		s.reg.Delete(e.Name)
-		s.tbl.mu.Unlock()
+		s.deployMu.Unlock()
 		return fmt.Errorf("gateway: no configuration of %s meets %v", e.ModelName, e.SLO)
 	}
 	f := &function{
@@ -345,16 +356,8 @@ func (s *Server) deploy(e core.RegistryEntry) error {
 		batch:   runtime.BatchPolicy{SLO: e.SLO},
 		maxWait: int64(s.cfg.MaxQueue),
 	}
-	f.publishInstances()
-	if !s.tbl.insertLocked(e.Name, f) {
-		// Unreachable while deploys serialize on tbl.mu, but if it ever
-		// races, never leak the registry entry behind the 409.
-		s.reg.Delete(e.Name)
-		s.tbl.mu.Unlock()
-		return &statusError{http.StatusConflict,
-			fmt.Sprintf("gateway: function %s already deployed", e.Name)}
-	}
-	s.tbl.mu.Unlock()
+	s.tbl.Update(func(next map[string]*function) { next[e.Name] = f })
+	s.deployMu.Unlock()
 	if s.cfg.Storage.Active() {
 		// Seed the checkpoint on every server's SSD — the legacy formula's
 		// assumption — so the first tiered launch prices like the scalar
@@ -364,7 +367,7 @@ func (s *Server) deploy(e core.RegistryEntry) error {
 		s.clMu.Unlock()
 	}
 	// Collector entry points take their own locks and must never run
-	// under tbl.mu (lockedcallback). An invocation racing this Register
+	// under deployMu (lockedcallback). An invocation racing this Register
 	// auto-registers the name with no SLO and the Register below then
 	// sets it, so at worst a request in that window skips violation
 	// accounting.
@@ -378,14 +381,15 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	s.tbl.mu.Lock()
-	f, ok := s.tbl.removeLocked(name)
+	s.deployMu.Lock()
+	f, ok := s.tbl.Get(name)
 	if ok {
-		// Registry and table stay consistent: both writes happen under
-		// the same writer lock (same order as deploy: tbl.mu then reg.mu).
+		// Registry and table stay consistent: both writes happen in one
+		// deployMu critical section, like deploy's.
+		s.tbl.Update(func(next map[string]*function) { delete(next, name) })
 		s.reg.Delete(name)
 	}
-	s.tbl.mu.Unlock()
+	s.deployMu.Unlock()
 	if !ok {
 		httpError(w, http.StatusNotFound, "unknown function %s", name)
 		return
@@ -412,7 +416,7 @@ type InvokeResponse struct {
 //
 //lint:hotpath
 func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
-	f, ok := s.tbl.lookup(r.PathValue("name"))
+	f, ok := s.tbl.Get(r.PathValue("name"))
 	if !ok {
 		writeStatic(w, http.StatusNotFound, bodyUnknownFunction)
 		return
@@ -521,8 +525,8 @@ func writeShed(w http.ResponseWriter, body []byte) {
 }
 
 // invokeBufPool recycles response-encoding buffers across invocations.
-var invokeBufPool = sync.Pool{
-	New: func() any { b := make([]byte, 0, 192); return &b },
+var invokeBufPool = pool.Of[[]byte]{
+	New: func() *[]byte { b := make([]byte, 0, 192); return &b },
 }
 
 // writeInvokeResponse encodes InvokeResponse by hand into a pooled
@@ -530,8 +534,8 @@ var invokeBufPool = sync.Pool{
 // steady-state allocations. Kept in lockstep with the InvokeResponse
 // struct tags (TestWriteInvokeResponseMatchesJSON pins the equality).
 func writeInvokeResponse(w http.ResponseWriter, res *InvokeResponse) {
-	bp := invokeBufPool.Get().(*[]byte)
-	b := (*bp)[:0]
+	buf := invokeBufPool.Get()
+	b := (*buf.V())[:0]
 	b = append(b, `{"function":`...)
 	b = appendJSONString(b, res.Function)
 	b = append(b, `,"latencyMs":`...)
@@ -546,8 +550,8 @@ func writeInvokeResponse(w http.ResponseWriter, res *InvokeResponse) {
 	setContentTypeJSON(w.Header())
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(b)
-	*bp = b
-	invokeBufPool.Put(bp)
+	*buf.V() = b
+	buf.Put()
 }
 
 // appendJSONFloat appends f the way encoding/json renders float64

@@ -101,7 +101,7 @@ func TestCrossPlaneParity(t *testing.T) {
 	if err := gw.deploy(core.RegistryEntry{Name: "mnist", ModelName: "MNIST", SLO: slo}); err != nil {
 		t.Fatalf("deploy: %v", err)
 	}
-	f, _ := gw.tbl.lookup("mnist")
+	f, _ := gw.tbl.Get("mnist")
 
 	total := int(rps * modelDur.Seconds())
 	interval := time.Duration(float64(time.Second) / (rps * speed))
@@ -177,7 +177,7 @@ func TestObserverSeesLifecycle(t *testing.T) {
 	if err := gw.deploy(core.RegistryEntry{Name: "f", ModelName: "MNIST", SLO: 500 * time.Millisecond}); err != nil {
 		t.Fatalf("deploy: %v", err)
 	}
-	f, _ := gw.tbl.lookup("f")
+	f, _ := gw.tbl.Get("f")
 	if _, err := f.invoke(context.Background()); err != nil {
 		t.Fatalf("invoke: %v", err)
 	}

@@ -61,7 +61,7 @@ func TestCrossPlaneTelemetryParity(t *testing.T) {
 	if err := gw.deploy(core.RegistryEntry{Name: "mnist", ModelName: "MNIST", SLO: slo}); err != nil {
 		t.Fatalf("deploy: %v", err)
 	}
-	f, _ := gw.tbl.lookup("mnist")
+	f, _ := gw.tbl.Get("mnist")
 
 	total := int(rps * modelDur.Seconds())
 	interval := time.Duration(float64(time.Second) / (rps * speed))

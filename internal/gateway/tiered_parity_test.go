@@ -77,7 +77,7 @@ func TestCrossPlaneTieredStartupParity(t *testing.T) {
 	if err := gw.deploy(core.RegistryEntry{Name: "mnist", ModelName: "MNIST", SLO: 500 * time.Millisecond}); err != nil {
 		t.Fatalf("deploy: %v", err)
 	}
-	f, _ := gw.tbl.lookup("mnist")
+	f, _ := gw.tbl.Get("mnist")
 	if _, err := f.invoke(context.Background()); err != nil {
 		t.Fatalf("invoke: %v", err)
 	}

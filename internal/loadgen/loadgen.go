@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"github.com/tanklab/infless/internal/metrics"
+	"github.com/tanklab/infless/internal/pool"
 	"github.com/tanklab/infless/internal/workload"
 )
 
@@ -91,28 +92,17 @@ type Stats struct {
 // recorderPool recycles per-worker latency recorders across runs:
 // Saturate replays Run once per ramp step, and a recorder's histogram
 // is a few hundred buckets — pooling keeps a 16-step ramp with 256
-// connections from building four thousand of them. Ownership is
-// strict: Run takes recorders out for its workers and puts every one
-// back only after merge() has folded the counts, so no reference
-// outlives the recycle (the poolcontract analyzer checks this).
-var recorderPool = sync.Pool{}
-
-func getRecorder(slo time.Duration) *metrics.LatencyRecorder {
-	if r, ok := recorderPool.Get().(*metrics.LatencyRecorder); ok {
-		r.Reset(slo)
-		return r
-	}
-	return metrics.NewLatencyRecorder(slo)
-}
-
-func putRecorder(r *metrics.LatencyRecorder) {
-	recorderPool.Put(r)
+// connections from building four thousand of them. Run takes recorders
+// out for its workers and puts every one back only after merge() has
+// folded the counts.
+var recorderPool = pool.Of[metrics.LatencyRecorder]{
+	New: func() *metrics.LatencyRecorder { return metrics.NewLatencyRecorder(0) },
 }
 
 // worker executes requests and records into its own recorder, so the
 // request path shares no lock with other workers.
 type worker struct {
-	rec    *metrics.LatencyRecorder
+	rec    pool.Handle[metrics.LatencyRecorder]
 	sent   uint64
 	failed uint64
 	shed   uint64
@@ -125,13 +115,13 @@ func (w *worker) do(ctx context.Context, client *http.Client, url string, speed 
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, nil)
 	if err != nil {
 		w.failed++
-		w.rec.Drop()
+		w.rec.V().Drop()
 		return
 	}
 	resp, err := client.Do(req)
 	if err != nil {
 		w.failed++
-		w.rec.Drop()
+		w.rec.V().Drop()
 		return
 	}
 	code := resp.StatusCode
@@ -140,13 +130,13 @@ func (w *worker) do(ctx context.Context, client *http.Client, url string, speed 
 	case code == http.StatusOK:
 		w.ok++
 		lat := time.Duration(float64(time.Since(t0)) * speed)
-		w.rec.Observe(metrics.Sample{Exec: lat})
+		w.rec.V().Observe(metrics.Sample{Exec: lat})
 	case code == http.StatusTooManyRequests:
 		w.shed++
-		w.rec.Drop()
+		w.rec.V().Drop()
 	default:
 		w.failed++
-		w.rec.Drop()
+		w.rec.V().Drop()
 	}
 }
 
@@ -187,7 +177,8 @@ func Run(ctx context.Context, cfg Config) (Stats, error) {
 
 	workers := make([]*worker, cfg.Connections)
 	for i := range workers {
-		workers[i] = &worker{rec: getRecorder(cfg.SLO)}
+		workers[i] = &worker{rec: recorderPool.Get()}
+		workers[i].rec.V().Reset(cfg.SLO)
 	}
 
 	start := time.Now()
@@ -203,8 +194,7 @@ func Run(ctx context.Context, cfg Config) (Stats, error) {
 	// All worker goroutines have joined and merge has read the counts:
 	// the recorders go back to the pool with no live references.
 	for _, w := range workers {
-		putRecorder(w.rec)
-		w.rec = nil
+		w.rec.Put()
 	}
 	return stats, err
 }
@@ -301,7 +291,7 @@ func merge(workers []*worker, elapsed time.Duration) Stats {
 		s.OK += w.ok
 		s.Failed += w.failed
 		s.Shed += w.shed
-		rec.Merge(w.rec)
+		rec.Merge(w.rec.V())
 	}
 	s.MeanMs = float64(rec.Mean()) / float64(time.Millisecond)
 	s.P50Ms = float64(rec.Percentile(0.5)) / float64(time.Millisecond)

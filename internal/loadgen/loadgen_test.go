@@ -214,24 +214,14 @@ func TestSaturateStopsAtCollapse(t *testing.T) {
 	}
 }
 
-// TestRecorderPoolReuse: the pooled recorder lifecycle — a recycled
-// recorder comes back fully reset under the new SLO, and consecutive
-// Run calls (Saturate's ramp pattern) do not leak counts between steps
-// through the pool.
+// TestRecorderPoolReuse: consecutive Run calls (Saturate's ramp
+// pattern) do not leak counts between steps through the recorder pool,
+// even when the pool hands out a recorder that was returned dirty.
 func TestRecorderPoolReuse(t *testing.T) {
-	r := getRecorder(10 * time.Millisecond)
-	r.Observe(metrics.Sample{Exec: 50 * time.Millisecond})
-	r.Drop()
-	putRecorder(r)
-
-	r2 := getRecorder(time.Second)
-	if r2.Served() != 0 || r2.Dropped() != 0 || r2.ViolationRate() != 0 {
-		t.Fatalf("recycled recorder carries old counts: served=%d dropped=%d", r2.Served(), r2.Dropped())
-	}
-	if r2.SLO() != time.Second {
-		t.Fatalf("recycled recorder SLO = %v, want 1s", r2.SLO())
-	}
-	putRecorder(r2)
+	dirty := recorderPool.Get()
+	dirty.V().Observe(metrics.Sample{Exec: 5 * time.Second})
+	dirty.V().Drop()
+	dirty.Put()
 
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)

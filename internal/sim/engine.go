@@ -54,7 +54,7 @@ type FunctionState struct {
 	rate           *runtime.RateEstimator
 	lastArrival    time.Duration
 	haveArrival    bool
-	prewarmEv      *simclock.Event
+	prewarm        simclock.Timer
 	prewarmedUntil time.Duration
 	ctrlState      any // controller-private per-function state
 }

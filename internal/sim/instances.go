@@ -33,8 +33,8 @@ type Instance struct {
 	credit   runtime.Credit
 
 	idleSince time.Duration
-	reclaimEv *simclock.Event
-	timeoutEv *simclock.Event
+	reclaim   simclock.Timer
+	timeout   simclock.Timer
 	lostAt    time.Duration // set when the hosting server failed mid-batch
 	reclaimed bool
 }
@@ -145,11 +145,8 @@ func (e *Engine) Reclaim(inst *Instance) {
 			e.dropRequest(f)
 		}
 	}
-	e.cancelReclaim(inst)
-	if inst.timeoutEv != nil {
-		inst.timeoutEv.Cancel()
-		inst.timeoutEv = nil
-	}
+	inst.reclaim.Cancel()
+	inst.timeout.Cancel()
 	e.cfg.Cluster.Release(inst.Server, inst.Cand.Res, f.Spec.Model.MemoryMB)
 	f.pool.Remove(inst)
 	e.obs.InstanceReclaimed(f.Spec.Name, inst.ID, now)
@@ -215,20 +212,12 @@ func (e *Engine) scheduleReclaim(inst *Instance) {
 	} else {
 		keep = runtime.KeepAlive(inst.Fn.Policy, now)
 	}
-	e.cancelReclaim(inst)
-	inst.reclaimEv = e.clock.ScheduleAfter(keep, func() {
-		inst.reclaimEv = nil
+	inst.reclaim.Cancel()
+	inst.reclaim = e.clock.ScheduleAfter(keep, func() {
 		if inst.Ready && !inst.Busy && inst.Queue.Len() == 0 {
 			e.Reclaim(inst)
 		}
 	})
-}
-
-func (e *Engine) cancelReclaim(inst *Instance) {
-	if inst.reclaimEv != nil {
-		inst.reclaimEv.Cancel()
-		inst.reclaimEv = nil
-	}
 }
 
 // failServer marks a server down and kills every instance hosted on it:
@@ -272,11 +261,8 @@ func (e *Engine) schedulePrewarm(f *FunctionState) {
 	}
 	now := e.clock.Now()
 	prewarm, keepalive := f.Policy.Windows(now)
-	if f.prewarmEv != nil {
-		f.prewarmEv.Cancel()
-	}
-	f.prewarmEv = e.clock.ScheduleAfter(prewarm, func() {
-		f.prewarmEv = nil
+	f.prewarm.Cancel()
+	f.prewarm = e.clock.ScheduleAfter(prewarm, func() {
 		f.prewarmedUntil = e.clock.Now() + keepalive
 	})
 }

@@ -89,7 +89,7 @@ func (e *Engine) Enqueue(inst *Instance, req *Request) {
 		return
 	}
 	e.obs.RequestEnqueued(inst.Fn.Spec.Name, inst.ID, now)
-	e.cancelReclaim(inst)
+	inst.reclaim.Cancel()
 	if full {
 		e.trySubmit(inst)
 	}
@@ -102,19 +102,14 @@ func (e *Engine) armTimeout(inst *Instance) {
 	if !ok {
 		return
 	}
-	if inst.timeoutEv != nil && !inst.timeoutEv.Canceled() && inst.timeoutEv.At() == deadline {
+	if inst.timeout.Pending() && inst.timeout.At() == deadline {
 		return
 	}
-	if inst.timeoutEv != nil {
-		inst.timeoutEv.Cancel()
-	}
+	inst.timeout.Cancel()
 	if deadline < e.clock.Now() {
 		deadline = e.clock.Now()
 	}
-	inst.timeoutEv = e.clock.ScheduleAt(deadline, func() {
-		inst.timeoutEv = nil
-		e.trySubmit(inst)
-	})
+	inst.timeout = e.clock.ScheduleAt(deadline, func() { e.trySubmit(inst) })
 }
 
 // trySubmit submits the head batch if the instance can execute now and

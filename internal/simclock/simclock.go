@@ -7,12 +7,12 @@
 //
 // Event objects are pooled: once an event has fired (or has been cancelled
 // and drained), the clock recycles it for a later ScheduleAt call, so the
-// steady-state simulation loop schedules without allocating. The returned
-// *Event is therefore only valid until its callback runs — callers that
-// store events for later Cancel must drop the reference when the callback
-// fires (the engine's callbacks nil their stored refs for exactly this
-// reason). Cancelling an already-fired reference is a no-op only until the
-// object is reused; after that it would cancel an unrelated event.
+// steady-state simulation loop schedules without allocating. Callers never
+// see the pooled object: ScheduleAt returns a Timer, a value handle that
+// remembers which scheduling of the object it refers to and turns into a
+// no-op once that scheduling has fired, been cancelled or been recycled.
+// A stored Timer therefore needs no clearing and can be cancelled or
+// queried at any time.
 package simclock
 
 import (
@@ -24,36 +24,53 @@ import (
 // Time is virtual time measured as an offset from the simulation start.
 type Time = time.Duration
 
-// Event is a scheduled callback. It can be cancelled before it fires.
-type Event struct {
+// event is one pooled scheduled callback.
+type event struct {
 	at       Time
-	seq      uint64
+	seq      uint64 // unique per scheduling: FIFO tie-break and Timer generation
 	fn       func()
 	index    int // heap index, -1 once removed
 	canceled bool
 	clk      *Clock
 }
 
-// At returns the virtual time the event is scheduled for.
-func (e *Event) At() Time { return e.at }
-
-// Cancel prevents the event from firing. Cancelling an event that already
-// fired or was already cancelled is a no-op. A cancelled event stays in
-// the queue as a tombstone until it is drained in timestamp order or the
-// clock compacts the queue (see maybeCompact).
-func (e *Event) Cancel() {
-	if e.canceled || e.index < 0 {
-		return
-	}
-	e.canceled = true
-	e.clk.tombstones++
-	e.clk.maybeCompact()
+// Timer refers to one scheduled callback. The zero Timer refers to
+// nothing. Methods take value receivers, so a Timer can be used straight
+// off a Schedule call or copied freely.
+type Timer struct {
+	e   *event
+	seq uint64 // e.seq at scheduling time; a mismatch means e was reused
 }
 
-// Canceled reports whether Cancel was called on the event.
-func (e *Event) Canceled() bool { return e.canceled }
+// Pending reports whether the callback is still going to fire: it has
+// not run (or started running), not been cancelled, and not been dropped
+// by Reset.
+func (t Timer) Pending() bool {
+	return t.e != nil && t.e.seq == t.seq && t.e.index >= 0 && !t.e.canceled
+}
 
-type eventHeap []*Event
+// At returns the virtual time a pending callback fires at, 0 otherwise.
+func (t Timer) At() Time {
+	if !t.Pending() {
+		return 0
+	}
+	return t.e.at
+}
+
+// Cancel prevents a pending callback from firing and is a no-op
+// otherwise. A cancelled event stays in the queue as a tombstone until
+// it is drained in timestamp order or the clock compacts the queue (see
+// maybeCompact).
+func (t Timer) Cancel() {
+	if !t.Pending() {
+		return
+	}
+	t.e.canceled = true
+	t.e.clk.tombstones++
+	t.e.clk.maybeCompact()
+}
+
+type eventHeap []*event
 
 func (h eventHeap) Len() int { return len(h) }
 func (h eventHeap) Less(i, j int) bool {
@@ -68,7 +85,7 @@ func (h eventHeap) Swap(i, j int) {
 	h[j].index = j
 }
 func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
+	e := x.(*event)
 	e.index = len(*h)
 	*h = append(*h, e)
 }
@@ -89,7 +106,7 @@ type Clock struct {
 	seq        uint64
 	pending    eventHeap
 	fired      uint64
-	free       []*Event // recycled Event objects, see package doc
+	free       []*event // recycled event objects, see package doc
 	tombstones int      // cancelled events still sitting in pending
 }
 
@@ -106,15 +123,15 @@ func (c *Clock) Pending() int { return len(c.pending) }
 // Fired returns the total number of events executed so far.
 func (c *Clock) Fired() uint64 { return c.fired }
 
-// alloc takes an Event from the free list, or makes one.
-func (c *Clock) alloc(at Time, fn func()) *Event {
-	var e *Event
+// alloc takes an event from the free list, or makes one.
+func (c *Clock) alloc(at Time, fn func()) *event {
+	var e *event
 	if n := len(c.free); n > 0 {
 		e = c.free[n-1]
 		c.free[n-1] = nil
 		c.free = c.free[:n-1]
 	} else {
-		e = &Event{clk: c}
+		e = &event{clk: c}
 	}
 	e.at, e.fn, e.canceled = at, fn, false
 	e.seq = c.seq
@@ -124,25 +141,25 @@ func (c *Clock) alloc(at Time, fn func()) *Event {
 
 // recycle returns a popped event to the free list. The closure is dropped
 // immediately so captured state does not outlive the event.
-func (c *Clock) recycle(e *Event) {
+func (c *Clock) recycle(e *event) {
 	e.fn = nil
 	c.free = append(c.free, e)
 }
 
 // ScheduleAt registers fn to run at virtual time at. Scheduling in the past
 // panics: it indicates a logic error in the simulation, never valid input.
-func (c *Clock) ScheduleAt(at Time, fn func()) *Event {
+func (c *Clock) ScheduleAt(at Time, fn func()) Timer {
 	if at < c.now {
 		panic(fmt.Sprintf("simclock: schedule at %v before now %v", at, c.now))
 	}
 	e := c.alloc(at, fn)
 	heap.Push(&c.pending, e)
-	return e
+	return Timer{e, e.seq}
 }
 
 // ScheduleAfter registers fn to run d after the current virtual time.
 // Negative d is clamped to zero.
-func (c *Clock) ScheduleAfter(d time.Duration, fn func()) *Event {
+func (c *Clock) ScheduleAfter(d time.Duration, fn func()) Timer {
 	if d < 0 {
 		d = 0
 	}
@@ -151,7 +168,7 @@ func (c *Clock) ScheduleAfter(d time.Duration, fn func()) *Event {
 
 // peek drains cancelled events off the top of the queue and returns the
 // next live event, or nil when none remain.
-func (c *Clock) peek() *Event {
+func (c *Clock) peek() *event {
 	for len(c.pending) > 0 {
 		e := c.pending[0]
 		if !e.canceled {
@@ -240,7 +257,9 @@ func (c *Clock) Run(limit uint64) uint64 {
 }
 
 // Reset drops all pending events (recycling them) and rewinds the clock
-// to zero. Event references held across a Reset are invalid.
+// to zero. seq is not rewound: it is the Timer generation, and a Timer
+// taken before Reset must not match an event scheduled after it (event
+// ordering only ever compares seq values relatively).
 func (c *Clock) Reset() {
 	for _, e := range c.pending {
 		e.index = -1
@@ -248,7 +267,6 @@ func (c *Clock) Reset() {
 	}
 	c.pending = c.pending[:0]
 	c.now = 0
-	c.seq = 0
 	c.fired = 0
 	c.tombstones = 0
 }

@@ -57,8 +57,8 @@ func TestCancel(t *testing.T) {
 	e := c.ScheduleAt(time.Second, func() { fired++ })
 	c.ScheduleAt(2*time.Second, func() { fired++ })
 	e.Cancel()
-	if !e.Canceled() {
-		t.Fatal("Canceled() = false after Cancel")
+	if e.Pending() {
+		t.Fatal("Pending() = true after Cancel")
 	}
 	c.Run(0)
 	if fired != 1 {
@@ -186,7 +186,7 @@ func TestPropertyCancelSubset(t *testing.T) {
 	for iter := 0; iter < 100; iter++ {
 		c := New()
 		n := 1 + rng.Intn(50)
-		events := make([]*Event, n)
+		events := make([]Timer, n)
 		fired := make([]bool, n)
 		for i := 0; i < n; i++ {
 			i := i
@@ -226,7 +226,7 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 func TestTombstoneCompaction(t *testing.T) {
 	c := New()
 	n := 1000
-	events := make([]*Event, n)
+	events := make([]Timer, n)
 	var got []int
 	for i := 0; i < n; i++ {
 		i := i
@@ -261,7 +261,7 @@ func TestTombstoneCompaction(t *testing.T) {
 // the heap rebuild.
 func TestCompactionPreservesFIFO(t *testing.T) {
 	c := New()
-	var events []*Event
+	var events []Timer
 	var got []int
 	for i := 0; i < 100; i++ {
 		i := i
@@ -290,7 +290,7 @@ func TestEventPoolReuse(t *testing.T) {
 	e1 := c.ScheduleAfter(time.Millisecond, func() {})
 	c.Run(0)
 	e2 := c.ScheduleAfter(time.Millisecond, func() {})
-	if e1 != e2 {
+	if e1.e != e2.e {
 		t.Fatal("fired event was not recycled for the next schedule")
 	}
 	allocs := testing.AllocsPerRun(100, func() {
@@ -340,5 +340,110 @@ func TestResetRecyclesPending(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("post-reset schedule allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestTimerStaleHandleIsInert pins the handle contract that replaced
+// "nil the stored reference in every callback": a Timer whose callback
+// has fired, or whose pooled event now serves a later scheduling, can be
+// cancelled and queried freely without touching that later scheduling
+// or the tombstone accounting.
+func TestTimerStaleHandleIsInert(t *testing.T) {
+	c := New()
+	var zero Timer
+	zero.Cancel()
+	if zero.Pending() || zero.At() != 0 {
+		t.Fatal("zero Timer must refer to nothing")
+	}
+
+	var inCallback Timer
+	inCallback = c.ScheduleAt(time.Second, func() {
+		if inCallback.Pending() {
+			t.Error("Pending() = true inside the timer's own callback")
+		}
+		inCallback.Cancel()
+	})
+	if !inCallback.Pending() || inCallback.At() != time.Second {
+		t.Fatalf("live timer: Pending=%v At=%v", inCallback.Pending(), inCallback.At())
+	}
+	c.Run(0)
+	stale := inCallback
+
+	// Cancel after fire, before the event is reused.
+	stale.Cancel()
+	if stale.Pending() || c.tombstones != 0 {
+		t.Fatalf("cancel-after-fire: Pending=%v tombstones=%d", stale.Pending(), c.tombstones)
+	}
+
+	// Cancel after recycle: the same pooled event now carries a new callback.
+	fired := false
+	fresh := c.ScheduleAfter(time.Second, func() { fired = true })
+	if fresh.e != stale.e {
+		t.Fatal("test premise: the fired event should have been reused")
+	}
+	stale.Cancel()
+	if stale.Pending() || stale.At() != 0 {
+		t.Fatal("stale handle reports the new scheduling's state")
+	}
+	if !fresh.Pending() || c.tombstones != 0 || c.Pending() != 1 {
+		t.Fatalf("stale Cancel hit the new scheduling: pending=%v tombstones=%d queue=%d",
+			fresh.Pending(), c.tombstones, c.Pending())
+	}
+	c.Run(0)
+	if !fired {
+		t.Fatal("new scheduling did not fire")
+	}
+
+	// A real cancel is counted once, however often it is repeated.
+	c.ScheduleAfter(time.Second, func() {})
+	c.ScheduleAfter(time.Second, func() {})
+	victim := c.ScheduleAfter(2*time.Second, func() { t.Error("cancelled timer fired") })
+	victim.Cancel()
+	victim.Cancel()
+	if c.tombstones != 1 || c.Pending() != 3 {
+		t.Fatalf("tombstones=%d pending=%d, want 1 and 3", c.tombstones, c.Pending())
+	}
+	c.Run(0)
+	if c.tombstones != 0 || c.Pending() != 0 {
+		t.Fatalf("after drain: tombstones=%d pending=%d", c.tombstones, c.Pending())
+	}
+}
+
+// TestTimerAcrossReset: Reset keeps seq monotonic, so a handle taken
+// before Reset matches no event scheduled after it — it cancels nothing
+// and Pending stays exact — even though the pooled event is reused at
+// once. (With seq rewound to 0 the first post-Reset event would carry
+// the old handle's generation.)
+func TestTimerAcrossReset(t *testing.T) {
+	c := New()
+	old := c.ScheduleAfter(time.Second, func() { t.Error("event dropped by Reset fired") })
+	c.Reset()
+	if old.Pending() {
+		t.Fatal("Pending() = true for an event Reset dropped")
+	}
+	fired := false
+	fresh := c.ScheduleAfter(time.Second, func() { fired = true })
+	if fresh.e != old.e {
+		t.Fatal("test premise: Reset should have recycled the event")
+	}
+	old.Cancel()
+	if old.Pending() || !fresh.Pending() {
+		t.Fatalf("old.Pending=%v fresh.Pending=%v after stale Cancel", old.Pending(), fresh.Pending())
+	}
+	c.Run(0)
+	if !fired {
+		t.Fatal("a handle from before Reset cancelled an event scheduled after it")
+	}
+	// FIFO order at one instant survives Reset (seq only compares relatively).
+	c.Reset()
+	var got []int
+	for i := 0; i < 5; i++ {
+		c.ScheduleAt(time.Second, func() { got = append(got, i) })
+	}
+	c.Run(0)
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("same-instant order after Reset = %v", got)
+		}
 	}
 }

@@ -5,20 +5,20 @@
 # them from many goroutines, and the sharded cluster + scheduler whose
 # FitPool fans fit-queries across workers), a sharded-equivalence smoke
 # (every Schedule decision bit-identical to the single-shard reference),
-# and infless-lint — the AST/types-based
-# analyzer suite (cmd/infless-lint) that replaced the old grep guards:
-# it keeps the lifecycle policies single-sourced, the deterministic
-# packages off the wall clock, placement on the free-capacity index,
-# and observer/telemetry callbacks outside mutex critical sections, and
-# runs the flow-sensitive lockorder / atomicsnapshot / poolcontract /
-# hotalloc / errflow analyzers plus the concurrency-lifecycle trio
-# goroutinelife / chanlife / ctxflow over the whole module. The lint
-# pass fans the 13 analyzers out in parallel (deterministic output) and
-# has a 60s budget so the whole-program passes stay cheap enough to run
-# on every commit. The race pass doubles as the goroutine-leak gate:
-# the NumGoroutine settle-and-compare harnesses around Server.Close,
-# FitPool.Close and loadgen.Run ride the gateway/cluster/loadgen race
-# runs below.
+# and infless-lint — the AST/types-based analyzer suite
+# (cmd/infless-lint) that replaced the old grep guards: it keeps the
+# lifecycle policies single-sourced, the deterministic packages off the
+# wall clock, placement on the free-capacity index, observer/telemetry
+# callbacks outside mutex critical sections, and atomic.Pointer /
+# sync.Pool inside internal/cow / internal/pool, and runs the
+# flow-sensitive lockorder / hotalloc / errflow analyzers plus the
+# concurrency-lifecycle trio goroutinelife / chanlife / ctxflow over
+# the whole module. The lint pass fans the 11 analyzers out in parallel
+# (deterministic output) and has a 60s budget so the whole-program
+# passes stay cheap enough to run on every commit. The race pass doubles
+# as the goroutine-leak gate: the NumGoroutine settle-and-compare
+# harnesses around Server.Close, FitPool.Close and loadgen.Run ride the
+# gateway/cluster/loadgen race runs below.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -44,8 +44,8 @@ if [ "$lint_elapsed" -gt 60 ]; then
 fi
 echo "== go test"
 go test ./...
-echo "== go test -race (gateway + runtime + telemetry + sim + loadgen + core)"
-go test -race ./internal/gateway/... ./internal/runtime/... ./internal/telemetry/... ./internal/sim/... ./internal/loadgen/... ./internal/core/...
+echo "== go test -race (gateway + runtime + telemetry + sim + loadgen + core + cow + pool + simclock)"
+go test -race ./internal/gateway/... ./internal/runtime/... ./internal/telemetry/... ./internal/sim/... ./internal/loadgen/... ./internal/core/... ./internal/cow/... ./internal/pool/... ./internal/simclock/...
 echo "== go test -race (sharded control plane: cluster + scheduler)"
 go test -race -short ./internal/cluster/ ./internal/scheduler/
 echo "== go test -race (parallel experiment runner)"
