@@ -40,5 +40,9 @@ test:
 race:
 	$(GO) test -race ./internal/gateway/... ./internal/runtime/... ./internal/telemetry/... ./internal/loadgen/... ./internal/core/... ./internal/cow/... ./internal/pool/... ./internal/simclock/...
 
+## bench: the repository's benchmark (BENCHMARK.json, benchmark/README.md),
+## one workload after the other; the last line of each is its JSON result.
 bench:
-	$(GO) test -bench=. -benchmem -run=NONE ./...
+	@for w in gw_dispatch gw_http sim_fleet sched_scale; do \
+		$(GO) run ./benchmark --workload $$w --seed 1 --seconds 20 --trace 0 || exit 1; \
+	done

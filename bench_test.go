@@ -2,7 +2,8 @@
 // INFless paper's evaluation, plus micro-benchmarks of the hot control
 // paths. Each figure benchmark regenerates its experiment in quick mode
 // and reports the headline metric; run the full-length versions through
-// cmd/infless-bench -full.
+// cmd/infless-bench -full. Performance is tracked by `go run ./benchmark`
+// (`make bench`), not by these.
 //
 //	go test -bench=. -benchmem
 //	go test -bench=BenchmarkFig11 -benchtime=1x

@@ -35,7 +35,7 @@ func main() {
 		slo      = flag.Duration("slo", 0, "classify responses against this latency target")
 		traceCSV = flag.String("trace", "", "drive load from a CSV trace instead of -pattern")
 		seed     = flag.Int64("seed", 1, "random seed")
-		jsonOut  = flag.Bool("json", false, "emit results as JSON (for BENCH_gateway.json)")
+		jsonOut  = flag.Bool("json", false, "emit results as JSON")
 	)
 	flag.Parse()
 	if *url == "" {

@@ -4,10 +4,10 @@ package analysis
 // declarative ChannelContracts table (invariants.go). Go's runtime
 // semantics make channel teardown a protocol, not a type: closing twice
 // panics, sending after close panics, and which function owns the close
-// is pure convention. The data plane's conventions — instance.stop is
-// the only closer of instance.quit, FitPool.Close is the only closer of
-// jobs, reqCh is deliberately never closed — were previously enforced
-// by comment. chanlife enforces them:
+// is pure convention. The data plane's conventions — Server.Close is the
+// only closer of the pacer's quit, FitPool.Close the only closer of
+// jobs, a reply slot is deliberately never closed — were previously
+// enforced by comment. chanlife enforces them:
 //
 //   - close ownership: the module must contain exactly Closers static
 //     close sites for each contracted channel identity (0 declares a

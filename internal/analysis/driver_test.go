@@ -179,8 +179,8 @@ func zzSpin() {
 `,
 		filepath.Join(tmp, "internal", "gateway", "zz_seeded_chanlife.go"): `package gateway
 
-func zzDoubleStop(inst *instance) {
-	inst.quit <- struct{}{}
+func zzDoubleStop(s *Server) {
+	s.quit <- struct{}{}
 }
 `,
 		filepath.Join(tmp, "internal", "gateway", "zz_seeded_ctxflow.go"): `package gateway

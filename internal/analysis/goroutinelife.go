@@ -1,8 +1,8 @@
 package analysis
 
 // goroutinelife proves that every goroutine the module spawns can stop.
-// The data plane's long-running concurrency — per-instance batching
-// loops, FitPool fan-out workers, loadgen workers, the bench runner —
+// The data plane's long-running concurrency — the gateway's pacer,
+// FitPool fan-out workers, loadgen workers, the bench runner —
 // is torn down by hand-maintained convention (close a quit channel,
 // close the work feed, cancel a context), and a `go` statement whose
 // body misses the convention leaks a goroutine forever: invisible to

@@ -90,11 +90,11 @@ var SingleDefs = []SingleDef{
 	{KindType, "", "planeRing", "internal/runtime/rates.go",
 		"the lock-free plane-wide arrival aggregate has one implementation"},
 	{KindFunc, "", "Legacy", "internal/artifact/artifact.go",
-		"the scalar 900ms+MB/220MBps cold-start formula has one home; perf and the gateway call it"},
+		"the scalar 900ms+MB/220MBps cold-start formula has one home; perf calls it"},
 	{KindType, "", "Hierarchy", "internal/artifact/artifact.go",
 		"the per-tier bandwidth/latency model is defined once, next to its tier enum"},
 	{KindType, "", "Cache", "internal/artifact/cache.go",
-		"one deterministic per-server artifact LRU serves the simulator and the gateway"},
+		"one deterministic per-server artifact LRU serves the engine on both planes"},
 	{KindType, "", "ArtifactQuery", "internal/cluster/shard.go",
 		"the startup-aware placement view is defined once, next to the shard merge it extends"},
 	{KindMethod, "Cluster", "BestFitShardsArtifact", "internal/cluster/shard.go",
@@ -127,7 +127,7 @@ type HomeType struct {
 // HomeTypes is the production home-type table.
 var HomeTypes = []HomeType{
 	{"sync/atomic", "Pointer", "internal/cow",
-		"publish shared containers through cow.Map / cow.List, which copy on write"},
+		"publish shared containers through cow.Map, which copies on write"},
 	{"sync", "Pool", "internal/pool",
 		"pool objects through pool.Of, whose handle is cleared by Put"},
 }
@@ -175,21 +175,18 @@ func (c ChannelContract) DisplayName() string {
 // ownership. The goroutinelife analyzer independently proves the
 // goroutines blocked on these channels can exit.
 var ChannelContracts = []ChannelContract{
-	{Pkg: "internal/gateway", Type: "instance", Field: "quit",
+	{Pkg: "internal/gateway", Type: "invocation", Field: "reply",
+		Closers: 0,
+		Why:     "the buffered single-reply slot: never closed, so the engine's completion hook can always send, caller listening or not; the invocation recycles with the channel inside"},
+	{Pkg: "internal/gateway", Type: "Server", Field: "wake",
+		Closers: 0,
+		Why:     "the pacer's wake-up token (buffer of one): never closed, the pacer exits on quit"},
+	{Pkg: "internal/gateway", Type: "Server", Field: "quit",
 		Closers: 1, SignalOnly: true,
-		Why: "the instance stop signal: closed exactly once via instance.stop's once.Do; a send would panic a second stopper"},
-	{Pkg: "internal/gateway", Type: "instance", Field: "reqCh",
-		Closers: 0,
-		Why:     "the batch queue is never closed: the loop exits via quit, and failAll drains stragglers — a close would race in-flight offer() sends"},
-	{Pkg: "internal/gateway", Type: "invocation", Field: "respCh",
-		Closers: 0,
-		Why:     "the buffered single-reply slot: never closed so a late instance send cannot panic; the invocation recycles with the channel inside"},
+		Why: "the pacer's stop signal: Close closes it exactly once, under deployMu behind the closed flag"},
 	{Pkg: "internal/cluster", Type: "FitPool", Field: "jobs",
 		Closers: 1,
 		Why:     "the fan-out work queue: FitPool.Close is the one closer; workers exit when the range drains"},
-	{Pkg: "internal/gateway", Func: "Server.Close", Var: "done",
-		Closers: 1, SignalOnly: true,
-		Why: "the bounded-join signal: the waiter goroutine closes it once after instWG settles"},
 	{Pkg: "internal/loadgen", Func: "runOpen", Var: "jobs",
 		Closers: 1,
 		Why:     "the pacer-to-worker handoff: the pacer closes it when the trace ends; workers exit when the range drains"},

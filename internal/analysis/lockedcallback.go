@@ -2,13 +2,16 @@ package analysis
 
 // lockedcallback is an intra-procedural check that runtime.Observer
 // callbacks and exported telemetry Collector methods are never invoked
-// between a mutex Lock and its Unlock in the gateway or telemetry
-// packages. Observers are arbitrary user code and Collector entry
-// points take their own locks; calling either while holding a lock is
-// the deadlock/reentrancy hazard class the race detector cannot see
+// between a mutex Lock and its Unlock in the gateway, telemetry or core
+// packages' own code. Observers are arbitrary user code and Collector
+// entry points take their own locks; calling either while holding a lock
+// is the deadlock/reentrancy hazard class the race detector cannot see
 // (it needs an actual interleaving; this needs only the call graph
-// shape). The gateway's discipline is snapshot-under-lock, notify-after
-// — this analyzer keeps it that way.
+// shape). One such call is by design and out of this check's sight: the
+// gateway's engine fires every hook with Server.mu held (the contract on
+// gateway.Config.Observer), from internal/sim, whose event loop has no
+// lock of its own. What stays forbidden is a second, ad-hoc notification
+// path from a handler holding deployMu or mu.
 //
 // The walk is source-order within one function body: Lock()/RLock() on
 // a receiver path (e.g. "f.mu") marks it held, Unlock()/RUnlock()
@@ -25,9 +28,9 @@ import (
 )
 
 // lockedCallbackScopes is where the discipline applies: the gateway
-// (whose table publish path holds tbl.mu while the registry and plan
-// are touched), the telemetry collector, and the copy-on-write registry
-// in internal/core.
+// (whose deploy path holds deployMu while the registry and plan are
+// touched), the telemetry collector, and the copy-on-write registry in
+// internal/core.
 var lockedCallbackScopes = []string{"internal/gateway", "internal/telemetry", "internal/core"}
 
 // LockedCallbackAnalyzer implements the lockedcallback check.

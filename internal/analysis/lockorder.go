@@ -7,9 +7,11 @@ package analysis
 // detector cannot see this hazard class (it needs an actual inverted
 // interleaving at runtime); the lock graph needs only the shape of the
 // code. The focus is the control plane's locking discipline:
-// gateway.function.mu → gateway.Server.clMu is the dominant order on
-// the scale-out path, and the telemetry collector's mu/rmu/funcStats.mu
-// must stay leaves under it.
+// gateway.Server.deployMu → gateway.Server.mu (the engine lock) is the
+// one order in the gateway, and the telemetry collector's
+// mu/rmu/funcStats.mu must stay leaves under it — the engine feeds the
+// collector with Server.mu held. (The invoke path takes Server.mu with
+// TryLock, which the analysis does not see; it holds nothing else.)
 //
 // Mechanics: per function, a forward may-analysis tracks the held-lock
 // set (union join); at every Lock/RLock the analyzer adds held→new

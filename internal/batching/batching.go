@@ -238,6 +238,12 @@ func (q *Queue[T]) Deadline() (time.Duration, bool) {
 // along with the arrival time of its oldest member. It returns ok=false
 // when the queue is empty.
 func (q *Queue[T]) Drain(now time.Duration) (batch []T, oldest time.Duration, ok bool) {
+	return q.DrainInto(nil, now)
+}
+
+// DrainInto is Drain with the batch appended to buf[:0], so an owner
+// that executes one batch at a time drains without allocating.
+func (q *Queue[T]) DrainInto(buf []T, now time.Duration) (batch []T, oldest time.Duration, ok bool) {
 	if len(q.items) == 0 {
 		return nil, 0, false
 	}
@@ -245,7 +251,7 @@ func (q *Queue[T]) Drain(now time.Duration) (batch []T, oldest time.Duration, ok
 	if n > len(q.items) {
 		n = len(q.items)
 	}
-	batch = append([]T(nil), q.items[:n]...)
+	batch = append(buf[:0], q.items[:n]...)
 	oldest = q.oldest
 	q.items = q.items[:copy(q.items, q.items[n:])]
 	if len(q.items) > 0 {

@@ -1,17 +1,16 @@
-// Package cow holds the repo's copy-on-write containers: a published
+// Package cow holds the repo's copy-on-write container: a published
 // snapshot is immutable, readers load it through one atomic pointer and
 // never lock, and writers replace it wholesale. The pointer is private
 // and no method hands the container out — readers get elements (Get,
-// Len, All) and writers get a private copy (Map.Update) or have their
-// input copied (List.Set) — so mutating a published snapshot, publishing
-// a container someone else still holds, and publishing without the
-// writer lock cannot be written against this API. It is the only
+// Len, All) and writers get a private copy (Map.Update) — so mutating a
+// published snapshot, publishing a container someone else still holds,
+// and publishing without the writer lock cannot be written against this
+// API. It is the only
 // package allowed to name atomic.Pointer (infless-lint's singledef).
 package cow
 
 import (
 	"maps"
-	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -62,32 +61,4 @@ func (m *Map[V]) Update(fn func(next map[string]V)) {
 	maps.Copy(next, cur)
 	fn(next)
 	m.v.Store(&next)
-}
-
-// List is an atomically published immutable slice. The zero value is an
-// empty list. Its one user (the gateway's dispatch order) rebuilds the
-// whole list from state it guards with its own lock, so the write side
-// is a whole-list Set, not a read-modify-write.
-type List[T any] struct {
-	v atomic.Pointer[[]T]
-}
-
-// All ranges over one snapshot in order (`for x := range l.All`),
-// lock-free and allocation-free.
-func (l *List[T]) All(yield func(T) bool) {
-	p := l.v.Load()
-	if p == nil {
-		return
-	}
-	for _, x := range *p {
-		if !yield(x) {
-			return
-		}
-	}
-}
-
-// Set publishes a copy of items; the caller keeps ownership of items.
-func (l *List[T]) Set(items []T) {
-	next := slices.Clone(items)
-	l.v.Store(&next)
 }

@@ -123,39 +123,3 @@ func TestMapHammer(t *testing.T) {
 		t.Fatalf("lost updates: generation %d, want 4000", v)
 	}
 }
-
-func TestListSetCopiesAndAllIsStable(t *testing.T) {
-	var l List[int]
-	for range l.All {
-		t.Fatal("zero List yielded an element")
-	}
-	src := []int{3, 2, 1}
-	l.Set(src)
-	src[0] = 99 // the caller keeps ownership of its slice
-	var got []int
-	for x := range l.All {
-		if len(got) == 0 {
-			l.Set([]int{7})
-		}
-		got = append(got, x)
-	}
-	if fmt.Sprint(got) != "[3 2 1]" {
-		t.Fatalf("All = %v, want the snapshot it started on, [3 2 1]", got)
-	}
-	got = got[:0]
-	for x := range l.All {
-		got = append(got, x)
-	}
-	if fmt.Sprint(got) != "[7]" {
-		t.Fatalf("All after Set = %v, want [7]", got)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		for x := range l.All {
-			if x == 0 {
-				break
-			}
-		}
-	}); n != 0 {
-		t.Fatalf("List.All allocates %.0f/op, want 0", n)
-	}
-}

@@ -143,20 +143,14 @@ func TestConcurrentDeployDeleteInvoke(t *testing.T) {
 	wg.Wait()
 }
 
-// TestInvokeDuringDeleteReturns404: once handleDelete publishes the
-// removal, an invoke that raced past the lookup answers 404 (the
-// undeployed sentinel), not 500/panic.
-func TestInvokeDuringDeleteReturns404(t *testing.T) {
+// TestInvokeAfterDeleteReturns404: the function table is the engine's,
+// read under the same lock a delete writes it under, so an invoke after a
+// delete answers 404 and there is no stale function to dispatch through.
+func TestInvokeAfterDeleteReturns404(t *testing.T) {
 	gw := New(Config{SpeedFactor: 1000, IdleTimeout: time.Hour, Seed: 1})
 	defer gw.Close()
 	if err := gw.deploy(core.RegistryEntry{Name: "gone", ModelName: "MNIST", SLO: 200 * time.Millisecond}); err != nil {
 		t.Fatal(err)
-	}
-	// Resolve the function first (the racing invoke's lookup), then
-	// delete, then dispatch through the stale pointer.
-	f, ok := gw.tbl.Get("gone")
-	if !ok {
-		t.Fatal("lookup failed")
 	}
 	req := httptest.NewRequest(http.MethodDelete, "/system/functions/gone", nil)
 	req.SetPathValue("name", "gone")
@@ -169,7 +163,6 @@ func TestInvokeDuringDeleteReturns404(t *testing.T) {
 	if w.Code != http.StatusNotFound {
 		t.Fatalf("post-delete invoke status = %d (want 404)", w.Code)
 	}
-	_ = f // the stale pointer path is covered by TestConcurrentDeployDeleteInvoke
 }
 
 // TestInvokeShedsWhenQueueFull: with the per-function queue bound hit,
@@ -181,9 +174,10 @@ func TestInvokeShedsWhenQueueFull(t *testing.T) {
 	if err := gw.deploy(core.RegistryEntry{Name: "busy", ModelName: "MNIST", SLO: 200 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
-	f, _ := gw.tbl.Get("busy")
-	f.waiting.Add(1) // occupy the single queue slot
-	defer f.waiting.Add(-1)
+	f := gw.lookup("busy")
+	gw.mu.Lock()
+	f.inside++ // occupy the single queue slot
+	gw.mu.Unlock()
 
 	req := httptest.NewRequest(http.MethodPost, "/function/busy", nil)
 	req.SetPathValue("name", "busy")
@@ -203,7 +197,7 @@ func TestInvokeShedsWhenQueueFull(t *testing.T) {
 		t.Fatalf("shed body = %q (err %v)", w.Body.String(), err)
 	}
 
-	snap := gw.Telemetry().SnapshotAt(gw.PlaneNow())
+	snap := gw.Telemetry().SnapshotAt(gw.planeNow())
 	found := false
 	for _, fn := range snap.Functions {
 		if fn.Name == "busy" {
@@ -320,12 +314,13 @@ func TestRegistryConcurrentReadsWrites(t *testing.T) {
 	wg.Wait()
 }
 
-// TestRetireStrandsNoRequest: an instance leaving the pool (here by
-// idling out, over and over) unpublishes itself before it drains its
-// queue, so an offer() racing the exit either lands before the drain and
-// is failed at once, or no longer finds the instance. Draining first
-// left a window in which an invocation was parked in a queue nobody
-// reads and surfaced as errInvokeTimeout a full deadline (>1s) later.
+// TestRetireStrandsNoRequest: an instance idling out, over and over,
+// while invocations keep arriving right at the idle timeout. With a
+// goroutine per instance this raced — an invocation offered to a queue
+// whose loop had just left sat there until a >1s deadline. Reclaim is now
+// an engine event under the same lock as the arrival, so the arrival
+// either finds the instance or finds it gone and waits for a fresh one:
+// every invocation must be served.
 func TestRetireStrandsNoRequest(t *testing.T) {
 	const idle = 150 * time.Microsecond
 	gw := New(Config{SpeedFactor: 1e5, IdleTimeout: idle, Seed: 1})
@@ -333,34 +328,32 @@ func TestRetireStrandsNoRequest(t *testing.T) {
 	if err := gw.deploy(core.RegistryEntry{Name: "flappy", ModelName: "MNIST", SLO: 200 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
-	f, _ := gw.tbl.Get("flappy")
-
 	var wg sync.WaitGroup
-	var timeouts, served atomic.Int64
+	var failed, served atomic.Int64
 	stop := time.Now().Add(1500 * time.Millisecond)
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			// Pauses straddle the idle timeout so offers keep arriving
+			// Pauses straddle the idle timeout so arrivals keep landing
 			// just as the instance decides to leave.
 			pause := idle - 40*time.Microsecond + time.Duration(i)*10*time.Microsecond
 			for time.Now().Before(stop) {
-				switch _, err := f.invoke(context.Background()); err {
-				case nil:
-					served.Add(1)
-				case errInvokeTimeout:
-					timeouts.Add(1)
+				if _, err := gw.invoke(context.Background(), "flappy"); err != nil {
+					failed.Add(1)
+					t.Errorf("invoke: %v", err)
+					return
 				}
+				served.Add(1)
 				time.Sleep(pause)
 			}
 		}(i)
 	}
 	wg.Wait()
-	if n := timeouts.Load(); n != 0 {
-		t.Fatalf("%d invocations stranded in a retired instance's queue (errInvokeTimeout)", n)
-	}
 	if served.Load() == 0 {
 		t.Fatal("no invocation was served; the test exercised nothing")
+	}
+	if launches := gw.Telemetry().Snapshot().Functions[0].Launches; launches < 2 {
+		t.Fatalf("%d launches: the instance never idled out, the test exercised nothing", launches)
 	}
 }

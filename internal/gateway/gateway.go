@@ -1,10 +1,16 @@
 // Package gateway runs INFless as a real wall-clock HTTP service: the
 // faas-gateway role of the paper's implementation (Section 4). Functions
-// deploy over REST (JSON or an INFless template), invocations batch in
-// real time through the same Eq. 1 admission math, instances are sized
-// and placed by the same Algorithm 1 scheduler against a virtual cluster
-// inventory, and execution is emulated by sleeping for the cost model's
-// ground-truth batch time.
+// deploy over REST (JSON or an INFless template) and invocations block
+// until their batch has executed.
+//
+// The data plane is not the gateway's own: a Server holds one sim.Engine
+// — the request/instance state machine the simulator runs, with its
+// batch queues, Eq. 1 timeouts, Algorithm 1 placement on a virtual
+// cluster, cold-start pricing and keep-alive — and drives it by the wall
+// clock instead of a trace (driver.go). Execution is emulated: the
+// engine's completion event at the cost model's ground-truth batch time.
+// The gateway's own are the REST surface, per-function admission control
+// and a small reactive scaling policy (controller.go).
 //
 // Endpoints:
 //
@@ -16,11 +22,11 @@
 //
 // The REST surface is normalized: every response carries a Content-Type,
 // every error is `{"error": "..."}` JSON with a meaningful status code
-// (404 unknown function, 409 duplicate deploy, 400 bad request, 503
-// saturated). /system/metrics serves the versioned telemetry.Snapshot
-// JSON document by default and the Prometheus text exposition with
-// ?format=prometheus — both rendered from the same telemetry.Collector
-// that observes the gateway's runtime event stream.
+// (404 unknown function, 409 duplicate deploy, 400 bad request, 429
+// saturated, 503 lost). /system/metrics serves the versioned
+// telemetry.Snapshot JSON document by default and the Prometheus text
+// exposition with ?format=prometheus — both rendered from the same
+// telemetry.Collector that observes the engine's event stream.
 package gateway
 
 import (
@@ -36,13 +42,14 @@ import (
 
 	"github.com/tanklab/infless/internal/artifact"
 	"github.com/tanklab/infless/internal/cluster"
+	"github.com/tanklab/infless/internal/coldstart"
 	"github.com/tanklab/infless/internal/core"
-	"github.com/tanklab/infless/internal/cow"
 	"github.com/tanklab/infless/internal/model"
 	"github.com/tanklab/infless/internal/pool"
 	"github.com/tanklab/infless/internal/profiler"
 	"github.com/tanklab/infless/internal/runtime"
 	"github.com/tanklab/infless/internal/scheduler"
+	"github.com/tanklab/infless/internal/sim"
 	"github.com/tanklab/infless/internal/telemetry"
 )
 
@@ -56,16 +63,19 @@ type Config struct {
 	// tests (e.g. 100 makes a 50ms inference take 0.5ms of wall time).
 	// Default 1 (real time).
 	SpeedFactor float64
-	// IdleTimeout reclaims instances with no traffic (default 60s).
+	// IdleTimeout reclaims instances with no traffic for this long, in
+	// wall time (default 60s).
 	IdleTimeout time.Duration
 	// RateWindow is the sliding window (in model time) of the shared
 	// arrival-rate estimator, matching the simulator's Config.RateWindow
 	// (default 10s).
 	RateWindow time.Duration
 	// Observer, when set, receives every lifecycle event (arrivals, batch
-	// submissions, launches, reclaims) alongside the built-in telemetry
-	// collector. Hooks are invoked from request and instance goroutines
-	// concurrently; implementations must be safe for concurrent use.
+	// submissions, launches, reclaims) after the built-in telemetry
+	// collector. Hooks fire on the plane's event loop with its lock held:
+	// one at a time, in the engine's deterministic order, from whichever
+	// goroutine is advancing the plane. A hook must be quick and must not
+	// call back into the Server (it would deadlock on that lock).
 	// Event timestamps are plane time: model-time offsets from the
 	// server's start, i.e. wall elapsed times SpeedFactor.
 	Observer runtime.Observer
@@ -93,57 +103,54 @@ type Config struct {
 type Server struct {
 	mux   *http.ServeMux
 	cfg   Config
-	pred  scheduler.Predictor
 	reg   *core.Registry
 	epoch time.Time
-	obs   runtime.Observers
-	col   *telemetry.Collector
-
-	// tbl is the copy-on-write function table, read once per request:
-	// handleInvoke resolves names against its current snapshot with no
-	// lock, deploy/undeploy publish new snapshots.
-	tbl cow.Map[*function]
+	// now is the wall clock. Tests inject a fake one (newServer); the
+	// server is then manual: no pacer, no spinning callers — the test
+	// moves the clock and calls step.
+	now    func() time.Time
+	manual bool
 
 	// deployMu makes each deploy, undeploy and Close one step against
-	// tbl and reg together: two racing deploys of one name can never both
-	// pass the duplicate check (the loser used to return 409 after
-	// registering, leaking its registry entry). It is taken outside the
-	// containers' own writer locks and never on the invoke path.
+	// reg and the engine's function set together (two racing deploys of
+	// one name cannot both pass the duplicate check) without holding mu
+	// while a plan is built. It is taken outside mu, never on the invoke
+	// path, and guards closed.
 	deployMu sync.Mutex
+	closed   bool
 
-	// rates holds every function's arrival-rate estimator, striped by
-	// function name so concurrent invocations of different functions
-	// never meet on one lock, plus the lock-free plane-wide arrival ring
-	// behind the infless_plane_rate_rps telemetry gauge. Stripe locks nest
-	// strictly inside f.mu (noteArrival, demand); nothing acquires f.mu
-	// while holding a stripe.
-	rates *runtime.RateStripes
+	// mu is the plane's one lock: it guards eng and all the engine owns —
+	// the clock, the function table, every function's instances and
+	// queues, cfg.Cluster — plus waiters, pacerDue and the functions'
+	// admission state. Dispatch for all functions serialises here; a
+	// critical section is a few hundred nanoseconds of event handling,
+	// never a sleep.
+	mu       sync.Mutex
+	eng      *sim.Engine
+	waiters  map[*sim.Request]*invocation // injected request → its caller, until answered
+	pacerDue time.Duration                // plane time the pacer means to sleep until
 
-	// clMu serializes access to cfg.Cluster: the inventory type itself is
-	// single-threaded (the simulator owns it exclusively), but gateway
-	// instances allocate and release concurrently.
-	clMu sync.Mutex
-
-	// instWG counts live instance.loop goroutines: scaleOut Adds before
-	// spawning, the loop Dones on exit, and Close waits (bounded) so
-	// teardown provably joins every loop instead of abandoning them.
-	instWG sync.WaitGroup
+	wake  chan struct{} // to the pacer: an earlier event was scheduled
+	quit  chan struct{} // closed by Close
+	paced sync.WaitGroup
 }
 
-// AllocatedResources returns a concurrency-safe snapshot of the cluster's
-// current allocation (exposed for operational introspection and tests).
+// AllocatedResources returns the cluster's current allocation (exposed
+// for operational introspection and tests).
 func (s *Server) AllocatedResources() (cpu, gpu int) {
-	s.clMu.Lock()
-	defer s.clMu.Unlock()
-	r := s.cfg.Cluster.TotalAllocated()
+	s.mu.Lock()
+	s.advance()
+	r := s.eng.Cluster().TotalAllocated()
+	s.mu.Unlock()
 	return r.CPU, r.GPU
 }
 
 // New creates a gateway.
-func New(cfg Config) *Server {
-	if cfg.Cluster == nil {
-		cfg.Cluster = cluster.Testbed()
-	}
+func New(cfg Config) *Server { return newServer(cfg, nil) }
+
+// newServer is New on the given wall clock; nil means time.Now and a
+// running pacer.
+func newServer(cfg Config, now func() time.Time) *Server {
 	if cfg.Predictor == nil {
 		cfg.Predictor = scheduler.NewPredictorCache(
 			profiler.NewPredictor(profiler.NewDB(profiler.DefaultDBOptions())))
@@ -154,9 +161,6 @@ func New(cfg Config) *Server {
 	if cfg.IdleTimeout <= 0 {
 		cfg.IdleTimeout = 60 * time.Second
 	}
-	if cfg.RateWindow <= 0 {
-		cfg.RateWindow = 10 * time.Second
-	}
 	if cfg.Collector == nil {
 		cfg.Collector = telemetry.New(telemetry.Options{Window: time.Minute})
 	}
@@ -164,26 +168,40 @@ func New(cfg Config) *Server {
 		cfg.MaxQueue = 512
 	}
 	s := &Server{
-		mux:   http.NewServeMux(),
-		cfg:   cfg,
-		pred:  cfg.Predictor,
-		reg:   core.NewRegistry(),
-		epoch: time.Now(),
-		col:   cfg.Collector,
-		rates: runtime.NewRateStripes(cfg.RateWindow),
+		mux:     http.NewServeMux(),
+		cfg:     cfg,
+		reg:     core.NewRegistry(),
+		now:     now,
+		manual:  now != nil,
+		waiters: map[*sim.Request]*invocation{},
+		wake:    make(chan struct{}, 1),
+		quit:    make(chan struct{}),
 	}
-	s.obs = runtime.Observers{s.col}
+	if now == nil {
+		s.now = time.Now
+	}
+	s.epoch = s.now()
+	s.eng = sim.New(&reactive{hold: s.toModel(time.Second)}, sim.Config{
+		Cluster:    cfg.Cluster,
+		Seed:       cfg.Seed,
+		RateWindow: cfg.RateWindow,
+		Collector:  cfg.Collector,
+		Storage:    cfg.Storage,
+	})
 	if cfg.Observer != nil {
-		s.obs = append(s.obs, cfg.Observer)
+		s.eng.Observe(cfg.Observer)
 	}
-	if cfg.Storage.Active() {
-		cfg.Cluster.EnableArtifacts(cfg.Storage.CacheMB)
-	}
+	s.eng.OnDone(s.requestDone)
+	s.eng.Start()
 	s.mux.HandleFunc("POST /system/functions", s.handleDeploy)
 	s.mux.HandleFunc("GET /system/functions", s.handleList)
 	s.mux.HandleFunc("DELETE /system/functions/{name}", s.handleDelete)
 	s.mux.HandleFunc("POST /function/{name}", s.handleInvoke)
 	s.mux.HandleFunc("GET /system/metrics", s.handleMetrics)
+	if !s.manual {
+		s.paced.Add(1)
+		go s.pace()
+	}
 	return s
 }
 
@@ -192,59 +210,46 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// planeNow converts the wall clock to plane time — the model-time offset
-// since the server started, compressed by SpeedFactor. Both data planes
-// feed these offsets to the shared runtime policies, so a rate window of
-// 10s always means ten seconds of *model* time regardless of speed.
-func (s *Server) planeNow() time.Duration {
-	return time.Duration(float64(time.Since(s.epoch)) * s.cfg.SpeedFactor)
-}
-
 // Telemetry returns the gateway's collector: the single source behind
 // /system/metrics in both formats, live-readable by embedding callers.
-func (s *Server) Telemetry() *telemetry.Collector { return s.col }
+func (s *Server) Telemetry() *telemetry.Collector { return s.cfg.Collector }
 
 // PlaneRate returns the gateway-wide arrival rate (RPS of model time)
-// over the rate window, aggregated lock-free across all functions.
-func (s *Server) PlaneRate() float64 { return s.rates.PlaneRate(s.planeNow()) }
+// over the rate window, aggregated across all functions.
+func (s *Server) PlaneRate() float64 {
+	s.mu.Lock()
+	s.advance()
+	r := s.eng.PlaneRate()
+	s.mu.Unlock()
+	return r
+}
 
-// PlaneNow exposes the gateway's current plane time (tests and callers
-// snapshotting the collector mid-run pass it to SnapshotAt).
-func (s *Server) PlaneNow() time.Duration { return s.planeNow() }
-
-// closeJoinTimeout bounds how long Close waits for instance loops to
-// drain in-flight batches before giving up the join.
-const closeJoinTimeout = 5 * time.Second
-
-// Close stops all function instances, releases their resources, and
-// waits (bounded) for every instance.loop goroutine to exit. The join
-// is what makes teardown provable: without it a loop mid-batch outlives
-// Close invisibly, which is exactly the leak the goroutinelife analyzer
-// and the NumGoroutine harness guard against.
+// Close undeploys every function — each request still held, queued or
+// executing is answered (503) exactly once, every instance releases its
+// resources — then stops the pacer and joins it. Close is final: later
+// deploys are refused.
 func (s *Server) Close() {
-	var fns []*function
 	s.deployMu.Lock()
-	s.tbl.Update(func(next map[string]*function) {
-		for _, f := range next {
-			fns = append(fns, f)
-		}
-		clear(next)
-	})
-	s.deployMu.Unlock()
-	for _, f := range fns {
-		f.shutdown()
+	defer s.deployMu.Unlock()
+	if s.closed {
+		return
 	}
-	done := make(chan struct{})
-	go func() {
-		s.instWG.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(closeJoinTimeout):
-		// A loop stuck past the deadline is a bug elsewhere; Close
-		// still returns so shutdown cannot deadlock the caller.
+	s.closed = true
+	s.mu.Lock()
+	s.advance()
+	for fns := s.eng.Functions(); len(fns) > 0; fns = s.eng.Functions() {
+		s.reg.Delete(fns[0].Spec.Name)
+		s.remove(fns[0].CtrlState().(*function))
 	}
+	s.mu.Unlock()
+	close(s.quit)
+	s.paced.Wait()
+}
+
+// remove takes f out of the engine. Callers hold deployMu and mu.
+func (s *Server) remove(f *function) {
+	f.launch.Cancel()
+	s.eng.RemoveFunction(f.fs)
 }
 
 // DeployRequest is the JSON deployment body.
@@ -327,51 +332,41 @@ func (e *statusError) Error() string { return e.msg }
 
 func (s *Server) deploy(e core.RegistryEntry) error {
 	// The whole deploy sequence — duplicate check, registry write, plan
-	// construction, table publish — is one deployMu critical section.
-	// Deploys are human-rate; holding it across plan construction never
-	// touches the lock-free invoke path.
+	// construction, AddFunction — is one deployMu critical section.
+	// Deploys are human-rate; the invoke path never meets it, only the
+	// brief mu section around AddFunction.
 	s.deployMu.Lock()
-	if _, exists := s.tbl.Get(e.Name); exists {
-		s.deployMu.Unlock()
+	defer s.deployMu.Unlock()
+	if s.closed {
+		return &statusError{http.StatusServiceUnavailable, "gateway: closed"}
+	}
+	if _, exists := s.reg.Lookup(e.Name); exists {
 		return &statusError{http.StatusConflict,
 			fmt.Sprintf("gateway: function %s already deployed", e.Name)}
 	}
 	if err := s.reg.Register(e); err != nil {
-		s.deployMu.Unlock()
 		return err
 	}
 	m := model.MustGet(e.ModelName)
 	plan := scheduler.BuildPlan(scheduler.Function{Name: e.Name, Model: m, SLO: e.SLO},
-		s.pred, scheduler.Options{MaxInstancesPerCall: 1})
+		s.cfg.Predictor, scheduler.Options{MaxInstancesPerCall: 1})
 	if !plan.Feasible() {
 		s.reg.Delete(e.Name)
-		s.deployMu.Unlock()
 		return fmt.Errorf("gateway: no configuration of %s meets %v", e.ModelName, e.SLO)
 	}
-	f := &function{
-		srv:     s,
-		model:   m,
-		plan:    plan,
-		slo:     e.SLO,
-		batch:   runtime.BatchPolicy{SLO: e.SLO},
-		maxWait: int64(s.cfg.MaxQueue),
-	}
-	s.tbl.Update(func(next map[string]*function) { next[e.Name] = f })
-	s.deployMu.Unlock()
-	if s.cfg.Storage.Active() {
-		// Seed the checkpoint on every server's SSD — the legacy formula's
-		// assumption — so the first tiered launch prices like the scalar
-		// path and later launches benefit from DRAM promotion.
-		s.clMu.Lock()
-		s.cfg.Cluster.SeedArtifact(e.Name, m.MemoryMB, artifact.TierSSD)
-		s.clMu.Unlock()
-	}
-	// Collector entry points take their own locks and must never run
-	// under deployMu (lockedcallback). An invocation racing this Register
-	// auto-registers the name with no SLO and the Register below then
-	// sets it, so at worst a request in that window skips violation
-	// accounting.
-	s.col.Register(e.Name, e.SLO)
+	f := &function{plan: plan}
+	s.mu.Lock()
+	s.advance()
+	// IdleTimeout is wall time, the engine's keep-alive model time; a
+	// fixed policy never pre-warms, so every launch pays its cold start.
+	f.fs = s.eng.AddFunction(sim.FunctionSpec{
+		Name:   e.Name,
+		Model:  m,
+		SLO:    e.SLO,
+		Policy: coldstart.Fixed{KeepAlive: s.toModel(s.cfg.IdleTimeout)},
+	})
+	f.fs.SetCtrlState(f)
+	s.mu.Unlock()
 	return nil
 }
 
@@ -381,20 +376,21 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
+	// Registry and engine stay consistent: both writes happen in one
+	// deployMu critical section, like deploy's.
 	s.deployMu.Lock()
-	f, ok := s.tbl.Get(name)
-	if ok {
-		// Registry and table stay consistent: both writes happen in one
-		// deployMu critical section, like deploy's.
-		s.tbl.Update(func(next map[string]*function) { delete(next, name) })
-		s.reg.Delete(name)
+	existed := s.reg.Delete(name)
+	if existed {
+		s.mu.Lock()
+		s.advance()
+		s.remove(s.eng.Function(name).CtrlState().(*function))
+		s.mu.Unlock()
 	}
 	s.deployMu.Unlock()
-	if !ok {
+	if !existed {
 		httpError(w, http.StatusNotFound, "unknown function %s", name)
 		return
 	}
-	f.shutdown()
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -407,37 +403,28 @@ type InvokeResponse struct {
 	Instance  int     `json:"instance"`
 }
 
-// handleInvoke is the hot path: one lock-free table load, dispatch, and
-// a pooled response encode. Steady state allocates nothing in the
-// gateway's own code (BenchmarkHandleInvoke gates this at 0 allocs/op,
-// and the hotalloc analyzer names any allocating line reachable from
-// here); every error answer is a preformatted body, and saturation maps
-// to 429 + Retry-After so clients can tell "back off" from "broken".
+// handleInvoke is the hot path: the engine round trip and a pooled
+// response encode. Steady state allocates nothing in the gateway's own
+// code (BenchmarkHandleInvoke gates this at 0 allocs/op, and the hotalloc
+// analyzer names any allocating line reachable from here); every error
+// answer is a preformatted body, and saturation maps to 429 + Retry-After
+// so clients can tell "back off" from "broken".
 //
 //lint:hotpath
 func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
-	f, ok := s.tbl.Get(r.PathValue("name"))
-	if !ok {
-		writeStatic(w, http.StatusNotFound, bodyUnknownFunction)
-		return
-	}
-	res, err := f.invoke(r.Context())
+	res, err := s.invoke(r.Context(), r.PathValue("name"))
 	switch err {
 	case nil:
 		writeInvokeResponse(w, &res)
 	case errShedQueueFull:
 		writeShed(w, bodyShedQueueFull)
-	case errShedNoCapacity:
-		writeShed(w, bodyShedNoCapacity)
 	case errShedSaturated:
 		writeShed(w, bodyShedSaturated)
-	case errUndeployed:
-		// The function was undeployed between lookup and dispatch: the
-		// same answer a post-delete lookup gets.
+	case errUnknown:
 		writeStatic(w, http.StatusNotFound, bodyUnknownFunction)
-	case errInvokeTimeout:
-		writeStatic(w, http.StatusServiceUnavailable, bodyTimeout)
-	default:
+	case errLost:
+		writeStatic(w, http.StatusServiceUnavailable, bodyLost)
+	default: // the caller's context ended
 		httpError(w, http.StatusServiceUnavailable, "%v", err)
 	}
 }
@@ -447,7 +434,7 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 // document; ?format=prometheus serves the text exposition instead. Both
 // views come from the same SnapshotAt call, so they always agree.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	snap := s.col.SnapshotAt(s.planeNow())
+	snap := s.cfg.Collector.SnapshotAt(s.planeNow())
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "json":
 		writeJSON(w, http.StatusOK, snap)
@@ -455,8 +442,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		w.WriteHeader(http.StatusOK)
 		_ = telemetry.WritePrometheus(w, snap)
-		// The plane-wide arrival gauge comes from the striped rate map's
-		// atomic ring, not the collector — append it to the exposition.
+		// The plane-wide arrival gauge comes from the engine's rate ring,
+		// not the collector — append it to the exposition.
 		fmt.Fprintf(w, "# HELP infless_plane_rate_rps Plane-wide arrival rate over the rate window.\n")
 		fmt.Fprintf(w, "# TYPE infless_plane_rate_rps gauge\n")
 		fmt.Fprintf(w, "infless_plane_rate_rps %g\n", s.PlaneRate())
@@ -501,10 +488,9 @@ func setContentTypeJSON(h http.Header) { h["Content-Type"] = headerJSON }
 // in the request URL the client sent).
 var (
 	bodyUnknownFunction = []byte("{\"error\":\"unknown function\"}\n")
-	bodyTimeout         = []byte("{\"error\":\"request timed out\"}\n")
+	bodyLost            = []byte("{\"error\":\"request lost: its instance or function went away\"}\n")
 	bodyShedQueueFull   = []byte("{\"error\":\"function queue full; retry later\"}\n")
-	bodyShedNoCapacity  = []byte("{\"error\":\"cluster capacity exhausted; retry later\"}\n")
-	bodyShedSaturated   = []byte("{\"error\":\"function saturated; retry later\"}\n")
+	bodyShedSaturated   = []byte("{\"error\":\"function saturated or cluster full; retry later\"}\n")
 )
 
 // writeStatic answers with a preformatted JSON body, allocation-free.

@@ -3,11 +3,9 @@ package gateway
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -155,59 +153,35 @@ func TestDeployErrors(t *testing.T) {
 	}
 }
 
+// TestConcurrentInvocationsBatch: a burst of simultaneous invocations is
+// served in batches. On the fake clock the burst really is simultaneous
+// and the outcome is exact (it was a wall-clock flake at 20x).
 func TestConcurrentInvocationsBatch(t *testing.T) {
-	// Moderate acceleration: at 500x the batch window shrinks below HTTP
-	// scheduling jitter and requests can no longer congregate; 20x keeps
-	// the window at ~10ms of wall time.
-	gw := New(Config{SpeedFactor: 20, IdleTimeout: 5 * time.Second, Seed: 1})
-	ts := httptest.NewServer(gw)
-	t.Cleanup(func() {
-		ts.Close()
-		gw.Close()
-	})
-	if resp := deployJSON(t, ts, "resnet", "ResNet-50", "200ms"); resp.StatusCode != http.StatusCreated {
-		t.Fatal("deploy failed")
-	}
-	// Warm up (absorb the cold start).
-	_, _ = http.Post(ts.URL+"/function/resnet", "application/json", nil)
+	m := newManual(t, Config{IdleTimeout: time.Minute, Seed: 1})
+	m.mustDeploy("resnet", "ResNet-50", 200*time.Millisecond)
+	m.invoke("resnet") // absorb the first cold start
+	m.drain()
 
 	const n = 48
-	var wg sync.WaitGroup
-	results := make([]InvokeResponse, n)
-	errs := make([]error, n)
+	var replies []<-chan reply
 	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := http.Post(ts.URL+"/function/resnet", "application/json", nil)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				errs[i] = fmt.Errorf("status %d", resp.StatusCode)
-				return
-			}
-			errs[i] = json.NewDecoder(resp.Body).Decode(&results[i])
-		}(i)
+		replies = append(replies, m.invoke("resnet"))
 	}
-	wg.Wait()
-	served, batched := 0, 0
-	for i := range results {
-		if errs[i] != nil {
-			continue
+	m.drain()
+	batched := 0
+	for i, ch := range replies {
+		r := <-ch
+		if r.err != nil {
+			t.Fatalf("invocation %d: %v", i, r.err)
 		}
-		served++
-		if results[i].BatchSize > 1 {
+		if r.res.BatchSize > 1 {
 			batched++
 		}
 	}
-	if served < n/2 {
-		t.Fatalf("only %d/%d concurrent invocations served", served, n)
-	}
+	// The warm batch-of-1 instance keeps serving while the scale-out
+	// (sized by the burst) warms up; what is left then runs batched.
 	if batched == 0 {
-		t.Error("no invocation was batched despite 48 concurrent requests")
+		t.Errorf("no invocation was batched despite %d simultaneous requests", n)
 	}
 }
 

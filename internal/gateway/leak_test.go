@@ -1,11 +1,10 @@
 package gateway
 
 // leak_test.go is the dynamic half of the goroutinelife contract: the
-// analyzer proves instance.loop CAN exit; this harness proves Close
-// actually joins every loop. Settle-and-compare around a full
-// deploy/invoke/Close cycle pins the teardown — before Close grew the
-// bounded instWG join, this test failed with the loops still parked on
-// their quit selects.
+// analyzer proves the pacer CAN exit; this harness proves Close actually
+// joins it. Settle-and-compare around a full deploy/invoke/Close cycle
+// pins the teardown (TestCloseAnswersEveryCaller does the same with
+// callers still inside).
 
 import (
 	"io"
@@ -35,7 +34,7 @@ func settleGoroutines(t *testing.T, base int) {
 	}
 }
 
-func TestCloseJoinsInstanceLoops(t *testing.T) {
+func TestCloseJoinsPacer(t *testing.T) {
 	base := runtime.NumGoroutine()
 
 	gw := New(Config{SpeedFactor: 500, IdleTimeout: 2 * time.Second, Seed: 1})
@@ -43,8 +42,8 @@ func TestCloseJoinsInstanceLoops(t *testing.T) {
 	tr := &http.Transport{}
 	client := &http.Client{Transport: tr}
 
-	// Deploy two functions and invoke both so multiple instance loops
-	// are live and mid-lifecycle when Close runs.
+	// Deploy two functions and invoke both so instances are live, with
+	// keep-alive events pending, when Close runs.
 	for _, name := range []string{"classify", "detect"} {
 		resp := deployJSON(t, ts, name, "MobileNet", "100ms")
 		resp.Body.Close()

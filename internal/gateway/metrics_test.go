@@ -35,7 +35,7 @@ func TestMetricsEndpointsAgreeWithCollector(t *testing.T) {
 	// The collector is the source of truth; both endpoint renderings
 	// must agree with it. Counters are quiescent here (no in-flight
 	// requests), so all three reads see identical totals.
-	direct := gw.Telemetry().SnapshotAt(gw.PlaneNow())
+	direct := gw.Telemetry().SnapshotAt(gw.planeNow())
 	if len(direct.Functions) != 1 || direct.Functions[0].Served != n {
 		t.Fatalf("collector snapshot = %+v", direct.Functions)
 	}

@@ -2,7 +2,7 @@ package loadgen
 
 // saturate.go is the max-sustained-RPS search: geometric open-loop
 // ramp-up until the endpoint stops keeping up, then a record of every
-// step so BENCH_gateway.json can carry the whole curve. A step is
+// step, so the caller sees the whole curve. A step is
 // "sustained" when the achieved goodput reaches MinAchievedFrac of the
 // target AND the shed+failure fraction stays under MaxLossRate — i.e.
 // the server answered (almost) everything that was offered, at the rate

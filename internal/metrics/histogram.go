@@ -51,6 +51,7 @@ func BucketUpper(b int) time.Duration {
 // Add records one duration.
 func (h *Histogram) Add(d time.Duration) {
 	if h.counts == nil {
+		//lint:ignore hotalloc a histogram's first Add only
 		h.counts = make([]uint64, HistBuckets)
 	}
 	h.counts[bucketOf(d)]++

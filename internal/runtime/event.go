@@ -47,8 +47,7 @@ type Event struct {
 }
 
 // Tap adapts a func(Event) into an Observer: each hook invocation is
-// forwarded as one Event value. The callback runs on the emitting
-// plane's goroutine — gateway taps must be safe for concurrent use.
+// forwarded as one Event value, on the engine's event loop.
 type Tap struct {
 	Fn func(Event)
 }

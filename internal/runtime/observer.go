@@ -9,15 +9,13 @@ import (
 )
 
 // Observer receives request- and instance-lifecycle events from a data
-// plane. Both planes emit the same events at the same points, so a
-// recorder attached to the simulator can be attached to the gateway
-// unchanged; internal/metrics recorders and the provisioning sampler
-// are plain observers rather than being hard-wired into the engine.
+// plane; internal/metrics recorders and the provisioning sampler are
+// plain observers rather than being hard-wired into the engine.
 //
-// All times are plane-time offsets (see the package comment). The
-// simulator invokes observers from its single event loop; the gateway
-// invokes them from instance goroutines, so gateway-attached observers
-// must be safe for concurrent use.
+// All times are plane-time offsets (see the package comment). Observers
+// are invoked from the engine's single event loop, one at a time and in
+// a deterministic order; under the gateway that loop runs with the
+// plane's lock held, so a hook must not call back into the Server.
 type Observer interface {
 	// RequestArrived fires when a request reaches the function's front
 	// door (external arrival or chain forward), before routing.

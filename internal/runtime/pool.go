@@ -6,15 +6,12 @@ import (
 	"github.com/tanklab/infless/internal/coldstart"
 )
 
-// Pool is one function's instance bookkeeping, shared by both planes:
-// the simulator stores *sim.Instance members, the gateway stores its
-// goroutine-backed instances. It owns membership, monotonically
-// increasing instance IDs, and removal-by-identity; lifecycle state
-// (cold/warm/draining) lives on the members themselves, since only the
-// owning plane can advance it.
+// Pool is one function's instance bookkeeping. It owns membership,
+// monotonically increasing instance IDs, and removal-by-identity;
+// lifecycle state (cold/warm/draining) lives on the members themselves.
 //
-// Not safe for concurrent use; wall-clock callers guard the pool with
-// their per-function mutex.
+// Not safe for concurrent use: the engine that owns it is
+// single-threaded.
 type Pool[I comparable] struct {
 	members []I
 	nextID  int
@@ -45,20 +42,8 @@ func (p *Pool[I]) Remove(inst I) bool {
 // Len returns the number of live instances.
 func (p *Pool[I]) Len() int { return len(p.members) }
 
-// Members returns the live member slice. Callers must not mutate it;
-// concurrent planes should use Snapshot instead.
+// Members returns the live member slice. Callers must not mutate it.
 func (p *Pool[I]) Members() []I { return p.members }
-
-// Snapshot returns a copy of the member slice, safe to iterate after
-// the caller releases its lock.
-func (p *Pool[I]) Snapshot() []I { return append([]I(nil), p.members...) }
-
-// Clear removes and returns every member (undeploy/shutdown paths).
-func (p *Pool[I]) Clear() []I {
-	out := p.members
-	p.members = nil
-	return out
-}
 
 // KeepAlive returns how long an idle instance should stay warm before
 // reclaim under the function's cold-start policy (nil falls back to the

@@ -9,8 +9,8 @@ import "time"
 // estimate decays to zero instead of reporting the pre-idle rate (the
 // gateway's former fixed-size arrival log got this wrong).
 //
-// Not safe for concurrent use; the gateway guards it with the
-// per-function mutex, the simulator is single-threaded.
+// Not safe for concurrent use: the engine that owns it is
+// single-threaded (the gateway drives its engine under one lock).
 type RateEstimator struct {
 	window  time.Duration
 	buckets []uint64
@@ -75,6 +75,12 @@ func (re *RateEstimator) Burst(now time.Duration) float64 {
 		span = 0.1
 	}
 	return float64(total) / span
+}
+
+// Demand is the sizing input of a reactive scale-out: max(windowed
+// estimate, burst rate), floored at one RPS.
+func (re *RateEstimator) Demand(now time.Duration) float64 {
+	return max(re.Estimate(now), re.Burst(now), 1)
 }
 
 // Estimate returns the mean arrival rate (requests per second) over the

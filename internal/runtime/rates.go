@@ -47,9 +47,6 @@ func NewRateStripes(window time.Duration) *RateStripes {
 	return rs
 }
 
-// Window returns the estimation window.
-func (rs *RateStripes) Window() time.Duration { return rs.window }
-
 // stripe hashes name to its lock stripe (FNV-1a folded to the stripe
 // mask; stable across runs, so stripe assignment is deterministic).
 func (rs *RateStripes) stripe(name string) *rateStripe {
@@ -106,17 +103,6 @@ func (rs *RateStripes) Observe(name string, now time.Duration) {
 	rs.plane.observe(now)
 }
 
-// Estimate returns name's windowed arrival rate (zero for unknown names).
-func (rs *RateStripes) Estimate(name string, now time.Duration) float64 {
-	st := rs.stripe(name)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if re := st.m[name]; re != nil {
-		return re.Estimate(now)
-	}
-	return 0
-}
-
 // Demand returns name's scale-out demand: max(windowed estimate, burst
 // rate), floored at one RPS — the sizing input of reactive scale-out
 // paths. One stripe acquisition answers both estimators.
@@ -124,18 +110,10 @@ func (rs *RateStripes) Demand(name string, now time.Duration) float64 {
 	st := rs.stripe(name)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	re := st.m[name]
-	if re == nil {
-		return 1
+	if re := st.m[name]; re != nil {
+		return re.Demand(now)
 	}
-	d := re.Estimate(now)
-	if b := re.Burst(now); b > d {
-		d = b
-	}
-	if d < 1 {
-		d = 1
-	}
-	return d
+	return 1
 }
 
 // PlaneObserve feeds the plane-wide ring without touching any stripe —
@@ -148,11 +126,6 @@ func (rs *RateStripes) PlaneObserve(now time.Duration) {
 // PlaneRate returns the plane-wide arrival rate (RPS) over the window.
 func (rs *RateStripes) PlaneRate(now time.Duration) float64 {
 	return rs.plane.rate(now)
-}
-
-// PlaneTotal returns the total arrivals observed plane-wide since start.
-func (rs *RateStripes) PlaneTotal() uint64 {
-	return rs.plane.total.Load()
 }
 
 // planeRing is the lock-free plane-wide analogue of RateEstimator:
@@ -168,7 +141,6 @@ type planeRing struct {
 	window time.Duration
 	stamps []atomic.Int64
 	counts []atomic.Uint64
-	total  atomic.Uint64
 	start  atomic.Int64 // first observed second + 1 (0 = none yet)
 }
 
@@ -194,7 +166,6 @@ func (pr *planeRing) observe(now time.Duration) {
 		}
 	}
 	pr.counts[i].Add(1)
-	pr.total.Add(1)
 	pr.start.CompareAndSwap(0, sec+1)
 }
 

@@ -16,7 +16,7 @@ func TestRateStripesMatchesDirectEstimator(t *testing.T) {
 		direct.Observe(now)
 	}
 	now := 9 * time.Second
-	if got, want := rs.Estimate("f", now), direct.Estimate(now); got != want {
+	if got, want := rs.Get("f").Estimate(now), direct.Estimate(now); got != want {
 		t.Fatalf("striped estimate %v != direct %v", got, want)
 	}
 	// Demand mirrors max(Estimate, Burst) with the 1-RPS floor.
@@ -34,15 +34,12 @@ func TestRateStripesMatchesDirectEstimator(t *testing.T) {
 
 func TestRateStripesUnknownAndRemoved(t *testing.T) {
 	rs := NewRateStripes(5 * time.Second)
-	if got := rs.Estimate("ghost", time.Second); got != 0 {
-		t.Fatalf("unknown function estimate = %v, want 0", got)
-	}
 	if got := rs.Demand("ghost", time.Second); got != 1 {
 		t.Fatalf("unknown function demand = %v, want floor 1", got)
 	}
 	rs.Observe("f", time.Second)
 	rs.Remove("f")
-	if got := rs.Estimate("f", time.Second); got != 0 {
+	if got := rs.Get("f").Estimate(time.Second); got != 0 {
 		t.Fatalf("removed function estimate = %v, want 0", got)
 	}
 }
@@ -54,7 +51,7 @@ func TestRateStripesGetIsStable(t *testing.T) {
 		t.Fatal("Get returned distinct estimators for the same name")
 	}
 	a.Observe(time.Second)
-	if got := rs.Estimate("f", time.Second); got == 0 {
+	if got := rs.Demand("f", time.Second); got <= 1 {
 		t.Fatal("observation through Get pointer invisible to striped read")
 	}
 }
@@ -68,9 +65,6 @@ func TestPlaneRingAggregatesAcrossFunctions(t *testing.T) {
 			rs.Observe(name, 2*time.Second+time.Duration(i)*time.Millisecond)
 		}
 	}
-	if got := rs.PlaneTotal(); got != 1000 {
-		t.Fatalf("PlaneTotal = %d, want 1000", got)
-	}
 	// All arrivals landed in second 2; the elapsed span is one second.
 	if got := rs.PlaneRate(2 * time.Second); got != 1000 {
 		t.Fatalf("PlaneRate = %v, want 1000", got)
@@ -83,9 +77,6 @@ func TestPlaneRingExpiresOldBuckets(t *testing.T) {
 	rs.PlaneObserve(1 * time.Second)
 	if got := rs.PlaneRate(10 * time.Second); got != 0 {
 		t.Fatalf("PlaneRate after idle gap = %v, want 0", got)
-	}
-	if got := rs.PlaneTotal(); got != 2 {
-		t.Fatalf("PlaneTotal = %d, want 2", got)
 	}
 }
 
@@ -110,12 +101,14 @@ func TestRateStripesConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := rs.PlaneTotal(); got != workers*per {
-		t.Fatalf("PlaneTotal = %d, want %d", got, workers*per)
+	// 8 workers x 2000 arrivals over two seconds, read in second 1; racing
+	// bucket resets may lose a few (see planeRing), never add any.
+	if got, want := rs.PlaneRate(1*time.Second), float64(workers*per/2); got > want || got < 0.99*want {
+		t.Fatalf("PlaneRate = %v, want %v (less at most 1%%)", got, want)
 	}
 	var sum float64
 	for w := 0; w < 4; w++ {
-		sum += rs.Estimate(fmt.Sprintf("fn-%d", w), 1*time.Second)
+		sum += rs.Get(fmt.Sprintf("fn-%d", w)).Estimate(1 * time.Second)
 	}
 	if sum == 0 {
 		t.Fatal("per-function estimates all zero after concurrent load")

@@ -1,20 +1,16 @@
-// Package runtime is the policy side of the request/instance lifecycle,
-// shared verbatim by the repo's two data planes: the discrete-event
-// simulator (internal/sim) and the wall-clock HTTP gateway
-// (internal/gateway). The paper's central claim is that INFless "runs
-// the real scheduling code against simulated machines" — this package is
-// what makes that literally true here. Batch-timeout derivation, the
-// Eq. 1 admission glue, arrival-rate estimation, instance-pool
-// bookkeeping with dispatch credits, and the lifecycle-observer hooks
-// all live in exactly one place; the two planes differ only in how they
-// advance time (virtual clock vs. wall clock) and execute batches
-// (event callbacks vs. sleeping goroutines).
+// Package runtime is the policy side of the request/instance lifecycle:
+// batch-timeout derivation, the Eq. 1 admission glue, arrival-rate
+// estimation, instance-pool bookkeeping with dispatch credits, and the
+// lifecycle-observer hooks. The lifecycle itself is internal/sim's
+// engine, which serves both planes — the simulator runs it over traces in
+// virtual time, the HTTP gateway (internal/gateway) paces the same engine
+// by the wall clock — so the paper's claim that INFless "runs the real
+// scheduling code against simulated machines" is literally true here.
 //
 // Everything in this package measures time as a time.Duration offset
-// from the start of the run ("plane time"). The simulator passes its
-// virtual clock through unchanged; the gateway converts wall instants
-// to offsets from its epoch, scaled by its speed factor, so policies
-// observe the same timeline in both planes.
+// from the start of the run ("plane time"): the engine's virtual clock,
+// which under the gateway is wall time since its epoch scaled by its
+// speed factor.
 package runtime
 
 import (

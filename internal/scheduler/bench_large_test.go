@@ -10,9 +10,9 @@ import (
 
 // BenchmarkScheduleLargeScale is the Figure 17a hot path at full scale:
 // one Schedule call placing >= 1,000 instances on the paper's
-// 2,000-server simulation cluster. This is the number BENCH_sim.json
-// tracks across perf PRs; the per-placement cost is ns/op divided by
-// the placement count reported in the PLACED metric.
+// 2,000-server simulation cluster. The per-placement cost is ns/op
+// divided by the placement count reported in the PLACED metric; the
+// committed baseline is `go run ./benchmark --workload sched_scale`.
 func BenchmarkScheduleLargeScale(b *testing.B) {
 	fn := Function{Name: "resnet", Model: model.MustGet("ResNet-50"), SLO: 200 * time.Millisecond}
 	p := BuildPlan(fn, testPred, Options{MaxInstancesPerCall: 1000})

@@ -4,8 +4,8 @@ package sim_test
 // controller serving constant high-rate traffic for several functions on
 // a multi-server cluster. This exercises the simulator's innermost loop
 // end to end — event scheduling, batch queues, telemetry sampling and
-// cluster accounting — and is the headline number for simulator perf
-// work (BENCH_sim.json).
+// cluster accounting; the committed baseline for simulator speed is
+// `go run ./benchmark --workload sim_fleet`.
 
 import (
 	"testing"

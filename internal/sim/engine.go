@@ -3,7 +3,8 @@ package sim
 // engine.go owns Engine construction, function registration, the Run
 // loop (arrival streams, autoscaler ticks, failure injection, draining)
 // and result aggregation. Request- and instance-lifecycle mechanics live
-// in lifecycle.go and instances.go.
+// in lifecycle.go and instances.go; live.go is the other way to drive
+// them.
 
 import (
 	"math/rand"
@@ -77,6 +78,10 @@ func (f *FunctionState) RateEstimate(now time.Duration) float64 {
 	return f.rate.Estimate(now)
 }
 
+// Demand is the sizing input of a reactive scale-out (see
+// runtime.RateEstimator.Demand).
+func (f *FunctionState) Demand(now time.Duration) float64 { return f.rate.Demand(now) }
+
 // CtrlState returns controller-private state attached to the function.
 func (f *FunctionState) CtrlState() any { return f.ctrlState }
 
@@ -113,12 +118,13 @@ type Engine struct {
 	// supplied one); every reported statistic — Report quantiles,
 	// resource integrals, provisioning series — reads from it.
 	collector *telemetry.Collector
-	// rates owns every function's arrival-rate estimator (striped by
-	// function name) plus the lock-free plane-wide arrival ring behind
-	// PlaneRate. The single-threaded event loop holds direct estimator
-	// pointers (FunctionState.rate) and feeds the plane ring separately,
-	// so the per-arrival cost stays one ring-bucket update.
+	// rates owns every function's arrival-rate estimator plus the
+	// plane-wide arrival ring behind PlaneRate; the event loop holds
+	// direct estimator pointers (FunctionState.rate).
 	rates *runtime.RateStripes
+
+	freeReqs []*Request              // answered requests, for reuse (NewRequest)
+	done     func(*Request, Outcome) // completion hook (OnDone)
 }
 
 // New creates an engine for the controller and configuration.
@@ -157,7 +163,8 @@ func (e *Engine) Telemetry() *telemetry.Collector { return e.collector }
 // the engine's single event loop, after the built-in metric sinks.
 func (e *Engine) Observe(o runtime.Observer) { e.obs = append(e.obs, o) }
 
-// AddFunction registers a function before Run.
+// AddFunction registers a function: before Run, or at any time on a
+// live engine (whoever adds it then sets up the controller's state).
 func (e *Engine) AddFunction(spec FunctionSpec) *FunctionState {
 	if spec.Model == nil {
 		panic("sim: function without model")
@@ -196,8 +203,11 @@ func (e *Engine) AddFunction(spec FunctionSpec) *FunctionState {
 	return f
 }
 
-// Functions returns the registered functions.
+// Functions returns the registered functions, in registration order.
 func (e *Engine) Functions() []*FunctionState { return e.fns }
+
+// Function returns the function registered under name, or nil.
+func (e *Engine) Function(name string) *FunctionState { return e.byName[name] }
 
 // Cluster returns the engine's cluster.
 func (e *Engine) Cluster() *cluster.Cluster { return e.cfg.Cluster }
@@ -291,9 +301,7 @@ func (r *Result) ViolationRate() float64 {
 
 // Run executes the simulation and returns the results.
 func (e *Engine) Run() *Result {
-	e.resolveChains()
-	e.ctrl.Init(e)
-	e.allocationChanged()
+	e.Start()
 
 	// Arrival streams: one self-rescheduling chain per function keeps the
 	// event heap small regardless of trace length.
@@ -332,8 +340,8 @@ func (e *Engine) Run() *Result {
 
 	// Drain: unfinished pending requests are drops.
 	for _, f := range e.fns {
-		for range f.Pending {
-			e.dropRequest(f)
+		for _, req := range f.Pending {
+			e.drop(f, req, false)
 		}
 		f.Pending = nil
 	}
@@ -368,7 +376,7 @@ func (e *Engine) scheduleNextArrival(f *FunctionState, stream *workload.Stream) 
 		at = e.clock.Now()
 	}
 	e.clock.ScheduleAt(at, func() {
-		e.onArrival(f)
+		e.Inject(f, e.NewRequest())
 		e.scheduleNextArrival(f, stream)
 	})
 }

@@ -33,10 +33,17 @@ type Instance struct {
 	credit   runtime.Credit
 
 	idleSince time.Duration
-	reclaim   simclock.Timer
-	timeout   simclock.Timer
-	lostAt    time.Duration // set when the hosting server failed mid-batch
 	reclaimed bool
+
+	// The executing batch: at most one runs per instance, so one buffer
+	// serves every drain and the completion event finds it here.
+	batch            []*Request
+	submitted, texec time.Duration
+
+	// Pending events and their callbacks, built once at launch: arming
+	// one allocates nothing.
+	ready, reclaim, timeout, done simclock.Timer
+	onTimeout, onDone, onIdle     func()
 }
 
 // CanAccept reports whether the instance's batch queue has room.
@@ -52,6 +59,8 @@ func (inst *Instance) AddCredit(delta, cap float64) { inst.credit.Add(delta, cap
 
 // Launch starts a new instance of f with candidate configuration cand on
 // server. It returns nil when the cluster cannot host the instance.
+//
+//lint:coldpath
 func (e *Engine) Launch(f *FunctionState, cand scheduler.Candidate, server int) *Instance {
 	if err := e.cfg.Cluster.Allocate(server, cand.Res, f.Spec.Model.MemoryMB); err != nil {
 		return nil
@@ -61,6 +70,8 @@ func (e *Engine) Launch(f *FunctionState, cand scheduler.Candidate, server int) 
 
 // LaunchPlaced starts an instance whose resources were already reserved
 // by scheduler.Plan.Schedule (which allocates as it packs).
+//
+//lint:coldpath
 func (e *Engine) LaunchPlaced(f *FunctionState, d scheduler.Decision) *Instance {
 	return e.launchAllocated(f, d.Candidate, d.Server)
 }
@@ -99,13 +110,21 @@ func (e *Engine) launchAllocated(f *FunctionState, cand scheduler.Candidate, ser
 		ReadyAt: now + coldDur,
 		Queue:   batching.NewQueue[*Request](cand.B, f.batch.Timeout(cand.TExec)),
 		Rate:    cand.Bounds.RUp,
+		batch:   make([]*Request, 0, cand.B),
+	}
+	inst.onTimeout = func() { e.trySubmit(inst) }
+	inst.onDone = func() { e.onBatchComplete(inst) }
+	inst.onIdle = func() {
+		if inst.Ready && !inst.Busy && inst.Queue.Len() == 0 {
+			e.Reclaim(inst)
+		}
 	}
 	f.pool.Add(inst)
 	e.obs.InstanceLaunched(f.Spec.Name, inst.ID, cold, coldDur, now)
 	if tiered {
 		e.obs.InstanceStartup(f.Spec.Name, inst.ID, bd, now)
 	}
-	e.clock.ScheduleAfter(coldDur, func() {
+	inst.ready = e.clock.ScheduleAfter(coldDur, func() {
 		inst.Ready = true
 		if inst.Queue.Len() > 0 {
 			e.trySubmit(inst)
@@ -127,8 +146,12 @@ func (e *Engine) Retire(inst *Instance) {
 }
 
 // Reclaim releases the instance's resources and removes it from its
-// function. Queued requests (if any) are dropped. Reclaiming twice is a
-// no-op (failure injection can race with keep-alive expiry).
+// function. The requests it holds are dropped: the executing batch, if a
+// failed server or an undeploy takes the instance mid-batch, then the
+// queued ones. Reclaiming twice is a no-op (failure injection can race
+// with keep-alive expiry).
+//
+//lint:coldpath
 func (e *Engine) Reclaim(inst *Instance) {
 	if inst.reclaimed {
 		return
@@ -136,15 +159,22 @@ func (e *Engine) Reclaim(inst *Instance) {
 	inst.reclaimed = true
 	now := e.clock.Now()
 	f := inst.Fn
+	if inst.Busy {
+		inst.done.Cancel()
+		for _, req := range inst.batch {
+			e.drop(f, req, false)
+		}
+	}
 	for {
 		batch, _, ok := inst.Queue.Drain(now)
 		if !ok {
 			break
 		}
-		for range batch {
-			e.dropRequest(f)
+		for _, req := range batch {
+			e.drop(f, req, false)
 		}
 	}
+	inst.ready.Cancel()
 	inst.reclaim.Cancel()
 	inst.timeout.Cancel()
 	e.cfg.Cluster.Release(inst.Server, inst.Cand.Res, f.Spec.Model.MemoryMB)
@@ -213,11 +243,7 @@ func (e *Engine) scheduleReclaim(inst *Instance) {
 		keep = runtime.KeepAlive(inst.Fn.Policy, now)
 	}
 	inst.reclaim.Cancel()
-	inst.reclaim = e.clock.ScheduleAfter(keep, func() {
-		if inst.Ready && !inst.Busy && inst.Queue.Len() == 0 {
-			e.Reclaim(inst)
-		}
-	})
+	inst.reclaim = e.clock.ScheduleAfter(keep, inst.onIdle)
 }
 
 // failServer marks a server down and kills every instance hosted on it:
@@ -234,14 +260,6 @@ func (e *Engine) failServer(id int) {
 			}
 		}
 		for _, inst := range doomed {
-			if inst.Busy {
-				// The executing batch dies with the server; its requests
-				// never complete. Mark the instance free so Reclaim's
-				// bookkeeping stays consistent; completion events for the
-				// lost batch are disarmed via the lostAt marker.
-				inst.Busy = false
-				inst.lostAt = e.clock.Now()
-			}
 			e.Reclaim(inst)
 		}
 	}

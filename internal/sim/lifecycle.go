@@ -13,14 +13,25 @@ import (
 	"github.com/tanklab/infless/internal/model"
 )
 
-func (e *Engine) onArrival(f *FunctionState) {
+// NewRequest returns a request arriving now, for Inject. Answered
+// requests are recycled on a free list (as simclock recycles events), so
+// the steady state allocates none.
+func (e *Engine) NewRequest() *Request {
+	var r *Request
+	if n := len(e.freeReqs); n > 0 {
+		r = e.freeReqs[n-1]
+		e.freeReqs = e.freeReqs[:n-1]
+	} else {
+		//lint:ignore hotalloc free-list miss: only until the list covers the requests in flight
+		r = new(Request)
+	}
 	now := e.clock.Now()
-	req := &Request{Arrive: now, ChainStart: now}
-	e.inject(f, req)
+	r.Arrive, r.ChainStart = now, now
+	return r
 }
 
-// inject delivers a request (external arrival or chain forward) to f.
-func (e *Engine) inject(f *FunctionState, req *Request) {
+// noteArrival is the front-door bookkeeping of one arrival at f.
+func (e *Engine) noteArrival(f *FunctionState) {
 	now := e.clock.Now()
 	f.rate.Observe(now)
 	e.rates.PlaneObserve(now)
@@ -30,11 +41,16 @@ func (e *Engine) inject(f *FunctionState, req *Request) {
 	}
 	f.lastArrival = now
 	f.haveArrival = true
+}
 
+// Inject delivers a request (external arrival or chain forward) to f at
+// the current time. The engine owns req from here on.
+func (e *Engine) Inject(f *FunctionState, req *Request) {
+	e.noteArrival(f)
 	inst := e.ctrl.Route(e, f, req)
 	if inst == nil {
 		if rej, ok := e.ctrl.(Rejector); ok && rej.RejectOnSaturation() {
-			e.dropRequest(f)
+			e.drop(f, req, false)
 			return
 		}
 		f.Pending = append(f.Pending, req)
@@ -43,22 +59,54 @@ func (e *Engine) inject(f *FunctionState, req *Request) {
 	e.Enqueue(inst, req)
 }
 
-// dropRequest publishes a drop; the metrics observer charges the
-// function's recorder and, for chained functions, the chain tail's
-// end-to-end recorder (the user never got an answer, wherever along the
-// pipeline the request died).
-func (e *Engine) dropRequest(f *FunctionState) {
-	e.obs.RequestDropped(f.Spec.Name, e.clock.Now())
+// drop publishes a drop (the metrics observer charges the function's
+// recorder and, for chained functions, the chain tail's end-to-end one:
+// the user never got an answer, wherever along the pipeline the request
+// died) and finishes the request.
+func (e *Engine) drop(f *FunctionState, req *Request, shed bool) {
+	now := e.clock.Now()
+	e.obs.RequestDropped(f.Spec.Name, now)
+	if shed {
+		e.obs.RequestShed(f.Spec.Name, now)
+	}
+	e.finish(req, Outcome{Shed: shed})
 }
 
-// expirePending drops backlog requests that already blew their SLO: the
-// caller would have timed out.
+// finish is the one exit of every request: the completion hook hears the
+// outcome and the request is recycled. Nothing may touch req afterwards.
+func (e *Engine) finish(req *Request, o Outcome) {
+	if e.done != nil {
+		e.done(req, o)
+	}
+	e.freeReqs = append(e.freeReqs, req)
+}
+
+// Shed drops req as refused by admission control: RequestShed follows
+// RequestDropped and the completion hook sees Outcome.Shed. Controllers
+// shed backlog they cannot launch capacity for.
+func (e *Engine) Shed(f *FunctionState, req *Request) { e.drop(f, req, true) }
+
+// Refuse records an arrival the front door turns away before routing
+// (the gateway's per-function queue bound).
+func (e *Engine) Refuse(f *FunctionState) {
+	e.noteArrival(f)
+	e.Shed(f, e.NewRequest())
+}
+
+// expirePending gives up on backlog held past the horizon: by default
+// the SLO, and the request drops (the simulated caller has timed out); a
+// BacklogHolder sets its own, and the request is shed.
 func (e *Engine) expirePending(f *FunctionState) {
 	now := e.clock.Now()
+	hold := f.Spec.SLO
+	holder, shed := e.ctrl.(BacklogHolder)
+	if shed {
+		hold = holder.BacklogHold(f)
+	}
 	keep := f.Pending[:0]
 	for _, r := range f.Pending {
-		if now-r.Arrive > f.Spec.SLO {
-			e.dropRequest(f)
+		if now-r.Arrive > hold {
+			e.drop(f, r, shed)
 			continue
 		}
 		keep = append(keep, r)
@@ -79,13 +127,13 @@ func (e *Engine) Enqueue(inst *Instance, req *Request) {
 		}
 		if inst.Fn.batch.ProjectedViolation(inst.Queue.Len(), inst.Cand.B, inst.Busy,
 			inst.Cand.TExec, now-req.Arrive, coldWait) {
-			e.dropRequest(inst.Fn)
+			e.drop(inst.Fn, req, false)
 			return
 		}
 	}
 	accepted, full := inst.Queue.Add(req, now)
 	if !accepted {
-		e.dropRequest(inst.Fn)
+		e.drop(inst.Fn, req, false)
 		return
 	}
 	e.obs.RequestEnqueued(inst.Fn.Spec.Name, inst.ID, now)
@@ -109,7 +157,7 @@ func (e *Engine) armTimeout(inst *Instance) {
 	if deadline < e.clock.Now() {
 		deadline = e.clock.Now()
 	}
-	inst.timeout = e.clock.ScheduleAt(deadline, func() { e.trySubmit(inst) })
+	inst.timeout = e.clock.ScheduleAt(deadline, inst.onTimeout)
 }
 
 // trySubmit submits the head batch if the instance can execute now and
@@ -124,32 +172,27 @@ func (e *Engine) trySubmit(inst *Instance) {
 		e.armTimeout(inst)
 		return
 	}
-	batch, _, ok := inst.Queue.Drain(now)
+	batch, _, ok := inst.Queue.DrainInto(inst.batch, now)
 	if !ok {
 		return
 	}
 	inst.Busy = true
-	texec := inst.Fn.Spec.Model.ExecTime(len(batch), inst.Cand.Res, model.ExecOptions{
+	inst.batch, inst.submitted = batch, now
+	inst.texec = inst.Fn.Spec.Model.ExecTime(len(batch), inst.Cand.Res, model.ExecOptions{
 		Contention: e.cfg.Contention,
 		NoiseSD:    e.cfg.ExecNoiseSD,
 		Rng:        e.rng,
 	})
 	e.obs.BatchSubmitted(inst.Fn.Spec.Name, inst.ID, len(batch), now)
-	e.clock.ScheduleAfter(texec, func() {
-		e.onBatchComplete(inst, batch, now, texec)
-	})
+	inst.done = e.clock.ScheduleAfter(inst.texec, inst.onDone)
 }
 
-func (e *Engine) onBatchComplete(inst *Instance, batch []*Request, submittedAt time.Duration, texec time.Duration) {
-	f := inst.Fn
-	if inst.lostAt > 0 && inst.lostAt >= submittedAt {
-		// The server failed while this batch was executing: the work is
-		// lost and its requests count as drops.
-		for range batch {
-			e.dropRequest(f)
-		}
-		return
-	}
+// onBatchComplete answers the batch inst was executing and moves the
+// instance on. It runs once per batch and must not allocate.
+//
+//lint:hotpath
+func (e *Engine) onBatchComplete(inst *Instance) {
+	f, batch, submittedAt, texec := inst.Fn, inst.batch, inst.submitted, inst.texec
 	var otpDelay time.Duration
 	if d, ok := e.ctrl.(DispatchDelayer); ok {
 		otpDelay = d.DispatchDelay()
@@ -166,12 +209,15 @@ func (e *Engine) onBatchComplete(inst *Instance, batch []*Request, submittedAt t
 		if queue < 0 {
 			queue = 0
 		}
-		e.obs.RequestServed(f.Spec.Name, metrics.Sample{Cold: cold, Queue: queue + otpDelay, Exec: texec}, e.clock.Now())
+		sample := metrics.Sample{Cold: cold, Queue: queue + otpDelay, Exec: texec}
+		e.obs.RequestServed(f.Spec.Name, sample, e.clock.Now())
 		switch {
 		case f.forwardTo != nil:
 			// Chain hop: the request continues at the next stage with its
 			// original chain start preserved.
-			e.inject(f.forwardTo, &Request{Arrive: e.clock.Now(), ChainStart: req.ChainStart})
+			hop := e.NewRequest()
+			hop.ChainStart = req.ChainStart
+			e.Inject(f.forwardTo, hop)
 		case f.ChainRecorder != nil && !inWarmup:
 			// Chain tail: account the end-to-end latency as pure queueing
 			// plus this stage's execution (the decomposition upstream is
@@ -179,6 +225,7 @@ func (e *Engine) onBatchComplete(inst *Instance, batch []*Request, submittedAt t
 			total := e.clock.Now() - req.ChainStart
 			f.ChainRecorder.Observe(metrics.Sample{Queue: total - texec, Exec: texec})
 		}
+		e.finish(req, Outcome{Served: true, Sample: sample, Batch: len(batch), Instance: inst.ID})
 	}
 	inst.Busy = false
 	// Capacity just freed: re-offer any backlog immediately (sub-second

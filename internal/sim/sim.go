@@ -1,21 +1,25 @@
-// Package sim is the discrete-event execution engine on which INFless and
-// the baseline systems run. It plays the role of the paper's testbed: it
-// owns virtual time, the cluster inventory, request lifecycles (arrival →
-// batch queue → execution → completion), instance lifecycles (cold start
-// → warm → idle → reclaim), and metric collection. Systems differ only in
-// their Controller, which decides routing, instance configuration and
-// scaling — mirroring how the paper's large-scale simulation "runs
-// INFless's real code and scheduling logic against simulated machines".
+// Package sim is the execution engine on which INFless and the baseline
+// systems run — the one implementation of the request lifecycle (arrival
+// → batch queue → execution → completion) and the instance lifecycle
+// (cold start → warm → idle → reclaim), with the cluster inventory and
+// metric collection. Systems differ only in their Controller, which
+// decides routing, instance configuration and scaling. The engine knows
+// only virtual time and has two drivers:
 //
-// The policy side of both lifecycles — batch-timeout derivation, Eq. 1
-// admission, arrival-rate estimation, instance-pool bookkeeping, and the
-// lifecycle-observer hooks — lives in internal/runtime and is shared
-// verbatim with the wall-clock gateway (internal/gateway), so the code
-// this engine validates is the code the live serving path runs. The
-// engine is organized as:
+//   - Run plays the paper's testbed: a discrete-event simulation over
+//     generated traces, mirroring how the paper's large-scale evaluation
+//     "runs INFless's real code and scheduling logic against simulated
+//     machines".
+//   - A live driver (live.go) holds the engine under a lock, keeps its
+//     clock at wall time and injects requests as they arrive: that is
+//     the HTTP gateway (internal/gateway). What the simulator validates
+//     is therefore the serving path, not a copy of it.
+//
+// The files:
 //
 //	sim.go        controller interfaces, run configuration, function specs
 //	engine.go     Engine construction, the Run loop, results, chains
+//	live.go       the live driver's entry points
 //	lifecycle.go  request lifecycle: arrival → route → enqueue → batch → complete
 //	instances.go  instance lifecycle: launch → warm → idle → reclaim, failures
 //	observers.go  built-in runtime.Observer sinks (recorders, provisioning)
@@ -56,6 +60,15 @@ type Rejector interface {
 // the returned delay to every served request's queue time.
 type DispatchDelayer interface {
 	DispatchDelay() time.Duration
+}
+
+// BacklogHolder is an optional Controller extension: how long a request
+// may wait in a function's backlog. Without it the horizon is the SLO and
+// an expired request just drops — the simulated caller timed out. A front
+// door with real callers holds them longer (it cannot un-answer) and owes
+// them a refusal: its expired requests are shed (Engine.Shed).
+type BacklogHolder interface {
+	BacklogHold(f *FunctionState) time.Duration
 }
 
 // Controller is the control plane of one serverless system. The engine

@@ -131,6 +131,7 @@ func (c *Clock) alloc(at Time, fn func()) *event {
 		c.free[n-1] = nil
 		c.free = c.free[:n-1]
 	} else {
+		//lint:ignore hotalloc free-list miss: only until the pool covers the standing event population
 		e = &event{clk: c}
 	}
 	e.at, e.fn, e.canceled = at, fn, false
@@ -150,6 +151,7 @@ func (c *Clock) recycle(e *event) {
 // panics: it indicates a logic error in the simulation, never valid input.
 func (c *Clock) ScheduleAt(at Time, fn func()) Timer {
 	if at < c.now {
+		//lint:ignore hotalloc the panic path
 		panic(fmt.Sprintf("simclock: schedule at %v before now %v", at, c.now))
 	}
 	e := c.alloc(at, fn)
@@ -179,6 +181,16 @@ func (c *Clock) peek() *event {
 		c.recycle(e)
 	}
 	return nil
+}
+
+// Next returns the timestamp of the next event to fire, and false when
+// none is pending. A wall-paced driver sleeps until it.
+func (c *Clock) Next() (Time, bool) {
+	e := c.peek()
+	if e == nil {
+		return 0, false
+	}
+	return e.at, true
 }
 
 // maybeCompact rebuilds the queue without tombstones once more than half

@@ -1,15 +1,16 @@
 #!/bin/sh
 # scripts/check.sh is the tier-1 gate: formatting, build + vet, full
 # test suite, a race pass over the concurrently-exercised packages (the
-# shared internal/runtime policies, the wall-clock gateway that calls
-# them from many goroutines, and the sharded cluster + scheduler whose
-# FitPool fans fit-queries across workers), a sharded-equivalence smoke
+# wall-clock gateway, whose callers and pacer drive one sim.Engine under
+# one lock, the engine and runtime policies it drives, and the sharded
+# cluster + scheduler whose FitPool fans fit-queries across workers), a
+# sharded-equivalence smoke
 # (every Schedule decision bit-identical to the single-shard reference),
 # and infless-lint — the AST/types-based analyzer suite
 # (cmd/infless-lint) that replaced the old grep guards: it keeps the
 # lifecycle policies single-sourced, the deterministic packages off the
-# wall clock, placement on the free-capacity index, observer/telemetry
-# callbacks outside mutex critical sections, and atomic.Pointer /
+# wall clock, placement on the free-capacity index, ad-hoc
+# observer/telemetry callbacks out of mutex critical sections, and atomic.Pointer /
 # sync.Pool inside internal/cow / internal/pool, and runs the
 # flow-sensitive lockorder / hotalloc / errflow analyzers plus the
 # concurrency-lifecycle trio goroutinelife / chanlife / ctxflow over
