@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race bench lint lint-json
+.PHONY: check build vet test race bench bench-compare lint lint-json
 
 ## check: tier-1 gate — gofmt, build, vet, infless-lint, full tests, and
 ## a race pass on the shared runtime + gateway (see scripts/check.sh).
@@ -32,13 +32,19 @@ vet:
 test:
 	$(GO) test ./...
 
-## race: the packages exercised concurrently (wall-clock gateway, the
-## runtime policies it shares with the simulator, the telemetry
-## collector both planes feed from many goroutines, the loadgen worker
-## pool, the COW function registry, and the cow / pool / simclock types
-## the planes build on).
+## race: every package exercised concurrently, in three passes — (1) the
+## wall-clock gateway, whose callers and pacer drive one sim.Engine under
+## one lock, that engine itself (internal/sim is the gateway's data
+## plane), the runtime policies, the telemetry collector fed from many
+## goroutines, the loadgen worker pool, the function registry, and the
+## cow / pool / simclock types underneath; (2) the sharded control plane,
+## whose FitPool fans fit queries across workers (-short: the equivalence
+## sweeps are long under the detector); (3) the parallel experiment
+## runner. scripts/check.sh runs this target, so the lists exist once.
 race:
-	$(GO) test -race ./internal/gateway/... ./internal/runtime/... ./internal/telemetry/... ./internal/loadgen/... ./internal/core/... ./internal/cow/... ./internal/pool/... ./internal/simclock/...
+	$(GO) test -race ./internal/gateway/... ./internal/runtime/... ./internal/telemetry/... ./internal/sim/... ./internal/loadgen/... ./internal/core/... ./internal/cow/... ./internal/pool/... ./internal/simclock/...
+	$(GO) test -race -short ./internal/cluster/ ./internal/scheduler/
+	$(GO) test -race -short -run 'TestRunStreamOrdered|TestParallelForCoversAllIndices|TestParallelAllDeterministic' ./internal/bench/
 
 ## bench: the repository's benchmark (BENCHMARK.json, benchmark/README.md),
 ## one workload after the other; the last line of each is its JSON result.
@@ -46,3 +52,14 @@ bench:
 	@for w in gw_dispatch gw_http sim_fleet sched_scale; do \
 		$(GO) run ./benchmark --workload $$w --seed 1 --seconds 20 --trace 0 || exit 1; \
 	done
+
+## bench-compare: claim a gain the way the benchmark's README asks — PAIRS
+## alternating runs of workload W on git ref REF (in a temporary
+## worktree) and on the working tree, then medians, quartiles, pairs won
+## and the verdict per end-to-end metric (cmd/infless-benchcmp).
+##   make bench-compare REF=HEAD~1 W=sched_scale PAIRS=10
+REF ?= HEAD
+W ?= sched_scale
+PAIRS ?= 10
+bench-compare:
+	$(GO) run ./cmd/infless-benchcmp -ref $(REF) -workload $(W) -pairs $(PAIRS)

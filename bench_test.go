@@ -14,12 +14,10 @@ import (
 	"time"
 
 	"github.com/tanklab/infless/internal/bench"
-	"github.com/tanklab/infless/internal/cluster"
 	"github.com/tanklab/infless/internal/model"
 	"github.com/tanklab/infless/internal/perf"
 	"github.com/tanklab/infless/internal/profiler"
 	"github.com/tanklab/infless/internal/runtime"
-	"github.com/tanklab/infless/internal/scheduler"
 )
 
 // benchOpts keeps figure regeneration fast enough for `go test -bench=.`.
@@ -65,31 +63,6 @@ func BenchmarkTable4Cost(b *testing.B)                { runExperiment(b, "table4
 func BenchmarkAlphaSweep(b *testing.B)                { runExperiment(b, "alpha") }
 
 // --- control-path micro-benchmarks -------------------------------------
-
-// BenchmarkScheduleInstance measures Algorithm 1's per-instance decision
-// cost on the 2,000-server cluster (the paper reports ~0.5 ms).
-func BenchmarkScheduleInstance(b *testing.B) {
-	pred := scheduler.NewPredictorCache(profiler.NewPredictor(profiler.NewDB(profiler.DefaultDBOptions())))
-	plan := scheduler.BuildPlan(scheduler.Function{
-		Name:  "resnet",
-		Model: model.MustGet("ResNet-50"),
-		SLO:   200 * time.Millisecond,
-	}, pred, scheduler.Options{MaxInstancesPerCall: 1})
-	cl := cluster.LargeScale()
-	b.ReportAllocs()
-	b.ResetTimer()
-	placed := 0
-	for i := 0; i < b.N; i++ {
-		ds, _ := plan.Schedule(1e9, cl)
-		placed += len(ds)
-		if placed > 8000 { // keep the cluster from filling up
-			b.StopTimer()
-			cl = cluster.LargeScale()
-			placed = 0
-			b.StartTimer()
-		}
-	}
-}
 
 // BenchmarkCOPPrediction measures one combined-operator-profiling latency
 // estimate (the per-function planning hot path).

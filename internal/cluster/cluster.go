@@ -6,13 +6,15 @@
 //
 // The resource view is sharded (shard.go): servers split into contiguous
 // ID ranges, each with its own free-capacity index and integer-backed
-// aggregates, so placement queries and index maintenance stay shard-local
-// while cluster-wide reads merge shard counters deterministically. All
-// aggregate views — resource totals, active-server counts, the
-// fragmentation ratio and the free-capacity indexes behind BestFit — are
-// maintained incrementally by Allocate/Release/SetDown, so telemetry
-// sampling and placement queries cost O(shards)/O(log n) instead of a
-// scan over every server.
+// aggregates, so placement queries stay shard-local while cluster-wide
+// reads merge shard counters deterministically. All aggregate views —
+// resource totals, active-server counts, the fragmentation ratio and the
+// free-capacity indexes behind BestFit and FirstFit — are maintained
+// incrementally by Allocate/Release/SetDown in O(1): a server's free
+// state is a small integer vector, so the index (index.go) files servers
+// in one bitmap per vector and a mutation moves one bit. Telemetry
+// sampling costs O(shards); a placement query walks the occupied vectors
+// that can hold the candidate, never the server list.
 package cluster
 
 import (
@@ -60,6 +62,7 @@ func (s *Server) Active() bool { return s.allocs > 0 }
 type Cluster struct {
 	servers []*Server
 	shards  []shard
+	serial  FitPool // the worker-less pool NewFitPool hands out; stateless
 }
 
 // Options configures cluster construction.
@@ -152,18 +155,33 @@ func NewHeterogeneousSharded(pools []NodePool, shards int) *Cluster {
 }
 
 // init splits the servers into shards and seeds each shard's aggregates
-// and free-capacity index.
+// and free-capacity index. Shards whose largest server is the same share
+// one cell order.
 func (c *Cluster) init(shards int) {
+	c.serial.c = c
 	bounds := shardBounds(len(c.servers), shards)
 	c.shards = make([]shard, len(bounds)-1)
+	var orders []*cellOrder
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.lo, sh.hi = bounds[i], bounds[i+1]
+		var grid perf.Resources
 		for _, s := range c.servers[sh.lo:sh.hi] {
 			sh.totalCap = sh.totalCap.Add(s.Capacity)
 			sh.totalFree = sh.totalFree.Add(s.Free)
+			grid.CPU, grid.GPU = max(grid.CPU, s.Capacity.CPU), max(grid.GPU, s.Capacity.GPU)
 		}
-		sh.index.build(c.servers[sh.lo:sh.hi], sh.lo)
+		var order *cellOrder
+		for _, o := range orders {
+			if o.maxCPU == grid.CPU && o.maxGPU == grid.GPU {
+				order = o
+			}
+		}
+		if order == nil {
+			order = newCellOrder(grid.CPU, grid.GPU, perf.Resources.Weighted)
+			orders = append(orders, order)
+		}
+		sh.index.build(c.servers[sh.lo:sh.hi], sh.lo, order)
 	}
 }
 
@@ -246,11 +264,11 @@ func (c *Cluster) SetDown(id int, down bool) {
 		return
 	}
 	s.down = down
-	sh := c.shardFor(id)
+	ix := &c.shardFor(id).index
 	if down {
-		sh.index.remove(int32(id))
+		ix.remove(int32(id), s.Free)
 	} else {
-		sh.index.insert(int32(id), s.Free.Weighted())
+		ix.insert(int32(id), s.Free)
 	}
 }
 
@@ -267,6 +285,7 @@ func (c *Cluster) Allocate(id int, res perf.Resources, memMB int) error {
 		return fmt.Errorf("cluster: server %d cannot fit %d MB (free %d MB)", id, memMB, s.MemFreeMB)
 	}
 	wasActive := s.allocs > 0
+	before := s.Free
 	s.Free = s.Free.Sub(res)
 	s.MemFreeMB -= memMB
 	s.allocs++
@@ -279,7 +298,7 @@ func (c *Cluster) Allocate(id int, res perf.Resources, memMB int) error {
 		sh.activeCap = sh.activeCap.Add(s.Capacity)
 		sh.activeFree = sh.activeFree.Add(s.Free)
 	}
-	sh.index.reposition(int32(id), s.Free.Weighted())
+	sh.index.move(int32(id), before, s.Free)
 	return nil
 }
 
@@ -304,16 +323,19 @@ func (c *Cluster) Release(id int, res perf.Resources, memMB int) {
 		sh.activeCap = sh.activeCap.Sub(s.Capacity)
 		sh.activeFree = sh.activeFree.Sub(s.Free.Sub(res))
 	}
-	sh.index.reposition(int32(id), s.Free.Weighted())
+	if !s.down { // a down server is in no cell; SetDown refiles it on recovery
+		sh.index.move(int32(id), s.Free.Sub(res), s.Free)
+	}
 }
 
 // BestFit returns the fitting up server with the least free weighted
 // capacity (ties: lowest id) — the "fullest server that can still host
 // this candidate" query that maximizes Eq. 10's packing term. It merges
-// the per-shard free-capacity indexes (BestFitShards): within a shard, a
-// binary search for the first server whose free weight could possibly
-// fit, then a short ascending walk until the CPU/GPU/memory dimensions
-// all fit; across shards, the deterministic least-key merge.
+// the per-shard free-capacity indexes (BestFitShards): within a shard, an
+// ascending walk over the occupied free vectors from the candidate's own
+// weight, skipping vectors whose CPU/GPU mix cannot hold it, until a
+// server's memory fits too; across shards, the deterministic least-key
+// merge.
 func (c *Cluster) BestFit(res perf.Resources, memMB int) (id int, freeW float64, ok bool) {
 	return c.BestFitShards(0, len(c.shards), res, memMB)
 }

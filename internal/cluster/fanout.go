@@ -50,8 +50,10 @@ type fitJob struct {
 }
 
 // NewFitPool creates a pool with the given number of workers, clamped to
-// the shard count. workers <= 1 (or a single shard) yields a serial pool
-// that answers inline with no goroutines — callers need no special case.
+// the shard count. workers <= 1 (or a single shard) yields the cluster's
+// serial pool, which answers inline with no goroutines and costs nothing
+// to obtain — callers need no special case, and a one-instance Schedule
+// does not pay an allocation for a pool it will query a few times.
 // Close must be called to release the workers.
 func (c *Cluster) NewFitPool(workers int) *FitPool {
 	n := len(c.shards)
@@ -59,7 +61,7 @@ func (c *Cluster) NewFitPool(workers int) *FitPool {
 		workers = n
 	}
 	if workers <= 1 {
-		return &FitPool{c: c}
+		return &c.serial
 	}
 	p := &FitPool{
 		c:       c,

@@ -14,11 +14,15 @@ package cluster
 //
 // Two O(1) prunes keep the merged query cheap at 100k servers: a shard
 // whose largest free key is below the candidate's weight cannot host it
-// (skip without searching), and once a best is found, a shard whose
+// (skip without walking), and once a best is found, a shard whose
 // smallest key is not strictly better cannot improve it (ties lose by
 // id). In packing workloads the allocation frontier moves through one
 // shard at a time, so most shards are dismissed with one float compare
-// and the binary search runs over a shard-sized, cache-warm index.
+// against a cached bound, and the walk that does run scans bitmaps a
+// shard's worth of servers long. Index maintenance no longer depends on
+// the shard size at all (index.go: a mutation is two bit flips), so what
+// sharding buys now is short bitmaps, those two prunes, and the unit of
+// the FitPool fan-out.
 
 import (
 	"time"
@@ -74,36 +78,54 @@ func (c *Cluster) shardFor(id int) *shard {
 // winners in ascending range order with a strictly-less key comparison
 // reproduces the full-cluster answer, because every server id in a later
 // shard is greater than every id in an earlier one.
+//
+//lint:hotpath
 func (c *Cluster) BestFitShards(from, to int, res perf.Resources, memMB int) (id int, freeW float64, ok bool) {
 	minW := res.Weighted()
 	id = -1
 	for si := from; si < to; si++ {
-		sh := &c.shards[si]
+		ix := &c.shards[si].index
 		// Prune 1: the shard's fullest-free server decides feasibility.
-		if maxK, any := sh.index.maxKey(); !any || maxK < minW {
+		if maxK, any := ix.maxKey(); !any || maxK < minW {
 			continue
 		}
 		// Prune 2: the shard's least free key cannot beat the current
 		// best — equal keys lose on id, since this shard's ids are larger.
 		if ok {
-			if minK, _ := sh.index.minKey(); minK >= freeW {
+			if minK, _ := ix.minKey(); minK >= freeW {
 				continue
 			}
 		}
-		sh.index.ascend(minW, func(sid int32) bool {
-			k := sh.index.key(sid)
-			if ok && k >= freeW {
-				return false // nothing past here can beat the best
+		start, onGrid := ix.order.floor(res)
+		if !onGrid {
+			continue
+		}
+	walk:
+		for cell := ix.nextCell(start); cell >= 0; cell = ix.nextCell(cell + 1) {
+			k := &ix.order.cells[cell]
+			if ok && k.key >= freeW {
+				break // nothing past here can beat the best
 			}
-			s := c.servers[sid]
-			if s.Free.Fits(res) && s.MemFreeMB >= memMB {
-				id, freeW, ok = int(sid), k, true
-				return false
+			if !k.holds(res) {
+				continue // the free weight is there, the CPU/GPU mix is not
 			}
-			return true
-		})
+			for sid := ix.nextID(cell, ix.base); sid >= 0; sid = ix.nextID(cell, sid+1) {
+				if c.servers[sid].fits(res, memMB) {
+					id, freeW, ok = int(sid), k.key, true
+					break walk
+				}
+			}
+		}
 	}
 	return id, freeW, ok
+}
+
+// fits is the per-server half of a placement query. The index has
+// already dismissed cells that cannot hold res, so the resource compare
+// only decides inside a cell that merges several vectors (tied keys);
+// memory is not indexed and always decides here.
+func (s *Server) fits(res perf.Resources, memMB int) bool {
+	return s.Free.Fits(res) && s.MemFreeMB >= memMB
 }
 
 // ArtifactQuery asks the placement query to score fitting servers by
@@ -142,6 +164,8 @@ const artifactWindow = 8
 // free-weight order. With q == nil it is exactly BestFitShards — the
 // tie-break tuple collapses to (freeW, id) and the bounded window never
 // engages — so disabled tiering keeps decisions bit-identical.
+//
+//lint:hotpath
 func (c *Cluster) BestFitShardsArtifact(from, to int, res perf.Resources, memMB int, q *ArtifactQuery) (id int, freeW float64, startup time.Duration, ok bool) {
 	if q == nil {
 		id, freeW, ok = c.BestFitShards(from, to, res, memMB)
@@ -150,42 +174,69 @@ func (c *Cluster) BestFitShardsArtifact(from, to int, res perf.Resources, memMB 
 	minW := res.Weighted()
 	id = -1
 	for si := from; si < to; si++ {
-		sh := &c.shards[si]
+		ix := &c.shards[si].index
 		// Prune 1 (feasibility) holds unchanged: the shard's fullest-free
 		// server decides whether anything here can fit. Prune 2 does not
 		// apply — a near-empty server holding a DRAM copy can still win.
-		if maxK, any := sh.index.maxKey(); !any || maxK < minW {
+		if maxK, any := ix.maxKey(); !any || maxK < minW {
+			continue
+		}
+		start, onGrid := ix.order.floor(res)
+		if !onGrid {
 			continue
 		}
 		seen := 0
-		sh.index.ascend(minW, func(sid int32) bool {
-			s := c.servers[sid]
-			if !s.Free.Fits(res) || s.MemFreeMB < memMB {
-				return true
+	walk:
+		for cell := ix.nextCell(start); cell >= 0; cell = ix.nextCell(cell + 1) {
+			k := &ix.order.cells[cell]
+			if !k.holds(res) {
+				continue
 			}
-			k := sh.index.key(sid)
-			st := q.startupOn(s)
-			if !ok || st < startup || (st == startup && (k < freeW || (k == freeW && int(sid) < id))) {
-				id, freeW, startup, ok = int(sid), k, st, true
+			for sid := ix.nextID(cell, ix.base); sid >= 0; sid = ix.nextID(cell, sid+1) {
+				s := c.servers[sid]
+				if !s.fits(res, memMB) {
+					continue
+				}
+				st := q.startupOn(s)
+				if !ok || st < startup || (st == startup && (k.key < freeW || (k.key == freeW && int(sid) < id))) {
+					id, freeW, startup, ok = int(sid), k.key, st, true
+				}
+				if seen++; seen == artifactWindow {
+					break walk
+				}
 			}
-			seen++
-			return seen < artifactWindow
-		})
+		}
 	}
 	return id, freeW, startup, ok
 }
 
 // FirstFitShards answers the first-fit query over the shard range
-// [from, to): the lowest-id fitting up server. Scanning ranges in
-// ascending order is identical to the flat lowest-id scan.
+// [from, to): the lowest-id fitting up server, which is the lowest id
+// over the occupied cells that can hold res. Shards ascend the ID space,
+// so the first shard with an answer has the answer.
 func (c *Cluster) FirstFitShards(from, to int, res perf.Resources, memMB int) (id int, freeW float64, ok bool) {
 	for si := from; si < to; si++ {
-		sh := &c.shards[si]
-		for _, s := range c.servers[sh.lo:sh.hi] {
-			if s.down || !s.Free.Fits(res) || s.MemFreeMB < memMB {
+		ix := &c.shards[si].index
+		start, onGrid := ix.order.floor(res)
+		if !onGrid {
+			continue
+		}
+		best := int32(-1)
+		for cell := ix.nextCell(start); cell >= 0; cell = ix.nextCell(cell + 1) {
+			if !ix.order.cells[cell].holds(res) {
 				continue
 			}
-			return s.ID, s.Free.Weighted(), true
+			// Only ids below the incumbent matter: the cell's walk ends at
+			// its first fitting server or once it passes best.
+			for sid := ix.nextID(cell, ix.base); sid >= 0 && (best < 0 || sid < best); sid = ix.nextID(cell, sid+1) {
+				if c.servers[sid].fits(res, memMB) {
+					best = sid
+					break
+				}
+			}
+		}
+		if best >= 0 {
+			return int(best), c.servers[best].Free.Weighted(), true
 		}
 	}
 	return -1, 0, false

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/tanklab/infless/internal/artifact"
 	"github.com/tanklab/infless/internal/cluster"
 	"github.com/tanklab/infless/internal/model"
 	"github.com/tanklab/infless/internal/perf"
@@ -292,35 +293,29 @@ func TestPropertyScheduleSound(t *testing.T) {
 	}
 }
 
-// Figure 17a: scheduling overhead should be well under a millisecond per
-// instance once the plan is built.
-func BenchmarkScheduleOneInstance(b *testing.B) {
-	p := BuildPlan(resnetFn(), testPred, Options{})
-	cl := cluster.LargeScale()
-	pool := cl.NewFitPool(1)
-	b.ResetTimer()
-	placed := 0
-	for i := 0; i < b.N; i++ {
-		d, ok := p.scheduleOne(100, pool)
-		if !ok {
-			b.Fatal("cluster exhausted during benchmark")
+// TestSingleInstanceScheduleAllocatesOnlyItsResult pins the cost model of
+// the scale-out critical path (Figure 17a): with serial fit queries a
+// one-instance Schedule allocates its result slice and nothing else — no
+// pool, no sort closure, no per-query visitor.
+func TestSingleInstanceScheduleAllocatesOnlyItsResult(t *testing.T) {
+	for _, art := range []*cluster.ArtifactQuery{nil, {Name: "resnet", SizeMB: 100, H: artifact.Default()}} {
+		p := BuildPlan(resnetFn(), testPred, Options{MaxInstancesPerCall: 1, Artifact: art})
+		cl := cluster.New(cluster.Options{Servers: 64, Shards: 4})
+		cl.EnableArtifacts(artifact.DefaultConfig().CacheMB)
+		mem := p.Fn.Model.MemoryMB
+		if warm, _ := p.Schedule(1e6, cl); len(warm) != 1 { // leave one instance: later placements pack onto its server
+			t.Fatal("nothing placed on an empty cluster")
 		}
-		_ = d
-		placed++
-		if placed%5000 == 0 { // keep the cluster from filling up
-			cl = cluster.LargeScale()
-			pool = cl.NewFitPool(1)
+		allocs := testing.AllocsPerRun(200, func() {
+			placed, _ := p.Schedule(300, cl)
+			if len(placed) != 1 {
+				t.Fatal("nothing placed")
+			}
+			cl.Release(placed[0].Server, placed[0].Res, mem)
+		})
+		if allocs > 1 {
+			t.Fatalf("artifact-aware %v: one-instance Schedule = %v allocs, want <= 1", art != nil, allocs)
 		}
-		if err := cl.Allocate(d.Server, d.Res, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBuildPlan(b *testing.B) {
-	fn := resnetFn()
-	for i := 0; i < b.N; i++ {
-		BuildPlan(fn, testPred, Options{})
 	}
 }
 

@@ -1,11 +1,13 @@
 #!/bin/sh
 # scripts/check.sh is the tier-1 gate: formatting, build + vet, full
-# test suite, a race pass over the concurrently-exercised packages (the
-# wall-clock gateway, whose callers and pacer drive one sim.Engine under
-# one lock, the engine and runtime policies it drives, and the sharded
-# cluster + scheduler whose FitPool fans fit-queries across workers), a
-# sharded-equivalence smoke
-# (every Schedule decision bit-identical to the single-shard reference),
+# test suite, a race pass over the concurrently-exercised packages
+# (`make race`, where the package lists live: the wall-clock gateway,
+# whose callers and pacer drive one sim.Engine under one lock, the engine
+# and runtime policies it drives, and the sharded cluster + scheduler
+# whose FitPool fans fit-queries across workers), a sharded-equivalence
+# smoke (every Schedule decision bit-identical to the single-shard
+# reference), a one-second run of the benchmark's sched_scale workload
+# (its booking audit must pass and a placement must stay under 100 B),
 # and infless-lint — the AST/types-based analyzer suite
 # (cmd/infless-lint) that replaced the old grep guards: it keeps the
 # lifecycle policies single-sourced, the deterministic packages off the
@@ -19,7 +21,7 @@
 # passes stay cheap enough to run on every commit. The race pass doubles
 # as the goroutine-leak gate: the NumGoroutine settle-and-compare
 # harnesses around Server.Close, FitPool.Close and loadgen.Run ride the
-# gateway/cluster/loadgen race runs below.
+# gateway/cluster/loadgen race runs.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -45,12 +47,8 @@ if [ "$lint_elapsed" -gt 60 ]; then
 fi
 echo "== go test"
 go test ./...
-echo "== go test -race (gateway + runtime + telemetry + sim + loadgen + core + cow + pool + simclock)"
-go test -race ./internal/gateway/... ./internal/runtime/... ./internal/telemetry/... ./internal/sim/... ./internal/loadgen/... ./internal/core/... ./internal/cow/... ./internal/pool/... ./internal/simclock/...
-echo "== go test -race (sharded control plane: cluster + scheduler)"
-go test -race -short ./internal/cluster/ ./internal/scheduler/
-echo "== go test -race (parallel experiment runner)"
-go test -race -short -run 'TestRunStreamOrdered|TestParallelForCoversAllIndices|TestParallelAllDeterministic' ./internal/bench/
+echo "== go test -race (make race: gateway + sim + runtime + ..., cluster + scheduler, experiment runner)"
+"${MAKE:-make}" race
 echo "== sharded-equivalence smoke"
 go test -short -run 'Sharded|ShardEdge|ShardBounds|ShardMemory|ShardRange|ShardWholeShard|PrefixCut' ./internal/cluster/ ./internal/scheduler/
 echo "== fig16t determinism smoke (tiered cold start, -parallel 1 vs 4)"
@@ -63,6 +61,15 @@ bench_out=$(go test -run NONE -bench 'BenchmarkHandleInvoke$' -benchmem -benchti
 echo "$bench_out"
 echo "$bench_out" | grep -q "	       0 allocs/op" || {
 	echo "FAIL: the invoke hot path allocates (want 0 allocs/op)"
+	exit 1
+}
+
+echo "== benchmark smoke (sched_scale: booking audit on every segment, <= 100 B per placement)"
+smoke_out=$(go run ./benchmark --workload sched_scale --seed 1 --seconds 1 --trace 0)
+alloc_b=$(printf '%s\n' "$smoke_out" | tail -n 1 | sed -n 's/.*"alloc_bytes_per_op":{"value":\([0-9.e+-]*\).*/\1/p')
+echo "sched_scale alloc_bytes_per_op: ${alloc_b:-missing}"
+awk -v b="${alloc_b:-nan}" 'BEGIN { exit !(b + 0 == b && b <= 100) }' || {
+	echo "FAIL: sched_scale allocates more than 100 B per placement (or reported nothing)"
 	exit 1
 }
 
