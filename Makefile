@@ -7,11 +7,10 @@ GO ?= go
 check:
 	./scripts/check.sh
 
-## lint: the static-analysis suite, 11 analyzers (wallclock, maporder,
-## singledef, serverscan, lockedcallback, and the flow-sensitive
-## lockorder, hotalloc, errflow, goroutinelife, chanlife, ctxflow — see
-## internal/analysis). Analyzers run in
-## parallel with input-ordered output. Prints its own wall time;
+## lint: the static-analysis suite, 8 analyzers (wallclock, maporder,
+## singledef, serverscan, lockedcallback, and the whole-program
+## hotalloc, errflow, goroutinelife — see internal/analysis). Analyzers
+## run in parallel with input-ordered output. Prints its own wall time;
 ## check.sh enforces a 60s budget on the same run.
 lint:
 	@start=$$(date +%s); \
@@ -35,14 +34,14 @@ test:
 ## race: every package exercised concurrently, in three passes — (1) the
 ## wall-clock gateway, whose callers and pacer drive one sim.Engine under
 ## one lock, that engine itself (internal/sim is the gateway's data
-## plane), the runtime policies, the telemetry collector fed from many
-## goroutines, the loadgen worker pool, the function registry, and the
-## cow / pool / simclock types underneath; (2) the sharded control plane,
+## plane), the runtime policies, the telemetry collector (fed by the
+## engine, read from any goroutine), the loadgen worker pool, the function registry, and the
+## pool / simclock types underneath; (2) the sharded control plane,
 ## whose FitPool fans fit queries across workers (-short: the equivalence
 ## sweeps are long under the detector); (3) the parallel experiment
 ## runner. scripts/check.sh runs this target, so the lists exist once.
 race:
-	$(GO) test -race ./internal/gateway/... ./internal/runtime/... ./internal/telemetry/... ./internal/sim/... ./internal/loadgen/... ./internal/core/... ./internal/cow/... ./internal/pool/... ./internal/simclock/...
+	$(GO) test -race ./internal/gateway/... ./internal/runtime/... ./internal/telemetry/... ./internal/sim/... ./internal/loadgen/... ./internal/core/... ./internal/pool/... ./internal/simclock/...
 	$(GO) test -race -short ./internal/cluster/ ./internal/scheduler/
 	$(GO) test -race -short -run 'TestRunStreamOrdered|TestParallelForCoversAllIndices|TestParallelAllDeterministic' ./internal/bench/
 

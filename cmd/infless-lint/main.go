@@ -1,9 +1,7 @@
 // Command infless-lint runs the repo's static-analysis suite: the
 // determinism, single-sourcing, placement-index and locking-discipline
-// invariants described in internal/analysis, plus the flow-sensitive
-// lockorder / hotalloc / errflow analyzers and the concurrency-lifecycle trio goroutinelife /
-// chanlife / ctxflow, all built on its CFG+dataflow+alias layer. It
-// loads the whole module with go/parser + go/types (standard library
+// invariants described in internal/analysis, plus the whole-program
+// hotalloc / errflow / goroutinelife analyzers. It loads the whole module with go/parser + go/types (standard library
 // only), fans the analyzers out in parallel with deterministic
 // input-ordered output, and exits non-zero on any unsuppressed
 // diagnostic.

@@ -5,7 +5,7 @@
 // packages and the single-sourcing of runtime policies extracted in the
 // shared internal/runtime layer.
 //
-// Eleven analyzers run over the whole module. Five are syntactic or
+// Eight analyzers run over the whole module. Five are syntactic or
 // type-based:
 //
 //   - wallclock:      no wall-clock time or global math/rand in the
@@ -17,23 +17,18 @@
 //   - singledef:      the lifecycle policies, the latency histogram and
 //     the placement index are each defined exactly once, in their home
 //     file (the AST-level replacement for check.sh's old grep guards),
-//     and the HomeTypes (sync/atomic's Pointer, sync's Pool) are named
-//     only inside internal/cow / internal/pool, whose APIs carry the
-//     copy-on-write and pool ownership contracts by type; driven by the
-//     declarative tables in invariants.go.
+//     and the HomeTypes (sync's Pool) are named only inside
+//     internal/pool, whose API carries the pool ownership contract by
+//     type; driven by the declarative tables in invariants.go.
 //   - serverscan:     the scheduler never scans Cluster.Servers();
 //     placement goes through the free-capacity index (BestFit/FirstFit).
 //   - lockedcallback: runtime.Observer callbacks and telemetry
 //     Collector entry points are never invoked between a mutex Lock and
 //     its Unlock in the gateway or telemetry packages.
 //
-// Three are flow-sensitive, built on the package's CFG + dataflow layer
-// (cfg.go, dataflow.go, callgraph.go) and the intraprocedural alias
-// pass (alias.go):
+// Two walk more than one function: hotalloc the static call graph
+// (callgraph.go), errflow a per-function control-flow graph (cfg.go):
 //
-//   - lockorder:      mutex acquisition order is globally consistent; a
-//     cycle in the lock graph (including one through a call chain) is a
-//     latent deadlock, and re-acquiring a held mutex a certain one.
 //   - hotalloc:       functions marked //lint:hotpath and everything
 //     they reach in the call graph contain no allocating constructs
 //     (composite literals, make/new, closures, fmt, string
@@ -43,9 +38,7 @@
 //     results, whether discarded at the call or assigned to a variable
 //     no path reads.
 //
-// Three more close the concurrency-lifecycle story: long-running
-// goroutines, the channels that stop them, and the contexts that cancel
-// them:
+// One covers the goroutines the module spawns:
 //
 //   - goroutinelife:  every `go` statement has a provable termination
 //     path — the spawned body selects or receives on a stop channel
@@ -54,15 +47,11 @@
 //     spawned goroutine on an unbuffered local channel whose receiver
 //     sits in a multi-arm select is the classic timeout-path leak and
 //     is diagnosed.
-//   - chanlife:       channel discipline per the declarative
-//     ChannelContracts table — exactly the declared number of close
-//     sites per channel identity, signal channels close-only, and no
-//     send (or second close) reachable after a close on any path.
-//   - ctxflow:        context hygiene — every WithCancel/WithTimeout
-//     cancel runs on every path (or transfers ownership), a function
-//     holding a ctx parameter derives from it instead of calling
-//     context.Background()/TODO(), and request-path packages never
-//     mint root contexts at all.
+//
+// What the suite does not police is held elsewhere: lock order by there
+// being one mutex per package (the import DAG orders the rest), channel
+// close discipline by receive-only types and sync.OnceFunc, context
+// cancellation by go vet's lostcancel (DESIGN.md §10 has the table).
 //
 // A finding can be suppressed with a directive on the same line or the
 // line above:
@@ -109,12 +98,10 @@ type Unit struct {
 	Fset *token.FileSet
 	Pkgs []*Package
 
-	// Invariants, Forbidden and Channels override the production tables
-	// from invariants.go; nil means production. Tests point them at
-	// testdata.
+	// Invariants and Forbidden override the production tables from
+	// invariants.go; nil means production. Tests point them at testdata.
 	Invariants []SingleDef
 	Forbidden  []ForbiddenDecl
-	Channels   []ChannelContract
 }
 
 // Analyzer is one named check over a Unit.
@@ -266,9 +253,7 @@ func RunAllDetail(u *Unit, analyzers []*Analyzer) (active, suppressed []Diagnost
 	// (immutable once loaded) unit — with the same discipline as
 	// bench.RunStream: results land in slots keyed by input index and
 	// are folded in input order, so parallelism changes wall clock and
-	// nothing else. Three whole-program flow passes joined the roster in
-	// the lifecycle PR; fanning the suite out keeps `make lint` far
-	// inside check.sh's 60s budget on multi-core hosts.
+	// nothing else.
 	results := make([][]Diagnostic, len(analyzers))
 	var wg sync.WaitGroup
 	for i, a := range analyzers {
@@ -333,12 +318,9 @@ func Analyzers() []*Analyzer {
 		SingleDefAnalyzer,
 		ServerScanAnalyzer,
 		LockedCallbackAnalyzer,
-		LockOrderAnalyzer,
 		HotAllocAnalyzer,
 		ErrFlowAnalyzer,
 		GoroutineLifeAnalyzer,
-		ChanLifeAnalyzer,
-		CtxFlowAnalyzer,
 	}
 }
 
@@ -373,4 +355,22 @@ func recvNamed(fn *types.Func) *types.Named {
 		return n
 	}
 	return nil
+}
+
+// unwrapExpr strips the expression wrappers that still name the same
+// storage: parens, pointer derefs (the pointee is the same object), and
+// slice expressions (the sub-slice shares the backing array).
+func unwrapExpr(e ast.Expr) ast.Expr {
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.SliceExpr:
+			e = x.X
+		default:
+			return e
+		}
+	}
 }

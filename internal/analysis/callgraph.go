@@ -3,13 +3,11 @@ package analysis
 // callgraph.go approximates the module's call graph over go/types:
 // every declared function/method maps to the static call sites in its
 // body. Calls through interfaces, function-typed variables, and
-// closures stay unresolved — the analyzers built on top (lockorder)
-// document that as an accepted approximation; the lockedcallback
-// analyzer separately forbids the one dynamic-dispatch pattern that
-// matters for locking (observer fan-out under a mutex). Function
-// literals are excluded from their enclosing function's summary: a
-// closure runs later, so charging its effects to the definition site
-// would fabricate paths that never execute together.
+// closures stay unresolved — hotalloc, the analyzer built on top,
+// documents that as an accepted approximation. Function literals are
+// excluded from their enclosing function's summary: a closure runs
+// later, so charging its effects to the definition site would fabricate
+// paths that never execute together.
 
 import (
 	"go/ast"

@@ -1,10 +1,10 @@
 package analysis
 
 // cfg.go builds a per-function control-flow graph over go/ast — the
-// substrate for the flow-sensitive analyzers (lockorder, hotalloc,
-// errflow and the lifecycle trio). Blocks carry statement-level nodes
-// in execution order; edges cover branches, loops (with labeled break/continue), switch
-// fallthrough, select, goto, and early returns. `defer` statements stay
+// substrate for errflow's dead-assignment check. Blocks carry
+// statement-level nodes in execution order; edges cover branches, loops
+// (with labeled break/continue), switch fallthrough, select, goto, and
+// early returns. `defer` statements stay
 // in flow order inside their block and are additionally collected in
 // registration order so analyses can replay them LIFO at function exit.
 // Function literals are NOT inlined: a closure runs later, under a

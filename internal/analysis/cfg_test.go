@@ -4,8 +4,7 @@ package analysis
 // assert reachability between the blocks holding named marker calls.
 // Covers defer registration order, closures via go, switch/select
 // including fallthrough, loops with continue/break (plain and labeled),
-// and early returns; a final test drives the dataflow framework's
-// may/must joins over a branch.
+// and early returns.
 
 import (
 	"go/ast"
@@ -285,105 +284,5 @@ func TestCFGPanicTerminates(t *testing.T) {
 	}
 	if !reaches(bp, c.Exit) {
 		t.Error("panic flows to exit")
-	}
-}
-
-// TestDataflowJoins drives Forward over an if/else with both join
-// flavors: may (union) sees both branch facts at the join, must
-// (intersection) sees neither.
-func TestDataflowJoins(t *testing.T) {
-	c := buildTestCFG(t, `
-	if x {
-		a()
-	} else {
-		b()
-	}
-	c()
-`)
-	type set = map[string]bool
-	marks := func(n ast.Node) []string {
-		var out []string
-		ast.Inspect(n, func(m ast.Node) bool {
-			if call, ok := m.(*ast.CallExpr); ok {
-				if id, ok := call.Fun.(*ast.Ident); ok {
-					out = append(out, id.Name)
-				}
-			}
-			return true
-		})
-		return out
-	}
-	transfer := func(f set, n ast.Node) set {
-		names := marks(n)
-		if len(names) == 0 {
-			return f
-		}
-		out := make(set, len(f)+len(names))
-		for k := range f {
-			out[k] = true
-		}
-		for _, k := range names {
-			out[k] = true
-		}
-		return out
-	}
-	equal := func(a, b set) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for k := range a {
-			if !b[k] {
-				return false
-			}
-		}
-		return true
-	}
-
-	may := Facts[set]{
-		Join: func(a, b set) set {
-			out := make(set, len(a)+len(b))
-			for k := range a {
-				out[k] = true
-			}
-			for k := range b {
-				out[k] = true
-			}
-			return out
-		},
-		Equal:    equal,
-		Transfer: transfer,
-	}
-	exit, ok := ExitFact(c, Forward(c, set{}, may))
-	if !ok {
-		t.Fatal("exit unreachable")
-	}
-	for _, k := range []string{"a", "b", "c"} {
-		if !exit[k] {
-			t.Errorf("may-exit should contain %s: %v", k, exit)
-		}
-	}
-
-	must := Facts[set]{
-		Join: func(a, b set) set {
-			out := set{}
-			for k := range a {
-				if b[k] {
-					out[k] = true
-				}
-			}
-			return out
-		},
-		Equal:    equal,
-		Transfer: transfer,
-	}
-	exit, ok = ExitFact(c, Forward(c, set{}, must))
-	if !ok {
-		t.Fatal("exit unreachable")
-	}
-	if exit["a"] || exit["b"] {
-		t.Errorf("must-exit must not contain branch-only marks: %v", exit)
-	}
-	if !exit["c"] {
-		t.Errorf("must-exit should contain the post-join mark: %v", exit)
 	}
 }

@@ -66,41 +66,28 @@ func seededViolation() time.Duration { return time.Since(time.Unix(0, 0)) }
 	}
 }
 
-// TestDriverSeededHomeTypes: the raw types whose discipline lives in
-// internal/cow and internal/pool are diagnosed anywhere else, whatever
-// the import is called.
+// TestDriverSeededHomeTypes: the raw type whose discipline lives in
+// internal/pool is diagnosed anywhere else.
 func TestDriverSeededHomeTypes(t *testing.T) {
 	tmp := t.TempDir()
 	copyGoTree(t, repoRootT(t), tmp)
-	seeds := map[string]string{
-		filepath.Join(tmp, "internal", "gateway", "zz_seeded_pointer.go"): `package gateway
-
-import a "sync/atomic"
-
-type zzTable struct {
-	v a.Pointer[map[string]int]
-}
-`,
-		filepath.Join(tmp, "internal", "loadgen", "zz_seeded_pool.go"): `package loadgen
+	seed := filepath.Join(tmp, "internal", "loadgen", "zz_seeded_pool.go")
+	src := `package loadgen
 
 import "sync"
 
 var zzPool sync.Pool
-`,
-	}
-	for path, src := range seeds {
-		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
+`
+	if err := os.WriteFile(seed, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
 	}
 	var out bytes.Buffer
 	if code := Main(&out, tmp, []string{"./..."}); code != ExitDiags {
-		t.Fatalf("seeded home-type violations: exit %d, want %d\n%s", code, ExitDiags, out.String())
+		t.Fatalf("seeded home-type violation: exit %d, want %d\n%s", code, ExitDiags, out.String())
 	}
 	for _, want := range []string{
-		"zz_seeded_pointer.go:6:6: [singledef] atomic.Pointer may be named only in internal/cow",
 		"zz_seeded_pool.go:5:17: [singledef] sync.Pool may be named only in internal/pool",
-		"infless-lint: 2 issue(s)", // and nothing else: cow and pool themselves are clean
+		"infless-lint: 1 issue(s)", // and nothing else: pool itself is clean
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("missing %q in:\n%s", want, out.String())
@@ -108,42 +95,34 @@ var zzPool sync.Pool
 	}
 }
 
-// TestDriverSeededFlowViolations seeds one violation per flow-sensitive
+// TestDriverSeededFlowViolations seeds one violation per whole-program
 // analyzer into a copy of the tree and checks both output formats: text
 // mode names every seeded analyzer and exits non-zero; JSON mode carries
 // the same findings in the stable schema, with the tree's own
-// //lint:ignore'd findings present but marked suppressed.
+// //lint:ignore'd findings present but marked suppressed. Before that,
+// the violation no analyzer is needed for: a send on the gateway's stop
+// channel does not type-check.
 func TestDriverSeededFlowViolations(t *testing.T) {
 	tmp := t.TempDir()
 	copyGoTree(t, repoRootT(t), tmp)
+	var out bytes.Buffer
+	quitSend := filepath.Join(tmp, "internal", "gateway", "zz_seeded_quit_send.go")
+	if err := os.WriteFile(quitSend, []byte(`package gateway
+
+func zzDoubleStop(s *Server) {
+	s.quit <- struct{}{}
+}
+`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code := Main(&out, tmp, []string{"./..."}); code != ExitError || !strings.Contains(out.String(), "s.quit") {
+		t.Fatalf("a send on Server.quit must fail to type-check: exit %d, want %d naming s.quit\n%s", code, ExitError, out.String())
+	}
+	if err := os.Remove(quitSend); err != nil {
+		t.Fatal(err)
+	}
+
 	seeds := map[string]string{
-		filepath.Join(tmp, "internal", "gateway", "zz_seeded_lockorder.go"): `package gateway
-
-import "sync"
-
-type zzA struct{ mu sync.Mutex }
-
-type zzB struct{ mu sync.Mutex }
-
-type zzPair struct {
-	a zzA
-	b zzB
-}
-
-func (p *zzPair) zzForward() {
-	p.a.mu.Lock()
-	p.b.mu.Lock()
-	p.b.mu.Unlock()
-	p.a.mu.Unlock()
-}
-
-func (p *zzPair) zzInverted() {
-	p.b.mu.Lock()
-	p.a.mu.Lock()
-	p.a.mu.Unlock()
-	p.b.mu.Unlock()
-}
-`,
 		filepath.Join(tmp, "internal", "cluster", "zz_seeded_errflow.go"): `package cluster
 
 import "errors"
@@ -177,20 +156,6 @@ func zzSpin() {
 	}()
 }
 `,
-		filepath.Join(tmp, "internal", "gateway", "zz_seeded_chanlife.go"): `package gateway
-
-func zzDoubleStop(s *Server) {
-	s.quit <- struct{}{}
-}
-`,
-		filepath.Join(tmp, "internal", "gateway", "zz_seeded_ctxflow.go"): `package gateway
-
-import "context"
-
-func zzDetached() context.Context {
-	return context.Background()
-}
-`,
 	}
 	for path, src := range seeds {
 		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
@@ -198,11 +163,11 @@ func zzDetached() context.Context {
 		}
 	}
 
-	var out bytes.Buffer
+	out.Reset()
 	if code := Main(&out, tmp, []string{"./..."}); code != ExitDiags {
 		t.Fatalf("seeded violations: exit %d, want %d\n%s", code, ExitDiags, out.String())
 	}
-	for _, name := range []string{"lockorder", "errflow", "hotalloc", "goroutinelife", "chanlife", "ctxflow"} {
+	for _, name := range []string{"errflow", "hotalloc", "goroutinelife"} {
 		if !strings.Contains(out.String(), "["+name+"]") {
 			t.Errorf("text output should carry a %s finding:\n%s", name, out.String())
 		}
@@ -228,7 +193,7 @@ func zzDetached() context.Context {
 		}
 		active[d.Analyzer] = true
 	}
-	for _, name := range []string{"lockorder", "errflow", "hotalloc", "goroutinelife", "chanlife", "ctxflow"} {
+	for _, name := range []string{"errflow", "hotalloc", "goroutinelife"} {
 		if !active[name] {
 			t.Errorf("json output should carry an unsuppressed %s finding", name)
 		}

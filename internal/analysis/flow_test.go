@@ -1,39 +1,12 @@
 package analysis
 
-// Corpus tests for the flow-sensitive analyzers (lockorder, hotalloc,
-// errflow) plus the suppression and unused-directive behavior built on
-// RunAllDetail.
+// Corpus tests for hotalloc and errflow, plus the suppression and
+// unused-directive behavior built on RunAllDetail.
 
 import (
 	"strings"
 	"testing"
 )
-
-func TestLockOrderFlagsBadCorpus(t *testing.T) {
-	u := loadCorpus(t, "lockorder/bad", "github.com/tanklab/infless/internal/gateway/lobad")
-	checkWants(t, u, []*Analyzer{LockOrderAnalyzer})
-}
-
-func TestLockOrderAcceptsGoodCorpus(t *testing.T) {
-	u := loadCorpus(t, "lockorder/good", "github.com/tanklab/infless/internal/gateway/logood")
-	checkWants(t, u, []*Analyzer{LockOrderAnalyzer})
-}
-
-// TestLockOrderSuppression: the justified inversion is silenced and
-// surfaces in the suppressed half; the stale directive is reported.
-func TestLockOrderSuppression(t *testing.T) {
-	u := loadCorpus(t, "lockorder/suppress", "github.com/tanklab/infless/internal/gateway/losupp")
-	active, suppressed := RunAllDetail(u, []*Analyzer{LockOrderAnalyzer})
-	if len(active) != 1 {
-		t.Fatalf("want exactly the stale-directive diagnostic, got %v", active)
-	}
-	if active[0].Analyzer != "directive" || !strings.Contains(active[0].Message, "suppresses nothing") {
-		t.Errorf("expected unused-directive diagnostic, got %s", active[0])
-	}
-	if len(suppressed) != 1 || suppressed[0].Analyzer != "lockorder" {
-		t.Fatalf("want one suppressed lockorder finding, got %v", suppressed)
-	}
-}
 
 func TestHotAllocFlagsBadCorpus(t *testing.T) {
 	u := loadCorpus(t, "hotalloc/bad", "github.com/tanklab/infless/internal/gateway/habad")
@@ -45,11 +18,16 @@ func TestHotAllocAcceptsGoodCorpus(t *testing.T) {
 	checkWants(t, u, []*Analyzer{HotAllocAnalyzer})
 }
 
+// TestHotAllocSuppression: the justified allocation is silenced and
+// surfaces in the suppressed half; the stale directive is reported.
 func TestHotAllocSuppression(t *testing.T) {
 	u := loadCorpus(t, "hotalloc/suppress", "github.com/tanklab/infless/internal/gateway/hasupp")
 	active, suppressed := RunAllDetail(u, []*Analyzer{HotAllocAnalyzer})
-	if len(active) != 0 {
-		t.Fatalf("want no active diagnostics, got %v", active)
+	if len(active) != 1 {
+		t.Fatalf("want exactly the stale-directive diagnostic, got %v", active)
+	}
+	if active[0].Analyzer != "directive" || !strings.Contains(active[0].Message, "suppresses nothing") {
+		t.Errorf("expected unused-directive diagnostic, got %s", active[0])
 	}
 	if len(suppressed) != 1 || suppressed[0].Analyzer != "hotalloc" {
 		t.Fatalf("want one suppressed hotalloc finding, got %v", suppressed)
@@ -72,8 +50,7 @@ func TestHotAllocDirectiveMisuse(t *testing.T) {
 // must be added here deliberately, and none may silently drop out.
 func TestAnalyzerRoster(t *testing.T) {
 	want := []string{"wallclock", "maporder", "singledef", "serverscan",
-		"lockedcallback", "lockorder", "hotalloc", "errflow",
-		"goroutinelife", "chanlife", "ctxflow"}
+		"lockedcallback", "hotalloc", "errflow", "goroutinelife"}
 	got := Analyzers()
 	if len(got) != len(want) {
 		t.Fatalf("Analyzers() returned %d analyzers, want %d", len(got), len(want))
@@ -118,7 +95,7 @@ func TestErrFlowSuppression(t *testing.T) {
 // TestUnusedDirectiveOutsideRunSet: a directive naming an analyzer that
 // is not part of the run is left alone, so partial runs stay quiet.
 func TestUnusedDirectiveOutsideRunSet(t *testing.T) {
-	u := loadCorpus(t, "lockorder/suppress", "github.com/tanklab/infless/internal/gateway/losupp2")
+	u := loadCorpus(t, "hotalloc/suppress", "github.com/tanklab/infless/internal/gateway/hasupp2")
 	active, _ := RunAllDetail(u, []*Analyzer{ErrFlowAnalyzer})
 	if len(active) != 0 {
 		t.Fatalf("directives naming un-run analyzers must not be reported, got %v", active)

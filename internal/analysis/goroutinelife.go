@@ -96,26 +96,41 @@ func declBodies(u *Unit) map[*types.Func]*ast.BlockStmt {
 
 // closeSites maps every channel object (field or variable) to the
 // positions of the module's static close(...) calls on it, in file
-// order. Both goroutinelife (is there a close owner at all?) and
-// chanlife (are there exactly as many as declared?) read this index.
+// order. A field initialised from a local channel in a composite literal
+// inherits the local's close sites: that is the close-once shape
+// `quit: ch, stop: sync.OnceFunc(func() { close(ch) })`, whose field is
+// receive-only so no close can name it.
 func closeSites(u *Unit) map[types.Object][]token.Pos {
 	sites := map[types.Object][]token.Pos{}
+	var inits [][2]types.Object // {field, the variable its literal sets it from}
 	for _, pkg := range u.Pkgs {
 		for _, f := range pkg.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if id, ok := call.Fun.(*ast.Ident); !ok || id.Name != "close" || len(call.Args) != 1 {
-					return true
-				}
-				if obj := chanTargetObj(pkg, call.Args[0]); obj != nil {
-					sites[obj] = append(sites[obj], call.Pos())
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					if id, ok := n.Fun.(*ast.Ident); !ok || id.Name != "close" || len(n.Args) != 1 {
+						return true
+					}
+					if obj := chanTargetObj(pkg, n.Args[0]); obj != nil {
+						sites[obj] = append(sites[obj], n.Pos())
+					}
+				case *ast.KeyValueExpr:
+					key, ok := n.Key.(*ast.Ident)
+					if !ok {
+						return true
+					}
+					if field, ok := pkg.Info.Uses[key].(*types.Var); ok && field.IsField() {
+						if src := chanTargetObj(pkg, n.Value); src != nil {
+							inits = append(inits, [2]types.Object{field, src})
+						}
+					}
 				}
 				return true
 			})
 		}
+	}
+	for _, in := range inits {
+		sites[in[0]] = append(sites[in[0]], sites[in[1]]...)
 	}
 	return sites
 }
@@ -123,9 +138,9 @@ func closeSites(u *Unit) map[types.Object][]token.Pos {
 // chanTargetObj resolves a channel expression (possibly an element of a
 // slice/map of channels) to the field or variable object it lives in.
 func chanTargetObj(pkg *Package, e ast.Expr) types.Object {
-	e = unwrapAlias(e)
+	e = unwrapExpr(e)
 	if idx, ok := e.(*ast.IndexExpr); ok {
-		e = unwrapAlias(idx.X)
+		e = unwrapExpr(idx.X)
 	}
 	switch e := e.(type) {
 	case *ast.Ident:
@@ -284,7 +299,7 @@ func loopHasExitSignal(pkg *Package, loop *ast.ForStmt, closers map[types.Object
 // isCtxMethodCall reports whether e is a call of the named method on a
 // context.Context value (ctx.Done(), ctx.Err()).
 func isCtxMethodCall(pkg *Package, e ast.Expr, method string) bool {
-	call, ok := unwrapAlias(e).(*ast.CallExpr)
+	call, ok := unwrapExpr(e).(*ast.CallExpr)
 	if !ok {
 		return false
 	}

@@ -16,10 +16,9 @@ package analysis
 //   - function literals (closure allocation + capture);
 //   - any call into package fmt;
 //   - non-constant string concatenation (+ / += on strings);
-//   - append to a base that is provably zero-capacity on every call
-//     (nil, `var x []T`, or an empty literal built in the same body —
-//     appends to parameters and pooled buffers amortize and are
-//     allowed);
+//   - append to an empty composite literal, zero-capacity on every
+//     call (appends to anything named — parameters, pooled buffers —
+//     are allowed: most amortize);
 //   - interface boxing at go/types-visible sites: a non-pointer-shaped,
 //     non-constant concrete value passed to an interface parameter,
 //     returned as an interface result, or explicitly converted
@@ -164,12 +163,28 @@ func hotRootSuffix(seed *types.Func) string {
 		"; hoist the allocation out of the request path or mark a //lint:coldpath boundary"
 }
 
+// shortFuncName trims a FullName like
+// "(*github.com/x/y/internal/gateway.Server).deploy" down to
+// "(*gateway.Server).deploy".
+func shortFuncName(full string) string {
+	i := strings.LastIndex(full, "/")
+	if i < 0 {
+		return full
+	}
+	prefix := ""
+	if strings.HasPrefix(full, "(*") {
+		prefix = "(*"
+	} else if strings.HasPrefix(full, "(") {
+		prefix = "("
+	}
+	return prefix + full[i+1:]
+}
+
 // scanHotBody flags the allocating constructs in one hot function body.
 // Function literals are themselves findings (closure allocation), and
 // their bodies are not scanned further — the closure runs later, under
 // its own profile.
 func scanHotBody(u *Unit, pkg *Package, body *ast.BlockStmt, seed *types.Func, cold map[*types.Func]bool) []Diagnostic {
-	am := buildAliasMap(pkg.Info, body)
 	var diags []Diagnostic
 	report := func(pos token.Pos, what string) {
 		diags = append(diags, Diagnostic{
@@ -205,7 +220,7 @@ func scanHotBody(u *Unit, pkg *Package, body *ast.BlockStmt, seed *types.Func, c
 				report(n.Pos(), "string concatenation")
 			}
 		case *ast.CallExpr:
-			diags = append(diags, scanHotCall(u, pkg, am, n, seed, cold)...)
+			diags = append(diags, scanHotCall(u, pkg, n, seed, cold)...)
 		}
 		return true
 	})
@@ -214,7 +229,7 @@ func scanHotBody(u *Unit, pkg *Package, body *ast.BlockStmt, seed *types.Func, c
 
 // scanHotCall applies the call-shaped checks: builtins, fmt, variadic
 // argument slices, and interface boxing of arguments.
-func scanHotCall(u *Unit, pkg *Package, am *aliasMap, call *ast.CallExpr, seed *types.Func, cold map[*types.Func]bool) []Diagnostic {
+func scanHotCall(u *Unit, pkg *Package, call *ast.CallExpr, seed *types.Func, cold map[*types.Func]bool) []Diagnostic {
 	var diags []Diagnostic
 	report := func(pos token.Pos, what string) {
 		diags = append(diags, Diagnostic{
@@ -231,7 +246,7 @@ func scanHotCall(u *Unit, pkg *Package, am *aliasMap, call *ast.CallExpr, seed *
 			case "new":
 				report(call.Pos(), "new")
 			case "append":
-				if len(call.Args) > 0 && zeroCapBase(pkg, am, call.Args[0]) {
+				if len(call.Args) > 0 && zeroCapBase(call.Args[0]) {
 					report(call.Pos(), "append to a zero-capacity base")
 				}
 			}
@@ -301,42 +316,13 @@ func isConstExpr(pkg *Package, e ast.Expr) bool {
 	return ok && tv.Value != nil
 }
 
-// zeroCapBase reports whether the append base is provably zero-capacity
-// on every call: a nil literal, an empty composite literal, or a local
-// whose every alias source is one of those (parameters and pooled
-// buffers stay Unknown and are allowed — they amortize).
-func zeroCapBase(pkg *Package, am *aliasMap, e ast.Expr) bool {
-	e = unwrapAlias(e)
-	switch e := e.(type) {
-	case *ast.CompositeLit:
-		return len(e.Elts) == 0
-	case *ast.Ident:
-		if e.Name == "nil" {
-			return true
-		}
-		obj := identObj(pkg.Info, e)
-		if obj == nil {
-			return false
-		}
-		srcs := am.Sources(obj)
-		if len(srcs) == 0 {
-			return false
-		}
-		for _, src := range srcs {
-			switch {
-			case src.Zero:
-			case src.Unknown, src.Elem, src.Expr == nil:
-				return false
-			default:
-				lit, ok := unwrapAlias(src.Expr).(*ast.CompositeLit)
-				if !ok || len(lit.Elts) != 0 {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	return false
+// zeroCapBase reports whether the append base is zero-capacity on every
+// call by its syntax alone: an empty composite literal. Anything named
+// (locals, parameters, pooled buffers) is allowed — most amortize, and
+// the 0 allocs/op benchmark gate catches the ones that do not.
+func zeroCapBase(e ast.Expr) bool {
+	lit, ok := unwrapExpr(e).(*ast.CompositeLit)
+	return ok && len(lit.Elts) == 0
 }
 
 // boxes reports whether passing arg as target type performs an

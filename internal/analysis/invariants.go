@@ -99,106 +99,23 @@ var SingleDefs = []SingleDef{
 		"the startup-aware placement view is defined once, next to the shard merge it extends"},
 	{KindMethod, "Cluster", "BestFitShardsArtifact", "internal/cluster/shard.go",
 		"the startup-tie-break shard merge has one implementation, mirroring BestFitShards"},
-	{KindType, "", "aliasMap", "internal/analysis/alias.go",
-		"the intraprocedural alias pass has one implementation; every flow analyzer shares it"},
-	{KindFunc, "", "runHotAlloc", "internal/analysis/hotalloc.go",
-		"the zero-alloc hot-path gate has one home"},
-	{KindType, "", "ChannelContract", "internal/analysis/invariants.go",
-		"channel lifecycle contracts are declared in one table, next to the other invariants"},
-	{KindFunc, "", "runGoroutineLife", "internal/analysis/goroutinelife.go",
-		"the goroutine-termination analyzer has one home"},
-	{KindFunc, "", "runChanLife", "internal/analysis/chanlife.go",
-		"the channel-discipline analyzer has one home"},
-	{KindFunc, "", "runCtxFlow", "internal/analysis/ctxflow.go",
-		"the context-hygiene analyzer has one home"},
 }
 
 // HomeType declares a standard-library type that only one package of
-// the module may name. The discipline such a type needs (copy before
-// publish, one owner per pooled object) lives in that package's API,
-// where the compiler and the tests hold it; everywhere else the raw type
-// is a diagnostic pointing at the wrapper.
+// the module may name. The discipline such a type needs (one owner per
+// pooled object) lives in that package's API, where the compiler and
+// the tests hold it; everywhere else the raw type is a diagnostic
+// pointing at the wrapper.
 type HomeType struct {
-	Pkg, Name string // the type, e.g. "sync/atomic", "Pointer"
+	Pkg, Name string // the type, e.g. "sync", "Pool"
 	Home      string // module-relative package scope allowed to name it
 	Why       string
 }
 
 // HomeTypes is the production home-type table.
 var HomeTypes = []HomeType{
-	{"sync/atomic", "Pointer", "internal/cow",
-		"publish shared containers through cow.Map, which copies on write"},
 	{"sync", "Pool", "internal/pool",
 		"pool objects through pool.Of, whose handle is cleared by Put"},
-}
-
-// ChannelContract declares the lifecycle discipline of one channel
-// identity for the chanlife analyzer. A channel is identified either as
-// a struct field (Type + Field) or as a local of one function (Func +
-// Var; Func is "Recv.Method" for methods). The analyzer enforces, per
-// contract: the module contains exactly Closers static close sites for
-// the channel; a SignalOnly channel is never the target of a send; and
-// within any one function body no send or second close is reachable
-// after a close on some path (may-analysis over the CFG). Channel-typed
-// struct fields in a contracted package with no entry here are
-// themselves diagnosed — every long-lived channel must declare who
-// closes it, even if the answer is "nobody" (Closers: 0).
-type ChannelContract struct {
-	Pkg   string // module-relative package scope, e.g. "internal/gateway"
-	Type  string // struct type for field channels ("" for locals)
-	Field string // channel field name ("" for locals)
-	Func  string // declaring function for locals: "Func" or "Recv.Method"
-	Var   string // local channel variable name ("" for fields)
-
-	// Closers is the number of static close sites the module must
-	// contain for this channel identity. 0 declares a never-closed
-	// channel (receivers exit by another signal, or the channel is a
-	// per-object reply slot abandoned to the GC).
-	Closers int
-	// SignalOnly marks a close-only channel (quit/done): receivers wait
-	// for the close; any send through it is a diagnostic.
-	SignalOnly bool
-
-	Why string
-}
-
-// DisplayName renders the contract's channel identity.
-func (c ChannelContract) DisplayName() string {
-	if c.Field != "" {
-		return c.Type + "." + c.Field
-	}
-	return c.Func + "." + c.Var
-}
-
-// ChannelContracts is the production channel-lifecycle table: every
-// long-lived channel in the concurrent runtime packages, with its close
-// ownership. The goroutinelife analyzer independently proves the
-// goroutines blocked on these channels can exit.
-var ChannelContracts = []ChannelContract{
-	{Pkg: "internal/gateway", Type: "invocation", Field: "reply",
-		Closers: 0,
-		Why:     "the buffered single-reply slot: never closed, so the engine's completion hook can always send, caller listening or not; the invocation recycles with the channel inside"},
-	{Pkg: "internal/gateway", Type: "Server", Field: "wake",
-		Closers: 0,
-		Why:     "the pacer's wake-up token (buffer of one): never closed, the pacer exits on quit"},
-	{Pkg: "internal/gateway", Type: "Server", Field: "quit",
-		Closers: 1, SignalOnly: true,
-		Why: "the pacer's stop signal: Close closes it exactly once, under deployMu behind the closed flag"},
-	{Pkg: "internal/cluster", Type: "FitPool", Field: "jobs",
-		Closers: 1,
-		Why:     "the fan-out work queue: FitPool.Close is the one closer; workers exit when the range drains"},
-	{Pkg: "internal/loadgen", Func: "runOpen", Var: "jobs",
-		Closers: 1,
-		Why:     "the pacer-to-worker handoff: the pacer closes it when the trace ends; workers exit when the range drains"},
-	{Pkg: "internal/bench", Func: "RunStream", Var: "idx",
-		Closers: 1,
-		Why:     "the experiment feed: the feeder goroutine closes it after the last index; workers exit when the range drains"},
-	{Pkg: "internal/bench", Func: "RunStream", Var: "done",
-		Closers: 1, SignalOnly: true,
-		Why: "per-experiment completion signals: the finishing worker closes each slot exactly once; the emitter only receives"},
-	{Pkg: "internal/bench", Func: "Options.parallelFor", Var: "idx",
-		Closers: 1,
-		Why:     "the sweep-point feed: the caller closes it after the last index; workers exit when the range drains"},
 }
 
 // ForbiddenDecls is the production forbidden-declaration table.

@@ -1,14 +1,11 @@
 package analysis
 
-// Corpus tests for the concurrency-lifecycle analyzers (goroutinelife,
-// chanlife, ctxflow): bad corpora pin the diagnostics with want
-// comments, good corpora prove the accepted shapes stay silent, and the
-// suppress corpora exercise //lint:ignore with justified reasons.
+// Corpus tests for goroutinelife: the bad corpus pins the diagnostics
+// with want comments, the good corpus proves the accepted shapes stay
+// silent, and the suppress corpus exercises //lint:ignore with a
+// justified reason.
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestGoroutineLifeFlagsBadCorpus(t *testing.T) {
 	u := loadCorpus(t, "goroutinelife/bad", "github.com/tanklab/infless/internal/gateway/glbad")
@@ -28,95 +25,5 @@ func TestGoroutineLifeSuppression(t *testing.T) {
 	}
 	if len(suppressed) != 1 || suppressed[0].Analyzer != "goroutinelife" {
 		t.Fatalf("want one suppressed goroutinelife finding, got %v", suppressed)
-	}
-}
-
-// channelContractsCorpus covers the bad and good chanlife corpora: both
-// define the same three channel identities (the corpora differ in how
-// they treat them), and the bad corpus adds an uncontracted rogue field
-// the coverage rule must flag on its own.
-var channelContractsCorpus = []ChannelContract{
-	{Pkg: "internal/gateway", Type: "box", Field: "quit",
-		Closers: 1, SignalOnly: true, Why: "corpus"},
-	{Pkg: "internal/gateway", Type: "box", Field: "work",
-		Closers: 1, Why: "corpus"},
-	{Pkg: "internal/gateway", Func: "pump", Var: "feed",
-		Closers: 1, Why: "corpus"},
-}
-
-func TestChanLifeFlagsBadCorpus(t *testing.T) {
-	u := loadCorpus(t, "chanlife/bad", "github.com/tanklab/infless/internal/gateway/clbad")
-	u.Channels = channelContractsCorpus
-	checkWants(t, u, []*Analyzer{ChanLifeAnalyzer})
-}
-
-func TestChanLifeAcceptsGoodCorpus(t *testing.T) {
-	u := loadCorpus(t, "chanlife/good", "github.com/tanklab/infless/internal/gateway/clgood")
-	u.Channels = channelContractsCorpus
-	checkWants(t, u, []*Analyzer{ChanLifeAnalyzer})
-}
-
-func TestChanLifeSuppression(t *testing.T) {
-	u := loadCorpus(t, "chanlife/suppress", "github.com/tanklab/infless/internal/gateway/clsupp")
-	u.Channels = []ChannelContract{
-		{Pkg: "internal/gateway", Type: "sbox", Field: "quit",
-			Closers: 1, SignalOnly: true, Why: "corpus"},
-	}
-	active, suppressed := RunAllDetail(u, []*Analyzer{ChanLifeAnalyzer})
-	if len(active) != 0 {
-		t.Fatalf("want no active diagnostics, got %v", active)
-	}
-	if len(suppressed) != 1 || suppressed[0].Analyzer != "chanlife" {
-		t.Fatalf("want one suppressed chanlife finding, got %v", suppressed)
-	}
-}
-
-// TestChanLifeStaleContract: a table entry that no longer resolves is a
-// diagnostic, so the table rots loudly.
-func TestChanLifeStaleContract(t *testing.T) {
-	u := loadCorpus(t, "chanlife/good", "github.com/tanklab/infless/internal/gateway/clgood2")
-	u.Channels = append([]ChannelContract{
-		{Pkg: "internal/gateway", Type: "vanished", Field: "ch", Closers: 1, Why: "corpus"},
-	}, channelContractsCorpus...)
-	diags := RunAll(u, []*Analyzer{ChanLifeAnalyzer})
-	if len(diags) != 1 || !strings.Contains(diags[0].Message, "stale ChannelContract: vanished.ch") {
-		t.Fatalf("want one stale-contract diagnostic, got %v", diags)
-	}
-}
-
-func TestCtxFlowFlagsBadCorpus(t *testing.T) {
-	u := loadCorpus(t, "ctxflow/bad", "github.com/tanklab/infless/internal/gateway/cfbad")
-	checkWants(t, u, []*Analyzer{CtxFlowAnalyzer})
-}
-
-func TestCtxFlowAcceptsGoodCorpus(t *testing.T) {
-	// Loaded under the simulator: root contexts are fine off the request
-	// path.
-	u := loadCorpus(t, "ctxflow/good", "github.com/tanklab/infless/internal/sim/cfgood")
-	checkWants(t, u, []*Analyzer{CtxFlowAnalyzer})
-}
-
-// TestCtxFlowScopeDependence: the identical root-context shape is
-// diagnosed on the request path and accepted off it.
-func TestCtxFlowScopeDependence(t *testing.T) {
-	u := loadCorpus(t, "ctxflow/scope", "github.com/tanklab/infless/internal/gateway/cfscope")
-	diags := RunAll(u, []*Analyzer{CtxFlowAnalyzer})
-	if len(diags) != 1 || !strings.Contains(diags[0].Message, "request-path package") {
-		t.Fatalf("want one request-path diagnostic in gateway scope, got %v", diags)
-	}
-	u = loadCorpus(t, "ctxflow/scope", "github.com/tanklab/infless/internal/sim/cfscope")
-	if diags := RunAll(u, []*Analyzer{CtxFlowAnalyzer}); len(diags) != 0 {
-		t.Fatalf("want no diagnostics off the request path, got %v", diags)
-	}
-}
-
-func TestCtxFlowSuppression(t *testing.T) {
-	u := loadCorpus(t, "ctxflow/suppress", "github.com/tanklab/infless/internal/gateway/cfsupp")
-	active, suppressed := RunAllDetail(u, []*Analyzer{CtxFlowAnalyzer})
-	if len(active) != 0 {
-		t.Fatalf("want no active diagnostics, got %v", active)
-	}
-	if len(suppressed) != 1 || suppressed[0].Analyzer != "ctxflow" {
-		t.Fatalf("want one suppressed ctxflow finding, got %v", suppressed)
 	}
 }

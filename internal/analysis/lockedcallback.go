@@ -11,7 +11,7 @@ package analysis
 // gateway's engine fires every hook with Server.mu held (the contract on
 // gateway.Config.Observer), from internal/sim, whose event loop has no
 // lock of its own. What stays forbidden is a second, ad-hoc notification
-// path from a handler holding deployMu or mu.
+// path from a handler holding mu.
 //
 // The walk is source-order within one function body: Lock()/RLock() on
 // a receiver path (e.g. "f.mu") marks it held, Unlock()/RUnlock()
@@ -28,9 +28,8 @@ import (
 )
 
 // lockedCallbackScopes is where the discipline applies: the gateway
-// (whose deploy path holds deployMu while the registry and plan are
-// touched), the telemetry collector, and the copy-on-write registry in
-// internal/core.
+// (whose handlers hold mu around the engine and the registry), the
+// telemetry collector, and the registry in internal/core.
 var lockedCallbackScopes = []string{"internal/gateway", "internal/telemetry", "internal/core"}
 
 // LockedCallbackAnalyzer implements the lockedcallback check.

@@ -6,6 +6,7 @@ package glgood
 
 import (
 	"context"
+	"sync"
 	"time"
 )
 
@@ -35,6 +36,31 @@ func spawnWorker() *worker {
 	w := &worker{quit: make(chan struct{})}
 	go w.run()
 	return w
+}
+
+// pacer is the gateway Server shape: the field is receive-only and the
+// one close sits in a sync.OnceFunc over the constructor's local.
+type pacer struct {
+	quit <-chan struct{}
+	stop func()
+}
+
+func (p *pacer) run() {
+	for {
+		select {
+		case <-p.quit:
+			return
+		default:
+			bump()
+		}
+	}
+}
+
+func spawnPacer() *pacer {
+	ch := make(chan struct{})
+	p := &pacer{quit: ch, stop: sync.OnceFunc(func() { close(ch) })}
+	go p.run()
+	return p
 }
 
 // drainPool is the FitPool shape: workers range the feed, the owner

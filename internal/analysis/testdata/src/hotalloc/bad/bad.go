@@ -1,7 +1,7 @@
 // Package habad allocates on //lint:hotpath routes: every allocating
 // construct the analyzer names, both directly in the marked function
-// and transitively in a reachable callee, plus an alias-reached
-// zero-capacity append. slowInit shows that a //lint:coldpath callee is
+// and transitively in a reachable callee, plus an append to an empty
+// literal. slowInit shows that a //lint:coldpath callee is
 // a boundary — its internal make is not reported.
 package habad
 
@@ -55,7 +55,7 @@ func hotVariadic() {
 
 //lint:hotpath
 func hotAppend(n int) []int {
-	zero := []int{} // want "slice literal allocates"
-	alias := zero
-	return append(alias, n) // want "append to a zero-capacity base"
+	return append( // want "append to a zero-capacity base"
+		[]int{}, // want "slice literal allocates"
+		n)
 }

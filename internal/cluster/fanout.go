@@ -31,6 +31,7 @@ type FitPool struct {
 	chunks  [][2]int // contiguous shard ranges, one per worker
 	answers []fitAnswer
 	jobs    chan fitJob
+	closing sync.Once // jobs closes once however often Close is called
 	wg      sync.WaitGroup
 }
 
@@ -169,9 +170,10 @@ func (p *FitPool) FirstFit(res perf.Resources, memMB int) (id int, freeW float64
 	return id, freeW, ok
 }
 
-// Close releases the pool's workers. The pool is unusable afterwards.
+// Close releases the pool's workers. The pool is unusable afterwards;
+// closing it again does nothing.
 func (p *FitPool) Close() {
 	if p.jobs != nil {
-		close(p.jobs)
+		p.closing.Do(func() { close(p.jobs) })
 	}
 }

@@ -1,9 +1,9 @@
 package cluster
 
-// leak_test.go pins FitPool teardown dynamically: chanlife proves Close
-// is the jobs channel's one close site, goroutinelife proves the
-// workers' range loop ends at that close — this harness proves the
-// workers are actually gone after Close returns.
+// leak_test.go pins FitPool teardown dynamically: goroutinelife proves
+// the workers' range loop ends when the jobs channel closes — this
+// harness proves the workers are actually gone after Close returns, and
+// that a second Close is harmless.
 
 import (
 	"runtime"
@@ -36,13 +36,16 @@ func TestFitPoolCloseStopsWorkers(t *testing.T) {
 	c := New(Options{Servers: 16, Shards: 8})
 	base := runtime.NumGoroutine()
 
-	p := c.NewFitPool(4)
-	// Exercise the pool so workers have really run before teardown.
-	for i := 0; i < 10; i++ {
-		if _, _, ok := p.BestFit(perf.Resources{CPU: 1}, 256); !ok {
-			t.Fatal("BestFit found no server on a fresh cluster")
+	for _, workers := range []int{2, 4} {
+		p := c.NewFitPool(workers)
+		// Exercise the pool so workers have really run before teardown.
+		for i := 0; i < 10; i++ {
+			if _, _, ok := p.BestFit(perf.Resources{CPU: 1}, 256); !ok {
+				t.Fatal("BestFit found no server on a fresh cluster")
+			}
 		}
+		p.Close()
+		p.Close() // must not panic on the closed jobs channel
+		settleGoroutines(t, base)
 	}
-	p.Close()
-	settleGoroutines(t, base)
 }

@@ -10,9 +10,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 	"time"
-
-	"github.com/tanklab/infless/internal/cow"
 )
 
 // RegistryEntry is one deployed function's durable record.
@@ -26,60 +25,79 @@ type RegistryEntry struct {
 	DeployedAt   time.Duration `json:"deployedAtNs"` // virtual time
 }
 
-// Registry is a concurrency-safe function metadata store: a
-// copy-on-write map, so Lookup, List and Len never lock and never see a
-// half-applied write. The gateway calls it from deploy, delete and list
-// only — dispatch resolves names in the gateway's own function table.
+// Registry is a concurrency-safe function metadata store. It is written
+// at human rate (deploy, delete) and read by list and the deploy
+// duplicate check; no request path meets it — dispatch resolves names
+// in the engine's function set.
 type Registry struct {
-	entries cow.Map[RegistryEntry]
+	mu      sync.RWMutex
+	entries map[string]RegistryEntry
 }
 
 // NewRegistry creates an empty registry.
-func NewRegistry() *Registry { return &Registry{} }
+func NewRegistry() *Registry { return &Registry{entries: map[string]RegistryEntry{}} }
 
-// Register adds or replaces a function record. The entry must validate
-// against the model zoo.
-func (r *Registry) Register(e RegistryEntry) error {
-	t := TemplateFunction{
+// Validate checks the record against the model zoo, as a template
+// function of the same fields.
+func (e RegistryEntry) Validate() error {
+	return TemplateFunction{
 		Name:         e.Name,
 		ModelName:    e.ModelName,
 		SLO:          e.SLO,
 		MaxBatchSize: e.MaxBatchSize,
 		Image:        e.Image,
 		Handler:      e.Handler,
-	}
-	if err := t.Validate(); err != nil {
+	}.Validate()
+}
+
+// Register adds or replaces a function record. The entry must validate
+// against the model zoo.
+func (r *Registry) Register(e RegistryEntry) error {
+	if err := e.Validate(); err != nil {
 		return err
 	}
-	r.entries.Update(func(next map[string]RegistryEntry) { next[e.Name] = e })
+	r.mu.Lock()
+	r.entries[e.Name] = e
+	r.mu.Unlock()
 	return nil
 }
 
-// Lookup returns the record for name (lock-free).
-func (r *Registry) Lookup(name string) (RegistryEntry, bool) { return r.entries.Get(name) }
+// Lookup returns the record for name.
+func (r *Registry) Lookup(name string) (RegistryEntry, bool) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	e, ok := r.entries[name]
+	return e, ok
+}
 
 // Delete removes a function record; it reports whether one existed.
 func (r *Registry) Delete(name string) (existed bool) {
-	r.entries.Update(func(next map[string]RegistryEntry) {
-		_, existed = next[name]
-		delete(next, name)
-	})
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	_, existed = r.entries[name]
+	delete(r.entries, name)
 	return existed
 }
 
-// List returns all records sorted by name (faasdev-cli list). The
-// snapshot is consistent: concurrent writes publish whole new maps.
+// List returns all records sorted by name (faasdev-cli list), as of one
+// instant: no write lands between the first record and the last.
 func (r *Registry) List() []RegistryEntry {
-	out := make([]RegistryEntry, 0, r.entries.Len())
-	for _, e := range r.entries.All {
+	r.mu.RLock()
+	out := make([]RegistryEntry, 0, len(r.entries))
+	for _, e := range r.entries {
 		out = append(out, e)
 	}
+	r.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
-// Len returns the number of registered functions (lock-free).
-func (r *Registry) Len() int { return r.entries.Len() }
+// Len returns the number of registered functions.
+func (r *Registry) Len() int {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return len(r.entries)
+}
 
 // Save serializes the registry as JSON.
 func (r *Registry) Save(w io.Writer) error {

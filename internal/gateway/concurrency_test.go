@@ -1,10 +1,10 @@
 package gateway
 
-// concurrency_test.go exercises the lock-free function table under
-// racing deploy/delete/invoke traffic (check.sh runs this package with
-// -race), the deploy rollback discipline, the admission-control shed
-// path, the template size cap, and the pooled response encoder's
-// equality with encoding/json.
+// concurrency_test.go exercises the gateway's one lock under racing
+// deploy/delete/invoke traffic (check.sh runs this package with -race):
+// one winner per racing deploy and no registry entry left by a loser,
+// the admission-control shed path, the deploy body size cap, and the
+// pooled response encoder's equality with encoding/json.
 
 import (
 	"bytes"
@@ -24,8 +24,7 @@ import (
 
 // TestDeployRaceNoRegistryLeak: concurrent deploys of one name must
 // produce exactly one winner, and the losers' 409s must not leave a
-// registry entry behind (the old two-phase check registered first and
-// rolled back nothing when it lost the second check).
+// registry entry behind.
 func TestDeployRaceNoRegistryLeak(t *testing.T) {
 	gw := New(Config{SpeedFactor: 1000, IdleTimeout: time.Hour, Seed: 1})
 	defer gw.Close()
@@ -219,24 +218,26 @@ func TestInvokeShedsWhenQueueFull(t *testing.T) {
 	}
 }
 
-// TestDeployTemplateTooLarge: the yaml branch reads through
-// http.MaxBytesReader and answers 413 past the 1MB cap (the old
-// hand-rolled read loop could overshoot the cap by a buffer and
-// silently dropped read errors).
+// TestDeployTemplateTooLarge: a deploy body of either format is read
+// through http.MaxBytesReader and answers 413 past the 1MB cap.
 func TestDeployTemplateTooLarge(t *testing.T) {
 	gw := New(Config{SpeedFactor: 1000, IdleTimeout: time.Hour, Seed: 1})
 	defer gw.Close()
-	big := bytes.Repeat([]byte("# padding\n"), 1<<20/10+1024)
-	req := httptest.NewRequest(http.MethodPost, "/system/functions", bytes.NewReader(big))
-	req.Header.Set("Content-Type", "text/yaml")
-	w := httptest.NewRecorder()
-	gw.handleDeploy(w, req)
-	if w.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("status = %d (want 413)", w.Code)
-	}
-	var body map[string]string
-	if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil || body["error"] == "" {
-		t.Fatalf("413 body = %q (err %v)", w.Body.String(), err)
+	for contentType, big := range map[string][]byte{
+		"text/yaml":        bytes.Repeat([]byte("# padding\n"), 1<<20/10+1024),
+		"application/json": []byte(`{"name":"` + strings.Repeat("x", 1<<20) + `","model":"MNIST","slo":"1s"}`),
+	} {
+		req := httptest.NewRequest(http.MethodPost, "/system/functions", bytes.NewReader(big))
+		req.Header.Set("Content-Type", contentType)
+		w := httptest.NewRecorder()
+		gw.handleDeploy(w, req)
+		if w.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status = %d (want 413)", contentType, w.Code)
+		}
+		var body map[string]string
+		if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil || body["error"] == "" {
+			t.Fatalf("%s: 413 body = %q (err %v)", contentType, w.Body.String(), err)
+		}
 	}
 }
 

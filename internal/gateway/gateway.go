@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"mime"
 	"net/http"
 	"strconv"
 	"sync"
@@ -58,6 +59,10 @@ type Config struct {
 	// Cluster is the resource inventory (default: the 8-server testbed).
 	Cluster *cluster.Cluster
 	// Predictor estimates execution times (default: fresh COP predictor).
+	// Deploys build their plans concurrently, outside the gateway's lock,
+	// so it must be safe for concurrent use; both in-tree predictors are
+	// (profiler.Predictor only reads, scheduler.PredictorCache guards its
+	// map with an RWMutex).
 	Predictor scheduler.Predictor
 	// SpeedFactor divides emulated execution times — useful for demos and
 	// tests (e.g. 100 makes a 50ms inference take 0.5ms of wall time).
@@ -111,27 +116,24 @@ type Server struct {
 	now    func() time.Time
 	manual bool
 
-	// deployMu makes each deploy, undeploy and Close one step against
-	// reg and the engine's function set together (two racing deploys of
-	// one name cannot both pass the duplicate check) without holding mu
-	// while a plan is built. It is taken outside mu, never on the invoke
-	// path, and guards closed.
-	deployMu sync.Mutex
-	closed   bool
-
-	// mu is the plane's one lock: it guards eng and all the engine owns —
-	// the clock, the function table, every function's instances and
-	// queues, cfg.Cluster — plus waiters, pacerDue and the functions'
-	// admission state. Dispatch for all functions serialises here; a
-	// critical section is a few hundred nanoseconds of event handling,
-	// never a sleep.
+	// mu is the gateway's one lock: it guards eng and all the engine owns
+	// — the clock, the function table, every function's instances and
+	// queues, cfg.Cluster — plus waiters, pacerDue, closed and the
+	// functions' admission state. Writes to reg happen under it too, so
+	// the registry and the engine's function set change as one step (two
+	// racing deploys of one name cannot both pass the duplicate check).
+	// Dispatch for all functions serialises here; a critical section is a
+	// few hundred nanoseconds of event handling, never a sleep and never
+	// a plan build.
 	mu       sync.Mutex
+	closed   bool
 	eng      *sim.Engine
 	waiters  map[*sim.Request]*invocation // injected request → its caller, until answered
 	pacerDue time.Duration                // plane time the pacer means to sleep until
 
-	wake  chan struct{} // to the pacer: an earlier event was scheduled
-	quit  chan struct{} // closed by Close
+	wake  chan struct{}   // to the pacer: an earlier event was scheduled
+	quit  <-chan struct{} // closed by stop; receive-only, so nothing else can close or send
+	stop  func()          // closes quit, once however often it is called
 	paced sync.WaitGroup
 }
 
@@ -167,6 +169,7 @@ func newServer(cfg Config, now func() time.Time) *Server {
 	if cfg.MaxQueue == 0 {
 		cfg.MaxQueue = 512
 	}
+	quit := make(chan struct{})
 	s := &Server{
 		mux:     http.NewServeMux(),
 		cfg:     cfg,
@@ -175,7 +178,8 @@ func newServer(cfg Config, now func() time.Time) *Server {
 		manual:  now != nil,
 		waiters: map[*sim.Request]*invocation{},
 		wake:    make(chan struct{}, 1),
-		quit:    make(chan struct{}),
+		quit:    quit,
+		stop:    sync.OnceFunc(func() { close(quit) }),
 	}
 	if now == nil {
 		s.now = time.Now
@@ -227,27 +231,23 @@ func (s *Server) PlaneRate() float64 {
 // Close undeploys every function — each request still held, queued or
 // executing is answered (503) exactly once, every instance releases its
 // resources — then stops the pacer and joins it. Close is final: later
-// deploys are refused.
+// deploys are refused. It may be called again, and concurrently; every
+// call returns only once the pacer has exited.
 func (s *Server) Close() {
-	s.deployMu.Lock()
-	defer s.deployMu.Unlock()
-	if s.closed {
-		return
-	}
-	s.closed = true
 	s.mu.Lock()
+	s.closed = true
 	s.advance()
 	for fns := s.eng.Functions(); len(fns) > 0; fns = s.eng.Functions() {
-		s.reg.Delete(fns[0].Spec.Name)
 		s.remove(fns[0].CtrlState().(*function))
 	}
 	s.mu.Unlock()
-	close(s.quit)
+	s.stop()
 	s.paced.Wait()
 }
 
-// remove takes f out of the engine. Callers hold deployMu and mu.
+// remove takes f out of the registry and the engine. Callers hold mu.
 func (s *Server) remove(f *function) {
+	s.reg.Delete(f.fs.Spec.Name)
 	f.launch.Cancel()
 	s.eng.RemoveFunction(f.fs)
 }
@@ -261,12 +261,18 @@ type DeployRequest struct {
 }
 
 func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
+	// An absent Content-Type means JSON; parameters (charset) are ignored.
+	ct := "application/json"
+	if h := r.Header.Get("Content-Type"); h != "" {
+		ct, _, _ = mime.ParseMediaType(h) // "" on a malformed header: 415 below
+	}
+	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
 	var entries []core.RegistryEntry
-	switch ct := r.Header.Get("Content-Type"); {
-	case ct == "application/json" || ct == "":
+	switch ct {
+	case "application/json":
 		var req DeployRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, "bad json: %v", err)
+			deployBodyError(w, "bad json", err)
 			return
 		}
 		slo, err := time.ParseDuration(req.SLO)
@@ -277,16 +283,10 @@ func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
 		entries = append(entries, core.RegistryEntry{
 			Name: req.Name, ModelName: req.Model, SLO: slo, MaxBatchSize: req.MaxBatch,
 		})
-	case ct == "text/yaml" || ct == "application/x-yaml":
-		buf, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	case "text/yaml", "application/x-yaml":
+		buf, err := io.ReadAll(r.Body)
 		if err != nil {
-			var mbe *http.MaxBytesError
-			if errors.As(err, &mbe) {
-				httpError(w, http.StatusRequestEntityTooLarge,
-					"template too large (limit %d bytes)", mbe.Limit)
-				return
-			}
-			httpError(w, http.StatusBadRequest, "read template: %v", err)
+			deployBodyError(w, "read template", err)
 			return
 		}
 		fns, err := core.ParseTemplate(string(buf))
@@ -321,6 +321,18 @@ func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, map[string]any{"deployed": deployed})
 }
 
+// deployBodyError answers a deploy whose body could not be read or
+// decoded: 413 past the size cap, 400 otherwise.
+func deployBodyError(w http.ResponseWriter, what string, err error) {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		httpError(w, http.StatusRequestEntityTooLarge,
+			"template too large (limit %d bytes)", mbe.Limit)
+		return
+	}
+	httpError(w, http.StatusBadRequest, "%s: %v", what, err)
+}
+
 // statusError carries the HTTP status a gateway-internal failure maps to
 // (409 duplicate deploy, etc.); handlers unwrap it with errors.As.
 type statusError struct {
@@ -331,12 +343,23 @@ type statusError struct {
 func (e *statusError) Error() string { return e.msg }
 
 func (s *Server) deploy(e core.RegistryEntry) error {
-	// The whole deploy sequence — duplicate check, registry write, plan
-	// construction, AddFunction — is one deployMu critical section.
-	// Deploys are human-rate; the invoke path never meets it, only the
-	// brief mu section around AddFunction.
-	s.deployMu.Lock()
-	defer s.deployMu.Unlock()
+	// The slow part — validation and the plan — runs before the lock, so
+	// deploys build plans concurrently (Config.Predictor must allow it)
+	// and the invoke path never waits for one. What is left is one short
+	// mu section: duplicate check, registry write and AddFunction either
+	// all happen or none does, so there is nothing to roll back.
+	if err := e.Validate(); err != nil {
+		return err
+	}
+	m := model.MustGet(e.ModelName)
+	plan := scheduler.BuildPlan(scheduler.Function{Name: e.Name, Model: m, SLO: e.SLO},
+		s.cfg.Predictor, scheduler.Options{MaxInstancesPerCall: 1})
+	if !plan.Feasible() {
+		return fmt.Errorf("gateway: no configuration of %s meets %v", e.ModelName, e.SLO)
+	}
+	f := &function{plan: plan}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
 		return &statusError{http.StatusServiceUnavailable, "gateway: closed"}
 	}
@@ -347,15 +370,6 @@ func (s *Server) deploy(e core.RegistryEntry) error {
 	if err := s.reg.Register(e); err != nil {
 		return err
 	}
-	m := model.MustGet(e.ModelName)
-	plan := scheduler.BuildPlan(scheduler.Function{Name: e.Name, Model: m, SLO: e.SLO},
-		s.cfg.Predictor, scheduler.Options{MaxInstancesPerCall: 1})
-	if !plan.Feasible() {
-		s.reg.Delete(e.Name)
-		return fmt.Errorf("gateway: no configuration of %s meets %v", e.ModelName, e.SLO)
-	}
-	f := &function{plan: plan}
-	s.mu.Lock()
 	s.advance()
 	// IdleTimeout is wall time, the engine's keep-alive model time; a
 	// fixed policy never pre-warms, so every launch pays its cold start.
@@ -366,7 +380,6 @@ func (s *Server) deploy(e core.RegistryEntry) error {
 		Policy: coldstart.Fixed{KeepAlive: s.toModel(s.cfg.IdleTimeout)},
 	})
 	f.fs.SetCtrlState(f)
-	s.mu.Unlock()
 	return nil
 }
 
@@ -376,18 +389,14 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	// Registry and engine stay consistent: both writes happen in one
-	// deployMu critical section, like deploy's.
-	s.deployMu.Lock()
-	existed := s.reg.Delete(name)
-	if existed {
-		s.mu.Lock()
-		s.advance()
-		s.remove(s.eng.Function(name).CtrlState().(*function))
-		s.mu.Unlock()
+	s.mu.Lock()
+	s.advance()
+	fs := s.eng.Function(name)
+	if fs != nil {
+		s.remove(fs.CtrlState().(*function))
 	}
-	s.deployMu.Unlock()
-	if !existed {
+	s.mu.Unlock()
+	if fs == nil {
 		httpError(w, http.StatusNotFound, "unknown function %s", name)
 		return
 	}

@@ -146,10 +146,25 @@ func TestDeployErrors(t *testing.T) {
 	if resp := deployJSON(t, ts, "impossible", "Bert-v1", "1ms"); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("infeasible SLO status = %d", resp.StatusCode)
 	}
-	// Wrong content type.
-	resp, _ := http.Post(ts.URL+"/system/functions", "application/xml", strings.NewReader("<f/>"))
-	if resp.StatusCode != http.StatusUnsupportedMediaType {
-		t.Errorf("xml deploy status = %d", resp.StatusCode)
+	// The media type decides, not the header's spelling: parameters such
+	// as the charset most clients append are ignored, other types are 415.
+	for _, c := range []struct {
+		contentType, body string
+		want              int
+	}{
+		{"application/json; charset=utf-8", `{"name":"cj","model":"MNIST","slo":"1s"}`, http.StatusCreated},
+		{"text/yaml; charset=utf-8", "functions:\n  cy:\n    model: MNIST\n    slo: 1s\n", http.StatusCreated},
+		{"application/xml", "<f/>", http.StatusUnsupportedMediaType},
+		{"text/plain", `{"name":"cp","model":"MNIST","slo":"1s"}`, http.StatusUnsupportedMediaType},
+	} {
+		resp, err := http.Post(ts.URL+"/system/functions", c.contentType, strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("deploy as %q: status %d, want %d", c.contentType, resp.StatusCode, c.want)
+		}
 	}
 }
 

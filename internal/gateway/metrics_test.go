@@ -122,6 +122,10 @@ func TestRESTErrorSurface(t *testing.T) {
 	}
 	assertJSONError(t, deployJSON(t, ts, "dup", "MNIST", "1s"), http.StatusConflict)
 
+	// Deploy with an unsupported media type: 415.
+	resp, _ = http.Post(ts.URL+"/system/functions", "text/plain", strings.NewReader("{}"))
+	assertJSONError(t, resp, http.StatusUnsupportedMediaType)
+
 	// Unknown metrics format: 400.
 	resp, _ = http.Get(ts.URL + "/system/metrics?format=xml")
 	assertJSONError(t, resp, http.StatusBadRequest)

@@ -1,6 +1,6 @@
 package loadgen
 
-// leak_test.go pins loadgen teardown dynamically: the analyzers prove
+// leak_test.go pins loadgen teardown dynamically: goroutinelife proves
 // the open-loop workers end when the pacer closes jobs and the
 // closed-loop workers end with the run context — this harness proves
 // Run actually returns with every worker gone, in both modes.

@@ -237,13 +237,3 @@ func TestHumanCount(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkExecTimeResNet50(b *testing.B) {
-	m := MustGet("ResNet-50")
-	res := perf.Resources{CPU: 2, GPU: 2}
-	opt := ExecOptions{}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = m.ExecTime(8, res, opt)
-	}
-}

@@ -168,21 +168,3 @@ func TestSnap(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkPredictResNet50(b *testing.B) {
-	db := noiselessDB()
-	p := NewPredictor(db)
-	m := model.MustGet("ResNet-50")
-	res := perf.Resources{CPU: 2, GPU: 2}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = p.Predict(m, 8, res)
-	}
-}
-
-func BenchmarkBuildDB(b *testing.B) {
-	opts := DefaultDBOptions()
-	for i := 0; i < b.N; i++ {
-		_ = NewDB(opts)
-	}
-}

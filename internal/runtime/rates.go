@@ -1,13 +1,15 @@
 package runtime
 
-// rates.go groups per-function RateEstimators into a striped map so a
-// data plane with thousands of functions shards its rate bookkeeping the
-// same way the cluster shards its resource view: arrivals for different
-// functions hash to different stripes and never contend on one plane-
-// wide lock. Plane-wide totals — the million-RPS telemetry number — are
-// aggregated lock-free on an atomic per-second ring, so sampling the
-// plane rate costs a handful of atomic loads and never blocks an
-// arrival.
+// rates.go groups per-function RateEstimators into a striped map, with
+// plane-wide totals on an atomic per-second ring. It was built for a
+// gateway whose request goroutines observed arrivals concurrently:
+// different functions hash to different stripes and the plane rate is
+// sampled without blocking an arrival. Both planes now run one
+// single-threaded sim.Engine, which takes each function's estimator once
+// through Get and feeds the ring through PlaneObserve; the stripe locks,
+// the atomics and the name-keyed Observe/Demand serve no concurrent
+// caller any more (only benchmark/layers.go times them) and are kept
+// until that harness lets them go (ROADMAP item 4b).
 
 import (
 	"sync"

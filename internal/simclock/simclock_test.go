@@ -208,16 +208,6 @@ func TestPropertyCancelSubset(t *testing.T) {
 	}
 }
 
-func BenchmarkScheduleAndRun(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	c := New()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.ScheduleAt(c.Now()+time.Duration(rng.Intn(1000)), func() {})
-		c.Step()
-	}
-}
-
 // TestTombstoneCompaction is the regression test for the lazy tombstone
 // drain: cancelling more than half the queue must compact it in place
 // (without waiting for the clock to reach the tombstones' timestamps),

@@ -53,9 +53,12 @@ func (o *Options) defaults() {
 	}
 }
 
-// Collector implements runtime.Observer for either plane. The simulator
-// invokes it from its single event loop; the gateway from many request
-// and instance goroutines — all methods are safe for concurrent use.
+// Collector implements runtime.Observer for either plane. On both it is
+// fed by one sim.Engine's event loop, one event at a time (the gateway
+// runs that loop under its lock, from whichever goroutine advances the
+// plane), while snapshots are read from any goroutine — /system/metrics,
+// an embedding caller, or a second plane sharing the collector — so all
+// methods are safe for concurrent use.
 type Collector struct {
 	opts Options
 

@@ -171,15 +171,3 @@ func TestPropertyRateAtTotal(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func BenchmarkStreamHighRate(b *testing.B) {
-	tr := Constant(1000, time.Hour, time.Minute)
-	rng := rand.New(rand.NewSource(1))
-	s := NewStream(tr, 0, rng)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, ok := s.Next(); !ok {
-			s = NewStream(tr, 0, rng)
-		}
-	}
-}

@@ -12,14 +12,14 @@
 # (cmd/infless-lint) that replaced the old grep guards: it keeps the
 # lifecycle policies single-sourced, the deterministic packages off the
 # wall clock, placement on the free-capacity index, ad-hoc
-# observer/telemetry callbacks out of mutex critical sections, and atomic.Pointer /
-# sync.Pool inside internal/cow / internal/pool, and runs the
-# flow-sensitive lockorder / hotalloc / errflow analyzers plus the
-# concurrency-lifecycle trio goroutinelife / chanlife / ctxflow over
-# the whole module. The lint pass fans the 11 analyzers out in parallel
-# (deterministic output) and has a 60s budget so the whole-program
-# passes stay cheap enough to run on every commit. The race pass doubles
-# as the goroutine-leak gate: the NumGoroutine settle-and-compare
+# observer/telemetry callbacks out of mutex critical sections and
+# sync.Pool inside internal/pool, and runs the whole-program hotalloc /
+# errflow / goroutinelife analyzers. go vet runs ahead of it and is part
+# of the same gate: its lostcancel pass is the module's cancel-on-every-
+# path check. The lint pass fans the 8 analyzers out in parallel
+# (deterministic output), prints its measured wall time and has a 60s
+# budget so it stays cheap enough to run on every commit. The race pass
+# doubles as the goroutine-leak gate: the NumGoroutine settle-and-compare
 # harnesses around Server.Close, FitPool.Close and loadgen.Run ride the
 # gateway/cluster/loadgen race runs.
 set -eu
@@ -34,7 +34,7 @@ if [ -n "$unformatted" ]; then
 fi
 echo "== go build"
 go build ./...
-echo "== go vet"
+echo "== go vet (incl. lostcancel: every context cancel runs on every path)"
 go vet ./...
 echo "== infless-lint (60s budget)"
 lint_start=$(date +%s)
