@@ -32,12 +32,6 @@ type CFG struct {
 	Exit   *Block
 	Blocks []*Block
 
-	// Defers lists defer statements in registration (flow) order; at
-	// any exit they run in reverse. The CFG does not model the partial
-	// registration of conditional defers — analyses treat every listed
-	// defer as live at exit, a documented over-approximation.
-	Defers []*ast.DeferStmt
-
 	// FuncLits are the function literals syntactically inside this body
 	// (including `go func(){...}()` and `defer func(){...}()` bodies),
 	// shallow: literals nested inside another literal belong to that
@@ -273,7 +267,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 
 	case *ast.DeferStmt:
 		b.cur.Nodes = append(b.cur.Nodes, s)
-		b.cfg.Defers = append(b.cfg.Defers, s)
 		b.collectLits(s)
 
 	case *ast.GoStmt:

@@ -77,26 +77,6 @@ func reaches(from, to *Block) bool {
 	return false
 }
 
-func TestCFGDeferOrder(t *testing.T) {
-	c := buildTestCFG(t, `
-	defer a()
-	if x {
-		defer b()
-	}
-	defer c()
-`)
-	if len(c.Defers) != 3 {
-		t.Fatalf("want 3 defers in registration order, got %d", len(c.Defers))
-	}
-	names := []string{"a", "b", "c"}
-	for i, d := range c.Defers {
-		id, ok := d.Call.Fun.(*ast.Ident)
-		if !ok || id.Name != names[i] {
-			t.Errorf("defer %d: want %s, got %v", i, names[i], d.Call.Fun)
-		}
-	}
-}
-
 func TestCFGGoClosureIsShallowRoot(t *testing.T) {
 	c := buildTestCFG(t, `
 	go func() {

@@ -1,10 +1,10 @@
 package analysis
 
-// hotalloc is the source-level half of the 0 allocs/op gate: check.sh
-// pins BenchmarkHandleInvoke at zero allocations, but a benchmark only
-// reports the regression — it cannot name the line that caused it, and
-// it only covers the one path the benchmark drives. hotalloc turns the
-// contract into a directive:
+// hotalloc is the source-level half of the zero-allocation gate:
+// check.sh's gw_dispatch smoke pins an in-process invocation at the
+// mux's 17 B, but a benchmark only reports the regression — it cannot
+// name the line that caused it, and it only covers the one path the
+// benchmark drives. hotalloc turns the contract into a directive:
 //
 //	//lint:hotpath
 //	func (s *Server) handleInvoke(...) { ... }

@@ -120,10 +120,10 @@ func TestOpenFaaSPlusOneToOne(t *testing.T) {
 	})
 	res := e.Run()
 	f := res.Functions[0]
-	if f.Recorder.Served() == 0 {
+	if res.Served() == 0 {
 		t.Fatal("nothing served")
 	}
-	for b := range f.BatchServed {
+	for b := range res.Telemetry.Functions[0].BatchServed {
 		if b != 1 {
 			t.Fatalf("one-to-one executed batch %d", b)
 		}
@@ -164,7 +164,7 @@ func TestBatchSysUniformConfigs(t *testing.T) {
 	})
 	res := e.Run()
 	f := res.Functions[0]
-	if f.Recorder.Served() == 0 {
+	if res.Served() == 0 {
 		t.Fatal("nothing served")
 	}
 	// Uniform scaling: very few distinct configurations (paper: 3).

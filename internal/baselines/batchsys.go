@@ -184,7 +184,7 @@ func (b *BatchSys) Route(e *sim.Engine, f *sim.FunctionState, r *sim.Request) *s
 func (b *BatchSys) Tick(e *sim.Engine, f *sim.FunctionState) {
 	st := f.CtrlState().(*batchState)
 	now := e.Now()
-	demand := f.RateEstimate(now) + float64(len(f.Pending))/e.Config().ScaleInterval.Seconds()
+	demand := f.RateEstimate(now) + float64(len(f.Pending))/sim.ScaleInterval.Seconds()
 
 	var capacity float64
 	for _, inst := range f.Instances() {

@@ -121,8 +121,9 @@ func runScenario(system string, fns []fnSpec, pattern string, dur time.Duration,
 func goodput(res *sim.Result, warmup time.Duration) float64 {
 	var good float64
 	for _, f := range res.Functions {
-		total := float64(f.Recorder.Served() + f.Recorder.Dropped())
-		good += total * (1 - f.Recorder.ViolationRate())
+		fs := res.Telemetry.Function(f.Spec.Name)
+		total := float64(fs.Served + fs.Dropped)
+		good += total * (1 - fs.SLOViolationRate)
 	}
 	return good / (res.Duration - warmup).Seconds()
 }
@@ -238,10 +239,11 @@ func Fig12b(opts Options) *Table {
 		run := func(sys string) float64 {
 			warmup := dur / 4
 			res := runScenario(sys, fns, "constant", dur, opts, sim.Config{Warmup: warmup})
-			if res.ResourceSeconds <= 0 {
+			used := res.Telemetry.Resources.WeightedSeconds
+			if used <= 0 {
 				return 0
 			}
-			return goodput(res, warmup) * res.Duration.Seconds() / res.ResourceSeconds
+			return goodput(res, warmup) * res.Duration.Seconds() / used
 		}
 		points[i] = [2]float64{run("infless"), run("batch")}
 	})
@@ -268,12 +270,11 @@ func Fig13(opts Options) *Table {
 		for _, sloMs := range []time.Duration{150, 200, 250, 300, 350} {
 			fns := []fnSpec{{"resnet", "ResNet-50", sloMs * time.Millisecond, 1500}}
 			res := runScenario(sys, fns, "bursty", dur, opts, sim.Config{})
-			f := res.Functions[0]
-			for used, cnt := range f.BatchServed {
+			for used, cnt := range res.Telemetry.Functions[0].BatchServed {
 				batchServed[nearestPow2(used)] += cnt
 				total += cnt
 			}
-			for c := range f.ConfigCount {
+			for c := range res.Functions[0].ConfigCount {
 				configs[c] = true
 			}
 		}
@@ -327,22 +328,21 @@ func Fig14(opts Options) *Table {
 	for _, sys := range []string{"batch", "infless"} {
 		e := sim.New(controllerFor(sys), sim.Config{
 			Cluster: cluster.Testbed(), Duration: dur, Seed: opts.Seed,
-			Telemetry: telemetry.Options{ResourceSampleEvery: 15 * time.Second},
+			Collector: telemetry.New(telemetry.Options{ResourceSampleEvery: 15 * time.Second}),
 		})
 		e.AddFunction(sim.FunctionSpec{Name: "resnet", Model: model.MustGet("ResNet-50"), SLO: 200 * time.Millisecond, Trace: tr})
-		res := e.Run()
+		used := e.Run().Telemetry.Resources
 		var mean, peak float64
-		for _, p := range res.ProvisionSeries {
-			w := p.Weighted()
-			mean += w
-			if w > peak {
-				peak = w
+		for _, p := range used.Series {
+			mean += p.Weighted
+			if p.Weighted > peak {
+				peak = p.Weighted
 			}
 		}
-		if len(res.ProvisionSeries) > 0 {
-			mean /= float64(len(res.ProvisionSeries))
+		if len(used.Series) > 0 {
+			mean /= float64(len(used.Series))
 		}
-		area := res.ResourceSeconds
+		area := used.WeightedSeconds
 		areas = append(areas, area)
 		t.AddRow(sys, f2(mean), f2(peak), fmt.Sprintf("%.0f", area))
 	}
@@ -373,11 +373,12 @@ func Fig15(opts Options) *Table {
 		for i := range fns {
 			fns[i].slo = slo
 		}
-		res := runScenario("infless", fns, "constant", opts.dur(40*time.Second, 2*time.Minute), opts, sim.Config{})
+		col := telemetry.New(telemetry.Options{})
+		runScenario("infless", fns, "constant", opts.dur(40*time.Second, 2*time.Minute), opts, sim.Config{Collector: col})
 		var cold, queue, exec time.Duration
 		var n time.Duration
-		for _, f := range res.Functions {
-			c, q, x := f.Recorder.Breakdown()
+		for _, fn := range fns {
+			c, q, x := col.Recorder(fn.name).Breakdown()
 			cold += c
 			queue += q
 			exec += x
@@ -596,7 +597,7 @@ func Table4(opts Options) *Table {
 	var peak float64
 	for _, sys := range []string{"openfaas+", "batch", "infless"} {
 		res := runScenario(sys, osvtFns(120), "periodic", dur, opts, sim.Config{})
-		row(sys, res.CPUCoreSeconds, res.GPUUnitSeconds, float64(res.Served()), dur.Seconds())
+		row(sys, res.Telemetry.Resources.CPUCoreSeconds, res.Telemetry.Resources.GPUUnitSeconds, float64(res.Served()), dur.Seconds())
 		if sys == "openfaas+" {
 			// EC2 static provisioning: hold peak-sized one-to-one capacity
 			// for the whole run.
@@ -628,7 +629,7 @@ func AlphaSweep(opts Options) *Table {
 		e.AddFunction(sim.FunctionSpec{Name: "resnet", Model: model.MustGet("ResNet-50"), SLO: 200 * time.Millisecond, Trace: tr})
 		res := e.Run()
 		t.AddRow(fmt.Sprintf("alpha=%.1f", alpha),
-			fmt.Sprintf("%d", res.Functions[0].Launches),
+			fmt.Sprintf("%d", res.Telemetry.Functions[0].Launches),
 			f2(res.ThroughputPerResource()),
 			pct(res.ViolationRate()))
 	}

@@ -51,14 +51,14 @@ func QueueingValidation(opts Options) *Table {
 			Seed:     opts.Seed,
 			Warmup:   10 * time.Second,
 		})
-		f := e.AddFunction(sim.FunctionSpec{
+		e.AddFunction(sim.FunctionSpec{
 			Name:  "station",
 			Model: m,
 			SLO:   slo,
 			Trace: workload.Constant(lam, dur, time.Minute),
 		})
 		e.Run()
-		simMean := f.Recorder.Mean()
+		simMean := e.Telemetry().Recorder("station").Mean()
 		rel := 0.0
 		if simMean > 0 {
 			rel = (float64(an.MeanResponse) - float64(simMean)) / float64(simMean)

@@ -141,7 +141,7 @@ func (c *Controller) Tick(e *sim.Engine, f *sim.FunctionState) {
 	r := f.RateEstimate(now)
 	// Backlogged requests need capacity within this tick on top of the
 	// steady-state rate.
-	backlog := float64(len(f.Pending)) / e.Config().ScaleInterval.Seconds()
+	backlog := float64(len(f.Pending)) / sim.ScaleInterval.Seconds()
 	demand := r + backlog
 
 	bounds := make([]batching.Bounds, len(f.Instances()))

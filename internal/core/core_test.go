@@ -63,10 +63,9 @@ func TestRouteRespectsAdmissionWindows(t *testing.T) {
 }
 
 func TestScaleOutUsesNonUniformConfigs(t *testing.T) {
-	e, f := newEngine(Options{}, 1500, 2*time.Minute)
-	e.Run()
-	if f.Launches < 2 {
-		t.Fatalf("launches = %d, want several at 1500 RPS", f.Launches)
+	e, _ := newEngine(Options{}, 1500, 2*time.Minute)
+	if n := e.Run().Telemetry.Functions[0].Launches; n < 2 {
+		t.Fatalf("launches = %d, want several at 1500 RPS", n)
 	}
 }
 
@@ -74,9 +73,8 @@ func TestAblationOptionsPropagate(t *testing.T) {
 	// BB ablation: every batch executed must be size 1.
 	o := Options{}
 	o.Sched.ForceBatchOne = true
-	e, f := newEngine(o, 100, time.Minute)
-	e.Run()
-	for b := range f.BatchServed {
+	e, _ := newEngine(o, 100, time.Minute)
+	for b := range e.Run().Telemetry.Functions[0].BatchServed {
 		if b != 1 {
 			t.Fatalf("BB ablation executed batch %d", b)
 		}
@@ -91,8 +89,9 @@ func TestPredictionInflateChangesChoices(t *testing.T) {
 	// OP2 halves the estimated capacity of every configuration, so
 	// serving the same load must consume at least as many resources
 	// (the paper: reduced prediction accuracy => resource waste).
-	if rInfl.ResourceSeconds < rBase.ResourceSeconds*0.95 {
-		t.Errorf("OP2 resource-seconds %.1f < baseline %.1f", rInfl.ResourceSeconds, rBase.ResourceSeconds)
+	used, baseline := rInfl.Telemetry.Resources.WeightedSeconds, rBase.Telemetry.Resources.WeightedSeconds
+	if used < baseline*0.95 {
+		t.Errorf("OP2 resource-seconds %.1f < baseline %.1f", used, baseline)
 	}
 }
 
@@ -124,14 +123,13 @@ func TestAlphaControlsScaleInLag(t *testing.T) {
 	run := func(alpha float64) int {
 		tr := workload.Bursty(workload.Options{Days: 1, Seed: 9, BaseRPS: 300})
 		e := sim.New(New(Options{Alpha: alpha}), sim.Config{Cluster: cluster.Testbed(), Duration: 20 * time.Minute, Seed: 9})
-		f := e.AddFunction(sim.FunctionSpec{
+		e.AddFunction(sim.FunctionSpec{
 			Name:  "resnet",
 			Model: model.MustGet("ResNet-50"),
 			SLO:   200 * time.Millisecond,
 			Trace: tr,
 		})
-		e.Run()
-		return f.Launches
+		return e.Run().Telemetry.Functions[0].Launches
 	}
 	// Sanity: both extremes run and produce instances.
 	if run(0.5) == 0 || run(1.0) == 0 {

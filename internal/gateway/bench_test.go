@@ -1,13 +1,12 @@
 package gateway
 
-// bench_test.go pins the invoke hot path: handleInvoke runs once per
-// request, so its work (function lookup, the engine round trip, response
-// encoding) must stay cheap and allocation-free in the repository's own
-// code: scripts/check.sh gates BenchmarkHandleInvoke at 0 allocs/op.
-// Speed is measured by `go run ./benchmark` (gw_dispatch, gw_http).
+// bench_test.go measures the one shape of the invoke hot path the
+// repository's benchmark does not: contended dispatch. Single-caller
+// speed and the allocation gate are `go run ./benchmark` (gw_dispatch,
+// gw_http; scripts/check.sh runs a one-second gw_dispatch smoke).
 //
-// The benchmarks call handleInvoke directly with a reused request and a
-// trivial ResponseWriter, so they measure the gateway's code, not
+// The benchmark calls handleInvoke directly with a reused request and a
+// trivial ResponseWriter, so it measures the gateway's code, not
 // net/http's server loop (the loadgen harness covers the full stack).
 
 import (
@@ -59,23 +58,6 @@ func newBenchServer(b *testing.B, speed float64) (*Server, *http.Request) {
 		}
 	}
 	return gw, req
-}
-
-// BenchmarkHandleInvoke is the allocs/op gate for the steady-state
-// invoke path: lookup, inject, batch execution (accelerated 20000x so
-// emulated time is negligible), and response encoding.
-func BenchmarkHandleInvoke(b *testing.B) {
-	gw, req := newBenchServer(b, 20000)
-	w := &benchWriter{hdr: make(http.Header, 4)}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.code = 0
-		gw.handleInvoke(w, req)
-		if w.code != http.StatusOK {
-			b.Fatalf("status = %d", w.code)
-		}
-	}
 }
 
 // BenchmarkHandleInvokeParallel is the saturation shape: many request

@@ -8,12 +8,10 @@ package gateway
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
 
-	"github.com/tanklab/infless/internal/artifact"
 	"github.com/tanklab/infless/internal/core"
 	"github.com/tanklab/infless/internal/runtime"
 )
@@ -31,12 +29,12 @@ func (c *fakeClock) now() time.Time {
 }
 
 // recorder keeps the plane's whole event stream — every field of every
-// event, and the tiered startup breakdowns — and signals every arrival.
+// event, sheds and tiered startup breakdowns included — and signals
+// every arrival.
 type recorder struct {
 	runtime.Tap
-	events   []runtime.Event
-	startups []string
-	arrived  chan struct{}
+	events  []runtime.Event
+	arrived chan struct{}
 }
 
 func newRecorder() *recorder {
@@ -48,10 +46,6 @@ func newRecorder() *recorder {
 		}
 	}
 	return r
-}
-
-func (r *recorder) InstanceStartup(fn string, inst int, bd artifact.Breakdown, now time.Duration) {
-	r.startups = append(r.startups, fmt.Sprintf("%s#%d at %v: %+v", fn, inst, now, bd))
 }
 
 // manual is a Server on a fake clock at SpeedFactor 1, so plane time is

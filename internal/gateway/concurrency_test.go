@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"github.com/tanklab/infless/internal/core"
+	"github.com/tanklab/infless/internal/telemetry"
 )
 
 // TestDeployRaceNoRegistryLeak: concurrent deploys of one name must
@@ -166,9 +167,11 @@ func TestInvokeAfterDeleteReturns404(t *testing.T) {
 
 // TestInvokeShedsWhenQueueFull: with the per-function queue bound hit,
 // admission control answers 429 + Retry-After, and the refusal surfaces
-// as shed (not just dropped) in both telemetry formats.
+// as shed (not just dropped) in both telemetry formats and in a trace.
 func TestInvokeShedsWhenQueueFull(t *testing.T) {
-	gw := New(Config{SpeedFactor: 1000, IdleTimeout: time.Hour, Seed: 1, MaxQueue: 1})
+	var trace bytes.Buffer
+	gw := New(Config{SpeedFactor: 1000, IdleTimeout: time.Hour, Seed: 1, MaxQueue: 1,
+		Observer: telemetry.NewTraceWriter(&trace)})
 	defer gw.Close()
 	if err := gw.deploy(core.RegistryEntry{Name: "busy", ModelName: "MNIST", SLO: 200 * time.Millisecond}); err != nil {
 		t.Fatal(err)
@@ -215,6 +218,13 @@ func TestInvokeShedsWhenQueueFull(t *testing.T) {
 	gw.handleMetrics(mw, mreq)
 	if !strings.Contains(mw.Body.String(), "infless_shed_total{function=\"busy\"} 1") {
 		t.Fatalf("prometheus exposition missing shed counter:\n%s", mw.Body.String())
+	}
+
+	gw.mu.Lock() // the trace is written under the plane's lock
+	lines := trace.String()
+	gw.mu.Unlock()
+	if !strings.Contains(lines, `{"event":"shed",`) || !strings.Contains(lines, `"fn":"busy"`) {
+		t.Fatalf("trace has no shed line for the 429:\n%s", lines)
 	}
 }
 

@@ -213,7 +213,7 @@ func TestInvokeContextCancelled(t *testing.T) {
 		t.Fatalf("invoke returned %v, want context.Canceled", err)
 	}
 	m.drain() // the abandoned request is still served
-	if fn, _ := m.Telemetry().Function("f"); fn.Served != 1 {
+	if fn := m.Telemetry().Snapshot().Function("f"); fn.Served != 1 {
 		t.Fatalf("served = %d, want 1", fn.Served)
 	}
 }

@@ -71,10 +71,6 @@ type Config struct {
 	// IdleTimeout reclaims instances with no traffic for this long, in
 	// wall time (default 60s).
 	IdleTimeout time.Duration
-	// RateWindow is the sliding window (in model time) of the shared
-	// arrival-rate estimator, matching the simulator's Config.RateWindow
-	// (default 10s).
-	RateWindow time.Duration
 	// Observer, when set, receives every lifecycle event (arrivals, batch
 	// submissions, launches, reclaims) after the built-in telemetry
 	// collector. Hooks fire on the plane's event loop with its lock held:
@@ -186,11 +182,10 @@ func newServer(cfg Config, now func() time.Time) *Server {
 	}
 	s.epoch = s.now()
 	s.eng = sim.New(&reactive{hold: s.toModel(time.Second)}, sim.Config{
-		Cluster:    cfg.Cluster,
-		Seed:       cfg.Seed,
-		RateWindow: cfg.RateWindow,
-		Collector:  cfg.Collector,
-		Storage:    cfg.Storage,
+		Cluster:   cfg.Cluster,
+		Seed:      cfg.Seed,
+		Collector: cfg.Collector,
+		Storage:   cfg.Storage,
 	})
 	if cfg.Observer != nil {
 		s.eng.Observe(cfg.Observer)
@@ -414,8 +409,9 @@ type InvokeResponse struct {
 
 // handleInvoke is the hot path: the engine round trip and a pooled
 // response encode. Steady state allocates nothing in the gateway's own
-// code (BenchmarkHandleInvoke gates this at 0 allocs/op, and the hotalloc
-// analyzer names any allocating line reachable from here); every error
+// code (check.sh's gw_dispatch smoke gates an in-process invocation at the
+// mux's 17 B, and the hotalloc analyzer names any allocating line
+// reachable from here); every error
 // answer is a preformatted body, and saturation maps to 429 + Retry-After
 // so clients can tell "back off" from "broken".
 //

@@ -157,7 +157,7 @@ func TestSharedCollectorAcrossPlanes(t *testing.T) {
 	if _, err := c.Invoke("f"); err != nil {
 		t.Fatal(err)
 	}
-	if fn, ok := col.Function("f"); !ok || fn.Served != 1 {
-		t.Fatalf("injected collector missed events: %+v ok=%v", fn, ok)
+	if fn := col.Snapshot().Function("f"); fn == nil || fn.Served != 1 {
+		t.Fatalf("injected collector missed events: %+v", fn)
 	}
 }

@@ -46,8 +46,13 @@ func NewLatencyRecorder(slo time.Duration) *LatencyRecorder {
 	return &LatencyRecorder{slo: slo}
 }
 
-// Observe records one served request.
-func (r *LatencyRecorder) Observe(s Sample) {
+// SetSLO changes the target latency checked from the next Observe on;
+// counts already taken stay.
+func (r *LatencyRecorder) SetSLO(slo time.Duration) { r.slo = slo }
+
+// Observe records one served request and reports whether it missed the
+// SLO — the one place that comparison is made.
+func (r *LatencyRecorder) Observe(s Sample) (late bool) {
 	total := s.Total()
 	r.hist.Add(total)
 	r.served++
@@ -58,9 +63,11 @@ func (r *LatencyRecorder) Observe(s Sample) {
 	if s.Cold > 0 {
 		r.coldCount++
 	}
-	if r.slo > 0 && total > r.slo {
+	late = r.slo > 0 && total > r.slo
+	if late {
 		r.violations++
 	}
+	return late
 }
 
 // Drop records a request rejected by over-submission. Drops count as SLO
@@ -72,6 +79,12 @@ func (r *LatencyRecorder) Served() uint64 { return r.served }
 
 // Dropped returns the number of dropped requests.
 func (r *LatencyRecorder) Dropped() uint64 { return r.dropped }
+
+// Violations returns the number of served requests that missed the SLO.
+func (r *LatencyRecorder) Violations() uint64 { return r.violations }
+
+// ColdServed returns the number of served requests that paid a cold start.
+func (r *LatencyRecorder) ColdServed() uint64 { return r.coldCount }
 
 // SLO returns the recorder's target latency.
 func (r *LatencyRecorder) SLO() time.Duration { return r.slo }
@@ -98,6 +111,12 @@ func (r *LatencyRecorder) ViolationRate() float64 {
 func (r *LatencyRecorder) Percentile(q float64) time.Duration {
 	return r.hist.Quantile(q)
 }
+
+// Histogram returns the end-to-end latency histogram behind Percentile.
+func (r *LatencyRecorder) Histogram() *Histogram { return &r.hist }
+
+// Sum returns the total end-to-end latency of the served requests.
+func (r *LatencyRecorder) Sum() time.Duration { return r.sumTotal }
 
 // Mean returns the average end-to-end latency.
 func (r *LatencyRecorder) Mean() time.Duration {
@@ -131,6 +150,14 @@ func (r *LatencyRecorder) Reset(slo time.Duration) {
 	r.sumCold = 0
 	r.sumQueue = 0
 	r.sumExec = 0
+}
+
+// Clone returns an independent copy: readers copy under the owner's
+// lock, then compute quantiles outside it.
+func (r *LatencyRecorder) Clone() *LatencyRecorder {
+	c := *r
+	c.hist = r.hist.Clone()
+	return &c
 }
 
 // Merge folds another recorder's counts into r (same SLO assumed).
@@ -191,14 +218,4 @@ func (ri *ResourceIntegrator) GPUUnitSeconds() float64 { return ri.gpuSecs }
 // denominator of the paper's throughput-per-resource metric.
 func (ri *ResourceIntegrator) WeightedSeconds() float64 {
 	return perf.Beta*ri.cpuSecs + ri.gpuSecs
-}
-
-// ThroughputPerResource computes the paper's normalized throughput: served
-// requests divided by the beta-weighted resource-seconds they occupied.
-func ThroughputPerResource(served uint64, ri *ResourceIntegrator) float64 {
-	w := ri.WeightedSeconds()
-	if w <= 0 {
-		return 0
-	}
-	return float64(served) / w
 }

@@ -153,20 +153,6 @@ func TestResourceIntegratorOutOfOrderIgnored(t *testing.T) {
 	}
 }
 
-func TestThroughputPerResource(t *testing.T) {
-	var ri ResourceIntegrator
-	ri.Update(0, perf.Resources{GPU: 10})
-	ri.Finish(100 * time.Second)
-	got := ThroughputPerResource(5000, &ri)
-	if got != 5.0 {
-		t.Fatalf("throughput/resource = %v, want 5", got)
-	}
-	var empty ResourceIntegrator
-	if ThroughputPerResource(100, &empty) != 0 {
-		t.Fatal("empty integrator should yield 0")
-	}
-}
-
 // TestRecorderReset: Reset returns a used recorder to its zero state
 // under a new SLO while keeping the histogram's bucket storage, so
 // pooled recorders (internal/loadgen) neither leak old counts nor

@@ -3,11 +3,12 @@ package runtime
 // event.go gives the Observer stream a value form: every hook maps to
 // one Event struct, so sinks that serialize, buffer, or forward events
 // (the telemetry trace writer, future shippers) handle one type instead
-// of re-implementing the eight-method interface.
+// of re-implementing the interface and its two optional extensions.
 
 import (
 	"time"
 
+	"github.com/tanklab/infless/internal/artifact"
 	"github.com/tanklab/infless/internal/metrics"
 	"github.com/tanklab/infless/internal/perf"
 )
@@ -15,7 +16,8 @@ import (
 // EventKind names one Observer hook.
 type EventKind string
 
-// The event kinds, one per Observer method.
+// The event kinds, one per Observer, ShedObserver and StartupObserver
+// method.
 const (
 	EventArrived   EventKind = "arrived"
 	EventEnqueued  EventKind = "enqueued"
@@ -25,6 +27,8 @@ const (
 	EventLaunched  EventKind = "launched"
 	EventReclaimed EventKind = "reclaimed"
 	EventAlloc     EventKind = "alloc"
+	EventShed      EventKind = "shed"
+	EventStartup   EventKind = "startup"
 )
 
 // Event is one lifecycle event as a value. Only the fields relevant to
@@ -44,10 +48,14 @@ type Event struct {
 	Sample metrics.Sample
 	// Alloc is the cluster-wide allocation (EventAlloc).
 	Alloc perf.Resources
+	// Startup is the delay decomposition of a tiered cold launch
+	// (EventStartup).
+	Startup artifact.Breakdown
 }
 
-// Tap adapts a func(Event) into an Observer: each hook invocation is
-// forwarded as one Event value, on the engine's event loop.
+// Tap adapts a func(Event) into an Observer that also hears the
+// optional shed and startup hooks: each hook invocation is forwarded as
+// one Event value, on the engine's event loop.
 type Tap struct {
 	Fn func(Event)
 }
@@ -82,4 +90,12 @@ func (t Tap) InstanceReclaimed(fn string, instance int, now time.Duration) {
 
 func (t Tap) AllocationChanged(alloc perf.Resources, now time.Duration) {
 	t.Fn(Event{Kind: EventAlloc, Alloc: alloc, At: now})
+}
+
+func (t Tap) RequestShed(fn string, now time.Duration) {
+	t.Fn(Event{Kind: EventShed, Fn: fn, At: now})
+}
+
+func (t Tap) InstanceStartup(fn string, instance int, bd artifact.Breakdown, now time.Duration) {
+	t.Fn(Event{Kind: EventStartup, Fn: fn, Instance: instance, Startup: bd, At: now})
 }

@@ -150,8 +150,7 @@ func TestTieredRunDeterministic(t *testing.T) {
 		st := artifact.DefaultConfig()
 		st.Preload = true
 		e, f := tieredEngine(t, &st)
-		e.Run()
-		return f.Recorder.Served(), f.Preloads
+		return e.Run().Served(), f.Preloads
 	}
 	s1, p1 := run()
 	s2, p2 := run()

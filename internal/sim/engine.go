@@ -14,7 +14,6 @@ import (
 	"github.com/tanklab/infless/internal/cluster"
 	"github.com/tanklab/infless/internal/coldstart"
 	"github.com/tanklab/infless/internal/metrics"
-	"github.com/tanklab/infless/internal/perf"
 	"github.com/tanklab/infless/internal/runtime"
 	"github.com/tanklab/infless/internal/scheduler"
 	"github.com/tanklab/infless/internal/simclock"
@@ -24,19 +23,16 @@ import (
 
 // FunctionState is the engine-side record of one function.
 type FunctionState struct {
-	Spec     FunctionSpec
-	Recorder *metrics.LatencyRecorder
-	Pending  []*Request
-	Policy   coldstart.Policy
+	Spec    FunctionSpec
+	Pending []*Request
+	Policy  coldstart.Policy
 
-	// Stats for Figures 13/14/16, maintained by the engine's built-in
-	// metrics observer (observers.go).
-	Launches     int
-	ColdLaunches int
-	// Preloads counts opportunistic pre-loads of this function's artifact
-	// into a server's spare DRAM (tiered storage with Preload only).
+	// Preloads and ConfigCount are engine facts no observer event
+	// carries; every other per-function statistic is in the collector
+	// (Engine.Telemetry). Preloads counts opportunistic pre-loads of this
+	// function's artifact into a server's spare DRAM (tiered storage
+	// with Preload only).
 	Preloads    int
-	BatchServed map[int]uint64  // requests served, by drained batch size
 	ConfigCount map[string]int  // instances launched, by (b,c,g) label
 	plan        *scheduler.Plan // lazily built by controllers that need it
 
@@ -110,13 +106,12 @@ type Engine struct {
 	fns    []*FunctionState
 	byName map[string]*FunctionState
 
-	// Lifecycle events fan out to these observers; the engine's own
-	// metric sinks are plain runtime.Observer implementations, appended
-	// first so external observers see state after the built-ins update.
+	// Lifecycle events fan out to these observers: the collector first,
+	// then whatever Observe attached.
 	obs runtime.Observers
-	// collector is the telemetry sink (engine-owned unless Config
-	// supplied one); every reported statistic — Report quantiles,
-	// resource integrals, provisioning series — reads from it.
+	// collector is the engine's one ledger (engine-owned unless Config
+	// supplied one); every reported statistic — Result totals, Report
+	// quantiles, resource integrals, provisioning series — reads from it.
 	collector *telemetry.Collector
 	// rates owns every function's arrival-rate estimator plus the
 	// plane-wide arrival ring behind PlaneRate; the event loop holds
@@ -136,15 +131,14 @@ func New(ctrl Controller, cfg Config) *Engine {
 		clock:  simclock.New(),
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		byName: map[string]*FunctionState{},
-		rates:  runtime.NewRateStripes(cfg.RateWindow),
+		rates:  runtime.NewRateStripes(rateWindow),
 	}
 	e.collector = cfg.Collector
 	if e.collector == nil {
-		topts := cfg.Telemetry
-		topts.Warmup = cfg.Warmup
-		e.collector = telemetry.New(topts)
+		e.collector = telemetry.New(telemetry.Options{})
 	}
-	e.obs = runtime.Observers{&metricsObserver{e: e, warmup: cfg.Warmup}, e.collector}
+	e.collector.SetWarmup(cfg.Warmup)
+	e.obs = runtime.Observers{e.collector}
 	if cfg.Storage.Active() {
 		cfg.Cluster.EnableArtifacts(cfg.Storage.CacheMB)
 	}
@@ -160,7 +154,7 @@ func (e *Engine) storageActive() bool { return e.cfg.Storage.Active() }
 func (e *Engine) Telemetry() *telemetry.Collector { return e.collector }
 
 // Observe attaches an additional lifecycle observer; events fire from
-// the engine's single event loop, after the built-in metric sinks.
+// the engine's single event loop, after the collector has booked them.
 func (e *Engine) Observe(o runtime.Observer) { e.obs = append(e.obs, o) }
 
 // AddFunction registers a function: before Run, or at any time on a
@@ -177,9 +171,7 @@ func (e *Engine) AddFunction(spec FunctionSpec) *FunctionState {
 	}
 	f := &FunctionState{
 		Spec:        spec,
-		Recorder:    metrics.NewLatencyRecorder(spec.SLO),
 		Policy:      spec.Policy,
-		BatchServed: map[int]uint64{},
 		ConfigCount: map[string]int{},
 		batch:       runtime.BatchPolicy{SLO: spec.SLO},
 		rate:        e.rates.Get(spec.Name),
@@ -223,9 +215,6 @@ func (e *Engine) PlaneRate() float64 { return e.rates.PlaneRate(e.clock.Now()) }
 // Rng returns the engine's deterministic random source.
 func (e *Engine) Rng() *rand.Rand { return e.rng }
 
-// Config returns the engine configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
 // allocationChanged publishes the cluster's current allocation to the
 // observers (resource integration, provisioning series).
 func (e *Engine) allocationChanged() {
@@ -234,27 +223,22 @@ func (e *Engine) allocationChanged() {
 
 // Result summarizes a completed run.
 type Result struct {
-	System    string
-	Duration  time.Duration
-	Functions []*FunctionState
-
-	ResourceSeconds    float64 // beta-weighted resource-time integral
-	CPUCoreSeconds     float64
-	GPUUnitSeconds     float64
-	ProvisionTimes     []time.Duration
-	ProvisionSeries    []perf.Resources
+	System             string
+	Duration           time.Duration
+	Functions          []*FunctionState
 	FinalFragmentation float64
 
-	// Telemetry is the collector's final snapshot; reports and
-	// expositions derive from it rather than re-aggregating counters.
+	// Telemetry is the collector's final snapshot: every count, latency
+	// statistic, resource integral and provisioning series of the run.
+	// The methods below only total it.
 	Telemetry telemetry.Snapshot
 }
 
 // Served sums completed requests over all functions.
 func (r *Result) Served() uint64 {
 	var n uint64
-	for _, f := range r.Functions {
-		n += f.Recorder.Served()
+	for i := range r.Telemetry.Functions {
+		n += r.Telemetry.Functions[i].Served
 	}
 	return n
 }
@@ -262,8 +246,8 @@ func (r *Result) Served() uint64 {
 // Dropped sums dropped requests over all functions.
 func (r *Result) Dropped() uint64 {
 	var n uint64
-	for _, f := range r.Functions {
-		n += f.Recorder.Dropped()
+	for i := range r.Telemetry.Functions {
+		n += r.Telemetry.Functions[i].Dropped
 	}
 	return n
 }
@@ -279,18 +263,21 @@ func (r *Result) Throughput() float64 {
 // ThroughputPerResource is the paper's normalized throughput metric:
 // served requests per beta-weighted resource-second.
 func (r *Result) ThroughputPerResource() float64 {
-	if r.ResourceSeconds <= 0 {
+	if r.Telemetry.Resources.WeightedSeconds <= 0 {
 		return 0
 	}
-	return float64(r.Served()) / r.ResourceSeconds
+	return float64(r.Served()) / r.Telemetry.Resources.WeightedSeconds
 }
 
-// ViolationRate is the overall SLO violation rate across functions.
+// ViolationRate is the overall SLO violation rate across functions,
+// weighted in registration order (the snapshot's rows are sorted by
+// name, and a float sum depends on its order).
 func (r *Result) ViolationRate() float64 {
 	var bad, all float64
 	for _, f := range r.Functions {
-		n := float64(f.Recorder.Served() + f.Recorder.Dropped())
-		bad += f.Recorder.ViolationRate() * n
+		fs := r.Telemetry.Function(f.Spec.Name)
+		n := float64(fs.Served + fs.Dropped)
+		bad += fs.SLOViolationRate * n
 		all += n
 	}
 	if all == 0 {
@@ -330,11 +317,11 @@ func (e *Engine) Run() *Result {
 			e.expirePending(f)
 			e.ctrl.Tick(e, f)
 		}
-		if e.clock.Now()+e.cfg.ScaleInterval <= e.cfg.Duration {
-			e.clock.ScheduleAfter(e.cfg.ScaleInterval, tick)
+		if e.clock.Now()+ScaleInterval <= e.cfg.Duration {
+			e.clock.ScheduleAfter(ScaleInterval, tick)
 		}
 	}
-	e.clock.ScheduleAfter(e.cfg.ScaleInterval, tick)
+	e.clock.ScheduleAfter(ScaleInterval, tick)
 
 	e.clock.RunUntil(e.cfg.Duration)
 
@@ -349,22 +336,13 @@ func (e *Engine) Run() *Result {
 	// remaining utilization-series samples) at end-of-run time.
 	e.obs.AllocationChanged(e.cfg.Cluster.TotalAllocated(), e.cfg.Duration)
 
-	snap := e.collector.SnapshotAt(e.cfg.Duration)
-	res := &Result{
+	return &Result{
 		System:             e.ctrl.Name(),
 		Duration:           e.cfg.Duration,
 		Functions:          e.fns,
-		ResourceSeconds:    snap.Resources.WeightedSeconds,
-		CPUCoreSeconds:     snap.Resources.CPUCoreSeconds,
-		GPUUnitSeconds:     snap.Resources.GPUUnitSeconds,
 		FinalFragmentation: e.cfg.Cluster.FragmentationRatio(),
-		Telemetry:          snap,
+		Telemetry:          e.collector.SnapshotAt(e.cfg.Duration),
 	}
-	for _, p := range snap.Resources.Series {
-		res.ProvisionTimes = append(res.ProvisionTimes, time.Duration(p.AtMs*float64(time.Millisecond)))
-		res.ProvisionSeries = append(res.ProvisionSeries, perf.Resources{CPU: p.CPUCores, GPU: p.GPUUnits})
-	}
-	return res
 }
 
 func (e *Engine) scheduleNextArrival(f *FunctionState, stream *workload.Stream) {

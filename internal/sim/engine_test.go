@@ -10,6 +10,7 @@ import (
 	"github.com/tanklab/infless/internal/model"
 	"github.com/tanklab/infless/internal/perf"
 	"github.com/tanklab/infless/internal/scheduler"
+	"github.com/tanklab/infless/internal/telemetry"
 	"github.com/tanklab/infless/internal/workload"
 )
 
@@ -56,14 +57,14 @@ func testCand(b int, res perf.Resources, texec time.Duration, slo time.Duration)
 func TestEngineBatchesToConfiguredSize(t *testing.T) {
 	ctrl := &manualController{cand: testCand(4, perf.Resources{CPU: 2}, 20*time.Millisecond, 200*time.Millisecond)}
 	e := New(ctrl, Config{Cluster: cluster.Testbed(), Duration: 30 * time.Second, Seed: 1})
-	f := e.AddFunction(FunctionSpec{
+	e.AddFunction(FunctionSpec{
 		Name:  "f",
 		Model: model.MustGet("MNIST"),
 		SLO:   200 * time.Millisecond,
 		Trace: workload.Constant(400, 30*time.Second, time.Second),
 	})
-	e.Run()
-	if f.Recorder.Served() == 0 {
+	f := e.Run().Telemetry.Function("f")
+	if f.Served == 0 {
 		t.Fatal("nothing served")
 	}
 	// At 400 RPS a batch of 4 fills in 10ms << timeout, so almost all
@@ -83,20 +84,20 @@ func TestEnginePartialBatchOnTimeout(t *testing.T) {
 	// flush partial batches rather than stall.
 	ctrl := &manualController{cand: testCand(8, perf.Resources{CPU: 2}, 20*time.Millisecond, 400*time.Millisecond)}
 	e := New(ctrl, Config{Cluster: cluster.Testbed(), Duration: 30 * time.Second, Seed: 1})
-	f := e.AddFunction(FunctionSpec{
+	e.AddFunction(FunctionSpec{
 		Name:  "f",
 		Model: model.MustGet("MNIST"),
 		SLO:   400 * time.Millisecond,
 		Trace: workload.Constant(2, 30*time.Second, time.Second),
 	})
-	e.Run()
-	if f.Recorder.Served() < 40 {
-		t.Fatalf("served %d of ~60", f.Recorder.Served())
+	f := e.Run().Telemetry.Function("f")
+	if f.Served < 40 {
+		t.Fatalf("served %d of ~60", f.Served)
 	}
-	if f.Recorder.ViolationRate() > 0.05 {
-		t.Errorf("timeout flushing should keep requests within SLO: viol=%.3f", f.Recorder.ViolationRate())
+	if f.SLOViolationRate > 0.05 {
+		t.Errorf("timeout flushing should keep requests within SLO: viol=%.3f", f.SLOViolationRate)
 	}
-	if f.BatchServed[8] > 0 && f.BatchServed[8] == f.Recorder.Served() {
+	if f.BatchServed[8] > 0 && f.BatchServed[8] == f.Served {
 		t.Error("all batches full at 2 RPS is implausible")
 	}
 }
@@ -104,7 +105,7 @@ func TestEnginePartialBatchOnTimeout(t *testing.T) {
 func TestEngineColdStartAccounting(t *testing.T) {
 	ctrl := &manualController{cand: testCand(1, perf.Resources{CPU: 4}, 5*time.Millisecond, 10*time.Second)}
 	e := New(ctrl, Config{Cluster: cluster.Testbed(), Duration: 10 * time.Second, Seed: 1})
-	f := e.AddFunction(FunctionSpec{
+	e.AddFunction(FunctionSpec{
 		Name:  "f",
 		Model: model.MustGet("MNIST"),
 		SLO:   10 * time.Second,
@@ -113,42 +114,49 @@ func TestEngineColdStartAccounting(t *testing.T) {
 	e.Run()
 	// Requests arriving during the instance's cold start must carry a
 	// cold component.
-	if f.Recorder.ColdRate() == 0 {
+	rec := e.Telemetry().Recorder("f")
+	if rec.ColdRate() == 0 {
 		t.Error("no cold-start latency recorded for scale-from-zero")
 	}
-	cold, _, _ := f.Recorder.Breakdown()
+	cold, _, _ := rec.Breakdown()
 	if cold == 0 {
 		t.Error("mean cold component is zero")
 	}
 }
 
+// The warm-up cut-off is the engine's, whoever built the collector: a
+// supplied one excludes exactly what the engine's own does.
 func TestEngineWarmupExcludesEarlySamples(t *testing.T) {
-	run := func(warmup time.Duration) uint64 {
+	run := func(warmup time.Duration, col *telemetry.Collector) uint64 {
 		ctrl := &manualController{cand: testCand(1, perf.Resources{CPU: 4}, 5*time.Millisecond, time.Second)}
-		e := New(ctrl, Config{Cluster: cluster.Testbed(), Duration: 10 * time.Second, Seed: 1, Warmup: warmup})
-		f := e.AddFunction(FunctionSpec{
+		e := New(ctrl, Config{Cluster: cluster.Testbed(), Duration: 10 * time.Second, Seed: 1, Warmup: warmup, Collector: col})
+		e.AddFunction(FunctionSpec{
 			Name:  "f",
 			Model: model.MustGet("MNIST"),
 			SLO:   time.Second,
 			Trace: workload.Constant(50, 10*time.Second, time.Second),
 		})
-		e.Run()
-		return f.Recorder.Served()
+		return e.Run().Served()
 	}
-	all := run(0)
-	half := run(5 * time.Second)
+	all := run(0, nil)
+	half := run(5*time.Second, nil)
 	if half >= all {
 		t.Fatalf("warmup did not exclude samples: %d vs %d", half, all)
 	}
 	if float64(half) < 0.3*float64(all) {
 		t.Fatalf("warmup excluded too much: %d vs %d", half, all)
 	}
+	col := telemetry.New(telemetry.Options{})
+	run(5*time.Second, col)
+	if supplied := col.Snapshot().Function("f").Served; supplied != half {
+		t.Fatalf("supplied collector holds %d served after the warm-up, the engine's own %d (all: %d)", supplied, half, all)
+	}
 }
 
 func TestEngineChainForwarding(t *testing.T) {
 	ctrl := &manualController{cand: testCand(2, perf.Resources{CPU: 4}, 5*time.Millisecond, 300*time.Millisecond)}
 	e := New(ctrl, Config{Cluster: cluster.Testbed(), Duration: 20 * time.Second, Seed: 2})
-	head := e.AddFunction(FunctionSpec{
+	e.AddFunction(FunctionSpec{
 		Name:      "head",
 		Model:     model.MustGet("MNIST"),
 		SLO:       300 * time.Millisecond,
@@ -162,10 +170,11 @@ func TestEngineChainForwarding(t *testing.T) {
 		ChainSLO: time.Second,
 	})
 	e.Run()
-	if head.Recorder.Served() == 0 {
+	if e.Telemetry().Recorder("head").Served() == 0 {
 		t.Fatal("head served nothing")
 	}
-	if tail.Recorder.Served() == 0 {
+	stage := e.Telemetry().Recorder("tail")
+	if stage.Served() == 0 {
 		t.Fatal("tail never received forwarded requests")
 	}
 	if tail.ChainRecorder == nil {
@@ -178,8 +187,8 @@ func TestEngineChainForwarding(t *testing.T) {
 		t.Fatal("chain recorder empty")
 	}
 	// Chain latency must exceed either stage's own mean.
-	if tail.ChainRecorder.Mean() <= tail.Recorder.Mean() {
-		t.Errorf("chain mean %v <= stage mean %v", tail.ChainRecorder.Mean(), tail.Recorder.Mean())
+	if tail.ChainRecorder.Mean() <= stage.Mean() {
+		t.Errorf("chain mean %v <= stage mean %v", tail.ChainRecorder.Mean(), stage.Mean())
 	}
 }
 
@@ -230,22 +239,23 @@ func TestEngineAdmissionRejectsDoomed(t *testing.T) {
 		admit: true,
 	}
 	e := New(ctrl, Config{Cluster: cluster.Testbed(), Duration: 20 * time.Second, Seed: 3})
-	f := e.AddFunction(FunctionSpec{
+	e.AddFunction(FunctionSpec{
 		Name:  "f",
 		Model: model.MustGet("ResNet-50"),
 		SLO:   200 * time.Millisecond,
 		Trace: workload.Constant(100, 20*time.Second, time.Second), // 10x overload
 	})
 	e.Run()
-	if f.Recorder.Dropped() == 0 {
+	rec := e.Telemetry().Recorder("f")
+	if rec.Dropped() == 0 {
 		t.Fatal("admission control never dropped")
 	}
 	// The requests that were served must be (mostly) in time.
-	if v := f.Recorder.ViolationRate(); v < 0.5 {
+	if v := rec.ViolationRate(); v < 0.5 {
 		// Most offered load must count as violations (they were dropped)...
 		t.Errorf("violation rate %v too low for 10x overload", v)
 	}
-	if p99 := f.Recorder.Percentile(0.99); p99 > 400*time.Millisecond {
+	if p99 := rec.Percentile(0.99); p99 > 400*time.Millisecond {
 		t.Errorf("served p99 = %v; admission should keep served requests fresh", p99)
 	}
 }
@@ -255,7 +265,7 @@ func TestEnginePrewarmSkipsColdStart(t *testing.T) {
 	// the function goes idle and is pre-warmed, a later launch is warm.
 	ctrl := &manualController{cand: testCand(1, perf.Resources{CPU: 4}, 5*time.Millisecond, time.Second)}
 	e := New(ctrl, Config{Cluster: cluster.Testbed(), Duration: time.Minute, Seed: 4})
-	f := e.AddFunction(FunctionSpec{
+	e.AddFunction(FunctionSpec{
 		Name:   "f",
 		Model:  model.MustGet("MNIST"),
 		SLO:    time.Second,
@@ -264,12 +274,11 @@ func TestEnginePrewarmSkipsColdStart(t *testing.T) {
 	})
 	// Manually exercise prewarm wiring: reclaim the initial instance and
 	// relaunch within the prewarm window.
-	e.Run()
-	_ = f
+	res := e.Run()
 	// This test mainly asserts no panics in the prewarm path; detailed
 	// cold-vs-warm behavior is covered by coldstart package tests and
 	// ColdLaunches accounting below.
-	if f.Launches == 0 {
+	if res.Telemetry.Function("f").Launches == 0 {
 		t.Fatal("no launches")
 	}
 }
@@ -287,7 +296,7 @@ func TestResultAggregates(t *testing.T) {
 	if res.Served() == 0 || res.Throughput() <= 0 {
 		t.Fatal("result aggregates empty")
 	}
-	if res.ResourceSeconds <= 0 || res.ThroughputPerResource() <= 0 {
+	if res.Telemetry.Resources.WeightedSeconds <= 0 || res.ThroughputPerResource() <= 0 {
 		t.Fatal("resource accounting empty")
 	}
 	if res.System != "manual" {

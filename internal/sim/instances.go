@@ -85,7 +85,7 @@ func (e *Engine) launchAllocated(f *FunctionState, cand scheduler.Candidate, ser
 	var bd artifact.Breakdown
 	tiered := false
 	if !cold {
-		coldDur = e.cfg.WarmStartTime
+		coldDur = warmStartTime
 	} else if e.storageActive() {
 		if cache := e.cfg.Cluster.Server(server).Artifacts(); cache != nil {
 			// Price the cold start by the tier holding the checkpoint on

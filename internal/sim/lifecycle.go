@@ -4,7 +4,8 @@ package sim
 // queue → submission → completion, plus backlog expiry and chain
 // forwarding. Policy decisions (batch timeout, SLO-aware admission
 // projection) come from the shared internal/runtime layer; metric
-// recording flows through the engine's lifecycle observers.
+// recording flows through the engine's lifecycle observers (only a
+// chain's end-to-end recorder is engine state: no event carries it).
 
 import (
 	"time"
@@ -59,15 +60,22 @@ func (e *Engine) Inject(f *FunctionState, req *Request) {
 	e.Enqueue(inst, req)
 }
 
-// drop publishes a drop (the metrics observer charges the function's
-// recorder and, for chained functions, the chain tail's end-to-end one:
-// the user never got an answer, wherever along the pipeline the request
-// died) and finishes the request.
+// drop publishes a drop, charges it to the end-to-end recorder of the
+// chain f belongs to (the user never got an answer, wherever along the
+// pipeline the request died; warm-up excludes it as it excludes the
+// tail's served samples in onBatchComplete) and finishes the request.
 func (e *Engine) drop(f *FunctionState, req *Request, shed bool) {
 	now := e.clock.Now()
 	e.obs.RequestDropped(f.Spec.Name, now)
 	if shed {
 		e.obs.RequestShed(f.Spec.Name, now)
+	}
+	tail := f
+	for tail.forwardTo != nil {
+		tail = tail.forwardTo
+	}
+	if tail.ChainRecorder != nil && now >= e.cfg.Warmup {
+		tail.ChainRecorder.Drop()
 	}
 	e.finish(req, Outcome{Shed: shed})
 }
@@ -178,11 +186,7 @@ func (e *Engine) trySubmit(inst *Instance) {
 	}
 	inst.Busy = true
 	inst.batch, inst.submitted = batch, now
-	inst.texec = inst.Fn.Spec.Model.ExecTime(len(batch), inst.Cand.Res, model.ExecOptions{
-		Contention: e.cfg.Contention,
-		NoiseSD:    e.cfg.ExecNoiseSD,
-		Rng:        e.rng,
-	})
+	inst.texec = inst.Fn.Spec.Model.ExecTime(len(batch), inst.Cand.Res, model.DefaultExecOptions(e.rng))
 	e.obs.BatchSubmitted(inst.Fn.Spec.Name, inst.ID, len(batch), now)
 	inst.done = e.clock.ScheduleAfter(inst.texec, inst.onDone)
 }

@@ -1,10 +1,10 @@
 // Package sim is the execution engine on which INFless and the baseline
 // systems run — the one implementation of the request lifecycle (arrival
 // → batch queue → execution → completion) and the instance lifecycle
-// (cold start → warm → idle → reclaim), with the cluster inventory and
-// metric collection. Systems differ only in their Controller, which
-// decides routing, instance configuration and scaling. The engine knows
-// only virtual time and has two drivers:
+// (cold start → warm → idle → reclaim) on a cluster inventory. Systems
+// differ only in their Controller, which decides routing, instance
+// configuration and scaling. The engine knows only virtual time and has
+// two drivers:
 //
 //   - Run plays the paper's testbed: a discrete-event simulation over
 //     generated traces, mirroring how the paper's large-scale evaluation
@@ -22,7 +22,9 @@
 //	live.go       the live driver's entry points
 //	lifecycle.go  request lifecycle: arrival → route → enqueue → batch → complete
 //	instances.go  instance lifecycle: launch → warm → idle → reclaim, failures
-//	observers.go  built-in runtime.Observer sinks (recorders, provisioning)
+//
+// The engine keeps no statistics of its own: every event goes to one
+// telemetry.Collector (Engine.Telemetry) and Result reads its snapshot.
 package sim
 
 import (
@@ -92,31 +94,16 @@ type Config struct {
 	Cluster  *cluster.Cluster
 	Seed     int64
 	Duration time.Duration
-	// ScaleInterval is the autoscaler tick period (default 1s).
-	ScaleInterval time.Duration
-	// RateWindow is the arrival-rate estimation window (default 10s).
-	RateWindow time.Duration
-	// WarmStartTime is the activation cost of launching from a
-	// pre-warmed image (default 50ms; a full cold start instead pays
-	// perf.ColdStartTime of the model).
-	WarmStartTime time.Duration
-	// Contention / ExecNoiseSD configure ground-truth execution; defaults
-	// follow model.DefaultExecOptions.
-	Contention  float64
-	ExecNoiseSD float64
 	// Collector, when set, is the telemetry collector the engine feeds
-	// (a platform can share one collector across planes or read it while
-	// the run progresses). When nil the engine creates its own from
-	// Telemetry; either way Engine.Telemetry returns it.
+	// (a platform can share one collector across planes, read it while
+	// the run progresses, or ask for a sampled resource series). When nil
+	// the engine creates its own; either way Engine.Telemetry returns it.
 	Collector *telemetry.Collector
-	// Telemetry configures the engine-owned collector when Collector is
-	// nil (resource-series period, rolling window; Warmup is overridden
-	// by Config.Warmup).
-	Telemetry telemetry.Options
 	// Warmup excludes requests completing (or dropping) before this
-	// virtual time from the latency recorders, so steady-state metrics
-	// are not polluted by the initial scale-from-zero ramp. Resource
-	// integrals still cover the whole run.
+	// virtual time from the latency statistics, so steady-state metrics
+	// are not polluted by the initial scale-from-zero ramp. The engine
+	// sets it on the collector, supplied or its own (Collector.SetWarmup).
+	// Resource integrals still cover the whole run.
 	Warmup time.Duration
 	// Failures injects server outages: at each failure's time the server
 	// goes down, its instances die (queued requests drop), and the
@@ -141,27 +128,24 @@ type ServerFailure struct {
 	Duration time.Duration
 }
 
+// The engine's fixed timings. Ground-truth execution (branch contention,
+// run-to-run noise) is model.DefaultExecOptions.
+const (
+	// ScaleInterval is the autoscaler tick period.
+	ScaleInterval = time.Second
+	// rateWindow is the arrival-rate estimation window.
+	rateWindow = 10 * time.Second
+	// warmStartTime is the activation cost of launching from a pre-warmed
+	// image (a full cold start instead pays perf.ColdStartTime).
+	warmStartTime = 50 * time.Millisecond
+)
+
 func (c *Config) defaults() {
 	if c.Cluster == nil {
 		c.Cluster = cluster.Testbed()
 	}
 	if c.Duration == 0 {
 		c.Duration = 10 * time.Minute
-	}
-	if c.ScaleInterval == 0 {
-		c.ScaleInterval = time.Second
-	}
-	if c.RateWindow == 0 {
-		c.RateWindow = 10 * time.Second
-	}
-	if c.WarmStartTime == 0 {
-		c.WarmStartTime = 50 * time.Millisecond
-	}
-	if c.Contention == 0 {
-		c.Contention = 0.35
-	}
-	if c.ExecNoiseSD == 0 {
-		c.ExecNoiseSD = 0.025
 	}
 }
 

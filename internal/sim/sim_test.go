@@ -40,13 +40,12 @@ func TestInflessServesConstantLoad(t *testing.T) {
 	if v := res.ViolationRate(); v > 0.10 {
 		t.Fatalf("violation rate = %.3f, want <= 0.10", v)
 	}
-	f := res.Functions[0]
+	f := res.Telemetry.Functions[0]
 	if f.Launches == 0 {
 		t.Fatal("no instances launched")
 	}
-	_, queue, exec := f.Recorder.Breakdown()
-	if queue == 0 || exec == 0 {
-		t.Fatalf("breakdown missing components: queue=%v exec=%v", queue, exec)
+	if f.MeanQueueMs == 0 || f.MeanExecMs == 0 {
+		t.Fatalf("breakdown missing components: queue=%vms exec=%vms", f.MeanQueueMs, f.MeanExecMs)
 	}
 }
 
@@ -63,7 +62,7 @@ func TestOpenFaaSPlusServes(t *testing.T) {
 		t.Fatalf("openfaas+ served only %d of ~6000", res.Served())
 	}
 	// One-to-one mapping must never batch.
-	for b := range res.Functions[0].BatchServed {
+	for b := range res.Telemetry.Functions[0].BatchServed {
 		if b != 1 {
 			t.Fatalf("openfaas+ executed batch of %d", b)
 		}
@@ -76,7 +75,7 @@ func TestBatchSysServesAndBatches(t *testing.T) {
 		t.Fatalf("batch served only %d of ~12000", res.Served())
 	}
 	batched := false
-	for b := range res.Functions[0].BatchServed {
+	for b := range res.Telemetry.Functions[0].BatchServed {
 		if b > 1 {
 			batched = true
 		}
@@ -163,9 +162,12 @@ func TestMultiFunctionRun(t *testing.T) {
 		})
 	}
 	res := e.Run()
-	for _, f := range res.Functions {
-		if f.Recorder.Served() == 0 {
-			t.Errorf("%s served nothing", f.Spec.Name)
+	if len(res.Telemetry.Functions) != len(specs) {
+		t.Fatalf("snapshot has %d functions, want %d", len(res.Telemetry.Functions), len(specs))
+	}
+	for _, f := range res.Telemetry.Functions {
+		if f.Served == 0 {
+			t.Errorf("%s served nothing", f.Name)
 		}
 	}
 }

@@ -38,20 +38,13 @@ type Options struct {
 	// Warmup excludes requests served or dropped before this plane time
 	// from latency and violation statistics (the simulator's warmup
 	// semantics); arrival, batch, and launch counters always accumulate.
+	// An engine fed this collector sets it from its own Config.Warmup
+	// (SetWarmup).
 	Warmup time.Duration
-	// ColdTimelineCap bounds the retained launch timeline per function
-	// (default 512; 0 uses the default, negative disables the timeline).
-	ColdTimelineCap int
 }
 
-func (o *Options) defaults() {
-	if o.Window <= 0 {
-		o.Window = time.Minute
-	}
-	if o.ColdTimelineCap == 0 {
-		o.ColdTimelineCap = 512
-	}
-}
+// coldTimelineCap bounds the retained launch timeline per function.
+const coldTimelineCap = 512
 
 // Collector implements runtime.Observer for either plane. On both it is
 // fed by one sim.Engine's event loop, one event at a time (the gateway
@@ -60,7 +53,8 @@ func (o *Options) defaults() {
 // an embedding caller, or a second plane sharing the collector — so all
 // methods are safe for concurrent use.
 type Collector struct {
-	opts Options
+	opts   Options
+	warmup atomic.Int64 // Options.Warmup, until SetWarmup
 
 	mu  sync.RWMutex
 	fns map[string]*funcStats
@@ -78,29 +72,31 @@ type Collector struct {
 
 // New creates a collector.
 func New(opts Options) *Collector {
-	opts.defaults()
-	return &Collector{opts: opts, fns: map[string]*funcStats{}}
+	if opts.Window <= 0 {
+		opts.Window = time.Minute
+	}
+	c := &Collector{opts: opts, fns: map[string]*funcStats{}}
+	c.warmup.Store(int64(opts.Warmup))
+	return c
 }
+
+// SetWarmup replaces Options.Warmup. sim.New calls it with the engine's
+// Config.Warmup, so a collector handed to an engine cuts off where the
+// engine does; call it before the plane's first event.
+func (c *Collector) SetWarmup(d time.Duration) { c.warmup.Store(int64(d)) }
+
+func (c *Collector) inWarmup(now time.Duration) bool { return int64(now) < c.warmup.Load() }
 
 // funcStats is one function's accumulated state, guarded by its own
 // mutex so functions never contend with each other.
 type funcStats struct {
-	mu  sync.Mutex
-	slo time.Duration
+	mu sync.Mutex
 
-	arrived    uint64
-	served     uint64
-	dropped    uint64
-	shed       uint64 // admission-control refusals; a subset of dropped
-	violations uint64
-	coldServed uint64
-
-	sumTotal time.Duration
-	sumCold  time.Duration
-	sumQueue time.Duration
-	sumExec  time.Duration
-
-	latency metrics.Histogram
+	// rec holds the served / dropped / violation / cold counts, the
+	// latency sums and the latency histogram, checked against the SLO.
+	rec     metrics.LatencyRecorder
+	arrived uint64
+	shed    uint64 // admission-control refusals; a subset of dropped
 	queue   metrics.Histogram
 
 	batches     uint64
@@ -127,8 +123,23 @@ type funcStats struct {
 func (c *Collector) Register(fn string, slo time.Duration) {
 	fs := c.stats(fn)
 	fs.mu.Lock()
-	fs.slo = slo
+	fs.rec.SetSLO(slo)
 	fs.mu.Unlock()
+}
+
+// Recorder returns a copy of fn's latency recorder, for readers that
+// need exact durations rather than the snapshot's millisecond floats;
+// nil when fn was never observed.
+func (c *Collector) Recorder(fn string) *metrics.LatencyRecorder {
+	c.mu.RLock()
+	fs, ok := c.fns[fn]
+	c.mu.RUnlock()
+	if !ok {
+		return nil
+	}
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return fs.rec.Clone()
 }
 
 func (c *Collector) stats(fn string) *funcStats {
@@ -191,26 +202,16 @@ func (c *Collector) BatchSubmitted(fn string, _, size int, now time.Duration) {
 // RequestServed implements runtime.Observer.
 func (c *Collector) RequestServed(fn string, s metrics.Sample, now time.Duration) {
 	c.noteTime(now)
-	if now < c.opts.Warmup {
+	if c.inWarmup(now) {
 		return
 	}
-	total := s.Total()
 	fs := c.stats(fn)
 	fs.mu.Lock()
-	fs.served++
-	fs.sumTotal += total
-	fs.sumCold += s.Cold
-	fs.sumQueue += s.Queue
-	fs.sumExec += s.Exec
-	fs.latency.Add(total)
+	late := fs.rec.Observe(s)
 	fs.queue.Add(s.Queue)
-	if s.Cold > 0 {
-		fs.coldServed++
-	}
 	b := fs.win.bucket(now)
 	b.served++
-	if fs.slo > 0 && total > fs.slo {
-		fs.violations++
+	if late {
 		b.violations++
 	}
 	fs.mu.Unlock()
@@ -219,12 +220,12 @@ func (c *Collector) RequestServed(fn string, s metrics.Sample, now time.Duration
 // RequestDropped implements runtime.Observer.
 func (c *Collector) RequestDropped(fn string, now time.Duration) {
 	c.noteTime(now)
-	if now < c.opts.Warmup {
+	if c.inWarmup(now) {
 		return
 	}
 	fs := c.stats(fn)
 	fs.mu.Lock()
-	fs.dropped++
+	fs.rec.Drop()
 	fs.win.bucket(now).dropped++
 	fs.mu.Unlock()
 }
@@ -234,7 +235,7 @@ func (c *Collector) RequestDropped(fn string, now time.Duration) {
 // same request, so shed counts a cause within dropped, not extra loss.
 func (c *Collector) RequestShed(fn string, now time.Duration) {
 	c.noteTime(now)
-	if now < c.opts.Warmup {
+	if c.inWarmup(now) {
 		return
 	}
 	fs := c.stats(fn)
@@ -253,7 +254,7 @@ func (c *Collector) InstanceLaunched(fn string, _ int, cold bool, startDelay, no
 		fs.coldLaunches++
 	}
 	fs.live++
-	if c.opts.ColdTimelineCap > 0 && len(fs.timeline) < c.opts.ColdTimelineCap {
+	if len(fs.timeline) < coldTimelineCap {
 		fs.timeline = append(fs.timeline, LaunchPoint{
 			AtMs:         ms(now),
 			Cold:         cold,

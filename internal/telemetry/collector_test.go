@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/tanklab/infless/internal/artifact"
 	"github.com/tanklab/infless/internal/metrics"
 	"github.com/tanklab/infless/internal/perf"
 	"github.com/tanklab/infless/internal/runtime"
@@ -109,9 +110,19 @@ func TestCollectorWarmup(t *testing.T) {
 	c.RequestServed("f", metrics.Sample{Exec: time.Millisecond}, 500*time.Millisecond)
 	c.RequestDropped("f", 500*time.Millisecond)
 	c.RequestServed("f", metrics.Sample{Exec: time.Millisecond}, 2*time.Second)
-	f, ok := c.Function("f")
-	if !ok || f.Served != 1 || f.Dropped != 0 {
+	f := c.Snapshot().Function("f")
+	if f == nil || f.Served != 1 || f.Dropped != 0 {
 		t.Fatalf("warmup not excluded: %+v", f)
+	}
+	// SetWarmup is the engine's way to move the cut-off of a collector
+	// it was handed.
+	c.SetWarmup(3 * time.Second)
+	c.RequestServed("f", metrics.Sample{Exec: time.Millisecond}, 2*time.Second)
+	if f := c.Snapshot().Function("f"); f.Served != 1 {
+		t.Fatalf("served %d after SetWarmup(3s), want the late sample excluded", f.Served)
+	}
+	if c.Snapshot().Function("g") != nil {
+		t.Fatal("a row for a function nobody observed")
 	}
 }
 
@@ -240,9 +251,15 @@ func TestTraceWriterJSONL(t *testing.T) {
 	tw.RequestServed("f", metrics.Sample{Cold: time.Millisecond, Queue: 2 * time.Millisecond, Exec: 3 * time.Millisecond}, 20*time.Millisecond)
 	tw.InstanceLaunched("f", 3, true, 900*time.Millisecond, 5*time.Millisecond)
 	tw.AllocationChanged(perf.Resources{CPU: 2, GPU: 1}, 6*time.Millisecond)
+	// The two optional hooks reach the writer through the same fan-out
+	// type assertions every observer gets.
+	obs := runtime.Observers{tw}
+	obs.RequestShed("f", 30*time.Millisecond)
+	obs.InstanceStartup("f", 3, artifact.Breakdown{From: artifact.TierSSD, Boot: 900 * time.Millisecond,
+		Load: 40 * time.Millisecond, Promote: 5 * time.Millisecond}, 5*time.Millisecond)
 
 	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	if len(lines) != 4 {
+	if len(lines) != 6 {
 		t.Fatalf("got %d lines", len(lines))
 	}
 	var evs []TraceEvent
@@ -264,5 +281,12 @@ func TestTraceWriterJSONL(t *testing.T) {
 	}
 	if evs[3].Event != "alloc" || evs[3].CPUCores != 2 || evs[3].GPUUnits != 1 {
 		t.Errorf("alloc event: %+v", evs[3])
+	}
+	if evs[4].Event != "shed" || evs[4].Fn != "f" || evs[4].AtMs != 30 {
+		t.Errorf("shed event: %+v", evs[4])
+	}
+	if evs[5].Event != "startup" || evs[5].Instance != 3 || evs[5].Tier != "ssd" ||
+		evs[5].BootMs != 900 || evs[5].LoadMs != 40 || evs[5].PromoteMs != 5 {
+		t.Errorf("startup event: %+v", evs[5])
 	}
 }

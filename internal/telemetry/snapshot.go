@@ -178,15 +178,16 @@ func (c *Collector) SnapshotAt(now time.Duration) Snapshot {
 
 func snapshotFunc(name string, fs *funcStats, now time.Duration) FunctionSnapshot {
 	fs.mu.Lock()
+	rec := fs.rec.Clone()
 	out := FunctionSnapshot{
 		Name:          name,
-		SLOMs:         ms(fs.slo),
+		SLOMs:         ms(rec.SLO()),
 		Arrived:       fs.arrived,
-		Served:        fs.served,
-		Dropped:       fs.dropped,
+		Served:        rec.Served(),
+		Dropped:       rec.Dropped(),
 		Shed:          fs.shed,
-		Violations:    fs.violations,
-		ColdServed:    fs.coldServed,
+		Violations:    rec.Violations(),
+		ColdServed:    rec.ColdServed(),
 		Batches:       fs.batches,
 		Launches:      fs.launches,
 		ColdLaunches:  fs.coldLaunches,
@@ -216,35 +217,27 @@ func snapshotFunc(name string, fs *funcStats, now time.Duration) FunctionSnapsho
 		}
 		out.Startup = st
 	}
-	lat := fs.latency.Clone()
-	queue := fs.queue.Clone()
-	sumTotal, sumCold, sumQueue, sumExec := fs.sumTotal, fs.sumCold, fs.sumQueue, fs.sumExec
+	queue, batchSum := fs.queue.Clone(), fs.batchSum
 	arr, served, dropped, viol, covered := fs.win.tally(now)
 	fs.mu.Unlock()
 
-	if out.Served > 0 {
-		n := time.Duration(out.Served)
-		out.MeanMs = ms(sumTotal / n)
-		out.MeanColdMs = ms(sumCold / n)
-		out.MeanQueueMs = ms(sumQueue / n)
-		out.MeanExecMs = ms(sumExec / n)
-		out.ColdStartRate = float64(out.ColdServed) / float64(out.Served)
-	}
-	if all := out.Served + out.Dropped; all > 0 {
-		out.SLOViolationRate = float64(out.Violations+out.Dropped) / float64(all)
-	}
+	cold, wait, exec := rec.Breakdown()
+	out.MeanMs = ms(rec.Mean())
+	out.MeanColdMs, out.MeanQueueMs, out.MeanExecMs = ms(cold), ms(wait), ms(exec)
+	out.ColdStartRate = rec.ColdRate()
+	out.SLOViolationRate = rec.ViolationRate()
 	if out.Batches > 0 {
-		out.MeanBatch = float64(fsBatchSum(out.BatchServed)) / float64(out.Batches)
+		out.MeanBatch = float64(batchSum) / float64(out.Batches)
 	}
-	out.P50Ms = ms(lat.Quantile(0.50))
-	out.P95Ms = ms(lat.Quantile(0.95))
-	out.P99Ms = ms(lat.Quantile(0.99))
-	out.P999Ms = ms(lat.Quantile(0.999))
+	out.P50Ms = ms(rec.Percentile(0.50))
+	out.P95Ms = ms(rec.Percentile(0.95))
+	out.P99Ms = ms(rec.Percentile(0.99))
+	out.P999Ms = ms(rec.Percentile(0.999))
 	out.QueueP50Ms = ms(queue.Quantile(0.50))
 	out.QueueP99Ms = ms(queue.Quantile(0.99))
-	out.LatencySumMs = ms(sumTotal)
+	out.LatencySumMs = ms(rec.Sum())
 	var cum uint64
-	lat.Each(func(upper time.Duration, count uint64) {
+	rec.Histogram().Each(func(upper time.Duration, count uint64) {
 		cum += count
 		out.LatencyBuckets = append(out.LatencyBuckets, HistBucket{
 			UpperSeconds:    upper.Seconds(),
@@ -266,21 +259,12 @@ func snapshotFunc(name string, fs *funcStats, now time.Duration) FunctionSnapsho
 	return out
 }
 
-func fsBatchSum(batchServed map[int]uint64) uint64 {
-	var n uint64
-	for _, reqs := range batchServed {
-		n += reqs
+// Function returns the named function's row of the snapshot (rows are
+// sorted by name), or nil.
+func (s Snapshot) Function(name string) *FunctionSnapshot {
+	i := sort.Search(len(s.Functions), func(i int) bool { return s.Functions[i].Name >= name })
+	if i == len(s.Functions) || s.Functions[i].Name != name {
+		return nil
 	}
-	return n
-}
-
-// Function returns one function's snapshot (ok=false when unobserved).
-func (c *Collector) Function(name string) (FunctionSnapshot, bool) {
-	c.mu.RLock()
-	fs, ok := c.fns[name]
-	c.mu.RUnlock()
-	if !ok {
-		return FunctionSnapshot{}, false
-	}
-	return snapshotFunc(name, fs, c.lastTime()), true
+	return &s.Functions[i]
 }

@@ -29,6 +29,12 @@ type TraceEvent struct {
 	ExecMs       float64 `json:"execMs,omitempty"`
 	CPUCores     int     `json:"cpuCores,omitempty"`
 	GPUUnits     int     `json:"gpuUnits,omitempty"`
+	// Startup lines (tiered cold launches): the tier the checkpoint was
+	// loaded from and the delay decomposition.
+	Tier      string  `json:"tier,omitempty"`
+	BootMs    float64 `json:"bootMs,omitempty"`
+	LoadMs    float64 `json:"loadMs,omitempty"`
+	PromoteMs float64 `json:"promoteMs,omitempty"`
 }
 
 // TraceWriter streams lifecycle events to w as JSON lines. Attach it as
@@ -67,6 +73,11 @@ func (t *TraceWriter) write(e runtime.Event) {
 	case runtime.EventAlloc:
 		out.CPUCores = e.Alloc.CPU
 		out.GPUUnits = e.Alloc.GPU
+	case runtime.EventStartup:
+		out.Tier = e.Startup.From.String()
+		out.BootMs = ms(e.Startup.Boot)
+		out.LoadMs = ms(e.Startup.Load)
+		out.PromoteMs = ms(e.Startup.Promote)
 	}
 	t.mu.Lock()
 	_ = t.enc.Encode(out)

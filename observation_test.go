@@ -114,28 +114,35 @@ func TestTelemetryHandleMatchesReport(t *testing.T) {
 }
 
 func TestTraceOption(t *testing.T) {
-	var trace bytes.Buffer
-	rep := runSmallPlatform(t, infless.Options{
-		Telemetry: infless.TelemetryOptions{Trace: &trace},
-	})
-	lines := strings.Split(strings.TrimSpace(trace.String()), "\n")
-	if len(lines) < int(rep.Served) {
-		t.Fatalf("trace has %d lines for %d served requests", len(lines), rep.Served)
-	}
-	kinds := map[string]int{}
-	for _, ln := range lines {
-		var ev struct {
-			Event string  `json:"event"`
-			AtMs  float64 `json:"atMs"`
+	// A tiered run also traces every cold launch's startup breakdown.
+	for _, tiered := range []bool{false, true} {
+		var trace bytes.Buffer
+		rep := runSmallPlatform(t, infless.Options{
+			Telemetry: infless.TelemetryOptions{Trace: &trace},
+			Storage:   infless.StorageOptions{Enabled: tiered},
+		})
+		lines := strings.Split(strings.TrimSpace(trace.String()), "\n")
+		if len(lines) < int(rep.Served) {
+			t.Fatalf("trace has %d lines for %d served requests", len(lines), rep.Served)
 		}
-		if err := json.Unmarshal([]byte(ln), &ev); err != nil {
-			t.Fatalf("bad JSONL line %q: %v", ln, err)
+		kinds := map[string]int{}
+		for _, ln := range lines {
+			var ev telemetry.TraceEvent
+			if err := json.Unmarshal([]byte(ln), &ev); err != nil {
+				t.Fatalf("bad JSONL line %q: %v", ln, err)
+			}
+			kinds[ev.Event]++
+			if ev.Event == "startup" && (ev.Tier == "" || ev.BootMs <= 0) {
+				t.Errorf("startup line without its breakdown: %s", ln)
+			}
 		}
-		kinds[ev.Event]++
-	}
-	for _, want := range []string{"arrived", "batch", "served", "launched"} {
-		if kinds[want] == 0 {
-			t.Errorf("trace has no %q events (kinds: %v)", want, kinds)
+		for _, want := range []string{"arrived", "batch", "served", "launched"} {
+			if kinds[want] == 0 {
+				t.Errorf("trace has no %q events (kinds: %v)", want, kinds)
+			}
+		}
+		if (kinds["startup"] > 0) != tiered {
+			t.Errorf("tiered=%v: trace has %d startup lines (kinds: %v)", tiered, kinds["startup"], kinds)
 		}
 	}
 }

@@ -6,8 +6,13 @@
 # and runtime policies it drives, and the sharded cluster + scheduler
 # whose FitPool fans fit-queries across workers), a sharded-equivalence
 # smoke (every Schedule decision bit-identical to the single-shard
-# reference), a one-second run of the benchmark's sched_scale workload
-# (its booking audit must pass and a placement must stay under 100 B),
+# reference), three one-second runs of the repository's benchmark —
+# gw_dispatch (an in-process invocation stays at the mux's 17 B: the
+# gateway's own code allocates nothing), sim_fleet (conservation and
+# digest equality hold, and the three policy outcomes equal the seed-1
+# values in benchmark/calibration.json, so a change that moves a
+# scheduling or accounting decision fails here) and sched_scale (its
+# booking audit passes and a placement stays under 100 B) —
 # and infless-lint — the AST/types-based analyzer suite
 # (cmd/infless-lint) that replaced the old grep guards: it keeps the
 # lifecycle policies single-sourced, the deterministic packages off the
@@ -56,17 +61,45 @@ go run ./cmd/infless-bench -run fig16t -parallel 1 >/tmp/fig16t.p1 2>/dev/null
 go run ./cmd/infless-bench -run fig16t -parallel 4 >/tmp/fig16t.p4 2>/dev/null
 diff /tmp/fig16t.p1 /tmp/fig16t.p4
 
-echo "== gateway allocs gate (BenchmarkHandleInvoke must report 0 allocs/op)"
-bench_out=$(go test -run NONE -bench 'BenchmarkHandleInvoke$' -benchmem -benchtime 20000x ./internal/gateway/)
-echo "$bench_out"
-echo "$bench_out" | grep -q "	       0 allocs/op" || {
-	echo "FAIL: the invoke hot path allocates (want 0 allocs/op)"
+# metric prints the value of end-to-end metric $2 from the benchmark
+# output $1, whose last line is the JSON result.
+metric() {
+	printf '%s\n' "$1" | tail -n 1 | sed -n "s/.*\"$2\":{\"value\":\([0-9.e+-]*\).*/\1/p"
+}
+# calibrated prints the committed seed-1 value of sim_fleet's metric $1:
+# the first of its "values" in benchmark/calibration.json.
+calibrated() {
+	awk -v m="\"$1\":" '
+		/"workload": "sim_fleet"/ { inw = 1 }
+		inw && $1 == m { inm = 1 }
+		inm && /"values"/ { getline; gsub(/[ ,]/, ""); print; exit }
+	' benchmark/calibration.json
+}
+
+echo "== benchmark smoke (gw_dispatch: replies checked, <= 17.6 B per invocation — the mux's 17.08 B plus the 3 % bound)"
+smoke_out=$(go run ./benchmark --workload gw_dispatch --seed 1 --seconds 1 --trace 0)
+alloc_b=$(metric "$smoke_out" alloc_bytes_per_op)
+echo "gw_dispatch alloc_bytes_per_op: ${alloc_b:-missing}"
+awk -v b="${alloc_b:-nan}" 'BEGIN { exit !(b + 0 == b && b <= 17.6) }' || {
+	echo "FAIL: the invoke hot path allocates beyond the mux's 17 B (or reported nothing)"
 	exit 1
 }
 
+echo "== benchmark smoke (sim_fleet: conservation + digest equality, policy outcomes equal calibration.json on seed 1)"
+smoke_out=$(go run ./benchmark --workload sim_fleet --seed 1 --seconds 1 --trace 0)
+for m in latency_p50_ms slo_attainment goodput_per_resource; do
+	got=$(metric "$smoke_out" "$m")
+	want=$(calibrated "$m")
+	echo "sim_fleet $m: ${got:-missing} (calibrated ${want:-missing})"
+	if [ -z "$got" ] || [ "$got" != "$want" ]; then
+		echo "FAIL: sim_fleet $m moved off its calibrated seed-1 value: a policy or accounting outcome changed"
+		exit 1
+	fi
+done
+
 echo "== benchmark smoke (sched_scale: booking audit on every segment, <= 100 B per placement)"
 smoke_out=$(go run ./benchmark --workload sched_scale --seed 1 --seconds 1 --trace 0)
-alloc_b=$(printf '%s\n' "$smoke_out" | tail -n 1 | sed -n 's/.*"alloc_bytes_per_op":{"value":\([0-9.e+-]*\).*/\1/p')
+alloc_b=$(metric "$smoke_out" alloc_bytes_per_op)
 echo "sched_scale alloc_bytes_per_op: ${alloc_b:-missing}"
 awk -v b="${alloc_b:-nan}" 'BEGIN { exit !(b + 0 == b && b <= 100) }' || {
 	echo "FAIL: sched_scale allocates more than 100 B per placement (or reported nothing)"

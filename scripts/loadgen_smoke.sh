@@ -4,7 +4,7 @@
 # the full HTTP stack with infless-loadgen. It fails when nothing
 # succeeds (the dispatch path is broken) or when hard failures appear
 # (overload must surface as 429 sheds, never as 5xx) — the end-to-end
-# complement of BenchmarkHandleInvoke's in-process allocs gate.
+# complement of check.sh's in-process gw_dispatch allocation smoke.
 set -eu
 cd "$(dirname "$0")/.."
 

@@ -25,8 +25,8 @@ type TelemetryOptions struct {
 	// recorded, 0 records only those.
 	ResourceSampleEvery time.Duration
 	// Trace, when set, receives one JSON line per request lifecycle event
-	// (arrived, enqueued, batch, served, dropped, launched, reclaimed,
-	// alloc) as the run progresses.
+	// (arrived, enqueued, batch, served, dropped, shed, launched, startup,
+	// reclaimed, alloc) as the run progresses.
 	Trace io.Writer
 }
 
@@ -51,7 +51,7 @@ func (t *Telemetry) snapshot() telemetry.Snapshot { return t.p.col.Snapshot() }
 // instance usage are engine state and only appear in Run's report).
 func (t *Telemetry) Report() *Report {
 	snap := t.snapshot()
-	return reportFromSnapshot(string(t.p.opts.System), time.Duration(snap.AtMs*float64(time.Millisecond)), snap)
+	return reportFromSnapshot(string(t.p.opts.System), msDuration(snap.AtMs), snap)
 }
 
 // WriteJSON writes the versioned telemetry snapshot document — the same
