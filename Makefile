@@ -2,8 +2,9 @@ GO ?= go
 
 .PHONY: check build vet test race bench bench-compare lint lint-json
 
-## check: tier-1 gate — gofmt, build, vet, infless-lint, full tests, and
-## a race pass on the shared runtime + gateway (see scripts/check.sh).
+## check: tier-1 gate — gofmt, build, vet, infless-lint, full tests, a
+## fuzz smoke of the three input parsers, a race pass on the shared
+## runtime + gateway and the benchmark smokes (see scripts/check.sh).
 check:
 	./scripts/check.sh
 

@@ -72,7 +72,7 @@ func main() {
 		ctrl sim.Controller
 	}{
 		{"infless", core.New(core.Options{})},
-		{"batch", baselines.NewBatchSys(baselines.BatchSysConfig{})},
+		{"batch", baselines.NewBatchSys()},
 	} {
 		e := sim.New(mk.ctrl, sim.Config{Cluster: cluster.Testbed(), Duration: dur, Seed: 1})
 		e.AddFunction(sim.FunctionSpec{

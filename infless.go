@@ -81,27 +81,14 @@ type Options struct {
 	Storage StorageOptions
 }
 
-// StorageOptions configure the multi-tier storage hierarchy behind cold
-// starts: per-tier load bandwidths, per-server cache capacities, and
-// opportunistic pre-loading. All zero fields resolve to the Default*
-// constants in internal/artifact (remote 60 MB/s + 100 ms, SSD 220 MB/s,
-// DRAM 2 GB/s, device 20 GB/s; 512 GB SSD and 48 GB DRAM cache per
-// server).
+// StorageOptions switch on the multi-tier storage hierarchy behind cold
+// starts, at the profiled tier parameters of internal/artifact (remote
+// 60 MB/s + 100 ms, SSD 220 MB/s, DRAM 2 GB/s, device 20 GB/s; 512 GB
+// SSD and 48 GB DRAM cache per server).
 type StorageOptions struct {
-	// Enabled turns tiering on; when false every other field is ignored
-	// and the platform runs the legacy scalar formula.
+	// Enabled turns tiering on; when false Preload is ignored and the
+	// platform runs the legacy scalar formula.
 	Enabled bool
-	// Per-tier sustained read bandwidths in MB/s (0 = default).
-	RemoteMBps float64
-	SSDMBps    float64
-	DRAMMBps   float64
-	DeviceMBps float64
-	// RemoteLatency is the fixed per-load latency of registry pulls
-	// (0 = default 100ms).
-	RemoteLatency time.Duration
-	// Per-server artifact-cache capacities in MB (0 = default).
-	SSDCacheMB  int64
-	DRAMCacheMB int64
 	// Preload enables opportunistic pre-loading: reclaim events park
 	// other functions' artifacts in the freed server's spare DRAM.
 	Preload bool
@@ -114,24 +101,6 @@ func (s StorageOptions) config() *artifact.Config {
 		return nil
 	}
 	c := artifact.DefaultConfig()
-	set := func(t artifact.Tier, mbps float64) {
-		if mbps != 0 {
-			c.Hierarchy.Tiers[t].BandwidthMBps = mbps
-		}
-	}
-	set(artifact.TierRemote, s.RemoteMBps)
-	set(artifact.TierSSD, s.SSDMBps)
-	set(artifact.TierDRAM, s.DRAMMBps)
-	set(artifact.TierDevice, s.DeviceMBps)
-	if s.RemoteLatency != 0 {
-		c.Hierarchy.Tiers[artifact.TierRemote].Latency = s.RemoteLatency
-	}
-	if s.SSDCacheMB != 0 {
-		c.CacheMB[artifact.TierSSD] = s.SSDCacheMB
-	}
-	if s.DRAMCacheMB != 0 {
-		c.CacheMB[artifact.TierDRAM] = s.DRAMCacheMB
-	}
 	c.Preload = s.Preload
 	return &c
 }
@@ -216,9 +185,9 @@ func NewPlatform(opts Options) (*Platform, error) {
 		inflessOpts.LSTH.Gamma = opts.LSTHGamma
 		ctrl = core.New(inflessOpts)
 	case SystemBATCH:
-		ctrl = baselines.NewBatchSys(baselines.BatchSysConfig{})
+		ctrl = baselines.NewBatchSys()
 	case SystemOpenFaaSPlus:
-		ctrl = baselines.NewOpenFaaSPlus(baselines.OpenFaaSPlusConfig{})
+		ctrl = baselines.NewOpenFaaSPlus()
 	}
 	col := telemetry.New(telemetry.Options{
 		Window:              opts.Telemetry.Window,

@@ -20,7 +20,7 @@
 //     and the HomeTypes (sync's Pool) are named only inside
 //     internal/pool, whose API carries the pool ownership contract by
 //     type; driven by the declarative tables in invariants.go.
-//   - serverscan:     the scheduler never scans Cluster.Servers();
+//   - serverscan:     the scheduler never scans Cluster.EachServer;
 //     placement goes through the free-capacity index (BestFit/FirstFit).
 //   - lockedcallback: runtime.Observer callbacks and telemetry
 //     Collector entry points are never invoked between a mutex Lock and

@@ -1,13 +1,12 @@
 package analysis
 
-// serverscan forbids per-server iteration of the cluster — both
-// Cluster.Servers() (now a snapshot copy, since the shard refactor ended
-// the borrowed-slice leak) and Cluster.EachServer — from the scheduler.
-// PR 3 replaced scheduleOne's linear scan over the server list with the
-// cluster's free-capacity index (BestFit/FirstFit, today sharded) — a
-// 123x win on the 2,000-server cluster — and the only way to regress it
-// is to reach for full-inventory iteration again. Reads elsewhere
-// (reporting, benchmarks, baselines) are legitimate.
+// serverscan forbids per-server iteration of the cluster
+// (Cluster.EachServer, the only way to walk the inventory) from the
+// scheduler. PR 3 replaced scheduleOne's linear scan over the server
+// list with the cluster's free-capacity index (BestFit/FirstFit, today
+// sharded) — a 123x win on the 2,000-server cluster — and the only way
+// to regress it is to reach for full-inventory iteration again. Reads
+// elsewhere (reporting, benchmarks, baselines) are legitimate.
 
 import (
 	"go/ast"
@@ -20,7 +19,7 @@ var serverScanScopes = []string{"internal/scheduler"}
 // ServerScanAnalyzer implements the serverscan check.
 var ServerScanAnalyzer = &Analyzer{
 	Name: "serverscan",
-	Doc:  "forbid Cluster.Servers()/EachServer scans in the scheduler; use BestFit/FirstFit",
+	Doc:  "forbid Cluster.EachServer scans in the scheduler; use BestFit/FirstFit",
 	Run:  runServerScan,
 }
 
@@ -37,7 +36,7 @@ func runServerScan(u *Unit) []Diagnostic {
 					return true
 				}
 				fn := funcOf(pkg.Info, call)
-				if fn == nil || (fn.Name() != "Servers" && fn.Name() != "EachServer") {
+				if fn == nil || fn.Name() != "EachServer" {
 					return true
 				}
 				named := recvNamed(fn)
@@ -48,7 +47,7 @@ func runServerScan(u *Unit) []Diagnostic {
 				diags = append(diags, Diagnostic{
 					Analyzer: "serverscan",
 					Pos:      u.Fset.Position(call.Pos()),
-					Message: "Cluster." + fn.Name() + "() scan in the scheduler; placement must go " +
+					Message: "Cluster.EachServer() scan in the scheduler; placement must go " +
 						"through cluster.BestFit/FirstFit (the sharded free-capacity indexes)",
 				})
 				return true

@@ -3,19 +3,7 @@ package ssbad
 
 import "github.com/tanklab/infless/internal/cluster"
 
-// Scan iterates every server: the pre-index placement pattern.
-func Scan(cl *cluster.Cluster) int {
-	n := 0
-	for _, s := range cl.Servers() { // want "Cluster\.Servers\(\) scan in the scheduler"
-		if !s.Down() {
-			n++
-		}
-	}
-	return n
-}
-
-// Visit iterates via the callback accessor: same full-inventory scan,
-// same regression.
+// Visit iterates every server: the pre-index placement pattern.
 func Visit(cl *cluster.Cluster) int {
 	n := 0
 	cl.EachServer(func(s *cluster.Server) bool { // want "Cluster\.EachServer\(\) scan in the scheduler"

@@ -95,8 +95,8 @@ func TestCacheBasics(t *testing.T) {
 	if !c.Put("a", 60, TierDRAM) {
 		t.Fatal("Put a failed")
 	}
-	if c.Tier("a") != TierDRAM || c.UsedMB(TierDRAM) != 60 || c.Len() != 1 {
-		t.Fatalf("bad state after Put: tier=%v used=%d len=%d", c.Tier("a"), c.UsedMB(TierDRAM), c.Len())
+	if c.Tier("a") != TierDRAM || c.usedMB[TierDRAM] != 60 || len(c.entries) != 1 {
+		t.Fatalf("bad state after Put: tier=%v used=%d len=%d", c.Tier("a"), c.usedMB[TierDRAM], len(c.entries))
 	}
 	// Oversized artifact can never fit.
 	if c.Put("big", 101, TierDRAM) {
@@ -107,7 +107,7 @@ func TestCacheBasics(t *testing.T) {
 		t.Fatal("Put to remote succeeded")
 	}
 	c.Demote("a", TierRemote)
-	if c.Len() != 0 || c.UsedMB(TierDRAM) != 0 {
+	if len(c.entries) != 0 || c.usedMB[TierDRAM] != 0 {
 		t.Fatal("Demote to remote did not drop entry")
 	}
 }
@@ -127,8 +127,8 @@ func TestCacheLRUEvictionSpillsToSSD(t *testing.T) {
 	if got := c.Tier("a"); got != TierSSD {
 		t.Fatalf("a at %v, want ssd spill", got)
 	}
-	if c.Tier("c") != TierDRAM || c.UsedMB(TierDRAM) != 60 || c.UsedMB(TierSSD) != 100 {
-		t.Fatalf("bad state: c=%v dram=%d ssd=%d", c.Tier("c"), c.UsedMB(TierDRAM), c.UsedMB(TierSSD))
+	if c.Tier("c") != TierDRAM || c.usedMB[TierDRAM] != 60 || c.usedMB[TierSSD] != 100 {
+		t.Fatalf("bad state: c=%v dram=%d ssd=%d", c.Tier("c"), c.usedMB[TierDRAM], c.usedMB[TierSSD])
 	}
 }
 
@@ -157,15 +157,15 @@ func TestCachePromoteAndDemote(t *testing.T) {
 	if got := c.Promote("b", 40, TierDRAM); got != TierDRAM {
 		t.Fatalf("Promote landed at %v, want dram", got)
 	}
-	if c.UsedMB(TierSSD) != 200 || c.UsedMB(TierDRAM) != 40 {
-		t.Fatalf("accounting wrong: ssd=%d dram=%d", c.UsedMB(TierSSD), c.UsedMB(TierDRAM))
+	if c.usedMB[TierSSD] != 200 || c.usedMB[TierDRAM] != 40 {
+		t.Fatalf("accounting wrong: ssd=%d dram=%d", c.usedMB[TierSSD], c.usedMB[TierDRAM])
 	}
 	// Promote of an absent artifact that fits nowhere reports remote.
 	if got := c.Promote("huge", 5000, TierDRAM); got != TierRemote {
 		t.Fatalf("Promote(huge) = %v, want remote", got)
 	}
 	c.Demote("b", TierSSD)
-	if c.Tier("b") != TierSSD || c.UsedMB(TierDRAM) != 0 {
+	if c.Tier("b") != TierSSD || c.usedMB[TierDRAM] != 0 {
 		t.Fatal("Demote to ssd failed")
 	}
 	// Demoting upward or re-demoting is a no-op.
@@ -202,7 +202,7 @@ func TestCacheEvictionDeterministic(t *testing.T) {
 		for _, n := range names {
 			state += fmt.Sprintf("%s@%v;", n, c.Tier(n))
 		}
-		return fmt.Sprintf("%s dram=%d ssd=%d len=%d", state, c.UsedMB(TierDRAM), c.UsedMB(TierSSD), c.Len())
+		return fmt.Sprintf("%s dram=%d ssd=%d len=%d", state, c.usedMB[TierDRAM], c.usedMB[TierSSD], len(c.entries))
 	}
 	for seed := int64(1); seed <= 5; seed++ {
 		a, b := run(seed), run(seed)
@@ -230,8 +230,8 @@ func TestCacheAccountingInvariants(t *testing.T) {
 			c.Demote(n, Tier(rng.Intn(3)))
 		}
 		for _, tier := range []Tier{TierSSD, TierDRAM} {
-			if c.UsedMB(tier) < 0 || c.UsedMB(tier) > map[Tier]int64{TierSSD: 300, TierDRAM: 120}[tier] {
-				t.Fatalf("op %d: tier %v used %d out of bounds", op, tier, c.UsedMB(tier))
+			if c.usedMB[tier] < 0 || c.usedMB[tier] > map[Tier]int64{TierSSD: 300, TierDRAM: 120}[tier] {
+				t.Fatalf("op %d: tier %v used %d out of bounds", op, tier, c.usedMB[tier])
 			}
 		}
 	}

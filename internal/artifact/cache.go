@@ -58,15 +58,6 @@ func (c *Cache) Touch(name string) {
 	}
 }
 
-// UsedMB reports the bytes resident at a tier.
-func (c *Cache) UsedMB(t Tier) int64 { return c.usedMB[t] }
-
-// FreeMB reports the spare capacity at a tier.
-func (c *Cache) FreeMB(t Tier) int64 { return c.capMB[t] - c.usedMB[t] }
-
-// Len reports the number of resident artifacts.
-func (c *Cache) Len() int { return len(c.entries) }
-
 // Put makes the artifact resident at the given tier, marking it
 // most-recently used. If the tier lacks space, least-recently-used
 // entries at that tier are evicted first: an eviction from TierDRAM

@@ -110,7 +110,7 @@ func TestReplayBatchingGroups(t *testing.T) {
 }
 
 func TestOpenFaaSPlusOneToOne(t *testing.T) {
-	ctrl := NewOpenFaaSPlus(OpenFaaSPlusConfig{})
+	ctrl := NewOpenFaaSPlus()
 	e := sim.New(ctrl, sim.Config{Cluster: cluster.Testbed(), Duration: time.Minute, Seed: 2})
 	e.AddFunction(sim.FunctionSpec{
 		Name:  "f",
@@ -136,7 +136,7 @@ func TestOpenFaaSPlusOneToOne(t *testing.T) {
 }
 
 func TestOpenFaaSPlusInfeasibleSLOStillRuns(t *testing.T) {
-	ctrl := NewOpenFaaSPlus(OpenFaaSPlusConfig{})
+	ctrl := NewOpenFaaSPlus()
 	e := sim.New(ctrl, sim.Config{Cluster: cluster.Testbed(), Duration: 30 * time.Second, Seed: 2})
 	e.AddFunction(sim.FunctionSpec{
 		Name:  "bert",
@@ -154,7 +154,7 @@ func TestOpenFaaSPlusInfeasibleSLOStillRuns(t *testing.T) {
 }
 
 func TestBatchSysUniformConfigs(t *testing.T) {
-	ctrl := NewBatchSys(BatchSysConfig{})
+	ctrl := NewBatchSys()
 	e := sim.New(ctrl, sim.Config{Cluster: cluster.Testbed(), Duration: 2 * time.Minute, Seed: 3})
 	e.AddFunction(sim.FunctionSpec{
 		Name:  "f",
@@ -174,7 +174,7 @@ func TestBatchSysUniformConfigs(t *testing.T) {
 }
 
 func TestBatchSysBatchRungCoupling(t *testing.T) {
-	b := NewBatchSys(BatchSysConfig{})
+	b := NewBatchSys()
 	e := sim.New(b, sim.Config{Cluster: cluster.Testbed(), Duration: time.Second})
 	f := e.AddFunction(sim.FunctionSpec{
 		Name:  "f",
@@ -195,8 +195,8 @@ func TestBatchSysBatchRungCoupling(t *testing.T) {
 }
 
 func TestBatchSysDispatchDelay(t *testing.T) {
-	var _ sim.DispatchDelayer = NewBatchSys(BatchSysConfig{})
-	if d := NewBatchSys(BatchSysConfig{}).DispatchDelay(); d <= 0 {
+	var _ sim.DispatchDelayer = NewBatchSys()
+	if d := NewBatchSys().DispatchDelay(); d <= 0 {
 		t.Fatal("OTP dispatch delay must be positive")
 	}
 }

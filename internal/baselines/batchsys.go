@@ -6,30 +6,22 @@ import (
 	"github.com/tanklab/infless/internal/batching"
 	"github.com/tanklab/infless/internal/coldstart"
 	"github.com/tanklab/infless/internal/perf"
+	"github.com/tanklab/infless/internal/profiler"
 	"github.com/tanklab/infless/internal/scheduler"
 	"github.com/tanklab/infless/internal/sim"
 )
 
-// BatchSysConfig configures the BATCH baseline (Ali et al., SC'20), the
-// paper's state-of-the-art comparison: adaptive batching implemented *on
-// top of* the serverless platform.
-type BatchSysConfig struct {
-	Predictor scheduler.Predictor
-	// KeepAlive is the platform's fixed keep-alive (default 300s).
-	KeepAlive time.Duration
-	// Ladder is the proportional resource menu BATCH may configure.
-	// BATCH's profiles are memory-centric (its AWS Lambda heritage:
-	// CPU power proportional to memory); the INFless authors extended
-	// them "with CPU and GPU allocations", which still yields a coarse
-	// proportional ladder rather than free-form packing — Figure 13(c)
-	// shows BATCH using only three (b,c,g) configurations. Default:
-	// {2,1}, {4,2}, {8,4}.
-	Ladder []perf.Resources
-	// Batches is the batch-size menu (default 1..32 powers of two).
-	Batches []int
-}
+// batchLadder is the proportional resource menu BATCH may configure.
+// BATCH's profiles are memory-centric (its AWS Lambda heritage: CPU power
+// proportional to memory); the INFless authors extended them "with CPU
+// and GPU allocations", which still yields a coarse proportional ladder
+// rather than free-form packing — Figure 13(c) shows BATCH using only
+// three (b,c,g) configurations.
+var batchLadder = []perf.Resources{{CPU: 2, GPU: 1}, {CPU: 4, GPU: 2}, {CPU: 8, GPU: 4}, {CPU: 16, GPU: 8}}
 
-// BatchSys is the BATCH controller. Per the paper's characterization
+// BatchSys is the BATCH controller (Ali et al., SC'20), the paper's
+// state-of-the-art comparison: adaptive batching implemented *on top of*
+// the serverless platform. Per the paper's characterization
 // (Table 3 and Observation 5) it:
 //
 //   - aggregates requests into uniform batches chosen adaptively from its
@@ -41,25 +33,11 @@ type BatchSysConfig struct {
 //     outside the platform) and relies on the fixed keep-alive to scale
 //     in.
 type BatchSys struct {
-	cfg BatchSysConfig
+	pred scheduler.Predictor
 }
 
 // NewBatchSys creates the BATCH controller.
-func NewBatchSys(cfg BatchSysConfig) *BatchSys {
-	if cfg.Predictor == nil {
-		cfg.Predictor = defaultPredictor()
-	}
-	if cfg.KeepAlive == 0 {
-		cfg.KeepAlive = coldstart.DefaultFixedKeepAlive
-	}
-	if len(cfg.Ladder) == 0 {
-		cfg.Ladder = []perf.Resources{{CPU: 2, GPU: 1}, {CPU: 4, GPU: 2}, {CPU: 8, GPU: 4}, {CPU: 16, GPU: 8}}
-	}
-	if len(cfg.Batches) == 0 {
-		cfg.Batches = []int{1, 2, 4, 8, 16, 32}
-	}
-	return &BatchSys{cfg: cfg}
-}
+func NewBatchSys() *BatchSys { return &BatchSys{pred: defaultPredictor()} }
 
 // Name implements sim.Controller.
 func (b *BatchSys) Name() string { return "batch" }
@@ -88,7 +66,7 @@ type batchState struct {
 func (b *BatchSys) Init(e *sim.Engine) {
 	for _, f := range e.Functions() {
 		if f.Policy == nil {
-			f.Policy = coldstart.Fixed{KeepAlive: b.cfg.KeepAlive}
+			f.Policy = coldstart.Fixed{KeepAlive: coldstart.DefaultFixedKeepAlive}
 		}
 		f.SetCtrlState(&batchState{menu: b.buildMenu(f)})
 	}
@@ -98,11 +76,11 @@ func (b *BatchSys) Init(e *sim.Engine) {
 // <batch, ladder-rung> pair that can meet the SLO.
 func (b *BatchSys) buildMenu(f *sim.FunctionState) []scheduler.Candidate {
 	var menu []scheduler.Candidate
-	for _, bs := range b.cfg.Batches {
+	for _, bs := range profiler.DefaultBatches {
 		if bs > f.Spec.Model.MaxBatch {
 			continue
 		}
-		for _, res := range b.cfg.Ladder {
+		for _, res := range batchLadder {
 			// BATCH's profiles couple batch size to the instance size (its
 			// AWS heritage: larger batches need larger memory configs, and
 			// CPU scales with memory). A rung supports batches up to twice
@@ -112,7 +90,7 @@ func (b *BatchSys) buildMenu(f *sim.FunctionState) []scheduler.Candidate {
 			if bs > 2*res.CPU {
 				continue
 			}
-			texec := b.cfg.Predictor.Predict(f.Spec.Model, bs, res)
+			texec := b.pred.Predict(f.Spec.Model, bs, res)
 			bounds, err := batching.RateBounds(texec, f.Spec.SLO, bs)
 			if err != nil {
 				continue

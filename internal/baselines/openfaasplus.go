@@ -14,8 +14,6 @@
 package baselines
 
 import (
-	"time"
-
 	"github.com/tanklab/infless/internal/batching"
 	"github.com/tanklab/infless/internal/cluster"
 	"github.com/tanklab/infless/internal/coldstart"
@@ -46,42 +44,22 @@ func firstFit(cl *cluster.Cluster, res perf.Resources, memMB int) (int, bool) {
 	return id, id != -1
 }
 
-// OpenFaaSPlusConfig configures the OpenFaaS⁺ baseline.
-type OpenFaaSPlusConfig struct {
-	// Resources per instance; default 2 CPU cores + 1 GPU unit (10% SMs),
-	// the paper's setting.
-	Resources perf.Resources
-	// KeepAlive is the fixed keep-alive window (default 300s).
-	KeepAlive time.Duration
-	// MaxConcurrentColdStarts bounds how many instances of one function
-	// may be starting at once (OpenFaaS scales through the Kubernetes
-	// deployment controller, which rolls replicas out gradually rather
-	// than spawning one per queued request). Default 8.
-	MaxConcurrentColdStarts int
-	Predictor               scheduler.Predictor
-}
+// The OpenFaaS⁺ setting of the paper's comparison.
+var ofpResources = perf.Resources{CPU: 2, GPU: 1} // 2 CPU cores + 10% of a GPU's SMs
+
+// ofpMaxConcurrentColdStarts bounds how many instances of one function
+// may be starting at once (OpenFaaS scales through the Kubernetes
+// deployment controller, which rolls replicas out gradually rather than
+// spawning one per queued request).
+const ofpMaxConcurrentColdStarts = 8
 
 // OpenFaaSPlus is the enhanced-OpenFaaS baseline controller.
 type OpenFaaSPlus struct {
-	cfg OpenFaaSPlusConfig
+	pred scheduler.Predictor
 }
 
 // NewOpenFaaSPlus creates the OpenFaaS⁺ controller.
-func NewOpenFaaSPlus(cfg OpenFaaSPlusConfig) *OpenFaaSPlus {
-	if cfg.Resources.IsZero() {
-		cfg.Resources = perf.Resources{CPU: 2, GPU: 1}
-	}
-	if cfg.KeepAlive == 0 {
-		cfg.KeepAlive = coldstart.DefaultFixedKeepAlive
-	}
-	if cfg.MaxConcurrentColdStarts == 0 {
-		cfg.MaxConcurrentColdStarts = 8
-	}
-	if cfg.Predictor == nil {
-		cfg.Predictor = defaultPredictor()
-	}
-	return &OpenFaaSPlus{cfg: cfg}
-}
+func NewOpenFaaSPlus() *OpenFaaSPlus { return &OpenFaaSPlus{pred: defaultPredictor()} }
 
 // Name implements sim.Controller.
 func (o *OpenFaaSPlus) Name() string { return "openfaas+" }
@@ -94,21 +72,21 @@ func (o *OpenFaaSPlus) RejectOnSaturation() bool { return true }
 
 // candidateFor derives the uniform batch-1 candidate for a function.
 func (o *OpenFaaSPlus) candidateFor(f *sim.FunctionState) scheduler.Candidate {
-	texec := o.cfg.Predictor.Predict(f.Spec.Model, 1, o.cfg.Resources)
+	texec := o.pred.Predict(f.Spec.Model, 1, ofpResources)
 	bounds, err := batching.RateBounds(texec, f.Spec.SLO, 1)
 	if err != nil {
 		// The fixed configuration cannot meet the SLO; the baseline still
 		// runs (and violates), with capacity bounded by execution speed.
 		bounds = batching.Bounds{RUp: 1 / texec.Seconds()}
 	}
-	return scheduler.Candidate{B: 1, Res: o.cfg.Resources, TExec: texec, Bounds: bounds}
+	return scheduler.Candidate{B: 1, Res: ofpResources, TExec: texec, Bounds: bounds}
 }
 
 // Init implements sim.Controller.
 func (o *OpenFaaSPlus) Init(e *sim.Engine) {
 	for _, f := range e.Functions() {
 		if f.Policy == nil {
-			f.Policy = coldstart.Fixed{KeepAlive: o.cfg.KeepAlive}
+			f.Policy = coldstart.Fixed{KeepAlive: coldstart.DefaultFixedKeepAlive}
 		}
 		f.SetCtrlState(o.candidateFor(f))
 	}
@@ -141,7 +119,7 @@ func (o *OpenFaaSPlus) Route(e *sim.Engine, f *sim.FunctionState, r *sim.Request
 	if startingWithRoom != nil {
 		return startingWithRoom
 	}
-	if starting >= o.cfg.MaxConcurrentColdStarts {
+	if starting >= ofpMaxConcurrentColdStarts {
 		return nil // scale-up rate limit: wait for replicas to come up
 	}
 	cand := f.CtrlState().(scheduler.Candidate)

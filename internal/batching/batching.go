@@ -186,10 +186,8 @@ type Queue[T any] struct {
 	B       int           // target batch size
 	Timeout time.Duration // max wait of the oldest queued request
 
-	items   []T
-	oldest  time.Duration // arrival time of items[0]
-	drops   int
-	arrived int
+	items  []T
+	oldest time.Duration // arrival time of items[0]
 }
 
 // NewQueue creates a batch queue for batch size b with the given timeout.
@@ -203,19 +201,11 @@ func NewQueue[T any](b int, timeout time.Duration) *Queue[T] {
 // Len returns the number of queued requests.
 func (q *Queue[T]) Len() int { return len(q.items) }
 
-// Drops returns the number of requests dropped due to over-submission.
-func (q *Queue[T]) Drops() int { return q.drops }
-
-// Arrived returns the total number of requests offered to the queue.
-func (q *Queue[T]) Arrived() int { return q.arrived }
-
 // Add offers a request to the queue at virtual time now. It returns false
 // if the request was dropped (queue at 2*B capacity). full reports
 // whether the head batch is now complete and should be drained.
 func (q *Queue[T]) Add(item T, now time.Duration) (accepted, full bool) {
-	q.arrived++
 	if len(q.items) >= 2*q.B {
-		q.drops++
 		return false, false
 	}
 	if len(q.items) == 0 {

@@ -29,8 +29,7 @@ type Options struct {
 	Parallel int
 	// Shards is the cluster shard count for the scale experiments
 	// (fig17a/b, fig18a/b; 0 = 1). Sharding never changes placement
-	// decisions, so tables stay byte-identical at any setting — fig17s
-	// sweeps this axis explicitly to measure the wall-clock effect.
+	// decisions, so tables stay byte-identical at any setting.
 	Shards int
 	// Storage is an artifact-storage profile name ("off", "tiered",
 	// "preload"; see artifact.Profile) applied to scenario-running
@@ -200,7 +199,6 @@ func All() []Experiment {
 		{ID: "fig16", Desc: "Cold-start rate: LSTH vs HHP vs fixed", Run: Fig16},
 		{ID: "fig16t", Desc: "Cold-start 2.0: LSTH vs tiering vs tiering+pre-loading", Run: Fig16T},
 		{ID: "fig17a", Desc: "Scheduling overhead at scale", Run: Fig17a, WallClock: true},
-		{ID: "fig17s", Desc: "Scheduling overhead: servers x shards sweep", Run: Fig17s, WallClock: true},
 		{ID: "fig17b", Desc: "Resource fragmentation at scale", Run: Fig17b},
 		{ID: "fig18a", Desc: "Large-scale throughput vs #functions", Run: Fig18a},
 		{ID: "fig18b", Desc: "Large-scale throughput vs SLO", Run: Fig18b},

@@ -63,9 +63,9 @@ func controllerFor(system string) sim.Controller {
 	case "infless-op2":
 		return core.New(core.Options{PredictionInflate: 2.0})
 	case "batch":
-		return baselines.NewBatchSys(baselines.BatchSysConfig{})
+		return baselines.NewBatchSys()
 	case "openfaas+":
-		return baselines.NewOpenFaaSPlus(baselines.OpenFaaSPlusConfig{})
+		return baselines.NewOpenFaaSPlus()
 	}
 	panic("bench: unknown system " + system)
 }
@@ -391,22 +391,13 @@ func Fig15(opts Options) *Table {
 	return t
 }
 
-// Fig16 replays low-rate invocation traces against the cold-start
-// policies (fixed keep-alive, HHP, LSTH with gamma in {0.3, 0.5, 0.7}).
-func Fig16(opts Options) *Table {
-	opts.defaults()
-	days := 3
-	if opts.Quick {
-		days = 2
-	}
-	t := &Table{ID: "fig16", Title: "Cold-start rate / idle waste per invocation",
-		Cols: []string{"sporadic", "periodic", "bursty", "meanCold", "meanWaste.s"}}
-
-	// Low-rate invocation traces with the Figure 9(a) structure: long-term
-	// periodicity (regimes alternating on a multi-hour cycle, beyond HHP's
-	// 4-hour histogram) and short-term bursts, with lognormal gap
-	// dispersion. Cold starts are a low-traffic phenomenon, so gaps sit in
-	// the seconds-to-minutes range.
+// coldStartTraces generates the three low-rate invocation traces of
+// fig16 and fig16t, with the Figure 9(a) structure: long-term periodicity
+// (regimes alternating on a multi-hour cycle, beyond HHP's 4-hour
+// histogram) and short-term bursts, with lognormal gap dispersion. Cold
+// starts are a low-traffic phenomenon, so gaps sit in the
+// seconds-to-minutes range.
+func coldStartTraces(seed int64, days int) map[string][]time.Duration {
 	gen := func(seed int64, denseMed, sparseMed time.Duration, sigma float64, burst bool) []time.Duration {
 		rng := rand.New(rand.NewSource(seed))
 		var arrivals []time.Duration
@@ -430,15 +421,29 @@ func Fig16(opts Options) *Table {
 		}
 		return arrivals
 	}
-	arrivalSets := map[string][]time.Duration{
-		"sporadic": gen(opts.Seed, 2*time.Minute, 15*time.Minute, 1.0, true),
-		"periodic": gen(opts.Seed+1, 30*time.Second, 5*time.Minute, 0.7, false),
-		"bursty":   gen(opts.Seed+2, 30*time.Second, 5*time.Minute, 0.7, true),
+	return map[string][]time.Duration{
+		"sporadic": gen(seed, 2*time.Minute, 15*time.Minute, 1.0, true),
+		"periodic": gen(seed+1, 30*time.Second, 5*time.Minute, 0.7, false),
+		"bursty":   gen(seed+2, 30*time.Second, 5*time.Minute, 0.7, true),
 	}
+}
+
+// Fig16 replays low-rate invocation traces against the cold-start
+// policies (fixed keep-alive, HHP, LSTH with gamma in {0.3, 0.5, 0.7}).
+func Fig16(opts Options) *Table {
+	opts.defaults()
+	days := 3
+	if opts.Quick {
+		days = 2
+	}
+	t := &Table{ID: "fig16", Title: "Cold-start rate / idle waste per invocation",
+		Cols: []string{"sporadic", "periodic", "bursty", "meanCold", "meanWaste.s"}}
+
+	arrivalSets := coldStartTraces(opts.Seed, days)
 	mkPolicies := func() map[string]coldstart.Policy {
 		return map[string]coldstart.Policy{
 			"fixed-300s": coldstart.Fixed{KeepAlive: coldstart.DefaultFixedKeepAlive},
-			"hhp":        coldstart.NewHHP(coldstart.HHPOptions{}),
+			"hhp":        coldstart.NewHHP(),
 			"lsth-0.3":   coldstart.NewLSTH(coldstart.LSTHOptions{Gamma: 0.3}),
 			"lsth-0.5":   coldstart.NewLSTH(coldstart.LSTHOptions{Gamma: 0.5}),
 			"lsth-0.7":   coldstart.NewLSTH(coldstart.LSTHOptions{Gamma: 0.7}),
@@ -496,36 +501,7 @@ func Fig16T(opts Options) *Table {
 	t := &Table{ID: "fig16t", Title: "Cold-start 2.0: LSTH vs tiering vs tiering+pre-loading",
 		Cols: []string{"sporadic", "periodic", "bursty", "meanCold", "meanWaste.s", "meanStartup.ms"}}
 
-	// The same trace generator shape as fig16: multi-hour regime
-	// alternation with lognormal gap dispersion and short-term bursts.
-	gen := func(seed int64, denseMed, sparseMed time.Duration, sigma float64, burst bool) []time.Duration {
-		rng := rand.New(rand.NewSource(seed))
-		var arrivals []time.Duration
-		now := time.Duration(0)
-		for now < time.Duration(days)*24*time.Hour {
-			var med time.Duration
-			if int(now/(6*time.Hour))%2 == 0 {
-				med = denseMed
-			} else {
-				med = sparseMed
-			}
-			gap := time.Duration(float64(med) * math.Exp(rng.NormFloat64()*sigma))
-			if burst && rng.Intn(100) == 0 {
-				for i := 0; i < 20; i++ {
-					now += time.Duration(rng.Intn(2000)) * time.Millisecond
-					arrivals = append(arrivals, now)
-				}
-			}
-			now += gap
-			arrivals = append(arrivals, now)
-		}
-		return arrivals
-	}
-	arrivalSets := map[string][]time.Duration{
-		"sporadic": gen(opts.Seed, 2*time.Minute, 15*time.Minute, 1.0, true),
-		"periodic": gen(opts.Seed+1, 30*time.Second, 5*time.Minute, 0.7, false),
-		"bursty":   gen(opts.Seed+2, 30*time.Second, 5*time.Minute, 0.7, true),
-	}
+	arrivalSets := coldStartTraces(opts.Seed, days)
 	h := artifact.Default()
 	const checkpointMB = 2048
 	type variant struct {

@@ -15,19 +15,6 @@ import (
 	"time"
 )
 
-// wallClockOpts strips intra-experiment parallelism from wall-clock
-// experiments: their cells are host-time measurements, so their sweep
-// points (e.g. fig17s's servers x shards grid) must not fan out through
-// parallelFor and time each other's noise — exclusivity across
-// experiments (the excl lock below) would not help against an
-// experiment racing itself. Measured overheads stay -parallel-invariant.
-func wallClockOpts(e Experiment, opts Options) Options {
-	if e.WallClock {
-		opts.Parallel = 1
-	}
-	return opts
-}
-
 // RunResult is one completed experiment from RunStream.
 type RunResult struct {
 	Experiment Experiment
@@ -46,7 +33,7 @@ func RunStream(exps []Experiment, opts Options, workers int, emit func(RunResult
 	if workers <= 1 {
 		for _, e := range exps {
 			start := time.Now() //lint:ignore wallclock Took is wall-clock experiment timing, not simulated time
-			table := e.Run(wallClockOpts(e, opts))
+			table := e.Run(opts)
 			//lint:ignore wallclock Took is wall-clock experiment timing, not simulated time
 			emit(RunResult{Experiment: e, Table: table, Took: time.Since(start)})
 		}
@@ -74,7 +61,7 @@ func RunStream(exps []Experiment, opts Options, workers int, emit func(RunResult
 					excl.RLock()
 				}
 				start := time.Now() //lint:ignore wallclock Took is wall-clock experiment timing, not simulated time
-				table := exps[i].Run(wallClockOpts(exps[i], opts))
+				table := exps[i].Run(opts)
 				//lint:ignore wallclock Took is wall-clock experiment timing, not simulated time
 				results[i] = RunResult{Experiment: exps[i], Table: table, Took: time.Since(start)}
 				if exps[i].WallClock {

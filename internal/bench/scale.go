@@ -10,7 +10,6 @@ package bench
 import (
 	"fmt"
 	"math/rand"
-	goruntime "runtime"
 	"time"
 
 	"github.com/tanklab/infless/internal/batching"
@@ -194,70 +193,6 @@ func Fig17a(opts Options) *Table {
 	}
 	t.Note("paper: ~0.5ms per instance; <1s for 10,000 concurrent requests")
 	return t
-}
-
-// Fig17s extends Figure 17a across the shard axis: one full packing run
-// (Schedule until the cluster is exhausted) per server count x shard
-// count, against the pre-shard scheduler as baseline — the seed's pass 1
-// (a placement query per candidate, no ranked prefix cut) on an
-// unsharded cluster. Every sharded run's decisions are checked
-// bit-identical to the baseline's; the table says so explicitly, because
-// a speedup that changed placements would be a bug, not a win.
-func Fig17s(opts Options) *Table {
-	opts.defaults()
-	sizes := []int{2000, 20000, 100000}
-	if opts.Quick {
-		sizes = []int{2000, 20000}
-	}
-	shardCounts := []int{1, 4, 16}
-	t := &Table{ID: "fig17s", Title: "Scheduling overhead: servers x shards (wall clock)",
-		Cols: []string{"totalMs", "perInstanceUs", "speedup", "identical"}}
-	fn := scheduler.Function{Name: "resnet", Model: model.MustGet("ResNet-50"), SLO: 200 * time.Millisecond}
-	workers := goruntime.GOMAXPROCS(0)
-	for _, n := range sizes {
-		// Cap placements so the sweep stays tractable at 100k servers
-		// while every run still walks the whole allocation frontier.
-		maxInst := n
-		base := scheduler.BuildPlan(fn, scalePred,
-			scheduler.Options{MaxInstancesPerCall: maxInst, DisablePrefixCut: true})
-		baseCl := cluster.New(cluster.Options{Servers: n})
-		start := time.Now() //lint:ignore wallclock fig17s measures wall-clock scheduling overhead by design
-		ref, _ := base.Schedule(1e12, baseCl)
-		baseElapsed := time.Since(start) //lint:ignore wallclock fig17s measures wall-clock scheduling overhead by design
-		if len(ref) == 0 {
-			t.AddRow(fmt.Sprintf("%dk baseline", n/1000), "-", "-", "-", "-")
-			continue
-		}
-		t.AddRow(fmt.Sprintf("%dk srv baseline", n/1000),
-			ms(baseElapsed), perInst(baseElapsed, len(ref)), "1.0x", "ref")
-		for _, shards := range shardCounts {
-			plan := scheduler.BuildPlan(fn, scalePred,
-				scheduler.Options{MaxInstancesPerCall: maxInst, FitWorkers: workers})
-			cl := cluster.New(cluster.Options{Servers: n, Shards: shards})
-			start := time.Now() //lint:ignore wallclock fig17s measures wall-clock scheduling overhead by design
-			ds, _ := plan.Schedule(1e12, cl)
-			elapsed := time.Since(start) //lint:ignore wallclock fig17s measures wall-clock scheduling overhead by design
-			identical := len(ds) == len(ref)
-			for i := 0; identical && i < len(ds); i++ {
-				identical = ds[i] == ref[i]
-			}
-			id := "yes"
-			if !identical {
-				id = "NO"
-			}
-			t.AddRow(fmt.Sprintf("%dk srv %d shards", n/1000, shards),
-				ms(elapsed), perInst(elapsed, len(ds)),
-				fmt.Sprintf("%.1fx", float64(baseElapsed)/float64(elapsed)), id)
-		}
-	}
-	t.Note("baseline: pre-shard scheduler (full pass-1 candidate walk, unsharded cluster)")
-	t.Note(fmt.Sprintf("FitWorkers=%d (GOMAXPROCS); on a 1-core host the fan-out is ~serial and gains come from the ranked prefix cut and shard pruning", workers))
-	return t
-}
-
-// perInst renders microseconds per placed instance.
-func perInst(d time.Duration, placed int) string {
-	return fmt.Sprintf("%.2f", float64(d)/float64(time.Microsecond)/float64(placed))
 }
 
 // Fig17b compares fragment ratios of the four systems in the large-scale

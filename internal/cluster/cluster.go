@@ -52,10 +52,6 @@ func (s *Server) Down() bool { return s.down }
 // Allocated returns the resources currently in use on the server.
 func (s *Server) Allocated() perf.Resources { return s.Capacity.Sub(s.Free) }
 
-// Active reports whether the server hosts at least one allocation. The
-// paper's fragmentation metric only counts active servers.
-func (s *Server) Active() bool { return s.allocs > 0 }
-
 // Cluster is a collection of servers with allocation bookkeeping, split
 // into shards (shard.go) that each own a free-capacity index and the
 // aggregates for their ID range.
@@ -69,7 +65,6 @@ type Cluster struct {
 type Options struct {
 	Servers   int
 	PerServer perf.Resources
-	MemMB     int
 	// Shards is the number of contiguous ID-range shards the resource
 	// view is split into (default 1; clamped to the server count).
 	// Sharding never changes placement decisions — only who answers the
@@ -86,17 +81,14 @@ func New(opts Options) *Cluster {
 	if opts.PerServer.IsZero() {
 		opts.PerServer = perf.ServerCapacity()
 	}
-	if opts.MemMB <= 0 {
-		opts.MemMB = perf.ServerMemoryMB
-	}
 	c := &Cluster{servers: make([]*Server, opts.Servers)}
 	for i := range c.servers {
 		c.servers[i] = &Server{
 			ID:        i,
 			Capacity:  opts.PerServer,
 			Free:      opts.PerServer,
-			MemCapMB:  opts.MemMB,
-			MemFreeMB: opts.MemMB,
+			MemCapMB:  perf.ServerMemoryMB,
+			MemFreeMB: perf.ServerMemoryMB,
 		}
 	}
 	c.init(opts.Shards)
@@ -198,11 +190,6 @@ func (c *Cluster) EnableArtifacts(capMB [artifact.NumTiers]int64) {
 	}
 }
 
-// ArtifactsEnabled reports whether the servers carry artifact caches.
-func (c *Cluster) ArtifactsEnabled() bool {
-	return len(c.servers) > 0 && c.servers[0].art != nil
-}
-
 // SeedArtifact makes the named artifact resident at the given tier on
 // every server (e.g. checkpoints pre-pulled to local SSD at deploy
 // time). Seeding to TierRemote is a no-op: remote is the miss state.
@@ -220,12 +207,6 @@ func (c *Cluster) SeedArtifact(name string, sizeMB int, tier artifact.Tier) {
 // Testbed returns the paper's 8-server, 16-GPU local cluster.
 func Testbed() *Cluster { return New(Options{Servers: 8}) }
 
-// LargeScale returns the paper's 2,000-server simulation cluster.
-func LargeScale() *Cluster { return New(Options{Servers: 2000}) }
-
-// Size returns the number of servers.
-func (c *Cluster) Size() int { return len(c.servers) }
-
 // Server returns server id, panicking on out-of-range ids (ids are only
 // ever produced by the cluster itself).
 func (c *Cluster) Server(id int) *Server {
@@ -235,18 +216,10 @@ func (c *Cluster) Server(id int) *Server {
 	return c.servers[id]
 }
 
-// Servers returns a snapshot copy of the server list, in ID order. The
-// returned slice is the caller's; the *Server inventories it points at
-// are live and must only be mutated through Allocate/Release. Iteration
-// without the copy goes through EachServer.
-func (c *Cluster) Servers() []*Server {
-	return append([]*Server(nil), c.servers...)
-}
-
 // EachServer visits every server in ID order until visit returns false.
-// It exists so reporting and baseline code can walk the inventory
-// without the cluster handing out its backing slice (the shard layout
-// behind it stays private).
+// Reporting and baseline code walk the inventory through it; the cluster
+// never hands out its backing slice (the shard layout behind it stays
+// private).
 func (c *Cluster) EachServer(visit func(*Server) bool) {
 	for _, s := range c.servers {
 		if !visit(s) {
@@ -346,17 +319,8 @@ func (c *Cluster) FirstFit(res perf.Resources, memMB int) (id int, freeW float64
 	return c.FirstFitShards(0, len(c.shards), res, memMB)
 }
 
-// TotalCapacity sums resource capacity across all servers (merged over
-// shards; integer sums, so the merge order cannot change the result).
-func (c *Cluster) TotalCapacity() perf.Resources {
-	var total perf.Resources
-	for i := range c.shards {
-		total = total.Add(c.shards[i].totalCap)
-	}
-	return total
-}
-
-// TotalAllocated sums allocated resources across all servers.
+// TotalAllocated sums allocated resources across all servers (merged
+// over shards; integer sums, so the merge order cannot change the result).
 func (c *Cluster) TotalAllocated() perf.Resources {
 	var total perf.Resources
 	for i := range c.shards {

@@ -9,14 +9,11 @@ import (
 
 func TestDefaults(t *testing.T) {
 	c := Testbed()
-	if c.Size() != 8 {
-		t.Fatalf("testbed size = %d", c.Size())
+	if len(c.servers) != 8 {
+		t.Fatalf("testbed size = %d", len(c.servers))
 	}
-	if got := c.TotalCapacity(); got != (perf.Resources{CPU: 128, GPU: 160}) {
+	if got := totalCapacity(c); got != (perf.Resources{CPU: 128, GPU: 160}) {
 		t.Fatalf("testbed capacity = %v", got)
-	}
-	if LargeScale().Size() != 2000 {
-		t.Fatal("large-scale size wrong")
 	}
 }
 
@@ -27,11 +24,11 @@ func TestAllocateRelease(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := c.Server(0)
-	if !s.Active() || s.Allocated() != res || s.MemFreeMB != perf.ServerMemoryMB-1000 {
+	if s.allocs == 0 || s.Allocated() != res || s.MemFreeMB != perf.ServerMemoryMB-1000 {
 		t.Fatalf("allocation not recorded: %+v", s)
 	}
 	c.Release(0, res, 1000)
-	if s.Active() || !s.Allocated().IsZero() || s.MemFreeMB != perf.ServerMemoryMB {
+	if s.allocs > 0 || !s.Allocated().IsZero() || s.MemFreeMB != perf.ServerMemoryMB {
 		t.Fatalf("release not recorded: %+v", s)
 	}
 }
@@ -150,8 +147,8 @@ func TestHeterogeneousPools(t *testing.T) {
 		{Servers: 1, PerServer: perf.Resources{CPU: 8, GPU: 40}}, // GPU box
 		{Servers: 1}, // default testbed server
 	})
-	if c.Size() != 4 {
-		t.Fatalf("size = %d, want 4", c.Size())
+	if len(c.servers) != 4 {
+		t.Fatalf("size = %d, want 4", len(c.servers))
 	}
 	if got := c.Server(0).Capacity; got != (perf.Resources{CPU: 32}) {
 		t.Fatalf("pool 0 capacity = %v", got)
@@ -163,7 +160,7 @@ func TestHeterogeneousPools(t *testing.T) {
 		t.Fatalf("default pool capacity = %v", got)
 	}
 	// IDs must be dense and self-consistent.
-	for i, s := range c.Servers() {
+	for i, s := range c.servers {
 		if s.ID != i {
 			t.Fatalf("server %d has ID %d", i, s.ID)
 		}

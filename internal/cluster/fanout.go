@@ -79,14 +79,6 @@ func (c *Cluster) NewFitPool(workers int) *FitPool {
 	return p
 }
 
-// Workers returns the number of parallel workers (1 for a serial pool).
-func (p *FitPool) Workers() int {
-	if p.jobs == nil {
-		return 1
-	}
-	return len(p.chunks)
-}
-
 func (p *FitPool) worker() {
 	for j := range p.jobs {
 		a := &p.answers[j.slot]

@@ -40,6 +40,15 @@ func naiveFirstFit(c *Cluster, res perf.Resources, memMB int) (int, float64, boo
 	return -1, 0, false
 }
 
+// totalCapacity merges the shards' capacity aggregates.
+func totalCapacity(c *Cluster) perf.Resources {
+	var total perf.Resources
+	for i := range c.shards {
+		total = total.Add(c.shards[i].totalCap)
+	}
+	return total
+}
+
 // checkIndexInvariants verifies every shard's index against ground
 // truth: contiguous non-overlapping ID ranges covering all servers; every
 // up server filed exactly once, inside the owning range, in the cell of
@@ -132,7 +141,7 @@ func checkIndexInvariants(t *testing.T, c *Cluster) {
 		}
 		cap = cap.Add(s.Capacity)
 		free = free.Add(s.Free)
-		if s.Active() {
+		if s.allocs > 0 {
 			active++
 			activeCap = activeCap.Add(s.Capacity)
 			activeFree = activeFree.Add(s.Free)
@@ -141,8 +150,8 @@ func checkIndexInvariants(t *testing.T, c *Cluster) {
 	if seen != up {
 		t.Fatalf("indexes hold %d entries, want %d up servers", seen, up)
 	}
-	if c.TotalCapacity() != cap {
-		t.Fatalf("TotalCapacity %v != rescan %v", c.TotalCapacity(), cap)
+	if totalCapacity(c) != cap {
+		t.Fatalf("shard capacity sum %v != rescan %v", totalCapacity(c), cap)
 	}
 	if got, want := c.TotalAllocated(), cap.Sub(free); got != want {
 		t.Fatalf("TotalAllocated %v != rescan %v", got, want)
@@ -195,7 +204,7 @@ func TestQuickBestFitMatchesScan(t *testing.T) {
 		for step := 0; step < 120; step++ {
 			switch op := rng.Intn(10); {
 			case op < 4: // allocate somewhere it fits
-				a := alloc{id: rng.Intn(c.Size()), res: randRes(), mem: rng.Intn(40 * 1024)}
+				a := alloc{id: rng.Intn(len(c.servers)), res: randRes(), mem: rng.Intn(40 * 1024)}
 				if err := c.Allocate(a.id, a.res, a.mem); err == nil {
 					live = append(live, a)
 				}
@@ -205,7 +214,7 @@ func TestQuickBestFitMatchesScan(t *testing.T) {
 				c.Release(a.id, a.res, a.mem)
 				live = append(live[:i], live[i+1:]...)
 			case op < 9: // flip a server's availability
-				c.SetDown(rng.Intn(c.Size()), rng.Intn(2) == 0)
+				c.SetDown(rng.Intn(len(c.servers)), rng.Intn(2) == 0)
 			}
 			// Probe with several query shapes, including unsatisfiable ones.
 			for q := 0; q < 4; q++ {
@@ -397,7 +406,7 @@ func TestIndexEmptiesAndRefills(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, down := range []bool{true, false} {
-		for id := 0; id < c.Size(); id++ {
+		for id := 0; id < len(c.servers); id++ {
 			c.SetDown(id, down)
 			checkIndexInvariants(t, c)
 		}

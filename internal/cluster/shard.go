@@ -47,9 +47,6 @@ type shard struct {
 	activeFree perf.Resources // free summed over active servers
 }
 
-// ShardCount returns the number of shards.
-func (c *Cluster) ShardCount() int { return len(c.shards) }
-
 // shardFor returns the shard owning server id. Boundaries are the
 // near-equal split lo_i = i*N/n, so the guess i = id*n/N is off by at
 // most one slot.

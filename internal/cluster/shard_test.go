@@ -68,7 +68,7 @@ func TestShardBounds(t *testing.T) {
 func TestShardEdgeDownServers(t *testing.T) {
 	for _, shards := range []int{2, 3, 4, 7} {
 		sharded, flat := mirrorSharded(straddlePools(), shards)
-		for si := 1; si < sharded.ShardCount(); si++ {
+		for si := 1; si < len(sharded.shards); si++ {
 			edge := sharded.shards[si].lo
 			for _, id := range []int{edge - 1, edge} {
 				sharded.SetDown(id, true)
@@ -167,7 +167,7 @@ func TestShardRangeQueriesComposeToFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	sharded, _ := mirrorSharded(straddlePools(), 7)
 	for i := 0; i < 40; i++ {
-		id := rng.Intn(sharded.Size())
+		id := rng.Intn(len(sharded.servers))
 		res := perf.Resources{CPU: rng.Intn(8), GPU: rng.Intn(10)}
 		if res.IsZero() {
 			res.CPU = 1
@@ -175,7 +175,7 @@ func TestShardRangeQueriesComposeToFull(t *testing.T) {
 		_ = sharded.Allocate(id, res, rng.Intn(16*1024))
 	}
 	probe := perf.Resources{CPU: 2, GPU: 2}
-	n := sharded.ShardCount()
+	n := len(sharded.shards)
 	fi, fw, fok := sharded.BestFit(probe, 1024)
 	for cut := 0; cut <= n; cut++ {
 		li, lw, lok := sharded.BestFitShards(0, cut, probe, 1024)
@@ -215,7 +215,7 @@ func TestShardedQuickEquivalence(t *testing.T) {
 		for step := 0; step < 80; step++ {
 			switch op := rng.Intn(10); {
 			case op < 4:
-				a := alloc{id: rng.Intn(sharded.Size()), res: perf.Resources{CPU: rng.Intn(10), GPU: rng.Intn(12)}, mem: rng.Intn(40 * 1024)}
+				a := alloc{id: rng.Intn(len(sharded.servers)), res: perf.Resources{CPU: rng.Intn(10), GPU: rng.Intn(12)}, mem: rng.Intn(40 * 1024)}
 				if a.res.IsZero() {
 					a.res.CPU = 1
 				}
@@ -234,7 +234,7 @@ func TestShardedQuickEquivalence(t *testing.T) {
 				flat.Release(a.id, a.res, a.mem)
 				live = append(live[:i], live[i+1:]...)
 			case op < 9:
-				id, down := rng.Intn(sharded.Size()), rng.Intn(2) == 0
+				id, down := rng.Intn(len(sharded.servers)), rng.Intn(2) == 0
 				sharded.SetDown(id, down)
 				flat.SetDown(id, down)
 			}
@@ -249,7 +249,7 @@ func TestShardedQuickEquivalence(t *testing.T) {
 			gi, gw, gok = sharded.FirstFit(res, mem)
 			wi, ww, wok = flat.FirstFit(res, mem)
 			sameAnswer(t, "FirstFit random sweep", gi, gw, gok, wi, ww, wok)
-			if sharded.TotalCapacity() != flat.TotalCapacity() ||
+			if totalCapacity(sharded) != totalCapacity(flat) ||
 				sharded.TotalAllocated() != flat.TotalAllocated() ||
 				sharded.ActiveServers() != flat.ActiveServers() ||
 				sharded.FragmentationRatio() != flat.FragmentationRatio() {

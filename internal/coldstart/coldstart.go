@@ -15,33 +15,19 @@
 // kept alive (keep-alive window). An arrival is warm iff the idle gap
 // preceding it lands inside [prewarm, prewarm+keepalive].
 //
-// # Migration: Policy vs TierPolicy
+// # Policy and TierPolicy
 //
-// With multi-tier artifact loading (internal/artifact), keep-alive is no
-// longer a binary keep-or-drop: an idle function's checkpoint can be
-// demoted down the storage hierarchy instead of evicted outright. The
-// tier-aware interface is TierPolicy (tier.go): Decide(now) returns a
-// Decision — the familiar prewarm/keep-alive windows plus the tier the
-// artifact parks at once the keep-alive window closes and how long it
-// stays there. Nothing is deprecated, silently or otherwise:
-//
-//   - Policy remains the primary interface for the binary model; Fixed,
-//     HHP and LSTH still implement it, and every existing caller
-//     (runtime.KeepAlive, Evaluate, the facade's
-//     EvaluateColdStartPolicy/DefaultLSTH) keeps compiling and behaving
-//     identically.
-//   - LSTH additionally implements TierPolicy natively: its histograms
-//     decide what tier to demote to, not just whether to keep.
-//   - Tiered(p) adapts any Policy to a TierPolicy (pass-through when the
-//     policy already is one); LegacyTier(p) pins the legacy shape —
-//     kill the container, artifact stays on SSD — even for policies
-//     with native tier support, which is how benches isolate the effect
-//     of tiering.
-//
-// Decision.KeepAlive from a native TierPolicy may be shorter than
-// Policy.Windows' keep-alive: the tiered model holds the instance fully
-// warm for less time because the DRAM pause tier covers the
-// distribution's tail at a fraction of the resident cost.
+// With multi-tier artifact loading (internal/artifact) an idle function's
+// checkpoint can be demoted down the storage hierarchy instead of evicted
+// outright. TierPolicy (tier.go) answers Decide(now) with a Decision: the
+// prewarm/keep-alive windows plus the tier the artifact parks at once the
+// keep-alive window closes and how long it stays there. Fixed and HHP
+// implement Policy only; LSTH implements both, and its Decision.KeepAlive
+// may be shorter than its Windows keep-alive because the DRAM pause tier
+// covers the distribution's tail at a fraction of the resident cost.
+// Tiered(p) adapts any Policy (pass-through for LSTH); LegacyTier(p) pins
+// the kill-the-container, artifact-on-SSD shape even for LSTH, which is
+// how fig16t isolates the effect of tiering.
 package coldstart
 
 import (
@@ -221,66 +207,48 @@ func (f Fixed) Windows(time.Duration) (time.Duration, time.Duration) {
 	return 0, f.KeepAlive
 }
 
-// HHP is the hybrid histogram policy of ATC'20: one histogram over a
-// configurable tracking duration (4 hours by default); the head of the
-// idle-time distribution selects the pre-warming window and the tail the
-// keep-alive window. Until enough samples accrue it falls back to a
-// conservative fixed keep-alive.
-type HHP struct {
-	win        *windowed
-	headPct    float64
-	tailPct    float64
-	minSamples int
-	fallback   time.Duration
-	cvLimit    float64
-}
+// Profiled policy parameters (Section 3.5). They are fixed inside the
+// platform: no caller sets any of them differently.
+const (
+	hhpWindow = 4 * time.Hour // HHP tracking duration (ATC'20)
+	// hhpCVLimit is the representativeness criterion of the original
+	// ATC'20 policy: when the idle-time distribution's coefficient of
+	// variation exceeds it, the histogram is deemed non-representative and
+	// HHP reverts to the conservative fixed keep-alive. Inference traffic
+	// with mixed long-term and short-term patterns trips this often — the
+	// behavior the INFless paper criticizes as "so conservative that it
+	// generates too much resource waste".
+	hhpCVLimit = 2.0
 
-// HHPOptions configure an HHP policy; zero values take paper defaults.
-type HHPOptions struct {
-	Window     time.Duration // tracking duration (default 4h)
-	HeadPct    float64       // default 0.05
-	TailPct    float64       // default 0.99
-	MinSamples int           // default 10
-	Fallback   time.Duration // default 300s fixed keep-alive
-	// CVLimit is the representativeness criterion of the original ATC'20
-	// policy: when the idle-time distribution's coefficient of variation
-	// exceeds the limit, the histogram is deemed non-representative and
-	// the policy reverts to the conservative fixed keep-alive. Inference
-	// traffic with mixed long-term and short-term patterns trips this
-	// often — the behavior the INFless paper criticizes as "so
-	// conservative that it generates too much resource waste". Default 2.
-	CVLimit float64
+	lsthShortWindow = time.Hour
+	lsthLongWindow  = 24 * time.Hour
+	lsthGamma       = 0.5
+	// pausePct and pauseFactor shape LSTH's tier-aware Decide (tier.go):
+	// the blended pausePct percentile sets the full-warm keep-alive and
+	// pauseFactor times the blended tail bounds the DRAM pause stage.
+	// They never affect Windows.
+	pausePct    = 0.50
+	pauseFactor = 2.0
+
+	// Shared by HHP and LSTH: the head of the idle-time distribution
+	// selects the pre-warming window and the tail the keep-alive window;
+	// below minSamples both fall back to DefaultFixedKeepAlive.
+	headPct    = 0.05
+	tailPct    = 0.99
+	minSamples = 10
+)
+
+// HHP is the hybrid histogram policy of ATC'20: one histogram over a
+// 4-hour tracking duration; the head of the idle-time distribution
+// selects the pre-warming window and the tail the keep-alive window.
+// Until enough samples accrue it falls back to a conservative fixed
+// keep-alive.
+type HHP struct {
+	win *windowed
 }
 
 // NewHHP creates an HHP policy.
-func NewHHP(opts HHPOptions) *HHP {
-	if opts.Window == 0 {
-		opts.Window = 4 * time.Hour
-	}
-	if opts.HeadPct == 0 {
-		opts.HeadPct = 0.05
-	}
-	if opts.TailPct == 0 {
-		opts.TailPct = 0.99
-	}
-	if opts.MinSamples == 0 {
-		opts.MinSamples = 10
-	}
-	if opts.Fallback == 0 {
-		opts.Fallback = DefaultFixedKeepAlive
-	}
-	if opts.CVLimit == 0 {
-		opts.CVLimit = 2.0
-	}
-	return &HHP{
-		win:        newWindowed(opts.Window),
-		headPct:    opts.HeadPct,
-		tailPct:    opts.TailPct,
-		minSamples: opts.MinSamples,
-		fallback:   opts.Fallback,
-		cvLimit:    opts.CVLimit,
-	}
-}
+func NewHHP() *HHP { return &HHP{win: newWindowed(hhpWindow)} }
 
 func (h *HHP) Name() string { return "hhp" }
 
@@ -288,11 +256,11 @@ func (h *HHP) RecordIdle(idle, now time.Duration) { h.win.observe(idle, now) }
 
 func (h *HHP) Windows(now time.Duration) (time.Duration, time.Duration) {
 	h.win.evict(now)
-	if h.win.hist.Total() < h.minSamples || h.win.cv() > h.cvLimit {
-		return 0, h.fallback
+	if h.win.hist.Total() < minSamples || h.win.cv() > hhpCVLimit {
+		return 0, DefaultFixedKeepAlive
 	}
-	head := h.win.hist.Percentile(h.headPct)
-	tail := h.win.hist.Percentile(h.tailPct)
+	head := h.win.hist.Percentile(headPct)
+	tail := h.win.hist.Percentile(tailPct)
 	// Pre-warming must leave room for loading the image; the head bin's
 	// lower edge is the safe pre-warm point.
 	prewarm := head - BinWidth
@@ -303,86 +271,37 @@ func (h *HHP) Windows(now time.Duration) (time.Duration, time.Duration) {
 }
 
 // LSTH is INFless's Long-Short Term Histogram policy: it maintains a
-// short-duration histogram (default 1 hour, capturing short-term bursts)
-// and a long-duration histogram (default 24 hours, capturing long-term
-// periodicity) and blends their head/tail windows with weight gamma:
+// short-duration histogram (1 hour, capturing short-term bursts) and a
+// long-duration histogram (24 hours, capturing long-term periodicity)
+// and blends their head/tail windows with weight gamma:
 //
 //	prewarm   = gamma*L_prewarm   + (1-gamma)*S_prewarm
 //	keepalive = gamma*L_keepalive + (1-gamma)*S_keepalive
 type LSTH struct {
-	short       *windowed
-	long        *windowed
-	gamma       float64
-	headPct     float64
-	tailPct     float64
-	minSamples  int
-	fallback    time.Duration
-	pausePct    float64
-	pauseFactor float64
+	short *windowed
+	long  *windowed
+	gamma float64
 }
 
-// LSTHOptions configure an LSTH policy; zero values take paper defaults
-// (short 1h, long 24h, gamma 0.5).
+// LSTHOptions configure an LSTH policy.
 type LSTHOptions struct {
-	ShortWindow time.Duration
-	LongWindow  time.Duration
-	Gamma       float64
-	HeadPct     float64
-	TailPct     float64
-	MinSamples  int
-	Fallback    time.Duration
-	// PausePct and PauseFactor shape the tier-aware Decide (tier.go):
-	// the blended PausePct percentile sets the full-warm keep-alive and
-	// PauseFactor times the blended tail bounds the DRAM pause stage.
-	// They never affect Windows, so Policy-only callers see identical
-	// behavior whatever their values. Defaults 0.50 and 2.
-	PausePct    float64
-	PauseFactor float64
+	// Gamma is the long-term weight; zero takes the paper default 0.5.
+	Gamma float64
 }
 
 // NewLSTH creates an LSTH policy. Gamma must lie in [0,1]; the paper
 // evaluates {0.3, 0.5, 0.7} and defaults to 0.5.
 func NewLSTH(opts LSTHOptions) *LSTH {
-	if opts.ShortWindow == 0 {
-		opts.ShortWindow = time.Hour
-	}
-	if opts.LongWindow == 0 {
-		opts.LongWindow = 24 * time.Hour
-	}
 	if opts.Gamma == 0 {
-		opts.Gamma = 0.5
+		opts.Gamma = lsthGamma
 	}
 	if opts.Gamma < 0 || opts.Gamma > 1 {
 		panic(fmt.Sprintf("coldstart: gamma %f out of [0,1]", opts.Gamma))
 	}
-	if opts.HeadPct == 0 {
-		opts.HeadPct = 0.05
-	}
-	if opts.TailPct == 0 {
-		opts.TailPct = 0.99
-	}
-	if opts.MinSamples == 0 {
-		opts.MinSamples = 10
-	}
-	if opts.Fallback == 0 {
-		opts.Fallback = DefaultFixedKeepAlive
-	}
-	if opts.PausePct == 0 {
-		opts.PausePct = DefaultPausePct
-	}
-	if opts.PauseFactor == 0 {
-		opts.PauseFactor = DefaultPauseFactor
-	}
 	return &LSTH{
-		short:       newWindowed(opts.ShortWindow),
-		long:        newWindowed(opts.LongWindow),
-		gamma:       opts.Gamma,
-		headPct:     opts.HeadPct,
-		tailPct:     opts.TailPct,
-		minSamples:  opts.MinSamples,
-		fallback:    opts.Fallback,
-		pausePct:    opts.PausePct,
-		pauseFactor: opts.PauseFactor,
+		short: newWindowed(lsthShortWindow),
+		long:  newWindowed(lsthLongWindow),
+		gamma: opts.Gamma,
 	}
 }
 
@@ -396,14 +315,14 @@ func (l *LSTH) RecordIdle(idle, now time.Duration) {
 func (l *LSTH) Windows(now time.Duration) (time.Duration, time.Duration) {
 	l.short.evict(now)
 	l.long.evict(now)
-	if l.long.hist.Total() < l.minSamples {
-		return 0, l.fallback
+	if l.long.hist.Total() < minSamples {
+		return 0, DefaultFixedKeepAlive
 	}
-	lPre := l.long.hist.Percentile(l.headPct) - BinWidth
-	lKeep := l.long.hist.Percentile(l.tailPct)
-	sPre := l.short.hist.Percentile(l.headPct) - BinWidth
-	sKeep := l.short.hist.Percentile(l.tailPct)
-	if l.short.hist.Total() < l.minSamples {
+	lPre := l.long.hist.Percentile(headPct) - BinWidth
+	lKeep := l.long.hist.Percentile(tailPct)
+	sPre := l.short.hist.Percentile(headPct) - BinWidth
+	sKeep := l.short.hist.Percentile(tailPct)
+	if l.short.hist.Total() < minSamples {
 		// Quiet recent period: trust the long-term view alone.
 		sPre, sKeep = lPre, lKeep
 	}

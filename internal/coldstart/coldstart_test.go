@@ -85,7 +85,7 @@ func TestFixedPolicy(t *testing.T) {
 }
 
 func TestHHPFallbackUntilSamples(t *testing.T) {
-	p := NewHHP(HHPOptions{})
+	p := NewHHP()
 	pre, keep := p.Windows(0)
 	if pre != 0 || keep != DefaultFixedKeepAlive {
 		t.Fatalf("HHP without samples should fall back: %v %v", pre, keep)
@@ -93,7 +93,7 @@ func TestHHPFallbackUntilSamples(t *testing.T) {
 }
 
 func TestHHPLearnsWindows(t *testing.T) {
-	p := NewHHP(HHPOptions{})
+	p := NewHHP()
 	now := time.Duration(0)
 	// Idle gaps tightly clustered around 60s.
 	for i := 0; i < 100; i++ {
@@ -110,7 +110,7 @@ func TestHHPLearnsWindows(t *testing.T) {
 }
 
 func TestHHPWindowEviction(t *testing.T) {
-	p := NewHHP(HHPOptions{Window: time.Hour})
+	p := NewHHP()
 	// Old observations: 10s gaps.
 	for i := 0; i < 50; i++ {
 		p.RecordIdle(10*time.Second, time.Duration(i)*time.Minute)
@@ -124,7 +124,7 @@ func TestHHPWindowEviction(t *testing.T) {
 
 func TestLSTHGammaBlending(t *testing.T) {
 	keepFor := func(gamma float64) time.Duration {
-		p := NewLSTH(LSTHOptions{Gamma: gamma, MinSamples: 5})
+		p := NewLSTH(LSTHOptions{Gamma: gamma})
 		now := time.Duration(0)
 		// Long history: 100s gaps over many hours.
 		for i := 0; i < 200; i++ {
@@ -229,7 +229,7 @@ func TestLSTHBeatsHHPOnLTPSTBTraffic(t *testing.T) {
 		now += gap
 		arrivals = append(arrivals, now)
 	}
-	hhp := Evaluate(NewHHP(HHPOptions{}), arrivals)
+	hhp := Evaluate(NewHHP(), arrivals)
 	lsth := Evaluate(NewLSTH(LSTHOptions{}), arrivals)
 	// Paper (Fig. 16): LSTH reduces cold-start rate by ~21.9% vs HHP. At
 	// policy level we require a >= 10% improvement; the waste reduction
@@ -247,7 +247,7 @@ func TestLSTHBeatsHHPOnLTPSTBTraffic(t *testing.T) {
 
 func TestCompare(t *testing.T) {
 	arr := []time.Duration{0, time.Minute, 2 * time.Minute}
-	rs := Compare([]Policy{Fixed{KeepAlive: time.Hour}, NewHHP(HHPOptions{})}, arr)
+	rs := Compare([]Policy{Fixed{KeepAlive: time.Hour}, NewHHP()}, arr)
 	if len(rs) != 2 || rs[0].Policy != "fixed" || rs[1].Policy != "hhp" {
 		t.Fatalf("compare results: %+v", rs)
 	}

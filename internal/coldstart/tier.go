@@ -1,9 +1,9 @@
 package coldstart
 
 // tier.go is the tier-aware half of the cold-start API (see the package
-// comment's migration notes): TierPolicy generalizes Policy from "keep
-// the instance or drop it" to "where in the storage hierarchy does the
-// idle function's artifact go, and for how long".
+// comment): TierPolicy generalizes Policy from "keep the instance or drop
+// it" to "where in the storage hierarchy does the idle function's
+// artifact go, and for how long".
 
 import (
 	"time"
@@ -71,40 +71,34 @@ func Tiered(p Policy) TierPolicy {
 // same LSTH histograms with and without tiering.
 func LegacyTier(p Policy) TierPolicy { return legacyTier{p: p} }
 
-// Tier-decision defaults for LSTH (see LSTHOptions).
-const (
-	DefaultPausePct    = 0.50
-	DefaultPauseFactor = 2.0
-)
-
 // Decide implements TierPolicy natively for LSTH: the same blended
 // histograms that set the windows also choose the demotion tier. With
 // enough signal, the instance is held fully warm only to the blended
-// PausePct percentile of the idle distribution (the median by default)
-// instead of the tail; the artifact then parks in host DRAM — a paused
-// container that resumes without the 900 ms boot — until PauseFactor
-// times the blended tail, and finally drops to SSD. The DRAM pause
-// covers the distribution's tail at a fraction of a warm instance's
-// resident cost, which is what lets the tiered policy cut cold starts
-// and wasted resident time at the same time (fig16t). Without enough
-// samples the decision degrades to the legacy shape on the fallback
-// keep-alive, exactly like Windows.
+// pausePct percentile of the idle distribution (the median) instead of
+// the tail; the artifact then parks in host DRAM — a paused container
+// that resumes without the 900 ms boot — until pauseFactor times the
+// blended tail, and finally drops to SSD. The DRAM pause covers the
+// distribution's tail at a fraction of a warm instance's resident cost,
+// which is what lets the tiered policy cut cold starts and wasted
+// resident time at the same time (fig16t). Without enough samples the
+// decision degrades to the legacy shape on the fallback keep-alive,
+// exactly like Windows.
 func (l *LSTH) Decide(now time.Duration) Decision {
 	pw, keep := l.Windows(now)
 	d := Decision{Prewarm: pw, KeepAlive: keep, IdleTier: artifact.TierSSD, Floor: artifact.TierSSD}
-	if l.long.hist.Total() < l.minSamples {
+	if l.long.hist.Total() < minSamples {
 		return d
 	}
-	lMed := l.long.hist.Percentile(l.pausePct)
-	sMed := l.short.hist.Percentile(l.pausePct)
-	if l.short.hist.Total() < l.minSamples {
+	lMed := l.long.hist.Percentile(pausePct)
+	sMed := l.short.hist.Percentile(pausePct)
+	if l.short.hist.Total() < minSamples {
 		sMed = lMed
 	}
 	med := time.Duration(l.gamma*float64(lMed) + (1-l.gamma)*float64(sMed))
 	if med < keep {
 		d.KeepAlive = med
 		d.IdleTier = artifact.TierDRAM
-		pause := time.Duration(l.pauseFactor*float64(keep)) - med
+		pause := time.Duration(pauseFactor*float64(keep)) - med
 		if pause < 0 {
 			pause = 0
 		}

@@ -29,7 +29,7 @@ func TestLegacyTierMatchesEvaluate(t *testing.T) {
 	trace := lognormalTrace(3, 4000, 2*time.Minute, 1.0)
 	for _, mk := range []func() Policy{
 		func() Policy { return Fixed{KeepAlive: DefaultFixedKeepAlive} },
-		func() Policy { return NewHHP(HHPOptions{}) },
+		func() Policy { return NewHHP() },
 		func() Policy { return NewLSTH(LSTHOptions{}) },
 	} {
 		want := Evaluate(mk(), trace)

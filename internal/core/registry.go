@@ -1,9 +1,8 @@
 package core
 
-// registry.go models the "register repository" of Section 4: the
-// persistent store for deployed function metadata, instance
-// configurations and operator profiles that faas-netes consults at
-// scheduling time.
+// registry.go models the "register repository" of Section 4: the store
+// of deployed function metadata that faas-netes consults at scheduling
+// time.
 
 import (
 	"encoding/json"
@@ -22,7 +21,6 @@ type RegistryEntry struct {
 	MaxBatchSize int           `json:"maxBatchSize"`
 	Image        string        `json:"image,omitempty"`
 	Handler      string        `json:"handler,omitempty"`
-	DeployedAt   time.Duration `json:"deployedAtNs"` // virtual time
 }
 
 // Registry is a concurrency-safe function metadata store. It is written
@@ -90,13 +88,6 @@ func (r *Registry) List() []RegistryEntry {
 	r.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// Len returns the number of registered functions.
-func (r *Registry) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.entries)
 }
 
 // Save serializes the registry as JSON.

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strings"
 	"time"
 
@@ -106,7 +107,7 @@ func (c *Client) List() ([]core.RegistryEntry, error) {
 
 // Delete undeploys a function.
 func (c *Client) Delete(name string) error {
-	req, err := http.NewRequest(http.MethodDelete, c.BaseURL+"/system/functions/"+name, nil)
+	req, err := http.NewRequest(http.MethodDelete, c.BaseURL+"/system/functions/"+url.PathEscape(name), nil)
 	if err != nil {
 		return err
 	}
@@ -122,7 +123,7 @@ func (c *Client) Delete(name string) error {
 
 // Invoke calls a function once and returns the invocation report.
 func (c *Client) Invoke(name string) (InvokeResponse, error) {
-	resp, err := c.http().Post(c.BaseURL+"/function/"+name, "application/json", nil)
+	resp, err := c.http().Post(c.BaseURL+"/function/"+url.PathEscape(name), "application/json", nil)
 	if err != nil {
 		return InvokeResponse{}, err
 	}

@@ -54,6 +54,23 @@ func TestClientRoundTrip(t *testing.T) {
 	if err := c.Delete("f"); err == nil {
 		t.Fatal("double delete should fail")
 	}
+
+	// Deploy accepts any non-empty name, so invoke and delete must reach
+	// names that need escaping in a URL path.
+	for _, name := range []string{"a/b", "what?", "frag#ment", "100%", "two words"} {
+		if err := c.Deploy(DeployRequest{Name: name, Model: "MNIST", SLO: "200ms"}); err != nil {
+			t.Fatalf("deploy %q: %v", name, err)
+		}
+		if inv, err := c.Invoke(name); err != nil || inv.Function != name {
+			t.Fatalf("invoke %q: %+v %v", name, inv, err)
+		}
+		if err := c.Delete(name); err != nil {
+			t.Fatalf("delete %q: %v", name, err)
+		}
+		if _, err := c.Invoke(name); err == nil {
+			t.Fatalf("invoking deleted %q should fail", name)
+		}
+	}
 }
 
 func TestClientErrorsSurfaceAPIMessage(t *testing.T) {

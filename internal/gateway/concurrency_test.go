@@ -52,7 +52,7 @@ func TestDeployRaceNoRegistryLeak(t *testing.T) {
 	if wins != 1 {
 		t.Fatalf("deploy race: %d winners (want 1): %v", wins, errs)
 	}
-	if n := gw.reg.Len(); n != 1 {
+	if n := len(gw.reg.List()); n != 1 {
 		t.Fatalf("registry holds %d entries after race (want 1)", n)
 	}
 
@@ -65,7 +65,7 @@ func TestDeployRaceNoRegistryLeak(t *testing.T) {
 	if w.Code != http.StatusNoContent {
 		t.Fatalf("delete status = %d", w.Code)
 	}
-	if n := gw.reg.Len(); n != 0 {
+	if n := len(gw.reg.List()); n != 0 {
 		t.Fatalf("registry holds %d entries after delete (want 0): leak", n)
 	}
 	if err := gw.deploy(entry); err != nil {
@@ -316,7 +316,6 @@ func TestRegistryConcurrentReadsWrites(t *testing.T) {
 					t.Errorf("list ballooned: %d", len(got))
 					return
 				}
-				_ = reg.Len()
 			}
 		}()
 	}

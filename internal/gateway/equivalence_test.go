@@ -61,7 +61,7 @@ func TestDriverEquivalence(t *testing.T) {
 		})
 		fs.SetCtrlState(&function{plan: scheduler.BuildPlan(
 			scheduler.Function{Name: fn.name, Model: m, SLO: fn.slo},
-			live.cfg.Predictor, scheduler.Options{MaxInstancesPerCall: 1})})
+			live.pred, scheduler.Options{MaxInstancesPerCall: 1})})
 	}
 	eng.Run()
 

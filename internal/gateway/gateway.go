@@ -58,12 +58,6 @@ import (
 type Config struct {
 	// Cluster is the resource inventory (default: the 8-server testbed).
 	Cluster *cluster.Cluster
-	// Predictor estimates execution times (default: fresh COP predictor).
-	// Deploys build their plans concurrently, outside the gateway's lock,
-	// so it must be safe for concurrent use; both in-tree predictors are
-	// (profiler.Predictor only reads, scheduler.PredictorCache guards its
-	// map with an RWMutex).
-	Predictor scheduler.Predictor
 	// SpeedFactor divides emulated execution times — useful for demos and
 	// tests (e.g. 100 makes a 50ms inference take 0.5ms of wall time).
 	// Default 1 (real time).
@@ -80,10 +74,6 @@ type Config struct {
 	// Event timestamps are plane time: model-time offsets from the
 	// server's start, i.e. wall elapsed times SpeedFactor.
 	Observer runtime.Observer
-	// Collector, when set, is the telemetry collector the gateway feeds
-	// (e.g. one shared with a simulator run for cross-plane comparison).
-	// When nil the gateway creates its own; Server.Telemetry returns it.
-	Collector *telemetry.Collector
 	// Seed drives execution-time noise.
 	Seed int64
 	// MaxQueue bounds how many invocations of one function may be in
@@ -102,9 +92,14 @@ type Config struct {
 // Server is the INFless HTTP gateway. Create with New, mount as an
 // http.Handler, and Close when done.
 type Server struct {
-	mux   *http.ServeMux
-	cfg   Config
-	reg   *core.Registry
+	mux *http.ServeMux
+	cfg Config
+	reg *core.Registry
+	// pred is the COP predictor behind every deploy's plan. Deploys build
+	// their plans concurrently, outside mu; the cache guards its map with
+	// an RWMutex and the profiler predictor only reads.
+	pred  scheduler.Predictor
+	col   *telemetry.Collector // the engine's ledger, behind /system/metrics
 	epoch time.Time
 	// now is the wall clock. Tests inject a fake one (newServer); the
 	// server is then manual: no pacer, no spinning callers — the test
@@ -149,18 +144,11 @@ func New(cfg Config) *Server { return newServer(cfg, nil) }
 // newServer is New on the given wall clock; nil means time.Now and a
 // running pacer.
 func newServer(cfg Config, now func() time.Time) *Server {
-	if cfg.Predictor == nil {
-		cfg.Predictor = scheduler.NewPredictorCache(
-			profiler.NewPredictor(profiler.NewDB(profiler.DefaultDBOptions())))
-	}
 	if cfg.SpeedFactor <= 0 {
 		cfg.SpeedFactor = 1
 	}
 	if cfg.IdleTimeout <= 0 {
 		cfg.IdleTimeout = 60 * time.Second
-	}
-	if cfg.Collector == nil {
-		cfg.Collector = telemetry.New(telemetry.Options{Window: time.Minute})
 	}
 	if cfg.MaxQueue == 0 {
 		cfg.MaxQueue = 512
@@ -170,6 +158,8 @@ func newServer(cfg Config, now func() time.Time) *Server {
 		mux:     http.NewServeMux(),
 		cfg:     cfg,
 		reg:     core.NewRegistry(),
+		pred:    scheduler.NewPredictorCache(profiler.NewPredictor(profiler.NewDB(profiler.DefaultDBOptions()))),
+		col:     telemetry.New(telemetry.Options{Window: time.Minute}),
 		now:     now,
 		manual:  now != nil,
 		waiters: map[*sim.Request]*invocation{},
@@ -184,7 +174,7 @@ func newServer(cfg Config, now func() time.Time) *Server {
 	s.eng = sim.New(&reactive{hold: s.toModel(time.Second)}, sim.Config{
 		Cluster:   cfg.Cluster,
 		Seed:      cfg.Seed,
-		Collector: cfg.Collector,
+		Collector: s.col,
 		Storage:   cfg.Storage,
 	})
 	if cfg.Observer != nil {
@@ -211,7 +201,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // Telemetry returns the gateway's collector: the single source behind
 // /system/metrics in both formats, live-readable by embedding callers.
-func (s *Server) Telemetry() *telemetry.Collector { return s.cfg.Collector }
+func (s *Server) Telemetry() *telemetry.Collector { return s.col }
 
 // PlaneRate returns the gateway-wide arrival rate (RPS of model time)
 // over the rate window, aggregated across all functions.
@@ -339,16 +329,16 @@ func (e *statusError) Error() string { return e.msg }
 
 func (s *Server) deploy(e core.RegistryEntry) error {
 	// The slow part — validation and the plan — runs before the lock, so
-	// deploys build plans concurrently (Config.Predictor must allow it)
-	// and the invoke path never waits for one. What is left is one short
-	// mu section: duplicate check, registry write and AddFunction either
-	// all happen or none does, so there is nothing to roll back.
+	// deploys build plans concurrently and the invoke path never waits
+	// for one. What is left is one short mu section: duplicate check,
+	// registry write and AddFunction either all happen or none does, so
+	// there is nothing to roll back.
 	if err := e.Validate(); err != nil {
 		return err
 	}
 	m := model.MustGet(e.ModelName)
 	plan := scheduler.BuildPlan(scheduler.Function{Name: e.Name, Model: m, SLO: e.SLO},
-		s.cfg.Predictor, scheduler.Options{MaxInstancesPerCall: 1})
+		s.pred, scheduler.Options{MaxInstancesPerCall: 1})
 	if !plan.Feasible() {
 		return fmt.Errorf("gateway: no configuration of %s meets %v", e.ModelName, e.SLO)
 	}
@@ -439,7 +429,7 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 // document; ?format=prometheus serves the text exposition instead. Both
 // views come from the same SnapshotAt call, so they always agree.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	snap := s.cfg.Collector.SnapshotAt(s.planeNow())
+	snap := s.col.SnapshotAt(s.planeNow())
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "json":
 		writeJSON(w, http.StatusOK, snap)

@@ -138,18 +138,14 @@ func TestRESTErrorSurface(t *testing.T) {
 	}
 }
 
-// TestSharedCollectorAcrossPlanes checks Config.Collector injection: a
-// caller-owned collector receives the gateway's events and stays usable
-// after Close.
+// TestSharedCollectorAcrossPlanes checks Server.Telemetry: an embedding
+// caller reads the collector the gateway feeds, live.
 func TestSharedCollectorAcrossPlanes(t *testing.T) {
-	col := telemetry.New(telemetry.Options{Window: time.Minute})
-	gw := New(Config{SpeedFactor: 500, IdleTimeout: time.Second, Seed: 1, Collector: col})
+	gw := New(Config{SpeedFactor: 500, IdleTimeout: time.Second, Seed: 1})
 	ts := httptest.NewServer(gw)
 	defer ts.Close()
 	defer gw.Close()
-	if gw.Telemetry() != col {
-		t.Fatal("Server.Telemetry() should return the injected collector")
-	}
+	col := gw.Telemetry()
 	c := NewClient(ts.URL)
 	if err := c.Deploy(DeployRequest{Name: "f", Model: "MNIST", SLO: "500ms"}); err != nil {
 		t.Fatal(err)
@@ -158,6 +154,6 @@ func TestSharedCollectorAcrossPlanes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fn := col.Snapshot().Function("f"); fn == nil || fn.Served != 1 {
-		t.Fatalf("injected collector missed events: %+v", fn)
+		t.Fatalf("collector missed events: %+v", fn)
 	}
 }

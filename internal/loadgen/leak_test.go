@@ -42,15 +42,12 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 	defer ts.Close()
 
 	base := runtime.NumGoroutine()
-	tr := &http.Transport{}
-	client := &http.Client{Transport: tr}
 
 	if _, err := Run(context.Background(), Config{
 		URL:         ts.URL,
 		Trace:       workload.Constant(50, time.Second, time.Second),
 		SpeedFactor: 20,
 		Connections: 8,
-		Client:      client,
 		Seed:        1,
 	}); err != nil {
 		t.Fatal(err)
@@ -61,14 +58,12 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 		Mode:        ModeClosed,
 		Duration:    200 * time.Millisecond,
 		Connections: 8,
-		Client:      client,
 		Seed:        1,
 	}); err != nil {
 		t.Fatal(err)
 	}
 
-	// The workers are joined by Run itself; only the shared transport's
-	// idle connections remain to clean up.
-	tr.CloseIdleConnections()
+	// The workers are joined by Run itself, which also closes its
+	// transport's idle connections.
 	settleGoroutines(t, base)
 }

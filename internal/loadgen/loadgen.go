@@ -59,15 +59,10 @@ type Config struct {
 	// Connections is the worker-pool size: the bound on in-flight
 	// requests in both modes and the closed-loop concurrency (default 64).
 	Connections int
-	// Concurrency is a deprecated alias for Connections, kept for older
-	// callers; Connections wins when both are set.
-	Concurrency int
 	// SLO classifies client-observed latencies (0 disables).
 	SLO time.Duration
 	// Seed drives the arrival process.
 	Seed int64
-	// Client overrides the HTTP client (tests).
-	Client *http.Client
 }
 
 // Stats summarizes a run from the client's perspective.
@@ -159,21 +154,16 @@ func Run(ctx context.Context, cfg Config) (Stats, error) {
 		cfg.SpeedFactor = 1
 	}
 	if cfg.Connections <= 0 {
-		cfg.Connections = cfg.Concurrency
-	}
-	if cfg.Connections <= 0 {
 		cfg.Connections = 64
 	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{
-			Timeout: 30 * time.Second,
-			Transport: &http.Transport{
-				MaxIdleConns:        cfg.Connections,
-				MaxIdleConnsPerHost: cfg.Connections,
-			},
-		}
+	client := &http.Client{
+		Timeout: 30 * time.Second,
+		Transport: &http.Transport{
+			MaxIdleConns:        cfg.Connections,
+			MaxIdleConnsPerHost: cfg.Connections,
+		},
 	}
+	defer client.CloseIdleConnections()
 
 	workers := make([]*worker, cfg.Connections)
 	for i := range workers {

@@ -188,9 +188,7 @@ func TestSaturateStopsAtCollapse(t *testing.T) {
 	res, err := Saturate(context.Background(), SaturationConfig{
 		URL:          ts.URL,
 		StartRPS:     100,
-		Growth:       4,
 		StepDuration: 400 * time.Millisecond,
-		MaxSteps:     6,
 		Connections:  32,
 		Seed:         7,
 	})
@@ -201,8 +199,8 @@ func TestSaturateStopsAtCollapse(t *testing.T) {
 		t.Fatal("no steps recorded")
 	}
 	last := res.Steps[len(res.Steps)-1]
-	if last.Sustained && len(res.Steps) == 6 {
-		t.Logf("server never collapsed within MaxSteps: %+v", res)
+	if last.Sustained && len(res.Steps) == maxSteps {
+		t.Logf("server never collapsed within maxSteps: %+v", res)
 	}
 	if res.MaxSustainedRPS <= 0 {
 		t.Fatalf("no sustained step: %+v", res)

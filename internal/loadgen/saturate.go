@@ -3,15 +3,14 @@ package loadgen
 // saturate.go is the max-sustained-RPS search: geometric open-loop
 // ramp-up until the endpoint stops keeping up, then a record of every
 // step, so the caller sees the whole curve. A step is
-// "sustained" when the achieved goodput reaches MinAchievedFrac of the
-// target AND the shed+failure fraction stays under MaxLossRate — i.e.
+// "sustained" when the achieved goodput reaches minAchievedFrac of the
+// target AND the shed+failure fraction stays under maxLossRate — i.e.
 // the server answered (almost) everything that was offered, at the rate
 // it was offered.
 
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"time"
 
 	"github.com/tanklab/infless/internal/workload"
@@ -23,27 +22,23 @@ type SaturationConfig struct {
 	URL string
 	// StartRPS is the first step's offered rate (default 100).
 	StartRPS float64
-	// Growth multiplies the rate between steps (default 2).
-	Growth float64
 	// StepDuration is each step's length (default 3s).
 	StepDuration time.Duration
-	// MaxSteps bounds the ramp (default 16).
-	MaxSteps int
 	// Connections bounds in-flight requests per step (default 256).
 	Connections int
 	// SLO classifies latencies (0 disables).
 	SLO time.Duration
-	// MinAchievedFrac is the goodput/target floor for a sustained step
-	// (default 0.9).
-	MinAchievedFrac float64
-	// MaxLossRate is the (shed+failed)/sent ceiling for a sustained step
-	// (default 0.01).
-	MaxLossRate float64
 	// Seed drives the per-step arrival processes.
 	Seed int64
-	// Client overrides the HTTP client.
-	Client *http.Client
 }
+
+// The shape of the ramp and the verdict on a step.
+const (
+	growth          = 2    // rate multiplier between steps
+	maxSteps        = 16   // bound on the ramp
+	minAchievedFrac = 0.9  // goodput/target floor for a sustained step
+	maxLossRate     = 0.01 // (shed+failed)/sent ceiling for a sustained step
+)
 
 // SaturationStep is one rung of the ramp.
 type SaturationStep struct {
@@ -64,23 +59,11 @@ func (c *SaturationConfig) defaults() {
 	if c.StartRPS <= 0 {
 		c.StartRPS = 100
 	}
-	if c.Growth <= 1 {
-		c.Growth = 2
-	}
 	if c.StepDuration <= 0 {
 		c.StepDuration = 3 * time.Second
 	}
-	if c.MaxSteps <= 0 {
-		c.MaxSteps = 16
-	}
 	if c.Connections <= 0 {
 		c.Connections = 256
-	}
-	if c.MinAchievedFrac <= 0 {
-		c.MinAchievedFrac = 0.9
-	}
-	if c.MaxLossRate <= 0 {
-		c.MaxLossRate = 0.01
 	}
 }
 
@@ -95,7 +78,7 @@ func Saturate(ctx context.Context, cfg SaturationConfig) (SaturationResult, erro
 	cfg.defaults()
 	var res SaturationResult
 	rate := cfg.StartRPS
-	for i := 0; i < cfg.MaxSteps; i++ {
+	for i := 0; i < maxSteps; i++ {
 		stats, err := Run(ctx, Config{
 			URL:         cfg.URL,
 			Mode:        ModeOpen,
@@ -104,7 +87,6 @@ func Saturate(ctx context.Context, cfg SaturationConfig) (SaturationResult, erro
 			Connections: cfg.Connections,
 			SLO:         cfg.SLO,
 			Seed:        cfg.Seed + int64(i),
-			Client:      cfg.Client,
 		})
 		if err != nil {
 			return res, err
@@ -114,7 +96,7 @@ func Saturate(ctx context.Context, cfg SaturationConfig) (SaturationResult, erro
 		if stats.Sent > 0 {
 			loss = float64(stats.Shed+stats.Failed) / float64(stats.Sent)
 		}
-		step.Sustained = stats.RPS >= cfg.MinAchievedFrac*rate && loss <= cfg.MaxLossRate
+		step.Sustained = stats.RPS >= minAchievedFrac*rate && loss <= maxLossRate
 		res.Steps = append(res.Steps, step)
 		if step.Sustained && stats.RPS > res.MaxSustainedRPS {
 			res.MaxSustainedRPS = stats.RPS
@@ -122,7 +104,7 @@ func Saturate(ctx context.Context, cfg SaturationConfig) (SaturationResult, erro
 		if !step.Sustained {
 			break
 		}
-		rate *= cfg.Growth
+		rate *= growth
 	}
 	return res, nil
 }

@@ -58,9 +58,6 @@ func (h *Histogram) Add(d time.Duration) {
 	h.total++
 }
 
-// Count returns the number of recorded durations.
-func (h *Histogram) Count() uint64 { return h.total }
-
 // Quantile returns the q-quantile (q in [0,1]) as the upper bound of
 // the bucket holding the q-th observation.
 func (h *Histogram) Quantile(q float64) time.Duration {

@@ -198,14 +198,14 @@ func TestHistogramReset(t *testing.T) {
 	h.Add(time.Millisecond)
 	h.Add(time.Second)
 	h.Reset()
-	if h.Count() != 0 {
-		t.Fatalf("reset histogram count = %d", h.Count())
+	if h.total != 0 {
+		t.Fatalf("reset histogram count = %d", h.total)
 	}
 	if h.Quantile(0.5) != 0 {
 		t.Fatal("reset histogram still reports quantiles")
 	}
 	h.Add(time.Millisecond)
-	if h.Count() != 1 {
-		t.Fatalf("reused histogram count = %d", h.Count())
+	if h.total != 1 {
+		t.Fatalf("reused histogram count = %d", h.total)
 	}
 }

@@ -58,9 +58,6 @@ type Model struct {
 	ops  []*Op
 }
 
-// Ops returns every operator invocation site in the model, in tree order.
-func (m *Model) Ops() []*Op { return m.ops }
-
 // OpCount returns the total number of operator call sites.
 func (m *Model) OpCount() int { return len(m.ops) }
 

@@ -38,7 +38,7 @@ func TestGFLOPsMatchTable1(t *testing.T) {
 	for name, g := range want {
 		m := MustGet(name)
 		sum := 0.0
-		for _, o := range m.Ops() {
+		for _, o := range m.ops {
 			sum += o.GFLOPs
 		}
 		if math.Abs(sum-g) > 1e-9 {

@@ -90,11 +90,6 @@ func (r Resources) Weighted() float64 {
 	return Beta*float64(r.CPU) + float64(r.GPU)
 }
 
-// GFLOPS returns the aggregate ideal compute rate of the allocation.
-func (r Resources) GFLOPS() float64 {
-	return float64(r.CPU)*CPUCoreGFLOPS + float64(r.GPU)*GPUUnitGFLOPS
-}
-
 func (r Resources) String() string {
 	return fmt.Sprintf("{cpu:%d gpu:%d}", r.CPU, r.GPU)
 }

@@ -163,20 +163,6 @@ func sortedCopy(xs []int) []int {
 	return out
 }
 
-// Size returns the number of stored profiles (the paper reports "more
-// than 100 operators' profiles" in its database; ours stores one per
-// operator-configuration pair).
-func (db *DB) Size() int { return len(db.entries) }
-
-// Batches returns the profiled batch-size grid, ascending.
-func (db *DB) Batches() []int { return append([]int(nil), db.batches...) }
-
-// CPUGrid returns the profiled CPU grid, ascending.
-func (db *DB) CPUGrid() []int { return append([]int(nil), db.cpus...) }
-
-// GPUGrid returns the profiled GPU grid, ascending.
-func (db *DB) GPUGrid() []int { return append([]int(nil), db.gpus...) }
-
 // OpTime predicts the execution time of a single operator invocation with
 // per-item work gflops at input scale p, batch b, on res. Off-grid
 // configurations snap to the nearest profiled grid point (the scheduler

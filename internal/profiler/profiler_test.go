@@ -21,8 +21,8 @@ func TestDBCoversCatalogGrid(t *testing.T) {
 	// classes * batches * (cpu*gpu - {0,0} combos)
 	wantConfigs := len(DefaultCPUGrid)*len(DefaultGPUGrid) - 1
 	want := len(perf.Catalog) * len(DefaultBatches) * wantConfigs
-	if db.Size() != want {
-		t.Fatalf("db size = %d, want %d", db.Size(), want)
+	if len(db.entries) != want {
+		t.Fatalf("db size = %d, want %d", len(db.entries), want)
 	}
 }
 

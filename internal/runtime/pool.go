@@ -69,13 +69,10 @@ type Credit struct {
 func (c *Credit) Balance() float64 { return c.bal }
 
 // Add accrues credit, clamped from above by max (at most one burst's
-// worth of stored credit).
+// worth of stored credit); routing one request adds -1.
 func (c *Credit) Add(delta, max float64) {
 	c.bal += delta
 	if c.bal > max {
 		c.bal = max
 	}
 }
-
-// Spend consumes n credits (routing one request spends 1).
-func (c *Credit) Spend(n float64) { c.bal -= n }

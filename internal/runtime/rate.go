@@ -36,9 +36,6 @@ func NewRateEstimator(window time.Duration) *RateEstimator {
 	return re
 }
 
-// Window returns the estimation window.
-func (re *RateEstimator) Window() time.Duration { return re.window }
-
 // Observe records one arrival at plane time now.
 func (re *RateEstimator) Observe(now time.Duration) {
 	sec := int64(now / time.Second)

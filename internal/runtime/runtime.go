@@ -32,8 +32,7 @@ func BatchTimeout(slo, texec time.Duration) time.Duration {
 }
 
 // BatchPolicy bundles one function's SLO-driven batching decisions: the
-// head-of-queue timeout and the Eq. 1 admission window glue to
-// internal/batching.
+// head-of-queue timeout and the projected-violation admission test.
 type BatchPolicy struct {
 	SLO time.Duration
 }
@@ -42,12 +41,6 @@ type BatchPolicy struct {
 // execution time is texec.
 func (p BatchPolicy) Timeout(texec time.Duration) time.Duration {
 	return BatchTimeout(p.SLO, texec)
-}
-
-// Bounds returns the candidate's admissible [r_low, r_up] rate window
-// (Eq. 1) for batch size b.
-func (p BatchPolicy) Bounds(texec time.Duration, b int) (batching.Bounds, error) {
-	return batching.RateBounds(texec, p.SLO, b)
 }
 
 // DefaultAlpha is the rate-controller damping factor of Section 3.2:

@@ -21,10 +21,9 @@ import (
 	"github.com/tanklab/infless/internal/perf"
 )
 
-// naiveScheduleOne is the old O(candidates x servers) pass, kept
-// verbatim as the reference implementation.
+// naiveScheduleOne is the old O(candidates x servers) pass, kept as the
+// reference implementation.
 func naiveScheduleOne(p *Plan, rps float64, cl *cluster.Cluster) (Decision, bool) {
-	servers := cl.Servers()
 	for _, b := range p.order {
 		var ib []Candidate
 		if b == 1 {
@@ -50,18 +49,19 @@ func naiveScheduleOne(p *Plan, rps float64, cl *cluster.Cluster) (Decision, bool
 		for _, c := range ib {
 			srv := -1
 			freeW := math.Inf(1)
-			for _, s := range servers {
+			cl.EachServer(func(s *cluster.Server) bool {
 				if s.Down() || !s.Free.Fits(c.Res) || s.MemFreeMB < p.Fn.Model.MemoryMB {
-					continue
+					return true
 				}
 				if p.opts.DisableRS {
 					srv, freeW = s.ID, s.Free.Weighted()
-					break
+					return false
 				}
 				if w := s.Free.Weighted(); w < freeW {
 					srv, freeW = s.ID, w
 				}
-			}
+				return true
+			})
 			if srv < 0 {
 				continue
 			}
@@ -120,7 +120,7 @@ func mirroredClusters(rng *rand.Rand) (a, b *cluster.Cluster) {
 	r1, r2 := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
 	a, b = cluster.New(opts), cluster.New(opts)
 	perturb := func(c *cluster.Cluster, r *rand.Rand) {
-		n := c.Size()
+		n := opts.Servers
 		for i := 0; i < n/4; i++ {
 			c.SetDown(r.Intn(n), true)
 		}

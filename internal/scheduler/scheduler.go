@@ -27,6 +27,7 @@ import (
 	"github.com/tanklab/infless/internal/cluster"
 	"github.com/tanklab/infless/internal/model"
 	"github.com/tanklab/infless/internal/perf"
+	"github.com/tanklab/infless/internal/profiler"
 )
 
 // Predictor estimates batch execution time for a model on a
@@ -59,11 +60,6 @@ type Decision struct {
 
 // Options tune plan construction and scheduling.
 type Options struct {
-	// Batches, CPUGrid, GPUGrid are the discrete configuration grids
-	// (defaults: profiler grids — powers of two up to 32, etc.).
-	Batches []int
-	CPUGrid []int
-	GPUGrid []int
 	// DisableRS is the RS-ablation of Figure 11: ignore the
 	// resource-efficiency metric and always pick the configuration with
 	// the maximum throughput (r_up), placed first-fit.
@@ -79,12 +75,6 @@ type Options struct {
 	// identical at any setting — the pool merges per-shard answers by the
 	// same (key, id) rule the serial path uses.
 	FitWorkers int
-	// DisablePrefixCut reverts pass 1 to the unranked full candidate walk
-	// (one placement query per candidate, as before the ranked prefix
-	// cut). Decisions are identical either way
-	// (TestPrefixCutMatchesFullWalk); the fig17s bench uses this as its
-	// pre-optimization baseline.
-	DisablePrefixCut bool
 	// Artifact, when non-nil, makes placement startup-aware: pass-1
 	// queries go through the cluster's startup-scored best fit (which
 	// tier holds this function's checkpoint on each candidate server),
@@ -96,15 +86,6 @@ type Options struct {
 }
 
 func (o *Options) defaults() {
-	if len(o.Batches) == 0 {
-		o.Batches = []int{1, 2, 4, 8, 16, 32}
-	}
-	if len(o.CPUGrid) == 0 {
-		o.CPUGrid = []int{0, 1, 2, 4, 8, 16}
-	}
-	if len(o.GPUGrid) == 0 {
-		o.GPUGrid = []int{0, 1, 2, 3, 4, 6, 8, 10}
-	}
 	if o.MaxInstancesPerCall == 0 {
 		o.MaxInstancesPerCall = 10000
 	}
@@ -161,9 +142,11 @@ type fit struct {
 // byGridOrder orders fits by their candidates' BuildPlan grid position.
 func byGridOrder(a, b fit) int { return a.idx - b.idx }
 
-// BuildPlan evaluates the configuration grid for fn and keeps every
-// candidate that can meet the SLO (Algorithm 1's AvailableConfig filter,
-// minus the rate check which depends on the residual RPS at call time).
+// BuildPlan evaluates the profiled configuration grid
+// (profiler.DefaultBatches x DefaultCPUGrid x DefaultGPUGrid) for fn and
+// keeps every candidate that can meet the SLO (Algorithm 1's
+// AvailableConfig filter, minus the rate check which depends on the
+// residual RPS at call time).
 func BuildPlan(fn Function, pred Predictor, opts Options) *Plan {
 	opts.defaults()
 	if fn.Model == nil {
@@ -173,7 +156,7 @@ func BuildPlan(fn Function, pred Predictor, opts Options) *Plan {
 		panic("scheduler: non-positive SLO for " + fn.Name)
 	}
 	p := &Plan{Fn: fn, opts: opts, cands: map[int][]Candidate{}}
-	batches := opts.Batches
+	batches := profiler.DefaultBatches
 	if opts.ForceBatchOne {
 		batches = []int{1}
 	}
@@ -181,8 +164,8 @@ func BuildPlan(fn Function, pred Predictor, opts Options) *Plan {
 		if b > fn.Model.MaxBatch {
 			continue
 		}
-		for _, c := range opts.CPUGrid {
-			for _, g := range opts.GPUGrid {
+		for _, c := range profiler.DefaultCPUGrid {
+			for _, g := range profiler.DefaultGPUGrid {
 				if c == 0 && g == 0 {
 					continue
 				}
@@ -216,15 +199,6 @@ func BuildPlan(fn Function, pred Predictor, opts Options) *Plan {
 
 // Feasible reports whether any configuration at all can meet the SLO.
 func (p *Plan) Feasible() bool { return len(p.order) > 0 }
-
-// Candidates returns the feasible candidates for batch size b, as a
-// copy: the cached plan must survive caller mutation.
-func (p *Plan) Candidates(b int) []Candidate {
-	return append([]Candidate(nil), p.cands[b]...)
-}
-
-// BatchSizes returns the feasible batch sizes, descending.
-func (p *Plan) BatchSizes() []int { return append([]int(nil), p.order...) }
 
 // Schedule implements Algorithm 1: it places instances for residual load
 // rps on cl, allocating cluster resources as it goes, and returns the
@@ -287,9 +261,6 @@ func (p *Plan) scheduleOne(rps float64, pool *cluster.FitPool) (Decision, bool) 
 	if p.opts.DisableRS {
 		return p.scheduleOneNoRS(rps, pool)
 	}
-	if p.opts.DisablePrefixCut {
-		return p.scheduleOneFullWalk(rps, pool)
-	}
 	for _, b := range p.order {
 		// The numerator uses each candidate's full r_up, as in Eq. 10.
 		// (Capping it by the residual demand was tried and rejected: it
@@ -348,55 +319,6 @@ func (p *Plan) scheduleOne(rps float64, pool *cluster.FitPool) (Decision, bool) 
 			// higher in the storage hierarchy. With Artifact nil every
 			// startup is zero and the comparison can never fire, keeping
 			// decisions bit-identical to the legacy walk.
-			if e > bestE || (p.opts.Artifact != nil && e == bestE && f.startup < bestStartup) {
-				bestE = e
-				bestStartup = f.startup
-				best = Decision{Server: f.srv, Candidate: f.c}
-			}
-		}
-		return best, true
-	}
-	return Decision{}, false
-}
-
-// scheduleOneFullWalk is the pre-prefix-cut pass 1 kept as a measurable
-// baseline (Options.DisablePrefixCut): query a placement for every
-// available candidate, track the best fitting throughput-per-resource
-// ratio, then score with the 95% filter in pass 2. Same decisions as the
-// ranked walk, ~an order of magnitude more placement queries.
-func (p *Plan) scheduleOneFullWalk(rps float64, pool *cluster.FitPool) (Decision, bool) {
-	memMB := p.Fn.Model.MemoryMB
-	for _, b := range p.order {
-		ib := p.available(b, rps)
-		if len(ib) == 0 {
-			continue
-		}
-		fits := p.fits[:0]
-		maxPerRes := 0.0
-		for _, c := range ib {
-			srv, freeW, startup, ok := pool.BestFitArtifact(c.Res, memMB, p.opts.Artifact)
-			if !ok {
-				continue
-			}
-			perRes := c.Bounds.RUp / c.Res.Weighted()
-			fits = append(fits, fit{c: c, srv: srv, freeW: freeW, perRes: perRes, startup: startup})
-			if perRes > maxPerRes {
-				maxPerRes = perRes
-			}
-		}
-		p.fits = fits
-		if len(fits) == 0 {
-			continue
-		}
-		var best Decision
-		bestE := math.Inf(-1)
-		bestStartup := time.Duration(0)
-		for _, f := range fits {
-			num := f.perRes / maxPerRes
-			if num < 0.95 {
-				continue
-			}
-			e := efficiency(num, f.c.Res.Weighted(), f.freeW, false, f.c.Bounds.RUp)
 			if e > bestE || (p.opts.Artifact != nil && e == bestE && f.startup < bestStartup) {
 				bestE = e
 				bestStartup = f.startup

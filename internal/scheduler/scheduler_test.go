@@ -27,8 +27,8 @@ func TestBuildPlanFiltersInfeasible(t *testing.T) {
 	if !p.Feasible() {
 		t.Fatal("ResNet-50 at 200ms should have feasible configs")
 	}
-	for _, b := range p.BatchSizes() {
-		for _, c := range p.Candidates(b) {
+	for _, b := range p.order {
+		for _, c := range p.cands[b] {
 			if b == 1 {
 				if c.TExec > 200*time.Millisecond {
 					t.Errorf("b=1 candidate %v violates SLO", c)
@@ -42,7 +42,7 @@ func TestBuildPlanFiltersInfeasible(t *testing.T) {
 		}
 	}
 	// Batch order must be descending (Algorithm 1 explores large first).
-	bs := p.BatchSizes()
+	bs := p.order
 	for i := 1; i < len(bs); i++ {
 		if bs[i] >= bs[i-1] {
 			t.Fatalf("batch order not descending: %v", bs)
@@ -55,8 +55,8 @@ func TestBuildPlanTightSLO(t *testing.T) {
 	// must still find GPU configs or be smaller than the full grid.
 	fn := Function{Name: "bert", Model: model.MustGet("Bert-v1"), SLO: 150 * time.Millisecond}
 	p := BuildPlan(fn, testPred, Options{})
-	for _, b := range p.BatchSizes() {
-		for _, c := range p.Candidates(b) {
+	for _, b := range p.order {
+		for _, c := range p.cands[b] {
 			if c.Res.GPU == 0 && c.Res.CPU <= 2 {
 				t.Errorf("implausible candidate for Bert at 150ms: %+v", c)
 			}
@@ -285,11 +285,12 @@ func TestPropertyScheduleSound(t *testing.T) {
 		if cap+residual < rps-1e-6 {
 			t.Fatalf("iter %d: capacity %v + residual %v < rps %v", iter, cap, residual, rps)
 		}
-		for _, s := range cl.Servers() {
+		cl.EachServer(func(s *cluster.Server) bool {
 			if !s.Free.NonNegative() {
 				t.Fatalf("iter %d: over-allocation on server %d", iter, s.ID)
 			}
-		}
+			return true
+		})
 	}
 }
 

@@ -9,6 +9,7 @@ package scheduler
 // FitWorkers from 1 to more-than-shards.
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -31,7 +32,7 @@ func mirroredShardedClusters(rng *rand.Rand, shards int) (flat, sharded *cluster
 	}
 	flat = cluster.NewHeterogeneous(pools)
 	sharded = cluster.NewHeterogeneousSharded(pools, shards)
-	n := flat.Size()
+	n := pools[0].Servers + pools[1].Servers + pools[2].Servers
 	seed := rng.Int63()
 	perturb := func(c *cluster.Cluster, r *rand.Rand) {
 		for i := 0; i < n/4; i++ {
@@ -118,11 +119,11 @@ func TestShardedMatchesSingleShard(t *testing.T) {
 func TestShardedFitWorkersEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	fn := resnetFn()
-	base := cluster.NewHeterogeneousSharded([]cluster.NodePool{
+	pools := []cluster.NodePool{
 		{Servers: 7, PerServer: perf.Resources{CPU: 32}, MemMB: 64 * 1024},
 		{Servers: 5, PerServer: perf.Resources{CPU: 8, GPU: 40}},
 		{Servers: 9},
-	}, 4)
+	}
 	// Shared perturbation so every worker-count run sees the same state.
 	type alloc struct {
 		id  int
@@ -131,14 +132,10 @@ func TestShardedFitWorkersEquivalence(t *testing.T) {
 	}
 	var pre []alloc
 	for i := 0; i < 15; i++ {
-		pre = append(pre, alloc{id: rng.Intn(base.Size()), res: perf.Resources{CPU: 1 + rng.Intn(6), GPU: rng.Intn(8)}, mem: rng.Intn(32 * 1024)})
+		pre = append(pre, alloc{id: rng.Intn(7 + 5 + 9), res: perf.Resources{CPU: 1 + rng.Intn(6), GPU: rng.Intn(8)}, mem: rng.Intn(32 * 1024)})
 	}
 	run := func(workers int) ([]Decision, float64) {
-		cl := cluster.NewHeterogeneousSharded([]cluster.NodePool{
-			{Servers: 7, PerServer: perf.Resources{CPU: 32}, MemMB: 64 * 1024},
-			{Servers: 5, PerServer: perf.Resources{CPU: 8, GPU: 40}},
-			{Servers: 9},
-		}, 4)
+		cl := cluster.NewHeterogeneousSharded(pools, 4)
 		cl.SetDown(5, true)  // first shard boundary
 		cl.SetDown(15, true) // last shard boundary
 		for _, a := range pre {
@@ -166,8 +163,8 @@ func TestShardedFitWorkersEquivalence(t *testing.T) {
 }
 
 // TestPrefixCutMatchesFullWalk pins the ranked prefix cut against the
-// pre-optimization full candidate walk (the fig17s baseline): identical
-// decisions across random clusters, models, SLOs and rounds.
+// pre-optimization full candidate walk (scheduleOneFullWalk below):
+// identical decisions across random clusters, models, SLOs and rounds.
 func TestPrefixCutMatchesFullWalk(t *testing.T) {
 	models := []string{"ResNet-50", "MobileNet", "TextCNN-69", "MNIST", "SSD", "Bert-v1"}
 	f := func(seed int64) bool {
@@ -176,7 +173,7 @@ func TestPrefixCutMatchesFullWalk(t *testing.T) {
 		slo := time.Duration(80+rng.Intn(400)) * time.Millisecond
 		fn := Function{Name: name, Model: model.MustGet(name), SLO: slo}
 		pCut := BuildPlan(fn, testPred, Options{MaxInstancesPerCall: 200})
-		pFull := BuildPlan(fn, testPred, Options{MaxInstancesPerCall: 200, DisablePrefixCut: true})
+		pFull := BuildPlan(fn, testPred, Options{MaxInstancesPerCall: 200})
 		if !pCut.Feasible() {
 			return true
 		}
@@ -185,7 +182,7 @@ func TestPrefixCutMatchesFullWalk(t *testing.T) {
 		for round := 0; round < 3; round++ {
 			rps := rng.Float64() * 5000
 			got, gotRes := pCut.Schedule(rps, a)
-			want, wantRes := pFull.Schedule(rps, b)
+			want, wantRes := pFull.scheduleFullWalk(rps, b)
 			if gotRes != wantRes || len(got) != len(want) {
 				t.Logf("seed %d round %d: cut %d/%v, full %d/%v", seed, round, len(got), gotRes, len(want), wantRes)
 				return false
@@ -206,6 +203,79 @@ func TestPrefixCutMatchesFullWalk(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: n}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// scheduleOneFullWalk is the pre-prefix-cut pass 1, the reference
+// TestPrefixCutMatchesFullWalk holds scheduleOne to: query a placement
+// for every available candidate, track the best fitting
+// throughput-per-resource ratio, then score with the 95% filter in pass
+// 2. Same decisions as the ranked walk, ~an order of magnitude more
+// placement queries.
+func (p *Plan) scheduleOneFullWalk(rps float64, pool *cluster.FitPool) (Decision, bool) {
+	memMB := p.Fn.Model.MemoryMB
+	for _, b := range p.order {
+		ib := p.available(b, rps)
+		if len(ib) == 0 {
+			continue
+		}
+		fits := p.fits[:0]
+		maxPerRes := 0.0
+		for _, c := range ib {
+			srv, freeW, startup, ok := pool.BestFitArtifact(c.Res, memMB, p.opts.Artifact)
+			if !ok {
+				continue
+			}
+			perRes := c.Bounds.RUp / c.Res.Weighted()
+			fits = append(fits, fit{c: c, srv: srv, freeW: freeW, perRes: perRes, startup: startup})
+			if perRes > maxPerRes {
+				maxPerRes = perRes
+			}
+		}
+		p.fits = fits
+		if len(fits) == 0 {
+			continue
+		}
+		var best Decision
+		bestE := math.Inf(-1)
+		bestStartup := time.Duration(0)
+		for _, f := range fits {
+			num := f.perRes / maxPerRes
+			if num < 0.95 {
+				continue
+			}
+			e := efficiency(num, f.c.Res.Weighted(), f.freeW, false, f.c.Bounds.RUp)
+			if e > bestE || (p.opts.Artifact != nil && e == bestE && f.startup < bestStartup) {
+				bestE = e
+				bestStartup = f.startup
+				best = Decision{Server: f.srv, Candidate: f.c}
+			}
+		}
+		return best, true
+	}
+	return Decision{}, false
+}
+
+// scheduleFullWalk is Plan.Schedule with scheduleOneFullWalk in place of
+// scheduleOne.
+func (p *Plan) scheduleFullWalk(rps float64, cl *cluster.Cluster) (placed []Decision, residual float64) {
+	pool := cl.NewFitPool(p.opts.FitWorkers)
+	defer pool.Close()
+	residual = rps
+	for residual > 0 && len(placed) < p.opts.MaxInstancesPerCall {
+		d, ok := p.scheduleOneFullWalk(residual, pool)
+		if !ok {
+			break
+		}
+		if err := cl.Allocate(d.Server, d.Res, p.Fn.Model.MemoryMB); err != nil {
+			panic("scheduler: placement no longer fits: " + err.Error())
+		}
+		placed = append(placed, d)
+		residual -= d.Bounds.RUp
+	}
+	if residual < 0 {
+		residual = 0
+	}
+	return placed, residual
 }
 
 // TestShardedMatchesSingleShardWithFailures interleaves scheduling with

@@ -92,7 +92,7 @@ func TestTieredDisabledPathUnchanged(t *testing.T) {
 		{"disabled", &artifact.Config{}},
 	} {
 		e, f := tieredEngine(t, tc.st)
-		if e.Cluster().ArtifactsEnabled() {
+		if e.Cluster().Server(0).Artifacts() != nil {
 			t.Errorf("%s: cluster grew artifact caches", tc.name)
 		}
 		inst := e.Launch(f, cand, 0)

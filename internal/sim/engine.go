@@ -60,14 +60,6 @@ type FunctionState struct {
 // slice; callers must not mutate it).
 func (f *FunctionState) Instances() []*Instance { return f.pool.Members() }
 
-// PendingOldest returns the arrival time of the oldest pending request.
-func (f *FunctionState) PendingOldest() (time.Duration, bool) {
-	if len(f.Pending) == 0 {
-		return 0, false
-	}
-	return f.Pending[0].Arrive, true
-}
-
 // RateEstimate returns the function's observed arrival rate (RPS) over
 // the engine's rate window.
 func (f *FunctionState) RateEstimate(now time.Duration) float64 {
@@ -212,9 +204,6 @@ func (e *Engine) Now() time.Duration { return e.clock.Now() }
 // headline number, never a scheduling input.
 func (e *Engine) PlaneRate() float64 { return e.rates.PlaneRate(e.clock.Now()) }
 
-// Rng returns the engine's deterministic random source.
-func (e *Engine) Rng() *rand.Rand { return e.rng }
-
 // allocationChanged publishes the cluster's current allocation to the
 // observers (resource integration, provisioning series).
 func (e *Engine) allocationChanged() {
@@ -250,14 +239,6 @@ func (r *Result) Dropped() uint64 {
 		n += r.Telemetry.Functions[i].Dropped
 	}
 	return n
-}
-
-// Throughput returns served requests per second of simulated time.
-func (r *Result) Throughput() float64 {
-	if r.Duration <= 0 {
-		return 0
-	}
-	return float64(r.Served()) / r.Duration.Seconds()
 }
 
 // ThroughputPerResource is the paper's normalized throughput metric:

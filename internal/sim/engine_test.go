@@ -270,7 +270,7 @@ func TestEnginePrewarmSkipsColdStart(t *testing.T) {
 		Model:  model.MustGet("MNIST"),
 		SLO:    time.Second,
 		Trace:  workload.Constant(1, time.Minute, time.Minute),
-		Policy: coldstart.NewLSTH(coldstart.LSTHOptions{MinSamples: 1}),
+		Policy: coldstart.NewLSTH(coldstart.LSTHOptions{}),
 	})
 	// Manually exercise prewarm wiring: reclaim the initial instance and
 	// relaunch within the prewarm window.
@@ -293,7 +293,7 @@ func TestResultAggregates(t *testing.T) {
 		Trace: workload.Constant(30, 10*time.Second, time.Second),
 	})
 	res := e.Run()
-	if res.Served() == 0 || res.Throughput() <= 0 {
+	if res.Served() == 0 {
 		t.Fatal("result aggregates empty")
 	}
 	if res.Telemetry.Resources.WeightedSeconds <= 0 || res.ThroughputPerResource() <= 0 {

@@ -57,7 +57,7 @@ func TestInflessMeetsSLO(t *testing.T) {
 }
 
 func TestOpenFaaSPlusServes(t *testing.T) {
-	res := runSystem(t, baselines.NewOpenFaaSPlus(baselines.OpenFaaSPlusConfig{}), 50, 2*time.Minute, "ResNet-50", 200*time.Millisecond)
+	res := runSystem(t, baselines.NewOpenFaaSPlus(), 50, 2*time.Minute, "ResNet-50", 200*time.Millisecond)
 	if res.Served() < 4000 {
 		t.Fatalf("openfaas+ served only %d of ~6000", res.Served())
 	}
@@ -70,7 +70,7 @@ func TestOpenFaaSPlusServes(t *testing.T) {
 }
 
 func TestBatchSysServesAndBatches(t *testing.T) {
-	res := runSystem(t, baselines.NewBatchSys(baselines.BatchSysConfig{}), 100, 2*time.Minute, "ResNet-50", 200*time.Millisecond)
+	res := runSystem(t, baselines.NewBatchSys(), 100, 2*time.Minute, "ResNet-50", 200*time.Millisecond)
 	if res.Served() < 8000 {
 		t.Fatalf("batch served only %d of ~12000", res.Served())
 	}
@@ -93,8 +93,8 @@ func TestInflessBeatsBaselinesOnEfficiency(t *testing.T) {
 	}
 	const rps, dur = 120.0, 4 * time.Minute
 	inf := runSystem(t, core.New(core.Options{}), rps, dur, "ResNet-50", 200*time.Millisecond)
-	ofp := runSystem(t, baselines.NewOpenFaaSPlus(baselines.OpenFaaSPlusConfig{}), rps, dur, "ResNet-50", 200*time.Millisecond)
-	bat := runSystem(t, baselines.NewBatchSys(baselines.BatchSysConfig{}), rps, dur, "ResNet-50", 200*time.Millisecond)
+	ofp := runSystem(t, baselines.NewOpenFaaSPlus(), rps, dur, "ResNet-50", 200*time.Millisecond)
+	bat := runSystem(t, baselines.NewBatchSys(), rps, dur, "ResNet-50", 200*time.Millisecond)
 
 	ti, to, tb := inf.ThroughputPerResource(), ofp.ThroughputPerResource(), bat.ThroughputPerResource()
 	t.Logf("throughput/resource: infless=%.2f batch=%.2f openfaas+=%.2f", ti, tb, to)

@@ -105,7 +105,6 @@ type Clock struct {
 	now        Time
 	seq        uint64
 	pending    eventHeap
-	fired      uint64
 	free       []*event // recycled event objects, see package doc
 	tombstones int      // cancelled events still sitting in pending
 }
@@ -115,13 +114,6 @@ func New() *Clock { return &Clock{} }
 
 // Now returns the current virtual time.
 func (c *Clock) Now() Time { return c.now }
-
-// Pending returns the number of events waiting to fire (including
-// cancelled events that have not been drained or compacted away yet).
-func (c *Clock) Pending() int { return len(c.pending) }
-
-// Fired returns the total number of events executed so far.
-func (c *Clock) Fired() uint64 { return c.fired }
 
 // alloc takes an event from the free list, or makes one.
 func (c *Clock) alloc(at Time, fn func()) *event {
@@ -233,7 +225,6 @@ func (c *Clock) Step() bool {
 	}
 	heap.Pop(&c.pending)
 	c.now = e.at
-	c.fired++
 	e.fn()
 	c.recycle(e)
 	return true
@@ -255,19 +246,6 @@ func (c *Clock) RunUntil(deadline Time) {
 	}
 }
 
-// Run executes events until the queue is empty or limit events have fired.
-// A limit of 0 means no limit. It returns the number of events fired.
-func (c *Clock) Run(limit uint64) uint64 {
-	var n uint64
-	for c.Step() {
-		n++
-		if limit > 0 && n >= limit {
-			break
-		}
-	}
-	return n
-}
-
 // Reset drops all pending events (recycling them) and rewinds the clock
 // to zero. seq is not rewound: it is the Timer generation, and a Timer
 // taken before Reset must not match an event scheduled after it (event
@@ -279,6 +257,5 @@ func (c *Clock) Reset() {
 	}
 	c.pending = c.pending[:0]
 	c.now = 0
-	c.fired = 0
 	c.tombstones = 0
 }

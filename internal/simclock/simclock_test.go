@@ -8,11 +8,17 @@ import (
 	"time"
 )
 
+// run executes events until the queue is empty.
+func run(c *Clock) {
+	for c.Step() {
+	}
+}
+
 func TestZeroValueUsable(t *testing.T) {
 	var c Clock
 	ran := false
 	c.ScheduleAfter(time.Second, func() { ran = true })
-	c.Run(0)
+	run(&c)
 	if !ran {
 		t.Fatal("event did not fire")
 	}
@@ -27,7 +33,7 @@ func TestOrdering(t *testing.T) {
 	c.ScheduleAt(3*time.Second, func() { got = append(got, 3) })
 	c.ScheduleAt(1*time.Second, func() { got = append(got, 1) })
 	c.ScheduleAt(2*time.Second, func() { got = append(got, 2) })
-	c.Run(0)
+	run(c)
 	want := []int{1, 2, 3}
 	for i := range want {
 		if got[i] != want[i] {
@@ -43,7 +49,7 @@ func TestFIFOAtSameInstant(t *testing.T) {
 		i := i
 		c.ScheduleAt(time.Second, func() { got = append(got, i) })
 	}
-	c.Run(0)
+	run(c)
 	for i := 0; i < 10; i++ {
 		if got[i] != i {
 			t.Fatalf("same-instant order = %v, want ascending", got)
@@ -60,7 +66,7 @@ func TestCancel(t *testing.T) {
 	if e.Pending() {
 		t.Fatal("Pending() = true after Cancel")
 	}
-	c.Run(0)
+	run(c)
 	if fired != 1 {
 		t.Fatalf("fired = %d, want 1 (cancelled event must not run)", fired)
 	}
@@ -69,7 +75,7 @@ func TestCancel(t *testing.T) {
 func TestSchedulePastPanics(t *testing.T) {
 	c := New()
 	c.ScheduleAt(5*time.Second, func() {})
-	c.Run(0)
+	run(c)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic when scheduling in the past")
@@ -85,7 +91,7 @@ func TestScheduleDuringEvent(t *testing.T) {
 		c.ScheduleAfter(time.Second, func() { got = append(got, c.Now()) })
 		c.ScheduleAfter(0, func() { got = append(got, c.Now()) })
 	})
-	c.Run(0)
+	run(c)
 	if len(got) != 2 || got[0] != time.Second || got[1] != 2*time.Second {
 		t.Fatalf("got %v, want [1s 2s]", got)
 	}
@@ -114,25 +120,27 @@ func TestRunLimit(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.ScheduleAt(time.Duration(i)*time.Second, func() {})
 	}
-	if n := c.Run(4); n != 4 {
-		t.Fatalf("Run(4) = %d", n)
+	for i := 0; i < 4; i++ {
+		if !c.Step() {
+			t.Fatalf("Step %d found the queue empty", i)
+		}
 	}
-	if c.Pending() != 6 {
-		t.Fatalf("pending = %d, want 6", c.Pending())
+	if len(c.pending) != 6 {
+		t.Fatalf("pending = %d, want 6", len(c.pending))
 	}
 }
 
 func TestReset(t *testing.T) {
 	c := New()
 	c.ScheduleAt(time.Second, func() {})
-	c.Run(0)
+	run(c)
 	c.Reset()
-	if c.Now() != 0 || c.Pending() != 0 || c.Fired() != 0 {
+	if c.Now() != 0 || len(c.pending) != 0 {
 		t.Fatal("reset did not clear state")
 	}
 	// Scheduling at t=0 must be legal again.
 	c.ScheduleAt(0, func() {})
-	c.Run(0)
+	run(c)
 }
 
 func TestNegativeAfterClamped(t *testing.T) {
@@ -140,7 +148,7 @@ func TestNegativeAfterClamped(t *testing.T) {
 	c.RunUntil(time.Second)
 	fired := false
 	c.ScheduleAfter(-5*time.Second, func() { fired = true })
-	c.Run(0)
+	run(c)
 	if !fired || c.Now() != time.Second {
 		t.Fatal("negative delay should clamp to now")
 	}
@@ -156,7 +164,7 @@ func TestPropertyMonotoneExecution(t *testing.T) {
 			at := time.Duration(s) * time.Millisecond
 			c.ScheduleAt(at, func() { fireOrder = append(fireOrder, c.Now()) })
 		}
-		c.Run(0)
+		run(c)
 		if len(fireOrder) != len(stamps) {
 			return false
 		}
@@ -199,7 +207,7 @@ func TestPropertyCancelSubset(t *testing.T) {
 				cancelled[i] = true
 			}
 		}
-		c.Run(0)
+		run(c)
 		for i := 0; i < n; i++ {
 			if fired[i] == cancelled[i] {
 				t.Fatalf("iter %d event %d: fired=%v cancelled=%v", iter, i, fired[i], cancelled[i])
@@ -229,10 +237,10 @@ func TestTombstoneCompaction(t *testing.T) {
 		}
 	}
 	live := n / 10
-	if p := c.Pending(); p > 2*live {
+	if p := len(c.pending); p > 2*live {
 		t.Fatalf("pending = %d after mass cancel, want <= %d (compaction did not run)", p, 2*live)
 	}
-	c.Run(0)
+	run(c)
 	if len(got) != live {
 		t.Fatalf("fired %d events, want %d", len(got), live)
 	}
@@ -241,8 +249,8 @@ func TestTombstoneCompaction(t *testing.T) {
 			t.Fatalf("fire order got[%d] = %d, want %d", i, v, i*10)
 		}
 	}
-	if c.Pending() != 0 {
-		t.Fatalf("pending = %d after run, want 0", c.Pending())
+	if len(c.pending) != 0 {
+		t.Fatalf("pending = %d after run, want 0", len(c.pending))
 	}
 }
 
@@ -262,7 +270,7 @@ func TestCompactionPreservesFIFO(t *testing.T) {
 			e.Cancel()
 		}
 	}
-	c.Run(0)
+	run(c)
 	for i := 1; i < len(got); i++ {
 		if got[i-1] >= got[i] {
 			t.Fatalf("same-instant order broken after compaction: %v", got)
@@ -278,7 +286,7 @@ func TestCompactionPreservesFIFO(t *testing.T) {
 func TestEventPoolReuse(t *testing.T) {
 	c := New()
 	e1 := c.ScheduleAfter(time.Millisecond, func() {})
-	c.Run(0)
+	run(c)
 	e2 := c.ScheduleAfter(time.Millisecond, func() {})
 	if e1.e != e2.e {
 		t.Fatal("fired event was not recycled for the next schedule")
@@ -321,8 +329,8 @@ func TestResetRecyclesPending(t *testing.T) {
 		c.ScheduleAfter(time.Second, func() {})
 	}
 	c.Reset()
-	if c.Pending() != 0 {
-		t.Fatalf("pending = %d after reset", c.Pending())
+	if len(c.pending) != 0 {
+		t.Fatalf("pending = %d after reset", len(c.pending))
 	}
 	allocs := testing.AllocsPerRun(5, func() {
 		c.ScheduleAfter(time.Second, func() {})
@@ -356,7 +364,7 @@ func TestTimerStaleHandleIsInert(t *testing.T) {
 	if !inCallback.Pending() || inCallback.At() != time.Second {
 		t.Fatalf("live timer: Pending=%v At=%v", inCallback.Pending(), inCallback.At())
 	}
-	c.Run(0)
+	run(c)
 	stale := inCallback
 
 	// Cancel after fire, before the event is reused.
@@ -375,11 +383,11 @@ func TestTimerStaleHandleIsInert(t *testing.T) {
 	if stale.Pending() || stale.At() != 0 {
 		t.Fatal("stale handle reports the new scheduling's state")
 	}
-	if !fresh.Pending() || c.tombstones != 0 || c.Pending() != 1 {
+	if !fresh.Pending() || c.tombstones != 0 || len(c.pending) != 1 {
 		t.Fatalf("stale Cancel hit the new scheduling: pending=%v tombstones=%d queue=%d",
-			fresh.Pending(), c.tombstones, c.Pending())
+			fresh.Pending(), c.tombstones, len(c.pending))
 	}
-	c.Run(0)
+	run(c)
 	if !fired {
 		t.Fatal("new scheduling did not fire")
 	}
@@ -390,12 +398,12 @@ func TestTimerStaleHandleIsInert(t *testing.T) {
 	victim := c.ScheduleAfter(2*time.Second, func() { t.Error("cancelled timer fired") })
 	victim.Cancel()
 	victim.Cancel()
-	if c.tombstones != 1 || c.Pending() != 3 {
-		t.Fatalf("tombstones=%d pending=%d, want 1 and 3", c.tombstones, c.Pending())
+	if c.tombstones != 1 || len(c.pending) != 3 {
+		t.Fatalf("tombstones=%d pending=%d, want 1 and 3", c.tombstones, len(c.pending))
 	}
-	c.Run(0)
-	if c.tombstones != 0 || c.Pending() != 0 {
-		t.Fatalf("after drain: tombstones=%d pending=%d", c.tombstones, c.Pending())
+	run(c)
+	if c.tombstones != 0 || len(c.pending) != 0 {
+		t.Fatalf("after drain: tombstones=%d pending=%d", c.tombstones, len(c.pending))
 	}
 }
 
@@ -420,7 +428,7 @@ func TestTimerAcrossReset(t *testing.T) {
 	if old.Pending() || !fresh.Pending() {
 		t.Fatalf("old.Pending=%v fresh.Pending=%v after stale Cancel", old.Pending(), fresh.Pending())
 	}
-	c.Run(0)
+	run(c)
 	if !fired {
 		t.Fatal("a handle from before Reset cancelled an event scheduled after it")
 	}
@@ -430,7 +438,7 @@ func TestTimerAcrossReset(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		c.ScheduleAt(time.Second, func() { got = append(got, i) })
 	}
-	c.Run(0)
+	run(c)
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("same-instant order after Reset = %v", got)

@@ -15,7 +15,6 @@
 package telemetry
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,12 +34,6 @@ type Options struct {
 	// at allocation changes and the resource-time integral are always
 	// maintained.
 	ResourceSampleEvery time.Duration
-	// Warmup excludes requests served or dropped before this plane time
-	// from latency and violation statistics (the simulator's warmup
-	// semantics); arrival, batch, and launch counters always accumulate.
-	// An engine fed this collector sets it from its own Config.Warmup
-	// (SetWarmup).
-	Warmup time.Duration
 }
 
 // coldTimelineCap bounds the retained launch timeline per function.
@@ -54,7 +47,7 @@ const coldTimelineCap = 512
 // methods are safe for concurrent use.
 type Collector struct {
 	opts   Options
-	warmup atomic.Int64 // Options.Warmup, until SetWarmup
+	warmup atomic.Int64 // see SetWarmup
 
 	mu  sync.RWMutex
 	fns map[string]*funcStats
@@ -75,14 +68,14 @@ func New(opts Options) *Collector {
 	if opts.Window <= 0 {
 		opts.Window = time.Minute
 	}
-	c := &Collector{opts: opts, fns: map[string]*funcStats{}}
-	c.warmup.Store(int64(opts.Warmup))
-	return c
+	return &Collector{opts: opts, fns: map[string]*funcStats{}}
 }
 
-// SetWarmup replaces Options.Warmup. sim.New calls it with the engine's
-// Config.Warmup, so a collector handed to an engine cuts off where the
-// engine does; call it before the plane's first event.
+// SetWarmup excludes requests served or dropped before plane time d from
+// latency and violation statistics (the simulator's warmup semantics);
+// arrival, batch, and launch counters always accumulate. sim.New calls it
+// with the engine's Config.Warmup, so a collector handed to an engine
+// cuts off where the engine does; call it before the plane's first event.
 func (c *Collector) SetWarmup(d time.Duration) { c.warmup.Store(int64(d)) }
 
 func (c *Collector) inWarmup(now time.Duration) bool { return int64(now) < c.warmup.Load() }
@@ -336,18 +329,6 @@ func (c *Collector) emitSample() {
 		GPUUnits: c.cur.GPU,
 		Weighted: c.cur.Weighted(),
 	})
-}
-
-// Functions returns the names of every observed function, sorted.
-func (c *Collector) Functions() []string {
-	c.mu.RLock()
-	names := make([]string, 0, len(c.fns))
-	for name := range c.fns {
-		names = append(names, name)
-	}
-	c.mu.RUnlock()
-	sort.Strings(names)
-	return names
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

@@ -106,7 +106,8 @@ func TestCollectorRollingWindow(t *testing.T) {
 }
 
 func TestCollectorWarmup(t *testing.T) {
-	c := New(Options{Warmup: time.Second})
+	c := New(Options{})
+	c.SetWarmup(time.Second)
 	c.RequestServed("f", metrics.Sample{Exec: time.Millisecond}, 500*time.Millisecond)
 	c.RequestDropped("f", 500*time.Millisecond)
 	c.RequestServed("f", metrics.Sample{Exec: time.Millisecond}, 2*time.Second)
@@ -114,8 +115,7 @@ func TestCollectorWarmup(t *testing.T) {
 	if f == nil || f.Served != 1 || f.Dropped != 0 {
 		t.Fatalf("warmup not excluded: %+v", f)
 	}
-	// SetWarmup is the engine's way to move the cut-off of a collector
-	// it was handed.
+	// The engine moves the cut-off of a collector it was handed.
 	c.SetWarmup(3 * time.Second)
 	c.RequestServed("f", metrics.Sample{Exec: time.Millisecond}, 2*time.Second)
 	if f := c.Snapshot().Function("f"); f.Served != 1 {

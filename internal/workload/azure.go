@@ -56,8 +56,8 @@ func ReadAzureCSV(r io.Reader, maxRows int) ([]AzureFunctionTrace, error) {
 			if err != nil {
 				return nil, fmt.Errorf("workload: azure line %d minute %d: %v", lineNo, i+1, err)
 			}
-			if n < 0 {
-				return nil, fmt.Errorf("workload: azure line %d minute %d: negative count", lineNo, i+1)
+			if !validRate(n) {
+				return nil, fmt.Errorf("workload: azure line %d minute %d: count %g is not a finite non-negative number", lineNo, i+1, n)
 			}
 			rps[i] = n / 60.0
 		}

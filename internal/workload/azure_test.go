@@ -61,6 +61,8 @@ func TestReadAzureCSVErrors(t *testing.T) {
 		"few columns": "a,b,c\n",
 		"bad count":   "o,a,f,http,xyz\n",
 		"negative":    "o,a,f,http,-3\n",
+		"NaN count":   "o,a,f,http,NaN\n",
+		"+Inf count":  "o,a,f,http,0,+Inf\n",
 	}
 	for name, src := range cases {
 		if _, err := ReadAzureCSV(strings.NewReader(src), 0); err == nil {

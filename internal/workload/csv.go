@@ -1,9 +1,9 @@
 package workload
 
-// csv.go reads and writes request-rate traces, so that real production
-// traces (e.g. re-binned Azure Functions data, the paper's dynamic
-// workload source) can drive the simulator in place of the synthetic
-// generators. The format is a two-column CSV:
+// csv.go reads request-rate traces, so that real production traces
+// (e.g. re-binned Azure Functions data, the paper's dynamic workload
+// source) can drive the simulator in place of the synthetic generators.
+// The format is a two-column CSV:
 //
 //	offset_seconds,rps
 //	0,12.5
@@ -17,34 +17,26 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"time"
 )
 
-// WriteCSV serializes the trace.
-func (t *Trace) WriteCSV(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, "offset_seconds,rps"); err != nil {
-		return err
-	}
-	for i, r := range t.RPS {
-		off := time.Duration(i) * t.Step
-		if _, err := fmt.Fprintf(bw, "%d,%g\n", int(off.Seconds()), r); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
+// validRate reports whether x can be a trace rate: finite and
+// non-negative (the comparison is false for NaN).
+func validRate(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
-// ReadCSV parses a trace written by WriteCSV (or hand-authored in the
-// same format).
+// ReadCSV parses a trace in the format above. Rates must be finite and
+// non-negative, and the row spacing must convert to a positive
+// time.Duration.
 func ReadCSV(r io.Reader, name string) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	lineNo := 0
 	var (
 		offsets []float64
 		rates   []float64
+		lines   []int // source line of each row, for spacing errors
 	)
 	for sc.Scan() {
 		lineNo++
@@ -67,11 +59,12 @@ func ReadCSV(r io.Reader, name string) (*Trace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("workload: line %d: bad rps: %v", lineNo, err)
 		}
-		if rate < 0 {
-			return nil, fmt.Errorf("workload: line %d: negative rate", lineNo)
+		if !validRate(rate) {
+			return nil, fmt.Errorf("workload: line %d: rate %g is not a finite non-negative number", lineNo, rate)
 		}
 		offsets = append(offsets, off)
 		rates = append(rates, rate)
+		lines = append(lines, lineNo)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -82,15 +75,18 @@ func ReadCSV(r io.Reader, name string) (*Trace, error) {
 	step := time.Minute
 	if len(offsets) > 1 {
 		d := offsets[1] - offsets[0]
-		if d <= 0 {
-			return nil, fmt.Errorf("workload: offsets must ascend")
+		// Written as a range test so a NaN spacing fails it; the upper
+		// bound is the first float64 that overflows a Duration.
+		ns := d * float64(time.Second)
+		if !(ns >= 1 && ns < 1<<63) {
+			return nil, fmt.Errorf("workload: line %d: offsets must ascend by a step between 1ns and ~292y, got %gs", lines[1], d)
 		}
 		for i := 2; i < len(offsets); i++ {
 			if diff := offsets[i] - offsets[i-1]; diff != d {
-				return nil, fmt.Errorf("workload: uneven spacing at row %d (%g vs %g)", i, diff, d)
+				return nil, fmt.Errorf("workload: line %d: uneven spacing (%g vs %g)", lines[i], diff, d)
 			}
 		}
-		step = time.Duration(d * float64(time.Second))
+		step = time.Duration(ns)
 	}
 	if name == "" {
 		name = "csv"

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -10,8 +11,9 @@ import (
 func TestCSVRoundTrip(t *testing.T) {
 	orig := Bursty(Options{Days: 1, Seed: 13})
 	var buf bytes.Buffer
-	if err := orig.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
+	fmt.Fprintln(&buf, "offset_seconds,rps")
+	for i, r := range orig.RPS {
+		fmt.Fprintf(&buf, "%d,%g\n", int((time.Duration(i) * orig.Step).Seconds()), r)
 	}
 	got, err := ReadCSV(&buf, "bursty")
 	if err != nil {
@@ -55,6 +57,11 @@ func TestReadCSVErrors(t *testing.T) {
 		"negative":    "0,-5\n",
 		"descending":  "60,1\n0,2\n",
 		"uneven":      "0,1\n60,2\n90,3\n",
+		"NaN rate":    "0,NaN\n",
+		"+Inf rate":   "0,+Inf\n",
+		"NaN offsets": "NaN,1\nNaN,2",
+		"sub-ns step": "0,1\n1e-12,2",
+		"huge step":   "0,1\n1e300,2",
 	}
 	for name, src := range cases {
 		if _, err := ReadCSV(strings.NewReader(src), "t"); err == nil {

@@ -269,7 +269,7 @@ func FixedKeepAlivePolicy(keepAlive time.Duration) coldstart.Policy {
 
 // HHPPolicy returns the hybrid histogram policy of "Serverless in the
 // Wild" (ATC'20) with its default 4-hour tracking window.
-func HHPPolicy() coldstart.Policy { return coldstart.NewHHP(coldstart.HHPOptions{}) }
+func HHPPolicy() coldstart.Policy { return coldstart.NewHHP() }
 
 // LSTHPolicy returns INFless's Long-Short Term Histogram policy with the
 // given blending weight gamma (the paper evaluates 0.3, 0.5 and 0.7).

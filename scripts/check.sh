@@ -1,6 +1,9 @@
 #!/bin/sh
 # scripts/check.sh is the tier-1 gate: formatting, build + vet, full
-# test suite, a race pass over the concurrently-exercised packages
+# test suite, a five-second native fuzz of each of the three parsers of
+# outside input (the two trace readers and the template parser; a
+# crasher lands in testdata/fuzz and fails the gate with its replay
+# line), a race pass over the concurrently-exercised packages
 # (`make race`, where the package lists live: the wall-clock gateway,
 # whose callers and pacer drive one sim.Engine under one lock, the engine
 # and runtime policies it drives, and the sharded cluster + scheduler
@@ -52,6 +55,10 @@ if [ "$lint_elapsed" -gt 60 ]; then
 fi
 echo "== go test"
 go test ./...
+echo "== fuzz smoke (3 targets x 5s: trace CSV, Azure CSV, function template)"
+go test -run '^$' -fuzz '^FuzzReadCSV$' -fuzztime 5s ./internal/workload
+go test -run '^$' -fuzz '^FuzzReadAzureCSV$' -fuzztime 5s ./internal/workload
+go test -run '^$' -fuzz '^FuzzParseTemplate$' -fuzztime 5s ./internal/core
 echo "== go test -race (make race: gateway + sim + runtime + ..., cluster + scheduler, experiment runner)"
 "${MAKE:-make}" race
 echo "== sharded-equivalence smoke"

@@ -71,40 +71,6 @@ func (o Options) Validate() error {
 		return &FieldError{"Options.Telemetry.ResourceSampleEvery", o.Telemetry.ResourceSampleEvery,
 			"sample period must be positive (0 = change points only)"}
 	}
-	if err := o.Storage.Validate(); err != nil {
-		return err
-	}
-	return nil
-}
-
-// Validate rejects storage declarations that cannot configure the tiered
-// hierarchy. The zero value is always valid — tiering disabled.
-func (s StorageOptions) Validate() error {
-	for _, b := range []struct {
-		field string
-		v     float64
-	}{
-		{"Options.Storage.RemoteMBps", s.RemoteMBps},
-		{"Options.Storage.SSDMBps", s.SSDMBps},
-		{"Options.Storage.DRAMMBps", s.DRAMMBps},
-		{"Options.Storage.DeviceMBps", s.DeviceMBps},
-	} {
-		if b.v < 0 {
-			return &FieldError{b.field, b.v, "bandwidth must be positive MB/s (0 = default)"}
-		}
-	}
-	if s.RemoteLatency < 0 {
-		return &FieldError{"Options.Storage.RemoteLatency", s.RemoteLatency,
-			"latency must be positive (0 = default 100ms)"}
-	}
-	if s.SSDCacheMB < 0 {
-		return &FieldError{"Options.Storage.SSDCacheMB", s.SSDCacheMB,
-			"cache capacity must be positive MB (0 = default)"}
-	}
-	if s.DRAMCacheMB < 0 {
-		return &FieldError{"Options.Storage.DRAMCacheMB", s.DRAMCacheMB,
-			"cache capacity must be positive MB (0 = default)"}
-	}
 	return nil
 }
 
