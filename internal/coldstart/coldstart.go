@@ -15,6 +15,21 @@
 // kept alive (keep-alive window). An arrival is warm iff the idle gap
 // preceding it lands inside [prewarm, prewarm+keepalive].
 //
+// # One idle log, a cursor per window
+//
+// A histogram policy keeps its idle observations, exact (at, idle)
+// pairs in arrival order, in one idleLog: a chain of fixed-size chunks
+// that is only ever appended to. Each sliding window is a head cursor
+// into that log plus the histogram and running sums of the entries from
+// its head to the log's end; an entry leaves a window when it is older
+// than the window's span, evaluated whenever the policy records or
+// answers. HHP has one window; LSTH's short and long windows are two
+// cursors over the same log, the long window's entries being a superset
+// of the short one's. A chunk that every cursor has left goes to a free
+// list and is the next one appended to, so recording copies nothing and
+// a policy holds as many chunks as its longest window's population
+// needs, however long the run.
+//
 // # Policy and TierPolicy
 //
 // With multi-tier artifact loading (internal/artifact) an idle function's
@@ -130,33 +145,111 @@ func (h *Hist) Percentile(q float64) time.Duration {
 	return time.Duration(len(h.bins)) * BinWidth
 }
 
-// windowed is a sliding-window histogram: observations expire once they
-// fall out of the window.
-type windowed struct {
-	hist   *Hist
-	window time.Duration
-	obs    []obsEntry
-	head   int
-	sum    float64 // seconds, over live observations
-	sumSq  float64
-}
+// idleChunkLen makes an idleChunk fill one 4096-byte allocation: 255
+// 16-byte entries plus the link.
+const idleChunkLen = 255
 
-type obsEntry struct {
+type idleEntry struct {
 	at   time.Duration
 	idle time.Duration
 }
 
-func newWindowed(window time.Duration) *windowed {
-	return &windowed{hist: NewHist(window), window: window}
+type idleChunk struct {
+	entries [idleChunkLen]idleEntry
+	next    *idleChunk
 }
 
-func (w *windowed) observe(idle, now time.Duration) {
-	w.evict(now)
-	w.obs = append(w.obs, obsEntry{at: now, idle: idle})
-	w.hist.Observe(idle)
+// idleLog is a policy's one record of its idle observations and the
+// windows over it (see the package comment): a chain of chunks from
+// first to tail, and the chunks every window's head has left, on free.
+type idleLog struct {
+	wins  []*windowed
+	first *idleChunk // oldest chunk a window's head may still be in
+	tail  *idleChunk // chunk being filled; it always has room
+	n     int        // entries in tail
+	free  *idleChunk
+}
+
+// windowed is a sliding-window histogram over an idleLog: observations
+// expire once they fall out of the window.
+type windowed struct {
+	hist   *Hist
+	window time.Duration
+	chunk  *idleChunk // head: the oldest live entry is chunk.entries[head],
+	head   int        // or the log's end when the window is empty
+	sum    float64    // seconds, over live observations
+	sumSq  float64
+}
+
+// newIdleLog creates an empty log with one window per duration, in
+// order.
+func newIdleLog(windows ...time.Duration) *idleLog {
+	c := new(idleChunk)
+	g := &idleLog{first: c, tail: c}
+	for _, d := range windows {
+		g.wins = append(g.wins, &windowed{hist: NewHist(d), window: d, chunk: c})
+	}
+	return g
+}
+
+// record expires what has left each window as of now, then admits one
+// observation to all of them.
+func (g *idleLog) record(idle, now time.Duration) {
+	g.evict(now)
+	g.tail.entries[g.n] = idleEntry{at: now, idle: idle}
+	g.n++
+	if g.n == idleChunkLen {
+		c := g.free
+		if c != nil {
+			g.free, c.next = c.next, nil
+		} else {
+			// Free-list miss: only while the longest window's population
+			// is still growing.
+			c = new(idleChunk)
+		}
+		g.tail.next, g.tail, g.n = c, c, 0
+	}
 	s := idle.Seconds()
-	w.sum += s
-	w.sumSq += s * s
+	for _, w := range g.wins {
+		w.hist.Observe(idle)
+		w.sum += s
+		w.sumSq += s * s
+	}
+}
+
+// evict advances every window's head past the entries older than its
+// span and recycles the chunks no head is in any more.
+func (g *idleLog) evict(now time.Duration) {
+	for _, w := range g.wins {
+		for w.chunk != g.tail || w.head != g.n {
+			e := w.chunk.entries[w.head]
+			if e.at >= now-w.window {
+				break
+			}
+			w.hist.Remove(e.idle)
+			s := e.idle.Seconds()
+			w.sum -= s
+			w.sumSq -= s * s
+			if w.head++; w.head == idleChunkLen {
+				w.chunk, w.head = w.chunk.next, 0
+			}
+		}
+	}
+	for g.first != g.tail && !g.reads(g.first) {
+		c := g.first
+		g.first = c.next
+		c.next, g.free = g.free, c
+	}
+}
+
+// reads reports whether some window's head is in chunk c.
+func (g *idleLog) reads(c *idleChunk) bool {
+	for _, w := range g.wins {
+		if w.chunk == c {
+			return true
+		}
+	}
+	return false
 }
 
 // cv returns the coefficient of variation of the live observations; 0 for
@@ -175,21 +268,6 @@ func (w *windowed) cv() float64 {
 		variance = 0
 	}
 	return math.Sqrt(variance) / mean
-}
-
-func (w *windowed) evict(now time.Duration) {
-	for w.head < len(w.obs) && w.obs[w.head].at < now-w.window {
-		w.hist.Remove(w.obs[w.head].idle)
-		s := w.obs[w.head].idle.Seconds()
-		w.sum -= s
-		w.sumSq -= s * s
-		w.head++
-	}
-	// Compact occasionally so memory stays bounded on long runs.
-	if w.head > 1024 && w.head*2 > len(w.obs) {
-		w.obs = append([]obsEntry(nil), w.obs[w.head:]...)
-		w.head = 0
-	}
 }
 
 // Fixed is the fixed keep-alive policy used by OpenFaaS⁺ and BATCH in the
@@ -244,18 +322,22 @@ const (
 // Until enough samples accrue it falls back to a conservative fixed
 // keep-alive.
 type HHP struct {
+	log *idleLog
 	win *windowed
 }
 
 // NewHHP creates an HHP policy.
-func NewHHP() *HHP { return &HHP{win: newWindowed(hhpWindow)} }
+func NewHHP() *HHP {
+	log := newIdleLog(hhpWindow)
+	return &HHP{log: log, win: log.wins[0]}
+}
 
 func (h *HHP) Name() string { return "hhp" }
 
-func (h *HHP) RecordIdle(idle, now time.Duration) { h.win.observe(idle, now) }
+func (h *HHP) RecordIdle(idle, now time.Duration) { h.log.record(idle, now) }
 
 func (h *HHP) Windows(now time.Duration) (time.Duration, time.Duration) {
-	h.win.evict(now)
+	h.log.evict(now)
 	if h.win.hist.Total() < minSamples || h.win.cv() > hhpCVLimit {
 		return 0, DefaultFixedKeepAlive
 	}
@@ -278,6 +360,7 @@ func (h *HHP) Windows(now time.Duration) (time.Duration, time.Duration) {
 //	prewarm   = gamma*L_prewarm   + (1-gamma)*S_prewarm
 //	keepalive = gamma*L_keepalive + (1-gamma)*S_keepalive
 type LSTH struct {
+	log   *idleLog // one log, two cursors: short's live entries are the newest of long's
 	short *windowed
 	long  *windowed
 	gamma float64
@@ -298,23 +381,16 @@ func NewLSTH(opts LSTHOptions) *LSTH {
 	if opts.Gamma < 0 || opts.Gamma > 1 {
 		panic(fmt.Sprintf("coldstart: gamma %f out of [0,1]", opts.Gamma))
 	}
-	return &LSTH{
-		short: newWindowed(lsthShortWindow),
-		long:  newWindowed(lsthLongWindow),
-		gamma: opts.Gamma,
-	}
+	log := newIdleLog(lsthShortWindow, lsthLongWindow)
+	return &LSTH{log: log, short: log.wins[0], long: log.wins[1], gamma: opts.Gamma}
 }
 
 func (l *LSTH) Name() string { return fmt.Sprintf("lsth(γ=%.1f)", l.gamma) }
 
-func (l *LSTH) RecordIdle(idle, now time.Duration) {
-	l.short.observe(idle, now)
-	l.long.observe(idle, now)
-}
+func (l *LSTH) RecordIdle(idle, now time.Duration) { l.log.record(idle, now) }
 
 func (l *LSTH) Windows(now time.Duration) (time.Duration, time.Duration) {
-	l.short.evict(now)
-	l.long.evict(now)
+	l.log.evict(now)
 	if l.long.hist.Total() < minSamples {
 		return 0, DefaultFixedKeepAlive
 	}

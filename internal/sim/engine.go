@@ -277,8 +277,10 @@ func (e *Engine) Run() *Result {
 		if f.Spec.Trace == nil {
 			continue
 		}
-		stream := workload.NewStream(f.Spec.Trace, e.cfg.Duration, rand.New(rand.NewSource(e.cfg.Seed+int64(len(f.Spec.Name)))))
-		e.scheduleNextArrival(f, stream)
+		a := &arrivals{e: e, f: f, stream: workload.NewStream(f.Spec.Trace, e.cfg.Duration,
+			rand.New(rand.NewSource(e.cfg.Seed+int64(len(f.Spec.Name)))))}
+		a.fire = a.arrive
+		a.arm()
 	}
 	// Failure injection.
 	for _, fail := range e.cfg.Failures {
@@ -326,18 +328,32 @@ func (e *Engine) Run() *Result {
 	}
 }
 
-func (e *Engine) scheduleNextArrival(f *FunctionState, stream *workload.Stream) {
-	at, ok := stream.Next()
+// arrivals is one traced function's arrival chain. fire is built once
+// and re-arms itself, as an instance's timeout/completion/idle callbacks
+// do, so an arrival allocates no closure.
+type arrivals struct {
+	e      *Engine
+	f      *FunctionState
+	stream *workload.Stream
+	fire   func() // arrive, bound once
+}
+
+// arrive injects one request and arms the next arrival.
+func (a *arrivals) arrive() {
+	a.e.Inject(a.f, a.e.NewRequest())
+	a.arm()
+}
+
+// arm schedules fire at the stream's next arrival instant, if any.
+func (a *arrivals) arm() {
+	at, ok := a.stream.Next()
 	if !ok {
 		return
 	}
-	if at < e.clock.Now() {
-		at = e.clock.Now()
+	if now := a.e.clock.Now(); at < now {
+		at = now
 	}
-	e.clock.ScheduleAt(at, func() {
-		e.Inject(f, e.NewRequest())
-		e.scheduleNextArrival(f, stream)
-	})
+	a.e.clock.ScheduleAt(at, a.fire)
 }
 
 // resolveChains links ForwardTo names to function states and attaches

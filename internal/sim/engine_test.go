@@ -1,6 +1,8 @@
 package sim
 
 import (
+	goruntime "runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -9,6 +11,7 @@ import (
 	"github.com/tanklab/infless/internal/coldstart"
 	"github.com/tanklab/infless/internal/model"
 	"github.com/tanklab/infless/internal/perf"
+	"github.com/tanklab/infless/internal/runtime"
 	"github.com/tanklab/infless/internal/scheduler"
 	"github.com/tanklab/infless/internal/telemetry"
 	"github.com/tanklab/infless/internal/workload"
@@ -301,5 +304,125 @@ func TestResultAggregates(t *testing.T) {
 	}
 	if res.System != "manual" {
 		t.Fatalf("system name = %s", res.System)
+	}
+}
+
+// flushProbe is a manualController that places at most room more
+// requests and that, like pendingWatch, calls check from inside a flush.
+type flushProbe struct {
+	manualController
+	room  int
+	check func()
+}
+
+func (p *flushProbe) Route(e *Engine, f *FunctionState, r *Request) *Instance {
+	if p.check != nil {
+		p.check()
+	}
+	if p.room == 0 {
+		return nil
+	}
+	inst := p.manualController.Route(e, f, r)
+	if inst != nil {
+		p.room--
+	}
+	return inst
+}
+
+// pendingWatch calls check from every observer event Enqueue publishes.
+type pendingWatch struct {
+	runtime.NopObserver
+	check func()
+}
+
+func (w *pendingWatch) RequestEnqueued(string, int, time.Duration)     { w.check() }
+func (w *pendingWatch) BatchSubmitted(string, int, int, time.Duration) { w.check() }
+func (w *pendingWatch) RequestDropped(string, time.Duration)           { w.check() }
+
+// A partial flush leaves the unrouted remainder, in order, at the front
+// of the backlog's own array. That is sound only while nothing the loop
+// calls appends to the backlog before it returns, so the backlog's
+// length is checked from every call the loop makes out of the engine:
+// Route, the observers (an enqueue, a full batch's submission, an
+// admission drop) and the completion hook.
+func TestFlushPendingCompactsInPlace(t *testing.T) {
+	ctrl := &flushProbe{manualController: manualController{
+		cand:  testCand(2, perf.Resources{CPU: 2}, 90*time.Millisecond, 200*time.Millisecond),
+		admit: true,
+	}}
+	e := New(ctrl, Config{Cluster: cluster.Testbed(), Seed: 1})
+	f := e.AddFunction(FunctionSpec{Name: "f", Model: model.MustGet("MNIST"), SLO: 200 * time.Millisecond})
+	watch := &pendingWatch{check: func() {}}
+	e.Observe(watch)
+	dropped := 0
+	e.OnDone(func(_ *Request, o Outcome) {
+		watch.check()
+		if !o.Served {
+			dropped++
+		}
+	})
+	e.Start()
+	e.Clock().RunUntil(time.Minute) // the instance is warm and idle
+
+	for i := 0; i < 12; i++ {
+		e.Inject(f, e.NewRequest())
+	}
+	before := slices.Clone(f.Pending)
+	if len(before) != 12 {
+		t.Fatalf("backlog = %d requests, want 12", len(before))
+	}
+	const routed = 9
+	ctrl.room = routed
+	checks := 0
+	watch.check = func() {
+		checks++
+		if !slices.Equal(f.Pending, before) {
+			t.Errorf("backlog changed under FlushPending: %d requests, want %d", len(f.Pending), len(before))
+		}
+	}
+	ctrl.check = watch.check
+	e.FlushPending(f)
+	ctrl.check, watch.check = nil, func() {}
+
+	if inst := f.Instances()[0]; !inst.Busy || dropped == 0 || dropped >= routed {
+		t.Fatalf("flush submitted=%v dropped=%d of %d routed: want a submission, an admission drop and an enqueue",
+			inst.Busy, dropped, routed)
+	}
+	if checks <= 2*routed {
+		t.Errorf("backlog checked %d times for %d routed requests", checks, routed)
+	}
+	if !slices.Equal(f.Pending, before[routed:]) {
+		t.Errorf("remainder is not the unrouted suffix, in order")
+	}
+	if cap(f.Pending) < len(before) {
+		t.Errorf("remainder has capacity %d: the backlog's array (%d) was not kept", cap(f.Pending), len(before))
+	}
+}
+
+// A simulated arrival under a fixed keep-alive allocates nothing of its
+// own: no closure per arrival (the chain re-arms one bound callback),
+// nothing in Stream.Next once its buffer holds the largest step, no
+// request or clock event past the free lists' fill (the requests that
+// back up behind the one cold start are most of what is left). None of the
+// //lint:hotpath seeds covers Run's arrival chain, so this is its guard.
+func TestRunMallocsPerArrival(t *testing.T) {
+	ctrl := &manualController{cand: testCand(32, perf.Resources{CPU: 2}, 8*time.Millisecond, 200*time.Millisecond)}
+	e := New(ctrl, Config{Cluster: cluster.Testbed(), Duration: time.Minute, Seed: 1})
+	e.AddFunction(FunctionSpec{
+		Name:  "f",
+		Model: model.MustGet("MNIST"),
+		SLO:   200 * time.Millisecond,
+		Trace: workload.Constant(1000, time.Minute, time.Second),
+	})
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	res := e.Run()
+	goruntime.ReadMemStats(&after)
+	arrived := res.Telemetry.Function("f").Arrived
+	if arrived < 50000 {
+		t.Fatalf("only %d arrivals", arrived)
+	}
+	if per := float64(after.Mallocs-before.Mallocs) / float64(arrived); per >= 0.05 {
+		t.Errorf("%.3f mallocs per arrival over %d arrivals, want < 0.05", per, arrived)
 	}
 }

@@ -259,14 +259,17 @@ func (e *Engine) FlushPending(f *FunctionState) {
 		return
 	}
 	e.expirePending(f)
-	pending := f.Pending
-	f.Pending = nil
-	for i, r := range pending {
+	pending, routed := f.Pending, 0
+	for _, r := range pending {
 		inst := e.ctrl.Route(e, f, r)
 		if inst == nil {
-			f.Pending = append(f.Pending, pending[i:]...)
 			break
 		}
 		e.Enqueue(inst, r)
+		routed++
 	}
+	// Only Inject appends to the backlog, and nothing Route or Enqueue
+	// calls injects before it returns (TestFlushPendingCompactsInPlace), so
+	// the unrouted remainder moves to the front of the array it is in.
+	f.Pending = pending[:copy(pending, pending[routed:])]
 }

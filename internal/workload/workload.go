@@ -14,7 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -221,7 +221,8 @@ type Stream struct {
 	limit time.Duration
 
 	step    int
-	pending []time.Duration
+	pending []time.Duration // the current step's arrivals, sorted; reused step to step
+	next    int             // index in pending of the arrival Next returns
 }
 
 // NewStream creates an arrival stream over the trace, truncated at limit
@@ -238,9 +239,9 @@ func NewStream(t *Trace, limit time.Duration, rng *rand.Rand) *Stream {
 // exhausted. Arrivals are strictly ordered.
 func (s *Stream) Next() (at time.Duration, ok bool) {
 	for {
-		if len(s.pending) > 0 {
-			at = s.pending[0]
-			s.pending = s.pending[1:]
+		if s.next < len(s.pending) {
+			at = s.pending[s.next]
+			s.next++
 			if at >= s.limit {
 				return 0, false
 			}
@@ -261,12 +262,12 @@ func (s *Stream) Next() (at time.Duration, ok bool) {
 		if n == 0 {
 			continue
 		}
-		s.pending = s.pending[:0]
+		s.pending, s.next = s.pending[:0], 0
 		for i := 0; i < n; i++ {
 			off := time.Duration(s.rng.Float64() * float64(s.trace.Step))
 			s.pending = append(s.pending, stepStart+off)
 		}
-		sortDurations(s.pending)
+		slices.Sort(s.pending)
 	}
 }
 
@@ -309,8 +310,4 @@ func poisson(rng *rand.Rand, mean float64) int {
 		}
 		k++
 	}
-}
-
-func sortDurations(xs []time.Duration) {
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
 }

@@ -3,6 +3,8 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -138,6 +140,71 @@ func TestStreamZeroRate(t *testing.T) {
 	s := NewStream(tr, 0, rand.New(rand.NewSource(1)))
 	if got := s.Collect(0); len(got) != 0 {
 		t.Fatalf("silent trace produced %d arrivals", len(got))
+	}
+}
+
+// referenceArrivals is the per-step algorithm Stream implements, written
+// the plain way: a fresh slice per step, sort.Slice, everything
+// materialized.
+func referenceArrivals(tr *Trace, limit time.Duration, rng *rand.Rand) []time.Duration {
+	var out []time.Duration
+	for step := 0; ; step++ {
+		start := time.Duration(step) * tr.Step
+		if start >= limit {
+			return out
+		}
+		rate := tr.RateAt(start)
+		if rate <= 0 {
+			continue
+		}
+		xs := make([]time.Duration, poisson(rng, rate*tr.Step.Seconds()))
+		for i := range xs {
+			xs[i] = start + time.Duration(rng.Float64()*float64(tr.Step))
+		}
+		sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
+		for _, at := range xs {
+			if at >= limit {
+				return out
+			}
+			out = append(out, at)
+		}
+	}
+}
+
+// Stream's buffer reuse must not change one RNG draw or one arrival
+// instant: simulations are reproducible through it.
+func TestStreamMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		opts := Options{Days: 1, Seed: seed, BaseRPS: 2}
+		traces := []*Trace{Constant(2, 6*time.Hour, time.Minute), Periodic(opts), Bursty(opts), Sporadic(opts)}
+		for _, tr := range traces {
+			// Past the trace's end (it wraps) and inside a step (the cut
+			// falls among that step's arrivals).
+			limit := tr.Duration() + 90*time.Minute + 17*time.Second
+			got := NewStream(tr, limit, rand.New(rand.NewSource(seed))).Collect(0)
+			want := referenceArrivals(tr, limit, rand.New(rand.NewSource(seed)))
+			if len(want) < 1000 {
+				t.Fatalf("%s seed %d: reference has only %d arrivals", tr.Name, seed, len(want))
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("%s seed %d: stream (%d arrivals) differs from the reference (%d)", tr.Name, seed, len(got), len(want))
+			}
+		}
+	}
+}
+
+func TestStreamNextDoesNotAllocate(t *testing.T) {
+	s := NewStream(Constant(200, time.Hour, time.Second), 0, rand.New(rand.NewSource(3)))
+	s.Collect(100000) // the buffer has held some 500 steps' arrivals
+	// A thousand arrivals a run, some five steps: AllocsPerRun rounds
+	// down, and a step's allocations are few.
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 1000; i++ {
+			s.Next()
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Stream.Next allocates %v times per 1000 arrivals", allocs)
 	}
 }
 
