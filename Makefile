@@ -36,8 +36,10 @@ test:
 ## wall-clock gateway, whose callers and pacer drive one sim.Engine under
 ## one lock, that engine itself (internal/sim is the gateway's data
 ## plane), the runtime policies, the telemetry collector (fed by the
-## engine, read from any goroutine), the loadgen worker pool, the function registry, and the
-## pool / simclock types underneath; (2) the sharded control plane,
+## engine, read from any goroutine: TestCollectorSnapshotDuringEvents
+## overlaps the two), the loadgen worker pool, the function registry, and the
+## pool / simclock types underneath (simclock's heap against its sorted
+## reference, TestHeapMatchesSortedReference); (2) the sharded control plane,
 ## whose FitPool fans fit queries across workers (-short: the equivalence
 ## sweeps are long under the detector); (3) the parallel experiment
 ## runner. scripts/check.sh runs this target, so the lists exist once.

@@ -122,7 +122,7 @@ func (m *manual) drain() {
 		if waiting == 0 {
 			return
 		}
-		next, ok := m.step()
+		next, ok, _ := m.step()
 		if !ok {
 			m.t.Fatalf("%d invocations unanswered and nothing scheduled", waiting)
 		}

@@ -84,9 +84,11 @@ func (s *Server) toModel(d time.Duration) time.Duration {
 // 10s always means ten seconds of *model* time regardless of speed.
 func (s *Server) planeNow() time.Duration { return s.toModel(s.now().Sub(s.epoch)) }
 
-// wallUntil is the wall time left until plane time t, an hour at most.
-func (s *Server) wallUntil(t time.Duration) time.Duration {
-	left := float64(t)/s.cfg.SpeedFactor - float64(s.now().Sub(s.epoch))
+// wallUntil is the wall time left until plane time t, an hour at most,
+// when the wall clock reads wall past the epoch (advance's reading: a
+// turn of the pacer or of await reads the clock once).
+func (s *Server) wallUntil(t, wall time.Duration) time.Duration {
+	left := float64(t)/s.cfg.SpeedFactor - float64(wall)
 	return time.Duration(min(left, float64(time.Hour)))
 }
 
@@ -100,21 +102,26 @@ func (s *Server) lock() {
 	}
 }
 
-// advance runs the engine up to the present. Callers hold s.mu.
-func (s *Server) advance() { s.eng.Clock().RunUntil(s.planeNow()) }
+// advance runs the engine up to the present and returns the present, as
+// the wall clock's offset from the epoch. Callers hold s.mu.
+func (s *Server) advance() (wall time.Duration) {
+	wall = s.now().Sub(s.epoch)
+	s.eng.Clock().RunUntil(s.toModel(wall))
+	return wall
+}
 
-// step advances the engine to the present and reports when its next
-// event is due (ok false: none is). It is one turn of the pacer, and how
-// a test on an injected clock moves the plane after moving the clock.
-func (s *Server) step() (next time.Duration, ok bool) {
+// step advances the engine to the present (wall) and reports when its
+// next event is due (ok false: none is). It is one turn of the pacer, and
+// how a test on an injected clock moves the plane after moving the clock.
+func (s *Server) step() (next time.Duration, ok bool, wall time.Duration) {
 	s.mu.Lock()
-	s.advance()
+	wall = s.advance()
 	if next, ok = s.eng.Clock().Next(); !ok {
 		next = math.MaxInt64
 	}
 	s.pacerDue = next
 	s.mu.Unlock()
-	return next, ok
+	return next, ok, wall
 }
 
 // pace is the pacer goroutine: step, sleep until the next event's wall
@@ -128,8 +135,8 @@ func (s *Server) pace() {
 	defer timer.Stop()
 	for {
 		wait := time.Hour
-		if next, ok := s.step(); ok {
-			wait = s.wallUntil(next)
+		if next, ok, wall := s.step(); ok {
+			wait = s.wallUntil(next, wall)
 		}
 		if wait < spinWindow {
 			runtime.Gosched()
@@ -213,9 +220,9 @@ func (s *Server) invoke(ctx context.Context, name string) (InvokeResponse, error
 func (s *Server) await(ctx context.Context, inv *invocation) (sim.Outcome, error) {
 	for helping := !s.manual; helping; {
 		s.lock()
-		s.advance()
+		wall := s.advance()
 		next, ok := s.eng.Clock().Next()
-		helping = len(inv.reply) == 0 && ok && s.wallUntil(next) <= spinWindow
+		helping = len(inv.reply) == 0 && ok && s.wallUntil(next, wall) <= spinWindow
 		wake := !helping && ok && next < s.pacerDue
 		if wake {
 			s.pacerDue = next

@@ -48,7 +48,7 @@ func TestBatchDeadlineAnchoredAtArrival(t *testing.T) {
 	t0 := m.planeNow()
 	m.invoke("resnet") // alone: submitted when its timeout fires, at t0+timeout
 	m.at(t0 + timeout)
-	done, _ := m.step() // the engine's next event: that batch completing
+	done, _, _ := m.step() // the engine's next event: that batch completing
 	if !inst.Busy || done <= t0+timeout {
 		t.Fatalf("first request's batch not executing at t0 + timeout (busy %v, next event %v)", inst.Busy, done)
 	}

@@ -25,6 +25,8 @@ type Op struct {
 	ID     int
 	Class  string  // key into perf.Catalog
 	GFLOPs float64 // work per single input item at input scale 1
+
+	class *perf.OpClass // perf.Catalog[Class], resolved by NewOp
 }
 
 // Kind discriminates SP-tree nodes.
@@ -107,7 +109,7 @@ func (m *Model) TimeShareByClass(b int, res perf.Resources) []ClassStat {
 	total := time.Duration(0)
 	byClass := map[string]time.Duration{}
 	for _, o := range m.ops {
-		t := perf.Class(o.Class).OpTime(o.GFLOPs, m.InputScale, b, res)
+		t := o.class.OpTime(o.GFLOPs, m.InputScale, b, res)
 		byClass[o.Class] += t
 		total += t
 	}
@@ -128,9 +130,9 @@ func (m *Model) TimeShareByClass(b int, res perf.Resources) []ClassStat {
 // --- SP-tree construction helpers -------------------------------------
 
 // NewOp creates a leaf node invoking class with the given per-item work.
+// An unknown class panics here, at construction.
 func NewOp(class string, gflops float64) *Node {
-	perf.Class(class) // panic early on typos
-	return &Node{Kind: Leaf, Op: &Op{Class: class, GFLOPs: gflops}}
+	return &Node{Kind: Leaf, Op: &Op{Class: class, GFLOPs: gflops, class: perf.Class(class)}}
 }
 
 // SeqOf composes children into a sequence chain.
@@ -195,9 +197,25 @@ type ExecOptions struct {
 	// assumption); the default models realistic partial overlap.
 	Contention float64
 	// NoiseSD is the relative standard deviation of multiplicative
-	// run-to-run noise. Rng must be non-nil when NoiseSD > 0.
+	// run-to-run noise, drawn from Rng; with a nil Rng there is none.
 	NoiseSD float64
 	Rng     *rand.Rand
+}
+
+// Jitter applies the run-to-run noise to a noise-free execution time t:
+// one draw from Rng, a factor of 1 + N(0,1)·NoiseSD floored at 0.5. It is
+// the whole of what separates two executions of one batch configuration,
+// so a caller that keeps ExecTime's noise-free value (NoiseSD 0 or a nil
+// Rng) gets the next execution's time from Jitter alone.
+func (o ExecOptions) Jitter(t time.Duration) time.Duration {
+	if o.NoiseSD <= 0 || o.Rng == nil {
+		return t
+	}
+	f := 1 + o.Rng.NormFloat64()*o.NoiseSD
+	if f < 0.5 {
+		f = 0.5
+	}
+	return time.Duration(float64(t) * f)
 }
 
 // DefaultExecOptions are the simulator's ground-truth settings: branches
@@ -213,7 +231,7 @@ func DefaultExecOptions(rng *rand.Rand) ExecOptions {
 func (m *Model) ExecTime(b int, res perf.Resources, opt ExecOptions) time.Duration {
 	//lint:ignore hotalloc the closure stays on the stack: execWith and evalNode only call it (the 0 allocs/op gate runs through here)
 	return m.execWith(func(o *Op) time.Duration {
-		return perf.Class(o.Class).OpTime(o.GFLOPs, m.InputScale, b, res)
+		return o.class.OpTime(o.GFLOPs, m.InputScale, b, res)
 	}, opt)
 }
 
@@ -223,20 +241,12 @@ func (m *Model) ExecTime(b int, res perf.Resources, opt ExecOptions) time.Durati
 // memory size.
 func (m *Model) ExecTimeFracCPU(b int, cores float64, opt ExecOptions) time.Duration {
 	return m.execWith(func(o *Op) time.Duration {
-		return perf.Class(o.Class).OpTimeFracCPU(o.GFLOPs, m.InputScale, b, cores)
+		return o.class.OpTimeFracCPU(o.GFLOPs, m.InputScale, b, cores)
 	}, opt)
 }
 
 func (m *Model) execWith(leaf func(*Op) time.Duration, opt ExecOptions) time.Duration {
-	t := m.evalNode(m.Root, leaf, opt)
-	if opt.NoiseSD > 0 && opt.Rng != nil {
-		f := 1 + opt.Rng.NormFloat64()*opt.NoiseSD
-		if f < 0.5 {
-			f = 0.5
-		}
-		t = time.Duration(float64(t) * f)
-	}
-	return t
+	return opt.Jitter(m.evalNode(m.Root, leaf, opt))
 }
 
 func (m *Model) evalNode(n *Node, leaf func(*Op) time.Duration, opt ExecOptions) time.Duration {

@@ -167,6 +167,48 @@ func TestExecTimeNoiseDeterministic(t *testing.T) {
 	}
 }
 
+// TestExecTimeIsJitterOfBase pins the split the simulator's memo relies
+// on: a noisy ExecTime is Jitter of the noise-free one, draw for draw,
+// and without a generator Jitter changes nothing. The 0.5 floor is
+// exercised with a noise level that reaches it.
+func TestExecTimeIsJitterOfBase(t *testing.T) {
+	res := perf.Resources{CPU: 2, GPU: 1}
+	for _, m := range All() {
+		base := m.ExecTime(4, res, DefaultExecOptions(nil))
+		if base != m.ExecTime(4, res, ExecOptions{Contention: DefaultExecOptions(nil).Contention}) {
+			t.Fatalf("%s: a nil Rng does not mean noise-free", m.Name)
+		}
+		if DefaultExecOptions(nil).Jitter(base) != base {
+			t.Fatalf("%s: Jitter without a generator moved the time", m.Name)
+		}
+		direct := DefaultExecOptions(rand.New(rand.NewSource(3)))
+		split := DefaultExecOptions(rand.New(rand.NewSource(3)))
+		varied := false
+		for i := 0; i < 50; i++ {
+			got, want := split.Jitter(base), m.ExecTime(4, res, direct)
+			if got != want {
+				t.Fatalf("%s draw %d: Jitter(base) = %v, ExecTime = %v", m.Name, i, got, want)
+			}
+			varied = varied || got != base
+		}
+		if !varied {
+			t.Fatalf("%s: 50 noisy executions all equal the base time", m.Name)
+		}
+	}
+	wild := ExecOptions{NoiseSD: 10, Rng: rand.New(rand.NewSource(1))}
+	floored := false
+	for i := 0; i < 100; i++ {
+		got := wild.Jitter(time.Second)
+		if got < time.Second/2 {
+			t.Fatalf("Jitter = %v, below the 0.5 floor", got)
+		}
+		floored = floored || got == time.Second/2
+	}
+	if !floored {
+		t.Fatal("NoiseSD 10 never reached the floor in 100 draws")
+	}
+}
+
 func TestContentionBounds(t *testing.T) {
 	m := MustGet("TextCNN-69") // has parallel branches
 	res := perf.Resources{CPU: 4}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	goruntime "runtime"
 	"slices"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"github.com/tanklab/infless/internal/coldstart"
 	"github.com/tanklab/infless/internal/model"
 	"github.com/tanklab/infless/internal/perf"
+	"github.com/tanklab/infless/internal/profiler"
 	"github.com/tanklab/infless/internal/runtime"
 	"github.com/tanklab/infless/internal/scheduler"
 	"github.com/tanklab/infless/internal/telemetry"
@@ -424,5 +426,42 @@ func TestRunMallocsPerArrival(t *testing.T) {
 	}
 	if per := float64(after.Mallocs-before.Mallocs) / float64(arrived); per >= 0.05 {
 		t.Errorf("%.3f mallocs per arrival over %d arrivals, want < 0.05", per, arrived)
+	}
+}
+
+// TestExecMemoMatchesExecTime pins the instance's base-time memo to the
+// direct computation: for every model, batch size and a spread of
+// allocations, the engine's draw equals Model.ExecTime on an identically
+// seeded generator, on the call that fills the memo and on the one that
+// reads it — same value, same number of draws.
+func TestExecMemoMatchesExecTime(t *testing.T) {
+	allocs := []perf.Resources{
+		{CPU: 1}, {CPU: 2}, {CPU: 16}, {GPU: 1}, {CPU: 1, GPU: 2}, {CPU: 4, GPU: 3}, {CPU: 2, GPU: 10},
+	}
+	const seed = 11
+	for _, m := range model.All() {
+		e := New(&manualController{}, Config{Cluster: cluster.Testbed(), Duration: time.Minute, Seed: seed})
+		f := e.AddFunction(FunctionSpec{Name: m.Name, Model: m, SLO: time.Second})
+		ref := model.DefaultExecOptions(rand.New(rand.NewSource(seed)))
+		for _, res := range allocs {
+			inst := e.Launch(f, testCand(m.MaxBatch, res, 10*time.Millisecond, time.Second), 0)
+			if inst == nil {
+				t.Fatalf("%s: testbed server cannot host %+v", m.Name, res)
+			}
+			for _, b := range profiler.DefaultBatches {
+				if b > inst.Cand.B {
+					break
+				}
+				for _, call := range []string{"miss", "hit"} {
+					if got, want := e.execTime(inst, b), m.ExecTime(b, res, ref); got != want {
+						t.Fatalf("%s b=%d %+v (%s): engine draws %v, ExecTime %v", m.Name, b, res, call, got, want)
+					}
+				}
+				if inst.baseExec[b] != m.ExecTime(b, res, model.DefaultExecOptions(nil)) {
+					t.Fatalf("%s b=%d %+v: memo holds %v", m.Name, b, res, inst.baseExec[b])
+				}
+			}
+			e.Reclaim(inst)
+		}
 	}
 }

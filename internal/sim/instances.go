@@ -39,6 +39,10 @@ type Instance struct {
 	// serves every drain and the completion event finds it here.
 	batch            []*Request
 	submitted, texec time.Duration
+	// baseExec[n] is the noise-free execution time of a batch of n on
+	// Cand.Res, filled on first use (0: not yet): what varies between two
+	// batches of one size is the jitter alone.
+	baseExec []time.Duration
 
 	// Pending events and their callbacks, built once at launch: arming
 	// one allocates nothing.
@@ -103,14 +107,15 @@ func (e *Engine) launchAllocated(f *FunctionState, cand scheduler.Candidate, ser
 	f.ConfigCount[fmt.Sprintf("(%d,%d,%d)", cand.B, cand.Res.CPU, cand.Res.GPU)]++
 
 	inst := &Instance{
-		ID:      f.pool.NextID(),
-		Fn:      f,
-		Cand:    cand,
-		Server:  server,
-		ReadyAt: now + coldDur,
-		Queue:   batching.NewQueue[*Request](cand.B, f.batch.Timeout(cand.TExec)),
-		Rate:    cand.Bounds.RUp,
-		batch:   make([]*Request, 0, cand.B),
+		ID:       f.pool.NextID(),
+		Fn:       f,
+		Cand:     cand,
+		Server:   server,
+		ReadyAt:  now + coldDur,
+		Queue:    batching.NewQueue[*Request](cand.B, f.batch.Timeout(cand.TExec)),
+		Rate:     cand.Bounds.RUp,
+		batch:    make([]*Request, 0, cand.B),
+		baseExec: make([]time.Duration, cand.B+1),
 	}
 	inst.onTimeout = func() { e.trySubmit(inst) }
 	inst.onDone = func() { e.onBatchComplete(inst) }

@@ -186,9 +186,22 @@ func (e *Engine) trySubmit(inst *Instance) {
 	}
 	inst.Busy = true
 	inst.batch, inst.submitted = batch, now
-	inst.texec = inst.Fn.Spec.Model.ExecTime(len(batch), inst.Cand.Res, model.DefaultExecOptions(e.rng))
+	inst.texec = e.execTime(inst, len(batch))
 	e.obs.BatchSubmitted(inst.Fn.Spec.Name, inst.ID, len(batch), now)
 	inst.done = e.clock.ScheduleAfter(inst.texec, inst.onDone)
+}
+
+// execTime draws the execution time of a batch of n on inst, as
+// Model.ExecTime(n, inst.Cand.Res, DefaultExecOptions(e.rng)) does: the
+// noise-free time, which the instance works out once per batch size,
+// under this execution's jitter, one draw from e.rng.
+func (e *Engine) execTime(inst *Instance, n int) time.Duration {
+	base := inst.baseExec[n]
+	if base == 0 {
+		base = inst.Fn.Spec.Model.ExecTime(n, inst.Cand.Res, model.DefaultExecOptions(nil))
+		inst.baseExec[n] = base
+	}
+	return model.DefaultExecOptions(e.rng).Jitter(base)
 }
 
 // onBatchComplete answers the batch inst was executing and moves the

@@ -13,10 +13,15 @@
 // no-op once that scheduling has fired, been cancelled or been recycled.
 // A stored Timer therefore needs no clearing and can be cancelled or
 // queried at any time.
+//
+// The queue is a heap written for its one element type: each entry
+// carries its ordering key (at, seq) inline, so a sift compares without
+// dereferencing an event, and moves a hole instead of swapping. (at, seq)
+// is a total order — seq is unique — so the firing sequence does not
+// depend on the heap's shape.
 package simclock
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -29,7 +34,7 @@ type event struct {
 	at       Time
 	seq      uint64 // unique per scheduling: FIFO tie-break and Timer generation
 	fn       func()
-	index    int // heap index, -1 once removed
+	queued   bool // has an entry in Clock.pending
 	canceled bool
 	clk      *Clock
 }
@@ -46,7 +51,7 @@ type Timer struct {
 // not run (or started running), not been cancelled, and not been dropped
 // by Reset.
 func (t Timer) Pending() bool {
-	return t.e != nil && t.e.seq == t.seq && t.e.index >= 0 && !t.e.canceled
+	return t.e != nil && t.e.seq == t.seq && t.e.queued && !t.e.canceled
 }
 
 // At returns the virtual time a pending callback fires at, 0 otherwise.
@@ -70,33 +75,68 @@ func (t Timer) Cancel() {
 	t.e.clk.maybeCompact()
 }
 
-type eventHeap []*event
+// entry is one slot of the pending heap: the event and a copy of its
+// ordering key.
+type entry struct {
+	at  Time
+	seq uint64
+	e   *event
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before is the firing order: earlier instant first, scheduling order
+// within an instant.
+func (a entry) before(b entry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// siftDown places it in the subtree rooted at the vacant slot i of the
+// binary heap h, moving the smaller child up into the hole until it fits.
+func siftDown(h []entry, i int, it entry) {
+	for {
+		child := 2*i + 1
+		if child >= len(h) {
+			break
+		}
+		if right := child + 1; right < len(h) && h[right].before(h[child]) {
+			child = right
+		}
+		if !h[child].before(it) {
+			break
+		}
+		h[i] = h[child]
+		i = child
 	}
-	return h[i].seq < h[j].seq
+	h[i] = it
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+
+// push adds it to the heap, moving larger parents down into the hole
+// that opens at the end.
+func (c *Clock) push(it entry) {
+	h := append(c.pending, it)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !it.before(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = it
+	c.pending = h
 }
-func (h *eventHeap) Push(x any) {
-	e := x.(*event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+
+// popTop removes the heap's root.
+func (c *Clock) popTop() {
+	h := c.pending
+	n := len(h) - 1
+	last := h[n]
+	h[n] = entry{}
+	h = h[:n]
+	if n > 0 {
+		siftDown(h, 0, last)
+	}
+	c.pending = h
 }
 
 // Clock owns virtual time and the pending event queue.
@@ -104,7 +144,7 @@ func (h *eventHeap) Pop() any {
 type Clock struct {
 	now        Time
 	seq        uint64
-	pending    eventHeap
+	pending    []entry  // heap ordered by entry.before
 	free       []*event // recycled event objects, see package doc
 	tombstones int      // cancelled events still sitting in pending
 }
@@ -132,10 +172,12 @@ func (c *Clock) alloc(at Time, fn func()) *event {
 	return e
 }
 
-// recycle returns a popped event to the free list. The closure is dropped
-// immediately so captured state does not outlive the event.
+// recycle returns an event that has left the queue to the free list. The
+// closure is dropped immediately so captured state does not outlive the
+// event.
 func (c *Clock) recycle(e *event) {
 	e.fn = nil
+	e.queued = false
 	c.free = append(c.free, e)
 }
 
@@ -147,7 +189,8 @@ func (c *Clock) ScheduleAt(at Time, fn func()) Timer {
 		panic(fmt.Sprintf("simclock: schedule at %v before now %v", at, c.now))
 	}
 	e := c.alloc(at, fn)
-	heap.Push(&c.pending, e)
+	e.queued = true
+	c.push(entry{at, e.seq, e})
 	return Timer{e, e.seq}
 }
 
@@ -164,11 +207,11 @@ func (c *Clock) ScheduleAfter(d time.Duration, fn func()) Timer {
 // next live event, or nil when none remain.
 func (c *Clock) peek() *event {
 	for len(c.pending) > 0 {
-		e := c.pending[0]
+		e := c.pending[0].e
 		if !e.canceled {
 			return e
 		}
-		heap.Pop(&c.pending)
+		c.popTop()
 		c.tombstones--
 		c.recycle(e)
 	}
@@ -190,28 +233,29 @@ func (c *Clock) Next() (Time, bool) {
 // but a cancel-heavy workload (e.g. batch timeouts that almost always get
 // re-armed) would otherwise grow the heap without bound; compaction bounds
 // it at 2x the live events, amortizing the rebuild over the cancels that
-// forced it.
+// forced it. Cancel and Step both check: either can tip the balance, one
+// by adding a tombstone, the other by removing a live event.
 func (c *Clock) maybeCompact() {
-	if c.tombstones*2 <= len(c.pending) {
-		return
+	if c.tombstones*2 > len(c.pending) {
+		c.compact()
 	}
+}
+
+// compact drops every tombstone and restores the heap.
+func (c *Clock) compact() {
 	live := c.pending[:0]
-	for _, e := range c.pending {
-		if e.canceled {
-			e.index = -1
-			c.recycle(e)
+	for _, it := range c.pending {
+		if it.e.canceled {
+			c.recycle(it.e)
 		} else {
-			live = append(live, e)
+			live = append(live, it)
 		}
 	}
-	for i := len(live); i < len(c.pending); i++ {
-		c.pending[i] = nil
-	}
-	for i, e := range live {
-		e.index = i
-	}
+	clear(c.pending[len(live):])
 	c.pending = live
-	heap.Init(&c.pending)
+	for i := len(live)/2 - 1; i >= 0; i-- {
+		siftDown(live, i, live[i])
+	}
 	c.tombstones = 0
 }
 
@@ -223,7 +267,9 @@ func (c *Clock) Step() bool {
 	if e == nil {
 		return false
 	}
-	heap.Pop(&c.pending)
+	c.popTop()
+	c.maybeCompact()
+	e.queued = false
 	c.now = e.at
 	e.fn()
 	c.recycle(e)
@@ -251,10 +297,10 @@ func (c *Clock) RunUntil(deadline Time) {
 // taken before Reset must not match an event scheduled after it (event
 // ordering only ever compares seq values relatively).
 func (c *Clock) Reset() {
-	for _, e := range c.pending {
-		e.index = -1
-		c.recycle(e)
+	for _, it := range c.pending {
+		c.recycle(it.e)
 	}
+	clear(c.pending)
 	c.pending = c.pending[:0]
 	c.now = 0
 	c.tombstones = 0

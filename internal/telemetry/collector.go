@@ -11,7 +11,9 @@
 // Prometheus and JSON metrics, -trace dumps — is produced from this one
 // collector, so the two planes can never drift apart in how they
 // measure. The Observe hot path sits on every request event in both
-// planes and is allocation-free after a function's first event.
+// planes and is allocation-free after a function's first event; it costs
+// one uncontended mutex and one map lookup, because events come from one
+// engine's event loop and only snapshots come from elsewhere.
 package telemetry
 
 import (
@@ -42,21 +44,21 @@ const coldTimelineCap = 512
 // Collector implements runtime.Observer for either plane. On both it is
 // fed by one sim.Engine's event loop, one event at a time (the gateway
 // runs that loop under its lock, from whichever goroutine advances the
-// plane), while snapshots are read from any goroutine — /system/metrics,
-// an embedding caller, or a second plane sharing the collector — so all
-// methods are safe for concurrent use.
+// plane), while snapshots are read from any goroutine (/system/metrics,
+// an embedding caller). There is one writer, so there is one mutex: an
+// observer method is lock, map lookup, update, unlock, and a snapshot
+// holds the lock for the whole document. All methods are safe for
+// concurrent use.
 type Collector struct {
 	opts   Options
 	warmup atomic.Int64 // see SetWarmup
 
-	mu  sync.RWMutex
-	fns map[string]*funcStats
+	// mu guards everything below.
+	mu   sync.Mutex
+	fns  map[string]*funcStats
+	last time.Duration // latest plane time any event carried
 
-	// lastNs is the latest plane time observed (atomic max).
-	lastNs atomic.Int64
-
-	// rmu guards cluster-wide resource state.
-	rmu        sync.Mutex
+	// Cluster-wide resource state.
 	integ      metrics.ResourceIntegrator
 	cur        perf.Resources
 	nextSample time.Duration
@@ -80,11 +82,9 @@ func (c *Collector) SetWarmup(d time.Duration) { c.warmup.Store(int64(d)) }
 
 func (c *Collector) inWarmup(now time.Duration) bool { return int64(now) < c.warmup.Load() }
 
-// funcStats is one function's accumulated state, guarded by its own
-// mutex so functions never contend with each other.
+// funcStats is one function's accumulated state, guarded by
+// Collector.mu.
 type funcStats struct {
-	mu sync.Mutex
-
 	// rec holds the served / dropped / violation / cold counts, the
 	// latency sums and the latency histogram, checked against the SLO.
 	rec     metrics.LatencyRecorder
@@ -114,67 +114,59 @@ type funcStats struct {
 // Register pre-declares a function with its SLO; events for unknown
 // functions auto-register with no SLO (no violation accounting).
 func (c *Collector) Register(fn string, slo time.Duration) {
-	fs := c.stats(fn)
-	fs.mu.Lock()
-	fs.rec.SetSLO(slo)
-	fs.mu.Unlock()
+	c.mu.Lock()
+	c.stats(fn).rec.SetSLO(slo)
+	c.mu.Unlock()
 }
 
 // Recorder returns a copy of fn's latency recorder, for readers that
 // need exact durations rather than the snapshot's millisecond floats;
 // nil when fn was never observed.
 func (c *Collector) Recorder(fn string) *metrics.LatencyRecorder {
-	c.mu.RLock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	fs, ok := c.fns[fn]
-	c.mu.RUnlock()
 	if !ok {
 		return nil
 	}
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	return fs.rec.Clone()
 }
 
+// stats returns fn's state, creating it on fn's first event. The caller
+// holds c.mu.
 func (c *Collector) stats(fn string) *funcStats {
-	c.mu.RLock()
 	fs, ok := c.fns[fn]
-	c.mu.RUnlock()
-	if ok {
-		return fs
+	if !ok {
+		fs = &funcStats{
+			batchServed: map[int]uint64{},
+			win:         newWindow(c.opts.Window),
+		}
+		c.fns[fn] = fs
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if fs, ok = c.fns[fn]; ok {
-		return fs
-	}
-	fs = &funcStats{
-		batchServed: map[int]uint64{},
-		win:         newWindow(c.opts.Window),
-	}
-	c.fns[fn] = fs
 	return fs
 }
 
+// lock locks the collector for one event at plane time now, noting the
+// time, and returns fn's state; the caller updates it and unlocks c.mu.
+func (c *Collector) lock(fn string, now time.Duration) *funcStats {
+	c.mu.Lock()
+	c.noteTime(now)
+	return c.stats(fn)
+}
+
+// noteTime advances the latest observed plane time. The caller holds c.mu.
 func (c *Collector) noteTime(now time.Duration) {
-	for {
-		old := c.lastNs.Load()
-		if int64(now) <= old || c.lastNs.CompareAndSwap(old, int64(now)) {
-			return
-		}
+	if now > c.last {
+		c.last = now
 	}
 }
 
-// lastTime returns the latest plane time any event carried.
-func (c *Collector) lastTime() time.Duration { return time.Duration(c.lastNs.Load()) }
-
 // RequestArrived implements runtime.Observer.
 func (c *Collector) RequestArrived(fn string, now time.Duration) {
-	c.noteTime(now)
-	fs := c.stats(fn)
-	fs.mu.Lock()
+	fs := c.lock(fn, now)
 	fs.arrived++
 	fs.win.bucket(now).arrived++
-	fs.mu.Unlock()
+	c.mu.Unlock()
 }
 
 // RequestEnqueued implements runtime.Observer (no per-enqueue state is
@@ -183,65 +175,52 @@ func (c *Collector) RequestEnqueued(string, int, time.Duration) {}
 
 // BatchSubmitted implements runtime.Observer.
 func (c *Collector) BatchSubmitted(fn string, _, size int, now time.Duration) {
-	c.noteTime(now)
-	fs := c.stats(fn)
-	fs.mu.Lock()
+	fs := c.lock(fn, now)
 	fs.batches++
 	fs.batchSum += uint64(size)
 	fs.batchServed[size] += uint64(size)
-	fs.mu.Unlock()
+	c.mu.Unlock()
 }
 
 // RequestServed implements runtime.Observer.
 func (c *Collector) RequestServed(fn string, s metrics.Sample, now time.Duration) {
-	c.noteTime(now)
-	if c.inWarmup(now) {
-		return
+	fs := c.lock(fn, now)
+	if !c.inWarmup(now) {
+		late := fs.rec.Observe(s)
+		fs.queue.Add(s.Queue)
+		b := fs.win.bucket(now)
+		b.served++
+		if late {
+			b.violations++
+		}
 	}
-	fs := c.stats(fn)
-	fs.mu.Lock()
-	late := fs.rec.Observe(s)
-	fs.queue.Add(s.Queue)
-	b := fs.win.bucket(now)
-	b.served++
-	if late {
-		b.violations++
-	}
-	fs.mu.Unlock()
+	c.mu.Unlock()
 }
 
 // RequestDropped implements runtime.Observer.
 func (c *Collector) RequestDropped(fn string, now time.Duration) {
-	c.noteTime(now)
-	if c.inWarmup(now) {
-		return
+	fs := c.lock(fn, now)
+	if !c.inWarmup(now) {
+		fs.rec.Drop()
+		fs.win.bucket(now).dropped++
 	}
-	fs := c.stats(fn)
-	fs.mu.Lock()
-	fs.rec.Drop()
-	fs.win.bucket(now).dropped++
-	fs.mu.Unlock()
+	c.mu.Unlock()
 }
 
 // RequestShed implements runtime.ShedObserver: admission-control
 // refusals (the gateway's 429s). The plane fires RequestDropped for the
 // same request, so shed counts a cause within dropped, not extra loss.
 func (c *Collector) RequestShed(fn string, now time.Duration) {
-	c.noteTime(now)
-	if c.inWarmup(now) {
-		return
+	fs := c.lock(fn, now)
+	if !c.inWarmup(now) {
+		fs.shed++
 	}
-	fs := c.stats(fn)
-	fs.mu.Lock()
-	fs.shed++
-	fs.mu.Unlock()
+	c.mu.Unlock()
 }
 
 // InstanceLaunched implements runtime.Observer.
 func (c *Collector) InstanceLaunched(fn string, _ int, cold bool, startDelay, now time.Duration) {
-	c.noteTime(now)
-	fs := c.stats(fn)
-	fs.mu.Lock()
+	fs := c.lock(fn, now)
 	fs.launches++
 	if cold {
 		fs.coldLaunches++
@@ -254,34 +233,30 @@ func (c *Collector) InstanceLaunched(fn string, _ int, cold bool, startDelay, no
 			StartDelayMs: ms(startDelay),
 		})
 	}
-	fs.mu.Unlock()
+	c.mu.Unlock()
 }
 
 // InstanceStartup implements runtime.StartupObserver: it accumulates the
 // startup-time decomposition (boot vs per-tier load vs promotion) of
 // tiered cold launches.
 func (c *Collector) InstanceStartup(fn string, _ int, bd artifact.Breakdown, now time.Duration) {
-	c.noteTime(now)
-	fs := c.stats(fn)
-	fs.mu.Lock()
+	fs := c.lock(fn, now)
 	fs.startupBoot += bd.Boot
 	fs.startupPromote += bd.Promote
 	if bd.From < artifact.NumTiers {
 		fs.tierStarts[bd.From]++
 		fs.startupLoad[bd.From] += bd.Load
 	}
-	fs.mu.Unlock()
+	c.mu.Unlock()
 }
 
 // InstanceReclaimed implements runtime.Observer.
 func (c *Collector) InstanceReclaimed(fn string, _ int, now time.Duration) {
-	c.noteTime(now)
-	fs := c.stats(fn)
-	fs.mu.Lock()
+	fs := c.lock(fn, now)
 	if fs.live > 0 {
 		fs.live--
 	}
-	fs.mu.Unlock()
+	c.mu.Unlock()
 }
 
 // AllocationChanged implements runtime.Observer: it advances the
@@ -291,9 +266,9 @@ func (c *Collector) InstanceReclaimed(fn string, _ int, now time.Duration) {
 // allocation that held since the previous change and a boundary exactly
 // at now carries the new allocation.
 func (c *Collector) AllocationChanged(alloc perf.Resources, now time.Duration) {
-	c.noteTime(now)
 	every := c.opts.ResourceSampleEvery
-	c.rmu.Lock()
+	c.mu.Lock()
+	c.noteTime(now)
 	if every > 0 {
 		for c.nextSample < now {
 			c.emitSample()
@@ -319,7 +294,7 @@ func (c *Collector) AllocationChanged(alloc perf.Resources, now time.Duration) {
 			c.nextSample += every
 		}
 	}
-	c.rmu.Unlock()
+	c.mu.Unlock()
 }
 
 func (c *Collector) emitSample() {

@@ -3,7 +3,10 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -288,5 +291,145 @@ func TestTraceWriterJSONL(t *testing.T) {
 	if evs[5].Event != "startup" || evs[5].Instance != 3 || evs[5].Tier != "ssd" ||
 		evs[5].BootMs != 900 || evs[5].LoadMs != 40 || evs[5].PromoteMs != 5 {
 		t.Errorf("startup event: %+v", evs[5])
+	}
+}
+
+// scriptFns are the functions of the concurrency script, in name order.
+var scriptFns = []string{"f0", "f1", "f2", "f3", "f4", "f5", "f6", "f7"}
+
+// scriptRounds is the script's length: one request per function per round.
+const scriptRounds = 4000
+
+// feedRound feeds round i of the script: one request per function, in
+// name order, each arriving and then being answered, with batches,
+// launches, reclaims, sheds and allocation changes mixed in. Between any
+// two events the functions' arrival counts therefore never increase
+// along the name order and differ by at most one.
+func feedRound(c *Collector, i int) {
+	at := time.Duration(i) * time.Millisecond
+	for k, fn := range scriptFns {
+		c.RequestArrived(fn, at)
+		switch (i + k) % 16 {
+		case 0:
+			c.RequestDropped(fn, at)
+			c.RequestShed(fn, at)
+		case 1:
+			c.InstanceLaunched(fn, i, i%3 == 0, time.Second, at)
+			c.InstanceStartup(fn, i, artifact.Breakdown{From: artifact.TierSSD, Boot: time.Second, Load: time.Second}, at)
+			c.AllocationChanged(perf.Resources{CPU: 1 + i%7, GPU: k}, at)
+			fallthrough
+		default:
+			c.BatchSubmitted(fn, 1, 1+i%4, at)
+			c.RequestServed(fn, metrics.Sample{Queue: time.Duration(k) * time.Millisecond, Exec: time.Duration(1+i%90) * time.Millisecond}, at)
+		}
+		if (i+k)%16 == 9 {
+			c.InstanceReclaimed(fn, i, at)
+		}
+	}
+}
+
+// TestCollectorSnapshotDuringEvents overlaps snapshots with events: one
+// goroutine feeds the script while two others read. Every document must
+// be one instant of the stream — per function, and across functions —
+// and the readers must not disturb the result.
+func TestCollectorSnapshotDuringEvents(t *testing.T) {
+	const end = scriptRounds * time.Millisecond
+	newCollector := func() *Collector {
+		c := New(Options{Window: time.Minute, ResourceSampleEvery: 100 * time.Millisecond})
+		for _, fn := range scriptFns {
+			c.Register(fn, 50*time.Millisecond)
+		}
+		return c
+	}
+	want := newCollector()
+	for i := 0; i < scriptRounds; i++ {
+		feedRound(want, i)
+	}
+
+	c := newCollector()
+	halfway := make(chan struct{}) // closed by the feeder at mid-script
+	fed := make(chan struct{})     // closed by the feeder at the end
+	sawHalf := make(chan struct{}, 2)
+	var readers sync.WaitGroup
+	reader := func(extra func(Snapshot)) {
+		defer readers.Done()
+		last := make([]uint64, len(scriptFns))
+		reported := false
+		defer func() {
+			if !reported { // a reader that failed must not leave the feeder waiting
+				sawHalf <- struct{}{}
+			}
+		}()
+		for {
+			pastHalf, done := false, false
+			select {
+			case <-halfway:
+				pastHalf = true
+			default:
+			}
+			select {
+			case <-fed:
+				done = true
+			default:
+			}
+			s := c.SnapshotAt(end)
+			if len(s.Functions) != len(scriptFns) {
+				t.Errorf("snapshot has %d functions", len(s.Functions))
+				return
+			}
+			for k, f := range s.Functions {
+				if f.Served+f.Dropped > f.Arrived || f.Shed > f.Dropped {
+					t.Errorf("%s: served %d + dropped %d (shed %d) of %d arrived", f.Name, f.Served, f.Dropped, f.Shed, f.Arrived)
+					return
+				}
+				if f.Arrived < last[k] {
+					t.Errorf("%s: arrived went from %d to %d", f.Name, last[k], f.Arrived)
+					return
+				}
+				last[k] = f.Arrived
+				if first := s.Functions[0].Arrived; f.Arrived > first || f.Arrived+1 < first ||
+					(k > 0 && f.Arrived > s.Functions[k-1].Arrived) {
+					t.Errorf("rows from different instants: %s arrived %d, f0 %d", f.Name, f.Arrived, first)
+					return
+				}
+			}
+			extra(s)
+			if pastHalf && !reported {
+				reported = true
+				sawHalf <- struct{}{}
+			}
+			if done {
+				return
+			}
+		}
+	}
+	readers.Add(2)
+	go reader(func(s Snapshot) {
+		if err := WritePrometheus(io.Discard, s); err != nil {
+			t.Errorf("WritePrometheus: %v", err)
+		}
+	})
+	go reader(func(s Snapshot) {
+		for _, f := range s.Functions {
+			if rec := c.Recorder(f.Name); rec == nil || rec.Served() < f.Served {
+				t.Errorf("%s: Recorder is behind the snapshot taken before it", f.Name)
+			}
+		}
+	})
+	for i := 0; i < scriptRounds; i++ {
+		if i == scriptRounds/2 {
+			// Both readers take a snapshot of the half-fed collector before
+			// the rest arrives, however the scheduler treats them.
+			close(halfway)
+			<-sawHalf
+			<-sawHalf
+		}
+		feedRound(c, i)
+	}
+	close(fed)
+	readers.Wait()
+
+	if got, want := c.SnapshotAt(end), want.SnapshotAt(end); !reflect.DeepEqual(got, want) {
+		t.Fatalf("snapshot after concurrent reads differs from the single-threaded one:\n got %+v\nwant %+v", got, want)
 	}
 }

@@ -130,36 +130,39 @@ type HistBucket struct {
 }
 
 // Snapshot captures the collector at the latest observed plane time.
-func (c *Collector) Snapshot() Snapshot { return c.SnapshotAt(c.lastTime()) }
+func (c *Collector) Snapshot() Snapshot {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.snapshotAt(c.last)
+}
 
 // SnapshotAt captures the collector as of plane time now (resource
-// integrals are projected to now with the current allocation held).
+// integrals are projected to now with the current allocation held). The
+// document is taken under one hold of the lock, so it sits between two
+// events: rows of different functions belong to the same instant.
 func (c *Collector) SnapshotAt(now time.Duration) Snapshot {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.snapshotAt(now)
+}
+
+// snapshotAt builds the document. The caller holds c.mu.
+func (c *Collector) snapshotAt(now time.Duration) Snapshot {
 	s := Snapshot{
 		SchemaVersion: SchemaVersion,
 		AtMs:          ms(now),
 		WindowSeconds: (time.Duration(winBuckets) * newWindow(c.opts.Window).width).Seconds(),
 	}
 
-	c.mu.RLock()
 	names := make([]string, 0, len(c.fns))
-	stats := make([]*funcStats, 0, len(c.fns))
-	for name, fs := range c.fns {
+	for name := range c.fns {
 		names = append(names, name)
-		stats = append(stats, fs)
 	}
-	c.mu.RUnlock()
-	order := make([]int, len(names))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return names[order[a]] < names[order[b]] })
-
-	for _, i := range order {
-		s.Functions = append(s.Functions, snapshotFunc(names[i], stats[i], now))
+	sort.Strings(names)
+	for _, name := range names {
+		s.Functions = append(s.Functions, snapshotFunc(name, c.fns[name], now))
 	}
 
-	c.rmu.Lock()
 	integ := c.integ // copy, then project without mutating the live state
 	if now > 0 {
 		integ.Finish(now)
@@ -172,13 +175,13 @@ func (c *Collector) SnapshotAt(now time.Duration) Snapshot {
 		WeightedSeconds: integ.WeightedSeconds(),
 		Series:          append([]ResourcePoint(nil), c.series...),
 	}
-	c.rmu.Unlock()
 	return s
 }
 
+// snapshotFunc renders fs, which the caller's hold of Collector.mu keeps
+// still, so nothing is copied first.
 func snapshotFunc(name string, fs *funcStats, now time.Duration) FunctionSnapshot {
-	fs.mu.Lock()
-	rec := fs.rec.Clone()
+	rec := &fs.rec
 	out := FunctionSnapshot{
 		Name:          name,
 		SLOMs:         ms(rec.SLO()),
@@ -217,24 +220,21 @@ func snapshotFunc(name string, fs *funcStats, now time.Duration) FunctionSnapsho
 		}
 		out.Startup = st
 	}
-	queue, batchSum := fs.queue.Clone(), fs.batchSum
 	arr, served, dropped, viol, covered := fs.win.tally(now)
-	fs.mu.Unlock()
-
 	cold, wait, exec := rec.Breakdown()
 	out.MeanMs = ms(rec.Mean())
 	out.MeanColdMs, out.MeanQueueMs, out.MeanExecMs = ms(cold), ms(wait), ms(exec)
 	out.ColdStartRate = rec.ColdRate()
 	out.SLOViolationRate = rec.ViolationRate()
 	if out.Batches > 0 {
-		out.MeanBatch = float64(batchSum) / float64(out.Batches)
+		out.MeanBatch = float64(fs.batchSum) / float64(out.Batches)
 	}
 	out.P50Ms = ms(rec.Percentile(0.50))
 	out.P95Ms = ms(rec.Percentile(0.95))
 	out.P99Ms = ms(rec.Percentile(0.99))
 	out.P999Ms = ms(rec.Percentile(0.999))
-	out.QueueP50Ms = ms(queue.Quantile(0.50))
-	out.QueueP99Ms = ms(queue.Quantile(0.99))
+	out.QueueP50Ms = ms(fs.queue.Quantile(0.50))
+	out.QueueP99Ms = ms(fs.queue.Quantile(0.99))
 	out.LatencySumMs = ms(rec.Sum())
 	var cum uint64
 	rec.Histogram().Each(func(upper time.Duration, count uint64) {

@@ -6,8 +6,10 @@
 # line), a race pass over the concurrently-exercised packages
 # (`make race`, where the package lists live: the wall-clock gateway,
 # whose callers and pacer drive one sim.Engine under one lock, the engine
-# and runtime policies it drives, and the sharded cluster + scheduler
-# whose FitPool fans fit-queries across workers), a sharded-equivalence
+# and runtime policies it drives, the telemetry collector with snapshots
+# overlapping events, simclock's heap against its sorted reference, and
+# the sharded cluster + scheduler whose FitPool fans fit-queries across
+# workers), a sharded-equivalence
 # smoke (every Schedule decision bit-identical to the single-shard
 # reference), three one-second runs of the repository's benchmark —
 # gw_dispatch (an in-process invocation stays at the mux's 17 B: the
