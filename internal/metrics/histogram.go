@@ -4,9 +4,14 @@ package metrics
 // quantile the system reports — Report percentiles, the gateway's
 // Prometheus/JSON metrics, telemetry snapshots — funnels through this
 // type (scripts/check.sh guards against re-implementations).
+//
+// bucketFormula, a logarithm, is the definition of a bucket. Add does not
+// evaluate it: bucketFirst and bucketSlot are derived from it at init,
+// and bucketOf answers from those two tables with the formula's result.
 
 import (
 	"math"
+	"math/bits"
 	"time"
 )
 
@@ -29,13 +34,66 @@ var HistBuckets = func() int {
 	return int(math.Ceil(math.Log(float64(time.Hour)/histMin)/math.Log(histGrowth))) + 2
 }()
 
-func bucketOf(d time.Duration) int {
+// bucketFormula is the bucket of d: 0 up to a microsecond, then one
+// bucket per factor of histGrowth, the last one open-ended. It is
+// non-decreasing in d, which is what lets bucketFirst describe it.
+func bucketFormula(d time.Duration) int {
 	if d <= time.Microsecond {
 		return 0
 	}
 	b := int(math.Log(float64(d)/histMin)/math.Log(histGrowth)) + 1
 	if b >= HistBuckets {
 		b = HistBuckets - 1
+	}
+	return b
+}
+
+var (
+	// bucketFirst[b] is the least duration bucketFormula maps to bucket b
+	// or above, for b in [1, HistBuckets); bucketFirst[HistBuckets] = 2⁶³
+	// lies above every duration and ends the walk in bucketOf.
+	bucketFirst []uint64
+	// bucketSlot[n<<4|k] is the bucket of the least duration whose bit
+	// length is n and whose four bits below the leading one are k. Such a
+	// slot spans at most 1/16 of its lower end and a bucket 1/20, so a
+	// duration's bucket is at most two boundaries above its slot's.
+	bucketSlot [64 << 4]uint16
+)
+
+func init() {
+	bucketFirst = make([]uint64, HistBuckets+1)
+	bucketFirst[HistBuckets] = 1 << 63
+	lo := int64(time.Microsecond) + 1
+	for b := 1; b < HistBuckets; b++ {
+		hi := int64(math.MaxInt64) // bucketFormula(MaxInt64) is the last bucket
+		for lo < hi {
+			mid := lo + (hi-lo)/2
+			if bucketFormula(time.Duration(mid)) >= b {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		bucketFirst[b] = uint64(lo)
+	}
+	for n := 5; n < 64; n++ {
+		for k := 0; k < 16; k++ {
+			bucketSlot[n<<4|k] = uint16(bucketFormula(time.Duration((16 + k) << (n - 5))))
+		}
+	}
+}
+
+// bucketOf returns bucketFormula(d): the slot's first candidate bucket,
+// walked up past every boundary at or below d.
+func bucketOf(d time.Duration) int {
+	if d <= time.Microsecond {
+		return 0
+	}
+	u := uint64(d)
+	n := bits.Len64(u)
+	b := int(bucketSlot[n<<4|int(u>>(n-5)&15)])
+	for u >= bucketFirst[b+1] {
+		b++
 	}
 	return b
 }

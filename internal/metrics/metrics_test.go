@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -123,6 +124,44 @@ func TestBucketBoundaries(t *testing.T) {
 	}
 	if p := r.Percentile(0.01); p > time.Millisecond {
 		t.Fatalf("min percentile = %v", p)
+	}
+}
+
+// bucketOf answers from tables derived from bucketFormula; it must agree
+// with the formula everywhere, so that no figure's bins move.
+func TestBucketOfMatchesFormula(t *testing.T) {
+	check := func(d time.Duration) {
+		if got, want := bucketOf(d), bucketFormula(d); got != want {
+			t.Fatalf("bucketOf(%d) = %d, bucketFormula = %d", int64(d), got, want)
+		}
+	}
+	for b := 1; b < HistBuckets; b++ {
+		first := time.Duration(bucketFirst[b])
+		if got := bucketFormula(first - 1); got != b-1 {
+			t.Fatalf("bucketFormula(%d) = %d just below bucket %d's first duration: not monotone", int64(first-1), got, b)
+		}
+		for d := first - 2; d <= first+2; d++ {
+			check(d)
+		}
+	}
+	for _, d := range []time.Duration{-1, 0, 1, 999, 1000, 1001, time.Hour, 2 * time.Hour, math.MaxInt64} {
+		check(d)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 10_000_000; i++ {
+		check(time.Duration(rng.Int63n(1 << rng.Intn(63))))
+	}
+}
+
+func TestHistogramAddDoesNotAllocate(t *testing.T) {
+	var h Histogram
+	h.Add(time.Millisecond)
+	i := 0
+	if allocs := testing.AllocsPerRun(1000, func() {
+		i++
+		h.Add(time.Duration(i) * 37 * time.Microsecond)
+	}); allocs != 0 {
+		t.Fatalf("Histogram.Add allocates %v times after the first Add", allocs)
 	}
 }
 

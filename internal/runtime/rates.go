@@ -138,7 +138,9 @@ func (rs *RateStripes) PlaneRate(now time.Duration) float64 {
 // the reset, so the ring can momentarily miscount one bucket by a few
 // arrivals. The aggregate is monitoring-grade — scheduling decisions
 // never read it — and in exchange observation is wait-free on the happy
-// path: one load, one add.
+// path: a load of the bucket's stamp, an atomic add to its count, and a
+// load of start (its compare-and-swap runs only until the first
+// observation has set it).
 type planeRing struct {
 	window time.Duration
 	stamps []atomic.Int64
@@ -168,7 +170,9 @@ func (pr *planeRing) observe(now time.Duration) {
 		}
 	}
 	pr.counts[i].Add(1)
-	pr.start.CompareAndSwap(0, sec+1)
+	if pr.start.Load() == 0 { // the CAS succeeds once; a load is not a locked instruction
+		pr.start.CompareAndSwap(0, sec+1)
+	}
 }
 
 func (pr *planeRing) rate(now time.Duration) float64 {

@@ -2,6 +2,7 @@ package simclock
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -25,6 +26,7 @@ type refClock struct {
 	queue []*refEvent
 	all   []*refEvent // by id
 	fired []int
+	peeks []Time // what the callbacks that call Next saw, -1 for nothing
 }
 
 func (r *refClock) schedule(at Time, spawn int) {
@@ -56,6 +58,16 @@ func (r *refClock) step() bool {
 	r.now = e.at
 	e.live = false
 	r.fired = append(r.fired, e.id)
+	if cancelsPrev(e.id) {
+		r.all[e.id-1].live = false
+	}
+	if peeksNext(e.id) {
+		at := Time(-1)
+		if n := r.next(); n != nil {
+			at = n.at
+		}
+		r.peeks = append(r.peeks, at)
+	}
 	if e.spawn > 0 {
 		r.schedule(r.now+childDelay(e.id), e.spawn-1)
 	}
@@ -100,6 +112,13 @@ func childDelay(id int) time.Duration {
 	return time.Duration(id*7%4) * time.Millisecond
 }
 
+// cancelsPrev and peeksNext pick the events whose callbacks cancel the
+// event scheduled just before them and ask the clock for its next
+// instant: both reach the heap while the firing event's slot is a hole,
+// and a cancel can compact it there.
+func cancelsPrev(id int) bool { return id%3 == 1 }
+func peeksNext(id int) bool   { return id%6 == 1 }
+
 // heapHarness drives a Clock with the operations the reference mirrors.
 type heapHarness struct {
 	t      *testing.T
@@ -107,6 +126,7 @@ type heapHarness struct {
 	ref    *refClock
 	timers []Timer // by id
 	fired  []int
+	peeks  []Time
 }
 
 func (h *heapHarness) schedule(at Time, spawn int, after bool) {
@@ -118,6 +138,16 @@ func (h *heapHarness) schedule(at Time, spawn int, after bool) {
 			h.t.Errorf("event %d is pending while its own callback runs", id)
 		}
 		h.timers[id].Cancel() // a no-op: it must not plant a tombstone
+		if cancelsPrev(id) {
+			h.timers[id-1].Cancel()
+		}
+		if peeksNext(id) {
+			at, ok := h.c.Next()
+			if !ok {
+				at = -1
+			}
+			h.peeks = append(h.peeks, at)
+		}
 		if spawn > 0 {
 			h.schedule(h.c.Now()+childDelay(id), spawn-1, true)
 		}
@@ -142,6 +172,9 @@ func (h *heapHarness) check(step int, op string, rng *rand.Rand) {
 		if h.fired[i] != h.ref.fired[i] {
 			h.t.Fatalf("step %d (%s): fired[%d] = event %d, reference event %d", step, op, i, h.fired[i], h.ref.fired[i])
 		}
+	}
+	if !slices.Equal(h.peeks, h.ref.peeks) {
+		h.t.Fatalf("step %d (%s): callbacks' Next() saw %v, reference %v", step, op, h.peeks, h.ref.peeks)
 	}
 	agree := func(e *refEvent) {
 		tm := h.timers[e.id]
@@ -234,6 +267,37 @@ func TestHeapMatchesSortedReference(t *testing.T) {
 			t.Errorf("seed %d: %d events fired, %d compactions from Cancel, %d resets: the mix has drifted",
 				seed, len(h.fired), compactions, resets)
 		}
+	}
+}
+
+// A callback that resets the clock takes its own event's slot with the
+// rest; Step must not hand that event to the free list a second time.
+func TestResetDuringCallback(t *testing.T) {
+	c := New()
+	var fired []int
+	for i := 0; i < 10; i++ {
+		c.ScheduleAt(time.Duration(i)*time.Second, func() {
+			fired = append(fired, i)
+			if i == 3 {
+				c.Reset()
+				c.ScheduleAt(time.Second, func() { fired = append(fired, 100) })
+			}
+		})
+	}
+	for c.Step() {
+	}
+	if want := []int{0, 1, 2, 3, 100}; !slices.Equal(fired, want) {
+		t.Fatalf("fired %v, want %v", fired, want)
+	}
+	seen := map[*event]bool{}
+	for _, e := range c.free {
+		if seen[e] {
+			t.Fatal("an event is on the free list twice")
+		}
+		seen[e] = true
+	}
+	if len(c.free) != 10 {
+		t.Fatalf("free list holds %d events, want the 10 the clock made", len(c.free))
 	}
 }
 

@@ -16,9 +16,10 @@
 //
 // The queue is a heap written for its one element type: each entry
 // carries its ordering key (at, seq) inline, so a sift compares without
-// dereferencing an event, and moves a hole instead of swapping. (at, seq)
-// is a total order — seq is unique — so the firing sequence does not
-// depend on the heap's shape.
+// dereferencing an event, and moves a hole instead of swapping; the
+// fired event's slot stays a hole while its callback runs (Step).
+// (at, seq) is a total order — seq is unique — so the firing sequence
+// does not depend on the heap's shape.
 package simclock
 
 import (
@@ -109,9 +110,15 @@ func siftDown(h []entry, i int, it entry) {
 	h[i] = it
 }
 
-// push adds it to the heap, moving larger parents down into the hole
-// that opens at the end.
+// push adds it to the heap. While a callback runs, the first entry takes
+// the root hole Step left and sifts down from there; any other goes in at
+// the end, moving larger parents down into the hole that opens there.
 func (c *Clock) push(it entry) {
+	if c.vacant {
+		c.vacant = false
+		siftDown(c.pending, 0, it)
+		return
+	}
 	h := append(c.pending, it)
 	i := len(h) - 1
 	for i > 0 {
@@ -126,7 +133,7 @@ func (c *Clock) push(it entry) {
 	c.pending = h
 }
 
-// popTop removes the heap's root.
+// popTop removes the heap's root, or closes the hole where it was.
 func (c *Clock) popTop() {
 	h := c.pending
 	n := len(h) - 1
@@ -147,6 +154,15 @@ type Clock struct {
 	pending    []entry  // heap ordered by entry.before
 	free       []*event // recycled event objects, see package doc
 	tombstones int      // cancelled events still sitting in pending
+	vacant     bool     // pending[0] is a hole: Step's event left it, its callback runs
+}
+
+// fill closes the root hole, if Step left one, with the last entry.
+func (c *Clock) fill() {
+	if c.vacant {
+		c.vacant = false
+		c.popTop()
+	}
 }
 
 // New returns a clock positioned at virtual time 0 with no pending events.
@@ -206,6 +222,7 @@ func (c *Clock) ScheduleAfter(d time.Duration, fn func()) Timer {
 // peek drains cancelled events off the top of the queue and returns the
 // next live event, or nil when none remain.
 func (c *Clock) peek() *event {
+	c.fill()
 	for len(c.pending) > 0 {
 		e := c.pending[0].e
 		if !e.canceled {
@@ -243,6 +260,7 @@ func (c *Clock) maybeCompact() {
 
 // compact drops every tombstone and restores the heap.
 func (c *Clock) compact() {
+	c.fill()
 	live := c.pending[:0]
 	for _, it := range c.pending {
 		if it.e.canceled {
@@ -262,16 +280,24 @@ func (c *Clock) compact() {
 // Step executes the next pending event, advancing virtual time to its
 // timestamp. It returns false when the queue is empty (cancelled events
 // do not count). The fired event is recycled after its callback returns.
+//
+// The event's slot at the root stays a hole while its callback runs: the
+// first event the callback schedules takes it with one sift-down, where
+// a pop before the callback and a push in it would cost a sift each. A
+// self-re-arming event, such as an arrival stream, so costs one sift a
+// firing. Anything else that reads or rebuilds the heap first fills the
+// hole with the last entry, as a pop would have.
 func (c *Clock) Step() bool {
 	e := c.peek()
 	if e == nil {
 		return false
 	}
-	c.popTop()
-	c.maybeCompact()
+	c.vacant = true
 	e.queued = false
 	c.now = e.at
 	e.fn()
+	c.fill()
+	c.maybeCompact()
 	c.recycle(e)
 	return true
 }
@@ -297,6 +323,7 @@ func (c *Clock) RunUntil(deadline Time) {
 // taken before Reset must not match an event scheduled after it (event
 // ordering only ever compares seq values relatively).
 func (c *Clock) Reset() {
+	c.fill()
 	for _, it := range c.pending {
 		c.recycle(it.e)
 	}

@@ -39,8 +39,9 @@ func (w *window) span() time.Duration { return w.width * winBuckets }
 // bucket returns the live bucket for plane time now, recycling stale
 // ring slots in place (no allocation).
 func (w *window) bucket(now time.Duration) *winBucket {
-	start := now - now%w.width
-	b := &w.ring[int(now/w.width)%winBuckets]
+	k := now / w.width
+	start := k * w.width // now − now%width: Go's division truncates
+	b := &w.ring[int(k)%winBuckets]
 	if !b.valid || b.start != start {
 		*b = winBucket{start: start, valid: true}
 	}

@@ -13,6 +13,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"time"
@@ -223,6 +224,8 @@ type Stream struct {
 	step    int
 	pending []time.Duration // the current step's arrivals, sorted; reused step to step
 	next    int             // index in pending of the arrival Next returns
+	offs    []time.Duration // the current step's draws, in draw order; reused
+	counts  []int           // binSort's bins; reused
 }
 
 // NewStream creates an arrival stream over the trace, truncated at limit
@@ -262,13 +265,72 @@ func (s *Stream) Next() (at time.Duration, ok bool) {
 		if n == 0 {
 			continue
 		}
-		s.pending, s.next = s.pending[:0], 0
+		s.offs = s.offs[:0]
 		for i := 0; i < n; i++ {
-			off := time.Duration(s.rng.Float64() * float64(s.trace.Step))
-			s.pending = append(s.pending, stepStart+off)
+			s.offs = append(s.offs, time.Duration(s.rng.Float64()*float64(s.trace.Step)))
 		}
-		slices.Sort(s.pending)
+		s.pending, s.counts = binSort(s.pending, s.counts, s.offs, stepStart, s.trace.Step)
+		s.next = 0
 	}
+}
+
+// binSort writes start+off for every off in offs to dst in ascending
+// order, and returns dst and counts, whose arrays it reuses. The offsets
+// lie in [0, step] — Float64()·step can round up to step — uniformly, so
+// a counting sort into n = len(offs) bins by a non-decreasing function of
+// the offset (binner) leaves O(1) expected offsets a bin, and the closing
+// insertion-sort pass, which alone would sort anything, has O(1) expected
+// work an element. Equal durations are indistinguishable: the result is
+// the one any sort gives.
+func binSort(dst []time.Duration, counts []int, offs []time.Duration, start, step time.Duration) ([]time.Duration, []int) {
+	n := len(offs)
+	bins := newBinner(n, step)
+	counts = slices.Grow(counts[:0], n)[:n]
+	clear(counts)
+	for _, off := range offs {
+		counts[bins.of(off)]++
+	}
+	first := 0
+	for b, c := range counts {
+		counts[b] = first
+		first += c
+	}
+	dst = slices.Grow(dst[:0], n)[:n]
+	for _, off := range offs {
+		b := bins.of(off)
+		dst[counts[b]] = start + off
+		counts[b]++
+	}
+	for i := 1; i < n; i++ {
+		x, j := dst[i], i
+		for ; j > 0 && dst[j-1] > x; j-- {
+			dst[j] = dst[j-1]
+		}
+		dst[j] = x
+	}
+	return dst, counts
+}
+
+// binner maps an offset in [0, step] to one of n bins, ⌊off·m / 2⁶⁴⌋
+// clamped to n−1 with m = ⌊n·2⁶⁴ / step⌋ — about ⌊off·n / step⌋ and
+// non-decreasing in off. The product is 128 bits wide: off·n passes 2⁶⁴
+// for an hour-long step of 5 M arrivals, and a wrapped bin would scatter
+// the offsets and leave the insertion sort quadratic work.
+type binner struct {
+	m, last uint64
+}
+
+func newBinner(n int, step time.Duration) binner {
+	m := uint64(math.MaxUint64) // ⌊n·2⁶⁴ / step⌋ saturates when n ≥ step
+	if uint64(n) < uint64(step) {
+		m, _ = bits.Div64(uint64(n), 0, uint64(step))
+	}
+	return binner{m: m, last: uint64(n - 1)}
+}
+
+func (b binner) of(off time.Duration) int {
+	hi, _ := bits.Mul64(uint64(off), b.m)
+	return int(min(hi, b.last))
 }
 
 // Collect materializes up to max arrivals (0 = all) into a slice.

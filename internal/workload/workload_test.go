@@ -176,7 +176,14 @@ func referenceArrivals(tr *Trace, limit time.Duration, rng *rand.Rand) []time.Du
 func TestStreamMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		opts := Options{Days: 1, Seed: seed, BaseRPS: 2}
-		traces := []*Trace{Constant(2, 6*time.Hour, time.Minute), Periodic(opts), Bursty(opts), Sporadic(opts)}
+		traces := []*Trace{
+			Constant(2, 6*time.Hour, time.Minute), Periodic(opts), Bursty(opts), Sporadic(opts),
+			// Thousands of arrivals a step, from poisson's normal branch.
+			Constant(60, 2*time.Hour, time.Minute),
+			{Name: "hourly", Step: time.Hour, RPS: []float64{2, 1}},
+			// A 30-day step of ~10k arrivals: off·n passes 2⁶⁴.
+			{Name: "monthly", Step: 30 * 24 * time.Hour, RPS: []float64{0.004}},
+		}
 		for _, tr := range traces {
 			// Past the trace's end (it wraps) and inside a step (the cut
 			// falls among that step's arrivals).
@@ -189,6 +196,86 @@ func TestStreamMatchesReference(t *testing.T) {
 			if !slices.Equal(got, want) {
 				t.Errorf("%s seed %d: stream (%d arrivals) differs from the reference (%d)", tr.Name, seed, len(got), len(want))
 			}
+		}
+	}
+}
+
+// binSort must order a step's offsets exactly as a comparison sort does,
+// at the edges of [0, step] and with buffers reused from a larger call.
+func TestBinSortMatchesSort(t *testing.T) {
+	var dst []time.Duration
+	var counts []int
+	check := func(name string, offs []time.Duration, start, step time.Duration) {
+		want := make([]time.Duration, len(offs))
+		for i, off := range offs {
+			want[i] = start + off
+		}
+		slices.Sort(want)
+		dst, counts = binSort(dst, counts, offs, start, step)
+		if !slices.Equal(dst, want) {
+			t.Fatalf("%s: binSort of %d offsets differs from slices.Sort", name, len(offs))
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	uniform := func(n int, step time.Duration) []time.Duration {
+		offs := make([]time.Duration, n)
+		for i := range offs {
+			offs[i] = time.Duration(rng.Float64() * float64(step))
+		}
+		return offs
+	}
+	same := func(n int, off time.Duration) []time.Duration {
+		offs := make([]time.Duration, n)
+		for i := range offs {
+			offs[i] = off
+		}
+		return offs
+	}
+	const step = time.Minute
+	check("all equal", same(3000, step/3), time.Hour, step)
+	check("all at 0", same(3000, 0), 0, step)
+	check("all at step-1", same(3000, step-1), time.Hour, step)
+	atStep := uniform(3000, step)
+	atStep[0], atStep[1500], atStep[2999] = step, step, step
+	check("some at step", atStep, 0, step)
+	check("n = 1", uniform(1, step), time.Minute, step)
+	check("more offsets than nanoseconds", uniform(500, 64), 0, 64)
+	wide := uniform(1000, 1<<62)
+	wide[7] = 1 << 62
+	check("off·n past 2⁶⁴", wide, 0, 1<<62)
+	for i := 0; i < 1000; i++ {
+		n := 1 + rng.Intn(4000)
+		check("random size", uniform(n, step), time.Duration(i)*step, step)
+	}
+}
+
+// A bin must follow the offset — non-decreasing, 0 at 0, and (with fewer
+// offsets than nanoseconds in the step) the last at step and within one
+// of off·n/step — also where off·n overflows 64 bits: otherwise binSort
+// still sorts, but by insertion alone.
+func TestBinnerFollowsOffset(t *testing.T) {
+	for _, c := range []struct {
+		n    int
+		step time.Duration
+	}{
+		{1, time.Minute}, {1000, time.Minute}, {10_000_000, time.Hour}, {1000, 1 << 62}, {500, 64},
+	} {
+		bins := newBinner(c.n, c.step)
+		const k = 100_000
+		prev := 0
+		for i := 0; i <= k; i++ {
+			off := time.Duration(float64(c.step) * float64(i) / k)
+			if i == k {
+				off = c.step
+			}
+			b := bins.of(off)
+			exact := float64(off) * float64(c.n) / float64(c.step)
+			spread := c.n < int(c.step)
+			if b < prev || b > c.n-1 || (i == 0 && b != 0) || (spread && i == k && b != c.n-1) ||
+				(spread && math.Abs(float64(b)-min(exact, float64(c.n-1))) > 1) {
+				t.Fatalf("n %d, step %v: offset %v in bin %d (previous %d, off·n/step %.1f)", c.n, c.step, off, b, prev, exact)
+			}
+			prev = b
 		}
 	}
 }
