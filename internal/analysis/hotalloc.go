@@ -1,13 +1,13 @@
 package analysis
 
 // hotalloc is the source-level half of the zero-allocation gate:
-// check.sh's gw_dispatch smoke pins an in-process invocation at the
-// mux's 17 B, but a benchmark only reports the regression — it cannot
+// check.sh's gw_dispatch smoke pins an in-process invocation under
+// 1.2 B, but a benchmark only reports the regression — it cannot
 // name the line that caused it, and it only covers the one path the
 // benchmark drives. hotalloc turns the contract into a directive:
 //
 //	//lint:hotpath
-//	func (s *Server) handleInvoke(...) { ... }
+//	func (s *Server) ServeHTTP(...) { ... }
 //
 // Every function so marked, and everything it reaches through
 // statically resolved calls, must contain no allocating constructs:

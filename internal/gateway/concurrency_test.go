@@ -11,6 +11,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -276,6 +278,48 @@ func TestWriteInvokeResponseMatchesJSON(t *testing.T) {
 		if w.Code != http.StatusOK || w.Header().Get("Content-Type") != "application/json" {
 			t.Errorf("response framing: code=%d ct=%q", w.Code, w.Header().Get("Content-Type"))
 		}
+	}
+}
+
+// TestAppendJSONFloatMatchesJSON pins the latency encoder to json.Marshal
+// where its decimal shortcut applies — n/10⁶ over every octave of n up
+// to the 10¹⁵ boundary and across it — and where it falls back to
+// strconv: random floats that are not micro-decimals, in both the 'f'
+// and 'e' ranges.
+func TestAppendJSONFloatMatchesJSON(t *testing.T) {
+	var got []byte
+	checked, mismatches := 0, 0
+	check := func(f float64) {
+		want, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checked++
+		if got = appendJSONFloat(got[:0], f); !bytes.Equal(got, want) {
+			if mismatches++; mismatches <= 10 {
+				t.Errorf("appendJSONFloat(%v) = %s, json.Marshal %s", f, got, want)
+			}
+		}
+	}
+	for _, n := range []float64{0, 1, 1e6, 1e6 + 1} {
+		check(n / 1e6)
+	}
+	for k := 0.0; k <= 1000; k++ {
+		check((1e15 - k) / 1e6)
+		check((1e15 + k) / 1e6)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for lo := 1.0; lo < 1e15; lo *= 2 { // 50 octaves, the last cut at 10¹⁵
+		width := min(lo, 1e15-lo)
+		for i := 0; i < 20_000; i++ {
+			check(math.Floor(lo+rng.Float64()*width) / 1e6)
+		}
+	}
+	for i := 0; i < 1_000_000; i++ {
+		check(math.Pow(10, -10+32*rng.Float64()))
+	}
+	if mismatches > 0 {
+		t.Fatalf("%d of %d values differ from json.Marshal", mismatches, checked)
 	}
 }
 

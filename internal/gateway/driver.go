@@ -40,7 +40,7 @@ type function struct {
 }
 
 // Sentinel errors for the invoke path: no fmt on the hot path, and
-// handleInvoke maps each cause to a preformatted body and status code.
+// serveInvoke maps each cause to a preformatted body and status code.
 var (
 	errShedQueueFull = errors.New("gateway: function queue full, request shed") // 429: Config.MaxQueue reached
 	errShedSaturated = errors.New("gateway: function saturated, request shed")  // 429: shed from the backlog (hold expired, or cluster full)
@@ -82,7 +82,17 @@ func (s *Server) toModel(d time.Duration) time.Duration {
 // planeNow converts the wall clock to plane time — the model-time offset
 // since the server started, compressed by SpeedFactor. A rate window of
 // 10s always means ten seconds of *model* time regardless of speed.
-func (s *Server) planeNow() time.Duration { return s.toModel(s.now().Sub(s.epoch)) }
+func (s *Server) planeNow() time.Duration { return s.toModel(s.sinceEpoch()) }
+
+// sinceEpoch is the wall clock's offset from the epoch. On the real clock
+// it is one monotonic read: time.Now would read the wall clock as well,
+// and a subtraction of two monotonic readings discards it.
+func (s *Server) sinceEpoch() time.Duration {
+	if s.now != nil {
+		return s.now().Sub(s.epoch)
+	}
+	return time.Since(s.epoch)
+}
 
 // wallUntil is the wall time left until plane time t, an hour at most,
 // when the wall clock reads wall past the epoch (advance's reading: a
@@ -105,7 +115,7 @@ func (s *Server) lock() {
 // advance runs the engine up to the present and returns the present, as
 // the wall clock's offset from the epoch. Callers hold s.mu.
 func (s *Server) advance() (wall time.Duration) {
-	wall = s.now().Sub(s.epoch)
+	wall = s.sinceEpoch()
 	s.eng.Clock().RunUntil(s.toModel(wall))
 	return wall
 }
@@ -218,7 +228,7 @@ func (s *Server) invoke(ctx context.Context, name string) (InvokeResponse, error
 // parks — the pacer takes over, and is woken if that event (scheduled by
 // this request, behind the pacer's back) is due before it means to wake.
 func (s *Server) await(ctx context.Context, inv *invocation) (sim.Outcome, error) {
-	for helping := !s.manual; helping; {
+	for helping := s.now == nil; helping; { // a manual server's callers never spin
 		s.lock()
 		wall := s.advance()
 		next, ok := s.eng.Clock().Next()

@@ -20,6 +20,11 @@
 //	POST   /function/{name}         invoke (blocks until the batch executes)
 //	GET    /system/metrics          telemetry snapshot (?format=json | prometheus)
 //
+// Server.ServeHTTP routes a canonical invocation — POST /function/ and
+// one plain path segment — itself; every other request, escaped and dot
+// segments included, goes through an http.ServeMux holding the routes
+// above.
+//
 // The REST surface is normalized: every response carries a Content-Type,
 // every error is `{"error": "..."}` JSON with a meaningful status code
 // (404 unknown function, 409 duplicate deploy, 400 bad request, 429
@@ -38,6 +43,7 @@ import (
 	"mime"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -101,11 +107,10 @@ type Server struct {
 	pred  scheduler.Predictor
 	col   *telemetry.Collector // the engine's ledger, behind /system/metrics
 	epoch time.Time
-	// now is the wall clock. Tests inject a fake one (newServer); the
-	// server is then manual: no pacer, no spinning callers — the test
-	// moves the clock and calls step.
-	now    func() time.Time
-	manual bool
+	// now is a fake wall clock a test injects (newServer), nil for the
+	// real one. With it the server is manual: no pacer, no spinning
+	// callers — the test moves the clock and calls step.
+	now func() time.Time
 
 	// mu is the gateway's one lock: it guards eng and all the engine owns
 	// — the clock, the function table, every function's instances and
@@ -141,8 +146,8 @@ func (s *Server) AllocatedResources() (cpu, gpu int) {
 // New creates a gateway.
 func New(cfg Config) *Server { return newServer(cfg, nil) }
 
-// newServer is New on the given wall clock; nil means time.Now and a
-// running pacer.
+// newServer is New on the given wall clock; nil means the real clock and
+// a running pacer.
 func newServer(cfg Config, now func() time.Time) *Server {
 	if cfg.SpeedFactor <= 0 {
 		cfg.SpeedFactor = 1
@@ -160,17 +165,16 @@ func newServer(cfg Config, now func() time.Time) *Server {
 		reg:     core.NewRegistry(),
 		pred:    scheduler.NewPredictorCache(profiler.NewPredictor(profiler.NewDB(profiler.DefaultDBOptions()))),
 		col:     telemetry.New(telemetry.Options{Window: time.Minute}),
+		epoch:   time.Now(),
 		now:     now,
-		manual:  now != nil,
 		waiters: map[*sim.Request]*invocation{},
 		wake:    make(chan struct{}, 1),
 		quit:    quit,
 		stop:    sync.OnceFunc(func() { close(quit) }),
 	}
-	if now == nil {
-		s.now = time.Now
+	if now != nil {
+		s.epoch = now()
 	}
-	s.epoch = s.now()
 	s.eng = sim.New(&reactive{hold: s.toModel(time.Second)}, sim.Config{
 		Cluster:   cfg.Cluster,
 		Seed:      cfg.Seed,
@@ -187,17 +191,47 @@ func newServer(cfg Config, now func() time.Time) *Server {
 	s.mux.HandleFunc("DELETE /system/functions/{name}", s.handleDelete)
 	s.mux.HandleFunc("POST /function/{name}", s.handleInvoke)
 	s.mux.HandleFunc("GET /system/metrics", s.handleMetrics)
-	if !s.manual {
+	if now == nil {
 		s.paced.Add(1)
 		go s.pace()
 	}
 	return s
 }
 
-// ServeHTTP implements http.Handler.
+// ServeHTTP implements http.Handler. A canonical invocation skips the
+// mux's pattern matching, which costs a fifth of an in-process invocation
+// and allocates; the answer is the one the mux's route would give
+// (TestInvokeRouteMatchesMux).
+//
+//lint:hotpath
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mux.ServeHTTP(w, r)
+	if name, ok := canonicalInvoke(r); ok {
+		s.serveInvoke(w, r, name)
+		return
+	}
+	s.serveMux(w, r)
 }
+
+const invokePrefix = "/function/"
+
+// canonicalInvoke returns the function a canonical invocation names:
+// method POST, a path that is its own escaping (no RawPath), and
+// "/function/" followed by one segment that path cleaning leaves as it
+// is — non-empty, no slash, not "." or "..". Anything else the mux
+// routes, redirects or refuses exactly as before.
+func canonicalInvoke(r *http.Request) (name string, ok bool) {
+	if r.Method != http.MethodPost || r.URL.RawPath != "" || !strings.HasPrefix(r.URL.Path, invokePrefix) {
+		return "", false
+	}
+	name = r.URL.Path[len(invokePrefix):]
+	return name, name != "" && name != "." && name != ".." && strings.IndexByte(name, '/') < 0
+}
+
+// serveMux hands a request ServeHTTP does not route itself to the mux,
+// whose matching allocates.
+//
+//lint:coldpath
+func (s *Server) serveMux(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // Telemetry returns the gateway's collector: the single source behind
 // /system/metrics in both formats, live-readable by embedding callers.
@@ -397,17 +431,21 @@ type InvokeResponse struct {
 	Instance  int     `json:"instance"`
 }
 
-// handleInvoke is the hot path: the engine round trip and a pooled
-// response encode. Steady state allocates nothing in the gateway's own
-// code (check.sh's gw_dispatch smoke gates an in-process invocation at the
-// mux's 17 B, and the hotalloc analyzer names any allocating line
-// reachable from here); every error
+// handleInvoke is the mux's invoke route, for the requests ServeHTTP
+// leaves to the mux.
+func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
+	s.serveInvoke(w, r, r.PathValue("name"))
+}
+
+// serveInvoke is the hot path: the engine round trip and a pooled
+// response encode. Steady state allocates nothing
+// (TestServeHTTPInvokeDoesNotAllocate; check.sh's gw_dispatch smoke
+// gates an in-process invocation at 1.2 B, and the hotalloc analyzer
+// names any allocating line reachable from ServeHTTP); every error
 // answer is a preformatted body, and saturation maps to 429 + Retry-After
 // so clients can tell "back off" from "broken".
-//
-//lint:hotpath
-func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
-	res, err := s.invoke(r.Context(), r.PathValue("name"))
+func (s *Server) serveInvoke(w http.ResponseWriter, r *http.Request, name string) {
+	res, err := s.invoke(r.Context(), name)
 	switch err {
 	case nil:
 		writeInvokeResponse(w, &res)
@@ -538,7 +576,17 @@ func writeInvokeResponse(w http.ResponseWriter, res *InvokeResponse) {
 // appendJSONFloat appends f the way encoding/json renders float64
 // ('f' for ordinary magnitudes, 'e' with a trimmed exponent zero at the
 // extremes), keeping the pooled encoder byte-identical to json.Marshal.
+//
+// A latency is whole nanoseconds over 1e6, so f is nearly always the
+// double nearest a decimal n/10⁶ with integer n. Below n = 10¹⁵ that
+// decimal has at most 15 significant digits, and no other decimal of at
+// most 15 digits rounds to the same double, so it is the shortest string
+// that round-trips f — what strconv would print, without its search.
+// Everything else takes strconv's path.
 func appendJSONFloat(b []byte, f float64) []byte {
+	if n := math.Round(f * 1e6); n >= 1 && n < 1e15 && n/1e6 == f {
+		return appendMicros(b, uint64(n))
+	}
 	abs := math.Abs(f)
 	format := byte('f')
 	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
@@ -552,6 +600,28 @@ func appendJSONFloat(b []byte, f float64) []byte {
 		}
 	}
 	return b
+}
+
+// appendMicros appends n/10⁶ in decimal: the integer part, then the six
+// fraction digits with trailing zeros trimmed (and no point if none is
+// left).
+func appendMicros(b []byte, n uint64) []byte {
+	b = strconv.AppendUint(b, n/1e6, 10)
+	frac := n % 1e6
+	if frac == 0 {
+		return b
+	}
+	var digits [6]byte // by constant divisors: a variable one is a DIV a digit
+	for i := len(digits) - 1; i >= 0; i-- {
+		digits[i] = byte('0' + frac%10)
+		frac /= 10
+	}
+	end := len(digits)
+	for digits[end-1] == '0' {
+		end--
+	}
+	b = append(b, '.')
+	return append(b, digits[:end]...)
 }
 
 const hexDigits = "0123456789abcdef"

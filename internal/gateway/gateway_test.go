@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/tanklab/infless/internal/core"
 	"github.com/tanklab/infless/internal/telemetry"
 )
 
@@ -221,6 +223,74 @@ func TestIdleReclaimReleasesResources(t *testing.T) {
 	}
 	cpu, gpu := gw.AllocatedResources()
 	t.Fatalf("resources still allocated after idle timeout: cpu=%d gpu=%d", cpu, gpu)
+}
+
+// TestInvokeRouteMatchesMux: ServeHTTP answers every request the way the
+// mux alone does, whether it routes the request itself or not. Twin
+// servers, each with f deployed, take the same requests in the same
+// order, one through ServeHTTP and one through its mux; status, the
+// headers a client acts on and the body must agree (the latency aside).
+// routed pins which requests skip the mux, so a route check that gave
+// up on everything, or took an escaped path, would show here too.
+func TestInvokeRouteMatchesMux(t *testing.T) {
+	twin := func() *Server {
+		gw := New(Config{SpeedFactor: 1e6, IdleTimeout: time.Hour, Seed: 1})
+		t.Cleanup(gw.Close)
+		if err := gw.deploy(core.RegistryEntry{Name: "f", ModelName: "MNIST", SLO: 200 * time.Millisecond}); err != nil {
+			t.Fatal(err)
+		}
+		return gw
+	}
+	route, mux := twin(), twin()
+	for _, c := range []struct {
+		method, target string
+		routed         bool
+	}{
+		{"POST", "/function/f", true},
+		{"POST", "/function/ghost", true}, // 404
+		{"GET", "/function/f", false},     // 405 + Allow
+		{"HEAD", "/function/f", false},
+		{"POST", "/function/", false},
+		{"POST", "/function/a/b", false},
+		{"POST", "/function/./f", false}, // redirects
+		{"POST", "/function/..", false},
+		{"POST", "/function/.", false},
+		{"POST", "/function/a%2Fb", false}, // the mux invokes "a/b"
+		{"POST", "/function/%66", false},   // ... and "f"
+		{"POST", "/function/a%20b", true},  // no RawPath: "a b" is its own escaping
+		{"POST", "/function/f/", false},
+		{"POST", "/function//f", false},
+		{"POST", "/function/f?x=1", true},
+	} {
+		name := c.method + " " + c.target
+		if _, ok := canonicalInvoke(httptest.NewRequest(c.method, c.target, nil)); ok != c.routed {
+			t.Errorf("%s: routed = %v, want %v", name, ok, c.routed)
+		}
+		got, want := httptest.NewRecorder(), httptest.NewRecorder()
+		route.ServeHTTP(got, httptest.NewRequest(c.method, c.target, nil))
+		mux.mux.ServeHTTP(want, httptest.NewRequest(c.method, c.target, nil))
+		if got.Code != want.Code {
+			t.Errorf("%s: status %d, the mux's %d", name, got.Code, want.Code)
+		}
+		for _, h := range []string{"Content-Type", "Allow", "Location", "Retry-After"} {
+			if g, w := got.Header().Values(h), want.Header().Values(h); !slices.Equal(g, w) {
+				t.Errorf("%s: %s %q, the mux's %q", name, h, g, w)
+			}
+		}
+		gotBody, wantBody := got.Body.Bytes(), want.Body.Bytes()
+		if got.Code == http.StatusOK {
+			var g, w InvokeResponse
+			if json.Unmarshal(gotBody, &g) != nil || json.Unmarshal(wantBody, &w) != nil {
+				t.Fatalf("%s: undecodable replies %q, %q", name, gotBody, wantBody)
+			}
+			g.LatencyMs, w.LatencyMs = 0, 0
+			if g != w {
+				t.Errorf("%s: reply %+v, the mux's %+v", name, g, w)
+			}
+		} else if !bytes.Equal(gotBody, wantBody) {
+			t.Errorf("%s: body %q, the mux's %q", name, gotBody, wantBody)
+		}
+	}
 }
 
 func TestInvokeUnknownFunction(t *testing.T) {

@@ -12,8 +12,10 @@
 # workers), a sharded-equivalence
 # smoke (every Schedule decision bit-identical to the single-shard
 # reference), three one-second runs of the repository's benchmark —
-# gw_dispatch (an in-process invocation stays at the mux's 17 B: the
-# gateway's own code allocates nothing), sim_fleet (conservation and
+# gw_dispatch (an in-process invocation stays under 1.2 B: the gateway
+# allocates nothing, and the 1.08 B measured at --seconds 1 is the
+# harness's full json.Unmarshal of every 256th reply, 272 B each, plus
+# the 3 % bound), sim_fleet (conservation and
 # digest equality hold, the three policy outcomes equal the seed-1
 # values in benchmark/calibration.json, so a change that moves a
 # scheduling or accounting decision fails here, and a simulated request
@@ -89,12 +91,12 @@ calibrated() {
 	' benchmark/calibration.json
 }
 
-echo "== benchmark smoke (gw_dispatch: replies checked, <= 17.6 B per invocation — the mux's 17.08 B plus the 3 % bound)"
+echo "== benchmark smoke (gw_dispatch: replies checked, <= 1.2 B per invocation — the harness's reply decodes, 1.08 B, plus the 3 % bound)"
 smoke_out=$(go run ./benchmark --workload gw_dispatch --seed 1 --seconds 1 --trace 0)
 alloc_b=$(metric "$smoke_out" alloc_bytes_per_op)
 echo "gw_dispatch alloc_bytes_per_op: ${alloc_b:-missing}"
-awk -v b="${alloc_b:-nan}" 'BEGIN { exit !(b + 0 == b && b <= 17.6) }' || {
-	echo "FAIL: the invoke hot path allocates beyond the mux's 17 B (or reported nothing)"
+awk -v b="${alloc_b:-nan}" 'BEGIN { exit !(b + 0 == b && b <= 1.2) }' || {
+	echo "FAIL: the invoke hot path allocates (over 1.2 B per invocation, or reported nothing)"
 	exit 1
 }
 
