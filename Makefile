@@ -8,9 +8,9 @@ GO ?= go
 check:
 	./scripts/check.sh
 
-## lint: the static-analysis suite, 8 analyzers (wallclock, maporder,
-## singledef, serverscan, lockedcallback, and the whole-program
-## hotalloc, errflow, goroutinelife — see internal/analysis). Analyzers
+## lint: the static-analysis suite, 6 analyzers (wallclock, maporder,
+## singledef, serverscan, and the whole-program hotalloc and errflow —
+## see internal/analysis). Analyzers
 ## run in parallel with input-ordered output. Prints its own wall time;
 ## check.sh enforces a 60s budget on the same run.
 lint:
@@ -42,11 +42,12 @@ test:
 ## reference, TestHeapMatchesSortedReference); (2) the sharded control plane,
 ## whose FitPool fans fit queries across workers (-short: the equivalence
 ## sweeps are long under the detector); (3) the parallel experiment
-## runner. scripts/check.sh runs this target, so the lists exist once.
+## runner and its leak test. scripts/check.sh runs this target, so the
+## lists exist once.
 race:
 	$(GO) test -race ./internal/gateway/... ./internal/runtime/... ./internal/telemetry/... ./internal/sim/... ./internal/loadgen/... ./internal/core/... ./internal/pool/... ./internal/simclock/...
 	$(GO) test -race -short ./internal/cluster/ ./internal/scheduler/
-	$(GO) test -race -short -run 'TestRunStreamOrdered|TestParallelForCoversAllIndices|TestParallelAllDeterministic' ./internal/bench/
+	$(GO) test -race -short -run 'TestRunStreamOrdered|TestParallelForCoversAllIndices|TestParallelAllDeterministic|TestRunnerLeavesNoGoroutines' ./internal/bench/
 
 ## bench: the repository's benchmark (BENCHMARK.json, benchmark/README.md),
 ## one workload after the other; the last line of each is its JSON result.

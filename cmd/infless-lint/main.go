@@ -1,8 +1,8 @@
 // Command infless-lint runs the repo's static-analysis suite: the
-// determinism, single-sourcing, placement-index and locking-discipline
-// invariants described in internal/analysis, plus the whole-program
-// hotalloc / errflow / goroutinelife analyzers. It loads the whole module with go/parser + go/types (standard library
-// only), fans the analyzers out in parallel with deterministic
+// determinism, single-sourcing and placement-index invariants described
+// in internal/analysis, plus the whole-program hotalloc and errflow
+// analyzers. It loads the whole module with go/parser + go/types
+// (standard library only), fans the analyzers out in parallel with deterministic
 // input-ordered output, and exits non-zero on any unsuppressed
 // diagnostic.
 //

@@ -5,53 +5,41 @@
 // packages and the single-sourcing of runtime policies extracted in the
 // shared internal/runtime layer.
 //
-// Eight analyzers run over the whole module. Five are syntactic or
+// Six analyzers run over the whole module. Four are syntactic or
 // type-based:
 //
-//   - wallclock:      no wall-clock time or global math/rand in the
+//   - wallclock:  no wall-clock time or global math/rand in the
 //     deterministic packages; time flows through simclock, randomness
 //     through seeded *rand.Rand sources.
-//   - maporder:       no map iteration that feeds ordered output
-//     (slice appends, printed/written output, float accumulation)
-//     unless the keys are sorted.
-//   - singledef:      the lifecycle policies, the latency histogram and
-//     the placement index are each defined exactly once, in their home
-//     file (the AST-level replacement for check.sh's old grep guards),
+//   - maporder:   no map iteration that feeds ordered output (slice
+//     appends, printed/written output, float accumulation) unless the
+//     keys are sorted.
+//   - singledef:  the lifecycle policies, the latency histogram and the
+//     placement index are each defined exactly once, in their home file,
 //     and the HomeTypes (sync's Pool) are named only inside
 //     internal/pool, whose API carries the pool ownership contract by
 //     type; driven by the declarative tables in invariants.go.
-//   - serverscan:     the scheduler never scans Cluster.EachServer;
+//   - serverscan: the scheduler never scans Cluster.EachServer;
 //     placement goes through the free-capacity index (BestFit/FirstFit).
-//   - lockedcallback: runtime.Observer callbacks and telemetry
-//     Collector entry points are never invoked between a mutex Lock and
-//     its Unlock in the gateway or telemetry packages.
 //
 // Two walk more than one function: hotalloc the static call graph
 // (callgraph.go), errflow a per-function control-flow graph (cfg.go):
 //
-//   - hotalloc:       functions marked //lint:hotpath and everything
-//     they reach in the call graph contain no allocating constructs
+//   - hotalloc:   functions marked //lint:hotpath and everything they
+//     reach in the call graph contain no allocating constructs
 //     (composite literals, make/new, closures, fmt, string
 //     concatenation, interface boxing); //lint:coldpath stops the
 //     descent at deliberate slow paths.
-//   - errflow:        control-plane packages never silently drop error
+//   - errflow:    control-plane packages never silently drop error
 //     results, whether discarded at the call or assigned to a variable
 //     no path reads.
-//
-// One covers the goroutines the module spawns:
-//
-//   - goroutinelife:  every `go` statement has a provable termination
-//     path — the spawned body selects or receives on a stop channel
-//     somebody closes (or ctx.Done()), ranges over a channel with a
-//     resolved close owner, or runs a bounded loop; a send from a
-//     spawned goroutine on an unbuffered local channel whose receiver
-//     sits in a multi-arm select is the classic timeout-path leak and
-//     is diagnosed.
 //
 // What the suite does not police is held elsewhere: lock order by there
 // being one mutex per package (the import DAG orders the rest), channel
 // close discipline by receive-only types and sync.OnceFunc, context
-// cancellation by go vet's lostcancel (DESIGN.md §10 has the table).
+// cancellation by go vet's lostcancel, goroutine lifetimes by the
+// spawn-site table in TestSpawnSitesAreJoined and the leak tests it
+// names (DESIGN.md §10 has the table).
 //
 // A finding can be suppressed with a directive on the same line or the
 // line above:
@@ -317,10 +305,8 @@ func Analyzers() []*Analyzer {
 		MapOrderAnalyzer,
 		SingleDefAnalyzer,
 		ServerScanAnalyzer,
-		LockedCallbackAnalyzer,
 		HotAllocAnalyzer,
 		ErrFlowAnalyzer,
-		GoroutineLifeAnalyzer,
 	}
 }
 

@@ -240,13 +240,3 @@ func TestServerScanIgnoresOtherPackages(t *testing.T) {
 		t.Fatalf("expected no diagnostics out of scope, got %v", diags)
 	}
 }
-
-func TestLockedCallbackFlagsBadCorpus(t *testing.T) {
-	u := loadCorpus(t, "lockedcallback/bad", "github.com/tanklab/infless/internal/gateway/lcbad")
-	checkWants(t, u, []*Analyzer{LockedCallbackAnalyzer})
-}
-
-func TestLockedCallbackAcceptsGoodCorpus(t *testing.T) {
-	u := loadCorpus(t, "lockedcallback/good", "github.com/tanklab/infless/internal/gateway/lcgood")
-	checkWants(t, u, []*Analyzer{LockedCallbackAnalyzer})
-}

@@ -49,8 +49,7 @@ func TestHotAllocDirectiveMisuse(t *testing.T) {
 // TestAnalyzerRoster pins the registered analyzer set: a new analyzer
 // must be added here deliberately, and none may silently drop out.
 func TestAnalyzerRoster(t *testing.T) {
-	want := []string{"wallclock", "maporder", "singledef", "serverscan",
-		"lockedcallback", "hotalloc", "errflow", "goroutinelife"}
+	want := []string{"wallclock", "maporder", "singledef", "serverscan", "hotalloc", "errflow"}
 	got := Analyzers()
 	if len(got) != len(want) {
 		t.Fatalf("Analyzers() returned %d analyzers, want %d", len(got), len(want))

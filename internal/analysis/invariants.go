@@ -95,10 +95,6 @@ var SingleDefs = []SingleDef{
 		"the per-tier bandwidth/latency model is defined once, next to its tier enum"},
 	{KindType, "", "Cache", "internal/artifact/cache.go",
 		"one deterministic per-server artifact LRU serves the engine on both planes"},
-	{KindType, "", "ArtifactQuery", "internal/cluster/shard.go",
-		"the startup-aware placement view is defined once, next to the shard merge it extends"},
-	{KindMethod, "Cluster", "BestFitShardsArtifact", "internal/cluster/shard.go",
-		"the startup-tie-break shard merge has one implementation, mirroring BestFitShards"},
 }
 
 // HomeType declares a standard-library type that only one package of

@@ -94,28 +94,10 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 	return l.std.Import(path)
 }
 
-// LoadAll loads every package directory in the module (skipping
-// testdata, vendor, hidden and underscore directories) and returns the
+// LoadAll loads every package directory in the module and returns the
 // unit for analysis.
 func (l *Loader) LoadAll() (*Unit, error) {
-	var dirs []string
-	err := filepath.WalkDir(l.root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() {
-			return nil
-		}
-		name := d.Name()
-		if path != l.root && (name == "testdata" || name == "vendor" ||
-			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-			return filepath.SkipDir
-		}
-		if hasGoFiles(path) {
-			dirs = append(dirs, path)
-		}
-		return nil
-	})
+	dirs, err := packageDirs(l.root)
 	if err != nil {
 		return nil, err
 	}
@@ -143,6 +125,27 @@ func (l *Loader) pathFor(dir string) string {
 		return l.Module
 	}
 	return l.Module + "/" + filepath.ToSlash(rel)
+}
+
+// packageDirs lists the directories under root holding non-test Go
+// files, skipping testdata, vendor, hidden and underscore directories.
+func packageDirs(root string) ([]string, error) {
+	var dirs []string
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		name := d.Name()
+		if path != root && (name == "testdata" || name == "vendor" ||
+			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
+		}
+		if hasGoFiles(path) {
+			dirs = append(dirs, path)
+		}
+		return nil
+	})
+	return dirs, err
 }
 
 func hasGoFiles(dir string) bool {

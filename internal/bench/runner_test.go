@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -77,6 +78,56 @@ func TestParallelForCoversAllIndices(t *testing.T) {
 				t.Fatalf("workers=%d: index %d ran %d times", workers, i, h)
 			}
 		}
+	}
+}
+
+// leavesNoGoroutines runs f and fails unless it returns within the
+// deadline and the goroutine count then settles back to its value
+// before f ran, dumping all stacks on a leak.
+func leavesNoGoroutines(t *testing.T, what string, f func()) {
+	t.Helper()
+	base := runtime.NumGoroutine()
+	returned := make(chan struct{})
+	go func() {
+		defer close(returned)
+		f()
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	select {
+	case <-returned:
+	case <-time.After(time.Until(deadline)):
+		t.Fatalf("%s did not return: it waits on a worker that never exits", what)
+	}
+	for n := runtime.NumGoroutine(); n > base; n = runtime.NumGoroutine() {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			buf = buf[:runtime.Stack(buf, true)]
+			t.Fatalf("%s leaked goroutines: %d live, baseline %d\n%s", what, n, base, buf)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestRunnerLeavesNoGoroutines: RunStream's workers and index feeder,
+// and parallelFor's workers, are all gone when the call returns.
+func TestRunnerLeavesNoGoroutines(t *testing.T) {
+	exps := make([]Experiment, 6)
+	for i := range exps {
+		exps[i] = Experiment{ID: fmt.Sprintf("exp%d", i), Run: func(Options) *Table { return &Table{} }}
+	}
+	emitted := 0
+	leavesNoGoroutines(t, "RunStream", func() {
+		RunStream(exps, Options{}, 4, func(RunResult) { emitted++ })
+	})
+	if emitted != len(exps) {
+		t.Fatalf("RunStream emitted %d results, want %d", emitted, len(exps))
+	}
+	var ran atomic.Int32
+	leavesNoGoroutines(t, "parallelFor", func() {
+		Options{Parallel: 4}.parallelFor(16, func(int) { ran.Add(1) })
+	})
+	if ran.Load() != 16 {
+		t.Fatalf("parallelFor ran %d bodies, want 16", ran.Load())
 	}
 }
 

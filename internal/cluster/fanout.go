@@ -14,7 +14,6 @@ package cluster
 
 import (
 	"sync"
-	"time"
 
 	"github.com/tanklab/infless/internal/perf"
 )
@@ -36,10 +35,9 @@ type FitPool struct {
 }
 
 type fitAnswer struct {
-	id      int
-	freeW   float64
-	startup time.Duration // meaningful only for artifact-aware queries
-	ok      bool
+	id    int
+	freeW float64
+	ok    bool
 }
 
 type fitJob struct {
@@ -47,7 +45,6 @@ type fitJob struct {
 	res      perf.Resources
 	memMB    int
 	firstFit bool
-	art      *ArtifactQuery // nil for plain best/first-fit
 }
 
 // NewFitPool creates a pool with the given number of workers, clamped to
@@ -83,12 +80,9 @@ func (p *FitPool) worker() {
 	for j := range p.jobs {
 		a := &p.answers[j.slot]
 		from, to := p.chunks[j.slot][0], p.chunks[j.slot][1]
-		switch {
-		case j.firstFit:
+		if j.firstFit {
 			a.id, a.freeW, a.ok = p.c.FirstFitShards(from, to, j.res, j.memMB)
-		case j.art != nil:
-			a.id, a.freeW, a.startup, a.ok = p.c.BestFitShardsArtifact(from, to, j.res, j.memMB, j.art)
-		default:
+		} else {
 			a.id, a.freeW, a.ok = p.c.BestFitShards(from, to, j.res, j.memMB)
 		}
 		p.wg.Done()
@@ -97,13 +91,13 @@ func (p *FitPool) worker() {
 
 // query fans one placement query across the chunks and merges. The
 // wg.Wait happens-before edge makes the answers slots safe to read.
-func (p *FitPool) query(res perf.Resources, memMB int, firstFit bool, art *ArtifactQuery) (int, float64, time.Duration, bool) {
+func (p *FitPool) query(res perf.Resources, memMB int, firstFit bool) (int, float64, bool) {
 	p.wg.Add(len(p.chunks))
 	for i := range p.chunks {
-		p.jobs <- fitJob{slot: i, res: res, memMB: memMB, firstFit: firstFit, art: art}
+		p.jobs <- fitJob{slot: i, res: res, memMB: memMB, firstFit: firstFit}
 	}
 	p.wg.Wait()
-	id, freeW, startup, ok := -1, 0.0, time.Duration(0), false
+	id, freeW, ok := -1, 0.0, false
 	for i := range p.answers {
 		a := p.answers[i]
 		if !a.ok {
@@ -111,15 +105,7 @@ func (p *FitPool) query(res perf.Resources, memMB int, firstFit bool, art *Artif
 		}
 		if firstFit {
 			// Chunks ascend the ID space: the first hit is the lowest id.
-			return a.id, a.freeW, 0, true
-		}
-		if art != nil {
-			// Startup-aware merge: least (startup, freeW); ties go to the
-			// earlier chunk's lower ids, same as the per-shard rule.
-			if !ok || a.startup < startup || (a.startup == startup && a.freeW < freeW) {
-				id, freeW, startup, ok = a.id, a.freeW, a.startup, true
-			}
-			continue
+			return a.id, a.freeW, true
 		}
 		// Strictly less: key ties go to the earlier chunk's lower ids,
 		// exactly the single-index contract.
@@ -127,7 +113,7 @@ func (p *FitPool) query(res perf.Resources, memMB int, firstFit bool, art *Artif
 			id, freeW, ok = a.id, a.freeW, true
 		}
 	}
-	return id, freeW, startup, ok
+	return id, freeW, ok
 }
 
 // BestFit answers the cluster-wide best-fit query through the pool.
@@ -135,22 +121,7 @@ func (p *FitPool) BestFit(res perf.Resources, memMB int) (id int, freeW float64,
 	if p.jobs == nil {
 		return p.c.BestFit(res, memMB)
 	}
-	id, freeW, _, ok = p.query(res, memMB, false, nil)
-	return id, freeW, ok
-}
-
-// BestFitArtifact answers the startup-aware best-fit query through the
-// pool. With q == nil it is exactly BestFit (zero startup), preserving
-// the bit-identical contract for disabled tiering.
-func (p *FitPool) BestFitArtifact(res perf.Resources, memMB int, q *ArtifactQuery) (id int, freeW float64, startup time.Duration, ok bool) {
-	if q == nil {
-		id, freeW, ok = p.BestFit(res, memMB)
-		return id, freeW, 0, ok
-	}
-	if p.jobs == nil {
-		return p.c.BestFitShardsArtifact(0, len(p.c.shards), res, memMB, q)
-	}
-	return p.query(res, memMB, false, q)
+	return p.query(res, memMB, false)
 }
 
 // FirstFit answers the cluster-wide first-fit query through the pool.
@@ -158,8 +129,7 @@ func (p *FitPool) FirstFit(res perf.Resources, memMB int) (id int, freeW float64
 	if p.jobs == nil {
 		return p.c.FirstFit(res, memMB)
 	}
-	id, freeW, _, ok = p.query(res, memMB, true, nil)
-	return id, freeW, ok
+	return p.query(res, memMB, true)
 }
 
 // Close releases the pool's workers. The pool is unusable afterwards;

@@ -1,9 +1,9 @@
 package cluster
 
-// leak_test.go pins FitPool teardown dynamically: goroutinelife proves
-// the workers' range loop ends when the jobs channel closes — this
-// harness proves the workers are actually gone after Close returns, and
-// that a second Close is harmless.
+// leak_test.go pins FitPool teardown: the workers NewFitPool spawns are
+// gone after Close returns, and a second Close is harmless. The
+// spawn-site table (analysis.TestSpawnSitesAreJoined) names
+// TestFitPoolCloseStopsWorkers as that proof.
 
 import (
 	"runtime"

@@ -24,12 +24,7 @@ package cluster
 // sharding buys now is short bitmaps, those two prunes, and the unit of
 // the FitPool fan-out.
 
-import (
-	"time"
-
-	"github.com/tanklab/infless/internal/artifact"
-	"github.com/tanklab/infless/internal/perf"
-)
+import "github.com/tanklab/infless/internal/perf"
 
 // shard is one contiguous slice [lo, hi) of the server ID space with its
 // own free-capacity index and incremental aggregates.
@@ -123,88 +118,6 @@ func (c *Cluster) BestFitShards(from, to int, res perf.Resources, memMB int) (id
 // memory is not indexed and always decides here.
 func (s *Server) fits(res perf.Resources, memMB int) bool {
 	return s.Free.Fits(res) && s.MemFreeMB >= memMB
-}
-
-// ArtifactQuery asks the placement query to score fitting servers by
-// estimated startup time: which tier holds the named checkpoint on each
-// candidate, priced by the hierarchy. A nil *ArtifactQuery means "no
-// tiering" and every artifact-aware query degenerates to the exact
-// legacy code path.
-type ArtifactQuery struct {
-	Name   string
-	SizeMB int
-	H      artifact.Hierarchy
-}
-
-// startupOn estimates the cold-start time of the query's artifact on
-// server s (remote tier when the server has no cache or misses).
-func (q *ArtifactQuery) startupOn(s *Server) time.Duration {
-	tier := artifact.TierRemote
-	if s.art != nil {
-		tier = s.art.Tier(q.Name)
-	}
-	return q.H.Startup(q.SizeMB, tier).Total()
-}
-
-// artifactWindow bounds how many fitting servers a shard examines when
-// scoring by startup time: the walk ascends the free-capacity index
-// (fullest first, the packing order) and picks the lowest-startup
-// server among the first few that fit, so a DRAM-resident copy a few
-// slots down the index wins over an SSD copy on the very fullest
-// server without the walk degenerating into a full scan.
-const artifactWindow = 8
-
-// BestFitShardsArtifact answers the startup-aware best-fit query over
-// the shard range [from, to): among fitting up servers, the one with
-// the least (estimated startup, free weighted capacity, id), examining
-// at most artifactWindow fitting servers per shard in ascending
-// free-weight order. With q == nil it is exactly BestFitShards — the
-// tie-break tuple collapses to (freeW, id) and the bounded window never
-// engages — so disabled tiering keeps decisions bit-identical.
-//
-//lint:hotpath
-func (c *Cluster) BestFitShardsArtifact(from, to int, res perf.Resources, memMB int, q *ArtifactQuery) (id int, freeW float64, startup time.Duration, ok bool) {
-	if q == nil {
-		id, freeW, ok = c.BestFitShards(from, to, res, memMB)
-		return id, freeW, 0, ok
-	}
-	minW := res.Weighted()
-	id = -1
-	for si := from; si < to; si++ {
-		ix := &c.shards[si].index
-		// Prune 1 (feasibility) holds unchanged: the shard's fullest-free
-		// server decides whether anything here can fit. Prune 2 does not
-		// apply — a near-empty server holding a DRAM copy can still win.
-		if maxK, any := ix.maxKey(); !any || maxK < minW {
-			continue
-		}
-		start, onGrid := ix.order.floor(res)
-		if !onGrid {
-			continue
-		}
-		seen := 0
-	walk:
-		for cell := ix.nextCell(start); cell >= 0; cell = ix.nextCell(cell + 1) {
-			k := &ix.order.cells[cell]
-			if !k.holds(res) {
-				continue
-			}
-			for sid := ix.nextID(cell, ix.base); sid >= 0; sid = ix.nextID(cell, sid+1) {
-				s := c.servers[sid]
-				if !s.fits(res, memMB) {
-					continue
-				}
-				st := q.startupOn(s)
-				if !ok || st < startup || (st == startup && (k.key < freeW || (k.key == freeW && int(sid) < id))) {
-					id, freeW, startup, ok = int(sid), k.key, st, true
-				}
-				if seen++; seen == artifactWindow {
-					break walk
-				}
-			}
-		}
-	}
-	return id, freeW, startup, ok
 }
 
 // FirstFitShards answers the first-fit query over the shard range

@@ -245,14 +245,6 @@ func TestLSTHBeatsHHPOnLTPSTBTraffic(t *testing.T) {
 		hhp.ColdRate(), hhp.WastePerInvocation(), lsth.ColdRate(), lsth.WastePerInvocation())
 }
 
-func TestCompare(t *testing.T) {
-	arr := []time.Duration{0, time.Minute, 2 * time.Minute}
-	rs := Compare([]Policy{Fixed{KeepAlive: time.Hour}, NewHHP()}, arr)
-	if len(rs) != 2 || rs[0].Policy != "fixed" || rs[1].Policy != "hhp" {
-		t.Fatalf("compare results: %+v", rs)
-	}
-}
-
 func TestEvaluateSortsInput(t *testing.T) {
 	p := Fixed{KeepAlive: time.Hour}
 	a := Evaluate(p, []time.Duration{2 * time.Minute, 0, time.Minute})

@@ -69,12 +69,3 @@ func Evaluate(p Policy, arrivals []time.Duration) Result {
 	}
 	return res
 }
-
-// Compare evaluates several policies on the same trace.
-func Compare(policies []Policy, arrivals []time.Duration) []Result {
-	out := make([]Result, len(policies))
-	for i, p := range policies {
-		out[i] = Evaluate(p, arrivals)
-	}
-	return out
-}

@@ -5,9 +5,6 @@ package core
 // time.
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"time"
@@ -88,24 +85,4 @@ func (r *Registry) List() []RegistryEntry {
 	r.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// Save serializes the registry as JSON.
-func (r *Registry) Save(w io.Writer) error {
-	return json.NewEncoder(w).Encode(r.List())
-}
-
-// LoadRegistry reads a registry written by Save, validating every entry.
-func LoadRegistry(rd io.Reader) (*Registry, error) {
-	var entries []RegistryEntry
-	if err := json.NewDecoder(rd).Decode(&entries); err != nil {
-		return nil, fmt.Errorf("registry: decode: %w", err)
-	}
-	reg := NewRegistry()
-	for _, e := range entries {
-		if err := reg.Register(e); err != nil {
-			return nil, fmt.Errorf("registry: entry %s: %w", e.Name, err)
-		}
-	}
-	return reg, nil
 }

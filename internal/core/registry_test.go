@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -53,36 +51,6 @@ func TestRegistryRejectsInvalid(t *testing.T) {
 	bad2.SLO = 0
 	if err := r.Register(bad2); err == nil {
 		t.Fatal("zero SLO accepted")
-	}
-}
-
-func TestRegistryRoundTrip(t *testing.T) {
-	r := NewRegistry()
-	_ = r.Register(entry("alpha"))
-	_ = r.Register(entry("beta"))
-	var buf bytes.Buffer
-	if err := r.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadRegistry(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(loaded.List()); n != 2 {
-		t.Fatalf("loaded %d entries", n)
-	}
-	got, _ := loaded.Lookup("alpha")
-	if got != entry("alpha") {
-		t.Fatalf("round trip mismatch: %+v", got)
-	}
-}
-
-func TestLoadRegistryRejectsCorrupt(t *testing.T) {
-	if _, err := LoadRegistry(strings.NewReader("not json")); err == nil {
-		t.Fatal("corrupt input accepted")
-	}
-	if _, err := LoadRegistry(strings.NewReader(`[{"name":"x","model":"NoSuchNet","sloNs":1000}]`)); err == nil {
-		t.Fatal("invalid entry accepted")
 	}
 }
 

@@ -1,11 +1,11 @@
 package gateway
 
-// leak_test.go is the dynamic half of the goroutinelife contract: the
-// analyzer proves the pacer CAN exit; this harness proves Close actually
-// joins it, however many times and from however many goroutines it is
-// called. Settle-and-compare around a full deploy/invoke/Close cycle
-// pins the teardown (TestCloseAnswersEveryCaller does the same with
-// callers still inside).
+// leak_test.go proves Close joins the pacer newServer spawns, however
+// many times and from however many goroutines it is called; the
+// spawn-site table (analysis.TestSpawnSitesAreJoined) names
+// TestCloseJoinsPacer as that proof. Settle-and-compare around a full
+// deploy/invoke/Close cycle pins the teardown
+// (TestCloseAnswersEveryCaller does the same with callers still inside).
 
 import (
 	"context"

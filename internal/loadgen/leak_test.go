@@ -1,9 +1,10 @@
 package loadgen
 
-// leak_test.go pins loadgen teardown dynamically: goroutinelife proves
-// the open-loop workers end when the pacer closes jobs and the
-// closed-loop workers end with the run context — this harness proves
-// Run actually returns with every worker gone, in both modes.
+// leak_test.go pins loadgen teardown: Run returns with every worker
+// gone, in both modes — the open-loop workers end when the pacer closes
+// jobs, the closed-loop workers with the run context. The spawn-site
+// table (analysis.TestSpawnSitesAreJoined) names
+// TestRunLeavesNoGoroutines as the proof for runOpen and runClosed.
 
 import (
 	"context"

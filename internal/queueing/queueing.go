@@ -152,28 +152,3 @@ func probLess(mean float64, k int) float64 {
 func secs(s float64) time.Duration {
 	return time.Duration(s * float64(time.Second))
 }
-
-// OptimalBatch searches the batch-size menu for the cheapest (smallest)
-// batch whose analytic mean response stays within the SLO with the given
-// margin — the decision BATCH's controller makes from its profiles.
-func OptimalBatch(lambda float64, menu []int, timeoutFor func(b int) time.Duration, service func(b int) time.Duration, slo time.Duration, margin float64) (int, Result, bool) {
-	if margin <= 0 {
-		margin = 1
-	}
-	bestB := 0
-	var bestRes Result
-	for _, b := range menu {
-		res, err := Analyze(Params{Lambda: lambda, B: b, Timeout: timeoutFor(b), Service: service})
-		if err != nil || !res.Stable {
-			continue
-		}
-		if float64(res.MeanResponse)*margin <= float64(slo) {
-			// Prefer the largest batch meeting the SLO: bigger batches are
-			// cheaper per request.
-			if b > bestB {
-				bestB, bestRes = b, res
-			}
-		}
-	}
-	return bestB, bestRes, bestB > 0
-}

@@ -156,30 +156,3 @@ func TestAnalyzeMatchesMonteCarlo(t *testing.T) {
 		}
 	}
 }
-
-func TestOptimalBatch(t *testing.T) {
-	// Service time grows sublinearly with batch: larger batches win when
-	// the SLO allows.
-	service := func(b int) time.Duration {
-		return time.Duration(5+2*b) * time.Millisecond
-	}
-	timeoutFor := func(b int) time.Duration { return 80 * time.Millisecond }
-	menu := []int{1, 2, 4, 8, 16}
-
-	b, res, ok := OptimalBatch(200, menu, timeoutFor, service, 200*time.Millisecond, 1.1)
-	if !ok {
-		t.Fatal("no feasible batch found")
-	}
-	if b < 4 {
-		t.Errorf("high rate + loose SLO should pick a large batch, got %d", b)
-	}
-	if !res.Stable {
-		t.Error("chosen configuration unstable")
-	}
-
-	// A very tight SLO forces batch 1 or nothing.
-	b, _, ok = OptimalBatch(20, menu, timeoutFor, service, 12*time.Millisecond, 1.0)
-	if ok && b > 1 {
-		t.Errorf("tight SLO picked batch %d", b)
-	}
-}

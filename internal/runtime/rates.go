@@ -9,7 +9,7 @@ package runtime
 // through Get and feeds the ring through PlaneObserve; the stripe locks,
 // the atomics and the name-keyed Observe/Demand serve no concurrent
 // caller any more (only benchmark/layers.go times them) and are kept
-// until that harness lets them go (ROADMAP item 4b).
+// until that harness lets them go (ROADMAP item 9(b)).
 
 import (
 	"sync"

@@ -75,14 +75,6 @@ type Options struct {
 	// identical at any setting — the pool merges per-shard answers by the
 	// same (key, id) rule the serial path uses.
 	FitWorkers int
-	// Artifact, when non-nil, makes placement startup-aware: pass-1
-	// queries go through the cluster's startup-scored best fit (which
-	// tier holds this function's checkpoint on each candidate server),
-	// and pass 2 breaks exact Eq. 10 score ties toward the lower
-	// estimated startup. nil keeps every query and comparison on the
-	// legacy path — decisions are bit-identical to a tree without
-	// artifact support (TestArtifactNilEquivalence).
-	Artifact *cluster.ArtifactQuery
 }
 
 func (o *Options) defaults() {
@@ -131,12 +123,11 @@ type scored struct {
 
 // fit is scheduleOne's per-candidate best-host record.
 type fit struct {
-	c       Candidate
-	srv     int
-	freeW   float64
-	perRes  float64
-	idx     int
-	startup time.Duration // estimated cold start on srv (artifact-aware runs only)
+	c      Candidate
+	srv    int
+	freeW  float64
+	perRes float64
+	idx    int
 }
 
 // byGridOrder orders fits by their candidates' BuildPlan grid position.
@@ -284,14 +275,14 @@ func (p *Plan) scheduleOne(rps float64, pool *cluster.FitPool) (Decision, bool) 
 				// monotone in perRes, so every later candidate fails it too.
 				break
 			}
-			srv, freeW, startup, ok := pool.BestFitArtifact(sc.c.Res, memMB, p.opts.Artifact)
+			srv, freeW, ok := pool.BestFit(sc.c.Res, memMB)
 			if !ok {
 				continue
 			}
 			if maxPerRes == 0 {
 				maxPerRes = sc.perRes // best fitting ratio: first fit in rank order
 			}
-			fits = append(fits, fit{c: sc.c, srv: srv, freeW: freeW, perRes: sc.perRes, idx: sc.idx, startup: startup})
+			fits = append(fits, fit{c: sc.c, srv: srv, freeW: freeW, perRes: sc.perRes, idx: sc.idx})
 		}
 		p.fits = fits // keep any capacity growth for the next call
 		if len(fits) == 0 {
@@ -310,18 +301,11 @@ func (p *Plan) scheduleOne(rps float64, pool *cluster.FitPool) (Decision, bool) 
 		slices.SortFunc(fits, byGridOrder)
 		var best Decision
 		bestE := math.Inf(-1)
-		bestStartup := time.Duration(0)
 		for _, f := range fits {
 			num := f.perRes / maxPerRes
 			e := efficiency(num, f.c.Res.Weighted(), f.freeW, false, f.c.Bounds.RUp)
-			// Startup tie-break (artifact-aware runs only): on an exact
-			// Eq. 10 score tie, prefer the placement whose checkpoint sits
-			// higher in the storage hierarchy. With Artifact nil every
-			// startup is zero and the comparison can never fire, keeping
-			// decisions bit-identical to the legacy walk.
-			if e > bestE || (p.opts.Artifact != nil && e == bestE && f.startup < bestStartup) {
+			if e > bestE {
 				bestE = e
-				bestStartup = f.startup
 				best = Decision{Server: f.srv, Candidate: f.c}
 			}
 		}

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/tanklab/infless/internal/artifact"
 	"github.com/tanklab/infless/internal/cluster"
 	"github.com/tanklab/infless/internal/model"
 	"github.com/tanklab/infless/internal/perf"
@@ -299,24 +298,21 @@ func TestPropertyScheduleSound(t *testing.T) {
 // one-instance Schedule allocates its result slice and nothing else — no
 // pool, no sort closure, no per-query visitor.
 func TestSingleInstanceScheduleAllocatesOnlyItsResult(t *testing.T) {
-	for _, art := range []*cluster.ArtifactQuery{nil, {Name: "resnet", SizeMB: 100, H: artifact.Default()}} {
-		p := BuildPlan(resnetFn(), testPred, Options{MaxInstancesPerCall: 1, Artifact: art})
-		cl := cluster.New(cluster.Options{Servers: 64, Shards: 4})
-		cl.EnableArtifacts(artifact.DefaultConfig().CacheMB)
-		mem := p.Fn.Model.MemoryMB
-		if warm, _ := p.Schedule(1e6, cl); len(warm) != 1 { // leave one instance: later placements pack onto its server
-			t.Fatal("nothing placed on an empty cluster")
+	p := BuildPlan(resnetFn(), testPred, Options{MaxInstancesPerCall: 1})
+	cl := cluster.New(cluster.Options{Servers: 64, Shards: 4})
+	mem := p.Fn.Model.MemoryMB
+	if warm, _ := p.Schedule(1e6, cl); len(warm) != 1 { // leave one instance: later placements pack onto its server
+		t.Fatal("nothing placed on an empty cluster")
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		placed, _ := p.Schedule(300, cl)
+		if len(placed) != 1 {
+			t.Fatal("nothing placed")
 		}
-		allocs := testing.AllocsPerRun(200, func() {
-			placed, _ := p.Schedule(300, cl)
-			if len(placed) != 1 {
-				t.Fatal("nothing placed")
-			}
-			cl.Release(placed[0].Server, placed[0].Res, mem)
-		})
-		if allocs > 1 {
-			t.Fatalf("artifact-aware %v: one-instance Schedule = %v allocs, want <= 1", art != nil, allocs)
-		}
+		cl.Release(placed[0].Server, placed[0].Res, mem)
+	})
+	if allocs > 1 {
+		t.Fatalf("one-instance Schedule = %v allocs, want <= 1", allocs)
 	}
 }
 

@@ -221,12 +221,12 @@ func (p *Plan) scheduleOneFullWalk(rps float64, pool *cluster.FitPool) (Decision
 		fits := p.fits[:0]
 		maxPerRes := 0.0
 		for _, c := range ib {
-			srv, freeW, startup, ok := pool.BestFitArtifact(c.Res, memMB, p.opts.Artifact)
+			srv, freeW, ok := pool.BestFit(c.Res, memMB)
 			if !ok {
 				continue
 			}
 			perRes := c.Bounds.RUp / c.Res.Weighted()
-			fits = append(fits, fit{c: c, srv: srv, freeW: freeW, perRes: perRes, startup: startup})
+			fits = append(fits, fit{c: c, srv: srv, freeW: freeW, perRes: perRes})
 			if perRes > maxPerRes {
 				maxPerRes = perRes
 			}
@@ -237,16 +237,14 @@ func (p *Plan) scheduleOneFullWalk(rps float64, pool *cluster.FitPool) (Decision
 		}
 		var best Decision
 		bestE := math.Inf(-1)
-		bestStartup := time.Duration(0)
 		for _, f := range fits {
 			num := f.perRes / maxPerRes
 			if num < 0.95 {
 				continue
 			}
 			e := efficiency(num, f.c.Res.Weighted(), f.freeW, false, f.c.Bounds.RUp)
-			if e > bestE || (p.opts.Artifact != nil && e == bestE && f.startup < bestStartup) {
+			if e > bestE {
 				bestE = e
-				bestStartup = f.startup
 				best = Decision{Server: f.srv, Candidate: f.c}
 			}
 		}

@@ -27,17 +27,18 @@
 # and infless-lint — the AST/types-based analyzer suite
 # (cmd/infless-lint) that replaced the old grep guards: it keeps the
 # lifecycle policies single-sourced, the deterministic packages off the
-# wall clock, placement on the free-capacity index, ad-hoc
-# observer/telemetry callbacks out of mutex critical sections and
-# sync.Pool inside internal/pool, and runs the whole-program hotalloc /
-# errflow / goroutinelife analyzers. go vet runs ahead of it and is part
-# of the same gate: its lostcancel pass is the module's cancel-on-every-
-# path check. The lint pass fans the 8 analyzers out in parallel
-# (deterministic output), prints its measured wall time and has a 60s
-# budget so it stays cheap enough to run on every commit. The race pass
-# doubles as the goroutine-leak gate: the NumGoroutine settle-and-compare
-# harnesses around Server.Close, FitPool.Close and loadgen.Run ride the
-# gateway/cluster/loadgen race runs.
+# wall clock, placement on the free-capacity index and sync.Pool inside
+# internal/pool, and runs the whole-program hotalloc / errflow
+# analyzers. go vet runs ahead of it and is part of the same gate: its
+# lostcancel pass is the module's cancel-on-every-path check. The lint
+# pass fans the 6 analyzers out in parallel (deterministic output),
+# prints its measured wall time and has a 60s budget so it stays cheap
+# enough to run on every commit. The race pass doubles as the
+# goroutine-leak gate: the NumGoroutine settle-and-compare harnesses
+# around Server.Close, FitPool.Close, loadgen.Run and the bench runner
+# ride the gateway/cluster/loadgen/bench race runs, and
+# analysis.TestSpawnSitesAreJoined (in go test) holds every `go`
+# statement in the tree to a row naming the harness that joins it.
 set -eu
 cd "$(dirname "$0")/.."
 
