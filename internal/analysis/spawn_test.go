@@ -32,7 +32,7 @@ type spawnSite struct {
 
 var spawnSites = []spawnSite{
 	{"internal/gateway/gateway.go", "newServer", 1, "TestCloseJoinsPacer", ""},
-	{"internal/cluster/fanout.go", "NewFitPool", 1, "TestFitPoolCloseStopsWorkers", ""},
+	{"internal/cluster/fanout.go", "startFitPool", 1, "TestFitPoolCloseStopsWorkers", ""},
 	{"internal/loadgen/loadgen.go", "runClosed", 1, "TestRunLeavesNoGoroutines", ""},
 	{"internal/loadgen/loadgen.go", "runOpen", 1, "TestRunLeavesNoGoroutines", ""},
 	{"internal/bench/runner.go", "RunStream", 2, "TestRunnerLeavesNoGoroutines", ""},

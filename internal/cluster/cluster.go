@@ -211,10 +211,15 @@ func Testbed() *Cluster { return New(Options{Servers: 8}) }
 // ever produced by the cluster itself).
 func (c *Cluster) Server(id int) *Server {
 	if id < 0 || id >= len(c.servers) {
-		panic(fmt.Sprintf("cluster: invalid server id %d", id))
+		invalidServer(id)
 	}
 	return c.servers[id]
 }
+
+// invalidServer panics on an id the cluster never produced.
+//
+//lint:coldpath
+func invalidServer(id int) { panic(fmt.Sprintf("cluster: invalid server id %d", id)) }
 
 // EachServer visits every server in ID order until visit returns false.
 // Reporting and baseline code walk the inventory through it; the cluster
@@ -248,14 +253,8 @@ func (c *Cluster) SetDown(id int, down bool) {
 // Allocate reserves res (+memMB) on server id.
 func (c *Cluster) Allocate(id int, res perf.Resources, memMB int) error {
 	s := c.Server(id)
-	if s.down {
-		return fmt.Errorf("cluster: server %d is down", id)
-	}
-	if !s.Free.Fits(res) {
-		return fmt.Errorf("cluster: server %d cannot fit %v (free %v)", id, res, s.Free)
-	}
-	if memMB > s.MemFreeMB {
-		return fmt.Errorf("cluster: server %d cannot fit %d MB (free %d MB)", id, memMB, s.MemFreeMB)
+	if s.down || !s.Free.Fits(res) || memMB > s.MemFreeMB {
+		return s.allocateError(res, memMB)
 	}
 	wasActive := s.allocs > 0
 	before := s.Free
@@ -273,6 +272,19 @@ func (c *Cluster) Allocate(id int, res perf.Resources, memMB int) error {
 	}
 	sh.index.move(int32(id), before, s.Free)
 	return nil
+}
+
+// allocateError says why s cannot host res (+memMB).
+//
+//lint:coldpath
+func (s *Server) allocateError(res perf.Resources, memMB int) error {
+	switch {
+	case s.down:
+		return fmt.Errorf("cluster: server %d is down", s.ID)
+	case !s.Free.Fits(res):
+		return fmt.Errorf("cluster: server %d cannot fit %v (free %v)", s.ID, res, s.Free)
+	}
+	return fmt.Errorf("cluster: server %d cannot fit %d MB (free %d MB)", s.ID, memMB, s.MemFreeMB)
 }
 
 // Release returns res (+memMB) to server id. Releasing more than was

@@ -54,13 +54,17 @@ type fitJob struct {
 // does not pay an allocation for a pool it will query a few times.
 // Close must be called to release the workers.
 func (c *Cluster) NewFitPool(workers int) *FitPool {
-	n := len(c.shards)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
+	if workers = min(workers, len(c.shards)); workers <= 1 {
 		return &c.serial
 	}
+	return c.startFitPool(workers)
+}
+
+// startFitPool starts workers (2 to the shard count) goroutines.
+//
+//lint:coldpath
+func (c *Cluster) startFitPool(workers int) *FitPool {
+	n := len(c.shards)
 	p := &FitPool{
 		c:       c,
 		chunks:  make([][2]int, workers),
@@ -136,6 +140,11 @@ func (p *FitPool) FirstFit(res perf.Resources, memMB int) (id int, freeW float64
 // closing it again does nothing.
 func (p *FitPool) Close() {
 	if p.jobs != nil {
-		p.closing.Do(func() { close(p.jobs) })
+		p.stopWorkers()
 	}
 }
+
+// stopWorkers ends a pooled FitPool's workers, once.
+//
+//lint:coldpath
+func (p *FitPool) stopWorkers() { p.closing.Do(func() { close(p.jobs) }) }

@@ -24,12 +24,12 @@ import (
 // naiveScheduleOne is the old O(candidates x servers) pass, kept as the
 // reference implementation.
 func naiveScheduleOne(p *Plan, rps float64, cl *cluster.Cluster) (Decision, bool) {
-	for _, b := range p.order {
+	for _, g := range p.groups {
 		var ib []Candidate
-		if b == 1 {
-			ib = p.cands[b]
+		if g.b == 1 {
+			ib = g.cands
 		} else {
-			for _, c := range p.cands[b] {
+			for _, c := range g.cands {
 				if rps >= c.Bounds.RLow {
 					ib = append(ib, c)
 				}

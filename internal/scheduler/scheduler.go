@@ -18,7 +18,6 @@ package scheduler
 
 import (
 	"math"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -89,27 +88,35 @@ func (o *Options) defaults() {
 // scheduling overhead at sub-millisecond per instance (Figure 17a).
 //
 // A Plan is not safe for concurrent use: Schedule reuses per-plan
-// scratch buffers to keep the placement loop allocation-free. Build one
-// plan per goroutine (plans are cheap once the predictor is cached).
+// buffers, its result included, to keep placement allocation-free. Build
+// one plan per goroutine (plans are cheap once the predictor is cached).
 type Plan struct {
 	Fn   Function
 	opts Options
-	// cands are grouped by batch size, largest batch first (Algorithm 1
-	// explores large batches first because batching contributes most to
-	// throughput).
-	cands map[int][]Candidate
-	order []int // batch sizes, descending
-	// ranked holds each batch size's candidates sorted by descending
-	// throughput-per-resource (sched score ties broken by cands position),
-	// powering scheduleOne's prefix cut: once the best fitting candidate
-	// is known, everything below 95% of its ratio is out of the race
-	// before any placement query runs.
-	ranked map[int][]scored
+	// groups holds the candidates by batch size, largest batch first
+	// (Algorithm 1 explores large batches first because batching
+	// contributes most to throughput).
+	groups []batchGroup
 
-	// Scratch buffers reused across scheduleOne calls (placement runs in
-	// the autoscaler's per-tick hot loop).
-	fits  []fit
-	avail []Candidate
+	// Buffers reused across Schedule calls (placement runs in the
+	// autoscaler's per-tick hot loop): placed backs Schedule's result,
+	// fits is scheduleOne's scratch.
+	placed []Decision
+	fits   []fit
+}
+
+// batchGroup is one batch size's SLO-feasible candidates.
+type batchGroup struct {
+	b     int
+	cands []Candidate // BuildPlan grid order
+	// ranked holds cands sorted by descending throughput-per-resource
+	// (ties broken by grid position), powering scheduleOne's prefix cut:
+	// once the best fitting candidate is known, everything below 95% of
+	// its ratio is out of the race before any placement query runs.
+	ranked []scored
+	// minRLow is the least r_low in cands: below it no candidate can
+	// saturate, and scheduleOne skips the group without walking it.
+	minRLow float64
 }
 
 // scored is a plan candidate with its precomputed Eq. 10 throughput-
@@ -130,9 +137,6 @@ type fit struct {
 	idx    int
 }
 
-// byGridOrder orders fits by their candidates' BuildPlan grid position.
-func byGridOrder(a, b fit) int { return a.idx - b.idx }
-
 // BuildPlan evaluates the profiled configuration grid
 // (profiler.DefaultBatches x DefaultCPUGrid x DefaultGPUGrid) for fn and
 // keeps every candidate that can meet the SLO (Algorithm 1's
@@ -146,7 +150,7 @@ func BuildPlan(fn Function, pred Predictor, opts Options) *Plan {
 	if fn.SLO <= 0 {
 		panic("scheduler: non-positive SLO for " + fn.Name)
 	}
-	p := &Plan{Fn: fn, opts: opts, cands: map[int][]Candidate{}}
+	p := &Plan{Fn: fn, opts: opts}
 	batches := profiler.DefaultBatches
 	if opts.ForceBatchOne {
 		batches = []int{1}
@@ -155,66 +159,72 @@ func BuildPlan(fn Function, pred Predictor, opts Options) *Plan {
 		if b > fn.Model.MaxBatch {
 			continue
 		}
-		for _, c := range profiler.DefaultCPUGrid {
-			for _, g := range profiler.DefaultGPUGrid {
-				if c == 0 && g == 0 {
+		g := batchGroup{b: b, minRLow: math.Inf(1)}
+		for _, cpu := range profiler.DefaultCPUGrid {
+			for _, gpu := range profiler.DefaultGPUGrid {
+				if cpu == 0 && gpu == 0 {
 					continue
 				}
-				res := perf.Resources{CPU: c, GPU: g}
+				res := perf.Resources{CPU: cpu, GPU: gpu}
 				texec := pred.Predict(fn.Model, b, res)
 				bounds, err := batching.RateBounds(texec, fn.SLO, b)
 				if err != nil {
 					continue // infeasible under the SLO
 				}
-				p.cands[b] = append(p.cands[b], Candidate{B: b, Res: res, TExec: texec, Bounds: bounds})
+				g.cands = append(g.cands, Candidate{B: b, Res: res, TExec: texec, Bounds: bounds})
+				g.minRLow = min(g.minRLow, bounds.RLow)
 			}
 		}
-	}
-	for b := range p.cands {
-		p.order = append(p.order, b)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(p.order)))
-	p.ranked = make(map[int][]scored, len(p.cands))
-	for b, cs := range p.cands {
-		rs := make([]scored, len(cs))
-		for i, c := range cs {
+		if len(g.cands) == 0 {
+			continue
+		}
+		rs := make([]scored, len(g.cands))
+		for i, c := range g.cands {
 			// The exact expression pass 2 normalizes by; precomputing it
 			// changes no bits.
 			rs[i] = scored{c: c, perRes: c.Bounds.RUp / c.Res.Weighted(), idx: i}
 		}
 		sort.SliceStable(rs, func(a, b int) bool { return rs[a].perRes > rs[b].perRes })
-		p.ranked[b] = rs
+		g.ranked = rs
+		p.groups = append(p.groups, g)
 	}
+	sort.Slice(p.groups, func(i, j int) bool { return p.groups[i].b > p.groups[j].b })
 	return p
 }
 
 // Feasible reports whether any configuration at all can meet the SLO.
-func (p *Plan) Feasible() bool { return len(p.order) > 0 }
+func (p *Plan) Feasible() bool { return len(p.groups) > 0 }
 
 // Schedule implements Algorithm 1: it places instances for residual load
 // rps on cl, allocating cluster resources as it goes, and returns the
 // decisions plus any load that could not be placed (cluster exhausted).
 //
+// The decisions slice is the plan's own buffer: it is valid until the
+// next Schedule on the same plan, which overwrites it. A caller that
+// keeps decisions across calls copies them out first.
+//
 // With Options.FitWorkers > 1 the placement queries inside each
 // scheduleOne fan across the cluster's shards on a bounded worker pool;
 // the pool lives for the duration of this call. The fan-out changes
 // wall-clock only, never decisions (TestShardedFitWorkersEquivalence).
+//
+//lint:hotpath
 func (p *Plan) Schedule(rps float64, cl *cluster.Cluster) (placed []Decision, residual float64) {
 	pool := cl.NewFitPool(p.opts.FitWorkers)
 	defer pool.Close()
-	residual = rps
+	placed, residual = p.placed[:0], rps
 	for residual > 0 && len(placed) < p.opts.MaxInstancesPerCall {
 		d, ok := p.scheduleOne(residual, pool)
 		if !ok {
 			break
 		}
 		if err := cl.Allocate(d.Server, d.Res, p.Fn.Model.MemoryMB); err != nil {
-			// scheduleOne only proposes fitting placements.
-			panic("scheduler: placement no longer fits: " + err.Error())
+			panic(err) // scheduleOne only proposes fitting placements
 		}
 		placed = append(placed, d)
 		residual -= d.Bounds.RUp
 	}
+	p.placed = placed // keep any capacity growth for the next call
 	if residual < 0 {
 		residual = 0
 	}
@@ -233,26 +243,29 @@ func (p *Plan) Schedule(rps float64, cl *cluster.Cluster) (placed []Decision, re
 // cluster (Figure 17a). The indexes answer exactly the query the old
 // linear scan did — least free weighted capacity among fitting servers,
 // lowest id on ties — so decisions are bit-identical (see
-// TestIndexedMatchesLinearScan). With serial queries the call allocates
-// nothing; Schedule's result slice is the only allocation of a
-// placement (TestSingleInstanceScheduleAllocatesOnlyItsResult).
+// TestIndexedMatchesLinearScan). With serial queries a placement
+// allocates nothing, Schedule's result included: it lives in the plan's
+// buffer (TestScheduleDoesNotAllocate).
 //
-// Pass 1 walks the batch size's candidates in descending throughput-
-// per-resource order (Plan.ranked). The first candidate that fits
-// anywhere fixes pass 2's normalization ceiling — nothing later in the
-// order can beat it — so the walk stops at the 95% score cut instead of
-// querying a placement for all ~40 grid configurations: typically 1-5
-// queries per decision. The cut uses the same float expression as the
-// old pass-2 filter, so exactly the candidates it would have discarded
-// are skipped.
-//
-//lint:hotpath
+// A batch size whose least r_low exceeds the residual RPS is skipped
+// whole, before any of its candidates is touched. Pass 1 walks the rest
+// in descending throughput-per-resource order (batchGroup.ranked). The
+// first candidate that fits anywhere fixes pass 2's normalization
+// ceiling — nothing later in the order can beat it — so the walk stops
+// at the 95% score cut instead of querying a placement for all ~40 grid
+// configurations: typically 1-5 queries per decision. The cut uses the
+// same float expression as the old pass-2 filter, so exactly the
+// candidates it would have discarded are skipped.
 func (p *Plan) scheduleOne(rps float64, pool *cluster.FitPool) (Decision, bool) {
 	memMB := p.Fn.Model.MemoryMB
 	if p.opts.DisableRS {
 		return p.scheduleOneNoRS(rps, pool)
 	}
-	for _, b := range p.order {
+	for gi := range p.groups {
+		g := &p.groups[gi]
+		if g.b != 1 && rps < g.minRLow {
+			continue // no candidate passes AvailableConfig's rate filter
+		}
 		// The numerator uses each candidate's full r_up, as in Eq. 10.
 		// (Capping it by the residual demand was tried and rejected: it
 		// biases tail scale-outs toward minuscule 1-core instances whose
@@ -266,8 +279,9 @@ func (p *Plan) scheduleOne(rps float64, pool *cluster.FitPool) (Decision, bool) 
 		// maximizes e_ij for that candidate.
 		fits := p.fits[:0]
 		maxPerRes := 0.0
-		for _, sc := range p.ranked[b] {
-			if b != 1 && rps < sc.c.Bounds.RLow {
+		for i := range g.ranked {
+			sc := &g.ranked[i]
+			if g.b != 1 && rps < sc.c.Bounds.RLow {
 				continue // Algorithm 1's AvailableConfig rate filter
 			}
 			if maxPerRes > 0 && sc.perRes/maxPerRes < 0.95 {
@@ -295,21 +309,18 @@ func (p *Plan) scheduleOne(rps float64, pool *cluster.FitPool) (Decision, bool) 
 		// ratio are never worth their fragmentation savings (1/frag is
 		// unbounded, so without this cut a server-filling whale config
 		// would always win). Fragmentation breaks near-ties among
-		// candidates within 5% of the best ratio. Scoring runs in grid
-		// order — the order the pre-cut code used — so score ties keep
-		// resolving to the same candidate.
-		slices.SortFunc(fits, byGridOrder)
-		var best Decision
-		bestE := math.Inf(-1)
-		for _, f := range fits {
-			num := f.perRes / maxPerRes
-			e := efficiency(num, f.c.Res.Weighted(), f.freeW, false, f.c.Bounds.RUp)
-			if e > bestE {
-				bestE = e
-				best = Decision{Server: f.srv, Candidate: f.c}
+		// candidates within 5% of the best ratio. Score ties go to the
+		// lowest grid position — the first maximum of the pre-cut code's
+		// grid-order scan — so they keep resolving to the same candidate.
+		best, bestE := 0, math.Inf(-1)
+		for i := range fits {
+			f := &fits[i]
+			e := efficiency(f.perRes/maxPerRes, f.c.Res.Weighted(), f.freeW, false, f.c.Bounds.RUp)
+			if e > bestE || e == bestE && f.idx < fits[best].idx {
+				best, bestE = i, e
 			}
 		}
-		return best, true
+		return Decision{Server: fits[best].srv, Candidate: fits[best].c}, true
 	}
 	return Decision{}, false
 }
@@ -320,13 +331,13 @@ func (p *Plan) scheduleOne(rps float64, pool *cluster.FitPool) (Decision, bool) 
 // the throughput-per-resource prefix cut does not apply.
 func (p *Plan) scheduleOneNoRS(rps float64, pool *cluster.FitPool) (Decision, bool) {
 	memMB := p.Fn.Model.MemoryMB
-	for _, b := range p.order {
-		ib := p.available(b, rps)
-		if len(ib) == 0 {
-			continue
-		}
+	for gi := range p.groups {
+		g := &p.groups[gi]
 		fits := p.fits[:0]
-		for _, c := range ib {
+		for _, c := range g.cands {
+			if g.b != 1 && rps < c.Bounds.RLow {
+				continue // Algorithm 1's AvailableConfig rate filter
+			}
 			srv, freeW, ok := pool.FirstFit(c.Res, memMB)
 			if !ok {
 				continue
@@ -365,25 +376,6 @@ func efficiency(num, w, freeW float64, disableRS bool, rup float64) float64 {
 		frag = 1e-3
 	}
 	return num / frag
-}
-
-// available is Algorithm 1's AvailableConfig: candidates at batch size b
-// whose lower rate bound is satisfied by the residual RPS. Batch size 1
-// has no saturation requirement. The returned slice aliases the plan's
-// scratch buffer and is valid until the next available call.
-func (p *Plan) available(b int, rps float64) []Candidate {
-	all := p.cands[b]
-	if b == 1 {
-		return all
-	}
-	out := p.avail[:0]
-	for _, c := range all {
-		if rps >= c.Bounds.RLow {
-			out = append(out, c)
-		}
-	}
-	p.avail = out
-	return out
 }
 
 // PredictorCache memoizes Predict calls per (model, b, resources); plan

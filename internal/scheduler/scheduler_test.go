@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -26,8 +27,9 @@ func TestBuildPlanFiltersInfeasible(t *testing.T) {
 	if !p.Feasible() {
 		t.Fatal("ResNet-50 at 200ms should have feasible configs")
 	}
-	for _, b := range p.order {
-		for _, c := range p.cands[b] {
+	for _, g := range p.groups {
+		b := g.b
+		for _, c := range g.cands {
 			if b == 1 {
 				if c.TExec > 200*time.Millisecond {
 					t.Errorf("b=1 candidate %v violates SLO", c)
@@ -41,10 +43,9 @@ func TestBuildPlanFiltersInfeasible(t *testing.T) {
 		}
 	}
 	// Batch order must be descending (Algorithm 1 explores large first).
-	bs := p.order
-	for i := 1; i < len(bs); i++ {
-		if bs[i] >= bs[i-1] {
-			t.Fatalf("batch order not descending: %v", bs)
+	for i := 1; i < len(p.groups); i++ {
+		if p.groups[i].b >= p.groups[i-1].b {
+			t.Fatalf("batch order not descending: %d after %d", p.groups[i].b, p.groups[i-1].b)
 		}
 	}
 }
@@ -54,8 +55,8 @@ func TestBuildPlanTightSLO(t *testing.T) {
 	// must still find GPU configs or be smaller than the full grid.
 	fn := Function{Name: "bert", Model: model.MustGet("Bert-v1"), SLO: 150 * time.Millisecond}
 	p := BuildPlan(fn, testPred, Options{})
-	for _, b := range p.order {
-		for _, c := range p.cands[b] {
+	for _, g := range p.groups {
+		for _, c := range g.cands {
 			if c.Res.GPU == 0 && c.Res.CPU <= 2 {
 				t.Errorf("implausible candidate for Bert at 150ms: %+v", c)
 			}
@@ -293,26 +294,118 @@ func TestPropertyScheduleSound(t *testing.T) {
 	}
 }
 
-// TestSingleInstanceScheduleAllocatesOnlyItsResult pins the cost model of
-// the scale-out critical path (Figure 17a): with serial fit queries a
-// one-instance Schedule allocates its result slice and nothing else — no
-// pool, no sort closure, no per-query visitor.
-func TestSingleInstanceScheduleAllocatesOnlyItsResult(t *testing.T) {
-	p := BuildPlan(resnetFn(), testPred, Options{MaxInstancesPerCall: 1})
-	cl := cluster.New(cluster.Options{Servers: 64, Shards: 4})
-	mem := p.Fn.Model.MemoryMB
-	if warm, _ := p.Schedule(1e6, cl); len(warm) != 1 { // leave one instance: later placements pack onto its server
-		t.Fatal("nothing placed on an empty cluster")
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		placed, _ := p.Schedule(300, cl)
-		if len(placed) != 1 {
-			t.Fatal("nothing placed")
+// TestScheduleDoesNotAllocate pins the cost model of the scale-out
+// critical path (Figure 17a): with serial fit queries Schedule allocates
+// nothing — no pool, no sort closure, no per-query visitor, and no
+// result slice once the plan's buffer has grown to the call's size.
+func TestScheduleDoesNotAllocate(t *testing.T) {
+	for _, n := range []int{1, 8} {
+		p := BuildPlan(resnetFn(), testPred, Options{MaxInstancesPerCall: n})
+		cl := cluster.New(cluster.Options{Servers: 64, Shards: 4})
+		mem := p.Fn.Model.MemoryMB
+		if warm, _ := p.Schedule(1e6, cl); len(warm) != n { // leave n instances: later placements pack onto their servers
+			t.Fatalf("MaxInstancesPerCall %d: warm-up placed %d", n, len(warm))
 		}
-		cl.Release(placed[0].Server, placed[0].Res, mem)
-	})
-	if allocs > 1 {
-		t.Fatalf("one-instance Schedule = %v allocs, want <= 1", allocs)
+		allocs := testing.AllocsPerRun(200, func() {
+			placed, _ := p.Schedule(1e6, cl)
+			if len(placed) != n {
+				t.Fatalf("MaxInstancesPerCall %d: placed %d", n, len(placed))
+			}
+			for _, d := range placed {
+				cl.Release(d.Server, d.Res, mem)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("MaxInstancesPerCall %d: Schedule = %v allocs, want 0", n, allocs)
+		}
+	}
+}
+
+// TestScheduleReusesItsResult pins Schedule's aliasing contract: the
+// decisions live in the plan's buffer, so the next call on the same plan
+// overwrites them, and a caller that keeps them must copy them first.
+func TestScheduleReusesItsResult(t *testing.T) {
+	p := BuildPlan(resnetFn(), testPred, Options{MaxInstancesPerCall: 1})
+	cl := cluster.Testbed()
+	first, _ := p.Schedule(2000, cl)
+	kept := slices.Clone(first)
+	second, _ := p.Schedule(3, cl)
+	if len(first) != 1 || len(second) != 1 {
+		t.Fatalf("placed %d then %d, want 1 each", len(first), len(second))
+	}
+	if &first[0] != &second[0] {
+		t.Fatal("the second Schedule did not reuse the first result's backing array")
+	}
+	if kept[0] == second[0] {
+		t.Fatalf("2000 RPS and 3 RPS chose the same placement %+v; the overwrite is not observable", kept[0])
+	}
+	if first[0] != second[0] {
+		t.Fatalf("first result reads %+v after the second call, want the overwrite %+v", first[0], second[0])
+	}
+}
+
+// TestScheduleScoreTiesGoToLowestGridIndex builds exact Eq. 10 ties and
+// holds pass 2 to the candidate with the lowest BuildPlan grid position,
+// which is what the reference's grid-order scan (naiveSchedule) picks.
+// Only GPU-only batch-1 configurations named in rup meet the SLO, on
+// GPU-only servers.
+func TestScheduleScoreTiesGoToLowestGridIndex(t *testing.T) {
+	gpu := func(u int) perf.Resources { return perf.Resources{GPU: u} }
+	for _, tc := range []struct {
+		name    string
+		rup     map[int]float64 // GPU units -> r_up
+		servers []int           // GPU units per server
+		rps     float64
+		want    []Decision // Server and Candidate.Res only
+	}{{
+		// r_up = 10 per unit: every candidate has the same ratio, and every
+		// exact fit scores 1/1e-3 (fragmentation floored). The ties are 2,
+		// 4 and 8 units, then 4 and 8 once the 2-unit server is full.
+		name:    "equal ratio, exact fits",
+		rup:     map[int]float64{1: 10, 2: 20, 3: 30, 4: 40, 6: 60, 8: 80, 10: 100},
+		servers: []int{8, 4, 2},
+		rps:     35,
+		want:    []Decision{{Server: 2, Candidate: Candidate{Res: gpu(2)}}, {Server: 1, Candidate: Candidate{Res: gpu(4)}}},
+	}, {
+		// 6 units at 80 RPS on 26 units score 1/(1-6/26) = 1.3; 1 unit at
+		// 13 RPS on 4 units scores (13/(80/6))/(1-1/4) = 1.3 too, bit for
+		// bit. The 1-unit config ranks second in pass 1 but first in grid
+		// order.
+		name:    "lower ratio ranked later",
+		rup:     map[int]float64{1: 13, 6: 80},
+		servers: []int{4, 26},
+		rps:     1,
+		want:    []Decision{{Server: 0, Candidate: Candidate{Res: gpu(1)}}},
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			pred := predictorFunc(func(_ *model.Model, _ int, res perf.Resources) time.Duration {
+				if ru, ok := tc.rup[res.GPU]; ok && res.CPU == 0 {
+					return time.Duration(float64(time.Second)/ru) - 1 // floor(1/t_exec) = ru
+				}
+				return time.Hour // misses the SLO
+			})
+			fn := Function{Name: "mnist", Model: model.MustGet("MNIST"), SLO: time.Second}
+			p := BuildPlan(fn, pred, Options{ForceBatchOne: true})
+			for _, c := range p.groups[0].cands {
+				if c.Bounds.RUp != tc.rup[c.Res.GPU] {
+					t.Fatalf("%v: r_up %v, want %v", c.Res, c.Bounds.RUp, tc.rup[c.Res.GPU])
+				}
+			}
+			var pools []cluster.NodePool
+			for _, u := range tc.servers {
+				pools = append(pools, cluster.NodePool{Servers: 1, PerServer: gpu(u)})
+			}
+			got, _ := p.Schedule(tc.rps, cluster.NewHeterogeneous(pools))
+			ref, _ := naiveSchedule(p, tc.rps, cluster.NewHeterogeneous(pools))
+			if len(got) != len(tc.want) || len(ref) != len(tc.want) {
+				t.Fatalf("placed %d, reference %d, want %d", len(got), len(ref), len(tc.want))
+			}
+			for i, w := range tc.want {
+				if got[i] != ref[i] || got[i].Server != w.Server || got[i].Res != w.Res {
+					t.Errorf("decision %d: %+v, reference %+v, want %v on server %d", i, got[i], ref[i], w.Res, w.Server)
+				}
+			}
+		})
 	}
 }
 

@@ -213,14 +213,13 @@ func TestPrefixCutMatchesFullWalk(t *testing.T) {
 // placement queries.
 func (p *Plan) scheduleOneFullWalk(rps float64, pool *cluster.FitPool) (Decision, bool) {
 	memMB := p.Fn.Model.MemoryMB
-	for _, b := range p.order {
-		ib := p.available(b, rps)
-		if len(ib) == 0 {
-			continue
-		}
+	for _, g := range p.groups {
 		fits := p.fits[:0]
 		maxPerRes := 0.0
-		for _, c := range ib {
+		for _, c := range g.cands {
+			if g.b != 1 && rps < c.Bounds.RLow {
+				continue // AvailableConfig
+			}
 			srv, freeW, ok := pool.BestFit(c.Res, memMB)
 			if !ok {
 				continue

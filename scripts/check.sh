@@ -23,7 +23,8 @@
 # each policy's histograms at Init and the reused plan, backlog and
 # stream buffers, 23.1-23.3 B at --seconds 1, plus the 3 % bound) and
 # sched_scale (its
-# booking audit passes and a placement stays under 100 B) —
+# booking audit passes and a placement stays under 1 B: Schedule
+# allocates nothing, its result lives in the plan's buffer) —
 # and infless-lint — the AST/types-based analyzer suite
 # (cmd/infless-lint) that replaced the old grep guards: it keeps the
 # lifecycle policies single-sourced, the deterministic packages off the
@@ -119,12 +120,12 @@ awk -v b="${alloc_b:-nan}" 'BEGIN { exit !(b + 0 == b && b <= 24) }' || {
 	exit 1
 }
 
-echo "== benchmark smoke (sched_scale: booking audit on every segment, <= 100 B per placement)"
+echo "== benchmark smoke (sched_scale: booking audit on every segment, <= 1 B per placement)"
 smoke_out=$(go run ./benchmark --workload sched_scale --seed 1 --seconds 1 --trace 0)
 alloc_b=$(metric "$smoke_out" alloc_bytes_per_op)
 echo "sched_scale alloc_bytes_per_op: ${alloc_b:-missing}"
-awk -v b="${alloc_b:-nan}" 'BEGIN { exit !(b + 0 == b && b <= 100) }' || {
-	echo "FAIL: sched_scale allocates more than 100 B per placement (or reported nothing)"
+awk -v b="${alloc_b:-nan}" 'BEGIN { exit !(b + 0 == b && b <= 1) }' || {
+	echo "FAIL: sched_scale allocates more than 1 B per placement (or reported nothing)"
 	exit 1
 }
 
