@@ -8,11 +8,9 @@ GO ?= go
 check:
 	./scripts/check.sh
 
-## lint: the static-analysis suite, 6 analyzers (wallclock, maporder,
-## singledef, serverscan, and the whole-program hotalloc and errflow —
-## see internal/analysis). Analyzers
-## run in parallel with input-ordered output. Prints its own wall time;
-## check.sh enforces a 60s budget on the same run.
+## lint: the static-analysis suite, 3 analyzers (maporder and the
+## whole-program hotalloc and errflow — see internal/analysis). Prints
+## its own wall time; check.sh enforces a 60s budget on the same run.
 lint:
 	@start=$$(date +%s); \
 	$(GO) run ./cmd/infless-lint ./... || exit $$?; \

@@ -1,45 +1,38 @@
 // Package analysis is infless-lint: a standard-library-only static
 // analysis suite (go/parser + go/types, no external analysis framework)
-// that enforces the invariants the platform's correctness rests on —
-// the §5.3 byte-identical determinism guarantee of the simulation
-// packages and the single-sourcing of runtime policies extracted in the
-// shared internal/runtime layer.
+// for the defects no test catches: an unordered map walk in the
+// deterministic packages, an allocation on a zero-alloc path, a dropped
+// control-plane error.
 //
-// Six analyzers run over the whole module. Four are syntactic or
-// type-based:
+// Three analyzers run over the whole module:
 //
-//   - wallclock:  no wall-clock time or global math/rand in the
-//     deterministic packages; time flows through simclock, randomness
-//     through seeded *rand.Rand sources.
-//   - maporder:   no map iteration that feeds ordered output (slice
-//     appends, printed/written output, float accumulation) unless the
-//     keys are sorted.
-//   - singledef:  the lifecycle policies, the latency histogram and the
-//     placement index are each defined exactly once, in their home file,
-//     and the HomeTypes (sync's Pool) are named only inside
-//     internal/pool, whose API carries the pool ownership contract by
-//     type; driven by the declarative tables in invariants.go.
-//   - serverscan: the scheduler never scans Cluster.EachServer;
-//     placement goes through the free-capacity index (BestFit/FirstFit).
-//
-// Two walk more than one function: hotalloc the static call graph
-// (callgraph.go), errflow a per-function control-flow graph (cfg.go):
-//
-//   - hotalloc:   functions marked //lint:hotpath and everything they
-//     reach in the call graph contain no allocating constructs
-//     (composite literals, make/new, closures, fmt, string
-//     concatenation, interface boxing); //lint:coldpath stops the
-//     descent at deliberate slow paths.
-//   - errflow:    control-plane packages never silently drop error
+//   - maporder: no map iteration that feeds ordered output (slice
+//     appends, printed/written output, float accumulation) in the
+//     deterministic packages unless the keys are sorted.
+//   - hotalloc: functions marked //lint:hotpath and everything they
+//     reach in the static call graph (callgraph.go) contain no
+//     allocating constructs (composite literals, make/new, closures,
+//     fmt, string concatenation, interface boxing); //lint:coldpath
+//     stops the descent at deliberate slow paths.
+//   - errflow:  control-plane packages never silently drop error
 //     results, whether discarded at the call or assigned to a variable
-//     no path reads.
+//     no path of the function's control-flow graph (cfg.go) reads.
 //
-// What the suite does not police is held elsewhere: lock order by there
-// being one mutex per package (the import DAG orders the rest), channel
-// close discipline by receive-only types and sync.OnceFunc, context
-// cancellation by go vet's lostcancel, goroutine lifetimes by the
-// spawn-site table in TestSpawnSitesAreJoined and the leak tests it
-// names (DESIGN.md §10 has the table).
+// What the suite does not police is held elsewhere (DESIGN.md §10 has
+// the table): wall-clock values and global math/rand in the simulator by
+// the determinism tests (bench.TestParallelAllDeterministic,
+// gateway.TestDriverEquivalence, sim.TestExecMemoMatchesExecTime) and
+// the sim_fleet repetition digest, but a wall-clock deadline in the
+// deterministic packages only when it binds during those tests (no test
+// holds one generous enough to pass on an idle host); scheduler scans of
+// the server list by
+// hotalloc on the Schedule path; single definitions, private policy
+// re-implementations and sync.Pool outside internal/pool by the
+// go/parser registry in registry_test.go, which also holds every `go`
+// statement to the leak test that joins it; lock order by there being
+// one mutex per package (the import DAG orders the rest); channel close
+// discipline by receive-only types and sync.OnceFunc; context
+// cancellation by go vet's lostcancel.
 //
 // A finding can be suppressed with a directive on the same line or the
 // line above:
@@ -56,7 +49,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Diagnostic is one finding, rendered as "file:line:col: [name] message".
@@ -80,16 +72,11 @@ type Package struct {
 }
 
 // Unit is the whole program the analyzers see. Analyzers receive the
-// full unit (not one package at a time) because single-definition
-// checks are inherently whole-program.
+// full unit (not one package at a time) because hotalloc's call graph
+// crosses packages.
 type Unit struct {
 	Fset *token.FileSet
 	Pkgs []*Package
-
-	// Invariants and Forbidden override the production tables from
-	// invariants.go; nil means production. Tests point them at testdata.
-	Invariants []SingleDef
-	Forbidden  []ForbiddenDecl
 }
 
 // Analyzer is one named check over a Unit.
@@ -115,8 +102,8 @@ func inScope(pkgPath string, scopes []string) bool {
 
 // deterministicScopes are the packages under the byte-identical
 // determinism guarantee: the simulator runs real scheduling code against
-// simulated machines, so any wall-clock read or unordered iteration here
-// silently breaks -parallel N == -parallel 1.
+// simulated machines, so an unordered iteration here silently breaks
+// -parallel N == -parallel 1.
 var deterministicScopes = []string{
 	"internal/artifact",
 	"internal/sim",
@@ -237,26 +224,11 @@ func splitIgnored(diags []Diagnostic, dirs []ignoreDirective) (active, suppresse
 // real finding on that line. Directives naming analyzers outside the
 // run set are left alone so partial runs stay quiet.
 func RunAllDetail(u *Unit, analyzers []*Analyzer) (active, suppressed []Diagnostic) {
-	// The analyzers run concurrently — each is a pure function of the
-	// (immutable once loaded) unit — with the same discipline as
-	// bench.RunStream: results land in slots keyed by input index and
-	// are folded in input order, so parallelism changes wall clock and
-	// nothing else.
-	results := make([][]Diagnostic, len(analyzers))
-	var wg sync.WaitGroup
-	for i, a := range analyzers {
-		wg.Add(1)
-		go func(i int, a *Analyzer) {
-			defer wg.Done()
-			results[i] = a.Run(u)
-		}(i, a)
-	}
-	wg.Wait()
 	var all []Diagnostic
 	names := map[string]bool{}
-	for i, a := range analyzers {
+	for _, a := range analyzers {
 		names[a.Name] = true
-		all = append(all, results[i]...)
+		all = append(all, a.Run(u)...)
 	}
 	dirs, dirDiags := directives(u)
 	active, suppressed, used := splitIgnored(all, dirs)
@@ -300,14 +272,7 @@ func sortDiags(diags []Diagnostic) {
 
 // Analyzers returns the full infless-lint suite.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{
-		WallclockAnalyzer,
-		MapOrderAnalyzer,
-		SingleDefAnalyzer,
-		ServerScanAnalyzer,
-		HotAllocAnalyzer,
-		ErrFlowAnalyzer,
-	}
+	return []*Analyzer{MapOrderAnalyzer, HotAllocAnalyzer, ErrFlowAnalyzer}
 }
 
 // funcOf resolves a call's callee to a *types.Func, or nil (builtins,

@@ -2,8 +2,8 @@ package analysis
 
 // driver.go is the reusable body of cmd/infless-lint: load the module,
 // run the suite, print diagnostics. The whole module is always loaded
-// (single-definition checks are whole-program by nature); the package
-// patterns only filter which packages' diagnostics are reported.
+// (hotalloc's call graph crosses packages); the package patterns only
+// filter which packages' diagnostics are reported.
 
 import (
 	"encoding/json"
@@ -32,16 +32,11 @@ type JSONDiagnostic struct {
 	Suppressed bool   `json:"suppressed"`
 }
 
-// Main loads the module containing dir, runs the suite over the
-// packages matching patterns (Go-style: "./...", "./internal/sim",
+// Run loads the module containing dir, runs the suite over the packages
+// matching patterns (Go-style: "./...", "./internal/sim",
 // "./internal/bench/..."), prints diagnostics to out, and returns the
-// process exit code.
-func Main(out io.Writer, dir string, patterns []string) int {
-	return Run(out, dir, "text", patterns)
-}
-
-// Run is Main with an output format: "text" prints one line per
-// finding; "json" emits a JSONDiagnostic array that also includes
+// process exit code. format "text" prints one line per finding; "json"
+// emits a JSONDiagnostic array that also includes
 // //lint:ignore-suppressed findings (marked suppressed, never counted
 // toward the exit code).
 func Run(out io.Writer, dir, format string, patterns []string) int {

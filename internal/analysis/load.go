@@ -4,8 +4,7 @@ package analysis
 // library: module-internal imports are resolved recursively from the
 // source tree, everything else (stdlib) goes through go/importer's
 // default export-data importer. File names are recorded relative to the
-// module root, so diagnostics print stable repo-relative paths and the
-// singledef tables can name files portably.
+// module root, so diagnostics print stable repo-relative paths.
 
 import (
 	"fmt"

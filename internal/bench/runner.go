@@ -32,9 +32,8 @@ func RunStream(exps []Experiment, opts Options, workers int, emit func(RunResult
 	}
 	if workers <= 1 {
 		for _, e := range exps {
-			start := time.Now() //lint:ignore wallclock Took is wall-clock experiment timing, not simulated time
+			start := time.Now()
 			table := e.Run(opts)
-			//lint:ignore wallclock Took is wall-clock experiment timing, not simulated time
 			emit(RunResult{Experiment: e, Table: table, Took: time.Since(start)})
 		}
 		return
@@ -60,9 +59,8 @@ func RunStream(exps []Experiment, opts Options, workers int, emit func(RunResult
 				} else {
 					excl.RLock()
 				}
-				start := time.Now() //lint:ignore wallclock Took is wall-clock experiment timing, not simulated time
+				start := time.Now()
 				table := exps[i].Run(opts)
-				//lint:ignore wallclock Took is wall-clock experiment timing, not simulated time
 				results[i] = RunResult{Experiment: exps[i], Table: table, Took: time.Since(start)}
 				if exps[i].WallClock {
 					excl.Unlock()

@@ -3,7 +3,6 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -160,27 +159,26 @@ func renderAll(t *testing.T, exps []Experiment, parallel int) (tables, jsons []s
 // TestParallelAllDeterministic is the runner's contract: running the
 // experiment suite with -parallel 8 must produce byte-identical output
 // (both the table and -json renderings, in the same order) as -parallel
-// 1. The default run covers the sweep-fanning and large-scale
-// experiments plus the exclusively-scheduled fig17a; -short drops the
-// slow fig12b sweep (so the race pass stays fast); set
-// INFLESS_DETERMINISM=all to hold every experiment in the suite to the
-// contract (minutes of runtime — the CLI-level equivalent is diffing
-// `infless-bench -run all -parallel 1` against `-parallel 8` stdout).
+// 1. It is the determinism check for every experiment but fig11, whose
+// runScenario path fig3b/12a/15/table4 share and which alone would more
+// than double the run. -short (the race pass) keeps the sweep-fanning
+// and large-scale experiments plus the exclusively-scheduled fig17a.
 func TestParallelAllDeterministic(t *testing.T) {
-	ids := []string{"fig16", "fig17a", "fig17b", "fig18a", "fig18b"}
-	if !testing.Short() {
-		ids = append(ids, "fig12b")
-	}
-	exps := make([]Experiment, 0, len(ids))
-	for _, id := range ids {
-		e, ok := ByID(id)
-		if !ok {
-			t.Fatalf("unknown experiment %s", id)
+	var exps []Experiment
+	if testing.Short() {
+		for _, id := range []string{"fig16", "fig17a", "fig17b", "fig18a", "fig18b"} {
+			e, ok := ByID(id)
+			if !ok {
+				t.Fatalf("unknown experiment %s", id)
+			}
+			exps = append(exps, e)
 		}
-		exps = append(exps, e)
-	}
-	if os.Getenv("INFLESS_DETERMINISM") == "all" {
-		exps = All()
+	} else {
+		for _, e := range All() {
+			if e.ID != "fig11" {
+				exps = append(exps, e)
+			}
+		}
 	}
 	serialTables, serialJSON := renderAll(t, exps, 1)
 	parTables, parJSON := renderAll(t, exps, 8)

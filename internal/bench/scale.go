@@ -179,9 +179,9 @@ func Fig17a(opts Options) *Table {
 	for _, n := range counts {
 		plan := scheduler.BuildPlan(fn, scalePred, scheduler.Options{MaxInstancesPerCall: n})
 		cl := cluster.New(cluster.Options{Servers: 2000, Shards: opts.Shards})
-		start := time.Now() //lint:ignore wallclock fig17a measures wall-clock scheduling overhead by design
+		start := time.Now()
 		ds, _ := plan.Schedule(1e12, cl)
-		elapsed := time.Since(start) //lint:ignore wallclock fig17a measures wall-clock scheduling overhead by design
+		elapsed := time.Since(start)
 		placed := len(ds)
 		if placed == 0 {
 			t.AddRow(fmt.Sprintf("%d instances", n), "-", "-")

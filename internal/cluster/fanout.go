@@ -9,8 +9,8 @@ package cluster
 // answer (TestShardRangeQueriesComposeToFull is the property; the
 // scheduler's TestShardedFitWorkersEquivalence drives it end to end).
 // The merge lives here, next to the shard layout, so the scheduler and
-// sim never grow a second copy of it (enforced by infless-lint's
-// singledef invariants).
+// sim never grow a second copy of it (held by the singleDefs rows in
+// internal/analysis/registry_test.go).
 
 import (
 	"sync"

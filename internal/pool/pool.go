@@ -3,7 +3,7 @@
 // second Put, or any access through the handle after Put, is a nil
 // dereference in whichever test first reaches it instead of two requests
 // silently sharing one object. It is the only package allowed to name
-// sync.Pool (infless-lint's singledef).
+// sync.Pool (internal/analysis/registry_test.go).
 package pool
 
 import "sync"

@@ -26,20 +26,20 @@
 # booking audit passes and a placement stays under 1 B: Schedule
 # allocates nothing, its result lives in the plan's buffer) —
 # and infless-lint — the AST/types-based analyzer suite
-# (cmd/infless-lint) that replaced the old grep guards: it keeps the
-# lifecycle policies single-sourced, the deterministic packages off the
-# wall clock, placement on the free-capacity index and sync.Pool inside
-# internal/pool, and runs the whole-program hotalloc / errflow
-# analyzers. go vet runs ahead of it and is part of the same gate: its
-# lostcancel pass is the module's cancel-on-every-path check. The lint
-# pass fans the 6 analyzers out in parallel (deterministic output),
-# prints its measured wall time and has a 60s budget so it stays cheap
-# enough to run on every commit. The race pass doubles as the
-# goroutine-leak gate: the NumGoroutine settle-and-compare harnesses
-# around Server.Close, FitPool.Close, loadgen.Run and the bench runner
-# ride the gateway/cluster/loadgen/bench race runs, and
-# analysis.TestSpawnSitesAreJoined (in go test) holds every `go`
-# statement in the tree to a row naming the harness that joins it.
+# (cmd/infless-lint): maporder keeps map order out of the deterministic
+# packages' output, and the whole-program hotalloc / errflow analyzers
+# hold the zero-alloc paths and the control plane's error handling.
+# go vet runs ahead of it and is part of the same gate: its lostcancel
+# pass is the module's cancel-on-every-path check. The lint pass runs
+# the 3 analyzers one after the other, prints its measured wall time
+# and has a 60s budget so it stays cheap enough to run on every commit.
+# The race pass doubles as the goroutine-leak gate: the NumGoroutine
+# settle-and-compare harnesses around Server.Close, FitPool.Close,
+# loadgen.Run and the bench runner ride the gateway/cluster/loadgen/bench
+# race runs. In go test, internal/analysis/registry_test.go holds every
+# `go` statement in the tree to a row naming the harness that joins it,
+# the lifecycle policies and placement index to one declaration each in
+# their home files, and sync.Pool to internal/pool.
 set -eu
 cd "$(dirname "$0")/.."
 
