@@ -1,13 +1,25 @@
 package bench
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"flag"
 	"fmt"
+	"os"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 )
+
+var update = flag.Bool("update", false, "rewrite "+figureDigestFile+" from this run's tables")
+
+// figureDigestFile pins every experiment's quick-mode, seed-1 table (as
+// renderAll returns it) to a SHA-256, so a change that moves any figure
+// fails TestParallelAllDeterministic by name.
+const figureDigestFile = "testdata/figures.sha256"
 
 // TestRunStreamOrdered: emission must follow input order with all
 // results intact, regardless of which worker finishes first.
@@ -163,6 +175,8 @@ func renderAll(t *testing.T, exps []Experiment, parallel int) (tables, jsons []s
 // runScenario path fig3b/12a/15/table4 share and which alone would more
 // than double the run. -short (the race pass) keeps the sweep-fanning
 // and large-scale experiments plus the exclusively-scheduled fig17a.
+// The full run also holds each table to its digest in
+// figureDigestFile; -update rewrites the file.
 func TestParallelAllDeterministic(t *testing.T) {
 	var exps []Experiment
 	if testing.Short() {
@@ -193,5 +207,56 @@ func TestParallelAllDeterministic(t *testing.T) {
 		if parJSON[i] != serialJSON[i] {
 			t.Errorf("%s: JSON rendering differs between -parallel 1 and -parallel 8", exps[i].ID)
 		}
+	}
+	if !testing.Short() {
+		checkFigureDigests(t, exps, serialTables)
+	}
+}
+
+// checkFigureDigests compares one line per experiment of All() — its id
+// and the SHA-256 of its rendered table, or "not-run" — with
+// figureDigestFile, naming every table whose line differs.
+func checkFigureDigests(t *testing.T, exps []Experiment, tables []string) {
+	t.Helper()
+	sums := map[string]string{}
+	for i, e := range exps {
+		sum := sha256.Sum256([]byte(tables[i]))
+		sums[e.ID] = hex.EncodeToString(sum[:])
+	}
+	var b strings.Builder
+	for _, e := range All() {
+		sum, ok := sums[e.ID]
+		if !ok {
+			sum = "not-run"
+		}
+		fmt.Fprintf(&b, "%s %s\n", e.ID, sum)
+	}
+	got := b.String()
+	if *update {
+		if err := os.WriteFile(figureDigestFile, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(figureDigestFile)
+	if err != nil {
+		t.Fatalf("%v (create it with -update)", err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		if id, sum, ok := strings.Cut(line, " "); ok {
+			want[id] = sum
+		}
+	}
+	for _, line := range strings.Split(strings.TrimSpace(got), "\n") {
+		id, sum, _ := strings.Cut(line, " ")
+		if want[id] != sum {
+			t.Errorf("%s: table digest %s, %s has %q: a figure moved (rerun with -update if that is intended)",
+				id, sum, figureDigestFile, want[id])
+		}
+		delete(want, id)
+	}
+	for id := range want {
+		t.Errorf("%s: in %s but not an experiment", id, figureDigestFile)
 	}
 }

@@ -73,10 +73,6 @@ echo "== go test -race (make race: gateway + sim + runtime + ..., cluster + sche
 "${MAKE:-make}" race
 echo "== sharded-equivalence smoke"
 go test -short -run 'Sharded|ShardEdge|ShardBounds|ShardMemory|ShardRange|ShardWholeShard|PrefixCut' ./internal/cluster/ ./internal/scheduler/
-echo "== fig16t determinism smoke (tiered cold start, -parallel 1 vs 4)"
-go run ./cmd/infless-bench -run fig16t -parallel 1 >/tmp/fig16t.p1 2>/dev/null
-go run ./cmd/infless-bench -run fig16t -parallel 4 >/tmp/fig16t.p4 2>/dev/null
-diff /tmp/fig16t.p1 /tmp/fig16t.p4
 
 # metric prints the value of end-to-end metric $2 from the benchmark
 # output $1, whose last line is the JSON result.
