@@ -18,6 +18,7 @@ import (
 	"time"
 
 	infless "github.com/tanklab/infless"
+	"github.com/tanklab/infless/internal/artifact"
 )
 
 func main() {
@@ -53,15 +54,9 @@ func main() {
 		Shards:  *shards,
 		Seed:    *seed,
 	}
-	switch *storage {
-	case "", "off":
-	case "tiered":
-		opts.Storage = infless.StorageOptions{Enabled: true}
-	case "preload":
-		opts.Storage = infless.StorageOptions{Enabled: true, Preload: true}
-	default:
-		check(fmt.Errorf("unknown storage profile %q (want off, tiered or preload)", *storage))
-	}
+	st, err := artifact.Profile(*storage)
+	check(err)
+	opts.Storage = infless.StorageOptions{Enabled: st.Enabled, Preload: st.Preload}
 	var traceFile *os.File
 	if *traceOut == "-" {
 		opts.Telemetry.Trace = os.Stderr

@@ -71,8 +71,6 @@ var singleDefs = []singleDef{
 		"the alpha scale-ahead sizing rule is shared by both data planes"},
 	{"type", "", "RateEstimator", "internal/runtime/rate.go",
 		"one arrival-rate estimator serves the simulator and the gateway"},
-	{"type", "", "Pool", "internal/runtime/pool.go",
-		"one instance-pool implementation serves both data planes"},
 	{"type", "", "Histogram", "internal/metrics/histogram.go",
 		"every latency quantile in the tree comes from the log-bucketed histogram"},
 	{"method", "Histogram", "Quantile", "internal/metrics/histogram.go",
@@ -88,11 +86,11 @@ var singleDefs = []singleDef{
 	{"type", "", "FitPool", "internal/cluster/fanout.go",
 		"the parallel shard fan-out and its chunk merge live with the shard layout"},
 	{"type", "", "RateStripes", "internal/runtime/rates.go",
-		"one striped rate map serves the simulator and the gateway"},
+		"one per-function rate map serves the engine on both planes"},
 	{"type", "", "planeRing", "internal/runtime/rates.go",
-		"the lock-free plane-wide arrival aggregate has one implementation"},
+		"the plane-wide arrival aggregate has one implementation"},
 	{"func", "", "Legacy", "internal/artifact/artifact.go",
-		"the scalar 900ms+MB/220MBps cold-start formula has one home; perf calls it"},
+		"the scalar 900ms+MB/220MBps cold-start formula has one home; sim calls it"},
 	{"type", "", "Hierarchy", "internal/artifact/artifact.go",
 		"the per-tier bandwidth/latency model is defined once, next to its tier enum"},
 	{"type", "", "Cache", "internal/artifact/cache.go",
@@ -108,9 +106,7 @@ type forbiddenDecl struct {
 var forbiddenDecls = []forbiddenDecl{
 	{"func", "batchTimeout", "internal/runtime", "lifecycle policy helpers live in internal/runtime only"},
 	{"type", "rateEstimator", "internal/runtime", "lifecycle policy helpers live in internal/runtime only"},
-	{"type", "instancePool", "internal/runtime", "lifecycle policy helpers live in internal/runtime only"},
 	{"type", "fitPool", "internal/cluster", "shard fan-out pools live next to the merge they depend on"},
-	{"type", "rateStripe", "internal/runtime", "rate striping is internal/runtime's concern; planes hold a RateStripes"},
 	{"type", "artifactCache", "internal/artifact", "artifact residency tracking has one implementation; planes hold an artifact.Cache"},
 	{"type", "tierSpec", "internal/artifact", "per-tier bandwidth/latency tables live in internal/artifact only"},
 }

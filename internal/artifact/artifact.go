@@ -15,10 +15,10 @@
 // This package is the single source of truth for that model: the Tier
 // enum, the per-tier bandwidth/latency table (Hierarchy), the startup
 // estimator (Startup/Breakdown), and the per-server LRU artifact cache
-// (Cache). The legacy scalar formula lives here too (Legacy), and
-// perf.ColdStartTime delegates to it so the default numbers — 900 ms
-// container boot plus a checkpoint read at 220 MB/s from SSD — are
-// defined exactly once.
+// (Cache). The legacy scalar formula lives here too (Legacy): the
+// engine prices every cold start with it when tiered storage is off, so
+// the default numbers — 900 ms container boot plus a checkpoint read at
+// 220 MB/s from SSD — are defined exactly once.
 //
 // The package is deliberately stdlib-only and wall-clock free (it is in
 // infless-lint's deterministic scope): every other layer — cluster,
@@ -169,9 +169,11 @@ func (h Hierarchy) Startup(sizeMB int, from Tier) Breakdown {
 
 // Legacy is the paper's scalar cold-start formula — 900 ms container
 // boot plus a checkpoint read from local SSD at 220 MB/s — expressed
-// through the default hierarchy. perf.ColdStartTime delegates here;
-// the arithmetic is bit-identical to the original inline constant
-// formula.
+// through the default hierarchy: container/runtime bring-up plus loading
+// the model weights, which often exceeds an inference function's
+// execution time. The engine prices a cold start with it whenever
+// multi-tier artifact loading is disabled; the arithmetic is
+// bit-identical to the original inline constant formula.
 func Legacy(sizeMB int) time.Duration {
 	h := Default()
 	return h.Boot + h.LoadTime(sizeMB, TierSSD)

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"github.com/tanklab/infless/internal/batching"
-	"github.com/tanklab/infless/internal/coldstart"
 	"github.com/tanklab/infless/internal/perf"
 	"github.com/tanklab/infless/internal/profiler"
 	"github.com/tanklab/infless/internal/scheduler"
@@ -65,9 +64,6 @@ type batchState struct {
 // Init implements sim.Controller.
 func (b *BatchSys) Init(e *sim.Engine) {
 	for _, f := range e.Functions() {
-		if f.Policy == nil {
-			f.Policy = coldstart.Fixed{KeepAlive: coldstart.DefaultFixedKeepAlive}
-		}
 		f.SetCtrlState(&batchState{menu: b.buildMenu(f)})
 	}
 }

@@ -16,7 +16,6 @@ package baselines
 import (
 	"github.com/tanklab/infless/internal/batching"
 	"github.com/tanklab/infless/internal/cluster"
-	"github.com/tanklab/infless/internal/coldstart"
 	"github.com/tanklab/infless/internal/perf"
 	"github.com/tanklab/infless/internal/profiler"
 	"github.com/tanklab/infless/internal/scheduler"
@@ -85,9 +84,6 @@ func (o *OpenFaaSPlus) candidateFor(f *sim.FunctionState) scheduler.Candidate {
 // Init implements sim.Controller.
 func (o *OpenFaaSPlus) Init(e *sim.Engine) {
 	for _, f := range e.Functions() {
-		if f.Policy == nil {
-			f.Policy = coldstart.Fixed{KeepAlive: coldstart.DefaultFixedKeepAlive}
-		}
 		f.SetCtrlState(o.candidateFor(f))
 	}
 }

@@ -391,6 +391,9 @@ func Fig15(opts Options) *Table {
 	return t
 }
 
+// checkpointMB is the artifact size fig16 and fig16t replay at.
+const checkpointMB = 2048
+
 // coldStartTraces generates the three low-rate invocation traces of
 // fig16 and fig16t, with the Figure 9(a) structure: long-term periodicity
 // (regimes alternating on a multi-hour cycle, beyond HHP's 4-hour
@@ -440,28 +443,30 @@ func Fig16(opts Options) *Table {
 		Cols: []string{"sporadic", "periodic", "bursty", "meanCold", "meanWaste.s"}}
 
 	arrivalSets := coldStartTraces(opts.Seed, days)
-	mkPolicies := func() map[string]coldstart.Policy {
-		return map[string]coldstart.Policy{
-			"fixed-300s": coldstart.Fixed{KeepAlive: coldstart.DefaultFixedKeepAlive},
-			"hhp":        coldstart.NewHHP(),
-			"lsth-0.3":   coldstart.NewLSTH(coldstart.LSTHOptions{Gamma: 0.3}),
-			"lsth-0.5":   coldstart.NewLSTH(coldstart.LSTHOptions{Gamma: 0.5}),
-			"lsth-0.7":   coldstart.NewLSTH(coldstart.LSTHOptions{Gamma: 0.7}),
-		}
+	lsth := func(gamma float64) func() coldstart.Policy {
+		return func() coldstart.Policy { return coldstart.NewLSTH(coldstart.LSTHOptions{Gamma: gamma}) }
 	}
-	order := []string{"fixed-300s", "hhp", "lsth-0.3", "lsth-0.5", "lsth-0.7"}
+	policies := []struct {
+		name   string
+		policy func() coldstart.Policy
+	}{
+		{"fixed-300s", func() coldstart.Policy { return coldstart.Fixed{KeepAlive: coldstart.DefaultFixedKeepAlive} }},
+		{"hhp", func() coldstart.Policy { return coldstart.NewHHP() }},
+		{"lsth-0.3", lsth(0.3)},
+		{"lsth-0.5", lsth(0.5)},
+		{"lsth-0.7", lsth(0.7)},
+	}
 	type polRow struct {
 		cells    []string
 		meanCold float64
 	}
-	rows := make([]polRow, len(order))
-	opts.parallelFor(len(order), func(i int) {
-		name := order[i]
+	rows := make([]polRow, len(policies))
+	opts.parallelFor(len(policies), func(i int) {
 		var cells []string
 		var coldSum, wasteSum float64
 		for _, pattern := range []string{"sporadic", "periodic", "bursty"} {
-			p := mkPolicies()[name]
-			r := coldstart.Evaluate(p, arrivalSets[pattern])
+			p := coldstart.LegacyTier(policies[i].policy())
+			r := coldstart.Evaluate(p, artifact.Default(), checkpointMB, false, arrivalSets[pattern])
 			cells = append(cells, pct(r.ColdRate()))
 			coldSum += r.ColdRate()
 			wasteSum += r.WastePerInvocation().Seconds()
@@ -471,11 +476,11 @@ func Fig16(opts Options) *Table {
 		rows[i] = polRow{cells: cells, meanCold: meanCold}
 	})
 	hhpCold := 0.0
-	for i, name := range order {
-		if name == "hhp" {
+	for i, p := range policies {
+		if p.name == "hhp" {
 			hhpCold = rows[i].meanCold
 		}
-		t.AddRow(name, rows[i].cells...)
+		t.AddRow(p.name, rows[i].cells...)
 	}
 	if hhpCold > 0 {
 		t.Note("paper: LSTH reduces cold-start rate by 21.9%% vs HHP (measured above via meanCold) and idle waste by 24.3%%")
@@ -503,20 +508,19 @@ func Fig16T(opts Options) *Table {
 
 	arrivalSets := coldStartTraces(opts.Seed, days)
 	h := artifact.Default()
-	const checkpointMB = 2048
 	type variant struct {
 		name    string
-		policy  func() coldstart.TierPolicy
+		policy  func() coldstart.Policy
 		preload bool
 	}
 	variants := []variant{
-		{"lsth", func() coldstart.TierPolicy {
+		{"lsth", func() coldstart.Policy {
 			return coldstart.LegacyTier(coldstart.NewLSTH(coldstart.LSTHOptions{}))
 		}, false},
-		{"lsth+tier", func() coldstart.TierPolicy {
+		{"lsth+tier", func() coldstart.Policy {
 			return coldstart.NewLSTH(coldstart.LSTHOptions{})
 		}, false},
-		{"lsth+tier+preload", func() coldstart.TierPolicy {
+		{"lsth+tier+preload", func() coldstart.Policy {
 			return coldstart.NewLSTH(coldstart.LSTHOptions{})
 		}, true},
 	}
@@ -527,10 +531,10 @@ func Fig16T(opts Options) *Table {
 		var cells []string
 		var coldSum, wasteSum, startSum float64
 		for _, pattern := range []string{"sporadic", "periodic", "bursty"} {
-			r := coldstart.EvaluateTiered(v.policy(), h, checkpointMB, v.preload, arrivalSets[pattern])
+			r := coldstart.Evaluate(v.policy(), h, checkpointMB, v.preload, arrivalSets[pattern])
 			cells = append(cells, pct(r.ColdRate()))
 			coldSum += r.ColdRate()
-			wasteSum += (r.Wasted() / time.Duration(r.Invocations)).Seconds()
+			wasteSum += r.WastePerInvocation().Seconds()
 			startSum += float64(r.MeanStartup()) / float64(time.Millisecond)
 		}
 		cells = append(cells,

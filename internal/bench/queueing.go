@@ -32,6 +32,11 @@ func QueueingValidation(opts Options) *Table {
 	texec := m.ExecTime(b, res, model.ExecOptions{Contention: 0.35})
 	slo := 400 * time.Millisecond
 	timeout := slo - texec
+	bounds, err := batching.RateBounds(texec, slo, b)
+	if err != nil {
+		panic(err)
+	}
+	cand := scheduler.Candidate{B: b, Res: res, TExec: texec, Bounds: bounds}
 
 	for _, lam := range []float64{30, 60, 120, 200} {
 		an, err := queueing.Analyze(queueing.Params{
@@ -44,8 +49,7 @@ func QueueingValidation(opts Options) *Table {
 			panic(err)
 		}
 		// Simulator: a single fixed instance with the same parameters.
-		ctrl := &fixedController{cand: fixedCandidate(m, b, res, texec, slo)}
-		e := sim.New(ctrl, sim.Config{
+		e := sim.New(&fixedController{cand: cand}, sim.Config{
 			Cluster:  cluster.Testbed(),
 			Duration: dur,
 			Seed:     opts.Seed,
@@ -72,29 +76,14 @@ func QueueingValidation(opts Options) *Table {
 
 // fixedController pins one instance with a fixed candidate configuration.
 type fixedController struct {
-	cand fixedCand
-}
-
-type fixedCand struct {
-	b     int
-	res   perf.Resources
-	texec time.Duration
-	slo   time.Duration
-}
-
-func fixedCandidate(m *model.Model, b int, res perf.Resources, texec, slo time.Duration) fixedCand {
-	return fixedCand{b: b, res: res, texec: texec, slo: slo}
+	cand scheduler.Candidate
 }
 
 func (c *fixedController) Name() string { return "fixed-station" }
 
 func (c *fixedController) Init(e *sim.Engine) {
 	for _, f := range e.Functions() {
-		cand, err := buildFixedCandidate(c.cand)
-		if err != nil {
-			panic(err)
-		}
-		e.Launch(f, cand, 0)
+		e.Launch(f, c.cand, 0)
 	}
 }
 
@@ -108,13 +97,3 @@ func (c *fixedController) Route(e *sim.Engine, f *sim.FunctionState, r *sim.Requ
 }
 
 func (c *fixedController) Tick(e *sim.Engine, f *sim.FunctionState) { e.FlushPending(f) }
-
-// buildFixedCandidate derives the scheduler.Candidate for the pinned
-// station configuration.
-func buildFixedCandidate(c fixedCand) (scheduler.Candidate, error) {
-	bounds, err := batching.RateBounds(c.texec, c.slo, c.b)
-	if err != nil {
-		return scheduler.Candidate{}, err
-	}
-	return scheduler.Candidate{B: c.b, Res: c.res, TExec: c.texec, Bounds: bounds}, nil
-}

@@ -30,19 +30,20 @@
 // a policy holds as many chunks as its longest window's population
 // needs, however long the run.
 //
-// # Policy and TierPolicy
+// # Windows and Decide
 //
 // With multi-tier artifact loading (internal/artifact) an idle function's
 // checkpoint can be demoted down the storage hierarchy instead of evicted
-// outright. TierPolicy (tier.go) answers Decide(now) with a Decision: the
-// prewarm/keep-alive windows plus the tier the artifact parks at once the
-// keep-alive window closes and how long it stays there. Fixed and HHP
-// implement Policy only; LSTH implements both, and its Decision.KeepAlive
-// may be shorter than its Windows keep-alive because the DRAM pause tier
-// covers the distribution's tail at a fraction of the resident cost.
-// Tiered(p) adapts any Policy (pass-through for LSTH); LegacyTier(p) pins
-// the kill-the-container, artifact-on-SSD shape even for LSTH, which is
-// how fig16t isolates the effect of tiering.
+// outright. Every policy therefore also answers Decide(now) with a
+// Decision (tier.go): the prewarm/keep-alive windows plus the tier the
+// artifact parks at once the keep-alive window closes and how long it
+// stays there. Fixed and HHP decide in the legacy shape of their
+// Windows; LSTH's Decision.KeepAlive may be shorter than its Windows
+// keep-alive because the DRAM pause tier covers the distribution's tail
+// at a fraction of the resident cost. LegacyTier(p) pins the
+// kill-the-container, artifact-on-SSD shape even for LSTH, which is how
+// fig16t isolates the effect of tiering. Evaluate replays a trace
+// against any policy's Decisions.
 package coldstart
 
 import (
@@ -64,6 +65,8 @@ type Policy interface {
 	// Windows returns the current pre-warming and keep-alive windows at
 	// virtual time now.
 	Windows(now time.Duration) (prewarm, keepalive time.Duration)
+	// Decide returns the tier-aware ruling at virtual time now.
+	Decide(now time.Duration) Decision
 }
 
 // BinWidth is the histogram resolution. The ATC'20 paper uses 1-minute

@@ -6,7 +6,15 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"github.com/tanklab/infless/internal/artifact"
 )
+
+// replay is Evaluate over the default hierarchy and a 1 GB checkpoint,
+// for the tests that count cold starts and waste only.
+func replay(p Policy, arrivals []time.Duration) Result {
+	return Evaluate(p, artifact.Default(), 1024, false, arrivals)
+}
 
 func TestHistPercentile(t *testing.T) {
 	h := NewHist(time.Minute)
@@ -162,7 +170,7 @@ func TestEvaluateFixedAllWarmWhenDense(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		arrivals = append(arrivals, time.Duration(i)*10*time.Second)
 	}
-	r := Evaluate(p, arrivals)
+	r := replay(p, arrivals)
 	if r.ColdStarts != 1 {
 		t.Errorf("cold starts = %d, want only the initial one", r.ColdStarts)
 	}
@@ -179,7 +187,7 @@ func TestEvaluateFixedColdWhenSparse(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		arrivals = append(arrivals, time.Duration(i)*10*time.Minute)
 	}
-	r := Evaluate(p, arrivals)
+	r := replay(p, arrivals)
 	if r.ColdStarts != 10 {
 		t.Errorf("cold starts = %d, want 10 (every gap exceeds keep-alive)", r.ColdStarts)
 	}
@@ -190,7 +198,7 @@ func TestEvaluateFixedColdWhenSparse(t *testing.T) {
 }
 
 func TestEvaluateEmpty(t *testing.T) {
-	r := Evaluate(Fixed{KeepAlive: time.Minute}, nil)
+	r := replay(Fixed{KeepAlive: time.Minute}, nil)
 	if r.Invocations != 0 || r.ColdRate() != 0 || r.WastePerInvocation() != 0 {
 		t.Fatalf("empty trace result: %+v", r)
 	}
@@ -229,8 +237,8 @@ func TestLSTHBeatsHHPOnLTPSTBTraffic(t *testing.T) {
 		now += gap
 		arrivals = append(arrivals, now)
 	}
-	hhp := Evaluate(NewHHP(), arrivals)
-	lsth := Evaluate(NewLSTH(LSTHOptions{}), arrivals)
+	hhp := replay(NewHHP(), arrivals)
+	lsth := replay(LegacyTier(NewLSTH(LSTHOptions{})), arrivals)
 	// Paper (Fig. 16): LSTH reduces cold-start rate by ~21.9% vs HHP. At
 	// policy level we require a >= 10% improvement; the waste reduction
 	// additionally needs full-system scale-in (Fig. 14) and is asserted
@@ -247,8 +255,8 @@ func TestLSTHBeatsHHPOnLTPSTBTraffic(t *testing.T) {
 
 func TestEvaluateSortsInput(t *testing.T) {
 	p := Fixed{KeepAlive: time.Hour}
-	a := Evaluate(p, []time.Duration{2 * time.Minute, 0, time.Minute})
-	b := Evaluate(Fixed{KeepAlive: time.Hour}, []time.Duration{0, time.Minute, 2 * time.Minute})
+	a := replay(p, []time.Duration{2 * time.Minute, 0, time.Minute})
+	b := replay(Fixed{KeepAlive: time.Hour}, []time.Duration{0, time.Minute, 2 * time.Minute})
 	if a != b {
 		t.Fatalf("unsorted input handled differently: %+v vs %+v", a, b)
 	}

@@ -23,43 +23,35 @@ func lognormalTrace(seed int64, n int, med time.Duration, sigma float64) []time.
 	return ts
 }
 
-// The legacy shim must reproduce Evaluate bit for bit: same cold count,
-// same warm waste, no paused accounting.
-func TestLegacyTierMatchesEvaluate(t *testing.T) {
-	trace := lognormalTrace(3, 4000, 2*time.Minute, 1.0)
-	for _, mk := range []func() Policy{
-		func() Policy { return Fixed{KeepAlive: DefaultFixedKeepAlive} },
-		func() Policy { return NewHHP() },
-		func() Policy { return NewLSTH(LSTHOptions{}) },
-	} {
-		want := Evaluate(mk(), trace)
-		got := EvaluateTiered(LegacyTier(mk()), artifact.Default(), 2048, false, trace)
-		if got.ColdStarts != want.ColdStarts || got.WarmWasted != want.WarmWasted {
-			t.Fatalf("%s: legacy tier replay diverged: cold %d/%d waste %v/%v",
-				want.Policy, got.ColdStarts, want.ColdStarts, got.WarmWasted, want.WarmWasted)
-		}
-		if got.PausedResumes != 0 || got.PausedWasted != 0 || got.PreloadedStarts != 0 {
-			t.Fatalf("%s: legacy tier replay produced tiered accounting: %+v", want.Policy, got)
+// Fixed and HHP decide in the legacy shape of their Windows, before
+// and after HHP's histogram has signal, and LegacyTier pins LSTH to
+// that shape once its own Decide would pause in DRAM.
+func TestLegacyShapeDecide(t *testing.T) {
+	hhp, lsth := NewHHP(), NewLSTH(LSTHOptions{})
+	now := time.Duration(0)
+	check := func(p Policy) {
+		t.Helper()
+		pw, ka := p.Windows(now)
+		if d := p.Decide(now); d != (Decision{Prewarm: pw, KeepAlive: ka, IdleTier: artifact.TierSSD}) {
+			t.Fatalf("%s at %v: Decide = %+v, want the legacy shape of Windows (%v, %v)", p.Name(), now, d, pw, ka)
 		}
 	}
-}
-
-// Tiered adapts pass-through for native TierPolicies and wraps the rest.
-func TestTieredAdapter(t *testing.T) {
-	l := NewLSTH(LSTHOptions{})
-	if tp := Tiered(l); tp != TierPolicy(l) {
-		t.Fatal("Tiered(LSTH) did not pass through the native TierPolicy")
+	check(Fixed{KeepAlive: time.Minute})
+	check(hhp)
+	for i := 0; i < 200; i++ {
+		gap := time.Duration(50+i%20) * time.Second
+		now += gap
+		hhp.RecordIdle(gap, now)
+		lsth.RecordIdle(gap, now)
 	}
-	f := Fixed{KeepAlive: time.Minute}
-	tp := Tiered(f)
-	if _, ok := tp.(legacyTier); !ok {
-		t.Fatalf("Tiered(Fixed) = %T, want legacyTier shim", tp)
+	if pw, _ := hhp.Windows(now); pw == 0 {
+		t.Fatal("HHP still on its fallback after 200 samples")
 	}
-	pw, ka := f.Windows(0)
-	d := tp.Decide(0)
-	if d.Prewarm != pw || d.KeepAlive != ka || d.IdleTier != artifact.TierSSD || d.Floor != artifact.TierSSD || d.IdleFor != 0 {
-		t.Fatalf("shim decision %+v does not match Windows (%v, %v)", d, pw, ka)
+	check(hhp)
+	if lsth.Decide(now).IdleTier != artifact.TierDRAM {
+		t.Fatal("LSTH's own Decide does not pause in DRAM on this trace")
 	}
+	check(LegacyTier(lsth))
 }
 
 // Before the histograms have signal, LSTH's tier decision degrades to
@@ -105,9 +97,9 @@ func TestTieringBeatsLegacyOnColdRateAndWaste(t *testing.T) {
 	trace := lognormalTrace(11, 6000, 90*time.Second, 1.0)
 	h := artifact.Default()
 	const mb = 2048
-	plain := EvaluateTiered(LegacyTier(NewLSTH(LSTHOptions{})), h, mb, false, trace)
-	tiered := EvaluateTiered(NewLSTH(LSTHOptions{}), h, mb, false, trace)
-	preload := EvaluateTiered(NewLSTH(LSTHOptions{}), h, mb, true, trace)
+	plain := Evaluate(LegacyTier(NewLSTH(LSTHOptions{})), h, mb, false, trace)
+	tiered := Evaluate(NewLSTH(LSTHOptions{}), h, mb, false, trace)
+	preload := Evaluate(NewLSTH(LSTHOptions{}), h, mb, true, trace)
 	if tiered.ColdStarts >= plain.ColdStarts {
 		t.Fatalf("tiering did not cut cold starts: %d vs %d", tiered.ColdStarts, plain.ColdStarts)
 	}
@@ -123,10 +115,10 @@ func TestTieringBeatsLegacyOnColdRateAndWaste(t *testing.T) {
 }
 
 // Identical traces and options must yield identical tiered results.
-func TestEvaluateTieredDeterministic(t *testing.T) {
+func TestEvaluateDeterministic(t *testing.T) {
 	trace := lognormalTrace(5, 3000, 2*time.Minute, 0.7)
-	a := EvaluateTiered(NewLSTH(LSTHOptions{}), artifact.Default(), 1024, true, trace)
-	b := EvaluateTiered(NewLSTH(LSTHOptions{}), artifact.Default(), 1024, true, trace)
+	a := Evaluate(NewLSTH(LSTHOptions{}), artifact.Default(), 1024, true, trace)
+	b := Evaluate(NewLSTH(LSTHOptions{}), artifact.Default(), 1024, true, trace)
 	if a != b {
 		t.Fatalf("divergent results:\n%+v\n%+v", a, b)
 	}

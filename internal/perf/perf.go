@@ -24,8 +24,6 @@ import (
 	"fmt"
 	"math"
 	"time"
-
-	"github.com/tanklab/infless/internal/artifact"
 )
 
 // Hardware constants calibrated to Table 2 and public spec sheets.
@@ -291,17 +289,6 @@ func (c *OpClass) OpTimeFracCPU(gflops, p float64, b int, cores float64) time.Du
 		launch = time.Duration(float64(launch) / cores)
 	}
 	return launch + time.Duration((serial+parallel)*float64(time.Second))
-}
-
-// ColdStartTime models instance cold start: container/runtime bring-up
-// plus loading the model weights and serving libraries. The paper notes
-// cold start often exceeds query execution time for inference functions.
-// The formula — 900 ms container boot plus an SSD read at 220 MB/s — is
-// single-sourced in internal/artifact (the SSD path of the default
-// storage hierarchy); this delegate is the legacy scalar view used
-// whenever multi-tier artifact loading is disabled.
-func ColdStartTime(modelMemoryMB int) time.Duration {
-	return artifact.Legacy(modelMemoryMB)
 }
 
 // LambdaMemToVCPU converts an AWS-Lambda-style memory setting to a vCPU

@@ -93,20 +93,6 @@ func TestGPULaunchOverheadDominatesTinyOps(t *testing.T) {
 	}
 }
 
-func TestColdStartTime(t *testing.T) {
-	small := ColdStartTime(100)
-	large := ColdStartTime(2500)
-	if small >= large {
-		t.Error("cold start should grow with model size")
-	}
-	if small < 900*time.Millisecond {
-		t.Errorf("cold start %v below container boot floor", small)
-	}
-	if large < 10*time.Second {
-		t.Errorf("2.5 GB model cold start %v implausibly fast", large)
-	}
-}
-
 func TestLambdaMemToVCPU(t *testing.T) {
 	if v := LambdaMemToVCPU(1769); v != 1.0 {
 		t.Errorf("1769 MB = %f vCPU, want 1", v)

@@ -1,11 +1,12 @@
 // Package runtime is the policy side of the request/instance lifecycle:
 // batch-timeout derivation, the Eq. 1 admission glue, arrival-rate
-// estimation, instance-pool bookkeeping with dispatch credits, and the
-// lifecycle-observer hooks. The lifecycle itself is internal/sim's
-// engine, which serves both planes — the simulator runs it over traces in
-// virtual time, the HTTP gateway (internal/gateway) paces the same engine
-// by the wall clock — so the paper's claim that INFless "runs the real
-// scheduling code against simulated machines" is literally true here.
+// estimation and the lifecycle-observer hooks. The lifecycle itself is
+// internal/sim's engine, one goroutine that serves both planes — the
+// simulator runs it over traces in virtual time, the HTTP gateway
+// (internal/gateway) paces the same engine by the wall clock — so the
+// paper's claim that INFless "runs the real scheduling code against
+// simulated machines" is literally true here, and the stateful types
+// below (the rate estimators) are single-goroutine like their owner.
 //
 // Everything in this package measures time as a time.Duration offset
 // from the start of the run ("plane time"): the engine's virtual clock,

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/tanklab/infless/internal/coldstart"
 	"github.com/tanklab/infless/internal/metrics"
 	"github.com/tanklab/infless/internal/perf"
 )
@@ -56,51 +55,6 @@ func TestScaleAheadTarget(t *testing.T) {
 		if got := ScaleAheadTarget(10, 40, bad); got != want {
 			t.Fatalf("alpha=%v target = %v, want DefaultAlpha fallback %v", bad, got, want)
 		}
-	}
-}
-
-func TestPool(t *testing.T) {
-	var p Pool[*int]
-	a, b, c := new(int), new(int), new(int)
-	p.Add(a)
-	p.Add(b)
-	p.Add(c)
-	if p.Len() != 3 {
-		t.Fatalf("len = %d", p.Len())
-	}
-	if id1, id2 := p.NextID(), p.NextID(); id1 != 1 || id2 != 2 {
-		t.Fatalf("ids = %d, %d", id1, id2)
-	}
-	if !p.Remove(b) {
-		t.Fatal("remove failed")
-	}
-	if p.Remove(b) {
-		t.Fatal("double remove should report absence")
-	}
-	got := p.Members()
-	if len(got) != 2 || got[0] != a || got[1] != c {
-		t.Fatalf("members after remove = %v", got)
-	}
-}
-
-func TestKeepAlive(t *testing.T) {
-	if got := KeepAlive(nil, 0); got != coldstart.DefaultFixedKeepAlive {
-		t.Fatalf("nil policy keep-alive = %v", got)
-	}
-	if got := KeepAlive(coldstart.Fixed{KeepAlive: 42 * time.Second}, 0); got != 42*time.Second {
-		t.Fatalf("fixed keep-alive = %v", got)
-	}
-}
-
-func TestCredit(t *testing.T) {
-	var c Credit
-	c.Add(5, 3) // clamped by max
-	if c.Balance() != 3 {
-		t.Fatalf("balance = %v, want clamp at 3", c.Balance())
-	}
-	c.Add(-1, 3)
-	if c.Balance() != 2 {
-		t.Fatalf("balance = %v", c.Balance())
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 
 	"github.com/tanklab/infless/internal/artifact"
 	"github.com/tanklab/infless/internal/cluster"
+	"github.com/tanklab/infless/internal/coldstart"
 	"github.com/tanklab/infless/internal/model"
 	"github.com/tanklab/infless/internal/perf"
 	"github.com/tanklab/infless/internal/workload"
@@ -99,14 +100,14 @@ func TestTieredDisabledPathUnchanged(t *testing.T) {
 		if inst == nil {
 			t.Fatalf("%s: launch failed", tc.name)
 		}
-		if want := perf.ColdStartTime(f.Spec.Model.MemoryMB); inst.ReadyAt != want {
+		if want := artifact.Legacy(f.Spec.Model.MemoryMB); inst.ReadyAt != want {
 			t.Errorf("%s: ReadyAt = %v, want legacy %v", tc.name, inst.ReadyAt, want)
 		}
 	}
 }
 
 // TestReclaimDemotesAndPreloads checks the reclaim side: the reclaimed
-// function's artifact is demoted out of DRAM (policy-nil floor is SSD)
+// function's artifact is demoted out of DRAM (a fixed policy rests it on SSD)
 // and, with pre-loading on, other functions' artifacts are pulled into
 // the freed DRAM, counted per function.
 func TestReclaimDemotesAndPreloads(t *testing.T) {
@@ -115,7 +116,7 @@ func TestReclaimDemotesAndPreloads(t *testing.T) {
 	ctrl := &manualController{cand: testCand(4, perf.Resources{CPU: 2}, 20*time.Millisecond, 200*time.Millisecond)}
 	e := New(ctrl, Config{Cluster: cluster.Testbed(), Duration: 30 * time.Second, Seed: 1, Storage: &st})
 	f := e.AddFunction(FunctionSpec{Name: "f", Model: model.MustGet("MNIST"), SLO: 200 * time.Millisecond,
-		Trace: workload.Constant(10, 30*time.Second, time.Second)})
+		Trace: workload.Constant(10, 30*time.Second, time.Second), Policy: coldstart.Fixed{KeepAlive: time.Minute}})
 	g := e.AddFunction(FunctionSpec{Name: "g", Model: model.MustGet("MobileNet"), SLO: 200 * time.Millisecond,
 		Trace: workload.Constant(10, 30*time.Second, time.Second)})
 

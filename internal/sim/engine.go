@@ -8,6 +8,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"time"
 
 	"github.com/tanklab/infless/internal/artifact"
@@ -46,7 +47,8 @@ type FunctionState struct {
 	// (Spec.Artifact.SizeMB defaulted to the model's memory footprint).
 	artSizeMB int
 
-	pool           runtime.Pool[*Instance]
+	instances      []*Instance // live, in launch order
+	nextID         int         // the last instance ID issued: IDs run 1, 2, 3, ...
 	batch          runtime.BatchPolicy
 	rate           *runtime.RateEstimator
 	lastArrival    time.Duration
@@ -56,9 +58,17 @@ type FunctionState struct {
 	ctrlState      any // controller-private per-function state
 }
 
-// Instances returns the function's live instances (the pool's member
-// slice; callers must not mutate it).
-func (f *FunctionState) Instances() []*Instance { return f.pool.Members() }
+// Instances returns the function's live instances in launch order
+// (callers must not mutate the slice).
+func (f *FunctionState) Instances() []*Instance { return f.instances }
+
+// removeInstance deletes inst from f's instances, preserving order;
+// removing it twice is a no-op.
+func (f *FunctionState) removeInstance(inst *Instance) {
+	if i := slices.Index(f.instances, inst); i >= 0 {
+		f.instances = append(f.instances[:i], f.instances[i+1:]...)
+	}
+}
 
 // RateEstimate returns the function's observed arrival rate (RPS) over
 // the engine's rate window.
@@ -112,6 +122,7 @@ type Engine struct {
 
 	freeReqs []*Request              // answered requests, for reuse (NewRequest)
 	done     func(*Request, Outcome) // completion hook (OnDone)
+	started  bool                    // Start has run
 }
 
 // New creates an engine for the controller and configuration.
@@ -168,6 +179,9 @@ func (e *Engine) AddFunction(spec FunctionSpec) *FunctionState {
 		batch:       runtime.BatchPolicy{SLO: spec.SLO},
 		rate:        e.rates.Get(spec.Name),
 	}
+	if e.started {
+		defaultPolicy(f)
+	}
 	f.artSizeMB = spec.Artifact.SizeMB
 	if f.artSizeMB == 0 {
 		f.artSizeMB = spec.Model.MemoryMB
@@ -185,6 +199,16 @@ func (e *Engine) AddFunction(spec FunctionSpec) *FunctionState {
 	e.fns = append(e.fns, f)
 	e.byName[spec.Name] = f
 	return f
+}
+
+// defaultPolicy gives a function its controller left without a
+// cold-start policy the fixed keep-alive both baselines use: 300 s warm,
+// no pre-warming, the artifact resting on SSD, no idle recording. From
+// Start on, every function has a policy.
+func defaultPolicy(f *FunctionState) {
+	if f.Policy == nil {
+		f.Policy = coldstart.Fixed{KeepAlive: coldstart.DefaultFixedKeepAlive}
+	}
 }
 
 // Functions returns the registered functions, in registration order.

@@ -2,8 +2,9 @@ package sim
 
 // instances.go is the instance lifecycle: launch (cold or pre-warmed) →
 // warm serving → idle keep-alive → reclaim, plus server-failure fallout
-// and function pre-warm windows. Pool membership, dispatch credits and
-// keep-alive policy glue come from the shared internal/runtime layer.
+// and function pre-warm windows. Each instance carries its dispatch
+// credit; keep-alive and pre-warm windows come from the function's
+// cold-start policy (internal/coldstart).
 
 import (
 	"fmt"
@@ -12,8 +13,6 @@ import (
 	"github.com/tanklab/infless/internal/artifact"
 	"github.com/tanklab/infless/internal/batching"
 	"github.com/tanklab/infless/internal/coldstart"
-	"github.com/tanklab/infless/internal/perf"
-	"github.com/tanklab/infless/internal/runtime"
 	"github.com/tanklab/infless/internal/scheduler"
 	"github.com/tanklab/infless/internal/simclock"
 )
@@ -30,7 +29,7 @@ type Instance struct {
 	Draining bool
 	Queue    *batching.Queue[*Request]
 	Rate     float64 // dispatch weight (INFless non-uniform dispatching)
-	credit   runtime.Credit
+	credit   float64
 
 	idleSince time.Duration
 	reclaimed bool
@@ -56,10 +55,18 @@ func (inst *Instance) CanAccept() bool {
 }
 
 // Credit returns the instance's dispatch credit (see internal/core).
-func (inst *Instance) Credit() float64 { return inst.credit.Balance() }
+func (inst *Instance) Credit() float64 { return inst.credit }
 
-// AddCredit adjusts the dispatch credit, clamped from above by cap.
-func (inst *Instance) AddCredit(delta, cap float64) { inst.credit.Add(delta, cap) }
+// AddCredit adjusts the dispatch credit of Section 3.2's credit-based
+// weighted dispatching — credit accrues at the instance's assigned rate
+// and each routed request adds -1 — clamped from above by cap, at most
+// one burst's worth of stored credit.
+func (inst *Instance) AddCredit(delta, cap float64) {
+	inst.credit += delta
+	if inst.credit > cap {
+		inst.credit = cap
+	}
+}
 
 // Launch starts a new instance of f with candidate configuration cand on
 // server. It returns nil when the cluster cannot host the instance.
@@ -84,7 +91,7 @@ func (e *Engine) launchAllocated(f *FunctionState, cand scheduler.Candidate, ser
 	now := e.clock.Now()
 	e.allocationChanged()
 
-	coldDur := perf.ColdStartTime(f.Spec.Model.MemoryMB)
+	coldDur := artifact.Legacy(f.Spec.Model.MemoryMB)
 	cold := now >= f.prewarmedUntil
 	var bd artifact.Breakdown
 	tiered := false
@@ -106,8 +113,9 @@ func (e *Engine) launchAllocated(f *FunctionState, cand scheduler.Candidate, ser
 	}
 	f.ConfigCount[fmt.Sprintf("(%d,%d,%d)", cand.B, cand.Res.CPU, cand.Res.GPU)]++
 
+	f.nextID++
 	inst := &Instance{
-		ID:       f.pool.NextID(),
+		ID:       f.nextID,
 		Fn:       f,
 		Cand:     cand,
 		Server:   server,
@@ -124,7 +132,7 @@ func (e *Engine) launchAllocated(f *FunctionState, cand scheduler.Candidate, ser
 			e.Reclaim(inst)
 		}
 	}
-	f.pool.Add(inst)
+	f.instances = append(f.instances, inst)
 	e.obs.InstanceLaunched(f.Spec.Name, inst.ID, cold, coldDur, now)
 	if tiered {
 		e.obs.InstanceStartup(f.Spec.Name, inst.ID, bd, now)
@@ -183,13 +191,13 @@ func (e *Engine) Reclaim(inst *Instance) {
 	inst.reclaim.Cancel()
 	inst.timeout.Cancel()
 	e.cfg.Cluster.Release(inst.Server, inst.Cand.Res, f.Spec.Model.MemoryMB)
-	f.pool.Remove(inst)
+	f.removeInstance(inst)
 	e.obs.InstanceReclaimed(f.Spec.Name, inst.ID, now)
 	e.allocationChanged()
 	if e.storageActive() {
 		e.demoteAndPreload(f, inst.Server, now)
 	}
-	if f.pool.Len() == 0 {
+	if len(f.instances) == 0 {
 		e.schedulePrewarm(f)
 	}
 }
@@ -210,11 +218,7 @@ func (e *Engine) demoteAndPreload(f *FunctionState, server int, now time.Duratio
 	if cache == nil {
 		return
 	}
-	to := artifact.TierSSD
-	if f.Policy != nil {
-		to = coldstart.Tiered(f.Policy).Decide(now).IdleTier
-	}
-	cache.Demote(f.Spec.Name, to)
+	cache.Demote(f.Spec.Name, f.Policy.Decide(now).IdleTier)
 	if !e.cfg.Storage.Preload {
 		return
 	}
@@ -234,18 +238,18 @@ func (e *Engine) demoteAndPreload(f *FunctionState, server int, now time.Duratio
 }
 
 // scheduleReclaim arms the keep-alive timer for an idle instance. With
-// tiered storage, a tier-aware policy's Decision governs instead of the
-// plain windows: the instance is held fully warm only for the (shorter)
+// tiered storage, the policy's Decision governs instead of the plain
+// windows: LSTH holds the instance fully warm only for the (shorter)
 // tiered keep-alive, relying on the DRAM-parked artifact to cover the
 // idle distribution's tail.
 func (e *Engine) scheduleReclaim(inst *Instance) {
 	now := e.clock.Now()
 	inst.idleSince = now
 	var keep time.Duration
-	if e.storageActive() && inst.Fn.Policy != nil {
-		keep = coldstart.Tiered(inst.Fn.Policy).Decide(now).KeepAlive
+	if e.storageActive() {
+		keep = inst.Fn.Policy.Decide(now).KeepAlive
 	} else {
-		keep = runtime.KeepAlive(inst.Fn.Policy, now)
+		_, keep = inst.Fn.Policy.Windows(now)
 	}
 	inst.reclaim.Cancel()
 	inst.reclaim = e.clock.ScheduleAfter(keep, inst.onIdle)
@@ -276,9 +280,6 @@ func (e *Engine) failServer(id int) {
 // Fixed keep-alive policies never pre-warm — once the instance is gone,
 // the next launch is cold (the behavior of OpenFaaS and BATCH).
 func (e *Engine) schedulePrewarm(f *FunctionState) {
-	if f.Policy == nil {
-		return
-	}
 	if _, fixed := f.Policy.(coldstart.Fixed); fixed {
 		return
 	}

@@ -37,7 +37,7 @@ func (e *Engine) noteArrival(f *FunctionState) {
 	f.rate.Observe(now)
 	e.rates.PlaneObserve(now)
 	e.obs.RequestArrived(f.Spec.Name, now)
-	if f.haveArrival && f.Policy != nil {
+	if f.haveArrival {
 		f.Policy.RecordIdle(now-f.lastArrival, now)
 	}
 	f.lastArrival = now

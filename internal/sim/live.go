@@ -40,6 +40,10 @@ func (e *Engine) OnDone(fn func(req *Request, o Outcome)) { e.done = fn }
 func (e *Engine) Start() {
 	e.resolveChains()
 	e.ctrl.Init(e)
+	for _, f := range e.fns {
+		defaultPolicy(f)
+	}
+	e.started = true
 	e.allocationChanged()
 }
 
@@ -54,8 +58,8 @@ func (e *Engine) Clock() *simclock.Clock { return e.clock }
 //
 //lint:coldpath
 func (e *Engine) RemoveFunction(f *FunctionState) {
-	for f.pool.Len() > 0 {
-		e.Reclaim(f.pool.Members()[0])
+	for len(f.instances) > 0 {
+		e.Reclaim(f.instances[0])
 	}
 	for _, req := range f.Pending {
 		e.drop(f, req, false)

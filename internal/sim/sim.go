@@ -136,7 +136,7 @@ const (
 	// rateWindow is the arrival-rate estimation window.
 	rateWindow = 10 * time.Second
 	// warmStartTime is the activation cost of launching from a pre-warmed
-	// image (a full cold start instead pays perf.ColdStartTime).
+	// image (a full cold start instead pays artifact.Legacy).
 	warmStartTime = 50 * time.Millisecond
 )
 
@@ -158,7 +158,8 @@ type FunctionSpec struct {
 	Trace    *workload.Trace
 	MaxBatch int // 0 = model's own maximum
 	// Policy decides pre-warming/keep-alive; nil means the controller's
-	// default (LSTH for INFless, fixed 300s for baselines).
+	// default (LSTH for INFless), and a function the controller leaves
+	// without one gets the fixed 300s keep-alive (see defaultPolicy).
 	Policy coldstart.Policy
 	// ForwardTo names the next function of an inference chain: every
 	// request completed here is immediately forwarded there (the paper's

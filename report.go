@@ -15,6 +15,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/tanklab/infless/internal/artifact"
 	"github.com/tanklab/infless/internal/coldstart"
 	"github.com/tanklab/infless/internal/sim"
 	"github.com/tanklab/infless/internal/telemetry"
@@ -249,10 +250,11 @@ type ColdStartResult struct {
 }
 
 // EvaluateColdStartPolicy replays a trace of invocation instants against
-// a keep-alive policy (Figure 16's experiment). Use DefaultLSTH, or build
-// policies from the internal/coldstart package in advanced scenarios.
+// a keep-alive policy (Figure 16's experiment: the policy's windows
+// alone, no storage tiers). Use DefaultLSTH, or build policies from the
+// internal/coldstart package in advanced scenarios.
 func EvaluateColdStartPolicy(p coldstart.Policy, arrivals []time.Duration) ColdStartResult {
-	res := coldstart.Evaluate(p, arrivals)
+	res := coldstart.Evaluate(coldstart.LegacyTier(p), artifact.Default(), 0, false, arrivals)
 	return ColdStartResult{
 		Policy:             res.Policy,
 		Invocations:        res.Invocations,
