@@ -34,8 +34,10 @@ test:
 ## wall-clock gateway, whose callers and pacer drive one sim.Engine under
 ## one lock, that engine itself (internal/sim is the gateway's data
 ## plane), the runtime policies, the telemetry collector (fed by the
-## engine, read from any goroutine: TestCollectorSnapshotDuringEvents
-## overlaps the two), the loadgen worker pool, the function registry, and the
+## engine with no lock, read from other goroutines under the plane's
+## lock: TestMetricsDuringLoad scrapes a live gateway, and
+## TestCollectorSnapshotDuringEvents reads under a test's guard), the
+## loadgen worker pool, the function registry, and the
 ## pool / simclock types underneath (simclock's heap against its sorted
 ## reference, TestHeapMatchesSortedReference); (2) the sharded control plane,
 ## whose FitPool fans fit queries across workers (-short: the equivalence

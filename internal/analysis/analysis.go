@@ -22,10 +22,10 @@
 // the table): wall-clock values and global math/rand in the simulator by
 // the determinism tests (bench.TestParallelAllDeterministic,
 // gateway.TestDriverEquivalence, sim.TestExecMemoMatchesExecTime) and
-// the sim_fleet repetition digest, but a wall-clock deadline in the
-// deterministic packages only when it binds during those tests (no test
-// holds one generous enough to pass on an idle host); scheduler scans of
-// the server list by
+// the sim_fleet repetition digest, and any wall-clock read in the
+// deterministic packages outside two host-time measurements by the
+// go/parser registry in registry_test.go (wallClockSites); scheduler
+// scans of the server list by
 // hotalloc on the Schedule path; single definitions, private policy
 // re-implementations and sync.Pool outside internal/pool by the
 // go/parser registry in registry_test.go, which also holds every `go`

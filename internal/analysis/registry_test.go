@@ -14,16 +14,21 @@ package analysis
 //   - forbiddenDecls: the private re-implementations the data planes
 //     used to grow are declared nowhere but their allowed package;
 //   - sync.Pool is named only in internal/pool, whose API carries the
-//     pool ownership contract by type.
+//     pool ownership contract by type;
+//   - wallClockSites: the deterministic packages read the wall clock
+//     (time.Now, time.Since) only in the rows' functions, which measure
+//     the host and feed no decision.
 //
 // Adding, moving or removing a `go` statement or a guarded declaration
 // fails a test naming its file and row until the table says so.
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"maps"
 	"os"
 	"path"
 	"path/filepath"
@@ -111,6 +116,29 @@ var forbiddenDecls = []forbiddenDecl{
 	{"type", "tierSpec", "internal/artifact", "per-tier bandwidth/latency tables live in internal/artifact only"},
 }
 
+// wallClockScopes are the packages whose behaviour must not depend on
+// the wall clock: the deterministic packages of the lint suite plus the
+// policy, ledger and model packages the simulator runs. The gateway and
+// the load generator live in wall time and are not listed.
+var wallClockScopes = append(slices.Clip(deterministicScopes),
+	"internal/baselines", "internal/coldstart", "internal/core", "internal/metrics",
+	"internal/model", "internal/perf", "internal/profiler", "internal/telemetry")
+
+// wallClockSite is one function of wallClockScopes that reads the wall
+// clock, with its number of reads and why the read decides nothing.
+type wallClockSite struct {
+	file, fn string
+	count    int
+	why      string
+}
+
+var wallClockSites = []wallClockSite{
+	{"internal/bench/runner.go", "RunStream", 4,
+		"RunResult.Took reports each experiment's host time; no table reads it"},
+	{"internal/bench/scale.go", "Fig17a", 2,
+		"fig17a measures Schedule's host time; the runner runs it alone"},
+}
+
 // poolHome is the one package that may name sync.Pool: pool.Of's
 // handle, cleared by Put, is the ownership contract.
 const poolHome = "internal/pool"
@@ -124,6 +152,7 @@ type decl struct {
 // tree is what the walk of the module's non-test files yields.
 type tree struct {
 	spawns map[[2]string]int // `go` statements by file and enclosing function
+	clock  map[[2]string]int // time.Now and time.Since by file and enclosing function
 	decls  []decl
 }
 
@@ -142,7 +171,7 @@ func parseModule(root string) (*tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr := &tree{spawns: map[[2]string]int{}}
+	tr := &tree{spawns: map[[2]string]int{}, clock: map[[2]string]int{}}
 	fset := token.NewFileSet()
 	for _, dir := range dirs {
 		paths, err := goFiles(dir, false)
@@ -177,24 +206,28 @@ func parsedTree(t *testing.T) *tree {
 	return tr
 }
 
-// add records f's `go` statements (a statement inside a function
-// literal counts toward the declaration that holds the literal, or
-// "package scope" for a variable's), its top-level declarations and its
-// mentions of sync.Pool under whatever name the file imports sync as.
+// add records f's `go` statements and wall-clock reads (one inside a
+// function literal counts toward the declaration that holds the literal,
+// or "package scope" for a variable's), its top-level declarations and
+// its mentions of sync.Pool, under whatever names the file imports sync
+// and time as.
 func (tr *tree) add(fset *token.FileSet, f *ast.File) {
 	file := fset.Position(f.Pos()).Filename
 	at := func(n ast.Node) string { return fmt.Sprintf("%s:%d", file, fset.Position(n.Pos()).Line) }
-	syncName := ""
+	syncName, timeName := "", ""
 	for _, imp := range f.Imports {
-		if imp.Path.Value != `"sync"` {
-			continue
-		}
-		syncName = "sync"
+		name := ""
 		if imp.Name != nil {
-			syncName = imp.Name.Name
+			name = imp.Name.Name
 		}
-		if syncName == "." {
-			tr.decls = append(tr.decls, decl{"sync.Pool", "", "Pool", file, at(imp)})
+		switch imp.Path.Value {
+		case `"sync"`:
+			syncName = cmp.Or(name, "sync")
+			if syncName == "." {
+				tr.decls = append(tr.decls, decl{"sync.Pool", "", "Pool", file, at(imp)})
+			}
+		case `"time"`:
+			timeName = cmp.Or(name, "time")
 		}
 	}
 	for _, d := range f.Decls {
@@ -219,8 +252,17 @@ func (tr *tree) add(fset *token.FileSet, f *ast.File) {
 			case *ast.GoStmt:
 				tr.spawns[[2]string{file, fn}]++
 			case *ast.SelectorExpr:
-				if x, ok := n.X.(*ast.Ident); ok && x.Name == syncName && n.Sel.Name == "Pool" {
+				x, ok := n.X.(*ast.Ident)
+				switch {
+				case !ok:
+				case x.Name == syncName && n.Sel.Name == "Pool":
 					tr.decls = append(tr.decls, decl{"sync.Pool", "", "Pool", file, at(n)})
+				case x.Name == timeName && (n.Sel.Name == "Now" || n.Sel.Name == "Since"):
+					tr.clock[[2]string{file, fn}]++
+				}
+			case *ast.Ident:
+				if timeName == "." && (n.Name == "Now" || n.Name == "Since") {
+					tr.clock[[2]string{file, fn}]++
 				}
 			}
 			return true
@@ -264,6 +306,29 @@ func (tr *tree) declProblems() []string {
 			}
 		}
 	}
+	return problems
+}
+
+// clockProblems checks the wall-clock reads of wallClockScopes against
+// wallClockSites and returns one line per function that differs.
+func (tr *tree) clockProblems() []string {
+	var problems []string
+	allowed := map[[2]string]int{}
+	for _, row := range wallClockSites {
+		allowed[[2]string{row.file, row.fn}] = row.count
+	}
+	for key, n := range tr.clock {
+		if inScope(path.Dir(key[0]), wallClockScopes) && n != allowed[key] {
+			problems = append(problems, fmt.Sprintf("%s: %s reads the wall clock %d times; wallClockSites allows %d "+
+				"(a deterministic package must not depend on host time)", key[0], key[1], n, allowed[key]))
+		}
+	}
+	for _, row := range wallClockSites {
+		if n := tr.clock[[2]string{row.file, row.fn}]; n == 0 {
+			problems = append(problems, fmt.Sprintf("%s: %s reads no wall clock; drop its wallClockSites row", row.file, row.fn))
+		}
+	}
+	slices.Sort(problems)
 	return problems
 }
 
@@ -357,6 +422,38 @@ func TestSpawnSitesAreJoined(t *testing.T) {
 func TestSingleDefProductionTables(t *testing.T) {
 	for _, p := range parsedTree(t).declProblems() {
 		t.Error(p)
+	}
+}
+
+func TestNoWallClockInDeterministicPackages(t *testing.T) {
+	for _, p := range parsedTree(t).clockProblems() {
+		t.Error(p)
+	}
+}
+
+// TestNoWallClockMutants adds one file reading the wall clock to the
+// parsed tree at a time and expects exactly one problem naming it.
+func TestNoWallClockMutants(t *testing.T) {
+	base := parsedTree(t)
+	for _, c := range []struct{ file, src string }{
+		{"internal/scheduler/zz_mutant.go",
+			"package scheduler\n\nimport \"time\"\n\nfunc (p *Plan) zz() bool { return time.Now().IsZero() }\n"},
+		{"internal/sim/zz_mutant.go",
+			"package sim\n\nimport clock \"time\"\n\nvar zz = clock.Since\n"},
+		{"internal/core/zz_mutant.go",
+			"package core\n\nimport . \"time\"\n\nfunc zz() { _ = Now() }\n"},
+	} {
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, c.file, c.src, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mut := &tree{spawns: map[[2]string]int{}, clock: maps.Clone(base.clock)}
+		mut.add(fset, f)
+		got := mut.clockProblems()
+		if len(got) != 1 || !strings.HasPrefix(got[0], c.file+":") {
+			t.Errorf("%s: want one problem naming the file, got %q", c.src, got)
+		}
 	}
 }
 

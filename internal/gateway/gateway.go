@@ -164,7 +164,6 @@ func newServer(cfg Config, now func() time.Time) *Server {
 		cfg:     cfg,
 		reg:     core.NewRegistry(),
 		pred:    scheduler.NewPredictorCache(profiler.NewPredictor(profiler.NewDB(profiler.DefaultDBOptions()))),
-		col:     telemetry.New(telemetry.Options{Window: time.Minute}),
 		epoch:   time.Now(),
 		now:     now,
 		waiters: map[*sim.Request]*invocation{},
@@ -175,6 +174,9 @@ func newServer(cfg Config, now func() time.Time) *Server {
 	if now != nil {
 		s.epoch = now()
 	}
+	// The engine feeds the collector under mu; a snapshot taken off the
+	// event loop waits for it.
+	s.col = telemetry.New(telemetry.Options{Window: time.Minute, Guard: &s.mu})
 	s.eng = sim.New(&reactive{hold: s.toModel(time.Second)}, sim.Config{
 		Cluster:   cfg.Cluster,
 		Seed:      cfg.Seed,
@@ -234,7 +236,9 @@ func canonicalInvoke(r *http.Request) (name string, ok bool) {
 func (s *Server) serveMux(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // Telemetry returns the gateway's collector: the single source behind
-// /system/metrics in both formats, live-readable by embedding callers.
+// /system/metrics in both formats, live-readable by embedding callers
+// (its snapshots take the server's lock, so not from a Config.Observer
+// hook).
 func (s *Server) Telemetry() *telemetry.Collector { return s.col }
 
 // PlaneRate returns the gateway-wide arrival rate (RPS of model time)

@@ -7,14 +7,17 @@ package gateway
 // Server.Telemetry(). Also covers the normalized REST error surface.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"github.com/tanklab/infless/internal/core"
 	"github.com/tanklab/infless/internal/telemetry"
 )
 
@@ -155,5 +158,118 @@ func TestSharedCollectorAcrossPlanes(t *testing.T) {
 	}
 	if fn := col.Snapshot().Function("f"); fn == nil || fn.Served != 1 {
 		t.Fatalf("collector missed events: %+v", fn)
+	}
+}
+
+// TestMetricsDuringLoad reads a live server's collector from other
+// goroutines — /system/metrics in both formats and Telemetry().Snapshot()
+// — while callers invoke and the pacer launches, batches and reclaims.
+// The engine books events without a lock and snapshots take the server's
+// (the collector's guard), so under -race a read that skips the guard
+// fails here. Every document must be one instant: one caller invokes the
+// round functions in name order and waits for each reply, so between
+// two events their arrival counts never increase along the name order
+// and differ by at most one, while other callers load a fifth function.
+func TestMetricsDuringLoad(t *testing.T) {
+	gw := New(Config{SpeedFactor: 500, IdleTimeout: 10 * time.Millisecond, Seed: 1})
+	defer gw.Close()
+	round := []string{"r0", "r1", "r2", "r3"}
+	for _, name := range append([]string{"load"}, round...) {
+		if err := gw.deploy(core.RegistryEntry{Name: name, ModelName: "MNIST", SLO: 200 * time.Millisecond}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	scrape := func() telemetry.Snapshot {
+		var s telemetry.Snapshot
+		for _, format := range []string{"prometheus", "json"} {
+			w := httptest.NewRecorder()
+			gw.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/system/metrics?format="+format, nil))
+			if w.Code != http.StatusOK {
+				t.Errorf("%s scrape: status %d", format, w.Code)
+			}
+			if format == "json" {
+				if err := json.Unmarshal(w.Body.Bytes(), &s); err != nil {
+					t.Errorf("json scrape: %v", err)
+				}
+			}
+		}
+		return s
+	}
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	reads := make([]int, 2)
+	for k, read := range []func() telemetry.Snapshot{scrape, gw.Telemetry().Snapshot} {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			last := map[string]uint64{}
+			for {
+				select {
+				case <-done:
+					return
+				case <-time.After(time.Millisecond):
+				}
+				s := read()
+				for i := range s.Functions {
+					f := &s.Functions[i]
+					if f.Served+f.Dropped > f.Arrived || f.Shed > f.Dropped || f.Arrived < last[f.Name] {
+						t.Errorf("%s: served %d + dropped %d (shed %d) of %d arrived, %d before",
+							f.Name, f.Served, f.Dropped, f.Shed, f.Arrived, last[f.Name])
+						return
+					}
+					last[f.Name] = f.Arrived
+				}
+				first := s.Function(round[0])
+				for j := 1; j < len(round); j++ {
+					f, prev := s.Function(round[j]), s.Function(round[j-1])
+					if f.Arrived > prev.Arrived || f.Arrived+1 < first.Arrived {
+						t.Errorf("rows from different instants: %s arrived %d, %s %d, %s %d",
+							f.Name, f.Arrived, prev.Name, prev.Arrived, first.Name, first.Arrived)
+						return
+					}
+				}
+				reads[k]++
+			}
+		}()
+	}
+	ctx, stop := context.WithCancel(context.Background())
+	var loaders sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		loaders.Add(1)
+		go func() {
+			defer loaders.Done()
+			for ctx.Err() == nil {
+				_, _ = gw.invoke(ctx, "load")
+			}
+		}()
+	}
+	const rounds = 100
+	for i := 0; i < rounds; i++ {
+		for _, name := range round {
+			if _, err := gw.invoke(context.Background(), name); err != nil {
+				t.Fatalf("invoke %s: %v", name, err)
+			}
+		}
+		if i%25 == 24 {
+			time.Sleep(20 * time.Millisecond) // idle: the pacer reclaims
+		}
+	}
+	stop()
+	loaders.Wait()
+	close(done)
+	readers.Wait()
+
+	s := gw.Telemetry().Snapshot()
+	for _, name := range round {
+		if f := s.Function(name); f.Arrived != rounds || f.Served != rounds {
+			t.Errorf("%s: arrived %d, served %d; want %d each", name, f.Arrived, f.Served, rounds)
+		}
+	}
+	if f := s.Function(round[0]); f.Launches < 2 {
+		t.Errorf("%s launched %d instances; the idle pauses should have reclaimed and relaunched", f.Name, f.Launches)
+	}
+	if reads[0] == 0 || reads[1] == 0 {
+		t.Errorf("readers overlapped no load: %d scrapes, %d snapshots", reads[0], reads[1])
 	}
 }

@@ -47,8 +47,9 @@ type FunctionState struct {
 	// (Spec.Artifact.SizeMB defaulted to the model's memory footprint).
 	artSizeMB int
 
-	instances      []*Instance // live, in launch order
-	nextID         int         // the last instance ID issued: IDs run 1, 2, 3, ...
+	ledger         *telemetry.Ledger // the collector's record of this function
+	instances      []*Instance       // live, in launch order
+	nextID         int               // the last instance ID issued: IDs run 1, 2, 3, ...
 	batch          runtime.BatchPolicy
 	rate           *runtime.RateEstimator
 	lastArrival    time.Duration
@@ -108,13 +109,14 @@ type Engine struct {
 	fns    []*FunctionState
 	byName map[string]*FunctionState
 
-	// Lifecycle events fan out to these observers: the collector first,
-	// then whatever Observe attached.
-	obs runtime.Observers
 	// collector is the engine's one ledger (engine-owned unless Config
 	// supplied one); every reported statistic — Result totals, Report
 	// quantiles, resource integrals, provisioning series — reads from it.
+	// Each hook books the event on it first, through the function's
+	// Ledger, then fans it out to obs, the observers Observe attached;
+	// the fan-out inlines, so with none attached it costs a length check.
 	collector *telemetry.Collector
+	obs       runtime.Observers
 	// rates owns every function's arrival-rate estimator plus the
 	// plane-wide arrival ring behind PlaneRate; the event loop holds
 	// direct estimator pointers (FunctionState.rate).
@@ -141,7 +143,6 @@ func New(ctrl Controller, cfg Config) *Engine {
 		e.collector = telemetry.New(telemetry.Options{})
 	}
 	e.collector.SetWarmup(cfg.Warmup)
-	e.obs = runtime.Observers{e.collector}
 	if cfg.Storage.Active() {
 		cfg.Cluster.EnableArtifacts(cfg.Storage.CacheMB)
 	}
@@ -152,8 +153,9 @@ func New(ctrl Controller, cfg Config) *Engine {
 // this run. When false, every lifecycle path is the legacy one.
 func (e *Engine) storageActive() bool { return e.cfg.Storage.Active() }
 
-// Telemetry returns the engine's collector; read it during a run for
-// live statistics or after Run for the final state.
+// Telemetry returns the engine's collector; read it after Run for the
+// final state, or during a run from the engine's goroutine (an observer,
+// a live driver holding the collector's guard).
 func (e *Engine) Telemetry() *telemetry.Collector { return e.collector }
 
 // Observe attaches an additional lifecycle observer; events fire from
@@ -195,7 +197,7 @@ func (e *Engine) AddFunction(spec FunctionSpec) *FunctionState {
 		}
 		e.cfg.Cluster.SeedArtifact(spec.Name, f.artSizeMB, initial)
 	}
-	e.collector.Register(spec.Name, spec.SLO)
+	f.ledger = e.collector.Register(spec.Name, spec.SLO)
 	e.fns = append(e.fns, f)
 	e.byName[spec.Name] = f
 	return f
@@ -228,10 +230,12 @@ func (e *Engine) Now() time.Duration { return e.clock.Now() }
 // headline number, never a scheduling input.
 func (e *Engine) PlaneRate() float64 { return e.rates.PlaneRate(e.clock.Now()) }
 
-// allocationChanged publishes the cluster's current allocation to the
-// observers (resource integration, provisioning series).
-func (e *Engine) allocationChanged() {
-	e.obs.AllocationChanged(e.cfg.Cluster.TotalAllocated(), e.clock.Now())
+// allocationChanged publishes the cluster's allocation at plane time now
+// (resource integration, provisioning series).
+func (e *Engine) allocationChanged(now time.Duration) {
+	alloc := e.cfg.Cluster.TotalAllocated()
+	e.collector.AllocationChanged(alloc, now)
+	e.obs.AllocationChanged(alloc, now)
 }
 
 // Result summarizes a completed run.
@@ -341,7 +345,7 @@ func (e *Engine) Run() *Result {
 	}
 	// Final allocation event closes the resource integral (and flushes
 	// remaining utilization-series samples) at end-of-run time.
-	e.obs.AllocationChanged(e.cfg.Cluster.TotalAllocated(), e.cfg.Duration)
+	e.allocationChanged(e.cfg.Duration)
 
 	return &Result{
 		System:             e.ctrl.Name(),

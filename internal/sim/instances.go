@@ -89,7 +89,7 @@ func (e *Engine) LaunchPlaced(f *FunctionState, d scheduler.Decision) *Instance 
 
 func (e *Engine) launchAllocated(f *FunctionState, cand scheduler.Candidate, server int) *Instance {
 	now := e.clock.Now()
-	e.allocationChanged()
+	e.allocationChanged(now)
 
 	coldDur := artifact.Legacy(f.Spec.Model.MemoryMB)
 	cold := now >= f.prewarmedUntil
@@ -133,8 +133,10 @@ func (e *Engine) launchAllocated(f *FunctionState, cand scheduler.Candidate, ser
 		}
 	}
 	f.instances = append(f.instances, inst)
+	f.ledger.InstanceLaunched(cold, coldDur, now)
 	e.obs.InstanceLaunched(f.Spec.Name, inst.ID, cold, coldDur, now)
 	if tiered {
+		f.ledger.InstanceStartup(bd, now)
 		e.obs.InstanceStartup(f.Spec.Name, inst.ID, bd, now)
 	}
 	inst.ready = e.clock.ScheduleAfter(coldDur, func() {
@@ -192,8 +194,9 @@ func (e *Engine) Reclaim(inst *Instance) {
 	inst.timeout.Cancel()
 	e.cfg.Cluster.Release(inst.Server, inst.Cand.Res, f.Spec.Model.MemoryMB)
 	f.removeInstance(inst)
+	f.ledger.InstanceReclaimed(now)
 	e.obs.InstanceReclaimed(f.Spec.Name, inst.ID, now)
-	e.allocationChanged()
+	e.allocationChanged(now)
 	if e.storageActive() {
 		e.demoteAndPreload(f, inst.Server, now)
 	}

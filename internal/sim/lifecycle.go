@@ -36,6 +36,7 @@ func (e *Engine) noteArrival(f *FunctionState) {
 	now := e.clock.Now()
 	f.rate.Observe(now)
 	e.rates.PlaneObserve(now)
+	f.ledger.RequestArrived(now)
 	e.obs.RequestArrived(f.Spec.Name, now)
 	if f.haveArrival {
 		f.Policy.RecordIdle(now-f.lastArrival, now)
@@ -66,8 +67,10 @@ func (e *Engine) Inject(f *FunctionState, req *Request) {
 // tail's served samples in onBatchComplete) and finishes the request.
 func (e *Engine) drop(f *FunctionState, req *Request, shed bool) {
 	now := e.clock.Now()
+	f.ledger.RequestDropped(now)
 	e.obs.RequestDropped(f.Spec.Name, now)
 	if shed {
+		f.ledger.RequestShed(now)
 		e.obs.RequestShed(f.Spec.Name, now)
 	}
 	tail := f
@@ -187,6 +190,7 @@ func (e *Engine) trySubmit(inst *Instance) {
 	inst.Busy = true
 	inst.batch, inst.submitted = batch, now
 	inst.texec = e.execTime(inst, len(batch))
+	inst.Fn.ledger.BatchSubmitted(len(batch), now)
 	e.obs.BatchSubmitted(inst.Fn.Spec.Name, inst.ID, len(batch), now)
 	inst.done = e.clock.ScheduleAfter(inst.texec, inst.onDone)
 }
@@ -227,6 +231,7 @@ func (e *Engine) onBatchComplete(inst *Instance) {
 			queue = 0
 		}
 		sample := metrics.Sample{Cold: cold, Queue: queue + otpDelay, Exec: texec}
+		f.ledger.RequestServed(sample, e.clock.Now())
 		e.obs.RequestServed(f.Spec.Name, sample, e.clock.Now())
 		switch {
 		case f.forwardTo != nil:

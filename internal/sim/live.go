@@ -44,7 +44,7 @@ func (e *Engine) Start() {
 		defaultPolicy(f)
 	}
 	e.started = true
-	e.allocationChanged()
+	e.allocationChanged(e.clock.Now())
 }
 
 // Clock is the engine's event queue, for a live driver to run (RunUntil,

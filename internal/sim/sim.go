@@ -95,9 +95,10 @@ type Config struct {
 	Seed     int64
 	Duration time.Duration
 	// Collector, when set, is the telemetry collector the engine feeds
-	// (a platform can share one collector across planes, read it while
-	// the run progresses, or ask for a sampled resource series). When nil
-	// the engine creates its own; either way Engine.Telemetry returns it.
+	// (a platform keeps the collector it reports from, the gateway one
+	// guarded by its lock, a figure one with a sampled resource series).
+	// The engine is its one writer and takes no lock. When nil the engine
+	// creates its own; either way Engine.Telemetry returns it.
 	Collector *telemetry.Collector
 	// Warmup excludes requests completing (or dropping) before this
 	// virtual time from the latency statistics, so steady-state metrics

@@ -10,15 +10,16 @@
 // Every number the system reports — Report quantiles, the gateway's
 // Prometheus and JSON metrics, -trace dumps — is produced from this one
 // collector, so the two planes can never drift apart in how they
-// measure. The Observe hot path sits on every request event in both
-// planes and is allocation-free after a function's first event; it costs
-// one uncontended mutex and one map lookup, because events come from one
-// engine's event loop and only snapshots come from elsewhere.
+// measure. The hooks sit on every request event in both planes and are
+// allocation-free after a function's first events: the engine books them
+// on the function's Ledger, the handle Register returned, with no lookup
+// and no lock, because events come from one engine's event loop on one
+// goroutine at a time. Only snapshots come from elsewhere, and they take
+// the lock that loop runs under (Options.Guard).
 package telemetry
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/tanklab/infless/internal/artifact"
@@ -36,26 +37,36 @@ type Options struct {
 	// at allocation changes and the resource-time integral are always
 	// maintained.
 	ResourceSampleEvery time.Duration
+	// Guard is the lock the plane's writer holds while it feeds the
+	// collector (the gateway's Server.mu). Snapshot, SnapshotAt and
+	// Recorder take it, so a reader on another goroutine sees the state
+	// between two events. Nil when every read runs on the writer's
+	// goroutine, as in the simulator.
+	Guard sync.Locker
 }
 
 // coldTimelineCap bounds the retained launch timeline per function.
 const coldTimelineCap = 512
 
-// Collector implements runtime.Observer for either plane. On both it is
-// fed by one sim.Engine's event loop, one event at a time (the gateway
-// runs that loop under its lock, from whichever goroutine advances the
-// plane), while snapshots are read from any goroutine (/system/metrics,
-// an embedding caller). There is one writer, so there is one mutex: an
-// observer method is lock, map lookup, update, unlock, and a snapshot
-// holds the lock for the whole document. All methods are safe for
-// concurrent use.
+// Collector is the ledger of one plane: a Ledger per function plus the
+// cluster-wide resource state. It has one writer, the plane's event loop
+// (sim.Engine's, which the gateway runs with its lock held), so writers
+// take no lock: the engine books each function's events on the Ledger
+// Register returned, and AllocationChanged on the collector. Readers on
+// other goroutines — /system/metrics, an embedding caller — go through
+// Snapshot, SnapshotAt and Recorder, which take Options.Guard, the lock
+// the writer holds; a collector without one is read on the writer's
+// goroutine, before or after the plane runs.
+//
+// The name-keyed observer methods (RequestArrived, RequestServed, ...)
+// are a second shape of the same hooks, one map lookup plus the Ledger
+// call, for callers that hold a name rather than a handle: external
+// observers and the benchmark harness. They implement runtime.Observer.
 type Collector struct {
 	opts   Options
-	warmup atomic.Int64 // see SetWarmup
+	warmup time.Duration // see SetWarmup
 
-	// mu guards everything below.
-	mu   sync.Mutex
-	fns  map[string]*funcStats
+	fns  map[string]*Ledger
 	last time.Duration // latest plane time any event carried
 
 	// Cluster-wide resource state.
@@ -70,21 +81,31 @@ func New(opts Options) *Collector {
 	if opts.Window <= 0 {
 		opts.Window = time.Minute
 	}
-	return &Collector{opts: opts, fns: map[string]*funcStats{}}
+	if opts.Guard == nil {
+		opts.Guard = noGuard{}
+	}
+	return &Collector{opts: opts, fns: map[string]*Ledger{}}
 }
+
+// noGuard is the guard of a collector whose readers run on its writer's
+// goroutine.
+type noGuard struct{}
+
+func (noGuard) Lock()   {}
+func (noGuard) Unlock() {}
 
 // SetWarmup excludes requests served or dropped before plane time d from
 // latency and violation statistics (the simulator's warmup semantics);
 // arrival, batch, and launch counters always accumulate. sim.New calls it
 // with the engine's Config.Warmup, so a collector handed to an engine
 // cuts off where the engine does; call it before the plane's first event.
-func (c *Collector) SetWarmup(d time.Duration) { c.warmup.Store(int64(d)) }
+func (c *Collector) SetWarmup(d time.Duration) { c.warmup = d }
 
-func (c *Collector) inWarmup(now time.Duration) bool { return int64(now) < c.warmup.Load() }
-
-// funcStats is one function's accumulated state, guarded by
-// Collector.mu.
-type funcStats struct {
+// Ledger is one function's accumulated state, and the handle Register
+// returns: its methods are the function's observer hooks without the
+// name, called by the plane's one writer.
+type Ledger struct {
+	c *Collector
 	// rec holds the served / dropped / violation / cold counts, the
 	// latency sums and the latency histogram, checked against the SLO.
 	rec     metrics.LatencyRecorder
@@ -94,7 +115,7 @@ type funcStats struct {
 
 	batches     uint64
 	batchSum    uint64
-	batchServed map[int]uint64
+	batchServed []uint64 // requests served in batches of each size, indexed by size
 
 	launches     int
 	coldLaunches int
@@ -111,63 +132,142 @@ type funcStats struct {
 	win window
 }
 
-// Register pre-declares a function with its SLO; events for unknown
-// functions auto-register with no SLO (no violation accounting).
-func (c *Collector) Register(fn string, slo time.Duration) {
-	c.mu.Lock()
-	c.stats(fn).rec.SetSLO(slo)
-	c.mu.Unlock()
+// Register pre-declares a function with its SLO and returns its ledger,
+// the same one on every call for a name; events for unknown functions
+// auto-register with no SLO (no violation accounting).
+func (c *Collector) Register(fn string, slo time.Duration) *Ledger {
+	l := c.stats(fn)
+	l.rec.SetSLO(slo)
+	return l
 }
 
 // Recorder returns a copy of fn's latency recorder, for readers that
 // need exact durations rather than the snapshot's millisecond floats;
 // nil when fn was never observed.
 func (c *Collector) Recorder(fn string) *metrics.LatencyRecorder {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	fs, ok := c.fns[fn]
+	c.opts.Guard.Lock()
+	defer c.opts.Guard.Unlock()
+	l, ok := c.fns[fn]
 	if !ok {
 		return nil
 	}
-	return fs.rec.Clone()
+	return l.rec.Clone()
 }
 
-// stats returns fn's state, creating it on fn's first event. The caller
-// holds c.mu.
-func (c *Collector) stats(fn string) *funcStats {
-	fs, ok := c.fns[fn]
+// stats returns fn's ledger, creating it on fn's first event.
+func (c *Collector) stats(fn string) *Ledger {
+	l, ok := c.fns[fn]
 	if !ok {
-		fs = &funcStats{
-			batchServed: map[int]uint64{},
-			win:         newWindow(c.opts.Window),
-		}
-		c.fns[fn] = fs
+		l = &Ledger{c: c, win: newWindow(c.opts.Window)}
+		c.fns[fn] = l
 	}
-	return fs
+	return l
 }
 
-// lock locks the collector for one event at plane time now, noting the
-// time, and returns fn's state; the caller updates it and unlocks c.mu.
-func (c *Collector) lock(fn string, now time.Duration) *funcStats {
-	c.mu.Lock()
-	c.noteTime(now)
-	return c.stats(fn)
-}
-
-// noteTime advances the latest observed plane time. The caller holds c.mu.
+// noteTime advances the latest observed plane time.
 func (c *Collector) noteTime(now time.Duration) {
 	if now > c.last {
 		c.last = now
 	}
 }
 
-// RequestArrived implements runtime.Observer.
-func (c *Collector) RequestArrived(fn string, now time.Duration) {
-	fs := c.lock(fn, now)
-	fs.arrived++
-	fs.win.bucket(now).arrived++
-	c.mu.Unlock()
+func (c *Collector) inWarmup(now time.Duration) bool { return now < c.warmup }
+
+// RequestArrived books an arrival at the function's front door.
+func (l *Ledger) RequestArrived(now time.Duration) {
+	l.c.noteTime(now)
+	l.arrived++
+	l.win.bucket(now).arrived++
 }
+
+// BatchSubmitted books a drained batch of size requests.
+func (l *Ledger) BatchSubmitted(size int, now time.Duration) {
+	l.c.noteTime(now)
+	l.batches++
+	l.batchSum += uint64(size)
+	for size >= len(l.batchServed) {
+		// First sight of a size: a timeout drain may hold any size up to
+		// the instance's batch.
+		l.batchServed = append(l.batchServed, 0)
+	}
+	l.batchServed[size] += uint64(size)
+}
+
+// RequestServed books one answered request with its latency
+// decomposition.
+func (l *Ledger) RequestServed(s metrics.Sample, now time.Duration) {
+	l.c.noteTime(now)
+	if l.c.inWarmup(now) {
+		return
+	}
+	late := l.rec.Observe(s)
+	l.queue.Add(s.Queue)
+	b := l.win.bucket(now)
+	b.served++
+	if late {
+		b.violations++
+	}
+}
+
+// RequestDropped books a request rejected, expired or lost.
+func (l *Ledger) RequestDropped(now time.Duration) {
+	l.c.noteTime(now)
+	if l.c.inWarmup(now) {
+		return
+	}
+	l.rec.Drop()
+	l.win.bucket(now).dropped++
+}
+
+// RequestShed books an admission-control refusal (a gateway 429). The
+// plane books RequestDropped for the same request, so shed counts a cause
+// within dropped, not extra loss.
+func (l *Ledger) RequestShed(now time.Duration) {
+	l.c.noteTime(now)
+	if !l.c.inWarmup(now) {
+		l.shed++
+	}
+}
+
+// InstanceLaunched books an instance start.
+func (l *Ledger) InstanceLaunched(cold bool, startDelay, now time.Duration) {
+	l.c.noteTime(now)
+	l.launches++
+	if cold {
+		l.coldLaunches++
+	}
+	l.live++
+	if len(l.timeline) < coldTimelineCap {
+		l.timeline = append(l.timeline, LaunchPoint{
+			AtMs:         ms(now),
+			Cold:         cold,
+			StartDelayMs: ms(startDelay),
+		})
+	}
+}
+
+// InstanceStartup accumulates the startup-time decomposition (boot vs
+// per-tier load vs promotion) of a tiered cold launch.
+func (l *Ledger) InstanceStartup(bd artifact.Breakdown, now time.Duration) {
+	l.c.noteTime(now)
+	l.startupBoot += bd.Boot
+	l.startupPromote += bd.Promote
+	if bd.From < artifact.NumTiers {
+		l.tierStarts[bd.From]++
+		l.startupLoad[bd.From] += bd.Load
+	}
+}
+
+// InstanceReclaimed books an instance's release.
+func (l *Ledger) InstanceReclaimed(now time.Duration) {
+	l.c.noteTime(now)
+	if l.live > 0 {
+		l.live--
+	}
+}
+
+// RequestArrived implements runtime.Observer.
+func (c *Collector) RequestArrived(fn string, now time.Duration) { c.stats(fn).RequestArrived(now) }
 
 // RequestEnqueued implements runtime.Observer (no per-enqueue state is
 // kept; queue delay is measured from the served sample's decomposition).
@@ -175,88 +275,33 @@ func (c *Collector) RequestEnqueued(string, int, time.Duration) {}
 
 // BatchSubmitted implements runtime.Observer.
 func (c *Collector) BatchSubmitted(fn string, _, size int, now time.Duration) {
-	fs := c.lock(fn, now)
-	fs.batches++
-	fs.batchSum += uint64(size)
-	fs.batchServed[size] += uint64(size)
-	c.mu.Unlock()
+	c.stats(fn).BatchSubmitted(size, now)
 }
 
 // RequestServed implements runtime.Observer.
 func (c *Collector) RequestServed(fn string, s metrics.Sample, now time.Duration) {
-	fs := c.lock(fn, now)
-	if !c.inWarmup(now) {
-		late := fs.rec.Observe(s)
-		fs.queue.Add(s.Queue)
-		b := fs.win.bucket(now)
-		b.served++
-		if late {
-			b.violations++
-		}
-	}
-	c.mu.Unlock()
+	c.stats(fn).RequestServed(s, now)
 }
 
 // RequestDropped implements runtime.Observer.
-func (c *Collector) RequestDropped(fn string, now time.Duration) {
-	fs := c.lock(fn, now)
-	if !c.inWarmup(now) {
-		fs.rec.Drop()
-		fs.win.bucket(now).dropped++
-	}
-	c.mu.Unlock()
-}
+func (c *Collector) RequestDropped(fn string, now time.Duration) { c.stats(fn).RequestDropped(now) }
 
-// RequestShed implements runtime.ShedObserver: admission-control
-// refusals (the gateway's 429s). The plane fires RequestDropped for the
-// same request, so shed counts a cause within dropped, not extra loss.
-func (c *Collector) RequestShed(fn string, now time.Duration) {
-	fs := c.lock(fn, now)
-	if !c.inWarmup(now) {
-		fs.shed++
-	}
-	c.mu.Unlock()
-}
+// RequestShed implements runtime.ShedObserver.
+func (c *Collector) RequestShed(fn string, now time.Duration) { c.stats(fn).RequestShed(now) }
 
 // InstanceLaunched implements runtime.Observer.
 func (c *Collector) InstanceLaunched(fn string, _ int, cold bool, startDelay, now time.Duration) {
-	fs := c.lock(fn, now)
-	fs.launches++
-	if cold {
-		fs.coldLaunches++
-	}
-	fs.live++
-	if len(fs.timeline) < coldTimelineCap {
-		fs.timeline = append(fs.timeline, LaunchPoint{
-			AtMs:         ms(now),
-			Cold:         cold,
-			StartDelayMs: ms(startDelay),
-		})
-	}
-	c.mu.Unlock()
+	c.stats(fn).InstanceLaunched(cold, startDelay, now)
 }
 
-// InstanceStartup implements runtime.StartupObserver: it accumulates the
-// startup-time decomposition (boot vs per-tier load vs promotion) of
-// tiered cold launches.
+// InstanceStartup implements runtime.StartupObserver.
 func (c *Collector) InstanceStartup(fn string, _ int, bd artifact.Breakdown, now time.Duration) {
-	fs := c.lock(fn, now)
-	fs.startupBoot += bd.Boot
-	fs.startupPromote += bd.Promote
-	if bd.From < artifact.NumTiers {
-		fs.tierStarts[bd.From]++
-		fs.startupLoad[bd.From] += bd.Load
-	}
-	c.mu.Unlock()
+	c.stats(fn).InstanceStartup(bd, now)
 }
 
 // InstanceReclaimed implements runtime.Observer.
 func (c *Collector) InstanceReclaimed(fn string, _ int, now time.Duration) {
-	fs := c.lock(fn, now)
-	if fs.live > 0 {
-		fs.live--
-	}
-	c.mu.Unlock()
+	c.stats(fn).InstanceReclaimed(now)
 }
 
 // AllocationChanged implements runtime.Observer: it advances the
@@ -267,7 +312,6 @@ func (c *Collector) InstanceReclaimed(fn string, _ int, now time.Duration) {
 // at now carries the new allocation.
 func (c *Collector) AllocationChanged(alloc perf.Resources, now time.Duration) {
 	every := c.opts.ResourceSampleEvery
-	c.mu.Lock()
 	c.noteTime(now)
 	if every > 0 {
 		for c.nextSample < now {
@@ -294,7 +338,6 @@ func (c *Collector) AllocationChanged(alloc perf.Resources, now time.Duration) {
 			c.nextSample += every
 		}
 	}
-	c.mu.Unlock()
 }
 
 func (c *Collector) emitSample() {

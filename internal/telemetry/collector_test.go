@@ -329,13 +329,17 @@ func feedRound(c *Collector, i int) {
 }
 
 // TestCollectorSnapshotDuringEvents overlaps snapshots with events: one
-// goroutine feeds the script while two others read. Every document must
-// be one instant of the stream — per function, and across functions —
-// and the readers must not disturb the result.
+// goroutine feeds the script holding the collector's guard a round at a
+// time, as a plane's event loop runs under its lock, while two others
+// read. Every document must be one instant of the stream — per function,
+// and across functions — and the readers must not disturb the result.
+// The gateway's version of this, TestMetricsDuringLoad, reads a live
+// server.
 func TestCollectorSnapshotDuringEvents(t *testing.T) {
 	const end = scriptRounds * time.Millisecond
+	var guard sync.Mutex
 	newCollector := func() *Collector {
-		c := New(Options{Window: time.Minute, ResourceSampleEvery: 100 * time.Millisecond})
+		c := New(Options{Window: time.Minute, ResourceSampleEvery: 100 * time.Millisecond, Guard: &guard})
 		for _, fn := range scriptFns {
 			c.Register(fn, 50*time.Millisecond)
 		}
@@ -424,7 +428,9 @@ func TestCollectorSnapshotDuringEvents(t *testing.T) {
 			<-sawHalf
 			<-sawHalf
 		}
+		guard.Lock()
 		feedRound(c, i)
+		guard.Unlock()
 	}
 	close(fed)
 	readers.Wait()

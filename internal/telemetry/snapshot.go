@@ -131,22 +131,22 @@ type HistBucket struct {
 
 // Snapshot captures the collector at the latest observed plane time.
 func (c *Collector) Snapshot() Snapshot {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.opts.Guard.Lock()
+	defer c.opts.Guard.Unlock()
 	return c.snapshotAt(c.last)
 }
 
 // SnapshotAt captures the collector as of plane time now (resource
 // integrals are projected to now with the current allocation held). The
-// document is taken under one hold of the lock, so it sits between two
+// document is taken under one hold of the guard, so it sits between two
 // events: rows of different functions belong to the same instant.
 func (c *Collector) SnapshotAt(now time.Duration) Snapshot {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.opts.Guard.Lock()
+	defer c.opts.Guard.Unlock()
 	return c.snapshotAt(now)
 }
 
-// snapshotAt builds the document. The caller holds c.mu.
+// snapshotAt builds the document. The caller holds the guard.
 func (c *Collector) snapshotAt(now time.Duration) Snapshot {
 	s := Snapshot{
 		SchemaVersion: SchemaVersion,
@@ -178,9 +178,9 @@ func (c *Collector) snapshotAt(now time.Duration) Snapshot {
 	return s
 }
 
-// snapshotFunc renders fs, which the caller's hold of Collector.mu keeps
+// snapshotFunc renders fs, which the caller's hold of the guard keeps
 // still, so nothing is copied first.
-func snapshotFunc(name string, fs *funcStats, now time.Duration) FunctionSnapshot {
+func snapshotFunc(name string, fs *Ledger, now time.Duration) FunctionSnapshot {
 	rec := &fs.rec
 	out := FunctionSnapshot{
 		Name:          name,
@@ -199,7 +199,9 @@ func snapshotFunc(name string, fs *funcStats, now time.Duration) FunctionSnapsho
 		ColdTimeline:  append([]LaunchPoint(nil), fs.timeline...),
 	}
 	for b, n := range fs.batchServed {
-		out.BatchServed[b] = n
+		if n > 0 {
+			out.BatchServed[b] = n
+		}
 	}
 	var anyTiered uint64
 	for _, n := range fs.tierStarts {

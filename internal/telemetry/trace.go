@@ -8,7 +8,6 @@ package telemetry
 import (
 	"encoding/json"
 	"io"
-	"sync"
 
 	"github.com/tanklab/infless/internal/runtime"
 )
@@ -39,10 +38,11 @@ type TraceEvent struct {
 
 // TraceWriter streams lifecycle events to w as JSON lines. Attach it as
 // an additional observer (Engine.Observe, gateway Config.Observer, or
-// infless.TelemetryOptions.Trace); it is safe for concurrent use.
+// infless.TelemetryOptions.Trace). It takes no lock: a plane fires its
+// hooks one at a time from its event loop, the gateway's under its lock
+// (DESIGN §13), so the writer is never entered twice at once.
 type TraceWriter struct {
 	runtime.Tap
-	mu  sync.Mutex
 	enc *json.Encoder
 }
 
@@ -79,7 +79,5 @@ func (t *TraceWriter) write(e runtime.Event) {
 		out.LoadMs = ms(e.Startup.Load)
 		out.PromoteMs = ms(e.Startup.Promote)
 	}
-	t.mu.Lock()
 	_ = t.enc.Encode(out)
-	t.mu.Unlock()
 }

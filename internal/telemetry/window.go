@@ -22,6 +22,7 @@ type winBucket struct {
 
 type window struct {
 	width time.Duration
+	cur   int // the ring index bucket last returned
 	ring  [winBuckets]winBucket
 }
 
@@ -37,11 +38,16 @@ func newWindow(span time.Duration) window {
 func (w *window) span() time.Duration { return w.width * winBuckets }
 
 // bucket returns the live bucket for plane time now, recycling stale
-// ring slots in place (no allocation).
+// ring slots in place (no allocation). While now stays inside the slot it
+// returned last, which is most events, it skips the division.
 func (w *window) bucket(now time.Duration) *winBucket {
+	if b := &w.ring[w.cur]; b.valid && now >= b.start && now-b.start < w.width {
+		return b
+	}
 	k := now / w.width
 	start := k * w.width // now − now%width: Go's division truncates
-	b := &w.ring[int(k)%winBuckets]
+	w.cur = int(k) % winBuckets
+	b := &w.ring[w.cur]
 	if !b.valid || b.start != start {
 		*b = winBucket{start: start, valid: true}
 	}

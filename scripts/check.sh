@@ -6,8 +6,10 @@
 # line), a race pass over the concurrently-exercised packages
 # (`make race`, where the package lists live: the wall-clock gateway,
 # whose callers and pacer drive one sim.Engine under one lock, the engine
-# and runtime policies it drives, the telemetry collector with snapshots
-# overlapping events, simclock's heap against its sorted reference, and
+# and runtime policies it drives, the telemetry collector, which the
+# engine feeds without a lock and snapshots read under the plane's lock
+# while a live gateway serves, simclock's heap against its sorted
+# reference, and
 # the sharded cluster + scheduler whose FitPool fans fit-queries across
 # workers), a sharded-equivalence
 # smoke (every Schedule decision bit-identical to the single-shard

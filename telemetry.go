@@ -30,16 +30,20 @@ type TelemetryOptions struct {
 	Trace io.Writer
 }
 
-// Telemetry is a live observation handle on a platform's collector.
-// Obtain it with Platform.Telemetry; all methods are safe to call while
-// Run is in progress (snapshots are consistent cuts, not quiesced reads).
+// Telemetry is an observation handle on a platform's collector. Obtain
+// it with Platform.Telemetry and read it before or after Run, or during
+// Run from an observer on the engine's goroutine (a TelemetryOptions.Trace
+// writer is one): the simulated plane feeds the collector without a lock,
+// so a read from another goroutine while Run is in progress races with
+// it. The gateway's collector (gateway.Server.Telemetry) is the one that
+// is read live, under the server's lock.
 type Telemetry struct {
 	p *Platform
 }
 
 // Telemetry returns the platform's observation handle. The collector
-// exists from NewPlatform on, so the handle is valid before, during and
-// after Run (before Run it reports zeros).
+// exists from NewPlatform on, so the handle is valid before and after
+// Run (before Run it reports zeros).
 func (p *Platform) Telemetry() *Telemetry { return &Telemetry{p: p} }
 
 // snapshot cuts the collector at the latest observed plane time.
