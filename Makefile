@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race bench bench-compare lint lint-json
+.PHONY: check build vet test race figures-check figures-update bench bench-compare lint lint-json
 
 ## check: tier-1 gate — gofmt, build, vet, infless-lint, full tests, a
 ## fuzz smoke of the three input parsers, a race pass on the shared
@@ -48,6 +48,18 @@ race:
 	$(GO) test -race ./internal/gateway/... ./internal/runtime/... ./internal/telemetry/... ./internal/sim/... ./internal/loadgen/... ./internal/core/... ./internal/pool/... ./internal/simclock/...
 	$(GO) test -race -short ./internal/cluster/ ./internal/scheduler/
 	$(GO) test -race -short -run 'TestRunStreamOrdered|TestParallelForCoversAllIndices|TestParallelAllDeterministic|TestRunnerLeavesNoGoroutines' ./internal/bench/
+
+## figures-check: render fig11, the paper's headline figure, in quick mode
+## at seed 1 and compare its table's SHA-256 with its line in
+## internal/bench/testdata/figures.sha256 (TestFig11Digest). The other
+## tables are checked by go test; fig11 alone takes ~15 s on a 2-core
+## host, so it stays out of scripts/check.sh and runs as its own CI job.
+## figures-update rewrites that line, for a change that means to move it.
+figures-check:
+	$(GO) test -count=1 -run '^TestFig11Digest$$' ./internal/bench/ -fig11
+
+figures-update:
+	$(GO) test -count=1 -run '^TestFig11Digest$$' ./internal/bench/ -fig11 -update
 
 ## bench: the repository's benchmark (BENCHMARK.json, benchmark/README.md),
 ## one workload after the other; the last line of each is its JSON result.

@@ -14,7 +14,10 @@ import (
 	"time"
 )
 
-var update = flag.Bool("update", false, "rewrite "+figureDigestFile+" from this run's tables")
+var (
+	update = flag.Bool("update", false, "rewrite the lines of "+figureDigestFile+" this run renders")
+	fig11  = flag.Bool("fig11", false, "run TestFig11Digest (make figures-check)")
+)
 
 // figureDigestFile pins every experiment's quick-mode, seed-1 table (as
 // renderAll returns it) to a SHA-256, so a change that moves any figure
@@ -173,10 +176,10 @@ func renderAll(t *testing.T, exps []Experiment, parallel int) (tables, jsons []s
 // (both the table and -json renderings, in the same order) as -parallel
 // 1. It is the determinism check for every experiment but fig11, whose
 // runScenario path fig3b/12a/15/table4 share and which alone would more
-// than double the run. -short (the race pass) keeps the sweep-fanning
-// and large-scale experiments plus the exclusively-scheduled fig17a.
-// Both hold each table they render to its digest in figureDigestFile;
-// -update (full run only) rewrites the file.
+// than double the run (TestFig11Digest holds its digest). -short (the
+// race pass) keeps the sweep-fanning and large-scale experiments plus
+// the exclusively-scheduled fig17a. Both hold each table they render to
+// its digest in figureDigestFile; -update rewrites those lines.
 func TestParallelAllDeterministic(t *testing.T) {
 	var exps []Experiment
 	if testing.Short() {
@@ -211,40 +214,31 @@ func TestParallelAllDeterministic(t *testing.T) {
 	checkFigureDigests(t, exps, serialTables, !testing.Short())
 }
 
-// checkFigureDigests compares one line per experiment of All() — its id
-// and the SHA-256 of its rendered table, or "not-run" — with
-// figureDigestFile, naming every table whose line differs. A partial run
-// (-short) compares only the lines of the experiments it ran.
+// TestFig11Digest holds fig11, the paper's headline figure, to its line
+// in figureDigestFile: one quick-mode, seed-1 render, ≈ 15 s on a 2-core
+// host, so it runs only under -fig11 (make figures-check; make
+// figures-update adds -update).
+func TestFig11Digest(t *testing.T) {
+	if !*fig11 {
+		t.Skip("fig11 renders only under -fig11: make figures-check")
+	}
+	e, ok := ByID("fig11")
+	if !ok {
+		t.Fatal("unknown experiment fig11")
+	}
+	tables, _ := renderAll(t, []Experiment{e}, 1)
+	checkFigureDigests(t, []Experiment{e}, tables, false)
+}
+
+// checkFigureDigests compares the SHA-256 of each rendered table with
+// its experiment's line in figureDigestFile, naming every table whose
+// digest differs. A full run also checks that the file has one line per
+// experiment of All() and no other. -update instead rewrites the lines
+// of the tables rendered, keeping the rest.
 func checkFigureDigests(t *testing.T, exps []Experiment, tables []string, full bool) {
 	t.Helper()
-	sums := map[string]string{}
-	for i, e := range exps {
-		sum := sha256.Sum256([]byte(tables[i]))
-		sums[e.ID] = hex.EncodeToString(sum[:])
-	}
-	var b strings.Builder
-	for _, e := range All() {
-		sum, ok := sums[e.ID]
-		if !ok {
-			if !full {
-				continue
-			}
-			sum = "not-run"
-		}
-		fmt.Fprintf(&b, "%s %s\n", e.ID, sum)
-	}
-	got := b.String()
-	if *update {
-		if !full {
-			t.Fatal("-update rewrites every line: run without -short")
-		}
-		if err := os.WriteFile(figureDigestFile, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
 	raw, err := os.ReadFile(figureDigestFile)
-	if err != nil {
+	if err != nil && !(*update && os.IsNotExist(err)) {
 		t.Fatalf("%v (create it with -update)", err)
 	}
 	want := map[string]string{}
@@ -253,16 +247,41 @@ func checkFigureDigests(t *testing.T, exps []Experiment, tables []string, full b
 			want[id] = sum
 		}
 	}
-	for _, line := range strings.Split(strings.TrimSpace(got), "\n") {
-		id, sum, _ := strings.Cut(line, " ")
-		if want[id] != sum {
-			t.Errorf("%s: table digest %s, %s has %q: a figure moved (rerun with -update if that is intended)",
-				id, sum, figureDigestFile, want[id])
+	got := map[string]string{}
+	for i, e := range exps {
+		sum := sha256.Sum256([]byte(tables[i]))
+		got[e.ID] = hex.EncodeToString(sum[:])
+	}
+	if *update {
+		var b strings.Builder
+		for _, e := range All() {
+			sum, ok := got[e.ID]
+			if !ok {
+				if sum, ok = want[e.ID]; !ok {
+					sum = "not-run"
+				}
+			}
+			fmt.Fprintf(&b, "%s %s\n", e.ID, sum)
 		}
-		delete(want, id)
+		if err := os.WriteFile(figureDigestFile, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	for _, e := range exps {
+		if want[e.ID] != got[e.ID] {
+			t.Errorf("%s: table digest %s, %s has %q: a figure moved (rerun with -update if that is intended)",
+				e.ID, got[e.ID], figureDigestFile, want[e.ID])
+		}
 	}
 	if !full {
 		return
+	}
+	for _, e := range All() {
+		if _, ok := want[e.ID]; !ok {
+			t.Errorf("%s: no line in %s (add it with -update)", e.ID, figureDigestFile)
+		}
+		delete(want, e.ID)
 	}
 	for id := range want {
 		t.Errorf("%s: in %s but not an experiment", id, figureDigestFile)

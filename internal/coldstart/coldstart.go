@@ -20,15 +20,23 @@
 // A histogram policy keeps its idle observations, exact (at, idle)
 // pairs in arrival order, in one idleLog: a chain of fixed-size chunks
 // that is only ever appended to. Each sliding window is a head cursor
-// into that log plus the histogram and running sums of the entries from
-// its head to the log's end; an entry leaves a window when it is older
-// than the window's span, evaluated whenever the policy records or
-// answers. HHP has one window; LSTH's short and long windows are two
-// cursors over the same log, the long window's entries being a superset
-// of the short one's. A chunk that every cursor has left goes to a free
-// list and is the next one appended to, so recording copies nothing and
-// a policy holds as many chunks as its longest window's population
-// needs, however long the run.
+// into that log plus the histogram of the entries from its head to the
+// log's end; an entry leaves a window when it is older than the
+// window's span, evaluated whenever the policy records or answers, and
+// skipped outright until the log's expires bound says some head can
+// have aged out. HHP has one window, which also keeps the running sums
+// its cv test reads; LSTH's short and long windows are two cursors over
+// the same log, the long window's entries being a superset of the short
+// one's, and keep no sums. A chunk that every cursor has left goes to a
+// free list and is the next one appended to, so recording copies
+// nothing and a policy holds as many chunks as its longest window's
+// population needs, however long the run.
+//
+// Memory follows what a policy has observed, not the spans it could
+// observe: a histogram's bins grow only up to the highest one an
+// observation has reached, so a new policy holds one empty chunk and a
+// few small headers, and a function whose gaps stay under a second
+// keeps one bin per window.
 //
 // # Windows and Decide
 //
@@ -73,36 +81,35 @@ type Policy interface {
 // bins; inference traffic is denser, so we use 1-second bins.
 const BinWidth = time.Second
 
-// Hist is a fixed-width histogram of idle durations.
+// Hist is a fixed-width histogram of idle durations. Its bins grow on
+// demand: bins covers the bins up to the highest one observed so far,
+// and every bin past it, up to the open-ended last one, is zero.
 type Hist struct {
 	bins  []int
 	total int
-	span  time.Duration // durations >= span land in the last bin
+	last  int // index of the open-ended last bin: durations >= last·BinWidth land there
 }
 
-// NewHist creates a histogram covering [0, span).
+// NewHist creates an empty histogram of 1-second bins whose last bin
+// holds every duration of span or more. It allocates no bins: Observe
+// grows them as far as the observations reach.
 func NewHist(span time.Duration) *Hist {
-	n := int(span / BinWidth)
-	if n < 1 {
-		n = 1
-	}
-	return &Hist{bins: make([]int, n+1), span: span}
+	return &Hist{last: max(int(span/BinWidth), 1)}
 }
 
 func (h *Hist) idx(d time.Duration) int {
-	i := int(d / BinWidth)
-	if i >= len(h.bins) {
-		i = len(h.bins) - 1
-	}
-	if i < 0 {
-		i = 0
-	}
-	return i
+	return min(max(int(d/BinWidth), 0), h.last)
 }
 
 // Observe adds one idle duration.
 func (h *Hist) Observe(d time.Duration) {
-	h.bins[h.idx(d)]++
+	i := h.idx(d)
+	// Bins never shrink, so a histogram appends at most last+1 of them
+	// in its life; a loop of appends keeps Observe inlinable.
+	for len(h.bins) <= i {
+		h.bins = append(h.bins, 0)
+	}
+	h.bins[i]++
 	h.total++
 }
 
@@ -111,7 +118,7 @@ func (h *Hist) Observe(d time.Duration) {
 // what they added.
 func (h *Hist) Remove(d time.Duration) {
 	i := h.idx(d)
-	if h.bins[i] == 0 {
+	if i >= len(h.bins) || h.bins[i] == 0 {
 		panic("coldstart: removing unobserved duration")
 	}
 	h.bins[i]--
@@ -145,7 +152,7 @@ func (h *Hist) Percentile(q float64) time.Duration {
 			return time.Duration(i+1) * BinWidth
 		}
 	}
-	return time.Duration(len(h.bins)) * BinWidth
+	return time.Duration(h.last+1) * BinWidth
 }
 
 // idleChunkLen makes an idleChunk fill one 4096-byte allocation: 255
@@ -166,11 +173,12 @@ type idleChunk struct {
 // windows over it (see the package comment): a chain of chunks from
 // first to tail, and the chunks every window's head has left, on free.
 type idleLog struct {
-	wins  []*windowed
-	first *idleChunk // oldest chunk a window's head may still be in
-	tail  *idleChunk // chunk being filled; it always has room
-	n     int        // entries in tail
-	free  *idleChunk
+	wins    []*windowed
+	first   *idleChunk // oldest chunk a window's head may still be in
+	tail    *idleChunk // chunk being filled; it always has room
+	n       int        // entries in tail
+	free    *idleChunk
+	expires time.Duration // no window has an entry to evict while now <= expires
 }
 
 // windowed is a sliding-window histogram over an idleLog: observations
@@ -180,23 +188,32 @@ type windowed struct {
 	window time.Duration
 	chunk  *idleChunk // head: the oldest live entry is chunk.entries[head],
 	head   int        // or the log's end when the window is empty
-	sum    float64    // seconds, over live observations
-	sumSq  float64
+	mom    *moments   // nil unless the policy reads cv
 }
 
-// newIdleLog creates an empty log with one window per duration, in
-// order.
-func newIdleLog(windows ...time.Duration) *idleLog {
+// moments are the running sums, in seconds, over a window's live
+// observations that cv reads.
+type moments struct{ sum, sumSq float64 }
+
+// newIdleLog creates an empty log with one window per duration,
+// shortest first; each window keeps moments if withMoments is set.
+func newIdleLog(withMoments bool, windows ...time.Duration) *idleLog {
 	c := new(idleChunk)
-	g := &idleLog{first: c, tail: c}
+	g := &idleLog{first: c, tail: c, expires: math.MaxInt64}
 	for _, d := range windows {
-		g.wins = append(g.wins, &windowed{hist: NewHist(d), window: d, chunk: c})
+		w := &windowed{hist: NewHist(d), window: d, chunk: c}
+		if withMoments {
+			w.mom = new(moments)
+		}
+		g.wins = append(g.wins, w)
 	}
 	return g
 }
 
 // record expires what has left each window as of now, then admits one
-// observation to all of them.
+// observation to all of them. The new entry is the first to age out of
+// any window that was empty, so expires drops to now plus the shortest
+// window at the latest.
 func (g *idleLog) record(idle, now time.Duration) {
 	g.evict(now)
 	g.tail.entries[g.n] = idleEntry{at: now, idle: idle}
@@ -212,27 +229,43 @@ func (g *idleLog) record(idle, now time.Duration) {
 		}
 		g.tail.next, g.tail, g.n = c, c, 0
 	}
-	s := idle.Seconds()
+	g.expires = min(g.expires, now+g.wins[0].window)
 	for _, w := range g.wins {
 		w.hist.Observe(idle)
-		w.sum += s
-		w.sumSq += s * s
+		if m := w.mom; m != nil {
+			s := idle.Seconds()
+			m.sum += s
+			m.sumSq += s * s
+		}
 	}
 }
 
 // evict advances every window's head past the entries older than its
-// span and recycles the chunks no head is in any more.
+// span and recycles the chunks no head is in any more. Until expires it
+// has nothing to do, and inlines to that one comparison.
 func (g *idleLog) evict(now time.Duration) {
+	if now > g.expires {
+		g.expire(now)
+	}
+}
+
+// expire is evict's work: it moves the heads, frees the chunks they
+// left and sets expires to the first instant a head can age out.
+func (g *idleLog) expire(now time.Duration) {
+	g.expires = math.MaxInt64
 	for _, w := range g.wins {
 		for w.chunk != g.tail || w.head != g.n {
 			e := w.chunk.entries[w.head]
 			if e.at >= now-w.window {
+				g.expires = min(g.expires, e.at+w.window)
 				break
 			}
 			w.hist.Remove(e.idle)
-			s := e.idle.Seconds()
-			w.sum -= s
-			w.sumSq -= s * s
+			if m := w.mom; m != nil {
+				s := e.idle.Seconds()
+				m.sum -= s
+				m.sumSq -= s * s
+			}
 			if w.head++; w.head == idleChunkLen {
 				w.chunk, w.head = w.chunk.next, 0
 			}
@@ -256,17 +289,17 @@ func (g *idleLog) reads(c *idleChunk) bool {
 }
 
 // cv returns the coefficient of variation of the live observations; 0 for
-// fewer than two samples.
+// fewer than two samples. Only a window with moments answers it.
 func (w *windowed) cv() float64 {
 	n := float64(w.hist.Total())
 	if n < 2 {
 		return 0
 	}
-	mean := w.sum / n
+	mean := w.mom.sum / n
 	if mean <= 0 {
 		return 0
 	}
-	variance := w.sumSq/n - mean*mean
+	variance := w.mom.sumSq/n - mean*mean
 	if variance < 0 {
 		variance = 0
 	}
@@ -331,7 +364,7 @@ type HHP struct {
 
 // NewHHP creates an HHP policy.
 func NewHHP() *HHP {
-	log := newIdleLog(hhpWindow)
+	log := newIdleLog(true, hhpWindow)
 	return &HHP{log: log, win: log.wins[0]}
 }
 
@@ -384,7 +417,7 @@ func NewLSTH(opts LSTHOptions) *LSTH {
 	if opts.Gamma < 0 || opts.Gamma > 1 {
 		panic(fmt.Sprintf("coldstart: gamma %f out of [0,1]", opts.Gamma))
 	}
-	log := newIdleLog(lsthShortWindow, lsthLongWindow)
+	log := newIdleLog(false, lsthShortWindow, lsthLongWindow)
 	return &LSTH{log: log, short: log.wins[0], long: log.wins[1], gamma: opts.Gamma}
 }
 

@@ -21,9 +21,10 @@
 # digest equality hold, the three policy outcomes equal the seed-1
 # values in benchmark/calibration.json, so a change that moves a
 # scheduling or accounting decision fails here, and a simulated request
-# stays under 24 B: the 16-byte idle-log entry LSTH keeps for it, plus
-# each policy's histograms at Init and the reused plan, backlog and
-# stream buffers, 23.1-23.3 B at --seconds 1, plus the 3 % bound) and
+# stays under 18 B: the 16-byte idle-log entry LSTH keeps for it, plus
+# the histogram bins its gaps reach (they grow on demand) and the reused
+# plan, backlog and stream buffers, 17.37 B at --seconds 1, plus the 3 %
+# bound) and
 # sched_scale (its
 # booking audit passes and a placement stays under 1 B: Schedule
 # allocates nothing, its result lives in the plan's buffer) —
@@ -100,7 +101,7 @@ awk -v b="${alloc_b:-nan}" 'BEGIN { exit !(b + 0 == b && b <= 1.2) }' || {
 	exit 1
 }
 
-echo "== benchmark smoke (sim_fleet: conservation + digest equality, policy outcomes equal calibration.json on seed 1, <= 24 B per simulated request)"
+echo "== benchmark smoke (sim_fleet: conservation + digest equality, policy outcomes equal calibration.json on seed 1, <= 18 B per simulated request)"
 smoke_out=$(go run ./benchmark --workload sim_fleet --seed 1 --seconds 1 --trace 0)
 for m in latency_p50_ms slo_attainment goodput_per_resource; do
 	got=$(metric "$smoke_out" "$m")
@@ -113,8 +114,8 @@ for m in latency_p50_ms slo_attainment goodput_per_resource; do
 done
 alloc_b=$(metric "$smoke_out" alloc_bytes_per_op)
 echo "sim_fleet alloc_bytes_per_op: ${alloc_b:-missing}"
-awk -v b="${alloc_b:-nan}" 'BEGIN { exit !(b + 0 == b && b <= 24) }' || {
-	echo "FAIL: sim_fleet allocates more than 24 B per simulated request (or reported nothing)"
+awk -v b="${alloc_b:-nan}" 'BEGIN { exit !(b + 0 == b && b <= 18) }' || {
+	echo "FAIL: sim_fleet allocates more than 18 B per simulated request (or reported nothing)"
 	exit 1
 }
 
