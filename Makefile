@@ -8,8 +8,8 @@ GO ?= go
 check:
 	./scripts/check.sh
 
-## lint: the static-analysis suite, 3 analyzers (maporder and the
-## whole-program hotalloc and errflow — see internal/analysis). Prints
+## lint: the static-analysis suite, 2 analyzers (maporder and the
+## whole-program hotalloc — see internal/analysis). Prints
 ## its own wall time; check.sh enforces a 60s budget on the same run.
 lint:
 	@start=$$(date +%s); \

@@ -1,5 +1,5 @@
 // Command infless-lint runs the repo's static-analysis suite: the
-// maporder, hotalloc and errflow analyzers described in
+// maporder and hotalloc analyzers described in
 // internal/analysis. It loads the whole module with go/parser + go/types
 // (standard library only), runs the analyzers one after the other, and
 // exits non-zero on any unsuppressed diagnostic.

@@ -1,10 +1,9 @@
 // Package analysis is infless-lint: a standard-library-only static
 // analysis suite (go/parser + go/types, no external analysis framework)
 // for the defects no test catches: an unordered map walk in the
-// deterministic packages, an allocation on a zero-alloc path, a dropped
-// control-plane error.
+// deterministic packages, an allocation on a zero-alloc path.
 //
-// Three analyzers run over the whole module:
+// Two analyzers run over the whole module:
 //
 //   - maporder: no map iteration that feeds ordered output (slice
 //     appends, printed/written output, float accumulation) in the
@@ -14,9 +13,6 @@
 //     allocating constructs (composite literals, make/new, closures,
 //     fmt, string concatenation, interface boxing); //lint:coldpath
 //     stops the descent at deliberate slow paths.
-//   - errflow:  control-plane packages never silently drop error
-//     results, whether discarded at the call or assigned to a variable
-//     no path of the function's control-flow graph (cfg.go) reads.
 //
 // What the suite does not police is held elsewhere (DESIGN.md §10 has
 // the table): wall-clock values and global math/rand in the simulator by
@@ -32,7 +28,8 @@
 // statement to the leak test that joins it; lock order by there being
 // one mutex per package (the import DAG orders the rest); channel close
 // discipline by receive-only types and sync.OnceFunc; context
-// cancellation by go vet's lostcancel.
+// cancellation by go vet's lostcancel; the gateway client's dropped
+// Body.Close errors by gateway.TestClientReturnsBodyCloseError.
 //
 // A finding can be suppressed with a directive on the same line or the
 // line above:
@@ -272,7 +269,7 @@ func sortDiags(diags []Diagnostic) {
 
 // Analyzers returns the full infless-lint suite.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{MapOrderAnalyzer, HotAllocAnalyzer, ErrFlowAnalyzer}
+	return []*Analyzer{MapOrderAnalyzer, HotAllocAnalyzer}
 }
 
 // funcOf resolves a call's callee to a *types.Func, or nil (builtins,
@@ -287,23 +284,6 @@ func funcOf(info *types.Info, call *ast.CallExpr) *types.Func {
 		if fn, ok := info.Uses[fun].(*types.Func); ok {
 			return fn
 		}
-	}
-	return nil
-}
-
-// recvNamed returns the named type of a method's receiver, unwrapping
-// pointers, or nil for package-level functions.
-func recvNamed(fn *types.Func) *types.Named {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return nil
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return n
 	}
 	return nil
 }

@@ -94,16 +94,20 @@ func checkWants(t *testing.T, u *Unit, analyzers []*Analyzer) {
 
 // TestSuppressionDirective: a reason-less //lint:ignore is rejected and
 // suppresses nothing, so the finding it stands beside survives
-// (TestErrFlowSuppression covers the justified directive in the same
+// (TestHotAllocSuppression covers the justified directives in the same
 // corpus).
 func TestSuppressionDirective(t *testing.T) {
-	u := loadCorpus(t, "errflow/suppress", "github.com/tanklab/infless/internal/gateway/efsupp")
-	diags := RunAll(u, []*Analyzer{ErrFlowAnalyzer})
+	u := loadCorpus(t, "hotalloc/suppress", "github.com/tanklab/infless/internal/gateway/hasupp")
+	var diags []Diagnostic
+	for _, d := range RunAll(u, []*Analyzer{HotAllocAnalyzer}) {
+		if d.Pos.Line == 22 {
+			diags = append(diags, d)
+		}
+	}
 	// Sorted by position: the call comes before its trailing directive.
-	if len(diags) != 2 || diags[0].Pos.Line != diags[1].Pos.Line ||
-		diags[0].Analyzer != "errflow" || diags[1].Analyzer != "directive" ||
+	if len(diags) != 2 || diags[0].Analyzer != "hotalloc" || diags[1].Analyzer != "directive" ||
 		!strings.Contains(diags[1].Message, "non-empty reason") {
-		t.Fatalf("want the unsuppressed errflow finding and a directive diagnostic demanding a reason, on one line; got %v", diags)
+		t.Fatalf("want the unsuppressed hotalloc finding and a directive diagnostic demanding a reason, on line 22; got %v", diags)
 	}
 }
 

@@ -20,27 +20,27 @@ func TestDriverCleanOnRepo(t *testing.T) {
 	}
 }
 
-// errflowSeed drops an error result in internal/cluster, inside
-// errflow's control-plane scope.
-const errflowSeed = `package cluster
+// maporderSeed returns a map's keys in iteration order from
+// internal/cluster, inside maporder's deterministic scope.
+const maporderSeed = `package cluster
 
-import "errors"
-
-func zzWork() error { return errors.New("x") }
-
-func zzDrop() {
-	zzWork()
+func zzKeys(m map[string]int) []string {
+	var keys []string
+	for k := range m {
+		keys = append(keys, k)
+	}
+	return keys
 }
 `
 
-// seededTree copies the module to a temp dir and writes errflowSeed
+// seededTree copies the module to a temp dir and writes maporderSeed
 // into its internal/cluster.
 func seededTree(t *testing.T) string {
 	t.Helper()
 	tmp := t.TempDir()
 	copyGoTree(t, repoRootT(t), tmp)
-	seed := filepath.Join(tmp, "internal", "cluster", "zz_seeded_errflow.go")
-	if err := os.WriteFile(seed, []byte(errflowSeed), 0o644); err != nil {
+	seed := filepath.Join(tmp, "internal", "cluster", "zz_seeded_maporder.go")
+	if err := os.WriteFile(seed, []byte(maporderSeed), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return tmp
@@ -52,8 +52,8 @@ func TestDriverSeededViolationFails(t *testing.T) {
 	if code != ExitDiags {
 		t.Fatalf("seeded violation: exit %d, want %d\n%s", code, ExitDiags, out.String())
 	}
-	if !strings.Contains(out.String(), "[errflow]") || !strings.Contains(out.String(), "zz_seeded_errflow.go") {
-		t.Fatalf("diagnostic should name the seeded errflow violation:\n%s", out.String())
+	if !strings.Contains(out.String(), "[maporder]") || !strings.Contains(out.String(), "zz_seeded_maporder.go") {
+		t.Fatalf("diagnostic should name the seeded maporder violation:\n%s", out.String())
 	}
 }
 
@@ -98,7 +98,7 @@ func zzDoubleStop(s *Server) {
 	}
 
 	seeds := map[string]string{
-		filepath.Join(tmp, "internal", "cluster", "zz_seeded_errflow.go"): errflowSeed,
+		filepath.Join(tmp, "internal", "cluster", "zz_seeded_maporder.go"): maporderSeed,
 		filepath.Join(tmp, "internal", "gateway", "zz_seeded_hotalloc.go"): `package gateway
 
 //lint:hotpath
@@ -121,7 +121,7 @@ func zzDecorate(s string) string {
 	if code := Run(&out, tmp, "text", []string{"./..."}); code != ExitDiags {
 		t.Fatalf("seeded violations: exit %d, want %d\n%s", code, ExitDiags, out.String())
 	}
-	for _, name := range []string{"errflow", "hotalloc"} {
+	for _, name := range []string{"maporder", "hotalloc"} {
 		if !strings.Contains(out.String(), "["+name+"]") {
 			t.Errorf("text output should carry a %s finding:\n%s", name, out.String())
 		}
@@ -147,7 +147,7 @@ func zzDecorate(s string) string {
 		}
 		active[d.Analyzer] = true
 	}
-	for _, name := range []string{"errflow", "hotalloc"} {
+	for _, name := range []string{"maporder", "hotalloc"} {
 		if !active[name] {
 			t.Errorf("json output should carry an unsuppressed %s finding", name)
 		}

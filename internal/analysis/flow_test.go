@@ -1,7 +1,7 @@
 package analysis
 
-// Corpus tests for hotalloc and errflow, plus the suppression and
-// unused-directive behavior built on RunAllDetail.
+// Corpus tests for hotalloc, plus the suppression and unused-directive
+// behavior built on RunAllDetail.
 
 import (
 	"strings"
@@ -18,19 +18,26 @@ func TestHotAllocAcceptsGoodCorpus(t *testing.T) {
 	checkWants(t, u, []*Analyzer{HotAllocAnalyzer})
 }
 
-// TestHotAllocSuppression: the justified allocation is silenced and
-// surfaces in the suppressed half; the stale directive is reported.
+// TestHotAllocSuppression: a justified directive silences the finding on
+// the line below it when it stands alone (hasupp line 11), and on its
+// own line when it trails code (line 17); both surface in the suppressed
+// half. The stale directive (line 29) is reported (TestSuppressionDirective
+// covers the reason-less one on line 22).
 func TestHotAllocSuppression(t *testing.T) {
 	u := loadCorpus(t, "hotalloc/suppress", "github.com/tanklab/infless/internal/gateway/hasupp")
 	active, suppressed := RunAllDetail(u, []*Analyzer{HotAllocAnalyzer})
-	if len(active) != 1 {
-		t.Fatalf("want exactly the stale-directive diagnostic, got %v", active)
+	if len(suppressed) != 2 || suppressed[0].Analyzer != "hotalloc" || suppressed[1].Analyzer != "hotalloc" ||
+		suppressed[0].Pos.Line != 11 || suppressed[1].Pos.Line != 17 {
+		t.Fatalf("want suppressed hotalloc findings on lines 11 and 17, got %v", suppressed)
 	}
-	if active[0].Analyzer != "directive" || !strings.Contains(active[0].Message, "suppresses nothing") {
-		t.Errorf("expected unused-directive diagnostic, got %s", active[0])
+	var stale []Diagnostic
+	for _, d := range active {
+		if strings.Contains(d.Message, "suppresses nothing") {
+			stale = append(stale, d)
+		}
 	}
-	if len(suppressed) != 1 || suppressed[0].Analyzer != "hotalloc" {
-		t.Fatalf("want one suppressed hotalloc finding, got %v", suppressed)
+	if len(stale) != 1 || stale[0].Analyzer != "directive" || stale[0].Pos.Line != 29 {
+		t.Fatalf("want one unused-directive diagnostic, on line 29; got %v", active)
 	}
 }
 
@@ -49,7 +56,7 @@ func TestHotAllocDirectiveMisuse(t *testing.T) {
 // TestAnalyzerRoster pins the registered analyzer set: a new analyzer
 // must be added here deliberately, and none may silently drop out.
 func TestAnalyzerRoster(t *testing.T) {
-	want := []string{"maporder", "hotalloc", "errflow"}
+	want := []string{"maporder", "hotalloc"}
 	got := Analyzers()
 	if len(got) != len(want) {
 		t.Fatalf("Analyzers() returned %d analyzers, want %d", len(got), len(want))
@@ -61,44 +68,13 @@ func TestAnalyzerRoster(t *testing.T) {
 	}
 }
 
-func TestErrFlowFlagsBadCorpus(t *testing.T) {
-	u := loadCorpus(t, "errflow/bad", "github.com/tanklab/infless/internal/gateway/efbad")
-	checkWants(t, u, []*Analyzer{ErrFlowAnalyzer})
-}
-
-func TestErrFlowAcceptsGoodCorpus(t *testing.T) {
-	u := loadCorpus(t, "errflow/good", "github.com/tanklab/infless/internal/gateway/efgood")
-	checkWants(t, u, []*Analyzer{ErrFlowAnalyzer})
-}
-
-func TestErrFlowIgnoresOutOfScopePackages(t *testing.T) {
-	// The same error-dropping corpus under a data-plane path (the sim's
-	// error handling has its own conventions) yields nothing.
-	u := loadCorpus(t, "errflow/bad", "github.com/tanklab/infless/internal/sim/efbad")
-	if diags := RunAll(u, []*Analyzer{ErrFlowAnalyzer}); len(diags) != 0 {
-		t.Fatalf("expected no diagnostics out of scope, got %v", diags)
-	}
-}
-
-// TestErrFlowSuppression: a justified directive silences the finding on
-// the line below it when it stands alone (efsupp line 12), and on its
-// own line when it trails code (line 17); both surface in the suppressed
-// half (TestSuppressionDirective covers the reason-less one beside them).
-func TestErrFlowSuppression(t *testing.T) {
-	u := loadCorpus(t, "errflow/suppress", "github.com/tanklab/infless/internal/gateway/efsupp")
-	_, suppressed := RunAllDetail(u, []*Analyzer{ErrFlowAnalyzer})
-	if len(suppressed) != 2 || suppressed[0].Analyzer != "errflow" || suppressed[1].Analyzer != "errflow" ||
-		suppressed[0].Pos.Line != 13 || suppressed[1].Pos.Line != 17 {
-		t.Fatalf("want suppressed errflow findings on lines 13 and 17, got %v", suppressed)
-	}
-}
-
 // TestUnusedDirectiveOutsideRunSet: a directive naming an analyzer that
-// is not part of the run is left alone, so partial runs stay quiet.
+// is not part of the run is left alone, so partial runs stay quiet; a
+// reason-less directive is malformed whatever the run set.
 func TestUnusedDirectiveOutsideRunSet(t *testing.T) {
 	u := loadCorpus(t, "hotalloc/suppress", "github.com/tanklab/infless/internal/gateway/hasupp2")
-	active, _ := RunAllDetail(u, []*Analyzer{ErrFlowAnalyzer})
-	if len(active) != 0 {
-		t.Fatalf("directives naming un-run analyzers must not be reported, got %v", active)
+	active, _ := RunAllDetail(u, []*Analyzer{MapOrderAnalyzer})
+	if len(active) != 1 || !strings.Contains(active[0].Message, "non-empty reason") {
+		t.Fatalf("directives naming un-run analyzers must not be reported, only the reason-less one; got %v", active)
 	}
 }

@@ -1,6 +1,9 @@
 package gateway
 
 import (
+	"errors"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -95,5 +98,34 @@ func TestClientAgainstDeadServer(t *testing.T) {
 	}
 	if err := c.Deploy(DeployRequest{Name: "f", Model: "MNIST", SLO: "1s"}); err == nil {
 		t.Fatal("dead server should error")
+	}
+}
+
+var errBodyClose = errors.New("body close failed")
+
+// closeFailBody is a response body whose Close fails with errBodyClose.
+type closeFailBody struct{ io.Reader }
+
+func (closeFailBody) Close() error { return errBodyClose }
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestClientReturnsBodyCloseError: Deploy and Delete succeed by closing
+// the response body, so a failed close is their result, not dropped.
+func TestClientReturnsBodyCloseError(t *testing.T) {
+	c := &Client{BaseURL: "http://gateway", HTTP: &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		status := http.StatusCreated
+		if r.Method == http.MethodDelete {
+			status = http.StatusNoContent
+		}
+		return &http.Response{StatusCode: status, Body: closeFailBody{http.NoBody}, Request: r}, nil
+	})}}
+	if err := c.Deploy(DeployRequest{Name: "f", Model: "MNIST", SLO: "1s"}); !errors.Is(err, errBodyClose) {
+		t.Errorf("Deploy: got %v, want the body's close error", err)
+	}
+	if err := c.Delete("f"); !errors.Is(err, errBodyClose) {
+		t.Errorf("Delete: got %v, want the body's close error", err)
 	}
 }

@@ -406,6 +406,8 @@ func TestFlushPendingCompactsInPlace(t *testing.T) {
 // request or clock event past the free lists' fill (the requests that
 // back up behind the one cold start are most of what is left). None of the
 // //lint:hotpath seeds covers Run's arrival chain, so this is its guard.
+// The bound sits under the ≈ 0.05 that one allocation per completed batch
+// reads here (a fmt.Sprint in onBatchComplete), against ≈ 0.019 without.
 func TestRunMallocsPerArrival(t *testing.T) {
 	ctrl := &manualController{cand: testCand(32, perf.Resources{CPU: 2}, 8*time.Millisecond, 200*time.Millisecond)}
 	e := New(ctrl, Config{Cluster: cluster.Testbed(), Duration: time.Minute, Seed: 1})
@@ -423,8 +425,8 @@ func TestRunMallocsPerArrival(t *testing.T) {
 	if arrived < 50000 {
 		t.Fatalf("only %d arrivals", arrived)
 	}
-	if per := float64(after.Mallocs-before.Mallocs) / float64(arrived); per >= 0.05 {
-		t.Errorf("%.3f mallocs per arrival over %d arrivals, want < 0.05", per, arrived)
+	if per := float64(after.Mallocs-before.Mallocs) / float64(arrived); per >= 0.03 {
+		t.Errorf("%.4f mallocs per arrival over %d arrivals, want < 0.03", per, arrived)
 	}
 }
 

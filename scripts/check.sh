@@ -30,11 +30,11 @@
 # allocates nothing, its result lives in the plan's buffer) —
 # and infless-lint — the AST/types-based analyzer suite
 # (cmd/infless-lint): maporder keeps map order out of the deterministic
-# packages' output, and the whole-program hotalloc / errflow analyzers
-# hold the zero-alloc paths and the control plane's error handling.
+# packages' output, and the whole-program hotalloc analyzer holds the
+# zero-alloc paths.
 # go vet runs ahead of it and is part of the same gate: its lostcancel
 # pass is the module's cancel-on-every-path check. The lint pass runs
-# the 3 analyzers one after the other, prints its measured wall time
+# the 2 analyzers one after the other, prints its measured wall time
 # and has a 60s budget so it stays cheap enough to run on every commit.
 # The race pass doubles as the goroutine-leak gate: the NumGoroutine
 # settle-and-compare harnesses around Server.Close, FitPool.Close,
