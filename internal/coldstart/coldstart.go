@@ -17,20 +17,25 @@
 //
 // # One idle log, a cursor per window
 //
-// A histogram policy keeps its idle observations, exact (at, idle)
-// pairs in arrival order, in one idleLog: a chain of fixed-size chunks
-// that is only ever appended to. Each sliding window is a head cursor
-// into that log plus the histogram of the entries from its head to the
-// log's end; an entry leaves a window when it is older than the
-// window's span, evaluated whenever the policy records or answers, and
-// skipped outright until the log's expires bound says some head can
-// have aged out. HHP has one window, which also keeps the running sums
-// its cv test reads; LSTH's short and long windows are two cursors over
-// the same log, the long window's entries being a superset of the short
-// one's, and keep no sums. A chunk that every cursor has left goes to a
-// free list and is the next one appended to, so recording copies
-// nothing and a policy holds as many chunks as its longest window's
-// population needs, however long the run.
+// A histogram policy keeps its idle observations in arrival order in
+// one idleLog: a chain of 4 KiB chunks of bytes that is only ever
+// appended to. The engine's idle time is the gap since the previous
+// arrival, so an entry is that gap as one varint, and its instant is
+// the previous entry's plus the gap; any other (instant, idle) pair is
+// written as an escape that holds both in full, so every caller's
+// observations come back exact. Each sliding window is a head cursor
+// into that log, with the instant of the entry before it, plus the
+// histogram of the entries from its head to the log's end; an entry
+// leaves a window when it is older than the window's span, evaluated
+// whenever the policy records or answers, and skipped outright until
+// the log's expires bound says some head can have aged out. HHP has
+// one window, which also keeps the running sums its cv test reads;
+// LSTH's short and long windows are two cursors over the same log, the
+// long window's entries being a superset of the short one's, and keep
+// no sums. A chunk that every cursor has left goes to a free list and
+// is the next one appended to, so recording copies nothing and a
+// policy holds as many chunks as its longest window's population
+// needs, however long the run.
 //
 // Memory follows what a policy has observed, not the spans it could
 // observe: a histogram's bins grow only up to the highest one an
@@ -55,6 +60,7 @@
 package coldstart
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"time"
@@ -155,18 +161,51 @@ func (h *Hist) Percentile(q float64) time.Duration {
 	return time.Duration(h.last+1) * BinWidth
 }
 
-// idleChunkLen makes an idleChunk fill one 4096-byte allocation: 255
-// 16-byte entries plus the link.
-const idleChunkLen = 255
+// maxIdleEntry is the longest entry an idleLog writes: an escape's
+// marker byte and two full varints.
+const maxIdleEntry = 1 + 2*binary.MaxVarintLen64
 
-type idleEntry struct {
-	at   time.Duration
-	idle time.Duration
-}
+// idleChunkLen makes an idleChunk fill one 4096-byte size class. The
+// buffer, the fill count and the link are 4,072 + 8 + 8 = 4,088 B, and
+// since Go 1.22 a heap object that holds pointers and is larger than
+// 512 B carries an 8-byte allocation header: 4,096 B. A 4,080-byte
+// buffer would make the object 4,104 B, which lands in the 4,864-byte
+// class.
+const idleChunkLen = 4072
 
 type idleChunk struct {
-	entries [idleChunkLen]idleEntry
-	next    *idleChunk
+	buf  [idleChunkLen]byte
+	n    int // bytes of buf filled
+	next *idleChunk
+}
+
+// put appends the entry recording idle at instant now, whose
+// predecessor's instant is last. An entry whose idle time is the gap
+// since last is that gap, uvarint(idle<<1); any other pair is an
+// escape: the byte 1, then now and idle in full.
+func (c *idleChunk) put(idle, now, last time.Duration) {
+	b := c.buf[c.n:]
+	if 0 <= idle && idle < 1<<62 && idle == now-last {
+		c.n += binary.PutUvarint(b, uint64(idle)<<1)
+		return
+	}
+	b[0] = 1
+	k := 1 + binary.PutUvarint(b[1:], uint64(now))
+	c.n += k + binary.PutUvarint(b[k:], uint64(idle))
+}
+
+// entry decodes the entry at buf[off:], whose predecessor's instant is
+// prev: its instant, its idle time and its length in bytes.
+func (c *idleChunk) entry(off int, prev time.Duration) (at, idle time.Duration, n int) {
+	v, n := binary.Uvarint(c.buf[off:c.n])
+	if v&1 == 0 {
+		idle = time.Duration(v >> 1)
+		return prev + idle, idle, n
+	}
+	a, k := binary.Uvarint(c.buf[off+n : c.n])
+	n += k
+	d, k := binary.Uvarint(c.buf[off+n : c.n])
+	return time.Duration(a), time.Duration(d), n + k
 }
 
 // idleLog is a policy's one record of its idle observations and the
@@ -174,9 +213,9 @@ type idleChunk struct {
 // first to tail, and the chunks every window's head has left, on free.
 type idleLog struct {
 	wins    []*windowed
-	first   *idleChunk // oldest chunk a window's head may still be in
-	tail    *idleChunk // chunk being filled; it always has room
-	n       int        // entries in tail
+	first   *idleChunk    // oldest chunk a window's head may still be in
+	tail    *idleChunk    // chunk being filled; it always has room for an entry
+	last    time.Duration // instant of the newest entry, 0 before the first
 	free    *idleChunk
 	expires time.Duration // no window has an entry to evict while now <= expires
 }
@@ -186,9 +225,10 @@ type idleLog struct {
 type windowed struct {
 	hist   *Hist
 	window time.Duration
-	chunk  *idleChunk // head: the oldest live entry is chunk.entries[head],
-	head   int        // or the log's end when the window is empty
-	mom    *moments   // nil unless the policy reads cv
+	chunk  *idleChunk    // head: the oldest live entry is at chunk.buf[off],
+	off    int           // or the log's end when the window is empty
+	prev   time.Duration // instant of the entry before the head
+	mom    *moments      // nil unless the policy reads cv
 }
 
 // moments are the running sums, in seconds, over a window's live
@@ -216,18 +256,18 @@ func newIdleLog(withMoments bool, windows ...time.Duration) *idleLog {
 // window at the latest.
 func (g *idleLog) record(idle, now time.Duration) {
 	g.evict(now)
-	g.tail.entries[g.n] = idleEntry{at: now, idle: idle}
-	g.n++
-	if g.n == idleChunkLen {
+	g.tail.put(idle, now, g.last)
+	g.last = now
+	if idleChunkLen-g.tail.n < maxIdleEntry {
 		c := g.free
 		if c != nil {
-			g.free, c.next = c.next, nil
+			g.free, c.next, c.n = c.next, nil, 0
 		} else {
 			// Free-list miss: only while the longest window's population
 			// is still growing.
 			c = new(idleChunk)
 		}
-		g.tail.next, g.tail, g.n = c, c, 0
+		g.tail.next, g.tail = c, c
 	}
 	g.expires = min(g.expires, now+g.wins[0].window)
 	for _, w := range g.wins {
@@ -249,25 +289,27 @@ func (g *idleLog) evict(now time.Duration) {
 	}
 }
 
-// expire is evict's work: it moves the heads, frees the chunks they
-// left and sets expires to the first instant a head can age out.
+// expire is evict's work: it decodes each head forward past the entries
+// that have aged out, frees the chunks the heads left and sets expires
+// to the first instant a head can age out.
 func (g *idleLog) expire(now time.Duration) {
 	g.expires = math.MaxInt64
 	for _, w := range g.wins {
-		for w.chunk != g.tail || w.head != g.n {
-			e := w.chunk.entries[w.head]
-			if e.at >= now-w.window {
-				g.expires = min(g.expires, e.at+w.window)
+		for w.chunk != g.tail || w.off != w.chunk.n {
+			at, idle, n := w.chunk.entry(w.off, w.prev)
+			if at >= now-w.window {
+				g.expires = min(g.expires, at+w.window)
 				break
 			}
-			w.hist.Remove(e.idle)
+			w.hist.Remove(idle)
 			if m := w.mom; m != nil {
-				s := e.idle.Seconds()
+				s := idle.Seconds()
 				m.sum -= s
 				m.sumSq -= s * s
 			}
-			if w.head++; w.head == idleChunkLen {
-				w.chunk, w.head = w.chunk.next, 0
+			w.prev = at
+			if w.off += n; w.off == w.chunk.n && w.chunk != g.tail {
+				w.chunk, w.off = w.chunk.next, 0
 			}
 		}
 	}

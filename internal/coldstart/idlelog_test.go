@@ -18,6 +18,12 @@ type naiveWindow struct {
 	sum, sumSq float64
 }
 
+// idleEntry is one observation: its instant and its idle time.
+type idleEntry struct {
+	at   time.Duration
+	idle time.Duration
+}
+
 func (n *naiveWindow) evict(now time.Duration) {
 	for len(n.live) > 0 && n.live[0].at < now-n.span {
 		s := n.live[0].idle.Seconds()
@@ -91,8 +97,23 @@ func chunks(g *idleLog, seen map[*idleChunk]bool) int {
 	return live
 }
 
+// perChunk is the fewest entries a chunk holds once the next is linked:
+// the log moves on only when an entry of maxIdleEntry bytes might not
+// fit.
+const perChunk = idleChunkLen / maxIdleEntry
+
 func chunkBound(population int) int {
-	return (population+idleChunkLen-1)/idleChunkLen + 1
+	return (population+perChunk-1)/perChunk + 1
+}
+
+// escapes are the first records of TestIdleLogMatchesNaiveWindows, at
+// absolute instants: pairs the log cannot store as one gap, then a gap
+// of more than a day that every window loses its entries to.
+var escapes = []idleEntry{
+	{at: 5 * time.Second, idle: 3 * time.Second},   // a first record whose instant is not its idle time
+	{at: 35 * time.Second, idle: 90 * time.Second}, // an idle time that is not the gap since the last record
+	{at: 36 * time.Second, idle: -time.Second},     // a negative one
+	{at: 36*time.Second + 25*time.Hour, idle: 25 * time.Hour},
 }
 
 // The chunked log with its cursors against the plain-slice reference,
@@ -126,19 +147,29 @@ func TestIdleLogMatchesNaiveWindows(t *testing.T) {
 		for step := 0; step < steps; step++ {
 			idle := gap(rng)
 			now += idle
+			if step < len(escapes) {
+				idle, now = escapes[step].idle, escapes[step].at
+			}
 			lsth.RecordIdle(idle, now)
 			hhp.RecordIdle(idle, now)
 			for _, n := range naive {
 				n.record(idle, now)
 			}
-			if rng.Intn(8) == 0 {
-				// The question comes later than the arrival: eviction on
-				// read. Half the time at the first instant some window's
-				// oldest entry is exactly its span old, which keeps it.
-				if rng.Intn(2) == 0 {
+			if step >= len(escapes) && rng.Intn(8) == 0 {
+				// The question comes later than the arrival, and the next
+				// record's idle time is not the gap since this instant:
+				// eviction on read, then an escape. A third of the time at
+				// the first instant some window's oldest entry is exactly
+				// its span old, which keeps it, and a third one nanosecond
+				// later, which evicts it.
+				oldest := min(short.live[0].at+short.span, long.live[0].at+long.span, four.live[0].at+four.span)
+				switch rng.Intn(3) {
+				case 0:
 					now += gap(rng)
-				} else {
-					now = min(short.live[0].at+short.span, long.live[0].at+long.span, four.live[0].at+four.span)
+				case 1:
+					now = oldest
+				case 2:
+					now = oldest + 1
 				}
 				for _, n := range naive {
 					n.evict(now)
@@ -202,8 +233,8 @@ func TestIdleLogMatchesNaiveWindows(t *testing.T) {
 		// allocated than the fullest moment needed — and far fewer than the
 		// stream filled: recycled chunks are the ones appended to.
 		for _, l := range logs {
-			if got, bound := len(l.seen), chunkBound(l.peak); got > bound || got >= steps/idleChunkLen {
-				t.Errorf("seed %d: %s log allocated %d chunks; bound %d for its fullest window, %d chunks' worth recorded", seed, l.name, got, bound, steps/idleChunkLen)
+			if got, bound := len(l.seen), chunkBound(l.peak); got > bound || got >= steps/perChunk {
+				t.Errorf("seed %d: %s log allocated %d chunks; bound %d for its fullest window, %d chunks' worth recorded", seed, l.name, got, bound, steps/perChunk)
 			}
 		}
 	}

@@ -21,10 +21,11 @@
 # digest equality hold, the three policy outcomes equal the seed-1
 # values in benchmark/calibration.json, so a change that moves a
 # scheduling or accounting decision fails here, and a simulated request
-# stays under 18 B: the 16-byte idle-log entry LSTH keeps for it, plus
-# the histogram bins its gaps reach (they grow on demand) and the reused
-# plan, backlog and stream buffers, 17.37 B at --seconds 1, plus the 3 %
-# bound) and
+# stays under 6 B: the arrival gap LSTH's idle log keeps for it, one
+# varint of 3 to 5 bytes, ≈ 3.7 B a request and 80 % of the measured
+# segments' bytes in an allocation profile, plus ≈ 0.9 B of plans built
+# at Init, controller ticks, instance launches and stream buffers,
+# 4.62 B at --seconds 1, plus the 3 % bound and a little room) and
 # sched_scale (its
 # booking audit passes and a placement stays under 1 B: Schedule
 # allocates nothing, its result lives in the plan's buffer) —
@@ -101,7 +102,7 @@ awk -v b="${alloc_b:-nan}" 'BEGIN { exit !(b + 0 == b && b <= 1.2) }' || {
 	exit 1
 }
 
-echo "== benchmark smoke (sim_fleet: conservation + digest equality, policy outcomes equal calibration.json on seed 1, <= 18 B per simulated request)"
+echo "== benchmark smoke (sim_fleet: conservation + digest equality, policy outcomes equal calibration.json on seed 1, <= 6 B per simulated request)"
 smoke_out=$(go run ./benchmark --workload sim_fleet --seed 1 --seconds 1 --trace 0)
 for m in latency_p50_ms slo_attainment goodput_per_resource; do
 	got=$(metric "$smoke_out" "$m")
@@ -114,8 +115,8 @@ for m in latency_p50_ms slo_attainment goodput_per_resource; do
 done
 alloc_b=$(metric "$smoke_out" alloc_bytes_per_op)
 echo "sim_fleet alloc_bytes_per_op: ${alloc_b:-missing}"
-awk -v b="${alloc_b:-nan}" 'BEGIN { exit !(b + 0 == b && b <= 18) }' || {
-	echo "FAIL: sim_fleet allocates more than 18 B per simulated request (or reported nothing)"
+awk -v b="${alloc_b:-nan}" 'BEGIN { exit !(b + 0 == b && b <= 6) }' || {
+	echo "FAIL: sim_fleet allocates more than 6 B per simulated request (or reported nothing)"
 	exit 1
 }
 
