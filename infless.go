@@ -10,15 +10,9 @@
 // discrete-event cluster simulation standing in for the paper's
 // OpenFaaS/Kubernetes testbed — lives in the internal packages.
 //
-// Quick start:
-//
-//	p, err := infless.NewPlatform(infless.Options{System: infless.SystemINFless})
-//	...
-//	err = p.Deploy(infless.FunctionConfig{
-//		Name: "classify", Model: "ResNet-50", SLO: 200 * time.Millisecond,
-//		Traffic: infless.Traffic{Pattern: "constant", RPS: 100},
-//	})
-//	report, err := p.Run(5 * time.Minute)
+// The package Example is a checked quick start; the Platform examples
+// deploy the paper's Q&A robot from a template and its OSVT scenario as
+// a chain.
 package infless
 
 import (
@@ -28,7 +22,6 @@ import (
 	"github.com/tanklab/infless/internal/artifact"
 	"github.com/tanklab/infless/internal/baselines"
 	"github.com/tanklab/infless/internal/cluster"
-	"github.com/tanklab/infless/internal/coldstart"
 	"github.com/tanklab/infless/internal/core"
 	"github.com/tanklab/infless/internal/model"
 	"github.com/tanklab/infless/internal/sim"
@@ -305,8 +298,3 @@ func Models() []string {
 	}
 	return out
 }
-
-// DefaultLSTH returns the paper's default LSTH policy (1 h short window,
-// 24 h long window, gamma 0.5), exposed so callers can evaluate the
-// cold-start policy standalone via EvaluateColdStartPolicy.
-func DefaultLSTH() coldstart.Policy { return coldstart.NewLSTH(coldstart.LSTHOptions{}) }

@@ -167,11 +167,15 @@ func TestDeployTemplate(t *testing.T) {
 }
 
 func TestSyntheticTrafficPatterns(t *testing.T) {
-	for _, pat := range []string{"periodic", "bursty", "sporadic"} {
+	burstyServed := map[int64]uint64{} // by Traffic.Seed
+	for _, c := range []struct {
+		pat  string
+		seed int64
+	}{{"periodic", 0}, {"bursty", 0}, {"sporadic", 0}, {"bursty", 7}} {
 		p, _ := infless.NewPlatform(infless.Options{Seed: 3})
 		if err := p.Deploy(infless.FunctionConfig{
 			Name: "f", Model: "MobileNet", SLO: 100 * time.Millisecond,
-			Traffic: infless.Traffic{Pattern: pat, RPS: 50},
+			Traffic: infless.Traffic{Pattern: c.pat, RPS: 50, Seed: c.seed},
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -179,9 +183,16 @@ func TestSyntheticTrafficPatterns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pat != "sporadic" && rep.Served == 0 {
-			t.Errorf("%s: nothing served", pat)
+		if c.pat != "sporadic" && rep.Served == 0 {
+			t.Errorf("%s: nothing served", c.pat)
 		}
+		if c.pat == "bursty" {
+			burstyServed[c.seed] = rep.Served
+		}
+	}
+	// Traffic.Seed varies the pattern under one platform seed.
+	if burstyServed[0] == burstyServed[7] {
+		t.Errorf("bursty served %d with Traffic.Seed 7 and 0 alike", burstyServed[0])
 	}
 }
 
@@ -223,7 +234,7 @@ func TestEvaluateColdStartPolicyFacade(t *testing.T) {
 		now += time.Duration(rng.Intn(120)+1) * time.Second
 		arrivals = append(arrivals, now)
 	}
-	res := infless.EvaluateColdStartPolicy(infless.DefaultLSTH(), arrivals)
+	res := infless.EvaluateColdStartPolicy(infless.LSTHPolicy(infless.DefaultLSTHGamma), arrivals)
 	if res.Invocations != 500 || res.ColdStartRate <= 0 {
 		t.Fatalf("unexpected result: %+v", res)
 	}

@@ -174,22 +174,28 @@ func TestBatchSysUniformConfigs(t *testing.T) {
 }
 
 func TestBatchSysBatchRungCoupling(t *testing.T) {
-	b := NewBatchSys()
-	e := sim.New(b, sim.Config{Cluster: cluster.Testbed(), Duration: time.Second})
-	f := e.AddFunction(sim.FunctionSpec{
-		Name:  "f",
-		Model: model.MustGet("ResNet-50"),
-		SLO:   300 * time.Millisecond,
-		Trace: workload.Constant(1, time.Second, time.Second),
-	})
-	b.Init(e)
-	menu := f.CtrlState().(*batchState).menu
-	if len(menu) == 0 {
-		t.Fatal("empty menu")
-	}
-	for _, c := range menu {
-		if c.B > 2*c.Res.CPU {
-			t.Errorf("menu violates batch-size coupling: b=%d on %v", c.B, c.Res)
+	for _, maxBatch := range []int{0, 4} { // 0: the model's own cap
+		b := NewBatchSys()
+		e := sim.New(b, sim.Config{Cluster: cluster.Testbed(), Duration: time.Second})
+		f := e.AddFunction(sim.FunctionSpec{
+			Name:     "f",
+			Model:    model.MustGet("ResNet-50"),
+			SLO:      300 * time.Millisecond,
+			Trace:    workload.Constant(1, time.Second, time.Second),
+			MaxBatch: maxBatch,
+		})
+		b.Init(e)
+		menu := f.CtrlState().(*batchState).menu
+		if len(menu) == 0 {
+			t.Fatal("empty menu")
+		}
+		for _, c := range menu {
+			if c.B > 2*c.Res.CPU {
+				t.Errorf("menu violates batch-size coupling: b=%d on %v", c.B, c.Res)
+			}
+			if maxBatch > 0 && c.B > maxBatch {
+				t.Errorf("menu holds b=%d above the declared cap %d", c.B, maxBatch)
+			}
 		}
 	}
 }

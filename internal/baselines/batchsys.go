@@ -73,7 +73,7 @@ func (b *BatchSys) Init(e *sim.Engine) {
 func (b *BatchSys) buildMenu(f *sim.FunctionState) []scheduler.Candidate {
 	var menu []scheduler.Candidate
 	for _, bs := range profiler.DefaultBatches {
-		if bs > f.Spec.Model.MaxBatch {
+		if bs > f.Spec.MaxBatch {
 			continue
 		}
 		for _, res := range batchLadder {

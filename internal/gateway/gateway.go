@@ -375,7 +375,7 @@ func (s *Server) deploy(e core.RegistryEntry) error {
 		return err
 	}
 	m := model.MustGet(e.ModelName)
-	plan := scheduler.BuildPlan(scheduler.Function{Name: e.Name, Model: m, SLO: e.SLO},
+	plan := scheduler.BuildPlan(scheduler.Function{Name: e.Name, Model: m, SLO: e.SLO, MaxBatch: e.MaxBatchSize},
 		s.pred, scheduler.Options{MaxInstancesPerCall: 1})
 	if !plan.Feasible() {
 		return fmt.Errorf("gateway: no configuration of %s meets %v", e.ModelName, e.SLO)
@@ -397,10 +397,11 @@ func (s *Server) deploy(e core.RegistryEntry) error {
 	// IdleTimeout is wall time, the engine's keep-alive model time; a
 	// fixed policy never pre-warms, so every launch pays its cold start.
 	f.fs = s.eng.AddFunction(sim.FunctionSpec{
-		Name:   e.Name,
-		Model:  m,
-		SLO:    e.SLO,
-		Policy: coldstart.Fixed{KeepAlive: s.toModel(s.cfg.IdleTimeout)},
+		Name:     e.Name,
+		Model:    m,
+		SLO:      e.SLO,
+		MaxBatch: e.MaxBatchSize,
+		Policy:   coldstart.Fixed{KeepAlive: s.toModel(s.cfg.IdleTimeout)},
 	})
 	f.fs.SetCtrlState(f)
 	return nil

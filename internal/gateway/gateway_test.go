@@ -3,6 +3,7 @@ package gateway
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -171,34 +172,47 @@ func TestDeployErrors(t *testing.T) {
 }
 
 // TestConcurrentInvocationsBatch: a burst of simultaneous invocations is
-// served in batches. On the fake clock the burst really is simultaneous
-// and the outcome is exact (it was a wall-clock flake at 20x).
+// served in batches, none larger than the deploy's maxBatch. On the fake
+// clock the burst really is simultaneous and the outcome is exact (it was
+// a wall-clock flake at 20x).
 func TestConcurrentInvocationsBatch(t *testing.T) {
-	m := newManual(t, Config{IdleTimeout: time.Minute, Seed: 1})
-	m.mustDeploy("resnet", "ResNet-50", 200*time.Millisecond)
-	m.invoke("resnet") // absorb the first cold start
-	m.drain()
+	// A capped function has less capacity per instance: a burst of 48
+	// outlasts its backlog hold and is shed in part, so it takes 24.
+	for _, c := range []struct{ maxBatch, n int }{{0, 48}, {2, 24}} { // maxBatch 0: the model's own cap
+		m := newManual(t, Config{IdleTimeout: time.Minute, Seed: 1})
+		body := fmt.Sprintf(`{"name":"resnet","model":"ResNet-50","slo":"200ms","maxBatch":%d}`, c.maxBatch)
+		w := httptest.NewRecorder()
+		m.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/system/functions", strings.NewReader(body)))
+		if w.Code != http.StatusCreated {
+			t.Fatalf("deploy %s: status %d", body, w.Code)
+		}
+		m.invoke("resnet") // absorb the first cold start
+		m.drain()
 
-	const n = 48
-	var replies []<-chan reply
-	for i := 0; i < n; i++ {
-		replies = append(replies, m.invoke("resnet"))
-	}
-	m.drain()
-	batched := 0
-	for i, ch := range replies {
-		r := <-ch
-		if r.err != nil {
-			t.Fatalf("invocation %d: %v", i, r.err)
+		var replies []<-chan reply
+		for i := 0; i < c.n; i++ {
+			replies = append(replies, m.invoke("resnet"))
 		}
-		if r.res.BatchSize > 1 {
-			batched++
+		m.drain()
+		batched, largest := 0, 0
+		for i, ch := range replies {
+			r := <-ch
+			if r.err != nil {
+				t.Fatalf("invocation %d: %v", i, r.err)
+			}
+			if r.res.BatchSize > 1 {
+				batched++
+			}
+			largest = max(largest, r.res.BatchSize)
 		}
-	}
-	// The warm batch-of-1 instance keeps serving while the scale-out
-	// (sized by the burst) warms up; what is left then runs batched.
-	if batched == 0 {
-		t.Errorf("no invocation was batched despite %d simultaneous requests", n)
+		// The warm batch-of-1 instance keeps serving while the scale-out
+		// (sized by the burst) warms up; what is left then runs batched.
+		if batched == 0 {
+			t.Errorf("maxBatch %d: no invocation was batched despite %d simultaneous requests", c.maxBatch, c.n)
+		}
+		if c.maxBatch > 0 && largest > c.maxBatch {
+			t.Errorf("a batch of %d ran above the declared maxBatch %d", largest, c.maxBatch)
+		}
 	}
 }
 

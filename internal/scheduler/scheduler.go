@@ -37,9 +37,10 @@ type Predictor interface {
 
 // Function describes one deployed inference function for scheduling.
 type Function struct {
-	Name  string
-	Model *model.Model
-	SLO   time.Duration
+	Name     string
+	Model    *model.Model
+	SLO      time.Duration
+	MaxBatch int // the template's maxbatchsize; 0 = the model's own cap
 }
 
 // Candidate is one feasible <batchsize, resources> instance configuration
@@ -156,7 +157,7 @@ func BuildPlan(fn Function, pred Predictor, opts Options) *Plan {
 		batches = []int{1}
 	}
 	for _, b := range batches {
-		if b > fn.Model.MaxBatch {
+		if b > fn.Model.MaxBatch || fn.MaxBatch > 0 && b > fn.MaxBatch {
 			continue
 		}
 		g := batchGroup{b: b, minRLow: math.Inf(1)}

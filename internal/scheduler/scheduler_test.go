@@ -23,12 +23,23 @@ func resnetFn() Function {
 }
 
 func TestBuildPlanFiltersInfeasible(t *testing.T) {
-	p := BuildPlan(resnetFn(), testPred, Options{})
+	capped := resnetFn()
+	capped.MaxBatch = 2
+	for _, fn := range []Function{resnetFn(), capped} {
+		testBuildPlanFiltersInfeasible(t, fn)
+	}
+}
+
+func testBuildPlanFiltersInfeasible(t *testing.T, fn Function) {
+	p := BuildPlan(fn, testPred, Options{})
 	if !p.Feasible() {
-		t.Fatal("ResNet-50 at 200ms should have feasible configs")
+		t.Fatalf("ResNet-50 at 200ms, cap %d: no feasible config", fn.MaxBatch)
 	}
 	for _, g := range p.groups {
 		b := g.b
+		if fn.MaxBatch > 0 && b > fn.MaxBatch {
+			t.Errorf("batch %d above the declared cap %d", b, fn.MaxBatch)
+		}
 		for _, c := range g.cands {
 			if b == 1 {
 				if c.TExec > 200*time.Millisecond {

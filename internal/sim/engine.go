@@ -92,9 +92,10 @@ func (f *FunctionState) SetCtrlState(v any) { f.ctrlState = v }
 func (f *FunctionState) Plan(pred scheduler.Predictor, opts scheduler.Options) *scheduler.Plan {
 	if f.plan == nil {
 		f.plan = scheduler.BuildPlan(scheduler.Function{
-			Name:  f.Spec.Name,
-			Model: f.Spec.Model,
-			SLO:   f.Spec.SLO,
+			Name:     f.Spec.Name,
+			Model:    f.Spec.Model,
+			SLO:      f.Spec.SLO,
+			MaxBatch: f.Spec.MaxBatch,
 		}, pred, opts)
 	}
 	return f.plan
@@ -171,7 +172,7 @@ func (e *Engine) AddFunction(spec FunctionSpec) *FunctionState {
 	if spec.SLO <= 0 {
 		panic("sim: function without SLO")
 	}
-	if spec.MaxBatch == 0 {
+	if spec.MaxBatch == 0 || spec.MaxBatch > spec.Model.MaxBatch {
 		spec.MaxBatch = spec.Model.MaxBatch
 	}
 	f := &FunctionState{

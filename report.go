@@ -251,8 +251,8 @@ type ColdStartResult struct {
 
 // EvaluateColdStartPolicy replays a trace of invocation instants against
 // a keep-alive policy (Figure 16's experiment: the policy's windows
-// alone, no storage tiers). Use DefaultLSTH, or build policies from the
-// internal/coldstart package in advanced scenarios.
+// alone, no storage tiers) built by FixedKeepAlivePolicy, HHPPolicy or
+// LSTHPolicy.
 func EvaluateColdStartPolicy(p coldstart.Policy, arrivals []time.Duration) ColdStartResult {
 	res := coldstart.Evaluate(coldstart.LegacyTier(p), artifact.Default(), 0, false, arrivals)
 	return ColdStartResult{
@@ -273,8 +273,10 @@ func FixedKeepAlivePolicy(keepAlive time.Duration) coldstart.Policy {
 // Wild" (ATC'20) with its default 4-hour tracking window.
 func HHPPolicy() coldstart.Policy { return coldstart.NewHHP() }
 
-// LSTHPolicy returns INFless's Long-Short Term Histogram policy with the
-// given blending weight gamma (the paper evaluates 0.3, 0.5 and 0.7).
+// LSTHPolicy returns INFless's Long-Short Term Histogram policy (1 h
+// short window, 24 h long window) with the given blending weight gamma;
+// the paper evaluates 0.3, 0.5 and 0.7. Gamma 0 selects 0.5, as
+// Options.LSTHGamma does, and a gamma outside [0,1] panics.
 func LSTHPolicy(gamma float64) coldstart.Policy {
 	return coldstart.NewLSTH(coldstart.LSTHOptions{Gamma: gamma})
 }
