@@ -72,7 +72,7 @@ func main() {
 	go func() {
 		errCh <- srv.ListenAndServe()
 	}()
-	log.Printf("infless-gateway listening on %s (cluster: %d servers, speed %.0fx)", *addr, *servers, *speed)
+	log.Printf("infless-gateway listening on %s (cluster: %d servers, speed %gx)", *addr, *servers, *speed)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)

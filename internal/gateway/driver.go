@@ -9,10 +9,14 @@ package gateway
 // up to now (advance), and one pacer goroutine sleeps until the next
 // event's wall time so the clock also moves when no request does.
 //
-// An invocation is: lock → advance → admission → Inject → unlock → wait
-// for the engine's completion hook to answer. The engine answers
-// every request exactly once (served, shed, or lost with its instance or
-// function), so a caller needs no deadline of its own.
+// An invocation is: lock → advance → admission → Inject → unlock → await
+// the engine's completion hook's answer. The engine answers every request
+// exactly once (served, shed, or lost with its instance or function), so
+// a caller needs no deadline of its own. The hook runs under the lock, so
+// it leaves the answer in the caller's slot, where a caller still
+// advancing the engine itself finds it on its next turn; only a caller
+// that has parked is sent it on a channel. Once plane time has reached
+// farFuture, where it stops, an invocation is refused.
 
 import (
 	"context"
@@ -46,19 +50,26 @@ var (
 	errShedSaturated = errors.New("gateway: function saturated, request shed")  // 429: shed from the backlog (hold expired, or cluster full)
 	errUnknown       = errors.New("gateway: unknown function")                  // 404
 	errLost          = errors.New("gateway: request lost with its instance")    // 503: undeploy or Close with the request inside
+	errHorizon       = errors.New("gateway: plane time exhausted")              // 503: past the horizon (Config.SpeedFactor)
 )
 
-// invocation is a caller's reply slot. The completion hook sends the one
-// outcome; the buffer lets it do so under the engine lock whether or not
-// the caller still listens.
+// invocation is a caller's reply slot. The completion hook, which runs
+// under Server.mu, stores the one outcome in it; a caller still spinning
+// in await finds it there on its next turn under the lock. Only a caller
+// that has parked is sent it on reply, whose buffer lets the hook send
+// under the lock whether or not the caller still listens. outcome,
+// answered and parked are guarded by Server.mu.
 type invocation struct {
-	f     *function
-	reply chan sim.Outcome
+	f        *function
+	outcome  sim.Outcome
+	answered bool // outcome is set
+	parked   bool // the caller waits on reply: the hook sends there instead
+	reply    chan sim.Outcome
 }
 
 // invocationPool recycles reply slots. invoke Puts its handle only after
-// receiving the reply or when nothing was injected; a caller whose
-// context ends first abandons the slot to the garbage collector, and the
+// taking the answer or when nothing was injected; a caller whose context
+// ends while parked abandons the slot to the garbage collector, and the
 // buffered channel absorbs the late reply.
 var invocationPool = pool.Of[invocation]{
 	New: func() *invocation { return &invocation{reply: make(chan sim.Outcome, 1)} },
@@ -72,11 +83,18 @@ const spinWindow = 2 * time.Microsecond
 
 // farFuture saturates wall-to-model conversions (an hour of IdleTimeout
 // at SpeedFactor 1e6 is over a century) so now+d stays representable.
+// Plane time stops there (the horizon, Config.SpeedFactor), and an
+// event scheduled past it never fires.
 const farFuture = time.Duration(math.MaxInt64 / 2)
 
-// toModel converts a wall duration to model time.
+// toModel converts a wall duration to model time, farFuture at most.
+// (float64(farFuture) rounds up to 2^62, so the cap is compared, not
+// converted.)
 func (s *Server) toModel(d time.Duration) time.Duration {
-	return time.Duration(min(float64(d)*s.cfg.SpeedFactor, float64(farFuture)))
+	if m := float64(d) * s.cfg.SpeedFactor; m < float64(farFuture) {
+		return time.Duration(m)
+	}
+	return farFuture
 }
 
 // planeNow converts the wall clock to plane time — the model-time offset
@@ -98,6 +116,9 @@ func (s *Server) sinceEpoch() time.Duration {
 // when the wall clock reads wall past the epoch (advance's reading: a
 // turn of the pacer or of await reads the clock once).
 func (s *Server) wallUntil(t, wall time.Duration) time.Duration {
+	if t > farFuture { // the plane never gets there
+		return time.Hour
+	}
 	left := float64(t)/s.cfg.SpeedFactor - float64(wall)
 	return time.Duration(min(left, float64(time.Hour)))
 }
@@ -163,12 +184,17 @@ func (s *Server) pace() {
 }
 
 // requestDone is the engine's completion hook (so under s.mu): it hands
-// the outcome to the caller waiting on req.
+// the outcome to the caller waiting on req, in its slot, or on its
+// channel once it has parked.
 func (s *Server) requestDone(req *sim.Request, o sim.Outcome) {
 	if inv, ok := s.waiters[req]; ok {
 		delete(s.waiters, req)
 		inv.f.inside--
-		inv.reply <- o
+		if inv.parked {
+			inv.reply <- o
+			return
+		}
+		inv.outcome, inv.answered = o, true
 	}
 }
 
@@ -182,6 +208,11 @@ func (s *Server) invoke(ctx context.Context, name string) (InvokeResponse, error
 	inv := invocationPool.Get()
 	s.lock()
 	s.advance()
+	if s.eng.Clock().Now() >= farFuture { // the horizon: toModel saturated
+		s.mu.Unlock()
+		inv.Put()
+		return InvokeResponse{}, errHorizon
+	}
 	fs := s.eng.Function(name)
 	if fs == nil {
 		s.mu.Unlock()
@@ -196,9 +227,10 @@ func (s *Server) invoke(ctx context.Context, name string) (InvokeResponse, error
 		return InvokeResponse{}, errShedQueueFull
 	}
 	f.inside++
-	inv.V().f = f
+	slot := inv.V()
+	slot.f, slot.answered, slot.parked = f, false, false // a recycled slot was answered
 	req := s.eng.NewRequest()
-	s.waiters[req] = inv.V()
+	s.waiters[req] = slot
 	s.eng.Inject(f.fs, req)
 	s.mu.Unlock()
 	o, err := s.await(ctx, inv.V())
@@ -223,16 +255,25 @@ func (s *Server) invoke(ctx context.Context, name string) (InvokeResponse, error
 }
 
 // await waits for the engine to answer inv. While the engine's next
-// event is within spinWindow the caller keeps the plane moving itself.
-// When it stops — answered, or the next event is further off and it
-// parks — the pacer takes over, and is woken if that event (scheduled by
-// this request, behind the pacer's back) is due before it means to wake.
+// event is within spinWindow the caller keeps the plane moving itself,
+// and finds the answer in the slot when it lands. When it stops —
+// answered, or the next event is further off and it parks — the pacer
+// takes over, and is woken if that event (scheduled by this request,
+// behind the pacer's back) is due before it means to wake. A manual
+// server's callers never move the plane: they park at once.
 func (s *Server) await(ctx context.Context, inv *invocation) (sim.Outcome, error) {
-	for helping := s.now == nil; helping; { // a manual server's callers never spin
+	answered := false
+	for helping := true; helping; {
 		s.lock()
-		wall := s.advance()
-		next, ok := s.eng.Clock().Next()
-		helping = len(inv.reply) == 0 && ok && s.wallUntil(next, wall) <= spinWindow
+		var next, wall time.Duration
+		ok := false
+		if s.now == nil {
+			wall = s.advance()
+			next, ok = s.eng.Clock().Next()
+		}
+		answered = inv.answered
+		helping = !answered && ok && s.wallUntil(next, wall) <= spinWindow
+		inv.parked = !helping && !answered
 		wake := !helping && ok && next < s.pacerDue
 		if wake {
 			s.pacerDue = next
@@ -244,6 +285,9 @@ func (s *Server) await(ctx context.Context, inv *invocation) (sim.Outcome, error
 			default:
 			}
 		}
+	}
+	if answered {
+		return inv.outcome, nil // nothing writes an answered slot
 	}
 	select {
 	case o := <-inv.reply:

@@ -217,3 +217,87 @@ func TestInvokeContextCancelled(t *testing.T) {
 		t.Fatalf("served = %d, want 1", fn.Served)
 	}
 }
+
+// manualAt is a Server on a fake clock at speed with function f
+// deployed; at moves the clock to wall past the epoch and steps the plane.
+func manualAt(t *testing.T, speed float64) (s *Server, at func(wall time.Duration), rec *recorder) {
+	t.Helper()
+	clock := &fakeClock{t: time.Unix(1e9, 0)}
+	rec = newRecorder()
+	s = newServer(Config{SpeedFactor: speed, Seed: 1, Observer: rec}, clock.now)
+	t.Cleanup(s.Close)
+	if err := s.deploy(core.RegistryEntry{Name: "f", ModelName: "MNIST", SLO: 200 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	at = func(wall time.Duration) {
+		clock.mu.Lock()
+		clock.t = s.epoch.Add(wall)
+		clock.mu.Unlock()
+		s.step()
+	}
+	return s, at, rec
+}
+
+// servedBetween invokes f at wall offset from, moves the clock to to once
+// the request has arrived, and wants it served.
+func servedBetween(t *testing.T, s *Server, at func(time.Duration), rec *recorder, from, to time.Duration) {
+	t.Helper()
+	at(from)
+	out := make(chan error, 1)
+	go func() {
+		_, err := s.invoke(context.Background(), "f")
+		out <- err
+	}()
+	select {
+	case <-rec.arrived:
+	case err := <-out:
+		t.Fatalf("invoke at %v answered before it arrived: %v", from, err)
+	}
+	at(to)
+	if err := <-out; err != nil {
+		t.Fatalf("invoke at %v: %v", from, err)
+	}
+}
+
+// TestInvokePastHorizonAnswers: plane time stops at farFuture, which
+// SpeedFactor 1e6 reaches after ≈ 77 minutes of wall time. An invocation
+// just before that is served; one after it is answered 503 at once
+// instead of being injected into a plane whose clock no longer moves.
+func TestInvokePastHorizonAnswers(t *testing.T) {
+	s, at, rec := manualAt(t, 1e6)
+	// A millisecond of wall time is a thousand seconds of plane time: the
+	// cold start and the execution, but not the hour-long keep-alive.
+	servedBetween(t, s, at, rec, 76*time.Minute, 76*time.Minute+time.Millisecond)
+
+	at(80 * time.Minute)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := s.invoke(ctx, "f"); err != errHorizon {
+		t.Fatalf("invoke past the horizon returned %v, want %v", err, errHorizon)
+	}
+	w := &benchWriter{hdr: make(http.Header, 4)}
+	req, _ := http.NewRequest(http.MethodPost, "/function/f", nil)
+	if s.ServeHTTP(w, req); w.code != http.StatusServiceUnavailable {
+		t.Fatalf("ServeHTTP past the horizon answered %d, want 503", w.code)
+	}
+	// The keep-alive timer lies past the horizon: the pacer, were there
+	// one, would sleep rather than spin for it.
+	s.mu.Lock()
+	next, ok := s.eng.Clock().Next()
+	s.mu.Unlock()
+	if !ok || next <= farFuture {
+		t.Fatalf("next event at %v (ok %v), want one past the horizon", next, ok)
+	}
+	if d := s.wallUntil(next, 80*time.Minute); d != time.Hour {
+		t.Fatalf("wallUntil an unreachable event = %v, want an hour", d)
+	}
+}
+
+// TestInvokeSlowMotionServed: below SpeedFactor 1 the horizon lies
+// further off than real time, so an ordinary invocation is served.
+func TestInvokeSlowMotionServed(t *testing.T) {
+	for _, speed := range []float64{0.5, 0.25} {
+		s, at, rec := manualAt(t, speed)
+		servedBetween(t, s, at, rec, time.Minute, 10*time.Minute)
+	}
+}

@@ -66,7 +66,12 @@ type Config struct {
 	Cluster *cluster.Cluster
 	// SpeedFactor divides emulated execution times — useful for demos and
 	// tests (e.g. 100 makes a 50ms inference take 0.5ms of wall time).
-	// Default 1 (real time).
+	// Default 1 (real time). Plane time (wall elapsed times SpeedFactor)
+	// stops at about 146 years of model time (2^62 ns), which it reaches
+	// after 2^62 ns / SpeedFactor of wall time: 77 minutes at 1e6. Past
+	// that horizon every invocation is answered 503, and one whose events
+	// fall past it stays held until its context ends, its function is
+	// deleted or the server closes.
 	SpeedFactor float64
 	// IdleTimeout reclaims instances with no traffic for this long, in
 	// wall time (default 60s).
@@ -462,6 +467,8 @@ func (s *Server) serveInvoke(w http.ResponseWriter, r *http.Request, name string
 		writeStatic(w, http.StatusNotFound, bodyUnknownFunction)
 	case errLost:
 		writeStatic(w, http.StatusServiceUnavailable, bodyLost)
+	case errHorizon:
+		writeStatic(w, http.StatusServiceUnavailable, bodyHorizon)
 	default: // the caller's context ended
 		httpError(w, http.StatusServiceUnavailable, "%v", err)
 	}
@@ -529,6 +536,7 @@ var (
 	bodyLost            = []byte("{\"error\":\"request lost: its instance or function went away\"}\n")
 	bodyShedQueueFull   = []byte("{\"error\":\"function queue full; retry later\"}\n")
 	bodyShedSaturated   = []byte("{\"error\":\"function saturated or cluster full; retry later\"}\n")
+	bodyHorizon         = []byte("{\"error\":\"plane time exhausted: restart the gateway\"}\n")
 )
 
 // writeStatic answers with a preformatted JSON body, allocation-free.

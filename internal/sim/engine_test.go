@@ -552,3 +552,99 @@ func TestNilPolicyRunsAsFixedDefault(t *testing.T) {
 		}
 	}
 }
+
+// The keep-alive deadline of a live engine's instance: a later idle
+// spell moves it without touching the armed timer, which re-arms at the
+// new deadline when it fires; a keep-alive the policy shortens re-arms
+// it earlier and leaves nothing of the old one on the clock; and a timer
+// that fires while the instance is busy reclaims nothing, the next idle
+// spell arming as usual.
+func TestKeepAliveDeadline(t *testing.T) {
+	const keep = 10 * time.Minute
+	// live returns a started engine whose one instance of f is warm and
+	// idle at one minute, and serve, which runs one request through it
+	// from now and returns when it is answered.
+	live := func(t *testing.T) (e *Engine, f *FunctionState, inst *Instance, serve func() time.Duration) {
+		ctrl := &manualController{cand: testCand(1, perf.Resources{CPU: 2}, 100*time.Millisecond, time.Second)}
+		e = New(ctrl, Config{Cluster: cluster.Testbed(), Seed: 1})
+		f = e.AddFunction(FunctionSpec{Name: "f", Model: model.MustGet("ResNet-50"), SLO: time.Second,
+			Policy: coldstart.Fixed{KeepAlive: keep}})
+		var answered time.Duration
+		e.OnDone(func(_ *Request, o Outcome) {
+			if !o.Served {
+				t.Fatalf("request dropped at %v", e.Clock().Now())
+			}
+			answered = e.Clock().Now()
+		})
+		e.Start()
+		e.Clock().RunUntil(time.Minute)
+		inst = f.Instances()[0]
+		if !inst.Ready || inst.Busy || inst.reclaim.At() != inst.ReadyAt+keep {
+			t.Fatalf("instance ready %v, busy %v, reclaim at %v: want idle since %v", inst.Ready, inst.Busy, inst.reclaim.At(), inst.ReadyAt)
+		}
+		serve = func() time.Duration {
+			answered = 0
+			e.Inject(f, e.NewRequest())
+			for answered == 0 && e.Clock().Step() {
+			}
+			return answered
+		}
+		return e, f, inst, serve
+	}
+	alive := func(t *testing.T, e *Engine, f *FunctionState, at time.Duration, want bool) {
+		t.Helper()
+		e.Clock().RunUntil(at)
+		if got := len(f.Instances()) == 1; got != want {
+			t.Fatalf("at %v: instance alive = %v, want %v", at, got, want)
+		}
+	}
+
+	t.Run("moves later", func(t *testing.T) {
+		e, f, inst, serve := live(t)
+		first := inst.reclaim.At()
+		e.Clock().RunUntil(5 * time.Minute)
+		done := serve()
+		if inst.reclaim.At() != first {
+			t.Fatalf("idle spell from %v re-armed the timer to %v; it should stay at %v", done, inst.reclaim.At(), first)
+		}
+		alive(t, e, f, first, true)
+		if inst.reclaim.At() != done+keep {
+			t.Fatalf("after the first deadline passed the timer is at %v, want %v", inst.reclaim.At(), done+keep)
+		}
+		alive(t, e, f, done+keep-1, true)
+		alive(t, e, f, done+keep, false)
+	})
+
+	t.Run("shrinks", func(t *testing.T) {
+		e, f, inst, serve := live(t)
+		e.Clock().RunUntil(5 * time.Minute)
+		f.Policy = coldstart.Fixed{KeepAlive: time.Minute}
+		done := serve()
+		if inst.reclaim.At() != done+time.Minute {
+			t.Fatalf("timer at %v after the keep-alive shrank, want %v", inst.reclaim.At(), done+time.Minute)
+		}
+		alive(t, e, f, done+time.Minute-1, true)
+		alive(t, e, f, done+time.Minute, false)
+		if next, ok := e.Clock().Next(); ok {
+			t.Fatalf("an event is left at %v after the reclaim: the old timer was not cancelled", next)
+		}
+	})
+
+	t.Run("fires while busy", func(t *testing.T) {
+		e, f, inst, serve := live(t)
+		first := inst.reclaim.At()
+		e.Clock().RunUntil(first - 1)
+		done := serve() // executing across first
+		if done <= first {
+			t.Fatalf("request answered at %v, not across the timer at %v", done, first)
+		}
+		if len(f.Instances()) != 1 {
+			t.Fatalf("instance reclaimed at %v while busy", first)
+		}
+		if inst.reclaim.At() != done+keep {
+			t.Fatalf("next idle spell armed the timer at %v, want %v", inst.reclaim.At(), done+keep)
+		}
+		alive(t, e, f, done+keep-1, true)
+		alive(t, e, f, done+keep, false)
+	})
+}

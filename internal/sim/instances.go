@@ -31,7 +31,11 @@ type Instance struct {
 	Rate     float64 // dispatch weight (INFless non-uniform dispatching)
 	credit   float64
 
-	idleSince time.Duration
+	// idleUntil is the keep-alive deadline of the instance's latest idle
+	// spell: it is reclaimed there if it is still idle (ready, not busy,
+	// nothing queued). A new spell only sets it; the armed reclaim timer
+	// stays where it is while it fires no later (scheduleReclaim, onIdle).
+	idleUntil time.Duration
 	reclaimed bool
 
 	// The executing batch: at most one runs per instance, so one buffer
@@ -128,7 +132,10 @@ func (e *Engine) launchAllocated(f *FunctionState, cand scheduler.Candidate, ser
 	inst.onTimeout = func() { e.trySubmit(inst) }
 	inst.onDone = func() { e.onBatchComplete(inst) }
 	inst.onIdle = func() {
-		if inst.Ready && !inst.Busy && inst.Queue.Len() == 0 {
+		switch {
+		case inst.idleUntil > e.clock.Now(): // a later spell moved the deadline
+			inst.reclaim = e.clock.ScheduleAt(inst.idleUntil, inst.onIdle)
+		case inst.Ready && !inst.Busy && inst.Queue.Len() == 0:
 			e.Reclaim(inst)
 		}
 	}
@@ -240,22 +247,31 @@ func (e *Engine) demoteAndPreload(f *FunctionState, server int, now time.Duratio
 	}
 }
 
-// scheduleReclaim arms the keep-alive timer for an idle instance. With
-// tiered storage, the policy's Decision governs instead of the plain
-// windows: LSTH holds the instance fully warm only for the (shorter)
-// tiered keep-alive, relying on the DRAM-parked artifact to cover the
-// idle distribution's tail.
+// scheduleReclaim starts an idle spell: the instance is reclaimed at
+// now + keep-alive unless work arrives first. With tiered storage, the
+// policy's Decision governs instead of the plain windows: LSTH holds the
+// instance fully warm only for the (shorter) tiered keep-alive, relying
+// on the DRAM-parked artifact to cover the idle distribution's tail.
+//
+// A deadline that only moves later touches no timer: the armed one fires
+// first and onIdle re-arms it at the deadline then. So a warm instance
+// serving back to back costs the clock one event per keep-alive, not a
+// cancel and a schedule per batch. Only a first spell, or a keep-alive
+// the policy shortened, re-arms here.
 func (e *Engine) scheduleReclaim(inst *Instance) {
 	now := e.clock.Now()
-	inst.idleSince = now
 	var keep time.Duration
 	if e.storageActive() {
 		keep = inst.Fn.Policy.Decide(now).KeepAlive
 	} else {
 		_, keep = inst.Fn.Policy.Windows(now)
 	}
+	inst.idleUntil = now + max(keep, 0)
+	if inst.reclaim.Pending() && inst.reclaim.At() <= inst.idleUntil {
+		return
+	}
 	inst.reclaim.Cancel()
-	inst.reclaim = e.clock.ScheduleAfter(keep, inst.onIdle)
+	inst.reclaim = e.clock.ScheduleAt(inst.idleUntil, inst.onIdle)
 }
 
 // failServer marks a server down and kills every instance hosted on it:

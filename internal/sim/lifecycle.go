@@ -126,7 +126,10 @@ func (e *Engine) expirePending(f *FunctionState) {
 }
 
 // Enqueue offers a request to an instance's batch queue, handling drops,
-// SLO-aware admission, batch-full submission and timeout scheduling.
+// SLO-aware admission, batch-full submission and timeout scheduling. A
+// queued request ends the instance's idle spell; its keep-alive timer
+// stays armed and finds it busy, or finds the next spell's deadline
+// (onIdle).
 func (e *Engine) Enqueue(inst *Instance, req *Request) {
 	now := e.clock.Now()
 	if a, ok := e.ctrl.(Admitter); ok && a.SLOAwareAdmission() {
@@ -148,7 +151,6 @@ func (e *Engine) Enqueue(inst *Instance, req *Request) {
 		return
 	}
 	e.obs.RequestEnqueued(inst.Fn.Spec.Name, inst.ID, now)
-	inst.reclaim.Cancel()
 	if full {
 		e.trySubmit(inst)
 	}

@@ -251,7 +251,10 @@ func (c *Clock) Next() (Time, bool) {
 // re-armed) would otherwise grow the heap without bound; compaction bounds
 // it at 2x the live events, amortizing the rebuild over the cancels that
 // forced it. Cancel and Step both check: either can tip the balance, one
-// by adding a tombstone, the other by removing a live event.
+// by adding a tombstone, the other by removing a live event. The engine's
+// keep-alive timers leave no tombstones in steady state (a deadline that
+// moves later waits for the armed timer to fire and re-arms then); its
+// batch timeouts still do.
 func (c *Clock) maybeCompact() {
 	if c.tombstones*2 > len(c.pending) {
 		c.compact()
