@@ -1,25 +1,13 @@
 GO ?= go
 
-.PHONY: check build vet test race figures-check figures-update bench bench-compare lint lint-json
+.PHONY: check build vet test race figures-check figures-update bench bench-compare
 
-## check: tier-1 gate — gofmt, build, vet, infless-lint, full tests, a
-## fuzz smoke of the three input parsers, a race pass on the shared
-## runtime + gateway and the benchmark smokes (see scripts/check.sh).
+## check: tier-1 gate — gofmt, build, vet, full tests (the registry
+## tables and the allocation tests among them), a fuzz smoke of the three
+## input parsers, a race pass on the shared runtime + gateway and the
+## benchmark smokes (see scripts/check.sh).
 check:
 	./scripts/check.sh
-
-## lint: the static-analysis suite, 2 analyzers (maporder and the
-## whole-program hotalloc — see internal/analysis). Prints
-## its own wall time; check.sh enforces a 60s budget on the same run.
-lint:
-	@start=$$(date +%s); \
-	$(GO) run ./cmd/infless-lint ./... || exit $$?; \
-	echo "infless-lint: $$(( $$(date +%s) - start ))s"
-
-## lint-json: same findings as a stable JSON array ({file, line, col,
-## analyzer, message, suppressed}); CI turns it into ::error annotations.
-lint-json:
-	$(GO) run ./cmd/infless-lint -format=json ./...
 
 build:
 	$(GO) build ./...

@@ -25,6 +25,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 
+	"github.com/tanklab/infless/internal/artifact"
 	"github.com/tanklab/infless/internal/bench"
 )
 
@@ -43,6 +44,10 @@ func main() {
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
+	if err := checkFlags(*format, *storage); err != nil {
+		fmt.Fprintln(os.Stderr, "infless-bench:", err)
+		os.Exit(2)
+	}
 
 	if *list {
 		for _, e := range bench.All() {
@@ -98,6 +103,17 @@ func main() {
 		}
 		f.Close()
 	}
+}
+
+// checkFlags rejects a -format or -storage value no experiment can use,
+// so a typo fails before the first experiment runs instead of printing
+// text tables or panicking mid-run.
+func checkFlags(format, storage string) error {
+	if format != "table" && format != "csv" {
+		return fmt.Errorf("unknown -format %q (want table | csv; -json for JSON)", format)
+	}
+	_, err := artifact.Profile(storage)
+	return err
 }
 
 func fatal(err error) {

@@ -21,7 +21,7 @@
 // 220 MB/s from SSD — are defined exactly once.
 //
 // The package is deliberately stdlib-only and wall-clock free (it is in
-// infless-lint's deterministic scope): every other layer — cluster,
+// the registry test's wall-clock scope): every other layer — cluster,
 // scheduler, sim, coldstart, gateway, the facade — imports it without
 // cycles, and identical call sequences always produce identical cache
 // states and estimates.

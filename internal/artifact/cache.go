@@ -10,7 +10,7 @@ import "sort"
 //
 // Recency is tracked with a logical use sequence, not wall-clock time,
 // so identical call sequences always evict identically (the package is
-// in infless-lint's deterministic scope). Eviction order is by
+// in the registry test's wall-clock scope). Eviction order is by
 // (least-recent use, name) — the name tie-break keeps behavior defined
 // even for entries inserted by bulk seeding with equal sequence
 // numbers.

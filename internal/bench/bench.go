@@ -13,6 +13,8 @@ package bench
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"time"
 )
@@ -52,24 +54,85 @@ func (o Options) dur(quick, full time.Duration) time.Duration {
 	return full
 }
 
-// Table is a rendered experiment result: one row per paper series/bar.
+// Table is an experiment result. Its series (rows) and columns are
+// declared when it is made and a figure fills each series by name, so
+// every rendering — String, CSV, -json — is in declaration order, and
+// the order a figure computes its rows in (a map's included) cannot
+// reach the output.
 type Table struct {
 	ID    string // e.g. "fig11"
 	Title string
 	Cols  []string
-	Rows  []Row
+	Rows  []Row // one per declared series
 	Notes []string
+
+	vals [][]float64 // by row: each cell's value, NaN for text
 }
 
-// Row is one line of a Table.
+// Row is one series as it prints. Cells stays nil until Put: a section
+// heading (fig7).
 type Row struct {
 	Name  string
 	Cells []string
 }
 
-// AddRow appends a formatted row.
-func (t *Table) AddRow(name string, cells ...string) {
-	t.Rows = append(t.Rows, Row{Name: name, Cells: cells})
+// cell is one table entry as it prints, and the value it prints (NaN
+// for fixed text such as "x" or "-").
+type cell struct {
+	s string
+	v float64
+}
+
+// val renders v through format.
+func val(v float64, format func(float64) string) cell { return cell{format(v), v} }
+
+func text(s string) cell { return cell{s, math.NaN()} }
+
+// newTable declares a table's series and columns.
+func newTable(id, title string, series, cols []string) *Table {
+	t := &Table{ID: id, Title: title, Cols: cols, vals: make([][]float64, len(series))}
+	for _, name := range series {
+		t.Rows = append(t.Rows, Row{Name: name})
+	}
+	return t
+}
+
+// Put fills, in column order, the first series named series that holds
+// no cells yet: a name declared twice (fig7's operator classes under
+// each model) fills in declaration order.
+func (t *Table) Put(series string, cells ...cell) {
+	for i := range t.Rows {
+		if r := &t.Rows[i]; r.Name == series && r.Cells == nil && len(cells) <= len(t.Cols) {
+			for _, c := range cells {
+				r.Cells, t.vals[i] = append(r.Cells, c.s), append(t.vals[i], c.v)
+			}
+			return
+		}
+	}
+	panic(fmt.Sprintf("bench: %s has no unfilled series %q of %d columns", t.ID, series, len(cells)))
+}
+
+// Value returns the value in column col of the first series named
+// series: NaN for text or no cell. It panics on an undeclared name.
+func (t *Table) Value(series, col string) float64 {
+	i := slices.IndexFunc(t.Rows, func(r Row) bool { return r.Name == series })
+	j := slices.Index(t.Cols, col)
+	if i < 0 || j < 0 {
+		panic(fmt.Sprintf("bench: %s has no cell (%q, %q)", t.ID, series, col))
+	}
+	if j >= len(t.vals[i]) {
+		return math.NaN()
+	}
+	return t.vals[i][j]
+}
+
+// labels formats each of xs into a series name.
+func labels[T any](format string, xs []T) []string {
+	names := make([]string, len(xs))
+	for i, x := range xs {
+		names[i] = fmt.Sprintf(format, x)
+	}
+	return names
 }
 
 // Note appends a free-form footnote.
@@ -81,40 +144,26 @@ func (t *Table) Note(format string, args ...any) {
 func (t *Table) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s: %s ==\n", t.ID, t.Title)
-	widths := make([]int, len(t.Cols)+1)
-	widths[0] = len("series")
-	for i, c := range t.Cols {
-		widths[i+1] = len(c)
+	widths := []int{len("series")}
+	for _, c := range t.Cols {
+		widths = append(widths, len(c))
 	}
 	for _, r := range t.Rows {
-		if len(r.Name) > widths[0] {
-			widths[0] = len(r.Name)
-		}
+		widths[0] = max(widths[0], len(r.Name))
 		for i, c := range r.Cells {
-			if i+1 < len(widths) && len(c) > widths[i+1] {
-				widths[i+1] = len(c)
-			}
+			widths[i+1] = max(widths[i+1], len(c))
 		}
 	}
-	pad := func(s string, w int) string {
-		if len(s) >= w {
-			return s
-		}
-		return s + strings.Repeat(" ", w-len(s))
-	}
-	b.WriteString(pad("series", widths[0]))
+	pad := func(s string, w int) { b.WriteString(s + strings.Repeat(" ", max(w-len(s), 0))) }
+	pad("series", widths[0])
 	for i, c := range t.Cols {
-		b.WriteString("  " + pad(c, widths[i+1]))
+		pad("  "+c, widths[i+1]+2)
 	}
 	b.WriteString("\n")
 	for _, r := range t.Rows {
-		b.WriteString(pad(r.Name, widths[0]))
+		pad(r.Name, widths[0])
 		for i, c := range r.Cells {
-			w := 0
-			if i+1 < len(widths) {
-				w = widths[i+1]
-			}
-			b.WriteString("  " + pad(c, w))
+			pad("  "+c, widths[i+1]+2)
 		}
 		b.WriteString("\n")
 	}
@@ -153,16 +202,20 @@ func csvEscape(s string) string {
 	return "\"" + strings.ReplaceAll(s, "\"", "\"\"") + "\""
 }
 
-// ms formats a duration as milliseconds.
-func ms(d time.Duration) string {
-	return fmt.Sprintf("%.1f", float64(d)/float64(time.Millisecond))
+// Cell formats: fmt verbs, and pct for a ratio as a percentage.
+var f0, f1, f2, pct = verb("%.0f"), verb("%.1f"), verb("%.2f"), percent("%.1f%%")
+
+func verb(format string) func(float64) string {
+	return func(v float64) string { return fmt.Sprintf(format, v) }
 }
 
-// f2 formats a float with two decimals.
-func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
+// percent formats a ratio, times 100, through a fmt verb.
+func percent(format string) func(float64) string {
+	return func(v float64) string { return fmt.Sprintf(format, 100*v) }
+}
 
-// pct formats a ratio as a percentage.
-func pct(v float64) string { return fmt.Sprintf("%.1f%%", 100*v) }
+// ms converts a duration to milliseconds.
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // Experiment couples an ID with its runner, for cmd/infless-bench.
 type Experiment struct {

@@ -1,7 +1,8 @@
 package bench
 
 import (
-	"strconv"
+	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -9,30 +10,9 @@ import (
 
 var quick = Options{Quick: true, Seed: 1}
 
-// cell parses a numeric cell ("12.3", "45.6%", "1.9x") from a table row.
-func cell(t *testing.T, tb *Table, row string, col int) float64 {
-	t.Helper()
-	for _, r := range tb.Rows {
-		if r.Name != row {
-			continue
-		}
-		if col >= len(r.Cells) {
-			t.Fatalf("%s: row %s has no column %d", tb.ID, row, col)
-		}
-		s := strings.TrimSuffix(strings.TrimSuffix(r.Cells[col], "%"), "x")
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			t.Fatalf("%s: cell %q not numeric: %v", tb.ID, r.Cells[col], err)
-		}
-		return v
-	}
-	t.Fatalf("%s: no row %q", tb.ID, row)
-	return 0
-}
-
 func TestTableRendering(t *testing.T) {
-	tb := &Table{ID: "x", Title: "demo", Cols: []string{"a", "b"}}
-	tb.AddRow("row1", "1", "2")
+	tb := newTable("x", "demo", []string{"row1"}, []string{"a", "b"})
+	tb.Put("row1", val(1, f0), text("2"))
 	tb.Note("hello %d", 7)
 	out := tb.String()
 	for _, want := range []string{"== x: demo ==", "row1", "hello 7"} {
@@ -40,15 +20,53 @@ func TestTableRendering(t *testing.T) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}
 	}
+	if v := tb.Value("row1", "a"); v != 1 {
+		t.Errorf("Value(row1, a) = %v, want 1", v)
+	}
+	if v := tb.Value("row1", "b"); !math.IsNaN(v) {
+		t.Errorf("Value of a text cell = %v, want NaN", v)
+	}
 }
 
 func TestTableCSV(t *testing.T) {
-	tb := &Table{ID: "x", Title: "demo", Cols: []string{"a", "b,c"}}
-	tb.AddRow("row\"1", "1", "2")
+	tb := newTable("x", "demo", []string{"row\"1"}, []string{"a", "b,c"})
+	tb.Put("row\"1", text("1"), text("2"))
 	got := tb.CSV()
 	want := "series,a,\"b,c\"\n\"row\"\"1\",1,2\n"
 	if got != want {
 		t.Fatalf("csv = %q, want %q", got, want)
+	}
+}
+
+// TestTableDeclarationOrder: the rendering follows the declared series
+// whatever order Put comes in; a series never filled is a section
+// heading, its name alone; a name declared twice fills in declaration
+// order.
+func TestTableDeclarationOrder(t *testing.T) {
+	render := func(order []string) string {
+		tb := newTable("x", "demo", []string{"[head]", "a", "b", "a"}, []string{"v"})
+		for i, s := range order {
+			tb.Put(s, val(float64(i), f0))
+		}
+		j, err := json.Marshal(tb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tb.String() + tb.CSV() + string(j)
+	}
+	ab, ba := render([]string{"a", "b", "a"}), render([]string{"b", "a", "a"})
+	if ab == ba {
+		t.Fatal("the two fill orders carry different values but rendered alike")
+	}
+	want := "== x: demo ==\nseries  v\n[head]\na       0\nb       1\na       2\n" +
+		"series,v\n[head],\na,0\nb,1\na,2\n" +
+		`{"ID":"x","Title":"demo","Cols":["v"],"Rows":[{"Name":"[head]","Cells":null},` +
+		`{"Name":"a","Cells":["0"]},{"Name":"b","Cells":["1"]},{"Name":"a","Cells":["2"]}],"Notes":null}`
+	if ab != want {
+		t.Fatalf("render =\n%s\nwant\n%s", ab, want)
+	}
+	if !strings.HasPrefix(ba, "== x: demo ==\nseries  v\n[head]\na       1\nb       0\na       2\n") {
+		t.Fatalf("Put in another order moved the rows:\n%s", ba)
 	}
 }
 
@@ -58,9 +76,9 @@ func TestQueueingValidationShape(t *testing.T) {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
 	for _, r := range tb.Rows {
-		an := cell(t, tb, r.Name, 0)
-		sim := cell(t, tb, r.Name, 1)
-		if an <= 0 || sim <= 0 {
+		an := tb.Value(r.Name, "analyticMs")
+		sim := tb.Value(r.Name, "simulatedMs")
+		if !(an > 0 && sim > 0) {
 			t.Fatalf("%s: non-positive latencies %v/%v", r.Name, an, sim)
 		}
 		// The analytic model must stay within 50%% of the simulator.
@@ -97,16 +115,8 @@ func TestTable1Shape(t *testing.T) {
 func TestFig2aShape(t *testing.T) {
 	tb := Fig2a(quick)
 	// MNIST fits everywhere; Bert must be unloadable at small memory.
-	mnistOK := false
-	bertX := false
-	for _, r := range tb.Rows {
-		if r.Name == "MNIST" && r.Cells[0] != "x" {
-			mnistOK = true
-		}
-		if r.Name == "Bert-v1" && r.Cells[0] == "x" {
-			bertX = true
-		}
-	}
+	mnistOK := !math.IsNaN(tb.Value("MNIST", tb.Cols[0]))
+	bertX := math.IsNaN(tb.Value("Bert-v1", tb.Cols[0]))
 	if !mnistOK || !bertX {
 		t.Errorf("fig2a heatmap shape wrong: mnistOK=%v bertX=%v", mnistOK, bertX)
 	}
@@ -128,14 +138,14 @@ func TestFig2cShape(t *testing.T) {
 
 func TestFig3aShape(t *testing.T) {
 	tb := Fig3a(quick)
-	inv1 := cell(t, tb, "one-to-one", 1)
-	inv4 := cell(t, tb, "otp-batch4", 1)
-	if inv4 >= inv1 {
+	inv1 := tb.Value("one-to-one", "invocations")
+	inv4 := tb.Value("otp-batch4", "invocations")
+	if !(inv4 < inv1) {
 		t.Errorf("OTP batching should reduce invocations: %v vs %v", inv4, inv1)
 	}
-	mem1 := cell(t, tb, "one-to-one", 3)
-	mem4 := cell(t, tb, "otp-batch4", 3)
-	if mem4 >= mem1 {
+	mem1 := tb.Value("one-to-one", "memGB.s")
+	mem4 := tb.Value("otp-batch4", "memGB.s")
+	if !(mem4 < mem1) {
 		t.Errorf("OTP batching should reduce memory GB.s: %v vs %v", mem4, mem1)
 	}
 }
@@ -145,13 +155,12 @@ func TestFig7Shape(t *testing.T) {
 	// The dominant ResNet-50 row must be Conv2D with > 90% share.
 	for i, r := range tb.Rows {
 		if strings.Contains(r.Name, "[ResNet-50]") {
-			next := tb.Rows[i+1]
-			if !strings.Contains(next.Name, "Conv2D") {
-				t.Fatalf("ResNet-50 dominant op = %s", next.Name)
+			next := tb.Rows[i+1].Name
+			if !strings.Contains(next, "Conv2D") {
+				t.Fatalf("ResNet-50 dominant op = %s", next)
 			}
-			share := strings.TrimSuffix(next.Cells[1], "%")
-			if v, _ := strconv.ParseFloat(share, 64); v < 90 {
-				t.Fatalf("Conv2D share = %v%%, want > 90", v)
+			if v := tb.Value(next, "timeShare"); !(v >= 0.90) {
+				t.Fatalf("Conv2D share = %v%%, want > 90", 100*v)
 			}
 			return
 		}
@@ -166,31 +175,30 @@ func TestFig8Shape(t *testing.T) {
 	// higher, since COP's max-over-branches ignores contention.
 	strict := map[string]bool{"ResNet-50": true, "MobileNet": true, "LSTM-2365": true}
 	for _, r := range tb.Rows {
-		mean := cell(t, tb, r.Name, 0)
-		limit := 15.0
+		mean := tb.Value(r.Name, "meanErr")
+		limit := 0.15
 		if strict[r.Name] {
-			limit = 10.0
+			limit = 0.10
 		}
-		if mean > limit {
-			t.Errorf("%s mean prediction error %v%% exceeds %v%%", r.Name, mean, limit)
+		if !(mean <= limit) {
+			t.Errorf("%s mean prediction error %.1f%% exceeds %v%%", r.Name, 100*mean, 100*limit)
 		}
 	}
 }
 
 func TestFig16Shape(t *testing.T) {
 	tb := Fig16(quick)
-	hhp := cell(t, tb, "hhp", 3)
-	lsth := cell(t, tb, "lsth-0.5", 3)
-	if lsth >= hhp {
-		t.Errorf("LSTH mean cold rate %v%% should beat HHP %v%%", lsth, hhp)
+	hhp := tb.Value("hhp", "meanCold")
+	lsth := tb.Value("lsth-0.5", "meanCold")
+	if !(lsth < hhp) {
+		t.Errorf("LSTH mean cold rate %.1f%% should beat HHP %.1f%%", 100*lsth, 100*hhp)
 	}
 }
 
 func TestFig17aShape(t *testing.T) {
 	tb := Fig17a(quick)
 	for _, r := range tb.Rows {
-		per := cell(t, tb, r.Name, 1)
-		if per > 500 {
+		if per := tb.Value(r.Name, "perInstanceUs"); !(per <= 500) {
 			t.Errorf("%s: %vus per instance exceeds the paper's 0.5ms", r.Name, per)
 		}
 	}
@@ -198,24 +206,24 @@ func TestFig17aShape(t *testing.T) {
 
 func TestFig17bShape(t *testing.T) {
 	tb := Fig17b(quick)
-	inf := cell(t, tb, "infless", 0)
-	batch := cell(t, tb, "batch", 0)
-	batchRS := cell(t, tb, "batch+rs", 0)
-	if inf >= batch {
-		t.Errorf("INFless fragmentation %v%% should beat BATCH %v%%", inf, batch)
+	inf := tb.Value("infless", "fragment")
+	batch := tb.Value("batch", "fragment")
+	batchRS := tb.Value("batch+rs", "fragment")
+	if !(inf < batch) {
+		t.Errorf("INFless fragmentation %v should beat BATCH %v", inf, batch)
 	}
-	if batchRS > batch {
-		t.Errorf("BATCH+RS %v%% should not exceed BATCH %v%%", batchRS, batch)
+	if !(batchRS <= batch) {
+		t.Errorf("BATCH+RS %v should not exceed BATCH %v", batchRS, batch)
 	}
 }
 
 func TestFig18aShape(t *testing.T) {
 	tb := Fig18a(quick)
 	for _, r := range tb.Rows {
-		vi := cell(t, tb, r.Name, 0)
-		vb := cell(t, tb, r.Name, 1)
-		vo := cell(t, tb, r.Name, 2)
-		if vi <= vb || vi <= vo {
+		vi := tb.Value(r.Name, "infless")
+		vb := tb.Value(r.Name, "batch")
+		vo := tb.Value(r.Name, "openfaas+")
+		if !(vi > vb && vi > vo) {
 			t.Errorf("%s: INFless %v should beat BATCH %v and OpenFaaS+ %v", r.Name, vi, vb, vo)
 		}
 	}
@@ -223,9 +231,9 @@ func TestFig18aShape(t *testing.T) {
 
 func TestFig18bShape(t *testing.T) {
 	tb := Fig18b(quick)
-	first := cell(t, tb, tb.Rows[0].Name, 0)
-	last := cell(t, tb, tb.Rows[len(tb.Rows)-1].Name, 0)
-	if last <= first {
+	first := tb.Value(tb.Rows[0].Name, "thpt/res")
+	last := tb.Value(tb.Rows[len(tb.Rows)-1].Name, "thpt/res")
+	if !(last > first) {
 		t.Errorf("relaxing the SLO should raise throughput/resource: %v -> %v", first, last)
 	}
 }
@@ -236,9 +244,9 @@ func TestFig3bShape(t *testing.T) {
 		t.Skip("slow stress test")
 	}
 	tb := Fig3b(quick)
-	one := cell(t, tb, "openfaas+", 0)
-	batch := cell(t, tb, "batch", 0)
-	inf := cell(t, tb, "infless", 0)
+	one := tb.Value("openfaas+", "goodput")
+	batch := tb.Value("batch", "goodput")
+	inf := tb.Value("infless", "goodput")
 	if !(one < batch && batch < inf) {
 		t.Errorf("fig3b ordering violated: %v, %v, %v", one, batch, inf)
 	}
@@ -249,12 +257,12 @@ func TestFig12aShape(t *testing.T) {
 		t.Skip("slow multi-trace comparison")
 	}
 	tb := Fig12a(quick)
-	for col := 0; col < 3; col++ {
-		inf := cell(t, tb, "infless", col)
-		batch := cell(t, tb, "batch", col)
-		ofp := cell(t, tb, "openfaas+", col)
-		if inf <= batch || inf <= ofp {
-			t.Errorf("col %d: INFless %v must beat BATCH %v and OpenFaaS+ %v", col, inf, batch, ofp)
+	for _, col := range tb.Cols {
+		inf := tb.Value("infless", col)
+		batch := tb.Value("batch", col)
+		ofp := tb.Value("openfaas+", col)
+		if !(inf > batch && inf > ofp) {
+			t.Errorf("%s: INFless %v must beat BATCH %v and OpenFaaS+ %v", col, inf, batch, ofp)
 		}
 	}
 }
@@ -264,9 +272,9 @@ func TestFig14Shape(t *testing.T) {
 		t.Skip("slow provisioning run")
 	}
 	tb := Fig14(quick)
-	batch := cell(t, tb, "batch", 2)
-	inf := cell(t, tb, "infless", 2)
-	if inf >= batch {
+	batch := tb.Value("batch", "areaWeighted.s")
+	inf := tb.Value("infless", "areaWeighted.s")
+	if !(inf < batch) {
 		t.Errorf("INFless provisioning area %v should be below BATCH %v", inf, batch)
 	}
 }
@@ -276,17 +284,17 @@ func TestFig11Shape(t *testing.T) {
 		t.Skip("slow stress suite")
 	}
 	tb := Fig11(quick)
-	inf := cell(t, tb, "infless", 0)
-	bb := cell(t, tb, "infless-bb", 0)
-	batch := cell(t, tb, "batch", 0)
-	rs := cell(t, tb, "infless-rs", 0)
-	if inf <= batch {
+	inf := tb.Value("infless", "OSVT")
+	bb := tb.Value("infless-bb", "OSVT")
+	batch := tb.Value("batch", "OSVT")
+	rs := tb.Value("infless-rs", "OSVT")
+	if !(inf > batch) {
 		t.Errorf("INFless OSVT goodput %v should beat BATCH %v", inf, batch)
 	}
-	if bb >= inf {
+	if !(bb < inf) {
 		t.Errorf("disabling batching should hurt: %v vs %v", bb, inf)
 	}
-	if rs >= inf {
+	if !(rs < inf) {
 		t.Errorf("disabling RS should hurt: %v vs %v", rs, inf)
 	}
 }
@@ -297,9 +305,9 @@ func TestFig15Shape(t *testing.T) {
 	}
 	tb := Fig15(quick)
 	// INFless must stay in single digits on every trace.
-	for col := 0; col < 3; col++ {
-		if v := cell(t, tb, "infless", col); v > 5 {
-			t.Errorf("INFless violation rate %v%% on trace col %d exceeds 5%%", v, col)
+	for _, col := range []string{"sporadic", "periodic", "bursty"} {
+		if v := tb.Value("infless", col); !(v <= 0.05) {
+			t.Errorf("INFless violation rate %.1f%% on the %s trace exceeds 5%%", 100*v, col)
 		}
 	}
 }

@@ -70,9 +70,9 @@ func controllerFor(system string) sim.Controller {
 	panic("bench: unknown system " + system)
 }
 
-// runScenario executes one system against functions with traces derived
-// from the given pattern.
-func runScenario(system string, fns []fnSpec, pattern string, dur time.Duration, opts Options, cfg sim.Config) *sim.Result {
+// runScenario executes one controller against functions with traces
+// derived from the given pattern.
+func runScenario(ctrl sim.Controller, fns []fnSpec, pattern string, dur time.Duration, opts Options, cfg sim.Config) *sim.Result {
 	opts.defaults()
 	cfg.Duration = dur
 	if cfg.Cluster == nil {
@@ -90,7 +90,7 @@ func runScenario(system string, fns []fnSpec, pattern string, dur time.Duration,
 			cfg.Storage = &st
 		}
 	}
-	e := sim.New(controllerFor(system), cfg)
+	e := sim.New(ctrl, cfg)
 	for i, fn := range fns {
 		var tr *workload.Trace
 		if pattern == "constant" {
@@ -134,24 +134,25 @@ func goodput(res *sim.Result, warmup time.Duration) float64 {
 func Fig3b(opts Options) *Table {
 	opts.defaults()
 	dur := opts.dur(40*time.Second, 2*time.Minute)
-	t := &Table{ID: "fig3b", Title: "Stress-test goodput, ResNet-20 (requests/s within SLO)",
-		Cols: []string{"goodput", "vsOneToOne"}}
+	systems := []string{"openfaas+", "batch", "infless"}
+	t := newTable("fig3b", "Stress-test goodput, ResNet-20 (requests/s within SLO)", systems,
+		[]string{"goodput", "vsOneToOne"})
 	// A deliberately small box (4 cores, 2 GPU units) so the offered load
 	// saturates every system and the comparison measures capacity.
 	fns := []fnSpec{{"resnet20", "ResNet-20", 200 * time.Millisecond, 20000}}
 	warmup := dur / 4
 	var base float64
-	for _, sys := range []string{"openfaas+", "batch", "infless"} {
+	for _, sys := range systems {
 		cfg := sim.Config{Cluster: cluster.New(cluster.Options{
 			Servers:   1,
 			PerServer: perf.Resources{CPU: 4, GPU: 2},
 		}), Warmup: warmup}
-		res := runScenario(sys, fns, "constant", dur, opts, cfg)
+		res := runScenario(controllerFor(sys), fns, "constant", dur, opts, cfg)
 		g := goodput(res, warmup)
 		if sys == "openfaas+" {
 			base = g
 		}
-		t.AddRow(sys, fmt.Sprintf("%.0f", g), fmt.Sprintf("%.2fx", g/base))
+		t.Put(sys, val(g, f0), val(g/base, verb("%.2fx")))
 	}
 	t.Note("paper: OTP batching +30%% over Lambda; INFless ~3x over OTP batching")
 	return t
@@ -163,9 +164,9 @@ func Fig3b(opts Options) *Table {
 func Fig11(opts Options) *Table {
 	opts.defaults()
 	dur := opts.dur(40*time.Second, 2*time.Minute)
-	t := &Table{ID: "fig11", Title: "Max goodput under stress (requests/s within SLO)",
-		Cols: []string{"OSVT", "QA", "OSVTdrop", "QAdrop"}}
 	systems := []string{"openfaas+", "batch", "infless", "infless-bb", "infless-op1.5", "infless-op2", "infless-rs"}
+	t := newTable("fig11", "Max goodput under stress (requests/s within SLO)", systems,
+		[]string{"OSVT", "QA", "OSVTdrop", "QAdrop"})
 	var inflessOSVT, inflessQA float64
 	rows := map[string][2]float64{}
 	for _, sys := range systems {
@@ -173,9 +174,9 @@ func Fig11(opts Options) *Table {
 		// their stress test runs on a 2-server slice to keep the offered
 		// load (and the event count) tractable while still binding.
 		warmup := dur / 4
-		osvt := goodput(runScenario(sys, osvtFns(30000), "constant", dur, opts, sim.Config{Warmup: warmup}), warmup)
+		osvt := goodput(runScenario(controllerFor(sys), osvtFns(30000), "constant", dur, opts, sim.Config{Warmup: warmup}), warmup)
 		qaCfg := sim.Config{Cluster: cluster.New(cluster.Options{Servers: 4}), Warmup: warmup}
-		qa := goodput(runScenario(sys, qaFns(15000), "constant", dur, opts, qaCfg), warmup)
+		qa := goodput(runScenario(controllerFor(sys), qaFns(15000), "constant", dur, opts, qaCfg), warmup)
 		rows[sys] = [2]float64{osvt, qa}
 		if sys == "infless" {
 			inflessOSVT, inflessQA = osvt, qa
@@ -183,8 +184,7 @@ func Fig11(opts Options) *Table {
 	}
 	for _, sys := range systems {
 		r := rows[sys]
-		t.AddRow(sys, fmt.Sprintf("%.0f", r[0]), fmt.Sprintf("%.0f", r[1]),
-			pct(1-r[0]/inflessOSVT), pct(1-r[1]/inflessQA))
+		t.Put(sys, val(r[0], f0), val(r[1], f0), val(1-r[0]/inflessOSVT, pct), val(1-r[1]/inflessQA, pct))
 	}
 	t.Note("drop columns: goodput loss relative to full INFless (paper: BB 45.6%%/60%%, OP2 35.4%%/34.3%%, RS 21.9%%/7%%)")
 	return t
@@ -197,27 +197,24 @@ func Fig12a(opts Options) *Table {
 	// The sporadic pattern has idle stretches of up to 4 hours; the run
 	// must span several of them to produce traffic at all.
 	dur := opts.dur(4*time.Hour, 24*time.Hour)
-	t := &Table{ID: "fig12a", Title: "Normalized throughput across production traces",
-		Cols: []string{"sporadic", "periodic", "bursty"}}
-	vals := map[string][]string{}
-	ratios := map[string][]float64{}
-	for _, sys := range []string{"infless", "batch", "openfaas+"} {
-		for _, pattern := range []string{"sporadic", "periodic", "bursty"} {
-			res := runScenario(sys, osvtFns(60), pattern, dur, opts, sim.Config{})
-			v := res.ThroughputPerResource()
-			vals[sys] = append(vals[sys], f2(v))
-			ratios[sys] = append(ratios[sys], v)
+	systems, patterns := []string{"infless", "batch", "openfaas+"}, []string{"sporadic", "periodic", "bursty"}
+	t := newTable("fig12a", "Normalized throughput across production traces", systems, patterns)
+	vals := map[string][]cell{}
+	for _, sys := range systems {
+		for _, pattern := range patterns {
+			res := runScenario(controllerFor(sys), osvtFns(60), pattern, dur, opts, sim.Config{})
+			vals[sys] = append(vals[sys], val(res.ThroughputPerResource(), f2))
 		}
 	}
-	for _, sys := range []string{"infless", "batch", "openfaas+"} {
-		t.AddRow(sys, vals[sys]...)
+	for _, sys := range systems {
+		t.Put(sys, vals[sys]...)
 	}
-	for i, pattern := range []string{"sporadic", "periodic", "bursty"} {
-		if ratios["batch"][i] == 0 || ratios["openfaas+"][i] == 0 {
+	for _, pattern := range patterns {
+		inf, batch, ofp := t.Value("infless", pattern), t.Value("batch", pattern), t.Value("openfaas+", pattern)
+		if batch == 0 || ofp == 0 {
 			continue
 		}
-		t.Note("%s: INFless %.1fx vs BATCH, %.1fx vs OpenFaaS+", pattern,
-			ratios["infless"][i]/ratios["batch"][i], ratios["infless"][i]/ratios["openfaas+"][i])
+		t.Note("%s: INFless %.1fx vs BATCH, %.1fx vs OpenFaaS+", pattern, inf/batch, inf/ofp)
 	}
 	return t
 }
@@ -226,9 +223,9 @@ func Fig12a(opts Options) *Table {
 func Fig12b(opts Options) *Table {
 	opts.defaults()
 	dur := opts.dur(30*time.Second, 2*time.Minute)
-	t := &Table{ID: "fig12b", Title: "Stress goodput per resource across latency SLOs (OSVT)",
-		Cols: []string{"infless", "batch", "ratio"}}
 	slos := []time.Duration{100, 200, 300, 400, 500}
+	t := newTable("fig12b", "Stress goodput per resource across latency SLOs (OSVT)", labels("slo=%dms", slos),
+		[]string{"infless", "batch", "ratio"})
 	points := make([][2]float64, len(slos))
 	opts.parallelFor(len(slos), func(i int) {
 		sloDur := slos[i] * time.Millisecond
@@ -238,7 +235,7 @@ func Fig12b(opts Options) *Table {
 		}
 		run := func(sys string) float64 {
 			warmup := dur / 4
-			res := runScenario(sys, fns, "constant", dur, opts, sim.Config{Warmup: warmup})
+			res := runScenario(controllerFor(sys), fns, "constant", dur, opts, sim.Config{Warmup: warmup})
 			used := res.Telemetry.Resources.WeightedSeconds
 			if used <= 0 {
 				return 0
@@ -247,9 +244,9 @@ func Fig12b(opts Options) *Table {
 		}
 		points[i] = [2]float64{run("infless"), run("batch")}
 	})
-	for i, slo := range slos {
+	for i, r := range t.Rows {
 		vi, vb := points[i][0], points[i][1]
-		t.AddRow(fmt.Sprintf("slo=%v", slo*time.Millisecond), f2(vi), f2(vb), fmt.Sprintf("%.2fx", vi/vb))
+		t.Put(r.Name, val(vi, f2), val(vb, f2), val(vi/vb, verb("%.2fx")))
 	}
 	t.Note("paper: INFless 1.6x-3.5x over BATCH across SLOs")
 	return t
@@ -261,15 +258,16 @@ func Fig12b(opts Options) *Table {
 func Fig13(opts Options) *Table {
 	opts.defaults()
 	dur := opts.dur(8*time.Minute, 30*time.Minute)
-	t := &Table{ID: "fig13", Title: "Throughput share by batch size + instance configs (ResNet-50, SLO sweep)",
-		Cols: []string{"b=1", "b=2", "b=4", "b=8", "b=16", "b=32", "configs"}}
-	for _, sys := range []string{"infless", "batch"} {
+	systems := []string{"infless", "batch"}
+	t := newTable("fig13", "Throughput share by batch size + instance configs (ResNet-50, SLO sweep)", systems,
+		[]string{"b=1", "b=2", "b=4", "b=8", "b=16", "b=32", "configs"})
+	for _, sys := range systems {
 		batchServed := map[int]uint64{}
 		configs := map[string]bool{}
 		var total uint64
 		for _, sloMs := range []time.Duration{150, 200, 250, 300, 350} {
 			fns := []fnSpec{{"resnet", "ResNet-50", sloMs * time.Millisecond, 1500}}
-			res := runScenario(sys, fns, "bursty", dur, opts, sim.Config{})
+			res := runScenario(controllerFor(sys), fns, "bursty", dur, opts, sim.Config{})
 			for used, cnt := range res.Telemetry.Functions[0].BatchServed {
 				batchServed[nearestPow2(used)] += cnt
 				total += cnt
@@ -278,16 +276,15 @@ func Fig13(opts Options) *Table {
 				configs[c] = true
 			}
 		}
-		cells := make([]string, 0, 7)
+		cells := make([]cell, 0, 7)
 		for _, b := range []int{1, 2, 4, 8, 16, 32} {
 			if total == 0 {
-				cells = append(cells, "-")
+				cells = append(cells, text("-"))
 			} else {
-				cells = append(cells, pct(float64(batchServed[b])/float64(total)))
+				cells = append(cells, val(float64(batchServed[b])/float64(total), pct))
 			}
 		}
-		cells = append(cells, fmt.Sprintf("%d distinct", len(configs)))
-		t.AddRow(sys, cells...)
+		t.Put(sys, append(cells, val(float64(len(configs)), verb("%.0f distinct")))...)
 	}
 	t.Note("paper: BATCH concentrates on 2 batch sizes / 3 configs; INFless mixes batch sizes and many configs")
 	return t
@@ -322,10 +319,11 @@ func Fig14(opts Options) *Table {
 			tr.RPS[i] = 0 // tail idle: keep-alive policies differ most here
 		}
 	}
-	t := &Table{ID: "fig14", Title: "Provisioned resources over a ramp load (ResNet-50)",
-		Cols: []string{"meanWeighted", "peakWeighted", "areaWeighted.s"}}
+	systems := []string{"batch", "infless"}
+	t := newTable("fig14", "Provisioned resources over a ramp load (ResNet-50)", systems,
+		[]string{"meanWeighted", "peakWeighted", "areaWeighted.s"})
 	var areas []float64
-	for _, sys := range []string{"batch", "infless"} {
+	for _, sys := range systems {
 		e := sim.New(controllerFor(sys), sim.Config{
 			Cluster: cluster.Testbed(), Duration: dur, Seed: opts.Seed,
 			Collector: telemetry.New(telemetry.Options{ResourceSampleEvery: 15 * time.Second}),
@@ -344,7 +342,7 @@ func Fig14(opts Options) *Table {
 		}
 		area := used.WeightedSeconds
 		areas = append(areas, area)
-		t.AddRow(sys, f2(mean), f2(peak), fmt.Sprintf("%.0f", area))
+		t.Put(sys, val(mean, f2), val(peak, f2), val(area, f0))
 	}
 	if len(areas) == 2 && areas[0] > 0 {
 		t.Note("INFless provisions %.0f%% less resource-time than BATCH (paper: ~60%%)", 100*(1-areas[1]/areas[0]))
@@ -357,24 +355,26 @@ func Fig14(opts Options) *Table {
 func Fig15(opts Options) *Table {
 	opts.defaults()
 	dur := opts.dur(4*time.Hour, 24*time.Hour) // sporadic traffic needs hours to appear
-	t := &Table{ID: "fig15", Title: "SLO violation rate per trace + INFless latency breakdown",
-		Cols: []string{"sporadic", "periodic", "bursty"}}
-	for _, sys := range []string{"infless", "batch", "openfaas+"} {
-		var cells []string
-		for _, pattern := range []string{"sporadic", "periodic", "bursty"} {
-			res := runScenario(sys, osvtFns(60), pattern, dur, opts, sim.Config{})
-			cells = append(cells, pct(res.ViolationRate()))
-		}
-		t.AddRow(sys, cells...)
-	}
+	systems, patterns := []string{"infless", "batch", "openfaas+"}, []string{"sporadic", "periodic", "bursty"}
 	// Breakdown at SLO 150ms and 350ms (Figure 15 b/c).
-	for _, slo := range []time.Duration{150 * time.Millisecond, 350 * time.Millisecond} {
+	breakdowns := []time.Duration{150 * time.Millisecond, 350 * time.Millisecond}
+	t := newTable("fig15", "SLO violation rate per trace + INFless latency breakdown",
+		append(systems, labels("breakdown@%v", breakdowns)...), patterns)
+	for _, sys := range systems {
+		var cells []cell
+		for _, pattern := range patterns {
+			res := runScenario(controllerFor(sys), osvtFns(60), pattern, dur, opts, sim.Config{})
+			cells = append(cells, val(res.ViolationRate(), pct))
+		}
+		t.Put(sys, cells...)
+	}
+	for _, slo := range breakdowns {
 		fns := osvtFns(150)
 		for i := range fns {
 			fns[i].slo = slo
 		}
 		col := telemetry.New(telemetry.Options{})
-		runScenario("infless", fns, "constant", opts.dur(40*time.Second, 2*time.Minute), opts, sim.Config{Collector: col})
+		runScenario(controllerFor("infless"), fns, "constant", opts.dur(40*time.Second, 2*time.Minute), opts, sim.Config{Collector: col})
 		var cold, queue, exec time.Duration
 		var n time.Duration
 		for _, fn := range fns {
@@ -384,8 +384,8 @@ func Fig15(opts Options) *Table {
 			exec += x
 			n++
 		}
-		t.AddRow(fmt.Sprintf("breakdown@%v", slo),
-			"cold="+ms(cold/n)+"ms", "queue="+ms(queue/n)+"ms", "exec="+ms(exec/n)+"ms")
+		t.Put(fmt.Sprintf("breakdown@%v", slo), val(ms(cold/n), verb("cold=%.1fms")),
+			val(ms(queue/n), verb("queue=%.1fms")), val(ms(exec/n), verb("exec=%.1fms")))
 	}
 	t.Note("paper: INFless <= 3.1%% violations on average; queueing time regulated to roughly equal execution time")
 	return t
@@ -431,58 +431,65 @@ func coldStartTraces(seed int64, days int) map[string][]time.Duration {
 	}
 }
 
-// Fig16 replays low-rate invocation traces against the cold-start
-// policies (fixed keep-alive, HHP, LSTH with gamma in {0.3, 0.5, 0.7}).
-func Fig16(opts Options) *Table {
+// coldRow is one cold-start policy of fig16 and fig16t.
+type coldRow struct {
+	name    string
+	policy  func() coldstart.Policy
+	preload bool
+}
+
+// coldStartTable replays each row's policy, one row per worker, over the
+// three coldStartTraces: the cold rate per trace, then the means of the
+// cold rate, the waste per invocation and, where cols has room, the
+// startup delay.
+func coldStartTable(opts Options, id, title string, rows []coldRow, cols []string) *Table {
 	opts.defaults()
 	days := 3
 	if opts.Quick {
 		days = 2
 	}
-	t := &Table{ID: "fig16", Title: "Cold-start rate / idle waste per invocation",
-		Cols: []string{"sporadic", "periodic", "bursty", "meanCold", "meanWaste.s"}}
-
 	arrivalSets := coldStartTraces(opts.Seed, days)
-	lsth := func(gamma float64) func() coldstart.Policy {
-		return func() coldstart.Policy { return coldstart.NewLSTH(coldstart.LSTHOptions{Gamma: gamma}) }
+	var names []string
+	for _, r := range rows {
+		names = append(names, r.name)
 	}
-	policies := []struct {
-		name   string
-		policy func() coldstart.Policy
-	}{
-		{"fixed-300s", func() coldstart.Policy { return coldstart.Fixed{KeepAlive: coldstart.DefaultFixedKeepAlive} }},
-		{"hhp", func() coldstart.Policy { return coldstart.NewHHP() }},
-		{"lsth-0.3", lsth(0.3)},
-		{"lsth-0.5", lsth(0.5)},
-		{"lsth-0.7", lsth(0.7)},
-	}
-	type polRow struct {
-		cells    []string
-		meanCold float64
-	}
-	rows := make([]polRow, len(policies))
-	opts.parallelFor(len(policies), func(i int) {
-		var cells []string
-		var coldSum, wasteSum float64
+	t := newTable(id, title, names, cols)
+	cells := make([][]cell, len(rows))
+	opts.parallelFor(len(rows), func(i int) {
+		var coldSum, wasteSum, startSum float64
 		for _, pattern := range []string{"sporadic", "periodic", "bursty"} {
-			p := coldstart.LegacyTier(policies[i].policy())
-			r := coldstart.Evaluate(p, artifact.Default(), checkpointMB, false, arrivalSets[pattern])
-			cells = append(cells, pct(r.ColdRate()))
+			r := coldstart.Evaluate(rows[i].policy(), artifact.Default(), checkpointMB, rows[i].preload, arrivalSets[pattern])
+			cells[i] = append(cells[i], val(r.ColdRate(), pct))
 			coldSum += r.ColdRate()
 			wasteSum += r.WastePerInvocation().Seconds()
+			startSum += ms(r.MeanStartup())
 		}
-		meanCold := coldSum / 3
-		cells = append(cells, pct(meanCold), fmt.Sprintf("%.1f", wasteSum/3))
-		rows[i] = polRow{cells: cells, meanCold: meanCold}
+		cells[i] = append(cells[i], val(coldSum/3, pct), val(wasteSum/3, f1), val(startSum/3, f0))
 	})
-	hhpCold := 0.0
-	for i, p := range policies {
-		if p.name == "hhp" {
-			hhpCold = rows[i].meanCold
-		}
-		t.AddRow(p.name, rows[i].cells...)
+	for i, r := range rows {
+		t.Put(r.name, cells[i][:len(cols)]...)
 	}
-	if hhpCold > 0 {
+	return t
+}
+
+// Fig16 replays low-rate invocation traces against the cold-start
+// policies (fixed keep-alive, HHP, LSTH with gamma in {0.3, 0.5, 0.7}),
+// each resting its artifact on SSD (the legacy shape).
+func Fig16(opts Options) *Table {
+	legacy := func(p func() coldstart.Policy) func() coldstart.Policy {
+		return func() coldstart.Policy { return coldstart.LegacyTier(p()) }
+	}
+	lsth := func(gamma float64) func() coldstart.Policy {
+		return legacy(func() coldstart.Policy { return coldstart.NewLSTH(coldstart.LSTHOptions{Gamma: gamma}) })
+	}
+	t := coldStartTable(opts, "fig16", "Cold-start rate / idle waste per invocation", []coldRow{
+		{"fixed-300s", legacy(func() coldstart.Policy { return coldstart.Fixed{KeepAlive: coldstart.DefaultFixedKeepAlive} }), false},
+		{"hhp", legacy(func() coldstart.Policy { return coldstart.NewHHP() }), false},
+		{"lsth-0.3", lsth(0.3), false},
+		{"lsth-0.5", lsth(0.5), false},
+		{"lsth-0.7", lsth(0.7), false},
+	}, []string{"sporadic", "periodic", "bursty", "meanCold", "meanWaste.s"})
+	if t.Value("hhp", "meanCold") > 0 {
 		t.Note("paper: LSTH reduces cold-start rate by 21.9%% vs HHP (measured above via meanCold) and idle waste by 24.3%%")
 		t.Note("waste here is the per-invocation policy replay; the system-level resource-waste reduction shows up as provisioning area in fig14")
 	}
@@ -498,54 +505,12 @@ func Fig16(opts Options) *Table {
 // fraction of a warm instance); startup is the mean start delay over
 // all invocations.
 func Fig16T(opts Options) *Table {
-	opts.defaults()
-	days := 3
-	if opts.Quick {
-		days = 2
-	}
-	t := &Table{ID: "fig16t", Title: "Cold-start 2.0: LSTH vs tiering vs tiering+pre-loading",
-		Cols: []string{"sporadic", "periodic", "bursty", "meanCold", "meanWaste.s", "meanStartup.ms"}}
-
-	arrivalSets := coldStartTraces(opts.Seed, days)
-	h := artifact.Default()
-	type variant struct {
-		name    string
-		policy  func() coldstart.Policy
-		preload bool
-	}
-	variants := []variant{
-		{"lsth", func() coldstart.Policy {
-			return coldstart.LegacyTier(coldstart.NewLSTH(coldstart.LSTHOptions{}))
-		}, false},
-		{"lsth+tier", func() coldstart.Policy {
-			return coldstart.NewLSTH(coldstart.LSTHOptions{})
-		}, false},
-		{"lsth+tier+preload", func() coldstart.Policy {
-			return coldstart.NewLSTH(coldstart.LSTHOptions{})
-		}, true},
-	}
-	type tierRow struct{ cells []string }
-	rows := make([]tierRow, len(variants))
-	opts.parallelFor(len(variants), func(i int) {
-		v := variants[i]
-		var cells []string
-		var coldSum, wasteSum, startSum float64
-		for _, pattern := range []string{"sporadic", "periodic", "bursty"} {
-			r := coldstart.Evaluate(v.policy(), h, checkpointMB, v.preload, arrivalSets[pattern])
-			cells = append(cells, pct(r.ColdRate()))
-			coldSum += r.ColdRate()
-			wasteSum += r.WastePerInvocation().Seconds()
-			startSum += float64(r.MeanStartup()) / float64(time.Millisecond)
-		}
-		cells = append(cells,
-			pct(coldSum/3),
-			fmt.Sprintf("%.1f", wasteSum/3),
-			fmt.Sprintf("%.0f", startSum/3))
-		rows[i] = tierRow{cells: cells}
-	})
-	for i, v := range variants {
-		t.AddRow(v.name, rows[i].cells...)
-	}
+	lsth := func() coldstart.Policy { return coldstart.NewLSTH(coldstart.LSTHOptions{}) }
+	t := coldStartTable(opts, "fig16t", "Cold-start 2.0: LSTH vs tiering vs tiering+pre-loading", []coldRow{
+		{"lsth", func() coldstart.Policy { return coldstart.LegacyTier(lsth()) }, false},
+		{"lsth+tier", lsth, false},
+		{"lsth+tier+preload", lsth, true},
+	}, []string{"sporadic", "periodic", "bursty", "meanCold", "meanWaste.s", "meanStartup.ms"})
 	t.Note("tiered LSTH holds instances fully warm only to the blended median and parks artifacts in DRAM through the tail")
 	t.Note("pre-loading covers post-pause arrivals from a warm peer's borrowed memory at DRAM-resume cost, no waste charge")
 	return t
@@ -557,26 +522,26 @@ func Fig16T(opts Options) *Table {
 func Table4(opts Options) *Table {
 	opts.defaults()
 	dur := opts.dur(20*time.Minute, 2*time.Hour)
-	t := &Table{ID: "table4", Title: "Computation cost comparison (periodic trace, OSVT)",
-		Cols: []string{"CPUs/100RPS", "GPUs/100RPS", "$/request"}}
+	t := newTable("table4", "Computation cost comparison (periodic trace, OSVT)",
+		[]string{"openfaas+", "aws-ec2-static", "batch", "infless"}, []string{"CPUs/100RPS", "GPUs/100RPS", "$/request"})
 	const (
 		cpuHour = 0.034
 		gpuHour = 2.5 // per physical GPU = 10 units
 	)
 	row := func(name string, cpuSecs, gpuUnitSecs, served float64, durSecs float64) {
 		if served == 0 {
-			t.AddRow(name, "-", "-", "-")
+			t.Put(name, text("-"), text("-"), text("-"))
 			return
 		}
 		rps := served / durSecs
 		cpus := cpuSecs / durSecs / (rps / 100)
 		gpus := gpuUnitSecs / 10 / durSecs / (rps / 100)
 		cost := (cpuSecs/3600*cpuHour + gpuUnitSecs/10/3600*gpuHour) / served
-		t.AddRow(name, f2(cpus), f2(gpus), fmt.Sprintf("%.2e", cost))
+		t.Put(name, val(cpus, f2), val(gpus, f2), val(cost, verb("%.2e")))
 	}
 	var peak float64
 	for _, sys := range []string{"openfaas+", "batch", "infless"} {
-		res := runScenario(sys, osvtFns(120), "periodic", dur, opts, sim.Config{})
+		res := runScenario(controllerFor(sys), osvtFns(120), "periodic", dur, opts, sim.Config{})
 		row(sys, res.Telemetry.Resources.CPUCoreSeconds, res.Telemetry.Resources.GPUUnitSeconds, float64(res.Served()), dur.Seconds())
 		if sys == "openfaas+" {
 			// EC2 static provisioning: hold peak-sized one-to-one capacity
@@ -600,18 +565,14 @@ func Table4(opts Options) *Table {
 func AlphaSweep(opts Options) *Table {
 	opts.defaults()
 	dur := opts.dur(15*time.Minute, time.Hour)
-	t := &Table{ID: "alpha", Title: "Dispatcher damping alpha: launches vs efficiency (bursty ResNet-50)",
-		Cols: []string{"launches", "thpt/res", "violation"}}
-	for _, alpha := range []float64{0.5, 0.7, 0.8, 0.9, 1.0} {
-		ctrl := core.New(core.Options{Alpha: alpha})
-		e := sim.New(ctrl, sim.Config{Cluster: cluster.Testbed(), Duration: dur, Seed: opts.Seed})
-		tr := workload.Bursty(workload.Options{Days: 1, Seed: opts.Seed, BaseRPS: 3000})
-		e.AddFunction(sim.FunctionSpec{Name: "resnet", Model: model.MustGet("ResNet-50"), SLO: 200 * time.Millisecond, Trace: tr})
-		res := e.Run()
-		t.AddRow(fmt.Sprintf("alpha=%.1f", alpha),
-			fmt.Sprintf("%d", res.Telemetry.Functions[0].Launches),
-			f2(res.ThroughputPerResource()),
-			pct(res.ViolationRate()))
+	alphas := []float64{0.5, 0.7, 0.8, 0.9, 1.0}
+	t := newTable("alpha", "Dispatcher damping alpha: launches vs efficiency (bursty ResNet-50)",
+		labels("alpha=%.1f", alphas), []string{"launches", "thpt/res", "violation"})
+	for _, alpha := range alphas {
+		fns := []fnSpec{{"resnet", "ResNet-50", 200 * time.Millisecond, 3000}}
+		res := runScenario(core.New(core.Options{Alpha: alpha}), fns, "bursty", dur, opts, sim.Config{})
+		t.Put(fmt.Sprintf("alpha=%.1f", alpha), val(float64(res.Telemetry.Functions[0].Launches), f0),
+			val(res.ThroughputPerResource(), f2), val(res.ViolationRate(), pct))
 	}
 	t.Note("low alpha scales in lazily (stable, wasteful); alpha=1 tracks r_low aggressively (oscillation risk)")
 	return t

@@ -18,36 +18,41 @@ import (
 
 // Table1 renders the model zoo.
 func Table1(opts Options) *Table {
-	t := &Table{ID: "table1", Title: "ML inference models (MLPerf + production services)",
-		Cols: []string{"params", "GFLOPs", "memMB", "ops", "classes", "description"}}
+	t := newTable("table1", "ML inference models (MLPerf + production services)", zooNames(),
+		[]string{"params", "GFLOPs", "memMB", "ops", "classes", "description"})
 	for _, m := range model.Table1() {
-		t.AddRow(m.Name,
-			fmt.Sprintf("%d", m.Params),
-			fmt.Sprintf("%.2f", m.GFLOPs),
-			fmt.Sprintf("%d", m.MemoryMB),
-			fmt.Sprintf("%d", m.OpCount()),
-			fmt.Sprintf("%d", m.DistinctClasses()),
-			m.Desc)
+		t.Put(m.Name, val(float64(m.Params), f0), val(m.GFLOPs, f2), val(float64(m.MemoryMB), f0),
+			val(float64(m.OpCount()), f0), val(float64(m.DistinctClasses()), f0), text(m.Desc))
 	}
 	return t
 }
 
-func lambdaHeatmap(id, title string, batch int) *Table {
-	t := &Table{ID: id, Title: title}
-	for _, mem := range baselines.LambdaMemorySizes {
-		t.Cols = append(t.Cols, fmt.Sprintf("%dMB", mem))
-	}
+// zooNames lists model.Table1's models in its order.
+func zooNames() []string {
+	var names []string
 	for _, m := range model.Table1() {
-		cells := make([]string, 0, len(baselines.LambdaMemorySizes))
+		names = append(names, m.Name)
+	}
+	return names
+}
+
+func lambdaHeatmap(id, title string, batch int) *Table {
+	var cols []string
+	for _, mem := range baselines.LambdaMemorySizes {
+		cols = append(cols, fmt.Sprintf("%dMB", mem))
+	}
+	t := newTable(id, title, zooNames(), cols)
+	for _, m := range model.Table1() {
+		cells := make([]cell, 0, len(baselines.LambdaMemorySizes))
 		for _, mem := range baselines.LambdaMemorySizes {
 			d, err := baselines.LambdaExecTime(m, mem, batch)
 			if err != nil {
-				cells = append(cells, "x")
+				cells = append(cells, text("x"))
 				continue
 			}
-			cells = append(cells, ms(d))
+			cells = append(cells, val(ms(d), f1))
 		}
-		t.AddRow(m.Name, cells...)
+		t.Put(m.Name, cells...)
 	}
 	t.Note("cells are invocation latency in ms; x = model does not fit in function memory")
 	return t
@@ -83,17 +88,17 @@ func Fig2b(opts Options) *Table {
 // that meets a 200 ms SLO versus the model's actual footprint.
 func Fig2c(opts Options) *Table {
 	opts.defaults()
-	t := &Table{ID: "fig2c", Title: "Memory over-provisioning to reach a 200ms SLO (batch 1)",
-		Cols: []string{"minMemMB", "actualMB", "overProv"}}
+	t := newTable("fig2c", "Memory over-provisioning to reach a 200ms SLO (batch 1)", zooNames(),
+		[]string{"minMemMB", "actualMB", "overProv"})
 	var sum float64
 	var n int
 	for _, m := range model.Table1() {
 		over, minMem, ok := baselines.LambdaOverProvisioning(m, 200*time.Millisecond, 1)
 		if !ok {
-			t.AddRow(m.Name, "-", fmt.Sprintf("%d", m.MemoryMB), "SLO unreachable")
+			t.Put(m.Name, text("-"), val(float64(m.MemoryMB), f0), text("SLO unreachable"))
 			continue
 		}
-		t.AddRow(m.Name, fmt.Sprintf("%d", minMem), fmt.Sprintf("%d", m.MemoryMB), pct(over))
+		t.Put(m.Name, val(float64(minMem), f0), val(float64(m.MemoryMB), f0), val(over, pct))
 		sum += over
 		n++
 	}
@@ -106,13 +111,11 @@ func Fig2c(opts Options) *Table {
 // Fig2d is the production SLO distribution of the local life service
 // website (static data reproduced from the paper).
 func Fig2d(opts Options) *Table {
-	t := &Table{ID: "fig2d", Title: "Latency SLO distribution across production models",
-		Cols: []string{"fraction"}}
-	t.AddRow("<50ms", "86.2%")
-	t.AddRow("50-200ms", "11.6%")
-	t.AddRow("200-500ms", "1.1%")
-	t.AddRow("500-1000ms", "0.6%")
-	t.AddRow(">1000ms", "0.3%")
+	bins := []string{"<50ms", "50-200ms", "200-500ms", "500-1000ms", ">1000ms"}
+	t := newTable("fig2d", "Latency SLO distribution across production models", bins, []string{"fraction"})
+	for i, share := range []float64{0.862, 0.116, 0.011, 0.006, 0.003} {
+		t.Put(bins[i], val(share, pct))
+	}
 	t.Note("static production data from the paper; drives the SLO choices of the synthetic workloads")
 	return t
 }
@@ -138,12 +141,12 @@ func Fig3a(opts Options) *Table {
 	one := baselines.ReplayOneToOne(arrivals, exec, 1024, keep, 1, 0)
 	otp := baselines.ReplayOneToOne(arrivals, exec4, 1024, keep, 4, 150*time.Millisecond)
 
-	t := &Table{ID: "fig3a", Title: "ResNet-20 under bursty load: one-to-one vs OTP batching (batch 4)",
-		Cols: []string{"requests", "invocations", "launches", "memGB.s"}}
-	t.AddRow("one-to-one", fmt.Sprintf("%d", one.Requests), fmt.Sprintf("%d", one.Invocations),
-		fmt.Sprintf("%d", one.Launches), fmt.Sprintf("%.0f", one.MemoryGBs))
-	t.AddRow("otp-batch4", fmt.Sprintf("%d", otp.Requests), fmt.Sprintf("%d", otp.Invocations),
-		fmt.Sprintf("%d", otp.Launches), fmt.Sprintf("%.0f", otp.MemoryGBs))
+	t := newTable("fig3a", "ResNet-20 under bursty load: one-to-one vs OTP batching (batch 4)",
+		[]string{"one-to-one", "otp-batch4"}, []string{"requests", "invocations", "launches", "memGB.s"})
+	for name, r := range map[string]baselines.InvocationStats{"one-to-one": one, "otp-batch4": otp} {
+		t.Put(name, val(float64(r.Requests), f0), val(float64(r.Invocations), f0),
+			val(float64(r.Launches), f0), val(r.MemoryGBs, f0))
+	}
 	if one.Invocations > 0 {
 		t.Note("invocations decline %.0f%% (paper: 72%%), launches decline %.0f%% (paper: 35%%)",
 			100*(1-float64(otp.Invocations)/float64(one.Invocations)),
@@ -155,23 +158,26 @@ func Fig3a(opts Options) *Table {
 // Fig7 reproduces the operator characterization: call counts and
 // execution-time shares for LSTM-2365 and ResNet-50.
 func Fig7(opts Options) *Table {
-	t := &Table{ID: "fig7", Title: "Operator calls and execution-time share",
-		Cols: []string{"calls", "timeShare"}}
+	var series []string
+	var cells [][]cell // nil for a model's heading, a section
 	res := perf.Resources{CPU: 4}
 	for _, name := range []string{"LSTM-2365", "ResNet-50"} {
 		m := model.MustGet(name)
-		t.AddRow(fmt.Sprintf("[%s] %d ops, %d classes", name, m.OpCount(), m.DistinctClasses()))
+		series = append(series, fmt.Sprintf("[%s] %d ops, %d classes", name, m.OpCount(), m.DistinctClasses()))
+		cells = append(cells, nil)
 		stats := m.TimeShareByClass(4, res)
 		calls := map[string]int{}
 		for _, s := range m.CallsPerClass() {
 			calls[s.Class] = s.Calls
 		}
-		for i, s := range stats {
-			if i >= 6 {
-				break // the paper highlights the dominant few
-			}
-			t.AddRow("  "+s.Class, fmt.Sprintf("%d", calls[s.Class]), pct(s.TimeShare))
+		for _, s := range stats[:min(len(stats), 6)] { // the paper highlights the dominant few
+			series = append(series, "  "+s.Class)
+			cells = append(cells, []cell{val(float64(calls[s.Class]), f0), val(s.TimeShare, pct)})
 		}
+	}
+	t := newTable("fig7", "Operator calls and execution-time share", series, []string{"calls", "timeShare"})
+	for i, name := range series {
+		t.Put(name, cells[i]...)
 	}
 	t.Note("LSTM-2365: MatMul called 81x, (Fused)MatMul dominates; ResNet-50: Conv2D > 95%% of time")
 	return t
@@ -184,10 +190,11 @@ func Fig8(opts Options) *Table {
 	db := profiler.NewDB(profiler.DefaultDBOptions())
 	pred := &profiler.Predictor{DB: db}
 	rng := rand.New(rand.NewSource(opts.Seed))
-	t := &Table{ID: "fig8", Title: "COP latency prediction error across configurations",
-		Cols: []string{"meanErr", "maxErr", "configs"}}
+	models := []string{"ResNet-50", "MobileNet", "LSTM-2365", "Bert-v1", "SSD", "TextCNN-69"}
+	t := newTable("fig8", "COP latency prediction error across configurations", models,
+		[]string{"meanErr", "maxErr", "configs"})
 	configs := []perf.Resources{{CPU: 1}, {CPU: 2}, {CPU: 4}, {CPU: 8}, {CPU: 16}, {GPU: 1}, {GPU: 2}, {GPU: 4}, {GPU: 8}, {CPU: 4, GPU: 2}}
-	for _, name := range []string{"ResNet-50", "MobileNet", "LSTM-2365", "Bert-v1", "SSD", "TextCNN-69"} {
+	for _, name := range models {
 		m := model.MustGet(name)
 		var sum, max float64
 		n := 0
@@ -203,7 +210,7 @@ func Fig8(opts Options) *Table {
 				n++
 			}
 		}
-		t.AddRow(name, pct(sum/float64(n)), pct(max), fmt.Sprintf("%d", n))
+		t.Put(name, val(sum/float64(n), pct), val(max, pct), val(float64(n), f0))
 	}
 	t.Note("paper reports mean errors of 8.6%% (ResNet-50), 7.8%% (MobileNet), 9.74%% (LSTM-2365); scheduling adds a 10%% safety offset")
 	return t

@@ -5,17 +5,15 @@ package bench
 // simulator — an accuracy experiment beyond the paper's own figures.
 
 import (
-	"fmt"
 	"time"
 
 	"github.com/tanklab/infless/internal/batching"
-	"github.com/tanklab/infless/internal/cluster"
 	"github.com/tanklab/infless/internal/model"
 	"github.com/tanklab/infless/internal/perf"
 	"github.com/tanklab/infless/internal/queueing"
 	"github.com/tanklab/infless/internal/scheduler"
 	"github.com/tanklab/infless/internal/sim"
-	"github.com/tanklab/infless/internal/workload"
+	"github.com/tanklab/infless/internal/telemetry"
 )
 
 // QueueingValidation compares the analytic mean response of one batch
@@ -23,8 +21,10 @@ import (
 func QueueingValidation(opts Options) *Table {
 	opts.defaults()
 	dur := opts.dur(2*time.Minute, 10*time.Minute)
-	t := &Table{ID: "queueing", Title: "Analytic batch-queueing model vs simulator (ResNet-50, b=8, fixed config)",
-		Cols: []string{"analyticMs", "simulatedMs", "relErr"}}
+	rates := []float64{30, 60, 120, 200}
+	series := labels("lambda=%v", rates)
+	t := newTable("queueing", "Analytic batch-queueing model vs simulator (ResNet-50, b=8, fixed config)", series,
+		[]string{"analyticMs", "simulatedMs", "relErr"})
 
 	m := model.MustGet("ResNet-50")
 	res := perf.Resources{CPU: 2, GPU: 1}
@@ -38,7 +38,7 @@ func QueueingValidation(opts Options) *Table {
 	}
 	cand := scheduler.Candidate{B: b, Res: res, TExec: texec, Bounds: bounds}
 
-	for _, lam := range []float64{30, 60, 120, 200} {
+	for i, lam := range rates {
 		an, err := queueing.Analyze(queueing.Params{
 			Lambda:  lam,
 			B:       b,
@@ -49,26 +49,15 @@ func QueueingValidation(opts Options) *Table {
 			panic(err)
 		}
 		// Simulator: a single fixed instance with the same parameters.
-		e := sim.New(&fixedController{cand: cand}, sim.Config{
-			Cluster:  cluster.Testbed(),
-			Duration: dur,
-			Seed:     opts.Seed,
-			Warmup:   10 * time.Second,
-		})
-		e.AddFunction(sim.FunctionSpec{
-			Name:  "station",
-			Model: m,
-			SLO:   slo,
-			Trace: workload.Constant(lam, dur, time.Minute),
-		})
-		e.Run()
-		simMean := e.Telemetry().Recorder("station").Mean()
+		col := telemetry.New(telemetry.Options{})
+		runScenario(&fixedController{cand: cand}, []fnSpec{{"station", m.Name, slo, lam}}, "constant", dur, opts,
+			sim.Config{Warmup: 10 * time.Second, Collector: col})
+		simMean := col.Recorder("station").Mean()
 		rel := 0.0
 		if simMean > 0 {
 			rel = (float64(an.MeanResponse) - float64(simMean)) / float64(simMean)
 		}
-		t.AddRow(fmt.Sprintf("lambda=%v", lam),
-			ms(an.MeanResponse), ms(simMean), fmt.Sprintf("%+.1f%%", 100*rel))
+		t.Put(series[i], val(ms(an.MeanResponse), f1), val(ms(simMean), f1), val(rel, percent("%+.1f%%")))
 	}
 	t.Note("the M[x]/D/1-style model is the analytic core of BATCH's controller; both worlds share texec=%v", texec.Round(time.Millisecond))
 	return t

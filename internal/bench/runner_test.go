@@ -51,15 +51,15 @@ func TestRunStreamOrdered(t *testing.T) {
 					exclusiveViolated.Store(true)
 				}
 				atomic.AddInt32(&running, -1)
-				tb := &Table{ID: fmt.Sprintf("exp%02d", i)}
-				tb.AddRow("seed", fmt.Sprintf("%d", o.Seed))
+				tb := newTable(fmt.Sprintf("exp%02d", i), "", []string{"seed"}, []string{"seed"})
+				tb.Put("seed", val(float64(o.Seed), f0))
 				return tb
 			},
 		}
 	}
 	var got []string
 	RunStream(exps, Options{Seed: 42}, 8, func(r RunResult) {
-		if r.Table.Rows[0].Cells[0] != "42" {
+		if r.Table.Value("seed", "seed") != 42 {
 			t.Fatalf("experiment %s ran with wrong options", r.Experiment.ID)
 		}
 		got = append(got, r.Table.ID)

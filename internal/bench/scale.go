@@ -73,11 +73,23 @@ func makeFixedSLOFunctions(n int, slo time.Duration, rng *rand.Rand) []scaleFunc
 	return out
 }
 
-// packInfless packs the functions onto the cluster with Algorithm 1 and
-// returns the absorbed RPS and total instances placed.
-func packInfless(fns []scaleFunction, cl *cluster.Cluster, sched scheduler.Options) (absorbed float64, instances int) {
+// packer packs functions onto a cluster and returns the absorbed RPS and
+// the instances placed.
+type packer func(fns []scaleFunction, cl *cluster.Cluster) (absorbed float64, instances int)
+
+// The uniform baselines of the large-scale experiments: BATCH picks one
+// configuration per function from a three-size ladder, OpenFaaS+ runs
+// batch 1 on the smallest.
+var (
+	batchLadder  = []perf.Resources{{CPU: 2, GPU: 1}, {CPU: 4, GPU: 2}, {CPU: 8, GPU: 4}}
+	batchSizes   = []int{1, 2, 4, 8, 16, 32}
+	packOpenFaaS = packUniform([]perf.Resources{{CPU: 2, GPU: 1}}, []int{1}, false)
+)
+
+// packInfless packs the functions onto the cluster with Algorithm 1.
+func packInfless(fns []scaleFunction, cl *cluster.Cluster) (absorbed float64, instances int) {
 	for _, sf := range fns {
-		plan := scheduler.BuildPlan(sf.fn, scalePred, sched)
+		plan := scheduler.BuildPlan(sf.fn, scalePred, scheduler.Options{})
 		placed, residual := plan.Schedule(sf.load, cl)
 		absorbed += sf.load - residual
 		instances += len(placed)
@@ -88,31 +100,24 @@ func packInfless(fns []scaleFunction, cl *cluster.Cluster, sched scheduler.Optio
 // packUniform packs functions BATCH- or OpenFaaS-style: a single uniform
 // configuration per function, placed first-fit (or best-fit when rs is
 // true — the BATCH+RS variant of Figure 17b).
-func packUniform(fns []scaleFunction, cl *cluster.Cluster, ladder []perf.Resources, batches []int, rs bool) (absorbed float64, instances int) {
-	for _, sf := range fns {
-		cand, ok := uniformCandidate(sf.fn, ladder, batches)
-		if !ok {
-			continue
+func packUniform(ladder []perf.Resources, batches []int, rs bool) packer {
+	return func(fns []scaleFunction, cl *cluster.Cluster) (absorbed float64, instances int) {
+		for _, sf := range fns {
+			cand, ok := uniformCandidate(sf.fn, ladder, batches)
+			if !ok {
+				continue
+			}
+			for remaining := sf.load; remaining > 0; remaining -= cand.Bounds.RUp {
+				server, fit := pickServer(cl, cand.Res, sf.fn.Model.MemoryMB, rs)
+				if !fit || cl.Allocate(server, cand.Res, sf.fn.Model.MemoryMB) != nil {
+					break
+				}
+				instances++
+				absorbed += min(cand.Bounds.RUp, remaining)
+			}
 		}
-		remaining := sf.load
-		for remaining > 0 {
-			server, fit := pickServer(cl, cand.Res, sf.fn.Model.MemoryMB, rs)
-			if !fit {
-				break
-			}
-			if err := cl.Allocate(server, cand.Res, sf.fn.Model.MemoryMB); err != nil {
-				break
-			}
-			instances++
-			served := cand.Bounds.RUp
-			if served > remaining {
-				served = remaining
-			}
-			absorbed += served
-			remaining -= cand.Bounds.RUp
-		}
+		return absorbed, instances
 	}
-	return absorbed, instances
 }
 
 func uniformCandidate(fn scheduler.Function, ladder []perf.Resources, batches []int) (scheduler.Candidate, bool) {
@@ -173,10 +178,10 @@ func Fig17a(opts Options) *Table {
 	if opts.Quick {
 		counts = []int{100, 1000, 4000}
 	}
-	t := &Table{ID: "fig17a", Title: "Scheduling overhead (wall clock, 2000 servers)",
-		Cols: []string{"totalMs", "perInstanceUs"}}
 	fn := scheduler.Function{Name: "resnet", Model: model.MustGet("ResNet-50"), SLO: 200 * time.Millisecond}
-	for _, n := range counts {
+	series := make([]string, len(counts))
+	rows := make([][]cell, len(counts))
+	for i, n := range counts {
 		plan := scheduler.BuildPlan(fn, scalePred, scheduler.Options{MaxInstancesPerCall: n})
 		cl := cluster.New(cluster.Options{Servers: 2000, Shards: opts.Shards})
 		start := time.Now()
@@ -184,12 +189,15 @@ func Fig17a(opts Options) *Table {
 		elapsed := time.Since(start)
 		placed := len(ds)
 		if placed == 0 {
-			t.AddRow(fmt.Sprintf("%d instances", n), "-", "-")
+			series[i], rows[i] = fmt.Sprintf("%d instances", n), []cell{text("-"), text("-")}
 			continue
 		}
-		t.AddRow(fmt.Sprintf("%d instances", placed),
-			fmt.Sprintf("%.1f", float64(elapsed)/float64(time.Millisecond)),
-			fmt.Sprintf("%.0f", float64(elapsed)/float64(time.Microsecond)/float64(placed)))
+		series[i] = fmt.Sprintf("%d instances", placed)
+		rows[i] = []cell{val(ms(elapsed), f1), val(float64(elapsed)/float64(time.Microsecond)/float64(placed), f0)}
+	}
+	t := newTable("fig17a", "Scheduling overhead (wall clock, 2000 servers)", series, []string{"totalMs", "perInstanceUs"})
+	for i, name := range series {
+		t.Put(name, rows[i]...)
 	}
 	t.Note("paper: ~0.5ms per instance; <1s for 10,000 concurrent requests")
 	return t
@@ -204,9 +212,15 @@ func Fig17b(opts Options) *Table {
 	if opts.Quick {
 		servers, nFuncs = 200, 20
 	}
-	t := &Table{ID: "fig17b", Title: "Resource fragment ratio (large-scale packing)",
-		Cols: []string{"fragment", "absorbedRPS", "instances"}}
-	mk := func() (*cluster.Cluster, []scaleFunction) {
+	t := newTable("fig17b", "Resource fragment ratio (large-scale packing)",
+		[]string{"infless", "batch+rs", "batch", "openfaas+"}, []string{"fragment", "absorbedRPS", "instances"})
+	packers := map[string]packer{
+		"infless":   packInfless,
+		"batch+rs":  packUniform(batchLadder, batchSizes, true),
+		"batch":     packUniform(batchLadder, batchSizes, false),
+		"openfaas+": packOpenFaaS,
+	}
+	for sys, pack := range packers { // each packs a cluster of its own: order is free
 		rng := rand.New(rand.NewSource(opts.Seed))
 		fns := makeFunctions(nFuncs, 150*time.Millisecond, rng)
 		// A moderate operating point (~40%% of capacity): placement policy
@@ -214,26 +228,10 @@ func Fig17b(opts Options) *Table {
 		for i := range fns {
 			fns[i].load *= 4
 		}
-		return cluster.New(cluster.Options{Servers: servers, Shards: opts.Shards}), fns
+		cl := cluster.New(cluster.Options{Servers: servers, Shards: opts.Shards})
+		abs, inst := pack(fns, cl)
+		t.Put(sys, val(cl.FragmentationRatio(), pct), val(abs, f0), val(float64(inst), f0))
 	}
-	ladder := []perf.Resources{{CPU: 2, GPU: 1}, {CPU: 4, GPU: 2}, {CPU: 8, GPU: 4}}
-	batches := []int{1, 2, 4, 8, 16, 32}
-
-	cl, fns := mk()
-	abs, inst := packInfless(fns, cl, scheduler.Options{})
-	t.AddRow("infless", pct(cl.FragmentationRatio()), fmt.Sprintf("%.0f", abs), fmt.Sprintf("%d", inst))
-
-	cl, fns = mk()
-	abs, inst = packUniform(fns, cl, ladder, batches, true)
-	t.AddRow("batch+rs", pct(cl.FragmentationRatio()), fmt.Sprintf("%.0f", abs), fmt.Sprintf("%d", inst))
-
-	cl, fns = mk()
-	abs, inst = packUniform(fns, cl, ladder, batches, false)
-	t.AddRow("batch", pct(cl.FragmentationRatio()), fmt.Sprintf("%.0f", abs), fmt.Sprintf("%d", inst))
-
-	cl, fns = mk()
-	abs, inst = packUniform(fns, cl, []perf.Resources{{CPU: 2, GPU: 1}}, []int{1}, false)
-	t.AddRow("openfaas+", pct(cl.FragmentationRatio()), fmt.Sprintf("%.0f", abs), fmt.Sprintf("%d", inst))
 
 	t.Note("paper: INFless ~15%%, lowest of the four; BATCH+RS < BATCH shows the scheduling algorithm generalizes")
 	return t
@@ -247,10 +245,9 @@ func Fig18a(opts Options) *Table {
 	if opts.Quick {
 		servers = 400
 	}
-	t := &Table{ID: "fig18a", Title: "Large-scale throughput per resource vs #functions",
-		Cols: []string{"infless", "batch", "openfaas+", "vsBatch", "vsOFP"}}
-	ladder := []perf.Resources{{CPU: 2, GPU: 1}, {CPU: 4, GPU: 2}, {CPU: 8, GPU: 4}}
 	counts := []int{10, 20, 30, 40}
+	t := newTable("fig18a", "Large-scale throughput per resource vs #functions", labels("%d funcs", counts),
+		[]string{"infless", "batch", "openfaas+", "vsBatch", "vsOFP"})
 	points := make([][3]float64, len(counts))
 	opts.parallelFor(len(counts), func(i int) {
 		n := counts[i]
@@ -262,33 +259,20 @@ func Fig18a(opts Options) *Table {
 			}
 			return fns
 		}
-		perRes := func(pack func(*cluster.Cluster, []scaleFunction) float64) float64 {
+		perRes := func(pack packer) float64 {
 			cl := cluster.New(cluster.Options{Servers: servers, Shards: opts.Shards})
-			abs := pack(cl, mk())
+			abs, _ := pack(mk(), cl)
 			w := cl.TotalAllocated().Weighted()
 			if w == 0 {
 				return 0
 			}
 			return abs / w
 		}
-		vi := perRes(func(cl *cluster.Cluster, fns []scaleFunction) float64 {
-			a, _ := packInfless(fns, cl, scheduler.Options{})
-			return a
-		})
-		vb := perRes(func(cl *cluster.Cluster, fns []scaleFunction) float64 {
-			a, _ := packUniform(fns, cl, ladder, []int{1, 2, 4, 8, 16, 32}, false)
-			return a
-		})
-		vo := perRes(func(cl *cluster.Cluster, fns []scaleFunction) float64 {
-			a, _ := packUniform(fns, cl, []perf.Resources{{CPU: 2, GPU: 1}}, []int{1}, false)
-			return a
-		})
-		points[i] = [3]float64{vi, vb, vo}
+		points[i] = [3]float64{perRes(packInfless), perRes(packUniform(batchLadder, batchSizes, false)), perRes(packOpenFaaS)}
 	})
-	for i, n := range counts {
+	for i, r := range t.Rows {
 		vi, vb, vo := points[i][0], points[i][1], points[i][2]
-		t.AddRow(fmt.Sprintf("%d funcs", n), f2(vi), f2(vb), f2(vo),
-			fmt.Sprintf("%.1fx", vi/vb), fmt.Sprintf("%.1fx", vi/vo))
+		t.Put(r.Name, val(vi, f2), val(vb, f2), val(vo, f2), val(vi/vb, verb("%.1fx")), val(vi/vo, verb("%.1fx")))
 	}
 	t.Note("paper: INFless 2.6x over BATCH and 4.2x over OpenFaaS+ at scale")
 	return t
@@ -301,9 +285,9 @@ func Fig18b(opts Options) *Table {
 	if opts.Quick {
 		servers = 400
 	}
-	t := &Table{ID: "fig18b", Title: "Large-scale INFless throughput per resource vs SLO (20 functions)",
-		Cols: []string{"thpt/res", "normalized"}}
 	slos := []time.Duration{30, 50, 75, 100, 150, 300}
+	t := newTable("fig18b", "Large-scale INFless throughput per resource vs SLO (20 functions)",
+		labels("slo=%dms", slos), []string{"thpt/res", "normalized"})
 	vals := make([]float64, len(slos))
 	opts.parallelFor(len(slos), func(i int) {
 		rng := rand.New(rand.NewSource(opts.Seed))
@@ -312,7 +296,7 @@ func Fig18b(opts Options) *Table {
 			fns[j].load *= 4
 		}
 		cl := cluster.New(cluster.Options{Servers: servers, Shards: opts.Shards})
-		abs, _ := packInfless(fns, cl, scheduler.Options{})
+		abs, _ := packInfless(fns, cl)
 		w := cl.TotalAllocated().Weighted()
 		if w > 0 {
 			vals[i] = abs / w
@@ -321,7 +305,7 @@ func Fig18b(opts Options) *Table {
 	// Normalization against the first (nonzero) point happens after the
 	// fan-out so it never depends on completion order.
 	var first, last float64
-	for i, sloMs := range slos {
+	for i, r := range t.Rows {
 		v := vals[i]
 		if first == 0 {
 			first = v
@@ -330,7 +314,7 @@ func Fig18b(opts Options) *Table {
 		if first != 0 {
 			norm = v / first
 		}
-		t.AddRow(fmt.Sprintf("slo=%dms", sloMs), f2(v), f2(norm))
+		t.Put(r.Name, val(v, f2), val(norm, f2))
 		last = norm
 	}
 	t.Note("paper: relaxing 150ms -> 300ms lifts normalized throughput from 0.7 to 1.0 (here: 1.00 -> %.2f)", last)

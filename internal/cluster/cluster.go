@@ -217,8 +217,6 @@ func (c *Cluster) Server(id int) *Server {
 }
 
 // invalidServer panics on an id the cluster never produced.
-//
-//lint:coldpath
 func invalidServer(id int) { panic(fmt.Sprintf("cluster: invalid server id %d", id)) }
 
 // EachServer visits every server in ID order until visit returns false.
@@ -275,8 +273,6 @@ func (c *Cluster) Allocate(id int, res perf.Resources, memMB int) error {
 }
 
 // allocateError says why s cannot host res (+memMB).
-//
-//lint:coldpath
 func (s *Server) allocateError(res perf.Resources, memMB int) error {
 	switch {
 	case s.down:

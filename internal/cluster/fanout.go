@@ -10,7 +10,7 @@ package cluster
 // scheduler's TestShardedFitWorkersEquivalence drives it end to end).
 // The merge lives here, next to the shard layout, so the scheduler and
 // sim never grow a second copy of it (held by the singleDefs rows in
-// internal/analysis/registry_test.go).
+// internal/registry/registry_test.go).
 
 import (
 	"sync"
@@ -61,8 +61,6 @@ func (c *Cluster) NewFitPool(workers int) *FitPool {
 }
 
 // startFitPool starts workers (2 to the shard count) goroutines.
-//
-//lint:coldpath
 func (c *Cluster) startFitPool(workers int) *FitPool {
 	n := len(c.shards)
 	p := &FitPool{
@@ -145,6 +143,4 @@ func (p *FitPool) Close() {
 }
 
 // stopWorkers ends a pooled FitPool's workers, once.
-//
-//lint:coldpath
 func (p *FitPool) stopWorkers() { p.closing.Do(func() { close(p.jobs) }) }

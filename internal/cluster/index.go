@@ -149,8 +149,6 @@ func (ix *freeIndex) build(servers []*Server, base int, order *cellOrder) {
 }
 
 // insert files absent server id under free vector v.
-//
-//lint:hotpath
 func (ix *freeIndex) insert(id int32, v perf.Resources) {
 	cell := ix.order.cell(v)
 	ms := ix.members[cell]
@@ -167,8 +165,6 @@ func (ix *freeIndex) insert(id int32, v perf.Resources) {
 
 // open allocates a cell's bitmap the first time a server enters it; most
 // of a grid's vectors are never reached.
-//
-//lint:coldpath
 func (ix *freeIndex) open(cell int) []uint64 {
 	ix.members[cell] = make([]uint64, ix.words)
 	return ix.members[cell]
@@ -176,8 +172,6 @@ func (ix *freeIndex) open(cell int) []uint64 {
 
 // remove takes server id out of the cell of v, the vector it was filed
 // under.
-//
-//lint:hotpath
 func (ix *freeIndex) remove(id int32, v perf.Resources) {
 	cell := ix.order.cell(v)
 	i := uint(id - ix.base)
@@ -202,8 +196,6 @@ func (ix *freeIndex) remove(id int32, v perf.Resources) {
 }
 
 // move refiles present server id from vector from to vector to.
-//
-//lint:hotpath
 func (ix *freeIndex) move(id int32, from, to perf.Resources) {
 	ix.remove(id, from)
 	ix.insert(id, to)

@@ -418,20 +418,31 @@ func TestIndexEmptiesAndRefills(t *testing.T) {
 
 // TestAllocateReleaseDoNotAllocate pins the mutators' cost model: once a
 // cell's bitmap exists, moving a server between cells touches two bits
-// and allocates nothing.
+// and allocates nothing. A server alone in its shard empties each cell
+// it leaves, which is the index's highest on Allocate (prevBit finds the
+// next) and its lowest on Release (nextCell).
 func TestAllocateReleaseDoNotAllocate(t *testing.T) {
-	c := New(Options{Servers: 200, Shards: 4})
-	res := perf.Resources{CPU: 2, GPU: 3}
-	if err := c.Allocate(77, res, 1024); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		c.Release(77, res, 1024)
-		if err := c.Allocate(77, res, 1024); err != nil {
+	for _, tc := range []struct {
+		name string
+		opts Options
+		id   int
+	}{
+		{"among peers", Options{Servers: 200, Shards: 4}, 77},
+		{"alone in its shard", Options{Servers: 4, Shards: 4}, 2},
+	} {
+		c := New(tc.opts)
+		res := perf.Resources{CPU: 2, GPU: 3}
+		if err := c.Allocate(tc.id, res, 1024); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("Release+Allocate = %v allocs, want 0", allocs)
+		allocs := testing.AllocsPerRun(200, func() {
+			c.Release(tc.id, res, 1024)
+			if err := c.Allocate(tc.id, res, 1024); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: Release+Allocate = %v allocs, want 0", tc.name, allocs)
+		}
 	}
 }

@@ -70,8 +70,6 @@ func (c *Cluster) shardFor(id int) *shard {
 // winners in ascending range order with a strictly-less key comparison
 // reproduces the full-cluster answer, because every server id in a later
 // shard is greater than every id in an earlier one.
-//
-//lint:hotpath
 func (c *Cluster) BestFitShards(from, to int, res perf.Resources, memMB int) (id int, freeW float64, ok bool) {
 	minW := res.Weighted()
 	id = -1

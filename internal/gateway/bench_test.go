@@ -92,6 +92,9 @@ var raceEnabled bool
 // cancelable case is net/http's: every server request carries a
 // cancelCtx, whose Done channel is made on first use, so a caller that
 // waits on it allocates; one answered while it spins never asks for it.
+// The shed case holds the function at its queue bound, so every call is
+// refused (Engine.Refuse) and answered 429; an unknown function is a 404.
+// Both error answers are preformatted bodies.
 func TestServeHTTPInvokeDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops objects under the race detector")
@@ -106,13 +109,22 @@ func TestServeHTTPInvokeDoesNotAllocate(t *testing.T) {
 		t.Cleanup(cancel)
 		cancelable[i] = req.WithContext(ctx)
 	}
+	unknown := httptest.NewRequest(http.MethodPost, "/function/nope", nil)
+	f := gw.eng.Function("bench").CtrlState().(*function)
 	for _, c := range []struct {
-		name string
-		req  func(i int) *http.Request
+		name   string
+		req    func(i int) *http.Request
+		inside int // invocations the function holds: MaxQueue sheds
+		code   int
 	}{
-		{"background context", func(int) *http.Request { return req }},
-		{"cancelable context", func(i int) *http.Request { return cancelable[i] }},
+		{"background context", func(int) *http.Request { return req }, 0, http.StatusOK},
+		{"cancelable context", func(i int) *http.Request { return cancelable[i] }, 0, http.StatusOK},
+		{"shed at the queue bound", func(int) *http.Request { return req }, gw.cfg.MaxQueue, http.StatusTooManyRequests},
+		{"unknown function", func(int) *http.Request { return unknown }, 0, http.StatusNotFound},
 	} {
+		gw.mu.Lock()
+		f.inside = c.inside
+		gw.mu.Unlock()
 		w := &benchWriter{hdr: make(http.Header, 4)}
 		i := 0
 		allocs := testing.AllocsPerRun(runs, func() {
@@ -120,8 +132,8 @@ func TestServeHTTPInvokeDoesNotAllocate(t *testing.T) {
 			gw.ServeHTTP(w, c.req(i))
 			i++
 		})
-		if w.code != http.StatusOK {
-			t.Fatalf("%s: status = %d", c.name, w.code)
+		if w.code != c.code {
+			t.Fatalf("%s: status = %d, want %d", c.name, w.code, c.code)
 		}
 		if allocs != 0 {
 			t.Fatalf("%s: ServeHTTP allocates %.1f times per invocation, want 0", c.name, allocs)

@@ -43,8 +43,6 @@ func (c *reactive) BacklogHold(f *sim.FunctionState) time.Duration {
 // ramp starve and idle out. With no room anywhere the request waits in
 // the backlog and, unless an instance is warming already (one launch at
 // a time: no stampede), a scale-out is armed.
-//
-//lint:hotpath
 func (c *reactive) Route(e *sim.Engine, f *sim.FunctionState, _ *sim.Request) *sim.Instance {
 	var best *sim.Instance
 	warming := false
@@ -62,8 +60,6 @@ func (c *reactive) Route(e *sim.Engine, f *sim.FunctionState, _ *sim.Request) *s
 
 // armLaunch schedules the scale-out one debounce from the first
 // overflow, so the demand estimate has seen the whole request wave.
-//
-//lint:coldpath
 func (c *reactive) armLaunch(e *sim.Engine, f *sim.FunctionState) {
 	if st := f.CtrlState().(*function); !st.launch.Pending() {
 		st.launch = e.Clock().ScheduleAfter(launchDebounce, func() { c.scaleOut(e, f) })

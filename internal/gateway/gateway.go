@@ -209,8 +209,6 @@ func newServer(cfg Config, now func() time.Time) *Server {
 // mux's pattern matching, which costs a fifth of an in-process invocation
 // and allocates; the answer is the one the mux's route would give
 // (TestInvokeRouteMatchesMux).
-//
-//lint:hotpath
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if name, ok := canonicalInvoke(r); ok {
 		s.serveInvoke(w, r, name)
@@ -236,8 +234,6 @@ func canonicalInvoke(r *http.Request) (name string, ok bool) {
 
 // serveMux hands a request ServeHTTP does not route itself to the mux,
 // whose matching allocates.
-//
-//lint:coldpath
 func (s *Server) serveMux(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // Telemetry returns the gateway's collector: the single source behind
@@ -449,9 +445,8 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 
 // serveInvoke is the hot path: the engine round trip and a pooled
 // response encode. Steady state allocates nothing
-// (TestServeHTTPInvokeDoesNotAllocate; check.sh's gw_dispatch smoke
-// gates an in-process invocation at 1.2 B, and the hotalloc analyzer
-// names any allocating line reachable from ServeHTTP); every error
+// (TestServeHTTPInvokeDoesNotAllocate, its 429 shed included; check.sh's
+// gw_dispatch smoke gates an in-process invocation at 1.2 B); every error
 // answer is a preformatted body, and saturation maps to 429 + Retry-After
 // so clients can tell "back off" from "broken".
 func (s *Server) serveInvoke(w http.ResponseWriter, r *http.Request, name string) {
@@ -510,9 +505,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 // httpError is the generic error answer for control-surface handlers
 // and the invoke path's can't-happen default arm; it allocates freely
-// (fmt, reflective encode), hence the coldpath boundary.
-//
-//lint:coldpath
+// (fmt, reflective encode), off the allocation-free invoke path.
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }

@@ -109,7 +109,7 @@ func BucketUpper(b int) time.Duration {
 // Add records one duration.
 func (h *Histogram) Add(d time.Duration) {
 	if h.counts == nil {
-		//lint:ignore hotalloc a histogram's first Add only
+		// a histogram's first Add only
 		h.counts = make([]uint64, HistBuckets)
 	}
 	h.counts[bucketOf(d)]++

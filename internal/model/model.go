@@ -229,7 +229,7 @@ func DefaultExecOptions(rng *rand.Rand) ExecOptions {
 // inputs on res. This is what the simulator charges; the COP predictor in
 // internal/profiler must approximate it from operator profiles alone.
 func (m *Model) ExecTime(b int, res perf.Resources, opt ExecOptions) time.Duration {
-	//lint:ignore hotalloc the closure stays on the stack: execWith and evalNode only call it (the 0 allocs/op gate runs through here)
+	// the closure stays on the stack: execWith and evalNode only call it (the 0 allocs/op gate runs through here)
 	return m.execWith(func(o *Op) time.Duration {
 		return o.class.OpTime(o.GFLOPs, m.InputScale, b, res)
 	}, opt)

@@ -22,8 +22,6 @@ type RateEstimator struct {
 //
 // First-touch construction: a function's estimator is built once per
 // deployment, off the per-arrival path that reaches get().
-//
-//lint:coldpath
 func NewRateEstimator(window time.Duration) *RateEstimator {
 	n := int(window / time.Second)
 	if n < 1 {

@@ -208,8 +208,6 @@ func (p *Plan) Feasible() bool { return len(p.groups) > 0 }
 // scheduleOne fan across the cluster's shards on a bounded worker pool;
 // the pool lives for the duration of this call. The fan-out changes
 // wall-clock only, never decisions (TestShardedFitWorkersEquivalence).
-//
-//lint:hotpath
 func (p *Plan) Schedule(rps float64, cl *cluster.Cluster) (placed []Decision, residual float64) {
 	pool := cl.NewFitPool(p.opts.FitWorkers)
 	defer pool.Close()

@@ -308,26 +308,41 @@ func TestPropertyScheduleSound(t *testing.T) {
 // TestScheduleDoesNotAllocate pins the cost model of the scale-out
 // critical path (Figure 17a): with serial fit queries Schedule allocates
 // nothing — no pool, no sort closure, no per-query visitor, and no
-// result slice once the plan's buffer has grown to the call's size.
+// result slice once the plan's buffer has grown to the call's size —
+// on both placement paths, best fit and the RS ablation's first fit.
+// With FitWorkers > 1 each call starts and joins a worker pool: 7
+// allocations, plus one goroutine descriptor per worker when the
+// runtime has none free (7 to 9 from run to run). The ceiling of 9 may
+// only come down.
 func TestScheduleDoesNotAllocate(t *testing.T) {
-	for _, n := range []int{1, 8} {
-		p := BuildPlan(resnetFn(), testPred, Options{MaxInstancesPerCall: n})
+	for _, c := range []struct {
+		name   string
+		opts   Options
+		allocs float64 // ceiling per call
+	}{
+		{"MaxInstancesPerCall 1", Options{MaxInstancesPerCall: 1}, 0},
+		{"MaxInstancesPerCall 8", Options{MaxInstancesPerCall: 8}, 0},
+		{"DisableRS, first fit", Options{MaxInstancesPerCall: 8, DisableRS: true}, 0},
+		{"DisableRS, 2 fit workers", Options{MaxInstancesPerCall: 8, DisableRS: true, FitWorkers: 2}, 9},
+	} {
+		n := c.opts.MaxInstancesPerCall
+		p := BuildPlan(resnetFn(), testPred, c.opts)
 		cl := cluster.New(cluster.Options{Servers: 64, Shards: 4})
 		mem := p.Fn.Model.MemoryMB
 		if warm, _ := p.Schedule(1e6, cl); len(warm) != n { // leave n instances: later placements pack onto their servers
-			t.Fatalf("MaxInstancesPerCall %d: warm-up placed %d", n, len(warm))
+			t.Fatalf("%s: warm-up placed %d", c.name, len(warm))
 		}
 		allocs := testing.AllocsPerRun(200, func() {
 			placed, _ := p.Schedule(1e6, cl)
 			if len(placed) != n {
-				t.Fatalf("MaxInstancesPerCall %d: placed %d", n, len(placed))
+				t.Fatalf("%s: placed %d", c.name, len(placed))
 			}
 			for _, d := range placed {
 				cl.Release(d.Server, d.Res, mem)
 			}
 		})
-		if allocs != 0 {
-			t.Fatalf("MaxInstancesPerCall %d: Schedule = %v allocs, want 0", n, allocs)
+		if allocs > c.allocs {
+			t.Fatalf("%s: Schedule = %v allocs, want <= %v", c.name, allocs, c.allocs)
 		}
 	}
 }

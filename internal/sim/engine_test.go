@@ -404,29 +404,32 @@ func TestFlushPendingCompactsInPlace(t *testing.T) {
 // own: no closure per arrival (the chain re-arms one bound callback),
 // nothing in Stream.Next once its buffer holds the largest step, no
 // request or clock event past the free lists' fill (the requests that
-// back up behind the one cold start are most of what is left). None of the
-// //lint:hotpath seeds covers Run's arrival chain, so this is its guard.
+// back up behind the one cold start are most of what is left). It is the
+// guard of Run's arrival chain and of onBatchComplete; the admit case
+// adds SLO-aware admission (ProjectedViolation on every enqueue).
 // The bound sits under the ≈ 0.05 that one allocation per completed batch
 // reads here (a fmt.Sprint in onBatchComplete), against ≈ 0.019 without.
 func TestRunMallocsPerArrival(t *testing.T) {
-	ctrl := &manualController{cand: testCand(32, perf.Resources{CPU: 2}, 8*time.Millisecond, 200*time.Millisecond)}
-	e := New(ctrl, Config{Cluster: cluster.Testbed(), Duration: time.Minute, Seed: 1})
-	e.AddFunction(FunctionSpec{
-		Name:  "f",
-		Model: model.MustGet("MNIST"),
-		SLO:   200 * time.Millisecond,
-		Trace: workload.Constant(1000, time.Minute, time.Second),
-	})
-	var before, after goruntime.MemStats
-	goruntime.ReadMemStats(&before)
-	res := e.Run()
-	goruntime.ReadMemStats(&after)
-	arrived := res.Telemetry.Function("f").Arrived
-	if arrived < 50000 {
-		t.Fatalf("only %d arrivals", arrived)
-	}
-	if per := float64(after.Mallocs-before.Mallocs) / float64(arrived); per >= 0.03 {
-		t.Errorf("%.4f mallocs per arrival over %d arrivals, want < 0.03", per, arrived)
+	for _, admit := range []bool{false, true} {
+		ctrl := &manualController{cand: testCand(32, perf.Resources{CPU: 2}, 8*time.Millisecond, 200*time.Millisecond), admit: admit}
+		e := New(ctrl, Config{Cluster: cluster.Testbed(), Duration: time.Minute, Seed: 1})
+		e.AddFunction(FunctionSpec{
+			Name:  "f",
+			Model: model.MustGet("MNIST"),
+			SLO:   200 * time.Millisecond,
+			Trace: workload.Constant(1000, time.Minute, time.Second),
+		})
+		var before, after goruntime.MemStats
+		goruntime.ReadMemStats(&before)
+		res := e.Run()
+		goruntime.ReadMemStats(&after)
+		arrived := res.Telemetry.Function("f").Arrived
+		if arrived < 50000 {
+			t.Fatalf("admit %v: only %d arrivals", admit, arrived)
+		}
+		if per := float64(after.Mallocs-before.Mallocs) / float64(arrived); per >= 0.03 {
+			t.Errorf("admit %v: %.4f mallocs per arrival over %d arrivals, want < 0.03", admit, per, arrived)
+		}
 	}
 }
 

@@ -74,8 +74,6 @@ func (inst *Instance) AddCredit(delta, cap float64) {
 
 // Launch starts a new instance of f with candidate configuration cand on
 // server. It returns nil when the cluster cannot host the instance.
-//
-//lint:coldpath
 func (e *Engine) Launch(f *FunctionState, cand scheduler.Candidate, server int) *Instance {
 	if err := e.cfg.Cluster.Allocate(server, cand.Res, f.Spec.Model.MemoryMB); err != nil {
 		return nil
@@ -85,8 +83,6 @@ func (e *Engine) Launch(f *FunctionState, cand scheduler.Candidate, server int) 
 
 // LaunchPlaced starts an instance whose resources were already reserved
 // by scheduler.Plan.Schedule (which allocates as it packs).
-//
-//lint:coldpath
 func (e *Engine) LaunchPlaced(f *FunctionState, d scheduler.Decision) *Instance {
 	return e.launchAllocated(f, d.Candidate, d.Server)
 }
@@ -172,8 +168,6 @@ func (e *Engine) Retire(inst *Instance) {
 // failed server or an undeploy takes the instance mid-batch, then the
 // queued ones. Reclaiming twice is a no-op (failure injection can race
 // with keep-alive expiry).
-//
-//lint:coldpath
 func (e *Engine) Reclaim(inst *Instance) {
 	if inst.reclaimed {
 		return

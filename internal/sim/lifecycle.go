@@ -23,7 +23,7 @@ func (e *Engine) NewRequest() *Request {
 		r = e.freeReqs[n-1]
 		e.freeReqs = e.freeReqs[:n-1]
 	} else {
-		//lint:ignore hotalloc free-list miss: only until the list covers the requests in flight
+		// free-list miss: only until the list covers the requests in flight
 		r = new(Request)
 	}
 	now := e.clock.Now()
@@ -212,8 +212,6 @@ func (e *Engine) execTime(inst *Instance, n int) time.Duration {
 
 // onBatchComplete answers the batch inst was executing and moves the
 // instance on. It runs once per batch and must not allocate.
-//
-//lint:hotpath
 func (e *Engine) onBatchComplete(inst *Instance) {
 	f, batch, submittedAt, texec := inst.Fn, inst.batch, inst.submitted, inst.texec
 	var otpDelay time.Duration

@@ -55,8 +55,6 @@ func (e *Engine) Clock() *simclock.Clock { return e.clock }
 // reclaimed and every request it holds — executing, queued or backlogged
 // — is dropped now, so each is answered once and nothing of f stays on
 // the clock. f must not be part of a chain.
-//
-//lint:coldpath
 func (e *Engine) RemoveFunction(f *FunctionState) {
 	for len(f.instances) > 0 {
 		e.Reclaim(f.instances[0])

@@ -179,7 +179,7 @@ func (c *Clock) alloc(at Time, fn func()) *event {
 		c.free[n-1] = nil
 		c.free = c.free[:n-1]
 	} else {
-		//lint:ignore hotalloc free-list miss: only until the pool covers the standing event population
+		// free-list miss: only until the pool covers the standing event population
 		e = &event{clk: c}
 	}
 	e.at, e.fn, e.canceled = at, fn, false
@@ -201,7 +201,7 @@ func (c *Clock) recycle(e *event) {
 // panics: it indicates a logic error in the simulation, never valid input.
 func (c *Clock) ScheduleAt(at Time, fn func()) Timer {
 	if at < c.now {
-		//lint:ignore hotalloc the panic path
+		// the panic path
 		panic(fmt.Sprintf("simclock: schedule at %v before now %v", at, c.now))
 	}
 	e := c.alloc(at, fn)

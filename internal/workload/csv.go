@@ -76,10 +76,12 @@ func ReadCSV(r io.Reader, name string) (*Trace, error) {
 	if len(offsets) > 1 {
 		d := offsets[1] - offsets[0]
 		// Written as a range test so a NaN spacing fails it; the upper
-		// bound is the first float64 that overflows a Duration.
+		// bound keeps the whole trace, one step per row, inside a
+		// Duration (Trace.Duration).
 		ns := d * float64(time.Second)
-		if !(ns >= 1 && ns < 1<<63) {
-			return nil, fmt.Errorf("workload: line %d: offsets must ascend by a step between 1ns and ~292y, got %gs", lines[1], d)
+		if !(ns >= 1 && ns*float64(len(offsets)) < 1<<63) {
+			return nil, fmt.Errorf("workload: line %d: offsets must ascend by a step of at least 1ns, the %d rows spanning under ~292y, got %gs",
+				lines[1], len(offsets), d)
 		}
 		for i := 2; i < len(offsets); i++ {
 			if diff := offsets[i] - offsets[i-1]; diff != d {

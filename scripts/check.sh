@@ -28,19 +28,18 @@
 # 4.62 B at --seconds 1, plus the 3 % bound and a little room) and
 # sched_scale (its
 # booking audit passes and a placement stays under 1 B: Schedule
-# allocates nothing, its result lives in the plan's buffer) —
-# and infless-lint — the AST/types-based analyzer suite
-# (cmd/infless-lint): maporder keeps map order out of the deterministic
-# packages' output, and the whole-program hotalloc analyzer holds the
-# zero-alloc paths.
-# go vet runs ahead of it and is part of the same gate: its lostcancel
-# pass is the module's cancel-on-every-path check. The lint pass runs
-# the 2 analyzers one after the other, prints its measured wall time
-# and has a 60s budget so it stays cheap enough to run on every commit.
+# allocates nothing, its result lives in the plan's buffer).
+# go vet is part of the gate: its lostcancel pass is the module's
+# cancel-on-every-path check. In go test, the allocation tests hold the
+# zero-alloc paths (TestServeHTTPInvokeDoesNotAllocate, its 429 shed
+# included; TestScheduleDoesNotAllocate, best and first fit;
+# TestRunMallocsPerArrival; cluster.TestAllocateReleaseDoNotAllocate),
+# and a figure's table renders its series in declared order, so map
+# order cannot reach it (bench.Table).
 # The race pass doubles as the goroutine-leak gate: the NumGoroutine
 # settle-and-compare harnesses around Server.Close, FitPool.Close,
 # loadgen.Run and the bench runner ride the gateway/cluster/loadgen/bench
-# race runs. In go test, internal/analysis/registry_test.go holds every
+# race runs. In go test, internal/registry/registry_test.go holds every
 # `go` statement in the tree to a row naming the harness that joins it,
 # the lifecycle policies and placement index to one declaration each in
 # their home files, and sync.Pool to internal/pool.
@@ -58,15 +57,6 @@ echo "== go build"
 go build ./...
 echo "== go vet (incl. lostcancel: every context cancel runs on every path)"
 go vet ./...
-echo "== infless-lint (60s budget)"
-lint_start=$(date +%s)
-go run ./cmd/infless-lint ./...
-lint_elapsed=$(( $(date +%s) - lint_start ))
-echo "infless-lint: ${lint_elapsed}s"
-if [ "$lint_elapsed" -gt 60 ]; then
-	echo "FAIL: infless-lint exceeded its 60s budget (${lint_elapsed}s)"
-	exit 1
-fi
 echo "== go test"
 go test ./...
 echo "== fuzz smoke (3 targets x 5s: trace CSV, Azure CSV, function template)"
