@@ -1,11 +1,13 @@
 GO ?= go
 
-.PHONY: check build vet test race figures-check figures-update bench bench-compare
+.PHONY: check build vet test race bench bench-compare
 
 ## check: tier-1 gate — gofmt, build, vet, full tests (the registry
-## tables and the allocation tests among them), a fuzz smoke of the three
-## input parsers, a race pass on the shared runtime + gateway and the
-## benchmark smokes (see scripts/check.sh).
+## tables, the allocation tests and every figure's quick-mode digest in
+## internal/bench/testdata/figures.sha256 among them; a change meant to
+## move a figure rewrites its line with go test ./internal/bench -update),
+## a fuzz smoke of the three input parsers, a race pass on the shared
+## runtime + gateway and the benchmark smokes (see scripts/check.sh).
 check:
 	./scripts/check.sh
 
@@ -36,18 +38,6 @@ race:
 	$(GO) test -race ./internal/gateway/... ./internal/runtime/... ./internal/telemetry/... ./internal/sim/... ./internal/loadgen/... ./internal/core/... ./internal/pool/... ./internal/simclock/...
 	$(GO) test -race -short ./internal/cluster/ ./internal/scheduler/
 	$(GO) test -race -short -run 'TestRunStreamOrdered|TestParallelForCoversAllIndices|TestParallelAllDeterministic|TestRunnerLeavesNoGoroutines' ./internal/bench/
-
-## figures-check: render fig11, the paper's headline figure, in quick mode
-## at seed 1 and compare its table's SHA-256 with its line in
-## internal/bench/testdata/figures.sha256 (TestFig11Digest). The other
-## tables are checked by go test; fig11 alone takes ~15 s on a 2-core
-## host, so it stays out of scripts/check.sh and runs as its own CI job.
-## figures-update rewrites that line, for a change that means to move it.
-figures-check:
-	$(GO) test -count=1 -run '^TestFig11Digest$$' ./internal/bench/ -fig11
-
-figures-update:
-	$(GO) test -count=1 -run '^TestFig11Digest$$' ./internal/bench/ -fig11 -update
 
 ## bench: the repository's benchmark (BENCHMARK.json, benchmark/README.md),
 ## one workload after the other; the last line of each is its JSON result.

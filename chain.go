@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/tanklab/infless/internal/model"
+	"github.com/tanklab/infless/internal/scenario"
 )
 
 // ChainConfig declares an inference function chain (pipeline): each
@@ -24,22 +25,12 @@ type ChainConfig struct {
 	Traffic Traffic
 }
 
-// DeployChain registers a function chain; call before Run.
+// DeployChain registers a function chain; call before Run. Every stage
+// is checked before any is deployed, so a rejected chain leaves the
+// platform as it was.
 func (p *Platform) DeployChain(cfg ChainConfig) error {
-	if p.ran {
-		return fmt.Errorf("infless: platform already ran")
-	}
-	if cfg.Name == "" {
-		return fmt.Errorf("infless: chain needs a name")
-	}
-	if len(cfg.Models) < 2 {
-		return fmt.Errorf("infless: chain %s needs at least two stages", cfg.Name)
-	}
-	if cfg.SLO <= 0 {
-		return fmt.Errorf("infless: chain %s needs a positive SLO", cfg.Name)
-	}
-	if cfg.Traffic.RPS <= 0 {
-		return fmt.Errorf("infless: chain %s needs positive traffic", cfg.Name)
+	if err := cfg.validate(); err != nil {
+		return err
 	}
 
 	// Split 80% of the end-to-end SLO across stages proportionally to
@@ -53,47 +44,46 @@ func (p *Platform) DeployChain(cfg ChainConfig) error {
 	for i, name := range cfg.Models {
 		m := model.Get(name)
 		if m == nil {
-			return fmt.Errorf("infless: chain %s: unknown model %q", cfg.Name, name)
+			return &FieldError{"ChainConfig.Models", name, "unknown model (see infless.Models())"}
 		}
 		weights[i] = float64(m.MinExecTime(8))
 		sum += weights[i]
 	}
-	minShare := 0.10
 	stageSLOs := make([]time.Duration, len(cfg.Models))
 	var allocated time.Duration
-	for i := range weights {
-		share := weights[i] / sum
-		if share < minShare {
-			share = minShare
-		}
-		stageSLOs[i] = time.Duration(share * float64(cfg.SLO))
+	for i, w := range weights {
+		stageSLOs[i] = time.Duration(max(w/sum, 0.10) * float64(cfg.SLO))
 		allocated += stageSLOs[i]
 	}
 	// Normalize so stage budgets sum to 80% of the end-to-end target.
 	budget := time.Duration(0.8 * float64(cfg.SLO))
-	for i := range stageSLOs {
-		stageSLOs[i] = time.Duration(float64(stageSLOs[i]) * float64(budget) / float64(allocated))
-	}
-
+	stages := make([]scenario.Function, len(cfg.Models))
 	for i, name := range cfg.Models {
-		fc := FunctionConfig{
+		stageSLOs[i] = time.Duration(float64(stageSLOs[i]) * float64(budget) / float64(max(allocated, 1)))
+		if stageSLOs[i] <= 0 {
+			return &FieldError{"ChainConfig.SLO", cfg.SLO,
+				fmt.Sprintf("too small to split across %d stages", len(cfg.Models))}
+		}
+		fn, err := p.admit(FunctionConfig{
 			Name:    fmt.Sprintf("%s-%d-%s", cfg.Name, i, name),
 			Model:   name,
 			SLO:     stageSLOs[i],
-			Traffic: cfg.Traffic, // only the head's trace is used
-		}
-		if i+1 < len(cfg.Models) {
-			fc.forwardTo = fmt.Sprintf("%s-%d-%s", cfg.Name, i+1, cfg.Models[i+1])
-		} else {
-			fc.chainSLO = cfg.SLO
-		}
-		if i > 0 {
-			fc.noTrace = true
-		}
-		if err := p.Deploy(fc); err != nil {
+			Traffic: cfg.Traffic,
+		})
+		if err != nil {
 			return err
 		}
+		if i+1 < len(cfg.Models) {
+			fn.ForwardTo = fmt.Sprintf("%s-%d-%s", cfg.Name, i+1, cfg.Models[i+1])
+		} else {
+			fn.ChainSLO = cfg.SLO
+		}
+		if i > 0 {
+			fn.Traffic = scenario.Traffic{} // fed by the stage before
+		}
+		stages[i] = fn
 	}
+	p.fns = append(p.fns, stages...)
 	return nil
 }
 
@@ -111,11 +101,11 @@ type ChainReport struct {
 // Chains returns end-to-end reports for every deployed chain. Only valid
 // after Run.
 func (p *Platform) Chains() []ChainReport {
-	if p.engine == nil {
+	if p.res == nil {
 		return nil
 	}
 	var out []ChainReport
-	for _, f := range p.engine.Functions() {
+	for _, f := range p.res.Functions {
 		if f.ChainRecorder == nil {
 			continue
 		}

@@ -1,6 +1,8 @@
 package infless_test
 
 import (
+	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,11 +17,31 @@ func TestDeployChainValidation(t *testing.T) {
 		{Name: "c", Models: []string{"SSD", "Nope"}, SLO: time.Second, Traffic: infless.Traffic{RPS: 10}}, // bad model
 		{Name: "c", Models: []string{"SSD", "ResNet-50"}, Traffic: infless.Traffic{RPS: 10}},              // no SLO
 		{Name: "c", Models: []string{"SSD", "ResNet-50"}, SLO: time.Second},                               // no traffic
+		// SLOs too small to split: 2 ns leaves a stage 0 s, 1 ns leaves
+		// nothing to normalize by.
+		{Name: "c", Models: []string{"ResNet-50", "MobileNet"}, SLO: 2, Traffic: infless.Traffic{RPS: 10}},
+		{Name: "c", Models: []string{"ResNet-50", "MobileNet"}, SLO: 1, Traffic: infless.Traffic{RPS: 10}},
 	}
 	for i, c := range cases {
-		if err := p.DeployChain(c); err == nil {
-			t.Errorf("case %d: expected error", i)
+		err := p.DeployChain(c)
+		var fe *infless.FieldError
+		if !errors.As(err, &fe) {
+			t.Errorf("case %d: error %v is not a FieldError", i, err)
+		} else if !strings.HasPrefix(fe.Field, "ChainConfig.") && !strings.HasPrefix(fe.Field, "Traffic.") {
+			t.Errorf("case %d: error names %q", i, fe.Field)
 		}
+	}
+	// A rejected chain deploys none of its stages: the next Run sees only
+	// the function deployed after it.
+	if err := p.Deploy(infless.FunctionConfig{Name: "f", Model: "MNIST", SLO: time.Second, Traffic: infless.Traffic{RPS: 5}}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := p.Run(time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Functions) != 1 || rep.Functions[0].Name != "f" {
+		t.Errorf("report has %d functions, want only f: %+v", len(rep.Functions), rep.Functions)
 	}
 }
 

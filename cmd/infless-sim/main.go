@@ -19,12 +19,13 @@ import (
 
 	infless "github.com/tanklab/infless"
 	"github.com/tanklab/infless/internal/artifact"
+	"github.com/tanklab/infless/internal/scenario"
 )
 
 func main() {
 	var (
 		system   = flag.String("system", "infless", "control plane: infless | batch | openfaas+")
-		scenario = flag.String("scenario", "", "predefined scenario: osvt | qa (overrides -model)")
+		app      = flag.String("scenario", "", "predefined scenario: osvt | qa (overrides -model)")
 		modelN   = flag.String("model", "ResNet-50", "model to deploy (see -models)")
 		slo      = flag.Duration("slo", 200*time.Millisecond, "latency SLO")
 		rps      = flag.Float64("rps", 100, "request rate (base rate for synthetic patterns)")
@@ -75,16 +76,14 @@ func main() {
 		data, err := os.ReadFile(*template)
 		check(err)
 		check(p.DeployTemplate(string(data), traffic))
-	case *scenario == "osvt":
-		for _, m := range []string{"SSD", "MobileNet", "ResNet-50"} {
-			check(p.Deploy(infless.FunctionConfig{Name: "osvt-" + m, Model: m, SLO: 200 * time.Millisecond, Traffic: traffic}))
+	case *app != "":
+		fns, ok := map[string]func() []scenario.Function{"osvt": scenario.OSVT, "qa": scenario.QA}[*app]
+		if !ok {
+			check(fmt.Errorf("unknown scenario %q (want osvt or qa)", *app))
 		}
-	case *scenario == "qa":
-		for _, m := range []string{"TextCNN-69", "LSTM-2365", "DSSM-2389"} {
-			check(p.Deploy(infless.FunctionConfig{Name: "qa-" + m, Model: m, SLO: 50 * time.Millisecond, Traffic: traffic}))
+		for _, fn := range fns() {
+			check(p.Deploy(infless.FunctionConfig{Name: fn.Name, Model: fn.Model, SLO: fn.SLO, Traffic: traffic}))
 		}
-	case *scenario != "":
-		check(fmt.Errorf("unknown scenario %q (want osvt or qa)", *scenario))
 	default:
 		check(p.Deploy(infless.FunctionConfig{Name: "fn", Model: *modelN, SLO: *slo, Traffic: traffic}))
 	}

@@ -16,17 +16,17 @@
 package infless
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
 	"github.com/tanklab/infless/internal/artifact"
-	"github.com/tanklab/infless/internal/baselines"
 	"github.com/tanklab/infless/internal/cluster"
 	"github.com/tanklab/infless/internal/core"
 	"github.com/tanklab/infless/internal/model"
+	"github.com/tanklab/infless/internal/scenario"
 	"github.com/tanklab/infless/internal/sim"
 	"github.com/tanklab/infless/internal/telemetry"
-	"github.com/tanklab/infless/internal/workload"
 )
 
 // System selects which control plane serves the deployed functions.
@@ -56,11 +56,13 @@ type Options struct {
 	Shards int
 	// Seed makes runs reproducible (default 1).
 	Seed int64
-	// Ablation switches (INFless only; Figure 11):
+	// Ablation switches (Figure 11). These and LSTHGamma are INFless
+	// options: Validate rejects them for the baselines.
 	DisableBatching   bool    // BB ablation: force batch size 1
 	DisableRS         bool    // RS ablation: ignore Eq. 10's efficiency metric
 	PredictionInflate float64 // OP ablation: 1.5 = OP1.5, 2.0 = OP2
-	// LSTHGamma overrides the LSTH blending weight (default 0.5).
+	// LSTHGamma overrides the LSTH blending weight (default 0.5 under
+	// INFless).
 	LSTHGamma float64
 	// Telemetry configures the platform's observation subsystem: rolling
 	// window, provisioning-series sampling (Figure 14) and the optional
@@ -85,17 +87,6 @@ type StorageOptions struct {
 	// Preload enables opportunistic pre-loading: reclaim events park
 	// other functions' artifacts in the freed server's spare DRAM.
 	Preload bool
-}
-
-// config lowers the facade options onto the internal artifact model;
-// nil when tiering is disabled (the engine's legacy path).
-func (s StorageOptions) config() *artifact.Config {
-	if !s.Enabled {
-		return nil
-	}
-	c := artifact.DefaultConfig()
-	c.Preload = s.Preload
-	return &c
 }
 
 // ArtifactSpec describes a function's checkpoint for tiered storage
@@ -144,21 +135,14 @@ type FunctionConfig struct {
 	// Artifact describes the function's checkpoint for tiered storage;
 	// the zero value reproduces the legacy cold-start assumption.
 	Artifact ArtifactSpec
-
-	// chain wiring, set by DeployChain.
-	forwardTo string
-	noTrace   bool
-	chainSLO  time.Duration
 }
 
 // Platform is a deployed serverless inference system bound to a cluster.
 type Platform struct {
-	opts       Options
-	engineCtrl sim.Controller
-	engine     *sim.Engine
-	col        *telemetry.Collector
-	fns        []FunctionConfig
-	ran        bool
+	opts Options
+	col  *telemetry.Collector
+	fns  []scenario.Function
+	res  *sim.Result // set by Run
 }
 
 // NewPlatform creates a platform with the chosen control plane. Invalid
@@ -169,40 +153,43 @@ func NewPlatform(opts Options) (*Platform, error) {
 		return nil, err
 	}
 	opts = opts.withDefaults()
-	var ctrl sim.Controller
-	switch opts.System {
-	case SystemINFless:
-		inflessOpts := core.Options{PredictionInflate: opts.PredictionInflate}
-		inflessOpts.Sched.ForceBatchOne = opts.DisableBatching
-		inflessOpts.Sched.DisableRS = opts.DisableRS
-		inflessOpts.LSTH.Gamma = opts.LSTHGamma
-		ctrl = core.New(inflessOpts)
-	case SystemBATCH:
-		ctrl = baselines.NewBatchSys()
-	case SystemOpenFaaSPlus:
-		ctrl = baselines.NewOpenFaaSPlus()
-	}
 	col := telemetry.New(telemetry.Options{
 		Window:              opts.Telemetry.Window,
 		ResourceSampleEvery: opts.Telemetry.ResourceSampleEvery,
 	})
-	return &Platform{opts: opts, engineCtrl: ctrl, col: col}, nil
+	return &Platform{opts: opts, col: col}, nil
 }
 
 // Deploy registers a function; call before Run.
 func (p *Platform) Deploy(cfg FunctionConfig) error {
-	if p.ran {
-		return fmt.Errorf("infless: platform already ran")
+	fn, err := p.admit(cfg)
+	if err == nil {
+		p.fns = append(p.fns, fn)
+	}
+	return err
+}
+
+// admit checks that cfg can join the deployed functions and returns it
+// as the run will deploy it.
+func (p *Platform) admit(cfg FunctionConfig) (scenario.Function, error) {
+	if p.res != nil {
+		return scenario.Function{}, fmt.Errorf("infless: platform already ran")
 	}
 	if err := cfg.validate(); err != nil {
-		return err
+		return scenario.Function{}, err
 	}
 	if model.Get(cfg.Model) == nil {
-		return &FieldError{"FunctionConfig.Model", cfg.Model,
+		return scenario.Function{}, &FieldError{"FunctionConfig.Model", cfg.Model,
 			"unknown model (see infless.Models())"}
 	}
-	p.fns = append(p.fns, cfg)
-	return nil
+	for _, f := range p.fns {
+		if f.Name == cfg.Name {
+			return scenario.Function{}, &FieldError{"FunctionConfig.Name", cfg.Name, "a function of that name is already deployed"}
+		}
+	}
+	t := cfg.Traffic
+	return scenario.Function{Name: cfg.Name, Model: cfg.Model, SLO: cfg.SLO, MaxBatch: cfg.MaxBatch, Artifact: cfg.Artifact.spec(),
+		Traffic: scenario.Traffic{Pattern: t.Pattern, RPS: t.RPS, Seed: cmp.Or(t.Seed, p.opts.Seed)}}, nil
 }
 
 // DeployTemplate parses an INFless function template (Figure 5) and
@@ -228,7 +215,7 @@ func (p *Platform) DeployTemplate(src string, traffic Traffic) error {
 
 // Run executes the platform for the given duration and reports results.
 func (p *Platform) Run(duration time.Duration) (*Report, error) {
-	if p.ran {
+	if p.res != nil {
 		return nil, fmt.Errorf("infless: platform already ran")
 	}
 	if len(p.fns) == 0 {
@@ -237,57 +224,14 @@ func (p *Platform) Run(duration time.Duration) (*Report, error) {
 	if duration <= 0 {
 		return nil, fmt.Errorf("infless: non-positive duration")
 	}
-	p.ran = true
-	e := sim.New(p.engineCtrl, sim.Config{
-		Cluster:   cluster.New(cluster.Options{Servers: p.opts.Servers, Shards: p.opts.Shards}),
-		Seed:      p.opts.Seed,
-		Duration:  duration,
-		Collector: p.col,
-		Storage:   p.opts.Storage.config(),
-	})
-	if p.opts.Telemetry.Trace != nil {
-		e.Observe(telemetry.NewTraceWriter(p.opts.Telemetry.Trace))
-	}
-	for _, cfg := range p.fns {
-		spec := sim.FunctionSpec{
-			Name:      cfg.Name,
-			Model:     model.MustGet(cfg.Model),
-			SLO:       cfg.SLO,
-			MaxBatch:  cfg.MaxBatch,
-			ForwardTo: cfg.forwardTo,
-			ChainSLO:  cfg.chainSLO,
-			Artifact:  cfg.Artifact.spec(),
-		}
-		if !cfg.noTrace {
-			tr, err := p.traceFor(cfg, duration)
-			if err != nil {
-				return nil, err
-			}
-			spec.Trace = tr
-		}
-		e.AddFunction(spec)
-	}
-	p.engine = e
-	res := e.Run()
-	return buildReport(res), nil
-}
-
-func (p *Platform) traceFor(cfg FunctionConfig, duration time.Duration) (*workload.Trace, error) {
-	seed := cfg.Traffic.Seed
-	if seed == 0 {
-		seed = p.opts.Seed
-	}
-	switch cfg.Traffic.Pattern {
-	case "", "constant":
-		return workload.Constant(cfg.Traffic.RPS, duration, time.Minute), nil
-	default:
-		days := int(duration/(24*time.Hour)) + 1
-		return workload.ByName(cfg.Traffic.Pattern, workload.Options{
-			Seed:    seed,
-			Days:    days,
-			BaseRPS: cfg.Traffic.RPS,
-		})
-	}
+	o := p.opts
+	in := core.Options{PredictionInflate: o.PredictionInflate}
+	in.Sched.ForceBatchOne, in.Sched.DisableRS, in.LSTH.Gamma = o.DisableBatching, o.DisableRS, o.LSTHGamma
+	p.res = scenario.Run(scenario.Spec{System: string(o.System), INFless: in, Functions: p.fns,
+		Cluster: cluster.Options{Servers: o.Servers, Shards: o.Shards}, Seed: o.Seed, Duration: duration,
+		Collector: p.col, Trace: o.Telemetry.Trace,
+		Storage: map[StorageOptions]string{{Enabled: true}: "tiered", {Enabled: true, Preload: true}: "preload"}[o.Storage]})
+	return buildReport(p.res), nil
 }
 
 // Models lists the names of the built-in Table 1 model zoo.

@@ -1,6 +1,7 @@
 package infless_test
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -116,6 +117,35 @@ func TestPlatformDeployErrors(t *testing.T) {
 	for i, c := range cases {
 		if err := p.Deploy(c); err == nil {
 			t.Errorf("case %d: expected deploy error", i)
+		}
+	}
+	// A second function of the same name, chain stages included, is
+	// rejected rather than merged into the first's report row.
+	if err := p.Deploy(infless.FunctionConfig{Name: "x", Model: "MobileNet", SLO: 100 * time.Millisecond, Traffic: infless.Traffic{RPS: 5}}); err != nil {
+		t.Fatal(err)
+	}
+	var fe *infless.FieldError
+	err := p.Deploy(infless.FunctionConfig{Name: "x", Model: "ResNet-50", SLO: 200 * time.Millisecond, Traffic: infless.Traffic{RPS: 50}})
+	if !errors.As(err, &fe) || fe.Field != "FunctionConfig.Name" {
+		t.Errorf("duplicate function: error %v, want a FieldError on FunctionConfig.Name", err)
+	}
+	chain := infless.ChainConfig{Name: "c", Models: []string{"SSD", "MobileNet"}, SLO: time.Second, Traffic: infless.Traffic{RPS: 5}}
+	if err := p.DeployChain(chain); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.DeployChain(chain); !errors.As(err, &fe) || fe.Field != "FunctionConfig.Name" {
+		t.Errorf("duplicate chain: error %v, want a FieldError on FunctionConfig.Name", err)
+	}
+	rep, err := p.Run(10 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Functions) != 3 {
+		t.Errorf("report has %d functions, want x and the chain's two stages", len(rep.Functions))
+	}
+	for _, f := range rep.Functions {
+		if f.Name == "x" && f.SLO != 100*time.Millisecond {
+			t.Errorf("x reports SLO %v, want the first deploy's 100ms", f.SLO)
 		}
 	}
 	if _, err := infless.NewPlatform(infless.Options{System: "heroku"}); err == nil {

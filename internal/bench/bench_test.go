@@ -279,11 +279,19 @@ func TestFig14Shape(t *testing.T) {
 	}
 }
 
+// TestFig11Shape also holds fig11's table to its line in
+// figureDigestFile: fig11 has no parallelFor and no wall-clock cells, so
+// this render is the one TestParallelAllDeterministic leaves out.
 func TestFig11Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow stress suite")
 	}
+	e, ok := ByID("fig11")
+	if !ok {
+		t.Fatal("unknown experiment fig11")
+	}
 	tb := Fig11(quick)
+	checkFigureDigests(t, []Experiment{e}, []string{tb.String()}, false)
 	inf := tb.Value("infless", "OSVT")
 	bb := tb.Value("infless-bb", "OSVT")
 	batch := tb.Value("batch", "OSVT")

@@ -7,125 +7,59 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"github.com/tanklab/infless/internal/artifact"
-	"github.com/tanklab/infless/internal/baselines"
 	"github.com/tanklab/infless/internal/cluster"
 	"github.com/tanklab/infless/internal/coldstart"
 	"github.com/tanklab/infless/internal/core"
-	"github.com/tanklab/infless/internal/model"
 	"github.com/tanklab/infless/internal/perf"
+	"github.com/tanklab/infless/internal/scenario"
+	"github.com/tanklab/infless/internal/scheduler"
 	"github.com/tanklab/infless/internal/sim"
 	"github.com/tanklab/infless/internal/telemetry"
 	"github.com/tanklab/infless/internal/workload"
 )
 
-// fnSpec declares one function of a scenario.
-type fnSpec struct {
-	name  string
-	model string
-	slo   time.Duration
-	rps   float64 // base rate; scaled by scenario loads
+// ablations are fig11's INFless variants by series name: BB disables
+// built-in batching, RS resource scheduling, and OP inflates operator
+// predictions.
+var ablations = map[string]core.Options{
+	"infless-bb":    {Sched: scheduler.Options{ForceBatchOne: true}},
+	"infless-rs":    {Sched: scheduler.Options{DisableRS: true}},
+	"infless-op1.5": {PredictionInflate: 1.5},
+	"infless-op2":   {PredictionInflate: 2.0},
 }
 
-// The two application scenarios of Section 5.1.
-func osvtFns(rps float64) []fnSpec {
-	return []fnSpec{
-		{"osvt-detect", "SSD", 200 * time.Millisecond, rps},
-		{"osvt-license", "MobileNet", 200 * time.Millisecond, rps},
-		{"osvt-classify", "ResNet-50", 200 * time.Millisecond, rps},
+// spec is a figure's run of series sys (a Spec System or an ablation)
+// serving fns for dur on the testbed, each offered pattern at rps;
+// function i's traffic is seeded o.Seed + i.
+func (o Options) spec(sys string, fns []scenario.Function, pattern string, rps float64, dur time.Duration) scenario.Spec {
+	o.defaults()
+	s := scenario.Spec{System: sys, Functions: slices.Clone(fns), Storage: o.Storage, Seed: o.Seed, Duration: dur}
+	if a, ok := ablations[sys]; ok {
+		s.System, s.INFless = "infless", a
 	}
+	for i := range s.Functions {
+		s.Functions[i].Traffic = scenario.Traffic{Pattern: pattern, RPS: rps, Seed: o.Seed + int64(i)}
+	}
+	return s
 }
 
-func qaFns(rps float64) []fnSpec {
-	return []fnSpec{
-		{"qa-textcnn", "TextCNN-69", 50 * time.Millisecond, rps},
-		{"qa-lstm", "LSTM-2365", 50 * time.Millisecond, rps},
-		{"qa-dssm", "DSSM-2389", 50 * time.Millisecond, rps},
-	}
-}
-
-func controllerFor(system string) sim.Controller {
-	switch system {
-	case "infless":
-		return core.New(core.Options{})
-	case "infless-bb": // batching disabled (BB ablation)
-		o := core.Options{}
-		o.Sched.ForceBatchOne = true
-		return core.New(o)
-	case "infless-rs": // resource scheduling disabled (RS ablation)
-		o := core.Options{}
-		o.Sched.DisableRS = true
-		return core.New(o)
-	case "infless-op1.5":
-		return core.New(core.Options{PredictionInflate: 1.5})
-	case "infless-op2":
-		return core.New(core.Options{PredictionInflate: 2.0})
-	case "batch":
-		return baselines.NewBatchSys()
-	case "openfaas+":
-		return baselines.NewOpenFaaSPlus()
-	}
-	panic("bench: unknown system " + system)
-}
-
-// runScenario executes one controller against functions with traces
-// derived from the given pattern.
-func runScenario(ctrl sim.Controller, fns []fnSpec, pattern string, dur time.Duration, opts Options, cfg sim.Config) *sim.Result {
-	opts.defaults()
-	cfg.Duration = dur
-	if cfg.Cluster == nil {
-		cfg.Cluster = cluster.Testbed()
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = opts.Seed
-	}
-	if cfg.Storage == nil && opts.Storage != "" {
-		st, err := artifact.Profile(opts.Storage)
-		if err != nil {
-			panic(err)
-		}
-		if st.Enabled {
-			cfg.Storage = &st
-		}
-	}
-	e := sim.New(ctrl, cfg)
-	for i, fn := range fns {
-		var tr *workload.Trace
-		if pattern == "constant" {
-			tr = workload.Constant(fn.rps, dur, time.Minute)
-		} else {
-			var err error
-			tr, err = workload.ByName(pattern, workload.Options{
-				Seed:    opts.Seed + int64(i),
-				Days:    int(dur/(24*time.Hour)) + 1,
-				BaseRPS: fn.rps,
-			})
-			if err != nil {
-				panic(err)
-			}
-		}
-		e.AddFunction(sim.FunctionSpec{
-			Name:  fn.name,
-			Model: model.MustGet(fn.model),
-			SLO:   fn.slo,
-			Trace: tr,
-		})
-	}
-	return e.Run()
-}
-
-// goodput is the rate of requests served within their SLO over the
-// measured (post-warmup) window.
-func goodput(res *sim.Result, warmup time.Duration) float64 {
+// stress runs s with its first quarter as warm-up and returns the result
+// and its goodput: the rate of requests served within their SLO over the
+// measured window.
+func stress(s scenario.Spec) (*sim.Result, float64) {
+	s.Warmup = s.Duration / 4
+	res := scenario.Run(s)
 	var good float64
 	for _, f := range res.Functions {
 		fs := res.Telemetry.Function(f.Spec.Name)
 		total := float64(fs.Served + fs.Dropped)
 		good += total * (1 - fs.SLOViolationRate)
 	}
-	return good / (res.Duration - warmup).Seconds()
+	return res, good / (res.Duration - s.Warmup).Seconds()
 }
 
 // Fig3b compares maximum sustained goodput of the one-to-one platform,
@@ -139,16 +73,12 @@ func Fig3b(opts Options) *Table {
 		[]string{"goodput", "vsOneToOne"})
 	// A deliberately small box (4 cores, 2 GPU units) so the offered load
 	// saturates every system and the comparison measures capacity.
-	fns := []fnSpec{{"resnet20", "ResNet-20", 200 * time.Millisecond, 20000}}
-	warmup := dur / 4
+	fns := []scenario.Function{{Name: "resnet20", Model: "ResNet-20", SLO: 200 * time.Millisecond}}
 	var base float64
 	for _, sys := range systems {
-		cfg := sim.Config{Cluster: cluster.New(cluster.Options{
-			Servers:   1,
-			PerServer: perf.Resources{CPU: 4, GPU: 2},
-		}), Warmup: warmup}
-		res := runScenario(controllerFor(sys), fns, "constant", dur, opts, cfg)
-		g := goodput(res, warmup)
+		s := opts.spec(sys, fns, "constant", 20000, dur)
+		s.Cluster = cluster.Options{Servers: 1, PerServer: perf.Resources{CPU: 4, GPU: 2}}
+		_, g := stress(s)
 		if sys == "openfaas+" {
 			base = g
 		}
@@ -173,10 +103,10 @@ func Fig11(opts Options) *Table {
 		// OSVT saturates the 8-server testbed; the QA models are tiny, so
 		// their stress test runs on a 2-server slice to keep the offered
 		// load (and the event count) tractable while still binding.
-		warmup := dur / 4
-		osvt := goodput(runScenario(controllerFor(sys), osvtFns(30000), "constant", dur, opts, sim.Config{Warmup: warmup}), warmup)
-		qaCfg := sim.Config{Cluster: cluster.New(cluster.Options{Servers: 4}), Warmup: warmup}
-		qa := goodput(runScenario(controllerFor(sys), qaFns(15000), "constant", dur, opts, qaCfg), warmup)
+		_, osvt := stress(opts.spec(sys, scenario.OSVT(), "constant", 30000, dur))
+		s := opts.spec(sys, scenario.QA(), "constant", 15000, dur)
+		s.Cluster = cluster.Options{Servers: 4}
+		_, qa := stress(s)
 		rows[sys] = [2]float64{osvt, qa}
 		if sys == "infless" {
 			inflessOSVT, inflessQA = osvt, qa
@@ -202,7 +132,7 @@ func Fig12a(opts Options) *Table {
 	vals := map[string][]cell{}
 	for _, sys := range systems {
 		for _, pattern := range patterns {
-			res := runScenario(controllerFor(sys), osvtFns(60), pattern, dur, opts, sim.Config{})
+			res := scenario.Run(opts.spec(sys, scenario.OSVT(), pattern, 60, dur))
 			vals[sys] = append(vals[sys], val(res.ThroughputPerResource(), f2))
 		}
 	}
@@ -229,18 +159,17 @@ func Fig12b(opts Options) *Table {
 	points := make([][2]float64, len(slos))
 	opts.parallelFor(len(slos), func(i int) {
 		sloDur := slos[i] * time.Millisecond
-		fns := osvtFns(15000)
+		fns := scenario.OSVT()
 		for j := range fns {
-			fns[j].slo = sloDur
+			fns[j].SLO = sloDur
 		}
 		run := func(sys string) float64 {
-			warmup := dur / 4
-			res := runScenario(controllerFor(sys), fns, "constant", dur, opts, sim.Config{Warmup: warmup})
+			res, goodput := stress(opts.spec(sys, fns, "constant", 15000, dur))
 			used := res.Telemetry.Resources.WeightedSeconds
 			if used <= 0 {
 				return 0
 			}
-			return goodput(res, warmup) * res.Duration.Seconds() / used
+			return goodput * res.Duration.Seconds() / used
 		}
 		points[i] = [2]float64{run("infless"), run("batch")}
 	})
@@ -266,8 +195,8 @@ func Fig13(opts Options) *Table {
 		configs := map[string]bool{}
 		var total uint64
 		for _, sloMs := range []time.Duration{150, 200, 250, 300, 350} {
-			fns := []fnSpec{{"resnet", "ResNet-50", sloMs * time.Millisecond, 1500}}
-			res := runScenario(controllerFor(sys), fns, "bursty", dur, opts, sim.Config{})
+			fns := []scenario.Function{{Name: "resnet", Model: "ResNet-50", SLO: sloMs * time.Millisecond}}
+			res := scenario.Run(opts.spec(sys, fns, "bursty", 1500, dur))
 			for used, cnt := range res.Telemetry.Functions[0].BatchServed {
 				batchServed[nearestPow2(used)] += cnt
 				total += cnt
@@ -324,12 +253,10 @@ func Fig14(opts Options) *Table {
 		[]string{"meanWeighted", "peakWeighted", "areaWeighted.s"})
 	var areas []float64
 	for _, sys := range systems {
-		e := sim.New(controllerFor(sys), sim.Config{
-			Cluster: cluster.Testbed(), Duration: dur, Seed: opts.Seed,
-			Collector: telemetry.New(telemetry.Options{ResourceSampleEvery: 15 * time.Second}),
-		})
-		e.AddFunction(sim.FunctionSpec{Name: "resnet", Model: model.MustGet("ResNet-50"), SLO: 200 * time.Millisecond, Trace: tr})
-		used := e.Run().Telemetry.Resources
+		s := opts.spec(sys, []scenario.Function{{Name: "resnet", Model: "ResNet-50", SLO: 200 * time.Millisecond}}, "", 0, dur)
+		s.Functions[0].Traffic.Trace = tr
+		s.Collector = telemetry.New(telemetry.Options{ResourceSampleEvery: 15 * time.Second})
+		used := scenario.Run(s).Telemetry.Resources
 		var mean, peak float64
 		for _, p := range used.Series {
 			mean += p.Weighted
@@ -363,22 +290,23 @@ func Fig15(opts Options) *Table {
 	for _, sys := range systems {
 		var cells []cell
 		for _, pattern := range patterns {
-			res := runScenario(controllerFor(sys), osvtFns(60), pattern, dur, opts, sim.Config{})
+			res := scenario.Run(opts.spec(sys, scenario.OSVT(), pattern, 60, dur))
 			cells = append(cells, val(res.ViolationRate(), pct))
 		}
 		t.Put(sys, cells...)
 	}
 	for _, slo := range breakdowns {
-		fns := osvtFns(150)
+		fns := scenario.OSVT()
 		for i := range fns {
-			fns[i].slo = slo
+			fns[i].SLO = slo
 		}
-		col := telemetry.New(telemetry.Options{})
-		runScenario(controllerFor("infless"), fns, "constant", opts.dur(40*time.Second, 2*time.Minute), opts, sim.Config{Collector: col})
+		s := opts.spec("infless", fns, "constant", 150, opts.dur(40*time.Second, 2*time.Minute))
+		s.Collector = telemetry.New(telemetry.Options{})
+		scenario.Run(s)
 		var cold, queue, exec time.Duration
 		var n time.Duration
 		for _, fn := range fns {
-			c, q, x := col.Recorder(fn.name).Breakdown()
+			c, q, x := s.Collector.Recorder(fn.Name).Breakdown()
 			cold += c
 			queue += q
 			exec += x
@@ -541,7 +469,7 @@ func Table4(opts Options) *Table {
 	}
 	var peak float64
 	for _, sys := range []string{"openfaas+", "batch", "infless"} {
-		res := runScenario(controllerFor(sys), osvtFns(120), "periodic", dur, opts, sim.Config{})
+		res := scenario.Run(opts.spec(sys, scenario.OSVT(), "periodic", 120, dur))
 		row(sys, res.Telemetry.Resources.CPUCoreSeconds, res.Telemetry.Resources.GPUUnitSeconds, float64(res.Served()), dur.Seconds())
 		if sys == "openfaas+" {
 			// EC2 static provisioning: hold peak-sized one-to-one capacity
@@ -569,8 +497,9 @@ func AlphaSweep(opts Options) *Table {
 	t := newTable("alpha", "Dispatcher damping alpha: launches vs efficiency (bursty ResNet-50)",
 		labels("alpha=%.1f", alphas), []string{"launches", "thpt/res", "violation"})
 	for _, alpha := range alphas {
-		fns := []fnSpec{{"resnet", "ResNet-50", 200 * time.Millisecond, 3000}}
-		res := runScenario(core.New(core.Options{Alpha: alpha}), fns, "bursty", dur, opts, sim.Config{})
+		s := opts.spec("infless", []scenario.Function{{Name: "resnet", Model: "ResNet-50", SLO: 200 * time.Millisecond}}, "bursty", 3000, dur)
+		s.INFless.Alpha = alpha
+		res := scenario.Run(s)
 		t.Put(fmt.Sprintf("alpha=%.1f", alpha), val(float64(res.Telemetry.Functions[0].Launches), f0),
 			val(res.ThroughputPerResource(), f2), val(res.ViolationRate(), pct))
 	}

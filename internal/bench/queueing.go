@@ -11,6 +11,7 @@ import (
 	"github.com/tanklab/infless/internal/model"
 	"github.com/tanklab/infless/internal/perf"
 	"github.com/tanklab/infless/internal/queueing"
+	"github.com/tanklab/infless/internal/scenario"
 	"github.com/tanklab/infless/internal/scheduler"
 	"github.com/tanklab/infless/internal/sim"
 	"github.com/tanklab/infless/internal/telemetry"
@@ -49,10 +50,11 @@ func QueueingValidation(opts Options) *Table {
 			panic(err)
 		}
 		// Simulator: a single fixed instance with the same parameters.
-		col := telemetry.New(telemetry.Options{})
-		runScenario(&fixedController{cand: cand}, []fnSpec{{"station", m.Name, slo, lam}}, "constant", dur, opts,
-			sim.Config{Warmup: 10 * time.Second, Collector: col})
-		simMean := col.Recorder("station").Mean()
+		s := opts.spec("", []scenario.Function{{Name: "station", Model: m.Name, SLO: slo}}, "constant", lam, dur)
+		s.Controller = &fixedController{cand: cand}
+		s.Warmup, s.Collector = 10*time.Second, telemetry.New(telemetry.Options{})
+		scenario.Run(s)
+		simMean := s.Collector.Recorder("station").Mean()
 		rel := 0.0
 		if simMean > 0 {
 			rel = (float64(an.MeanResponse) - float64(simMean)) / float64(simMean)

@@ -14,10 +14,7 @@ import (
 	"time"
 )
 
-var (
-	update = flag.Bool("update", false, "rewrite the lines of "+figureDigestFile+" this run renders")
-	fig11  = flag.Bool("fig11", false, "run TestFig11Digest (make figures-check)")
-)
+var update = flag.Bool("update", false, "rewrite the lines of "+figureDigestFile+" this run renders")
 
 // figureDigestFile pins every experiment's quick-mode, seed-1 table (as
 // renderAll returns it) to a SHA-256, so a change that moves any figure
@@ -175,8 +172,8 @@ func renderAll(t *testing.T, exps []Experiment, parallel int) (tables, jsons []s
 // experiment suite with -parallel 8 must produce byte-identical output
 // (both the table and -json renderings, in the same order) as -parallel
 // 1. It is the determinism check for every experiment but fig11, whose
-// runScenario path fig3b/12a/15/table4 share and which alone would more
-// than double the run (TestFig11Digest holds its digest). -short (the
+// scenario.Run path fig3b/12a/15/table4 share and which alone would more
+// than double the run (TestFig11Shape holds its digest). -short (the
 // race pass) keeps the sweep-fanning and large-scale experiments plus
 // the exclusively-scheduled fig17a. Both hold each table they render to
 // its digest in figureDigestFile; -update rewrites those lines.
@@ -212,22 +209,6 @@ func TestParallelAllDeterministic(t *testing.T) {
 		}
 	}
 	checkFigureDigests(t, exps, serialTables, !testing.Short())
-}
-
-// TestFig11Digest holds fig11, the paper's headline figure, to its line
-// in figureDigestFile: one quick-mode, seed-1 render, ≈ 15 s on a 2-core
-// host, so it runs only under -fig11 (make figures-check; make
-// figures-update adds -update).
-func TestFig11Digest(t *testing.T) {
-	if !*fig11 {
-		t.Skip("fig11 renders only under -fig11: make figures-check")
-	}
-	e, ok := ByID("fig11")
-	if !ok {
-		t.Fatal("unknown experiment fig11")
-	}
-	tables, _ := renderAll(t, []Experiment{e}, 1)
-	checkFigureDigests(t, []Experiment{e}, tables, false)
 }
 
 // checkFigureDigests compares the SHA-256 of each rendered table with

@@ -155,6 +155,11 @@ func TestOptionValidationNamesField(t *testing.T) {
 		{infless.Options{System: "no-such-system"}, "Options.System"},
 		{infless.Options{Servers: -1}, "Options.Servers"},
 		{infless.Options{LSTHGamma: 1.5}, "Options.LSTHGamma"},
+		// INFless options on a baseline would be ignored, so they are rejected.
+		{infless.Options{System: infless.SystemBATCH, DisableBatching: true, LSTHGamma: 0.9}, "Options.DisableBatching"},
+		{infless.Options{System: infless.SystemBATCH, DisableRS: true}, "Options.DisableRS"},
+		{infless.Options{System: infless.SystemOpenFaaSPlus, PredictionInflate: 2}, "Options.PredictionInflate"},
+		{infless.Options{System: infless.SystemOpenFaaSPlus, LSTHGamma: 0.9}, "Options.LSTHGamma"},
 		{infless.Options{Telemetry: infless.TelemetryOptions{Window: -time.Second}}, "Options.Telemetry.Window"},
 	}
 	for _, c := range cases {
@@ -220,5 +225,14 @@ func TestResolvedOptionsVisible(t *testing.T) {
 		got.Seed != infless.DefaultSeed || got.LSTHGamma != infless.DefaultLSTHGamma ||
 		got.Telemetry.Window != infless.DefaultTelemetryWindow {
 		t.Errorf("resolved options = %+v", got)
+	}
+	// A baseline's resolved options hold no INFless default, so they
+	// configure the same platform again.
+	b, err := infless.NewPlatform(infless.Options{System: infless.SystemBATCH})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := infless.NewPlatform(b.Options()); err != nil {
+		t.Errorf("a baseline's resolved options are rejected: %v", err)
 	}
 }

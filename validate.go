@@ -47,6 +47,21 @@ func (o Options) Validate() error {
 		return &FieldError{"Options.System", string(o.System),
 			`unknown system (use "infless", "batch" or "openfaas+")`}
 	}
+	if o.System == SystemBATCH || o.System == SystemOpenFaaSPlus {
+		inflessOnly := func(field string, v any) error {
+			return &FieldError{field, v, "an INFless option; System " + string(o.System) + " has none"}
+		}
+		switch {
+		case o.DisableBatching:
+			return inflessOnly("Options.DisableBatching", o.DisableBatching)
+		case o.DisableRS:
+			return inflessOnly("Options.DisableRS", o.DisableRS)
+		case o.PredictionInflate != 0:
+			return inflessOnly("Options.PredictionInflate", o.PredictionInflate)
+		case o.LSTHGamma != 0:
+			return inflessOnly("Options.LSTHGamma", o.LSTHGamma)
+		}
+	}
 	if o.Servers < 0 {
 		return &FieldError{"Options.Servers", o.Servers,
 			"cluster size must be positive (0 = default 8)"}
@@ -102,7 +117,7 @@ func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = DefaultSeed
 	}
-	if o.LSTHGamma == 0 {
+	if o.LSTHGamma == 0 && o.System == SystemINFless {
 		o.LSTHGamma = DefaultLSTHGamma
 	}
 	if o.Telemetry.Window == 0 {
@@ -125,6 +140,24 @@ func (t Traffic) Validate() error {
 	return nil
 }
 
+// validate checks a chain declaration at DeployChain time; the stage
+// models and the SLO split are checked as the stages are built.
+func (c ChainConfig) validate() error {
+	if c.Name == "" {
+		return &FieldError{"ChainConfig.Name", c.Name, "chain needs a name"}
+	}
+	if len(c.Models) < 2 {
+		return &FieldError{"ChainConfig.Models", c.Models, "chain needs at least two stages"}
+	}
+	if c.SLO <= 0 {
+		return &FieldError{"ChainConfig.SLO", c.SLO, "end-to-end SLO must be positive"}
+	}
+	if err := c.Traffic.Validate(); err != nil {
+		return fmt.Errorf("chain %s: %w", c.Name, err)
+	}
+	return nil
+}
+
 // validate checks one function declaration at Deploy time.
 func (cfg FunctionConfig) validate() error {
 	if cfg.Name == "" {
@@ -143,9 +176,6 @@ func (cfg FunctionConfig) validate() error {
 	}
 	if err := cfg.Artifact.Validate(); err != nil {
 		return fmt.Errorf("function %s: %w", cfg.Name, err)
-	}
-	if cfg.noTrace {
-		return nil // chain interior stages carry no traffic of their own
 	}
 	if err := cfg.Traffic.Validate(); err != nil {
 		return fmt.Errorf("function %s: %w", cfg.Name, err)
